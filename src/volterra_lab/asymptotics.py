@@ -25,7 +25,7 @@ from scipy.special import logsumexp
 
 from .core import Kernel, resolvent, solve_linear
 from .exceptions import InputError, ParameterError
-from .growth_catalogue import catalogue_entry
+from .growth_catalogue import CatalogueEntry, catalogue_entry
 from .series import (
     LogTrajectory,
     Trajectory,
@@ -94,22 +94,26 @@ class ScalingModel:
 
     @classmethod
     def from_catalogue(cls, name, horizon, log_domain=False, **params) -> "ScalingModel":
-        entry = catalogue_entry(name, **params)
+        return cls.from_entry(catalogue_entry(name, **params), horizon, log_domain)
+
+    @classmethod
+    def from_entry(cls, entry: CatalogueEntry, horizon, log_domain=False) -> "ScalingModel":
+        """The entry's sequence on indices min_index..horizon."""
         if horizon < entry.min_index:
             raise InputError(
-                f"catalogue entry {name!r} starts at index {entry.min_index}, "
+                f"catalogue entry {entry.name!r} starts at index {entry.min_index}, "
                 f"horizon {horizon} is too short"
             )
         idx = np.arange(entry.min_index, horizon + 1)
         logs = entry.log_fn(idx)
         if not np.all(np.isfinite(logs)):
-            raise InputError(f"catalogue entry {name!r} overflowed in log space")
+            raise InputError(f"catalogue entry {entry.name!r} overflowed in log space")
         if log_domain:
             a = LogTrajectory.from_log(logs, start=entry.min_index)
         else:
             if np.any(logs > 709.0):
                 raise InputError(
-                    f"catalogue entry {name!r} overflows plain doubles at this "
+                    f"catalogue entry {entry.name!r} overflows plain doubles at this "
                     "horizon; build it with log_domain=True"
                 )
             a = Trajectory(entry.values(idx), start=entry.min_index)
@@ -571,24 +575,18 @@ class DecompositionReport:
     """Bundle of a bounded factor, its predicted counterpart, and residuals.
 
     ``residual_sup`` is the sup of |actual - predicted| over the final
-    quarter of indices.  The optional fields hold the extracted almost
-    periodic part and the running time average when the experiment that
-    produced the report computed them.
+    quarter of indices.
     """
 
     lambda_a_part: Trajectory
     predicted: Trajectory
     residual_sup: float
-    almost_periodic_part: Trajectory = None
-    time_average_value: float = None
 
     @staticmethod
     def from_series(actual: Trajectory, predicted: Trajectory,
-                    tail_fraction: float = 0.25, **extras) -> "DecompositionReport":
+                    tail_fraction: float = 0.25) -> "DecompositionReport":
         lo, hi = overlap_range(actual, predicted)
         diff = actual.window(lo, hi).values - predicted.window(lo, hi).values
         count = max(1, int(round(tail_fraction * len(diff))))
         sup = float(np.max(np.abs(diff[-count:])))
-        return DecompositionReport(
-            lambda_a_part=actual, predicted=predicted, residual_sup=sup, **extras
-        )
+        return DecompositionReport(lambda_a_part=actual, predicted=predicted, residual_sup=sup)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -25,6 +26,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import (
     DecompositionReport,
+    ScalingModel,
     estimate_lambda,
     estimate_limsup,
     extract_almost_periodic,
@@ -38,7 +40,7 @@ from .config import MODES, ExperimentConfig, Report
 from .core import resolvent, solve_linear, solve_nonlinear
 from .exceptions import ConfigError, VolterraLabError
 from .growth_catalogue import catalogue_names
-from .series import LogTrajectory, Trajectory, dyadic_blocks, overlap_range, ratio_series
+from .series import LogTrajectory, Trajectory, overlap_range, ratio_series
 from .spectral import (
     SingularMultiplierError,
     characteristic_roots,
@@ -49,25 +51,23 @@ from .stochastic import EnsembleSpec, STATISTICS, ensemble_verify, envelope_sums
 
 OUT_DIR_ENV = "VOLTERRA_LAB_OUT"
 
+logger = logging.getLogger(__name__)
+
 
 # --------------------------------------------------------------------------
 # shared pieces
 # --------------------------------------------------------------------------
 
 def _solve_system(cfg: ExperimentConfig):
-    kernel = cfg.build_kernel()
     horizon = cfg["horizon"]
     log_domain = cfg["log_domain"]
-    forcing = generate(cfg.build_forcing(), horizon, log_domain=log_domain)
-    x = solve_linear(kernel, forcing, cfg["xi"], horizon, log_domain=log_domain)
-    return kernel, forcing, x
+    forcing = generate(cfg.forcing, horizon, log_domain=log_domain)
+    x = solve_linear(cfg.kernel, forcing, cfg["xi"], horizon, log_domain=log_domain)
+    return cfg.kernel, forcing, x
 
 
-def _tail_sup(actual, predicted, fraction=0.25) -> float:
-    lo, hi = overlap_range(actual, predicted)
-    diff = actual.window(lo, hi).values - predicted.window(lo, hi).values
-    count = max(1, int(round(fraction * len(diff))))
-    return float(np.max(np.abs(diff[-count:])))
+def _scale(cfg: ExperimentConfig, log_domain: bool) -> ScalingModel:
+    return ScalingModel.from_entry(cfg.scaling, cfg["horizon"], log_domain=log_domain)
 
 
 # --------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def _mode_solve(cfg):
 
 
 def _mode_spectrum(cfg):
-    kernel = cfg.build_kernel()
+    kernel = cfg.kernel
     report = characteristic_roots(kernel)
     grid = cfg["lambda_grid"]
     kappas, multipliers = [], []
@@ -112,11 +112,10 @@ def _mode_spectrum(cfg):
 def _mode_classify(cfg):
     horizon = cfg["horizon"]
     log_domain = cfg["log_domain"]
-    forcing = generate(cfg.build_forcing(), horizon, log_domain=log_domain)
-    scale = cfg.build_scaling()
-    thresholds = cfg.build_thresholds()
+    forcing = generate(cfg.forcing, horizon, log_domain=log_domain)
+    scale = _scale(cfg, log_domain)
     lam_hat, converged = estimate_lambda(forcing)
-    est = estimate_limsup(forcing, scale, thresholds)
+    est = estimate_limsup(forcing, scale, cfg.thresholds)
     stats = {
         "lambda_hat": lam_hat,
         "lambda_converged": converged,
@@ -125,10 +124,9 @@ def _mode_classify(cfg):
         "block_maxima": [float(v) for v in est.block_maxima],
     }
     series = {"forcing": forcing}
-    if "kernel" in cfg.data:
-        kernel = cfg.build_kernel()
-        x = solve_linear(kernel, forcing, cfg["xi"], horizon, log_domain=log_domain)
-        est_x = estimate_limsup(x, scale, thresholds)
+    if cfg.kernel is not None:
+        x = solve_linear(cfg.kernel, forcing, cfg["xi"], horizon, log_domain=log_domain)
+        est_x = estimate_limsup(x, scale, cfg.thresholds)
         stats["solution_limsup"] = est_x.value
         stats["solution_classification"] = est_x.classification
         series["x"] = x
@@ -136,13 +134,12 @@ def _mode_classify(cfg):
 
 
 def _mode_verify_growth2(cfg):
-    kernel = cfg.build_kernel()
     horizon = cfg["horizon"]
     log_domain = cfg["log_domain"]
-    forcing = generate(cfg.build_forcing(), horizon, log_domain=log_domain)
-    scale = cfg.build_scaling() if "scaling" in cfg.data else None
+    forcing = generate(cfg.forcing, horizon, log_domain=log_domain)
+    scale = _scale(cfg, log_domain) if cfg.scaling is not None else None
     result = verify_growth2(
-        kernel, forcing, xi=cfg["xi"], horizon=horizon, scale=scale, log_domain=log_domain
+        cfg.kernel, forcing, xi=cfg["xi"], horizon=horizon, scale=scale, log_domain=log_domain
     )
     tol = cfg["tolerances"]["residual"]
     verdicts = {"residual_within_tolerance": bool(result.residual < tol)}
@@ -161,7 +158,7 @@ def _mode_verify_growth2(cfg):
 
 def _mode_verify_growth3(cfg):
     kernel, forcing, x = _solve_system(cfg)
-    scale = cfg.build_scaling()
+    scale = _scale(cfg, cfg["log_domain"])
     lam_H = ratio_series(forcing, scale.a)
     lam_x = ratio_series(x, scale.a)
     r = resolvent(kernel, cfg["horizon"])
@@ -196,7 +193,7 @@ def _mode_verify_growth3(cfg):
 
 def _mode_verify_periodic(cfg):
     kernel, forcing, x = _solve_system(cfg)
-    scale = cfg.build_scaling()
+    scale = _scale(cfg, cfg["log_domain"])
     lam_H = ratio_series(forcing, scale.a)
     lam_x = ratio_series(x, scale.a)
     hint = cfg.get("period_hint")
@@ -204,7 +201,7 @@ def _mode_verify_periodic(cfg):
     extraction_x = extract_almost_periodic(lam_x)
     r = resolvent(kernel, cfg["horizon"])
     predicted = predict_x_over_a(kernel, r, scale.lam, extraction_H.pi)
-    rep_residual = _tail_sup(lam_x, predicted)
+    rep_residual = DecompositionReport.from_series(lam_x, predicted).residual_sup
     tol = cfg["tolerances"]["representation_residual"]
     expected = cfg.get("expected_period")
     if expected is not None:
@@ -235,7 +232,11 @@ def _mode_verify_periodic(cfg):
 
 def _mode_verify_ergodic(cfg):
     kernel, forcing, x = _solve_system(cfg)
-    scale = cfg.build_scaling()
+    scale = _scale(cfg, cfg["log_domain"])
+    spectrum = characteristic_roots(kernel)
+    if not spectrum.summable:
+        logger.warning("kernel resolvent verdict is %s; the time-average limit may not exist",
+                       spectrum.verdict)
     mu_x = time_average(ratio_series(x, scale.a))
     mu_H = time_average(ratio_series(forcing, scale.a))
     multiplier = multiplier_L(kernel, scale.lam)
@@ -256,10 +257,9 @@ def _mode_verify_ergodic(cfg):
 
 def _mode_verify_fluct(cfg):
     kernel, forcing, x = _solve_system(cfg)
-    scale = cfg.build_scaling()
-    thresholds = cfg.build_thresholds()
-    est_H = estimate_limsup(forcing, scale, thresholds)
-    est_x = estimate_limsup(x, scale, thresholds)
+    scale = _scale(cfg, cfg["log_domain"])
+    est_H = estimate_limsup(forcing, scale, cfg.thresholds)
+    est_x = estimate_limsup(x, scale, cfg.thresholds)
     r = resolvent(kernel, cfg["horizon"])
     r_l1 = float(np.sum(np.abs(r.values)))
     k_l1 = kernel.l1_norm
@@ -289,7 +289,7 @@ def _mode_verify_fluct(cfg):
 
 def _mode_verify_phi(cfg):
     kernel, forcing, x = _solve_system(cfg)
-    phi = cfg.build_phi()
+    phi = cfg.phi
     phi.validate()
     report = phi_average_bounds(
         kernel, x, forcing, phi, slack=cfg["tolerances"]["bound_slack"]
@@ -309,9 +309,8 @@ def _mode_verify_phi(cfg):
 
 
 def _mode_envelope(cfg):
-    tail = cfg.build_tail()
-    scale = cfg.build_scaling(log_domain=False)
-    report = envelope_sums(tail, scale.a, cfg["k_grid"], horizon=cfg["horizon"])
+    scale = _scale(cfg, log_domain=False)
+    report = envelope_sums(cfg.tail, scale.a, cfg["k_grid"], horizon=cfg["horizon"])
     verdicts = {"crossing_bracketed": report.crossing is not None}
     expected = cfg.get("expected_crossing")
     if expected is not None:
@@ -339,15 +338,15 @@ def _mode_envelope(cfg):
 
 def _mode_ensemble(cfg):
     system = EnsembleSpec(
-        kernel=cfg.build_kernel(),
-        forcing=cfg.build_forcing(),
+        kernel=cfg.kernel,
+        forcing=cfg.forcing,
         horizon=cfg["horizon"],
         xi=cfg["xi"],
         log_domain=cfg["log_domain"],
-        scaling=cfg.build_scaling() if "scaling" in cfg.data else None,
-        thresholds=cfg.build_thresholds(),
+        scaling=_scale(cfg, cfg["log_domain"]) if cfg.scaling is not None else None,
+        thresholds=cfg.thresholds,
     )
-    statistic = cfg.build_statistic()
+    statistic = cfg.statistic
     result = ensemble_verify(system, cfg["paths"], statistic)
     min_fraction = cfg["tolerances"]["min_pass_fraction"]
     verdicts = {"pass_fraction_met": bool(result.pass_fraction >= min_fraction)}
@@ -370,28 +369,17 @@ def _mode_ensemble(cfg):
 
 
 def _mode_verify_nonlinear(cfg):
-    kernel = cfg.build_kernel()
+    kernel = cfg.kernel
     horizon = cfg["horizon"]
-    forcing = generate(cfg.build_forcing(), horizon, log_domain=False)
-    f = cfg.build_nonlinearity()
+    forcing = generate(cfg.forcing, horizon, log_domain=False)
+    f = cfg.nonlinearity
     f.validate()
-    scale = cfg.build_scaling(log_domain=False)
-    thresholds = cfg.build_thresholds()
+    scale = _scale(cfg, log_domain=False)
     x_nl = solve_nonlinear(kernel, f, forcing, cfg["xi"], horizon)
     y = solve_linear(kernel, forcing, cfg["xi"], horizon)
     diff = Trajectory(np.abs(x_nl.values - y.values), start=0)
     diff_ratio = ratio_series(diff, scale.a)
-    blocks = dyadic_blocks(diff_ratio.start, diff_ratio.end)
-    maxima = [
-        float(
-            np.max(
-                np.abs(
-                    diff_ratio.window(lo, hi).values
-                )
-            )
-        )
-        for lo, hi in blocks
-    ]
+    maxima = [float(v) for v in estimate_limsup(diff, scale, cfg.thresholds).block_maxima]
     floor = 1e-13
     clamped = [max(v, floor) for v in maxima[-3:]]
     decay_ok = len(clamped) == 3 and clamped[0] >= clamped[1] >= clamped[2]
@@ -400,10 +388,10 @@ def _mode_verify_nonlinear(cfg):
     lam_x = ratio_series(x_nl, scale.a)
     r = resolvent(kernel, horizon)
     predicted = predict_x_over_a(kernel, r, scale.lam, lam_H)
-    rep_residual = _tail_sup(lam_x, predicted)
+    rep_residual = DecompositionReport.from_series(lam_x, predicted).residual_sup
     rep_ok = rep_residual < cfg["tolerances"]["representation_residual"]
-    est_H = estimate_limsup(forcing, scale, thresholds)
-    est_x = estimate_limsup(x_nl, scale, thresholds)
+    est_H = estimate_limsup(forcing, scale, cfg.thresholds)
+    est_x = estimate_limsup(x_nl, scale, cfg.thresholds)
     verdicts = {"classification_agreement": est_x.classification == est_H.classification}
     if f.linear_at_infinity:
         verdicts["difference_decay"] = bool(decay_ok)

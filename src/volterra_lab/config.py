@@ -1,358 +1,310 @@
 """Experiment configuration schema and the machine-readable report.
 
-A single JSON document describes one experiment.  Validation is strict:
-unknown fields are rejected with the offending field path, and every
-default that applies is written back into the normalized document, so
-the config echoed inside a report fully describes the run and re-running
-it reproduces all statistics bitwise (given the seed and log_domain).
+A single JSON document describes one experiment.  It is read in one pass:
+each section's parser checks its keys, converts its scalars and builds
+its library object once; every default that applies is written back, so
+the echoed config fully describes the run and reproduces all statistics
+bitwise.  Horizon-length work (scaling sequence, forcing draws) is left
+to the run.  Every malformed field raises ``ConfigError`` naming its
+dotted path, such as ``config.forcing.tail.sigma``; the command line
+prints ``config error: <path>: ...`` and exits 1.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import asdict, dataclass, field, replace
 
-from .asymptotics import ScalingModel, make_phi
-from .core import Kernel, make_nonlinearity
-from .exceptions import ConfigError, ParameterError, VolterraLabError
-from .growth_catalogue import catalogue_entry
-from .stochastic import ForcingGenerator, StatisticSpec, make_tail_model
+from .asymptotics import ConvexFunctional, LimsupThresholds, make_phi
+from .core import Kernel, Nonlinearity, make_nonlinearity
+from .exceptions import ConfigError, VolterraLabError
+from .growth_catalogue import CatalogueEntry, catalogue_entry
+from .stochastic import ForcingGenerator, StatisticSpec, TailModel, make_tail_model
 
-MODES = (
-    "solve",
-    "spectrum",
-    "classify",
-    "verify-growth2",
-    "verify-growth3",
-    "verify-periodic",
-    "verify-ergodic",
-    "verify-fluct",
-    "verify-phi",
-    "envelope",
-    "ensemble",
-    "verify-nonlinear",
-)
+# mode -> (fields it requires, its tolerances with their defaults)
+_MODES = {
+    "solve": (("kernel", "forcing", "horizon"), {}),
+    "spectrum": (("kernel",), {}),
+    "classify": (("forcing", "scaling", "horizon"), {}),
+    "verify-growth2": (("kernel", "forcing", "horizon"), {"residual": 1e-6}),
+    "verify-growth3": (("kernel", "forcing", "scaling", "horizon"),
+                       {"representation_residual": 1e-4, "recovery_residual": 1e-4}),
+    "verify-periodic": (("kernel", "forcing", "scaling", "horizon"),
+                        {"representation_residual": 1e-3}),
+    "verify-ergodic": (("kernel", "forcing", "scaling", "horizon"), {"limit_abs_error": 0.01}),
+    "verify-fluct": (("kernel", "forcing", "scaling", "horizon"), {"bound_slack": 0.05}),
+    "verify-phi": (("kernel", "forcing", "horizon"), {"bound_slack": 1e-6}),
+    "envelope": (("tail", "scaling", "k_grid", "horizon"), {}),
+    "ensemble": (("kernel", "forcing", "horizon", "paths", "statistic"),
+                 {"min_pass_fraction": 0.9}),
+    "verify-nonlinear": (("kernel", "forcing", "scaling", "nonlinearity", "horizon"),
+                         {"final_block_max": 1e-3, "representation_residual": 1e-3}),
+}
+MODES = tuple(_MODES)
 
-DEFAULT_TOLERANCES = {
-    "solve": {},
-    "spectrum": {},
-    "classify": {},
-    "verify-growth2": {"residual": 1e-6},
-    "verify-growth3": {"representation_residual": 1e-4, "recovery_residual": 1e-4},
-    "verify-periodic": {"representation_residual": 1e-3},
-    "verify-ergodic": {"limit_abs_error": 0.01},
-    "verify-fluct": {"bound_slack": 0.05},
-    "verify-phi": {"bound_slack": 1e-6},
-    "envelope": {},
-    "ensemble": {"min_pass_fraction": 0.9},
-    "verify-nonlinear": {"final_block_max": 1e-3, "representation_residual": 1e-3},
+_SCALARS = {
+    "mode", "horizon", "seed", "xi", "log_domain", "k_grid", "paths", "period_hint",
+    "expected_period", "expected_crossing", "lambda_grid", "out_dir",
 }
 
-_TOP_KEYS = {
-    "mode", "horizon", "seed", "xi", "log_domain", "kernel", "forcing",
-    "scaling", "nonlinearity", "tail", "phi", "statistic", "k_grid", "paths",
-    "tolerances", "thresholds", "period_hint", "expected_period",
-    "expected_crossing", "lambda_grid", "out_dir",
-}
-
-_REQUIRED = {
-    "solve": ("kernel", "forcing", "horizon"),
-    "spectrum": ("kernel",),
-    "classify": ("forcing", "scaling", "horizon"),
-    "verify-growth2": ("kernel", "forcing", "horizon"),
-    "verify-growth3": ("kernel", "forcing", "scaling", "horizon"),
-    "verify-periodic": ("kernel", "forcing", "scaling", "horizon"),
-    "verify-ergodic": ("kernel", "forcing", "scaling", "horizon"),
-    "verify-fluct": ("kernel", "forcing", "scaling", "horizon"),
-    "verify-phi": ("kernel", "forcing", "horizon"),
-    "envelope": ("tail", "scaling", "k_grid", "horizon"),
-    "ensemble": ("kernel", "forcing", "horizon", "paths", "statistic"),
-    "verify-nonlinear": ("kernel", "forcing", "scaling", "nonlinearity", "horizon"),
-}
+_MISSING = object()
 
 
-def _check_keys(section: dict, allowed: set, path: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(path, f"expected an object, got {type(section).__name__}")
-    for key in section:
-        if key not in allowed:
+# --------------------------------------------------------------------------
+# typed field helpers: each reads spec[key] and reports errors at path.key
+# --------------------------------------------------------------------------
+
+def _object(spec, path, allowed=None) -> dict:
+    if not isinstance(spec, dict):
+        raise ConfigError(path, f"expected an object, got {type(spec).__name__}")
+    for key in spec:
+        if allowed is not None and key not in allowed:
             raise ConfigError(f"{path}.{key}", "unknown field")
+    return spec
 
 
-def _require(section: dict, key: str, path: str):
-    if key not in section:
+def _field(spec, key, path, default=_MISSING):
+    if key in spec:
+        return spec[key]
+    if default is _MISSING:
         raise ConfigError(f"{path}.{key}", "required field missing")
-    return section[key]
+    return default
 
 
-def _validate_kernel(spec, path="kernel") -> dict:
-    _check_keys(spec, {"name", "coefficients", "tail_bound", "c", "ratio", "size"}, path)
+def _choice(spec, key, path, choices):
+    value = _field(spec, key, path)
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{path}.{key}", f"unknown {key} {value!r}; choose from {tuple(choices)}")
+    return value
+
+
+def _float(spec, key, path, default=_MISSING) -> float:
+    value = _field(spec, key, path, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _floats(spec, key, path, default=_MISSING) -> list:
+    values = _field(spec, key, path, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{path}.{key}", f"expected a list of numbers, got {values!r}")
+    items = dict(enumerate(values))
+    return [_float(items, i, f"{path}.{key}") for i in items]
+
+
+def _int(spec, key, path, default=_MISSING, minimum=0) -> int:
+    value = _field(spec, key, path, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
+        raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}")
+    return int(value)
+
+
+def _build(path, factory, *args, **kwargs):
+    """Call a library constructor; whatever it rejects is a ConfigError at path."""
+    try:
+        return factory(*args, **kwargs)
+    except (VolterraLabError, ValueError, TypeError) as err:
+        raise ConfigError(path, str(err)) from err
+
+
+# --------------------------------------------------------------------------
+# section parsers: (spec, path, normalized top level) -> (echo, object)
+# --------------------------------------------------------------------------
+
+def _named(spec, path, factory, keys=("name", "params")):
+    """A ``{name, params}`` section built as ``factory(name, **params)``."""
+    _object(spec, path, keys)
+    name = _field(spec, "name", path)
+    params = _object(_field(spec, "params", path, {}), f"{path}.params")
+    return {"name": name, "params": dict(params)}, _build(path, factory, name, **params)
+
+
+def _kernel(spec, path, top):
+    _object(spec, path, {"name", "coefficients", "tail_bound", "c", "ratio", "size"})
     if "coefficients" in spec:
-        out = {"coefficients": [float(v) for v in spec["coefficients"]]}
+        out = {"coefficients": _floats(spec, "coefficients", path)}
         if "tail_bound" in spec:
-            out["tail_bound"] = float(spec["tail_bound"])
-        try:
-            Kernel(out["coefficients"], tail_bound=out.get("tail_bound", 0.0))
-        except VolterraLabError as err:
-            raise ConfigError(path, str(err)) from err
-        return out
-    name = _require(spec, "name", path)
-    if name == "zero":
-        return {"name": "zero"}
-    if name == "geometric":
-        out = {
-            "name": "geometric",
-            "c": float(_require(spec, "c", path)),
-            "ratio": float(_require(spec, "ratio", path)),
-            "size": int(_require(spec, "size", path)),
-        }
-        try:
-            Kernel.geometric(out["c"], out["ratio"], out["size"])
-        except VolterraLabError as err:
-            raise ConfigError(path, str(err)) from err
-        return out
-    raise ConfigError(f"{path}.name", f"unknown kernel {name!r}")
-
-
-def _validate_tail(spec, path="tail") -> dict:
-    _check_keys(
-        spec,
-        {"family", "sigma", "alpha", "c1", "c2", "scale", "shape", "low", "high", "delta_star"},
-        path,
-    )
-    family = _require(spec, "family", path)
-    out = {"family": family}
-    for key in ("sigma", "alpha", "c1", "c2", "scale", "shape", "low", "high", "delta_star"):
-        if key in spec:
-            out[key] = float(spec[key])
-    try:
-        _build_tail(out)
-    except (ParameterError, VolterraLabError) as err:
-        raise ConfigError(path, str(err)) from err
-    return out
-
-
-def _validate_factor(spec, path) -> dict:
-    kind = _require(spec, "kind", path)
-    if kind == "iid_uniform":
-        _check_keys(spec, {"kind", "low", "high"}, path)
-        return {"kind": kind, "low": float(spec.get("low", 0.0)), "high": float(spec.get("high", 1.0))}
-    if kind == "periodic":
-        _check_keys(spec, {"kind", "profile"}, path)
-        return {"kind": kind, "profile": [float(v) for v in _require(spec, "profile", path)]}
-    if kind == "sinusoid":
-        _check_keys(spec, {"kind", "amplitudes", "frequencies", "offset"}, path)
-        return {
-            "kind": kind,
-            "amplitudes": [float(v) for v in spec.get("amplitudes", [1.0])],
-            "frequencies": [float(v) for v in spec.get("frequencies", [1.0])],
-            "offset": float(spec.get("offset", 0.0)),
-        }
-    raise ConfigError(f"{path}.kind", f"unknown factor kind {kind!r}")
-
-
-def _validate_catalogue(name, params, path) -> None:
-    try:
-        catalogue_entry(name, **(params or {}))
-    except (ParameterError, TypeError) as err:
-        raise ConfigError(path, str(err)) from err
-
-
-def _validate_forcing(spec, path="forcing") -> dict:
-    kind = _require(spec, "kind", path)
-    if kind == "iid":
-        _check_keys(spec, {"kind", "tail", "seed"}, path)
-        out = {"kind": kind, "tail": _validate_tail(_require(spec, "tail", path), f"{path}.tail")}
-    elif kind in ("random_walk_drift", "geometric_random_walk"):
-        _check_keys(spec, {"kind", "drift", "noise", "seed"}, path)
-        out = {"kind": kind, "drift": float(spec.get("drift", 0.0))}
-        noise = spec.get("noise")
-        out["noise"] = None if noise is None else _validate_tail(noise, f"{path}.noise")
-    elif kind == "deterministic":
-        _check_keys(spec, {"kind", "name", "params", "seed"}, path)
-        name = _require(spec, "name", path)
-        params = spec.get("params", {})
-        _validate_catalogue(name, params, f"{path}.params")
-        out = {"kind": kind, "name": name, "params": dict(params)}
-    elif kind == "modulated":
-        _check_keys(spec, {"kind", "base", "factor", "seed"}, path)
-        base = _require(spec, "base", path)
-        _check_keys(base, {"name", "params"}, f"{path}.base")
-        base_name = _require(base, "name", f"{path}.base")
-        base_params = base.get("params", {})
-        _validate_catalogue(base_name, base_params, f"{path}.base.params")
-        out = {
-            "kind": kind,
-            "base": {"name": base_name, "params": dict(base_params)},
-            "factor": _validate_factor(_require(spec, "factor", path), f"{path}.factor"),
-        }
-    else:
-        raise ConfigError(f"{path}.kind", f"unknown forcing kind {kind!r}")
-    if "seed" in spec:
-        out["seed"] = int(spec["seed"])
-    return out
-
-
-def _validate_scaling(spec, path="scaling") -> dict:
-    _check_keys(spec, {"name", "params"}, path)
-    name = _require(spec, "name", path)
-    params = spec.get("params", {})
-    _validate_catalogue(name, params, f"{path}.params")
-    return {"name": name, "params": dict(params)}
-
-
-def _validate_nonlinearity(spec, path="nonlinearity") -> dict:
-    _check_keys(spec, {"name", "params"}, path)
-    name = _require(spec, "name", path)
-    params = dict(spec.get("params", {}))
-    try:
-        make_nonlinearity(name, **params)
-    except (ParameterError, TypeError) as err:
-        raise ConfigError(path, str(err)) from err
-    return {"name": name, "params": params}
-
-
-def _validate_phi(spec, path="phi") -> dict:
-    _check_keys(spec, {"name", "params"}, path)
-    name = _require(spec, "name", path)
-    params = dict(spec.get("params", {}))
-    try:
-        make_phi(name, **params)
-    except (ParameterError, TypeError) as err:
-        raise ConfigError(path, str(err)) from err
-    return {"name": name, "params": params}
-
-
-def _validate_statistic(spec, path="statistic") -> dict:
-    _check_keys(spec, {"name", "band", "series", "phi", "burn_in_fraction"}, path)
-    name = _require(spec, "name", path)
-    band = _require(spec, "band", path)
-    if not isinstance(band, (list, tuple)) or len(band) != 2:
-        raise ConfigError(f"{path}.band", "band must be [low, high]")
+            out["tail_bound"] = _float(spec, "tail_bound", path)
+        return out, _build(path, Kernel, **out)
+    if _choice(spec, "name", path, ("zero", "geometric")) == "zero":
+        return {"name": "zero"}, Kernel.zero()
     out = {
-        "name": name,
-        "band": [float(band[0]), float(band[1])],
-        "series": spec.get("series", "solution"),
+        "name": "geometric",
+        "c": _float(spec, "c", path),
+        "ratio": _float(spec, "ratio", path),
+        "size": _int(spec, "size", path),
     }
+    return out, _build(path, Kernel.geometric, out["c"], out["ratio"], out["size"])
+
+
+_TAIL_PARAMS = ("sigma", "alpha", "c1", "c2", "scale", "shape", "low", "high")
+
+
+def _tail(spec, path, top=None):
+    _object(spec, path, {"family", "delta_star", *_TAIL_PARAMS})
+    out = {"family": _field(spec, "family", path)}
+    out.update((key, _float(spec, key, path)) for key in spec if key != "family")
+    params = {k: out[k] for k in _TAIL_PARAMS if k in out}
+    model = _build(path, make_tail_model, out["family"], **params)
+    if "delta_star" in out:
+        model = replace(model, delta_star=out["delta_star"])
+    return out, model
+
+
+# factor kind -> field -> (converter, default)
+_FACTORS = {
+    "iid_uniform": {"low": (_float, 0.0), "high": (_float, 1.0)},
+    "periodic": {"profile": (_floats, _MISSING)},
+    "sinusoid": {
+        "amplitudes": (_floats, [1.0]),
+        "frequencies": (_floats, [1.0]),
+        "offset": (_float, 0.0),
+    },
+}
+
+
+def _factor(spec, path) -> dict:
+    fields = _FACTORS[_choice(_object(spec, path), "kind", path, _FACTORS)]
+    _object(spec, path, {"kind", *fields})
+    return {"kind": spec["kind"]} | {
+        key: convert(spec, key, path, default) for key, (convert, default) in fields.items()
+    }
+
+
+_FORCING_KEYS = {
+    "iid": {"tail"},
+    "random_walk_drift": {"drift", "noise"},
+    "geometric_random_walk": {"drift", "noise"},
+    "deterministic": {"name", "params"},
+    "modulated": {"base", "factor"},
+}
+
+
+def _forcing(spec, path, top):
+    kind = _choice(_object(spec, path), "kind", path, _FORCING_KEYS)
+    keys = {"kind", "seed", *_FORCING_KEYS[kind]}
+    _object(spec, path, keys)
+    out, tails = {"kind": kind}, {}
+    if kind == "iid":
+        out["tail"], tails["tail"] = _tail(_field(spec, "tail", path), f"{path}.tail")
+    elif kind == "deterministic":
+        out.update(_named(spec, path, catalogue_entry, keys)[0])
+    elif kind == "modulated":
+        out["base"] = _named(_field(spec, "base", path), f"{path}.base", catalogue_entry)[0]
+        out["factor"] = _factor(_field(spec, "factor", path), f"{path}.factor")
+    else:
+        out["drift"] = _float(spec, "drift", path, 0.0)
+        out["noise"] = tails["noise"] = spec.get("noise")
+        if out["noise"] is not None:
+            out["noise"], tails["noise"] = _tail(out["noise"], f"{path}.noise")
+    if "seed" in spec:
+        out["seed"] = _int(spec, "seed", path)
+    return out, ForcingGenerator(**{**out, "seed": out.get("seed", top["seed"]), **tails})
+
+
+def _statistic(spec, path, top):
+    _object(spec, path, {"name", "band", "series", "phi", "burn_in_fraction"})
+    out = {"name": _field(spec, "name", path), "band": _floats(spec, "band", path)}
+    if len(out["band"]) != 2:
+        raise ConfigError(f"{path}.band", "band must be [low, high]")
+    out["series"] = _field(spec, "series", path, "solution")
     if "burn_in_fraction" in spec:
-        out["burn_in_fraction"] = float(spec["burn_in_fraction"])
+        out["burn_in_fraction"] = _float(spec, "burn_in_fraction", path)
+    phi = {}
     if "phi" in spec:
-        out["phi"] = _validate_phi(spec["phi"], f"{path}.phi")
-    try:
-        _build_statistic(out)
-    except (ParameterError, VolterraLabError) as err:
-        raise ConfigError(path, str(err)) from err
-    return out
+        out["phi"], phi["phi"] = _named(spec["phi"], f"{path}.phi", make_phi)
+    return out, _build(path, StatisticSpec, **{**out, "band": tuple(out["band"]), **phi})
 
 
-def _validate_thresholds(spec, path="thresholds") -> dict:
-    _check_keys(spec, {"burn_in_fraction", "zero_peak_ratio", "growth_factor"}, path)
-    return {k: float(v) for k, v in spec.items()}
+def _tolerances(spec, path, top):
+    out = dict(_MODES[top["mode"]][1])
+    for key in _object(spec, path, out):
+        out[key] = _float(spec, key, path)
+    return out, None
 
 
-def validate_config(raw: dict) -> dict:
-    """Normalize a raw config dict, filling defaults; strict on unknowns."""
-    _check_keys(raw, _TOP_KEYS, "config")
-    mode = _require(raw, "mode", "config")
-    if mode not in MODES:
-        raise ConfigError("config.mode", f"unknown mode {mode!r}; choose from {MODES}")
-    out = {"mode": mode}
-    for key in _REQUIRED[mode]:
-        if key not in raw:
-            raise ConfigError(f"config.{key}", f"required for mode {mode!r}")
-    if "horizon" in raw:
-        horizon = int(raw["horizon"])
-        if horizon < 1:
-            raise ConfigError("config.horizon", "must be >= 1")
-        out["horizon"] = horizon
-    out["seed"] = int(raw.get("seed", 0))
-    out["xi"] = float(raw.get("xi", 1.0))
-    out["log_domain"] = bool(raw.get("log_domain", False))
-    if "kernel" in raw:
-        out["kernel"] = _validate_kernel(raw["kernel"])
-    if "forcing" in raw:
-        out["forcing"] = _validate_forcing(raw["forcing"])
-    if "scaling" in raw:
-        out["scaling"] = _validate_scaling(raw["scaling"])
-    if "nonlinearity" in raw:
-        out["nonlinearity"] = _validate_nonlinearity(raw["nonlinearity"])
-    if "tail" in raw:
-        out["tail"] = _validate_tail(raw["tail"])
-    if "phi" in raw or mode == "verify-phi":
-        out["phi"] = _validate_phi(raw.get("phi", {"name": "power", "params": {"p": 2.0}}))
-    if "statistic" in raw:
-        out["statistic"] = _validate_statistic(raw["statistic"])
-    if "k_grid" in raw:
-        grid = [float(v) for v in raw["k_grid"]]
-        if not grid:
-            raise ConfigError("config.k_grid", "must be a nonempty list")
-        out["k_grid"] = grid
-    if "paths" in raw:
-        paths = int(raw["paths"])
-        if paths < 1:
-            raise ConfigError("config.paths", "must be >= 1")
-        out["paths"] = paths
-    tol = dict(DEFAULT_TOLERANCES[mode])
-    user_tol = raw.get("tolerances", {})
-    if not isinstance(user_tol, dict):
-        raise ConfigError("config.tolerances", "expected an object")
-    for key, val in user_tol.items():
-        if key not in tol:
-            raise ConfigError(f"config.tolerances.{key}", f"unknown tolerance for mode {mode!r}")
-        tol[key] = float(val)
-    out["tolerances"] = tol
-    out["thresholds"] = _validate_thresholds(raw.get("thresholds", {}))
-    for key in ("period_hint", "expected_period"):
-        if key in raw and raw[key] is not None:
-            out[key] = int(raw[key])
-    if "expected_crossing" in raw:
-        out["expected_crossing"] = float(raw["expected_crossing"])
-    if "lambda_grid" in raw:
-        out["lambda_grid"] = [float(v) for v in raw["lambda_grid"]]
-    elif mode == "spectrum":
-        out["lambda_grid"] = [0.0, 0.25, 0.5, 0.75, 1.0]
-    if "out_dir" in raw:
-        out["out_dir"] = str(raw["out_dir"])
-    return out
+def _thresholds(spec, path, top):
+    keys = {"burn_in_fraction", "zero_peak_ratio", "growth_factor"}
+    out = {key: _float(spec, key, path) for key in _object(spec, path, keys)}
+    return out, LimsupThresholds(**out)
 
 
-# --------------------------------------------------------------------------
-# builders from the normalized document
-# --------------------------------------------------------------------------
-
-def _build_tail(spec):
-    params = {k: v for k, v in spec.items() if k not in ("family", "delta_star")}
-    model = make_tail_model(spec["family"], **params)
-    if "delta_star" in spec:
-        model = replace(model, delta_star=spec["delta_star"])
-    return model
-
-
-def _build_statistic(spec):
-    phi = None
-    if "phi" in spec:
-        phi = make_phi(spec["phi"]["name"], **spec["phi"]["params"])
-    kwargs = {}
-    if "burn_in_fraction" in spec:
-        kwargs["burn_in_fraction"] = spec["burn_in_fraction"]
-    return StatisticSpec(
-        name=spec["name"],
-        band=tuple(spec["band"]),
-        series=spec.get("series", "solution"),
-        phi=phi,
-        **kwargs,
-    )
+_SECTIONS = {
+    "kernel": _kernel,
+    "forcing": _forcing,
+    "scaling": lambda spec, path, top: _named(spec, path, catalogue_entry),
+    "nonlinearity": lambda spec, path, top: _named(spec, path, make_nonlinearity),
+    "tail": _tail,
+    "phi": lambda spec, path, top: _named(spec, path, make_phi),
+    "statistic": _statistic,
+    "tolerances": _tolerances,
+    "thresholds": _thresholds,
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment description plus typed object builders."""
+    """The normalized document plus the objects built from it (None if absent).
+
+    ``scaling`` is a catalogue entry: ``ScalingModel.from_entry`` turns it
+    into a sequence at the run's horizon and arithmetic.
+    """
 
     data: dict
+    kernel: Kernel = None
+    forcing: ForcingGenerator = None
+    scaling: CatalogueEntry = None
+    nonlinearity: Nonlinearity = None
+    tail: TailModel = None
+    phi: ConvexFunctional = None
+    statistic: StatisticSpec = None
+    thresholds: LimsupThresholds = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        return cls(validate_config(raw))
+        """Check, normalize and build every section of ``raw`` in one pass."""
+        _object(raw, "config", _SCALARS | _SECTIONS.keys())
+        mode = _choice(raw, "mode", "config", MODES)
+        for key in _MODES[mode][0]:
+            if key not in raw:
+                raise ConfigError(f"config.{key}", f"required for mode {mode!r}")
+        data = {"mode": mode}
+        for key in ("horizon", "paths"):
+            if key in raw:
+                data[key] = _int(raw, key, "config", minimum=1)
+        data["seed"] = _int(raw, "seed", "config", 0)
+        data["xi"] = _float(raw, "xi", "config", 1.0)
+        data["log_domain"] = _field(raw, "log_domain", "config", False)
+        if not isinstance(data["log_domain"], bool):
+            raise ConfigError("config.log_domain", "expected true or false")
+        defaults = {"tolerances": {}, "thresholds": {}}
+        if mode == "verify-phi":
+            defaults["phi"] = {"name": "power", "params": {"p": 2.0}}
+        objects = {}
+        for key, parse in _SECTIONS.items():
+            spec = raw.get(key, defaults.get(key, _MISSING))
+            if spec is not _MISSING:
+                data[key], obj = parse(spec, f"config.{key}", data)
+                if obj is not None:
+                    objects[key] = obj
+        if "k_grid" in raw:
+            data["k_grid"] = _floats(raw, "k_grid", "config")
+            if not data["k_grid"]:
+                raise ConfigError("config.k_grid", "must be a nonempty list")
+        for key, minimum in (("period_hint", 1), ("expected_period", 0)):
+            if raw.get(key) is not None:
+                data[key] = _int(raw, key, "config", minimum=minimum)
+        if "expected_crossing" in raw:
+            data["expected_crossing"] = _float(raw, "expected_crossing", "config")
+        if "lambda_grid" in raw or mode == "spectrum":
+            data["lambda_grid"] = _floats(raw, "lambda_grid", "config", [0.0, 0.25, 0.5, 0.75, 1.0])
+        if "out_dir" in raw:
+            data["out_dir"] = str(raw["out_dir"])
+        return cls(data, **objects)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -372,53 +324,10 @@ class ExperimentConfig:
     def mode(self) -> str:
         return self.data["mode"]
 
-    def build_kernel(self) -> Kernel:
-        spec = self.data["kernel"]
-        if "coefficients" in spec:
-            return Kernel(spec["coefficients"], tail_bound=spec.get("tail_bound", 0.0))
-        if spec["name"] == "zero":
-            return Kernel.zero()
-        return Kernel.geometric(spec["c"], spec["ratio"], spec["size"])
 
-    def build_forcing(self) -> ForcingGenerator:
-        spec = self.data["forcing"]
-        seed = spec.get("seed", self.data["seed"])
-        kind = spec["kind"]
-        if kind == "iid":
-            return ForcingGenerator(kind=kind, seed=seed, tail=_build_tail(spec["tail"]))
-        if kind in ("random_walk_drift", "geometric_random_walk"):
-            noise = None if spec["noise"] is None else _build_tail(spec["noise"])
-            return ForcingGenerator(kind=kind, seed=seed, drift=spec["drift"], noise=noise)
-        if kind == "deterministic":
-            return ForcingGenerator(kind=kind, seed=seed, name=spec["name"], params=spec["params"])
-        return ForcingGenerator(kind=kind, seed=seed, base=spec["base"], factor=spec["factor"])
-
-    def build_scaling(self, horizon: int = None, log_domain: bool = None) -> ScalingModel:
-        spec = self.data["scaling"]
-        horizon = horizon if horizon is not None else self.data["horizon"]
-        log_domain = self.data["log_domain"] if log_domain is None else log_domain
-        return ScalingModel.from_catalogue(
-            spec["name"], horizon, log_domain=log_domain, **spec["params"]
-        )
-
-    def build_nonlinearity(self):
-        spec = self.data["nonlinearity"]
-        return make_nonlinearity(spec["name"], **spec["params"])
-
-    def build_tail(self):
-        return _build_tail(self.data["tail"])
-
-    def build_phi(self):
-        spec = self.data["phi"]
-        return make_phi(spec["name"], **spec["params"])
-
-    def build_statistic(self) -> StatisticSpec:
-        return _build_statistic(self.data["statistic"])
-
-    def build_thresholds(self):
-        from .asymptotics import LimsupThresholds
-
-        return LimsupThresholds(**self.data["thresholds"]) if self.data["thresholds"] else LimsupThresholds()
+def validate_config(raw: dict) -> dict:
+    """Normalize a raw config dict, filling defaults; strict on unknowns."""
+    return ExperimentConfig.from_dict(raw).data
 
 
 # --------------------------------------------------------------------------
@@ -448,15 +357,7 @@ class Report:
         return all(self.verdicts.values())
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "config": self.config,
-            "verdicts": self.verdicts,
-            "statistics": self.statistics,
-            "series": self.series,
-            "wall_clock_s": self.wall_clock_s,
-            "version": self.version,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=True)

@@ -22,7 +22,7 @@ from scipy.special import gammaln
 
 from .exceptions import ParameterError
 
-__all__ = ["CatalogueEntry", "GROWTH_CATALOGUE", "catalogue_entry", "catalogue_names"]
+__all__ = ["CatalogueEntry", "catalogue_entry", "catalogue_names"]
 
 
 @dataclass(frozen=True)
@@ -285,9 +285,6 @@ _ALIASES = {
     "H9": "factorial",
     "H10": "iterated_exponential",
 }
-
-GROWTH_CATALOGUE = dict(_BUILDERS)
-
 
 def catalogue_names():
     return [(name, alias) for alias, name in sorted(_ALIASES.items(), key=lambda kv: int(kv[0][1:]))] + [

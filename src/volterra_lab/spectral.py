@@ -14,7 +14,6 @@ summable kernels.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ import numpy as np
 from .core import Kernel, resolvent
 from .exceptions import InputError, SingularMultiplierError, SpectralError
 from .series import Trajectory
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "SpectralReport",
@@ -144,20 +141,12 @@ def multiplier_L(kernel: Kernel, lam: float) -> float:
 
     For a summable kernel the denominator is bounded away from zero; a
     near-zero denominator therefore signals an inconsistent input and
-    raises.  Non-summable kernels are allowed through (the value is still
-    well defined) but are flagged with a warning since the limit statement
-    this constant belongs to does not apply.
+    raises.  The formula is evaluated for any kernel and never solves for
+    roots: callers that state a limit with this constant check
+    summability themselves (``characteristic_roots``), once per verdict.
     """
     if not 0.0 <= lam <= 1.0:
         raise InputError(f"lambda must lie in [0, 1], got {lam!r}")
-    report = characteristic_roots(kernel)
-    if not report.summable:
-        logger.warning(
-            "multiplier requested for a kernel with %s resolvent "
-            "(max root modulus %.6g); the limit statement does not apply",
-            report.verdict,
-            report.max_modulus,
-        )
     denom = 1.0 - kappa(kernel, lam)
     if abs(denom) <= 1e-12:
         raise SingularMultiplierError(

@@ -80,7 +80,6 @@ class TailModel:
     bounded_support: bool = False
     mu: callable = _default_modulus
     delta_star: float = 0.025
-    big_delta: float = 1.0
 
     def tail_probability(self, threshold):
         """P[|X| > t] = G(t) + F(-t)."""
@@ -666,8 +665,6 @@ class EnsembleResult:
 def _path_statistic(spec: StatisticSpec, x, forcing, system: EnsembleSpec) -> float:
     series = x if spec.series == "solution" else forcing
     if spec.name == "limsup_ratio":
-        if system.scaling is None:
-            raise InputError("limsup_ratio needs a scaling model")
         est = estimate_limsup(series, system.scaling, system.thresholds)
         return est.value
     if spec.name == "log_growth_rate":
@@ -679,8 +676,6 @@ def _path_statistic(spec: StatisticSpec, x, forcing, system: EnsembleSpec) -> fl
         win = la.window(lo, la.end)
         return float(np.max(win.values / np.log(win.indices())))
     if spec.name == "cesaro_limit":
-        if system.scaling is None:
-            raise InputError("cesaro_limit needs a scaling model")
         ratio = ratio_series(series, system.scaling.a)
         return float(time_average(ratio).values[-1])
     if spec.name == "phi_average":
@@ -695,10 +690,14 @@ def ensemble_verify(system: EnsembleSpec, paths: int, statistic: StatisticSpec) 
     """Run seeded independent paths and score a statistic against a band.
 
     Path p draws from the stream spawned for (master seed, p); aggregation
-    is order independent and the per-path list is reported sorted.
+    is order independent and the per-path list is reported sorted.  A spec
+    no path could satisfy raises before any path runs; only numerical
+    failures of single paths count against the band.
     """
     if paths < 1:
         raise InputError("need at least one path")
+    if statistic.name in ("limsup_ratio", "cesaro_limit") and system.scaling is None:
+        raise InputError(f"{statistic.name} needs a scaling model")
     children = np.random.SeedSequence(system.forcing.seed).spawn(paths)
     values = []
     failures = 0

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -11,6 +12,38 @@ from volterra_lab.exceptions import ConfigError
 
 def cfg(**kwargs):
     return ExperimentConfig.from_dict(kwargs)
+
+
+_ENSEMBLE = {
+    "horizon": 50, "paths": 2,
+    "kernel": {"coefficients": [0.5]},
+    "forcing": {"kind": "iid", "tail": {"family": "normal", "sigma": 1.0}},
+    "statistic": {"name": "phi_average", "band": [0.0, 99.0]},
+}
+
+# (dotted field, malformed value, path the error must name)
+_MALFORMED = [
+    ("horizon", "abc", "config.horizon"),
+    ("horizon", 10.7, "config.horizon"),
+    ("kernel.coefficients", "ab", "config.kernel.coefficients"),
+    ("kernel.coefficients", [0.5, "x"], "config.kernel.coefficients.1"),
+    ("paths", None, "config.paths"),
+    ("forcing.tail.sigma", "x", "config.forcing.tail.sigma"),
+    ("forcing.tail", [1.0], "config.forcing.tail"),
+    ("statistic.phi", {"name": "power", "params": {"p": "x"}}, "config.statistic.phi"),
+    ("seed", -1, "config.seed"),
+    ("log_domain", "false", "config.log_domain"),
+]
+
+
+def _malformed(field, value):
+    raw = copy.deepcopy(_ENSEMBLE)
+    *parents, leaf = field.split(".")
+    section = raw
+    for key in parents:
+        section = section[key]
+    section[leaf] = value
+    return raw
 
 
 class TestValidation:
@@ -54,6 +87,21 @@ class TestValidation:
                             "params": {"theta": 1.0}},
                 "tolerances": {"nope": 1.0},
             })
+
+    @pytest.mark.parametrize("field,value,path", _MALFORMED)
+    def test_malformed_value_names_its_path(self, field, value, path):
+        with pytest.raises(ConfigError) as info:
+            validate_config(dict(_malformed(field, value), mode="ensemble"))
+        assert info.value.path == path
+
+    def test_sections_come_back_as_built_objects(self):
+        config = cfg(mode="ensemble", **_ENSEMBLE)
+        assert config.kernel.coefficients.tolist() == [0.5]
+        assert config.forcing.tail.family == "normal"
+        assert config.forcing.seed == config["seed"] == 0
+        assert config.statistic.name == "phi_average"
+        assert config.thresholds.burn_in_fraction == 0.25
+        assert config.scaling is None and config.nonlinearity is None
 
     def test_defaults_recorded(self):
         data = validate_config({
@@ -293,6 +341,24 @@ class TestCommandLine:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value,path", _MALFORMED)
+    def test_exit_one_on_malformed_value(self, field, value, path, tmp_path, capsys):
+        config = self._write_config(tmp_path, _malformed(field, value))
+        code = main(["ensemble", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"config error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("statistic", ["limsup_ratio", "cesaro_limit"])
+    def test_exit_one_on_ensemble_statistic_without_scaling(self, statistic, tmp_path, capsys):
+        # a spec error, not a band miss: it must not come back as "every path failed"
+        data = dict(_ENSEMBLE, statistic={"name": statistic, "band": [0.0, 9.0]})
+        out = tmp_path / "out"
+        code = main(["ensemble", "--config", str(self._write_config(tmp_path, data)),
+                     "--out", str(out)])
+        assert code == 1
+        assert "needs a scaling model" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_exit_one_on_unreadable_config(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "missing.json")])
         assert code == 1
@@ -392,6 +458,11 @@ class TestReportSerialization:
                                  scaling={"name": "power", "params": {"theta": 1.0}},
                                  nonlinearity={"name": "bounded_offset"}),
     }
+
+    @pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
+    def test_echo_is_a_fixed_point(self, mode):
+        echo = validate_config(dict(self.MODE_CONFIGS[mode], mode=mode))
+        assert validate_config(json.loads(json.dumps(echo))) == echo
 
     @pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
     def test_every_mode_emits_serializable_report(self, mode, tmp_path):
