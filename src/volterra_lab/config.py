@@ -20,7 +20,13 @@ from .asymptotics import ConvexFunctional, LimsupThresholds, make_phi
 from .core import Kernel, Nonlinearity, make_nonlinearity
 from .exceptions import ConfigError, VolterraLabError
 from .growth_catalogue import CatalogueEntry, catalogue_entry
-from .stochastic import ForcingGenerator, StatisticSpec, TailModel, make_tail_model
+from .stochastic import (
+    ForcingGenerator,
+    StatisticSpec,
+    TailModel,
+    factor_error,
+    make_tail_model,
+)
 
 # mode -> (fields it requires, its tolerances with their defaults)
 _MODES = {
@@ -170,9 +176,13 @@ _FACTORS = {
 def _factor(spec, path) -> dict:
     fields = _FACTORS[_choice(_object(spec, path), "kind", path, _FACTORS)]
     _object(spec, path, {"kind", *fields})
-    return {"kind": spec["kind"]} | {
+    out = {"kind": spec["kind"]} | {
         key: convert(spec, key, path, default) for key, (convert, default) in fields.items()
     }
+    error = factor_error(out)
+    if error is not None:
+        raise ConfigError(f"{path}.{error[0]}", error[1])
+    return out
 
 
 _FORCING_KEYS = {

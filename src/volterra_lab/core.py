@@ -18,10 +18,30 @@ double-precision overflow.  Signed log-space sums suffer catastrophic
 cancellation when terms of opposite sign nearly cancel, so the log domain
 is intended for the sign-coherent growth regimes it exists for.
 
-Convolutions are evaluated directly: O(horizon * min(horizon, M)) for the
-recursion and O(horizon^2) for the resolvent representation.  The two
-routes are algorithmically independent on purpose; their agreement is a
-mandatory cross-check, not an assumption.
+Which engine runs where:
+
+* ``solve_linear`` in plain doubles runs the blocked engine: the first
+  block of B = max(256, M) indices by the per-term reference recursion,
+  every later block as the short Toeplitz solve x = r[:B] * (H + history)
+  with direct convolutions, O(horizon * B) in all.
+* ``resolvent``, ``solve_by_representation`` and everything in the log
+  domain run the per-term reference recursions, O(horizon * min(horizon, M)).
+* ``solve_by_representation`` adds the only O(horizon^2) step, the direct
+  convolution of the resolvent with the forcing.
+
+Accuracy contract of the blocked engine: for horizon < B its output is
+bitwise equal to the reference recursion; beyond that, its scaled gap to
+the reference, max |x - x_ref| / max(|x_ref|, 1), is at most 1e-12 on
+summable, marginal (sum k = 1) and growing kernels at horizons up to a
+few thousand, and about 1e-15 on summable kernels at any horizon.  On
+marginal kernels both engines drift from exact arithmetic by rounding
+that grows with the horizon, by about 1e-12 at 2e5 steps each against
+extended precision.  On the growing kernels tested, both engines raise on
+the same first non-finite index.  Repeated calls are bitwise identical.
+
+The forward recursion and the resolvent representation stay
+algorithmically independent on purpose; their agreement is a mandatory
+cross-check, not an assumption.
 """
 
 from __future__ import annotations
@@ -195,9 +215,10 @@ NONLINEARITY_CATALOGUE = ("identity", "bounded_offset", "sqrt_offset", "solow")
 
 
 # --------------------------------------------------------------------------
-# inner recursions (numba-compiled when available, plain Python otherwise;
-# both accumulate in identical order so results are bitwise independent of
-# which path runs)
+# per-term reference recursions: O(horizon * M), numba-compiled when
+# available.  The plain one is the reference the blocked engine below is
+# held to, and the whole of resolvent() and of the first block; the log one
+# is the only log-domain engine.
 # --------------------------------------------------------------------------
 
 def _linear_recursion_py(k, h, xi, out):
@@ -256,6 +277,59 @@ try:  # pragma: no cover - exercised implicitly when numba is installed
 except Exception:  # pragma: no cover
     _linear_recursion = _linear_recursion_py
     _log_linear_recursion = _log_linear_recursion_py
+
+
+# --------------------------------------------------------------------------
+# plain-domain engines
+# --------------------------------------------------------------------------
+
+# shortest block of the blocked engine; a block is never shorter than the kernel
+_BLOCK = 256
+
+
+def _reference_linear(k, h, xi):
+    """x(0..len(h)-1) by the per-term recursion; raises on the first non-finite value."""
+    out = np.empty(len(h))
+    # overflow is detected and raised below; suppress the element-wise warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = _linear_recursion(k, h, xi, out)
+    if bad >= 0:
+        raise TrajectoryOverflowError(bad)
+    return out
+
+
+def _blocked_linear(k, h, xi):
+    """x(0..len(h)-1) as a blocked unit lower-triangular Toeplitz solve.
+
+    The first block [0, B) runs the reference recursion, so it is bitwise
+    equal to it.  Every later block [t, t+L) solves x = r[:L] * f with
+    f = H[t:t+L] plus the history sum_{l} k(l) x(n-l) over n-l < t, where
+    r is the resolvent, itself taken from the reference recursion.  Both
+    convolutions are direct (np.convolve), so exact zeros stay exact.  If
+    r[:B] itself overflows, the whole solve runs the reference recursion.
+    """
+    m = len(k)
+    b = max(_BLOCK, m)
+    out = np.empty(len(h))
+    out[:b] = _reference_linear(k, h[:b], xi)
+    if len(h) <= b:
+        return out
+    try:
+        r = _reference_linear(k, np.zeros(b), 1.0)
+    except TrajectoryOverflowError:
+        return _reference_linear(k, h, xi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(b, len(h), b):
+            f = h[t : t + b].copy()
+            if m:
+                hist = np.convolve(k, out[t - m : t])[m - 1 : m - 1 + len(f)]
+                f[: len(hist)] += hist
+            block = np.convolve(r[: len(f)], f)[: len(f)]
+            finite = np.isfinite(block)
+            if not finite.all():
+                raise TrajectoryOverflowError(t + int(np.argmin(finite)))
+            out[t : t + len(f)] = block
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -338,13 +412,7 @@ def solve_linear(kernel: Kernel, forcing, xi: float, horizon: int, log_domain: b
             raise TrajectoryOverflowError(bad)
         return LogTrajectory(out_l, out_s, start=0)
     h = _forcing_plain(forcing, horizon)
-    out = np.empty(horizon + 1)
-    # overflow is detected and raised below; suppress the element-wise warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = _linear_recursion(kernel.coefficients, h, float(xi), out)
-    if bad >= 0:
-        raise TrajectoryOverflowError(bad)
-    return Trajectory(out, start=0)
+    return Trajectory(_blocked_linear(kernel.coefficients, h, float(xi)), start=0)
 
 
 def _kernel_log(kernel):
@@ -363,8 +431,10 @@ def resolvent(kernel: Kernel, horizon: int, log_domain: bool = False):
         if log_domain:
             return LogTrajectory(np.array([0.0]), np.array([1.0]), start=0)
         return Trajectory(np.array([1.0]), start=0)
-    zero = Trajectory(np.zeros(horizon + 1), start=0)
-    return solve_linear(kernel, zero, 1.0, horizon, log_domain=log_domain)
+    if log_domain:
+        zero = Trajectory(np.zeros(horizon + 1), start=0)
+        return solve_linear(kernel, zero, 1.0, horizon, log_domain=True)
+    return Trajectory(_reference_linear(kernel.coefficients, np.zeros(horizon + 1), 1.0), start=0)
 
 
 def solve_by_representation(kernel: Kernel, forcing, xi: float, horizon: int) -> Trajectory:

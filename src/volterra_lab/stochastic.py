@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import ndtr, ndtri
 
 from .asymptotics import (
     ConvexFunctional,
@@ -38,6 +38,7 @@ __all__ = [
     "TailModel",
     "make_tail_model",
     "ForcingGenerator",
+    "factor_error",
     "generate",
     "EnvelopeReport",
     "envelope_sums",
@@ -115,14 +116,17 @@ class TailModel:
 def _normal_model(sigma):
     if sigma <= 0:
         raise ParameterError("normal sigma must be positive")
-    dist = _stats.norm(scale=sigma)
+    sigma = float(sigma)
+    # the arithmetic of scipy.stats.norm(scale=sigma), without building a
+    # frozen distribution (about 1 ms, mostly docstring formatting); its
+    # "+ loc" with loc = 0.0 is kept because it turns -0.0 into 0.0
     return TailModel(
         family="normal",
-        params={"sigma": float(sigma)},
-        cdf=dist.cdf,
-        sf=dist.sf,
-        quantile=dist.ppf,
-        upper_quantile=dist.isf,
+        params={"sigma": sigma},
+        cdf=lambda x: ndtr(np.asarray(x, dtype=np.float64) / sigma),
+        sf=lambda x: ndtr(-(np.asarray(x, dtype=np.float64) / sigma)),
+        quantile=lambda u: ndtri(np.asarray(u, dtype=np.float64)) * sigma + 0.0,
+        upper_quantile=lambda p: -ndtri(np.asarray(p, dtype=np.float64)) * sigma + 0.0,
         symmetric=True,
     )
 
@@ -320,31 +324,44 @@ def _deterministic_logs(name, params, horizon):
     return entry, logs
 
 
-def _factor_values(spec, horizon, rng):
+def factor_error(spec):
+    """The first field of a modulation factor spec that generation rejects.
+
+    Returns ``(field, reason)``, or None when the spec is valid.
+    """
     kind = spec.get("kind")
+    if kind not in ("iid_uniform", "periodic", "sinusoid"):
+        return "kind", f"unknown modulation factor kind {kind!r}"
+    for key, value in spec.items():
+        if key != "kind" and not np.all(np.isfinite(np.asarray(value, dtype=np.float64))):
+            return key, "factor parameters must be finite"
+    if kind == "iid_uniform" and not float(spec.get("low", 0.0)) < float(spec.get("high", 1.0)):
+        return "high", "factor support must satisfy low < high"
+    if kind == "periodic" and len(spec.get("profile", ())) < 1:
+        return "profile", "periodic factor needs a nonempty profile"
+    if kind == "sinusoid" and (len(spec.get("amplitudes", (1.0,)))
+                               != len(spec.get("frequencies", (1.0,)))):
+        return "frequencies", "sinusoid amplitudes and frequencies must pair up"
+    return None
+
+
+def _factor_values(spec, horizon, rng):
+    error = factor_error(spec)
+    if error is not None:
+        raise ParameterError(error[1])
+    kind = spec["kind"]
     n = np.arange(1, horizon + 1)
     if kind == "iid_uniform":
-        low = float(spec.get("low", 0.0))
-        high = float(spec.get("high", 1.0))
-        if not low < high:
-            raise ParameterError("factor support must satisfy low < high")
-        return rng.uniform(low, high, horizon)
+        return rng.uniform(float(spec.get("low", 0.0)), float(spec.get("high", 1.0)), horizon)
     if kind == "periodic":
-        profile = np.asarray(spec.get("profile", ()), dtype=np.float64)
-        if profile.size < 1 or not np.all(np.isfinite(profile)):
-            raise ParameterError("periodic factor needs a finite nonempty profile")
+        profile = np.asarray(spec["profile"], dtype=np.float64)
         return profile[n % len(profile)]
-    if kind == "sinusoid":
-        amps = np.asarray(spec.get("amplitudes", (1.0,)), dtype=np.float64)
-        freqs = np.asarray(spec.get("frequencies", (1.0,)), dtype=np.float64)
-        if amps.shape != freqs.shape:
-            raise ParameterError("sinusoid amplitudes and frequencies must pair up")
-        offset = float(spec.get("offset", 0.0))
-        out = np.full(horizon, offset)
-        for a, w in zip(amps, freqs):
-            out += a * np.sin(w * n)
-        return out
-    raise ParameterError(f"unknown modulation factor kind {spec.get('kind')!r}")
+    amps = np.asarray(spec.get("amplitudes", (1.0,)), dtype=np.float64)  # sinusoid
+    freqs = np.asarray(spec.get("frequencies", (1.0,)), dtype=np.float64)
+    out = np.full(horizon, float(spec.get("offset", 0.0)))
+    for a, w in zip(amps, freqs):
+        out += a * np.sin(w * n)
+    return out
 
 
 def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=None):

@@ -21,6 +21,11 @@ _ENSEMBLE = {
     "statistic": {"name": "phi_average", "band": [0.0, 99.0]},
 }
 
+def _modulated(factor):
+    return {"kind": "modulated", "base": {"name": "power", "params": {"theta": 1.0}},
+            "factor": factor}
+
+
 # (dotted field, malformed value, path the error must name)
 _MALFORMED = [
     ("horizon", "abc", "config.horizon"),
@@ -33,6 +38,20 @@ _MALFORMED = [
     ("statistic.phi", {"name": "power", "params": {"p": "x"}}, "config.statistic.phi"),
     ("seed", -1, "config.seed"),
     ("log_domain", "false", "config.log_domain"),
+    ("forcing", _modulated({"kind": "iid_uniform", "low": 2.0, "high": 1.0}),
+     "config.forcing.factor.high"),
+    ("forcing", _modulated({"kind": "iid_uniform", "low": 1.0, "high": 1.0}),
+     "config.forcing.factor.high"),
+    ("forcing", _modulated({"kind": "periodic", "profile": []}),
+     "config.forcing.factor.profile"),
+    ("forcing", _modulated({"kind": "periodic", "profile": [1.0, math.nan]}),
+     "config.forcing.factor.profile"),
+    ("forcing", _modulated({"kind": "sinusoid", "amplitudes": [1.0, 0.5], "frequencies": [1.0]}),
+     "config.forcing.factor.frequencies"),
+    ("forcing", _modulated({"kind": "iid_uniform", "low": -math.inf, "high": 1.0}),
+     "config.forcing.factor.low"),
+    ("forcing", _modulated({"kind": "sinusoid", "amplitudes": [math.nan]}),
+     "config.forcing.factor.amplitudes"),
 ]
 
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volterra_lab.core import (
+    _BLOCK,
     Kernel,
+    _linear_recursion_py,
     make_nonlinearity,
     recover_forcing,
     resolvent,
@@ -281,3 +283,119 @@ def test_recover_forcing_round_trip(kc, h, xi):
     x = solve_linear(k, H, xi, n)
     rec = recover_forcing(k, x)
     assert np.allclose(rec.values, H.values[1:], rtol=1e-12, atol=1e-10)
+
+
+# --------------------------------------------------------------------------
+# blocked plain-domain engine against the per-term reference recursion
+# --------------------------------------------------------------------------
+
+def reference_solve(k, h, xi):
+    """(x, first non-finite index or -1) from the per-term loop."""
+    out = np.empty(len(h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = _linear_recursion_py(np.asarray(k, dtype=float), h, xi, out)
+    return out, bad
+
+
+def scaled_gap(x, ref):
+    # the criterion-01 metric: relative above one, absolute below
+    return float(np.max(np.abs(x - ref) / np.maximum(np.abs(ref), 1.0)))
+
+
+def random_forcing(seed, horizon):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return np.concatenate(([0.0], rng.uniform(-1.0, 1.0, horizon)))
+
+
+class TestBlockedEngine:
+    KERNEL = Kernel.geometric(0.3, 0.5, 40)
+
+    def test_below_one_block_is_bitwise_reference(self):
+        for k in (self.KERNEL, Kernel([1.0]), Kernel([1.9, -0.95])):
+            h = random_forcing(1, _BLOCK - 1)
+            x = solve_linear(k, traj(h), 0.7, _BLOCK - 1)
+            assert np.array_equal(x.values, reference_solve(k.coefficients, h, 0.7)[0])
+
+    @pytest.mark.parametrize("horizon", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    def test_block_edges_within_tolerance(self, horizon):
+        h = random_forcing(2, horizon)
+        x = solve_linear(self.KERNEL, traj(h), -1.2, horizon)
+        ref = reference_solve(self.KERNEL.coefficients, h, -1.2)[0]
+        assert len(x.values) == horizon + 1
+        assert scaled_gap(x.values, ref) <= 1e-12
+
+    def test_kernel_longer_than_block(self):
+        rng = np.random.Generator(np.random.Philox(3))
+        k = Kernel(rng.dirichlet(np.ones(300)) * 0.9)
+        horizon = 4 * 300 + 11
+        h = random_forcing(4, horizon)
+        x = solve_linear(k, traj(h), 0.5, horizon)
+        assert scaled_gap(x.values, reference_solve(k.coefficients, h, 0.5)[0]) <= 1e-12
+
+    def test_zero_kernel_is_exact(self):
+        h = random_forcing(5, 3 * _BLOCK + 7)
+        x = solve_linear(Kernel.zero(), traj(h), 2.0, 3 * _BLOCK + 7)
+        assert x.values[0] == 2.0
+        assert np.array_equal(x.values[1:], h[1:])
+
+    @pytest.mark.parametrize("kernel", [Kernel([1.5]), Kernel.geometric(0.55, 0.5, 40)])
+    def test_overflow_index_matches_reference(self, kernel):
+        horizon = 20_000
+        h = random_forcing(6, horizon)
+        bad = reference_solve(kernel.coefficients, h, 1.0)[1]
+        assert bad > _BLOCK
+        with pytest.raises(TrajectoryOverflowError) as err:
+            solve_linear(kernel, traj(h), 1.0, horizon)
+        assert err.value.index == bad
+
+    def test_resolvent_overflow_inside_block_falls_back(self):
+        # r(n) = 100^n overflows inside the first block; x stays exactly zero
+        x = solve_linear(Kernel([100.0]), traj(np.zeros(2 * _BLOCK + 1)), 0.0, 2 * _BLOCK)
+        assert np.array_equal(x.values, np.zeros(2 * _BLOCK + 1))
+
+    def test_repeated_calls_are_bitwise_identical(self):
+        h = random_forcing(7, 5 * _BLOCK)
+        first = solve_linear(self.KERNEL, traj(h), 0.3, 5 * _BLOCK).values
+        again = solve_linear(self.KERNEL, traj(h), 0.3, 5 * _BLOCK).values
+        assert np.array_equal(first, again)
+
+    def test_resolvent_and_representation_stay_on_reference(self, monkeypatch):
+        import volterra_lab.core as core
+
+        def refuse(*args):
+            raise AssertionError("blocked engine called")
+
+        monkeypatch.setattr(core, "_blocked_linear", refuse)
+        horizon = 3 * _BLOCK
+        r = resolvent(self.KERNEL, horizon)
+        assert np.array_equal(
+            r.values, reference_solve(self.KERNEL.coefficients, np.zeros(horizon + 1), 1.0)[0]
+        )
+        solve_by_representation(self.KERNEL, traj(random_forcing(8, horizon)), 0.4, horizon)
+        with pytest.raises(AssertionError, match="blocked engine"):
+            solve_linear(self.KERNEL, traj(random_forcing(8, horizon)), 0.4, horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["summable", "marginal", "growing"]),
+    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=8),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=_BLOCK + 1, max_value=4 * _BLOCK),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(-2, 2),
+)
+def test_blocked_engine_matches_reference(kind, weights, level, horizon, seed, xi):
+    # summable: sum|k| <= 0.95 with mixed signs; marginal: k >= 0, sum k = 1;
+    # growing: k >= 0, sum k in [1.02, 1.5]
+    w = np.array(weights) / np.sum(weights)
+    if kind == "summable":
+        signs = np.where(np.arange(len(w)) % 2 == seed % 2, 1.0, -1.0)
+        k = w * 0.95 * level * signs
+    elif kind == "marginal":
+        k = w
+    else:
+        k = w * (1.02 + 0.48 * level)
+    h = random_forcing(seed, horizon)
+    x = solve_linear(Kernel(k), traj(h), xi, horizon)
+    assert scaled_gap(x.values, reference_solve(k, h, xi)[0]) <= 1e-12

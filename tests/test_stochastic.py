@@ -35,6 +35,25 @@ class TestTailModels:
     def test_model_invariants(self, family, params):
         make_tail_model(family, **params).validate()
 
+    @pytest.mark.parametrize("sigma", [1.0, 2.5, 0.3])
+    def test_normal_model_equals_scipy_norm(self, sigma):
+        from scipy import stats
+
+        dist = stats.norm(scale=sigma)
+        t = make_tail_model("normal", sigma=sigma)
+        xs = np.concatenate(([0.0, -0.0, 1.0, -1.0, 1e-300, 1e3, -1e3, np.inf, -np.inf],
+                             np.linspace(-40.0, 40.0, 801)))
+        ps = np.concatenate(([0.0, 1.0, 0.5, 5e-324], np.logspace(-300, -1, 300),
+                             1.0 - np.logspace(-16, -1, 40)))
+        for mine, theirs, grid in ((t.cdf, dist.cdf, xs), (t.sf, dist.sf, xs),
+                                   (t.quantile, dist.ppf, ps),
+                                   (t.upper_quantile, dist.isf, ps)):
+            expected = theirs(grid)
+            got = mine(grid)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+        t.validate()
+
     def test_symmetric_families_mirror(self):
         t = make_tail_model("normal", sigma=1.3)
         xs = np.linspace(0.5, 5.0, 7)
