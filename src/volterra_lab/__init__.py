@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .asymptotics import (
     ConvexFunctional,
-    DecompositionReport,
     LimsupEstimate,
     LimsupThresholds,
     PeriodicExtraction,
@@ -23,6 +22,7 @@ from .asymptotics import (
     phi_average_bounds,
     predict_H_over_a,
     predict_x_over_a,
+    residual_tail_sup,
     scaled_convolution,
     time_average,
     verify_growth2,

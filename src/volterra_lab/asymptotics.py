@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import Kernel, resolvent, solve_linear
+from .core import Kernel, _aligned_forcing, resolvent, solve_linear
 from .exceptions import InputError, ParameterError
 from .growth_catalogue import CatalogueEntry, catalogue_entry
 from .series import (
@@ -34,6 +34,7 @@ from .series import (
     dyadic_blocks,
     overlap_range,
     ratio_series,
+    tail_count,
 )
 from .spectral import characteristic_roots, multiplier_L
 
@@ -45,7 +46,6 @@ __all__ = [
     "LimsupEstimate",
     "ConvexFunctional",
     "make_phi",
-    "DecompositionReport",
     "PeriodicExtraction",
     "Growth2Result",
     "PhiMomentReport",
@@ -58,6 +58,7 @@ __all__ = [
     "time_average",
     "phi_average_bounds",
     "scaled_convolution",
+    "residual_tail_sup",
 ]
 
 
@@ -131,7 +132,7 @@ def estimate_lambda(g, tail_fraction: float = 0.25, iqr_tolerance: float = 1e-3)
     final ``tail_fraction`` of indices, and whether the interquartile
     range of those ratios is below ``iqr_tolerance``.
     """
-    count = max(2, int(round(tail_fraction * len(g))))
+    count = max(2, tail_count(len(g), tail_fraction))
     lo = max(g.start, g.end - count + 1)
     window = g.window(lo, g.end)
     ratios = consecutive_ratios(window).values
@@ -352,20 +353,14 @@ def extract_almost_periodic(g_over_a: Trajectory, period_hint: int = None,
         period = _spectral_period(tail, noise_factor, max_period)
         verdict = "periodic" if period else "aperiodic"
     if not period or period == 1:
-        mean = float(np.mean(tail.values))
-        pi = Trajectory(np.full(len(g_over_a), mean), start=g_over_a.start)
-        residual = Trajectory(g_over_a.values - mean, start=g_over_a.start)
-        sup = float(np.max(np.abs(residual.tail_window(tail_fraction).values)))
-        return PeriodicExtraction(pi, residual, period=0, verdict="aperiodic",
-                                  profile=np.array([mean]), residual_tail_sup=sup)
-    profile = _fold_profile(tail, period)
-    idx = g_over_a.indices()
-    pi_vals = profile[idx % period]
-    pi = Trajectory(pi_vals, start=g_over_a.start)
-    residual = Trajectory(g_over_a.values - pi_vals, start=g_over_a.start)
-    sup = float(np.max(np.abs(residual.tail_window(tail_fraction).values)))
-    return PeriodicExtraction(pi, residual, period=period, verdict=verdict,
-                              profile=profile, residual_tail_sup=sup)
+        period, verdict = 0, "aperiodic"
+        profile = np.array([float(np.mean(tail.values))])
+    else:
+        profile = _fold_profile(tail, period)
+    pi = Trajectory(profile[g_over_a.indices() % len(profile)], start=g_over_a.start)
+    residual = Trajectory(g_over_a.values - pi.values, start=g_over_a.start)
+    return PeriodicExtraction(pi, residual, period=period, verdict=verdict, profile=profile,
+                              residual_tail_sup=residual_tail_sup(g_over_a, pi, tail_fraction))
 
 
 def _fold_profile(window: Trajectory, period: int) -> np.ndarray:
@@ -496,7 +491,7 @@ def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
     """
     lo, hi = overlap_range(x, forcing)
     lo = max(lo, 1)
-    count = max(1, int(round(tail_fraction * (hi - lo + 1))))
+    count = tail_count(hi - lo + 1, tail_fraction)
     wlo = hi - count + 1
     r = resolvent(kernel, hi)
     r_l1 = float(np.sum(np.abs(r.values)))
@@ -552,13 +547,7 @@ def scaled_convolution(kernel: Kernel, forcing: Trajectory, scale: ScalingModel)
     Its tail-window magnitude is bounded by |k|_1 times the forcing's
     limsup estimate for monotone diverging scales; tests enforce that.
     """
-    if isinstance(forcing, LogTrajectory):
-        forcing = forcing.to_plain()
-    if forcing.start > 1:
-        raise InputError("forcing must cover index 1")
-    n = forcing.end
-    h = np.zeros(n + 1)
-    h[1:] = forcing.window(1, n).values
+    n, h = _aligned_forcing(forcing, forcing.end)
     if kernel.size:
         conv = np.convolve(kernel.coefficients, h)[: n + 1]
     else:
@@ -567,26 +556,12 @@ def scaled_convolution(kernel: Kernel, forcing: Trajectory, scale: ScalingModel)
 
 
 # --------------------------------------------------------------------------
-# decomposition summary
+# decomposition residual
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Bundle of a bounded factor, its predicted counterpart, and residuals.
-
-    ``residual_sup`` is the sup of |actual - predicted| over the final
-    quarter of indices.
-    """
-
-    lambda_a_part: Trajectory
-    predicted: Trajectory
-    residual_sup: float
-
-    @staticmethod
-    def from_series(actual: Trajectory, predicted: Trajectory,
-                    tail_fraction: float = 0.25) -> "DecompositionReport":
-        lo, hi = overlap_range(actual, predicted)
-        diff = actual.window(lo, hi).values - predicted.window(lo, hi).values
-        count = max(1, int(round(tail_fraction * len(diff))))
-        sup = float(np.max(np.abs(diff[-count:])))
-        return DecompositionReport(lambda_a_part=actual, predicted=predicted, residual_sup=sup)
+def residual_tail_sup(actual: Trajectory, predicted: Trajectory,
+                      tail_fraction: float = 0.25) -> float:
+    """Sup of |actual - predicted| over the final ``tail_fraction`` of their common indices."""
+    lo, hi = overlap_range(actual, predicted)
+    diff = actual.window(lo, hi).values - predicted.window(lo, hi).values
+    return float(np.max(np.abs(diff[-tail_count(len(diff), tail_fraction):])))

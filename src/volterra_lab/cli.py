@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
-    DecompositionReport,
     ScalingModel,
     estimate_lambda,
     estimate_limsup,
@@ -33,6 +32,7 @@ from .asymptotics import (
     phi_average_bounds,
     predict_H_over_a,
     predict_x_over_a,
+    residual_tail_sup,
     time_average,
     verify_growth2,
 )
@@ -164,16 +164,16 @@ def _mode_verify_growth3(cfg):
     r = resolvent(kernel, cfg["horizon"])
     predicted_x = predict_x_over_a(kernel, r, scale.lam, lam_H)
     predicted_H = predict_H_over_a(kernel, scale.lam, lam_x)
-    rep = DecompositionReport.from_series(lam_x, predicted_x)
-    rec = DecompositionReport.from_series(lam_H, predicted_H)
+    rep_residual = residual_tail_sup(lam_x, predicted_x)
+    rec_residual = residual_tail_sup(lam_H, predicted_H)
     tol = cfg["tolerances"]
     verdicts = {
-        "representation_residual": bool(rep.residual_sup < tol["representation_residual"]),
-        "recovery_residual": bool(rec.residual_sup < tol["recovery_residual"]),
+        "representation_residual": bool(rep_residual < tol["representation_residual"]),
+        "recovery_residual": bool(rec_residual < tol["recovery_residual"]),
     }
     stats = {
-        "representation_residual_sup": rep.residual_sup,
-        "recovery_residual_sup": rec.residual_sup,
+        "representation_residual_sup": rep_residual,
+        "recovery_residual_sup": rec_residual,
         "lambda": scale.lam,
         "tolerances": tol,
     }
@@ -201,7 +201,7 @@ def _mode_verify_periodic(cfg):
     extraction_x = extract_almost_periodic(lam_x)
     r = resolvent(kernel, cfg["horizon"])
     predicted = predict_x_over_a(kernel, r, scale.lam, extraction_H.pi)
-    rep_residual = DecompositionReport.from_series(lam_x, predicted).residual_sup
+    rep_residual = residual_tail_sup(lam_x, predicted)
     tol = cfg["tolerances"]["representation_residual"]
     expected = cfg.get("expected_period")
     if expected is not None:
@@ -388,7 +388,7 @@ def _mode_verify_nonlinear(cfg):
     lam_x = ratio_series(x_nl, scale.a)
     r = resolvent(kernel, horizon)
     predicted = predict_x_over_a(kernel, r, scale.lam, lam_H)
-    rep_residual = DecompositionReport.from_series(lam_x, predicted).residual_sup
+    rep_residual = residual_tail_sup(lam_x, predicted)
     rep_ok = rep_residual < cfg["tolerances"]["representation_residual"]
     est_H = estimate_limsup(forcing, scale, cfg.thresholds)
     est_x = estimate_limsup(x_nl, scale, cfg.thresholds)

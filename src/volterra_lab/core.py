@@ -215,13 +215,13 @@ NONLINEARITY_CATALOGUE = ("identity", "bounded_offset", "sqrt_offset", "solow")
 
 
 # --------------------------------------------------------------------------
-# per-term reference recursions: O(horizon * M), numba-compiled when
-# available.  The plain one is the reference the blocked engine below is
-# held to, and the whole of resolvent() and of the first block; the log one
-# is the only log-domain engine.
+# per-term reference recursions: O(horizon * M) in the interpreter.  The
+# plain one is the reference the blocked engine below is held to, and the
+# whole of resolvent() and of the first block; the log one is the only
+# log-domain engine.
 # --------------------------------------------------------------------------
 
-def _linear_recursion_py(k, h, xi, out):
+def _linear_recursion(k, h, xi, out):
     m = len(k)
     out[0] = xi
     for n in range(len(out) - 1):
@@ -236,7 +236,7 @@ def _linear_recursion_py(k, h, xi, out):
     return -1
 
 
-def _log_linear_recursion_py(lk, sk, lh, sh, out_l, out_s):
+def _log_linear_recursion(lk, sk, lh, sh, out_l, out_s):
     m = len(lk)
     for n in range(len(out_l) - 1):
         w = n + 1 if n + 1 < m else m
@@ -267,16 +267,6 @@ def _log_linear_recursion_py(lk, sk, lh, sh, out_l, out_s):
         if not math.isfinite(out_l[n + 1]) and out_s[n + 1] != 0.0:
             return n + 1
     return -1
-
-
-try:  # pragma: no cover - exercised implicitly when numba is installed
-    from numba import njit as _njit
-
-    _linear_recursion = _njit(cache=True)(_linear_recursion_py)
-    _log_linear_recursion = _njit(cache=True)(_log_linear_recursion_py)
-except Exception:  # pragma: no cover
-    _linear_recursion = _linear_recursion_py
-    _log_linear_recursion = _log_linear_recursion_py
 
 
 # --------------------------------------------------------------------------
@@ -336,53 +326,42 @@ def _blocked_linear(k, h, xi):
 # forcing alignment
 # --------------------------------------------------------------------------
 
-def _check_horizon(horizon):
+def _aligned_forcing(forcing, horizon, xi=0.0, log_domain=False):
+    """Check a solve's inputs; return (horizon, H on 0..horizon with H(0) := 0).
+
+    The horizon must be an integer >= 1, ``xi`` finite, and the forcing must
+    cover indices 1..horizon; a nonzero value at index 0 is ignored with a
+    logged warning.  Only the window 1..horizon changes domain, so a
+    log-form forcing may run past the horizon, and past double range there.
+    H is a float array, or a (log|H|, sign H) pair when ``log_domain``.
+    """
     if int(horizon) != horizon or horizon < 1:
         raise InputError(f"horizon must be an integer >= 1, got {horizon!r}")
-    return int(horizon)
-
-
-def _forcing_plain(forcing, horizon):
-    """Dense H(0..horizon) with H(0) := 0; input index 0 is ignored."""
-    if isinstance(forcing, LogTrajectory):
-        forcing = forcing.to_plain()
+    if not math.isfinite(xi):
+        raise InputError("initial value must be finite")
+    horizon = int(horizon)
     if forcing.start > 1:
         raise InputError(f"forcing must cover index 1, starts at {forcing.start}")
     if forcing.end < horizon:
         raise InputError(
             f"forcing ends at {forcing.end}, shorter than horizon {horizon}"
         )
-    if forcing.start == 0 and forcing.values[0] != 0.0:
-        logger.warning(
-            "forcing value at index 0 (%g) is ignored; the recursion consumes "
-            "H from index 1",
-            forcing.values[0],
-        )
-    h = np.zeros(horizon + 1)
-    h[1:] = forcing.window(1, horizon).values
-    return h
-
-
-def _forcing_log(forcing, horizon):
-    if isinstance(forcing, Trajectory):
-        forcing = forcing.to_log()
-    if forcing.start > 1:
-        raise InputError(f"forcing must cover index 1, starts at {forcing.start}")
-    if forcing.end < horizon:
-        raise InputError(
-            f"forcing ends at {forcing.end}, shorter than horizon {horizon}"
-        )
-    if forcing.start == 0 and forcing.sign[0] != 0.0:
-        logger.warning(
-            "forcing value at index 0 is ignored; the recursion consumes H "
-            "from index 1"
-        )
-    lh = np.full(horizon + 1, -np.inf)
-    sh = np.zeros(horizon + 1)
+    if forcing.start == 0:
+        first = forcing.sign[0] if isinstance(forcing, LogTrajectory) else forcing.values[0]
+        if first != 0.0:
+            logger.warning(
+                "forcing value at index 0 is ignored; the recursion consumes H "
+                "from index 1"
+            )
     win = forcing.window(1, horizon)
-    lh[1:] = win.log_abs
-    sh[1:] = win.sign
-    return lh, sh
+    if log_domain:
+        if isinstance(win, Trajectory):
+            win = win.to_log()
+        return horizon, (np.concatenate(([-np.inf], win.log_abs)),
+                         np.concatenate(([0.0], win.sign)))
+    if isinstance(win, LogTrajectory):
+        win = win.to_plain()
+    return horizon, np.concatenate(([0.0], win.values))
 
 
 # --------------------------------------------------------------------------
@@ -396,11 +375,8 @@ def solve_linear(kernel: Kernel, forcing, xi: float, horizon: int, log_domain: b
     ``log_domain`` is set).  The forcing must cover indices 1..horizon;
     a nonzero value at index 0 is ignored with a logged warning.
     """
-    horizon = _check_horizon(horizon)
-    if not math.isfinite(xi):
-        raise InputError("initial value must be finite")
     if log_domain or isinstance(forcing, LogTrajectory):
-        lh, sh = _forcing_log(forcing, horizon)
+        horizon, (lh, sh) = _aligned_forcing(forcing, horizon, xi, log_domain=True)
         out_l = np.full(horizon + 1, -np.inf)
         out_s = np.zeros(horizon + 1)
         if xi != 0.0:
@@ -411,7 +387,7 @@ def solve_linear(kernel: Kernel, forcing, xi: float, horizon: int, log_domain: b
         if bad >= 0:
             raise TrajectoryOverflowError(bad)
         return LogTrajectory(out_l, out_s, start=0)
-    h = _forcing_plain(forcing, horizon)
+    horizon, h = _aligned_forcing(forcing, horizon, xi)
     return Trajectory(_blocked_linear(kernel.coefficients, h, float(xi)), start=0)
 
 
@@ -422,19 +398,12 @@ def _kernel_log(kernel):
     return lk, sk
 
 
-def resolvent(kernel: Kernel, horizon: int, log_domain: bool = False):
+def resolvent(kernel: Kernel, horizon: int) -> Trajectory:
     """Unforced solution r with r(0) = 1 on indices 0..horizon."""
     if int(horizon) != horizon or horizon < 0:
         raise InputError(f"horizon must be an integer >= 0, got {horizon!r}")
-    horizon = int(horizon)
-    if horizon == 0:
-        if log_domain:
-            return LogTrajectory(np.array([0.0]), np.array([1.0]), start=0)
-        return Trajectory(np.array([1.0]), start=0)
-    if log_domain:
-        zero = Trajectory(np.zeros(horizon + 1), start=0)
-        return solve_linear(kernel, zero, 1.0, horizon, log_domain=True)
-    return Trajectory(_reference_linear(kernel.coefficients, np.zeros(horizon + 1), 1.0), start=0)
+    zero = np.zeros(int(horizon) + 1)
+    return Trajectory(_reference_linear(kernel.coefficients, zero, 1.0), start=0)
 
 
 def solve_by_representation(kernel: Kernel, forcing, xi: float, horizon: int) -> Trajectory:
@@ -444,10 +413,7 @@ def solve_by_representation(kernel: Kernel, forcing, xi: float, horizon: int) ->
     domain only.  On well-scaled inputs it agrees with :func:`solve_linear`
     to 1e-10 relative per index, and the test suite enforces that.
     """
-    horizon = _check_horizon(horizon)
-    if not math.isfinite(xi):
-        raise InputError("initial value must be finite")
-    h = _forcing_plain(forcing, horizon)
+    horizon, h = _aligned_forcing(forcing, horizon, xi)
     r = resolvent(kernel, horizon).values
     with np.errstate(over="ignore", invalid="ignore"):
         conv = np.convolve(r, h)[: horizon + 1]
@@ -480,10 +446,7 @@ def recover_forcing(kernel: Kernel, solution: Trajectory) -> Trajectory:
 
 def solve_nonlinear(kernel: Kernel, f: Nonlinearity, forcing, xi: float, horizon: int) -> Trajectory:
     """Advance x(n+1) = sum k(n-j) f(x(j)) + H(n+1) with x(0) = xi."""
-    horizon = _check_horizon(horizon)
-    if not math.isfinite(xi):
-        raise InputError("initial value must be finite")
-    h = _forcing_plain(forcing, horizon)
+    horizon, h = _aligned_forcing(forcing, horizon, xi)
     k = kernel.coefficients
     m = len(k)
     x = np.empty(horizon + 1)

@@ -20,6 +20,7 @@ __all__ = [
     "Trajectory",
     "LogTrajectory",
     "overlap_range",
+    "tail_count",
     "ratio_series",
     "consecutive_ratios",
     "abs_log_series",
@@ -76,25 +77,13 @@ class Trajectory:
 
     def tail_window(self, fraction: float = 0.25) -> "Trajectory":
         """The final ``fraction`` of stored indices (at least one point)."""
-        count = max(1, int(round(fraction * len(self.values))))
+        count = tail_count(len(self.values), fraction)
         return Trajectory(self.values[-count:], start=self.end - count + 1)
 
     def to_log(self) -> "LogTrajectory":
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(self.values))
         return LogTrajectory(log_abs=log_abs, sign=np.sign(self.values), start=self.start)
-
-    def __add__(self, other: "Trajectory") -> "Trajectory":
-        if not isinstance(other, Trajectory):
-            return NotImplemented
-        if other.start != self.start or len(other) != len(self):
-            raise InputError("trajectory addition requires identical index ranges")
-        return Trajectory(self.values + other.values, start=self.start)
-
-    def __mul__(self, scalar: float) -> "Trajectory":
-        return Trajectory(self.values * float(scalar), start=self.start)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -164,6 +153,11 @@ class LogTrajectory:
                 f"log magnitude at index {idx} too large for plain representation"
             )
         return Trajectory(self.sign * np.exp(self.log_abs), start=self.start)
+
+
+def tail_count(length: int, fraction: float) -> int:
+    """How many of ``length`` points make up the final ``fraction``: at least one."""
+    return max(1, int(round(fraction * length)))
 
 
 def overlap_range(a, b) -> tuple:

@@ -364,6 +364,19 @@ def _factor_values(spec, horizon, rng):
     return out
 
 
+def _log_forcing(logs, sign):
+    """H(0) = 0, then sign * exp(logs) on 1..horizon, in log form."""
+    return LogTrajectory(np.concatenate(([-np.inf], logs)), np.concatenate(([0.0], sign)))
+
+
+def _plain_values(entry, horizon):
+    """The catalogue entry on 1..horizon in plain doubles; overflow is an input error."""
+    try:
+        return entry.values(np.arange(1, horizon + 1))
+    except ParameterError as err:
+        raise InputError(f"{err}; run with log_domain=True") from err
+
+
 def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=None):
     """Materialise the forcing on indices 0..horizon (index 0 set to 0).
 
@@ -392,9 +405,7 @@ def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=
         steps = gen.noise.sample(rng, horizon) if gen.noise is not None else np.zeros(horizon)
         logs = gen.drift * np.arange(1, horizon + 1) + np.cumsum(steps)
         if log_domain:
-            la = np.concatenate(([-np.inf], logs))
-            sg = np.concatenate(([0.0], np.ones(horizon)))
-            return LogTrajectory(la, sg)
+            return _log_forcing(logs, np.ones(horizon))
         if np.any(logs > 709.0):
             raise InputError(
                 "geometric random walk overflows plain doubles at this horizon; "
@@ -405,14 +416,8 @@ def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=
     if gen.kind == "deterministic":
         entry, logs = _deterministic_logs(gen.name, gen.params, horizon)
         if log_domain:
-            la = np.concatenate(([-np.inf], logs))
-            sg = np.concatenate(([0.0], np.ones(horizon)))
-            return LogTrajectory(la, sg)
-        try:
-            vals = entry.values(np.arange(1, horizon + 1))
-        except ParameterError as err:
-            raise InputError(f"{err}; run with log_domain=True") from err
-        return Trajectory(np.concatenate(([0.0], vals)))
+            return _log_forcing(logs, np.ones(horizon))
+        return Trajectory(np.concatenate(([0.0], _plain_values(entry, horizon))))
 
     if gen.kind == "modulated":
         if not gen.base or not gen.factor:
@@ -424,14 +429,8 @@ def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=
         factor = _factor_values(gen.factor, horizon, rng)
         if log_domain:
             with np.errstate(divide="ignore"):
-                la = np.concatenate(([-np.inf], np.log(np.abs(factor)) + logs))
-            sg = np.concatenate(([0.0], np.sign(factor)))
-            return LogTrajectory(la, sg)
-        try:
-            base_vals = entry.values(np.arange(1, horizon + 1))
-        except ParameterError as err:
-            raise InputError(f"{err}; run with log_domain=True") from err
-        return Trajectory(np.concatenate(([0.0], factor * base_vals)))
+                return _log_forcing(np.log(np.abs(factor)) + logs, np.sign(factor))
+        return Trajectory(np.concatenate(([0.0], factor * _plain_values(entry, horizon))))
 
     raise ParameterError(f"unknown forcing kind {gen.kind!r}")
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from volterra_lab.core import (
     _BLOCK,
     Kernel,
-    _linear_recursion_py,
+    _linear_recursion,
     make_nonlinearity,
     recover_forcing,
     resolvent,
@@ -119,35 +119,6 @@ class TestSolveLinear:
         x = solve_linear(Kernel.zero(), H, 0.0, 2000, log_domain=True)
         assert np.allclose(x.log_abs[1:], n[1:] * math.log(2.0))
 
-    def test_compiled_and_python_paths_agree_bitwise(self):
-        # the jitted kernels must preserve the plain loops' operation order
-        from volterra_lab.core import (
-            _linear_recursion,
-            _linear_recursion_py,
-            _log_linear_recursion,
-            _log_linear_recursion_py,
-        )
-
-        rng = np.random.Generator(np.random.Philox(12))
-        k = rng.uniform(-0.4, 0.4, size=5)
-        h = np.concatenate(([0.0], rng.normal(size=300)))
-        out_a = np.empty(301)
-        out_b = np.empty(301)
-        assert _linear_recursion(k, h, 0.9, out_a) == -1
-        assert _linear_recursion_py(k, h, 0.9, out_b) == -1
-        assert np.array_equal(out_a, out_b)
-
-        lk, sk = np.log(np.abs(k)), np.sign(k)
-        with np.errstate(divide="ignore"):
-            lh, sh = np.log(np.abs(h)), np.sign(h)
-        la, sa = np.full(301, -np.inf), np.zeros(301)
-        lb, sb = np.full(301, -np.inf), np.zeros(301)
-        la[0] = lb[0] = math.log(0.9)
-        sa[0] = sb[0] = 1.0
-        assert _log_linear_recursion(lk, sk, lh, sh, la, sa) == -1
-        assert _log_linear_recursion_py(lk, sk, lh, sh, lb, sb) == -1
-        assert np.array_equal(la, lb) and np.array_equal(sa, sb)
-
 
 class TestResolvent:
     def test_matches_unforced_solve(self):
@@ -250,6 +221,20 @@ class TestNonlinear:
             make_nonlinearity("does_not_exist")
 
 
+@pytest.mark.parametrize("solve", [
+    lambda H: solve_by_representation(Kernel([0.5]), H, 1.0, 100),
+    lambda H: solve_nonlinear(Kernel([0.5]), make_nonlinearity("identity"), H, 1.0, 100),
+], ids=["representation", "nonlinear"])
+def test_log_forcing_past_double_range_beyond_the_horizon(solve):
+    # H(n) = 2^n to n = 2000 leaves double range only after the horizon 100
+    la = np.arange(2001) * math.log(2.0)
+    la[0] = -np.inf
+    H = LogTrajectory.from_log(la)
+    x = solve(H)
+    assert np.array_equal(x.values, solve(H.window(0, 100)).values)
+    assert np.isclose(x.values[100], 2.0 ** 100 * 4.0 / 3.0, rtol=1e-12)
+
+
 small_kernels = st.lists(
     st.floats(min_value=-0.2, max_value=0.2, allow_nan=False), min_size=0, max_size=4
 )
@@ -275,6 +260,27 @@ def test_linearity_property(kc, h1, h2, c1, c2, xi1, xi2):
 
 
 @settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=0.5), min_size=0, max_size=4),
+    st.lists(st.floats(min_value=1e-3, max_value=10), min_size=1, max_size=40),
+    st.floats(1e-3, 3),
+)
+def test_log_domain_matches_plain_on_sign_coherent_inputs(kc, h, xi):
+    # nonnegative kernel, positive forcing and xi: nothing cancels in log space
+    n = len(h)
+    k = Kernel(np.array(kc))
+    H = traj([0.0] + h)
+    plain = solve_linear(k, H, xi, n).values
+    # plain forcing aligned into the log domain
+    logged = solve_linear(k, H, xi, n, log_domain=True).to_plain().values
+    # log forcing aligned into the plain domain
+    identity = make_nonlinearity("identity")
+    from_log = solve_nonlinear(k, identity, H.to_log(), xi, n).values
+    assert np.allclose(logged, plain, rtol=1e-12, atol=0.0)
+    assert np.allclose(from_log, plain, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
 @given(small_kernels, forcings, st.floats(-3, 3))
 def test_recover_forcing_round_trip(kc, h, xi):
     n = len(h) - 1
@@ -293,7 +299,7 @@ def reference_solve(k, h, xi):
     """(x, first non-finite index or -1) from the per-term loop."""
     out = np.empty(len(h))
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = _linear_recursion_py(np.asarray(k, dtype=float), h, xi, out)
+        bad = _linear_recursion(np.asarray(k, dtype=float), h, xi, out)
     return out, bad
 
 
@@ -399,3 +405,18 @@ def test_blocked_engine_matches_reference(kind, weights, level, horizon, seed, x
     h = random_forcing(seed, horizon)
     x = solve_linear(Kernel(k), traj(h), xi, horizon)
     assert scaled_gap(x.values, reference_solve(k, h, xi)[0]) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    small_kernels,
+    st.integers(min_value=_BLOCK + 1, max_value=3 * _BLOCK),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(-3, 3),
+)
+def test_recover_forcing_round_trip_past_one_block(kc, horizon, seed, xi):
+    # the round trip above stops below one block; this one runs the blocked engine
+    k = Kernel(np.array(kc))
+    H = traj(10.0 * random_forcing(seed, horizon))
+    rec = recover_forcing(k, solve_linear(k, H, xi, horizon))
+    assert np.allclose(rec.values, H.values[1:], rtol=1e-12, atol=1e-10)

@@ -38,15 +38,6 @@ def test_trajectory_window_and_tail():
         t.window(0, 99)
 
 
-def test_trajectory_arithmetic():
-    a = Trajectory([1.0, 2.0])
-    b = Trajectory([10.0, 20.0])
-    assert list((a + b).values) == [11.0, 22.0]
-    assert list((3 * a).values) == [3.0, 6.0]
-    with pytest.raises(InputError):
-        a + Trajectory([1.0, 2.0], start=1)
-
-
 def test_log_round_trip():
     t = Trajectory([-2.0, 0.0, 3.5])
     lt = t.to_log()
