@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volterra_lab import core
 from volterra_lab.core import (
     _BLOCK,
     Kernel,
+    _kernel_log,
     _linear_recursion,
+    _log_linear_recursion,
     make_nonlinearity,
     recover_forcing,
     resolvent,
@@ -24,6 +27,7 @@ from volterra_lab.exceptions import (
     TrajectoryOverflowError,
 )
 from volterra_lab.series import LogTrajectory, Trajectory
+from volterra_lab.stochastic import ForcingGenerator, generate
 
 
 def traj(values, start=0):
@@ -420,3 +424,180 @@ def test_recover_forcing_round_trip_past_one_block(kc, horizon, seed, xi):
     H = traj(10.0 * random_forcing(seed, horizon))
     rec = recover_forcing(k, solve_linear(k, H, xi, horizon))
     assert np.allclose(rec.values, H.values[1:], rtol=1e-12, atol=1e-10)
+
+
+# --------------------------------------------------------------------------
+# block-scaled log-domain engine against the per-step log recursion
+# --------------------------------------------------------------------------
+
+GROWTH_KERNEL = Kernel.geometric(0.3, 0.5, 40)
+
+
+def log_forcing(name, horizon, **params):
+    gen = ForcingGenerator(kind="deterministic", name=name, params=params)
+    return generate(gen, horizon, log_domain=True)
+
+
+def per_step_log_solve(kernel, forcing, xi, horizon):
+    """(log|x|, sign x, first overflow index or -1) from the per-step loop."""
+    _, (lh, sh) = core._aligned_forcing(forcing, horizon, xi, log_domain=True)
+    out_l = np.full(horizon + 1, -np.inf)
+    out_s = np.zeros(horizon + 1)
+    if xi != 0.0:
+        out_l[0], out_s[0] = math.log(abs(xi)), math.copysign(1.0, xi)
+    lk, sk = _kernel_log(kernel.coefficients)
+    bad, _ = _log_linear_recursion(lk, sk, lh, sh, out_l, out_s)
+    return out_l, out_s, bad
+
+
+def extended_log_solve(k, log_h, xi):
+    """log x for a nonnegative kernel, positive forcing and xi > 0, in np.longdouble."""
+    lk = [(l, np.log(np.longdouble(c))) for l, c in enumerate(k) if c > 0.0]
+    out = np.empty(len(log_h), dtype=np.longdouble)
+    out[0] = np.log(np.longdouble(xi))
+    for n in range(len(log_h) - 1):
+        terms = np.array([c + out[n - l] for l, c in lk if l <= n] + [log_h[n + 1]],
+                         dtype=np.longdouble)
+        peak = terms.max()
+        out[n + 1] = peak + np.log(np.sum(np.exp(terms - peak)))
+    return out
+
+
+def assert_log_contract(x, ref_l, ref_s, exact_l=None):
+    # bitwise below one block and equal signs throughout; log|x| within the
+    # tolerance of the exact value, or of the per-step recursion without one
+    assert np.array_equal(x.log_abs[:_BLOCK], ref_l[:_BLOCK])
+    assert np.array_equal(x.sign, ref_s)
+    live = ref_s != 0.0
+    target = ref_l if exact_l is None else exact_l
+    gap = np.abs(x.log_abs[live] - target[live])
+    assert np.all(gap <= 1e-12 + 1e-15 * np.abs(ref_l[live]))
+
+
+class TestBlockedLogEngine:
+    @pytest.mark.parametrize("name", [f"H{i}" for i in range(1, 10)])
+    def test_growth_catalogue_matches_per_step(self, name):
+        horizon = 6 * _BLOCK + 5
+        H = log_forcing(name, horizon)
+        x = solve_linear(GROWTH_KERNEL, H, 1.1, horizon, log_domain=True)
+        ref_l, ref_s, bad = per_step_log_solve(GROWTH_KERNEL, H, 1.1, horizon)
+        assert bad == -1
+        assert_log_contract(x, ref_l, ref_s)
+
+    def test_iterated_exponential_runs_per_step_to_its_last_index(self):
+        # log H(n) = e^n leaves double range after n = 709: generation refuses
+        # it, and up to there each step spans more than one block may, so the
+        # whole solve is the per-step recursion and nothing overflows
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="overflowed in log space"):
+            log_forcing("H10", 710)
+        H = log_forcing("H10", 709)
+        x = solve_linear(GROWTH_KERNEL, H, 1.0, 709, log_domain=True)
+        ref_l, ref_s, bad = per_step_log_solve(GROWTH_KERNEL, H, 1.0, 709)
+        assert bad == -1
+        assert np.array_equal(x.log_abs, ref_l)
+        assert np.array_equal(x.sign, ref_s)
+
+    @pytest.mark.parametrize("kernel, signs", [
+        (Kernel([0.5, -0.2, 0.1]), "positive"),
+        (GROWTH_KERNEL, "random"),
+    ], ids=["signed-kernel", "mixed-sign-forcing"])
+    def test_sign_incoherent_inputs_are_bitwise_per_step(self, kernel, signs):
+        horizon = 4 * _BLOCK
+        rng = np.random.Generator(np.random.Philox(12))
+        la = np.concatenate(([-np.inf], 0.7 * np.arange(1, horizon + 1)))
+        sg = np.ones(horizon + 1) if signs == "positive" else rng.choice([-1.0, 1.0], horizon + 1)
+        sg[0] = 0.0
+        H = LogTrajectory(la, sg)
+        x = solve_linear(kernel, H, 0.8, horizon, log_domain=True)
+        ref_l, ref_s, _ = per_step_log_solve(kernel, H, 0.8, horizon)
+        assert np.array_equal(x.log_abs, ref_l)
+        assert np.array_equal(x.sign, ref_s)
+
+    def test_underflow_guard_falls_back_to_per_step(self):
+        # one spike after the first block; log|x| then falls by log(1e3) a step
+        horizon = 3 * _BLOCK
+        la = np.full(horizon + 1, -np.inf)
+        la[_BLOCK + 40] = 0.0
+        H = LogTrajectory.from_log(la)
+        x = solve_linear(Kernel([1e-3]), H, 0.0, horizon, log_domain=True)
+        ref_l, ref_s, _ = per_step_log_solve(Kernel([1e-3]), H, 0.0, horizon)
+        assert x.log_abs[-1] < -1000.0
+        assert np.array_equal(x.log_abs, ref_l)
+        assert np.array_equal(x.sign, ref_s)
+
+    def test_zero_forcing_and_start_give_zeros(self):
+        horizon = 3 * _BLOCK
+        H = LogTrajectory.from_log(np.full(horizon + 1, -np.inf))
+        x = solve_linear(GROWTH_KERNEL, H, 0.0, horizon, log_domain=True)
+        assert np.all(x.sign == 0.0)
+        assert np.all(x.log_abs == -np.inf)
+
+    def test_repeated_calls_are_bitwise_identical(self):
+        H = log_forcing("factorial", 8 * _BLOCK)
+        first = solve_linear(GROWTH_KERNEL, H, 0.9, 8 * _BLOCK, log_domain=True)
+        again = solve_linear(GROWTH_KERNEL, H, 0.9, 8 * _BLOCK, log_domain=True)
+        assert np.array_equal(first.log_abs, again.log_abs)
+        assert np.array_equal(first.sign, again.sign)
+
+    @pytest.mark.parametrize("name, horizon, params", [
+        ("factorial", 20_000, {}),
+        ("geometric", 10_000, {"lam": 0.5}),
+    ])
+    def test_only_the_first_block_runs_per_step(self, monkeypatch, caplog, name, horizon, params):
+        # the log_growth benchmark configs: past the first block every block is scaled
+        steps = []
+
+        def counted(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
+            steps.append((hi if hi is not None else len(out_l)) - lo)
+            return _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo, hi)
+
+        monkeypatch.setattr(core, "_log_linear_recursion", counted)
+        H = log_forcing(name, horizon, **params)
+        with caplog.at_level(logging.WARNING, logger="volterra_lab.core"):
+            x = solve_linear(GROWTH_KERNEL, H, 1.25, horizon, log_domain=True)
+        assert sum(steps) == _BLOCK - 1
+        assert np.all(x.sign == 1.0)
+        assert not caplog.records
+
+    def test_cancellation_is_reported(self, caplog):
+        # exact x(3) = (1e300 + 1) - 1e300 + 1 = 2; the log domain gets 1
+        H = traj([0.0, 1e300, 1.0, 1.0])
+        with caplog.at_level(logging.WARNING, logger="volterra_lab.core"):
+            x = solve_linear(Kernel([1.0, -1.0]), H, 0.0, 3, log_domain=True)
+        assert x.to_plain().values[3] == 1.0
+        [record] = caplog.records
+        assert "cancellation at index 3" in record.message
+        assert "300.3 digits lost" in record.message
+
+    def test_exact_zero_sum_is_not_reported(self, caplog):
+        # x(3) = x(2) - x(1) + 0 = 0 exactly: no digits are lost
+        with caplog.at_level(logging.WARNING, logger="volterra_lab.core"):
+            x = solve_linear(Kernel([1.0, -1.0]), traj([0.0, 1.0, 0.0, 0.0]), 0.0, 3,
+                             log_domain=True)
+        assert list(x.sign) == [0.0, 1.0, 1.0, 0.0]
+        assert not caplog.records
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+    st.floats(min_value=0.0, max_value=1.5),
+    st.floats(min_value=-1.0, max_value=12.0),
+    st.integers(min_value=_BLOCK + 1, max_value=4 * _BLOCK),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=1e-3, max_value=3.0),
+)
+def test_blocked_log_engine_on_sign_coherent_inputs(weights, mass, drift, horizon, seed, xi):
+    # nonnegative kernel of total mass 0..1.5, positive forcing whose log
+    # moves by ``drift`` a step plus noise: every block is sign coherent.
+    # The tolerance is held against extended precision: with decaying forcing
+    # the per-step recursion itself drifts from it by more (2.7e-12 at log|x| = -508)
+    w = np.array(weights)
+    k = Kernel(w / np.sum(w) * mass if np.sum(w) > 0 else w)
+    rng = np.random.Generator(np.random.Philox(seed))
+    la = drift * np.arange(horizon + 1) + rng.normal(scale=2.0, size=horizon + 1)
+    la[0] = -np.inf
+    H = LogTrajectory.from_log(la)
+    x = solve_linear(k, H, xi, horizon, log_domain=True)
+    ref_l, ref_s, _ = per_step_log_solve(k, H, xi, horizon)
+    assert_log_contract(x, ref_l, ref_s, extended_log_solve(k.coefficients, la, xi))
