@@ -76,7 +76,6 @@ class ScalingModel:
 
     a: object  # Trajectory or LogTrajectory
     lam: float
-    tag: str = "custom"
     monotone: bool = False
 
     def __post_init__(self):
@@ -105,20 +104,8 @@ class ScalingModel:
                 f"catalogue entry {entry.name!r} starts at index {entry.min_index}, "
                 f"horizon {horizon} is too short"
             )
-        idx = np.arange(entry.min_index, horizon + 1)
-        logs = entry.log_fn(idx)
-        if not np.all(np.isfinite(logs)):
-            raise InputError(f"catalogue entry {entry.name!r} overflowed in log space")
-        if log_domain:
-            a = LogTrajectory.from_log(logs, start=entry.min_index)
-        else:
-            if np.any(logs > 709.0):
-                raise InputError(
-                    f"catalogue entry {entry.name!r} overflows plain doubles at this "
-                    "horizon; build it with log_domain=True"
-                )
-            a = Trajectory(entry.values(idx), start=entry.min_index)
-        return cls(a=a, lam=entry.ratio_limit, tag=entry.name, monotone=entry.monotone)
+        return cls(a=entry.sequence(entry.min_index, horizon, log_domain),
+                   lam=entry.ratio_limit, monotone=entry.monotone)
 
 
 # --------------------------------------------------------------------------

@@ -316,14 +316,6 @@ class ExperimentConfig:
             data["out_dir"] = str(raw["out_dir"])
         return cls(data, **objects)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ConfigError("config", f"invalid JSON: {err}") from err
-        return cls.from_dict(raw)
-
     def __getitem__(self, key):
         return self.data[key]
 

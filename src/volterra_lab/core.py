@@ -134,14 +134,6 @@ class Kernel:
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.coefficients)))
 
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.coefficients))
-
-    @property
-    def is_nonnegative(self) -> bool:
-        return bool(np.all(self.coefficients >= 0.0))
-
     @classmethod
     def zero(cls) -> "Kernel":
         return cls(np.zeros(0))
@@ -491,22 +483,17 @@ def _aligned_forcing(forcing, horizon, xi=0.0, log_domain=False):
         raise InputError(
             f"forcing ends at {forcing.end}, shorter than horizon {horizon}"
         )
-    if forcing.start == 0:
-        first = forcing.sign[0] if isinstance(forcing, LogTrajectory) else forcing.values[0]
-        if first != 0.0:
-            logger.warning(
-                "forcing value at index 0 is ignored; the recursion consumes H "
-                "from index 1"
-            )
+    if forcing.start == 0 and forcing.window(0, 0).to_log().sign[0] != 0.0:
+        logger.warning(
+            "forcing value at index 0 is ignored; the recursion consumes H "
+            "from index 1"
+        )
     win = forcing.window(1, horizon)
     if log_domain:
-        if isinstance(win, Trajectory):
-            win = win.to_log()
+        win = win.to_log()
         return horizon, (np.concatenate(([-np.inf], win.log_abs)),
                          np.concatenate(([0.0], win.sign)))
-    if isinstance(win, LogTrajectory):
-        win = win.to_plain()
-    return horizon, np.concatenate(([0.0], win.values))
+    return horizon, np.concatenate(([0.0], win.to_plain().values))
 
 
 # --------------------------------------------------------------------------
@@ -565,8 +552,7 @@ def recover_forcing(kernel: Kernel, solution: Trajectory) -> Trajectory:
     Round-trips with :func:`solve_linear` to floating-point accuracy.
     The returned trajectory starts at index 1.
     """
-    if isinstance(solution, LogTrajectory):
-        solution = solution.to_plain()
+    solution = solution.to_plain()
     if solution.start != 0:
         raise InputError("solution must start at index 0")
     if len(solution) < 2:

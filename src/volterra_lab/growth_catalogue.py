@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .exceptions import ParameterError
+from .exceptions import InputError, ParameterError
+from .series import LogTrajectory, Trajectory
 
 __all__ = ["CatalogueEntry", "catalogue_entry", "catalogue_names"]
 
@@ -36,22 +37,29 @@ class CatalogueEntry:
     params: dict
     plain_fn: callable = None  # exact plain values where exp(log) loses bits
 
-    def values(self, n):
-        """Plain values at indices n; exact where a direct form exists."""
-        n = np.asarray(n, dtype=np.float64)
-        if self.plain_fn is not None:
-            with np.errstate(over="ignore"):
-                vals = self.plain_fn(n)
-            if np.all(np.isfinite(vals)):
-                return vals
-        else:
+    def sequence(self, lo, hi, log_domain):
+        """The entry on indices lo..hi, as a LogTrajectory when ``log_domain``.
+
+        The plain form is refused past double range by
+        ``LogTrajectory.to_plain``; within it, it takes the exact
+        ``plain_fn`` values wherever those are finite.
+        """
+        n = np.arange(lo, hi + 1, dtype=np.float64)
+        # H10's log form overflows past n = 709 and is refused below; an
+        # exact form overflows when a small scale meets lam**-n past DBL_MAX,
+        # and exp(log) stands in there: numpy's warning would add nothing
+        with np.errstate(over="ignore"):
             logs = self.log_fn(n)
-            if np.all(logs <= 709.0):
-                return np.exp(logs)
-        raise ParameterError(
-            f"catalogue entry {self.name!r} overflows plain doubles here; "
-            "use the log form"
-        )
+            if not np.all(np.isfinite(logs)):
+                raise InputError(f"catalogue entry {self.name!r} overflowed in log space")
+            seq = LogTrajectory.from_log(logs, start=lo)
+            if log_domain:
+                return seq
+            plain = seq.to_plain()
+            if self.plain_fn is None:
+                return plain
+            exact = self.plain_fn(n)
+        return Trajectory(np.where(np.isfinite(exact), exact, plain.values), start=lo)
 
 
 # depth-dependent shifts keeping every iterated log positive from n = 1

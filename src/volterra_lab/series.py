@@ -9,7 +9,6 @@ constructed; every operation returns a new object.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
     "consecutive_ratios",
     "abs_log_series",
     "dyadic_blocks",
-    "signed_logsumexp",
 ]
 
 
@@ -80,6 +78,9 @@ class Trajectory:
         count = tail_count(len(self.values), fraction)
         return Trajectory(self.values[-count:], start=self.end - count + 1)
 
+    def to_plain(self) -> "Trajectory":
+        return self
+
     def to_log(self) -> "LogTrajectory":
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(self.values))
@@ -119,10 +120,6 @@ class LogTrajectory:
             raise InputError(f"sign/zero mismatch at index {idx}")
 
     @classmethod
-    def from_values(cls, values, start: int = 0) -> "LogTrajectory":
-        return Trajectory(np.asarray(values, dtype=np.float64), start=start).to_log()
-
-    @classmethod
     def from_log(cls, log_abs, sign=None, start: int = 0) -> "LogTrajectory":
         la = np.asarray(log_abs, dtype=np.float64)
         if sign is None:
@@ -145,12 +142,20 @@ class LogTrajectory:
         sl = slice(lo - self.start, hi - self.start + 1)
         return LogTrajectory(self.log_abs[sl], self.sign[sl], start=lo)
 
+    def to_log(self) -> "LogTrajectory":
+        return self
+
     def to_plain(self) -> Trajectory:
-        """Materialise plain values; raises if any magnitude overflows."""
+        """Materialise plain values.
+
+        This is the package's one double-range rule: a magnitude above
+        e^709 is refused, whatever the sequence is.
+        """
         if np.any(self.log_abs > 709.0):
             idx = self.start + int(np.flatnonzero(self.log_abs > 709.0)[0])
             raise InputError(
-                f"log magnitude at index {idx} too large for plain representation"
+                f"log magnitude at index {idx} too large for plain representation; "
+                "run with log_domain=True"
             )
         return Trajectory(self.sign * np.exp(self.log_abs), start=self.start)
 
@@ -170,9 +175,6 @@ def overlap_range(a, b) -> tuple:
 
 
 def _log_parts(series, lo, hi):
-    if isinstance(series, LogTrajectory):
-        w = series.window(lo, hi)
-        return w.log_abs, w.sign
     w = series.window(lo, hi).to_log()
     return w.log_abs, w.sign
 
@@ -236,15 +238,8 @@ def abs_log_series(series) -> Trajectory:
     Exact zeros are mapped to -745 (below any attainable double log) so the
     result stays a finite-valued trajectory.
     """
-    if isinstance(series, LogTrajectory):
-        la = series.log_abs.copy()
-        start = series.start
-    else:
-        with np.errstate(divide="ignore"):
-            la = np.log(np.abs(series.values))
-        start = series.start
-    la[la == -np.inf] = -745.0
-    return Trajectory(la, start=start)
+    la = series.to_log().log_abs
+    return Trajectory(np.where(la == -np.inf, -745.0, la), start=series.start)
 
 
 def dyadic_blocks(start: int, end: int) -> list:
@@ -266,21 +261,3 @@ def dyadic_blocks(start: int, end: int) -> list:
         hi = lo - 1
     blocks.reverse()
     return blocks
-
-
-def signed_logsumexp(log_abs, sign) -> tuple:
-    """Signed sum of terms given as (log|t_i|, sign(t_i)).
-
-    Returns (log|sum|, sign(sum)); an exact zero (including cancellation to
-    zero) comes back as (-inf, 0.0).
-    """
-    log_abs = np.asarray(log_abs, dtype=np.float64)
-    sign = np.asarray(sign, dtype=np.float64)
-    live = sign != 0.0
-    if not np.any(live):
-        return -math.inf, 0.0
-    m = float(np.max(log_abs[live]))
-    acc = float(np.sum(sign[live] * np.exp(log_abs[live] - m)))
-    if acc == 0.0:
-        return -math.inf, 0.0
-    return m + math.log(abs(acc)), math.copysign(1.0, acc)

@@ -65,9 +65,9 @@ class TailModel:
     """Distribution tails: F, the survival function G = 1 - F, quantiles.
 
     ``sf`` and ``upper_quantile`` are stored separately from ``cdf`` and
-    ``quantile`` so far-tail probabilities keep full precision.  ``mu`` is
-    the slow-variation modulus used by the rapid-tail certificate, probed
-    at exponent ``delta_star`` (any positive probe exponent is admissible;
+    ``quantile`` so far-tail probabilities keep full precision.  The
+    rapid-tail certificate probes the slow-variation modulus log(x)**2 at
+    exponent ``delta_star`` (any positive probe exponent is admissible;
     small values keep the finite-sample certificate decisive).
     """
 
@@ -78,8 +78,6 @@ class TailModel:
     quantile: callable
     upper_quantile: callable
     symmetric: bool
-    bounded_support: bool = False
-    mu: callable = _default_modulus
     delta_star: float = 0.025
 
     def tail_probability(self, threshold):
@@ -249,7 +247,6 @@ def _uniform_model(low, high):
         quantile=lambda u: low + span * np.asarray(u, dtype=np.float64),
         upper_quantile=lambda p: high - span * np.asarray(p, dtype=np.float64),
         symmetric=(abs(low + high) < 1e-15),
-        bounded_support=True,
     )
 
 
@@ -276,7 +273,6 @@ def make_tail_model(family: str, **params) -> TailModel:
             quantile=params["quantile"],
             upper_quantile=params["upper_quantile"],
             symmetric=bool(params.get("symmetric", False)),
-            bounded_support=bool(params.get("bounded_support", False)),
         )
     raise ParameterError(f"unknown tail family {family!r}")
 
@@ -311,17 +307,15 @@ def _rng_for(gen: ForcingGenerator):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(gen.seed)))
 
 
-def _deterministic_logs(name, params, horizon):
+def _catalogue_sequence(name, params, horizon, log_domain):
+    """A catalogue entry on 1..horizon, as a forcing sequence."""
     entry = catalogue_entry(name, **(params or {}))
     if entry.min_index > 1:
         raise InputError(
             f"catalogue entry {name!r} starts at index {entry.min_index}; it "
             "cannot serve as a forcing sequence"
         )
-    logs = entry.log_fn(np.arange(1, horizon + 1))
-    if not np.all(np.isfinite(logs)):
-        raise InputError(f"catalogue entry {name!r} overflowed in log space")
-    return entry, logs
+    return entry.sequence(1, horizon, log_domain)
 
 
 def factor_error(spec):
@@ -364,19 +358,6 @@ def _factor_values(spec, horizon, rng):
     return out
 
 
-def _log_forcing(logs, sign):
-    """H(0) = 0, then sign * exp(logs) on 1..horizon, in log form."""
-    return LogTrajectory(np.concatenate(([-np.inf], logs)), np.concatenate(([0.0], sign)))
-
-
-def _plain_values(entry, horizon):
-    """The catalogue entry on 1..horizon in plain doubles; overflow is an input error."""
-    try:
-        return entry.values(np.arange(1, horizon + 1))
-    except ParameterError as err:
-        raise InputError(f"{err}; run with log_domain=True") from err
-
-
 def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=None):
     """Materialise the forcing on indices 0..horizon (index 0 set to 0).
 
@@ -389,35 +370,30 @@ def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=
     if rng is None:
         rng = _rng_for(gen)
 
+    h = _forcing_body(gen, horizon, log_domain, rng)
+    if log_domain:
+        h = h.to_log()
+        return LogTrajectory(np.concatenate(([-np.inf], h.log_abs)),
+                             np.concatenate(([0.0], h.sign)))
+    return Trajectory(np.concatenate(([0.0], h.to_plain().values)))
+
+
+def _forcing_body(gen, horizon, log_domain, rng):
+    """The forcing on indices 1..horizon, in whichever form it is built."""
     if gen.kind == "iid":
         if gen.tail is None:
             raise ParameterError("iid forcing needs a tail model")
-        vals = np.concatenate(([0.0], gen.tail.sample(rng, horizon)))
-        return LogTrajectory.from_values(vals) if log_domain else Trajectory(vals)
+        return Trajectory(gen.tail.sample(rng, horizon), start=1)
 
-    if gen.kind == "random_walk_drift":
+    if gen.kind in ("random_walk_drift", "geometric_random_walk"):
         steps = gen.noise.sample(rng, horizon) if gen.noise is not None else np.zeros(horizon)
         walk = gen.drift * np.arange(1, horizon + 1) + np.cumsum(steps)
-        vals = np.concatenate(([0.0], walk))
-        return LogTrajectory.from_values(vals) if log_domain else Trajectory(vals)
-
-    if gen.kind == "geometric_random_walk":
-        steps = gen.noise.sample(rng, horizon) if gen.noise is not None else np.zeros(horizon)
-        logs = gen.drift * np.arange(1, horizon + 1) + np.cumsum(steps)
-        if log_domain:
-            return _log_forcing(logs, np.ones(horizon))
-        if np.any(logs > 709.0):
-            raise InputError(
-                "geometric random walk overflows plain doubles at this horizon; "
-                "run with log_domain=True"
-            )
-        return Trajectory(np.concatenate(([0.0], np.exp(logs))))
+        if gen.kind == "random_walk_drift":
+            return Trajectory(walk, start=1)
+        return LogTrajectory.from_log(walk, start=1)
 
     if gen.kind == "deterministic":
-        entry, logs = _deterministic_logs(gen.name, gen.params, horizon)
-        if log_domain:
-            return _log_forcing(logs, np.ones(horizon))
-        return Trajectory(np.concatenate(([0.0], _plain_values(entry, horizon))))
+        return _catalogue_sequence(gen.name, gen.params, horizon, log_domain)
 
     if gen.kind == "modulated":
         if not gen.base or not gen.factor:
@@ -425,12 +401,13 @@ def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=
         base_spec = dict(gen.base)
         base_name = base_spec.pop("name")
         base_params = base_spec.pop("params", base_spec)
-        entry, logs = _deterministic_logs(base_name, base_params, horizon)
+        base = _catalogue_sequence(base_name, base_params, horizon, log_domain)
         factor = _factor_values(gen.factor, horizon, rng)
         if log_domain:
             with np.errstate(divide="ignore"):
-                return _log_forcing(np.log(np.abs(factor)) + logs, np.sign(factor))
-        return Trajectory(np.concatenate(([0.0], factor * _plain_values(entry, horizon))))
+                return LogTrajectory(np.log(np.abs(factor)) + base.log_abs,
+                                     np.sign(factor), start=1)
+        return Trajectory(factor * base.values, start=1)
 
     raise ParameterError(f"unknown forcing kind {gen.kind!r}")
 
@@ -471,8 +448,7 @@ def _decay_regression(indices, summands):
 
 def envelope_sums(tail: TailModel, a: Trajectory, k_grid, horizon: int = None) -> EnvelopeReport:
     """Exact partial sums S_N(a, K) of the exceedance series for each K."""
-    if isinstance(a, LogTrajectory):
-        a = a.to_plain()
+    a = a.to_plain()
     if np.any(a.values <= 0.0) or np.any(np.diff(a.values) < 0.0):
         raise InputError("envelope scale must be positive and nondecreasing")
     hi = a.end if horizon is None else min(a.end, int(horizon))
@@ -560,7 +536,7 @@ def _ssv_certificate(tail: TailModel, probes, tolerance):
     detail = {}
     worst = 0.0
     for delta in (0.0, tail.delta_star):
-        scaled = xs * tail.mu(xs) ** delta
+        scaled = xs * _default_modulus(xs) ** delta
         base = np.asarray(tail.upper_quantile(1.0 / xs), dtype=np.float64)
         moved = np.asarray(tail.upper_quantile(1.0 / scaled), dtype=np.float64)
         if np.any(~np.isfinite(base)) or np.any(base <= 0.0):
@@ -570,7 +546,7 @@ def _ssv_certificate(tail: TailModel, probes, tolerance):
         worst = max(worst, dev)
     ratio_ok = worst < tolerance
     n = np.logspace(4, 5, 60)
-    summand = 1.0 / (n * tail.mu(n) ** tail.delta_star)
+    summand = 1.0 / (n * _default_modulus(n) ** tail.delta_star)
     verdict, slope = _decay_regression(n, summand)
     detail["modulus_series_slope"] = slope
     detail["modulus_series_verdict"] = verdict
@@ -696,9 +672,7 @@ def _path_statistic(spec: StatisticSpec, x, forcing, system: EnsembleSpec) -> fl
         return float(time_average(ratio).values[-1])
     if spec.name == "phi_average":
         phi = spec.phi or make_phi("power", p=2.0)
-        if isinstance(series, LogTrajectory):
-            series = series.to_plain()
-        return float(np.mean(phi(np.abs(series.values))))
+        return float(np.mean(phi(np.abs(series.to_plain().values))))
     raise ParameterError(f"unknown statistic {spec.name!r}")
 
 

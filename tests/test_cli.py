@@ -1,6 +1,10 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,6 +416,26 @@ class TestCommandLine:
         })
         assert main(["solve", "--config", str(path)]) == 0
         assert (tmp_path / "envout" / "report.json").exists()
+
+    def test_log_space_overflow_exits_one_without_numpy_warning(self, tmp_path):
+        # H10 = exp(exp(n)) leaves double range even in log form past n = 709;
+        # a fresh process shows on stderr whatever numpy would warn there
+        path = self._write_config(tmp_path, {
+            "horizon": 800, "log_domain": True,
+            "kernel": {"name": "zero"},
+            "forcing": {"kind": "deterministic", "name": "H10"},
+        })
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run(
+            [sys.executable, "-m", "volterra_lab.cli", "solve", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert run.returncode == 1
+        assert "overflowed in log space" in run.stderr
+        assert "overflow encountered" not in run.stderr
 
 
 class TestReportSerialization:

@@ -10,7 +10,6 @@ from volterra_lab.series import (
     consecutive_ratios,
     dyadic_blocks,
     ratio_series,
-    signed_logsumexp,
 )
 
 
@@ -97,12 +96,3 @@ def test_dyadic_blocks_respect_start():
     blocks = dyadic_blocks(30, 100)
     assert blocks[0][0] == 30
     assert blocks[-1] == (51, 100)
-
-
-def test_signed_logsumexp_cancellation_and_sign():
-    log, sign = signed_logsumexp([0.0, 0.0], [1.0, -1.0])
-    assert log == -math.inf and sign == 0.0
-    log, sign = signed_logsumexp([math.log(3), math.log(1)], [1.0, -1.0])
-    assert sign == 1.0 and math.isclose(math.exp(log), 2.0)
-    log, sign = signed_logsumexp([-math.inf], [0.0])
-    assert log == -math.inf and sign == 0.0

@@ -72,7 +72,7 @@ class TestNonnegativeCriterion:
             total = rng.uniform(0.2, 1.8)
             k = Kernel(rng.dirichlet(np.ones(m)) * total)
             rep = characteristic_roots(k)
-            assert rep.summable == (k.total < 1.0 - 1e-9)
+            assert rep.summable == (float(np.sum(k.coefficients)) < 1.0 - 1e-9)
 
     def test_l1_below_one_implies_summable(self):
         rng = np.random.Generator(np.random.Philox(23))

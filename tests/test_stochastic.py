@@ -192,6 +192,25 @@ class TestForcingGenerators:
             generate(gen, 100)
 
 
+_GEOMETRIC_HALF = ForcingGenerator(kind="deterministic", name="geometric", params={"lam": 0.5})
+
+
+# one double-range rule: max log|value| just below 709 converts to plain
+# doubles, just above it every route refuses and names the log domain
+@pytest.mark.parametrize("build, below, above", [
+    (lambda n: ScalingModel.from_catalogue("geometric", n, lam=0.5), 1022, 1023),
+    # 1e-10 * 2**n: the exact form overflows from n = 1024, the value at 1057
+    (lambda n: ScalingModel.from_catalogue("geometric", n, lam=0.5, scale=1e-10), 1056, 1057),
+    (lambda n: generate(_GEOMETRIC_HALF, n), 1022, 1023),
+    (lambda n: generate(ForcingGenerator(kind="geometric_random_walk", drift=1.0), n), 708, 710),
+    (lambda v: LogTrajectory.from_log([0.0, v]).to_plain(), 708.9, 709.1),
+], ids=["scale", "scale_small_factor", "deterministic_forcing", "geometric_random_walk", "to_plain"])
+def test_plain_form_refused_just_past_double_range(build, below, above):
+    build(below)
+    with pytest.raises(InputError, match="log_domain"):
+        build(above)
+
+
 class TestEnvelopeSums:
     def test_normal_verdicts_bracket_sigma(self):
         scale = ScalingModel.from_catalogue("sqrt_log", 50_000)
