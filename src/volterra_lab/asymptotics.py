@@ -8,6 +8,8 @@ The central conventions:
 
 * the bounded factor of g against a reference scale a is taken as
   g(n)/a(n) itself;
+* every other tail statistic is taken over the final quarter of its
+  series, the one window :func:`series.tail_count` sizes;
 * limsup estimation uses dyadic block maxima with the first quarter of
   the window excluded as burn-in;
 * classification thresholds (zero / finite-positive / infinite) are
@@ -39,6 +41,13 @@ from .series import (
 from .spectral import characteristic_roots, multiplier_L
 
 logger = logging.getLogger(__name__)
+
+# estimator constants: the interquartile range under which tail ratios have
+# settled, the multiple of the median a spectral peak must clear, and the
+# longest detectable period as a fraction of the series length
+_IQR_TOLERANCE = 1e-3
+_NOISE_FACTOR = 3.0
+_MAX_PERIOD_FRACTION = 0.125
 
 __all__ = [
     "ScalingModel",
@@ -112,20 +121,20 @@ class ScalingModel:
 # ratio-limit estimation
 # --------------------------------------------------------------------------
 
-def estimate_lambda(g, tail_fraction: float = 0.25, iqr_tolerance: float = 1e-3):
+def estimate_lambda(g):
     """Estimate the consecutive-ratio limit of g from its tail.
 
     Returns (lambda_hat, converged): the median of g(n-1)/g(n) over the
-    final ``tail_fraction`` of indices, and whether the interquartile
-    range of those ratios is below ``iqr_tolerance``.
+    tail window (at least two points), and whether the interquartile
+    range of those ratios is below ``_IQR_TOLERANCE``.
     """
-    count = max(2, tail_count(len(g), tail_fraction))
+    count = max(2, tail_count(len(g)))
     lo = max(g.start, g.end - count + 1)
     window = g.window(lo, g.end)
     ratios = consecutive_ratios(window).values
     lam_hat = float(np.median(ratios))
     iqr = float(np.percentile(ratios, 75) - np.percentile(ratios, 25))
-    return lam_hat, bool(iqr < iqr_tolerance)
+    return lam_hat, bool(iqr < _IQR_TOLERANCE)
 
 
 # --------------------------------------------------------------------------
@@ -215,20 +224,19 @@ class Growth2Result:
 
 
 def verify_growth2(kernel: Kernel, forcing, xi: float = 1.0, horizon: int = None,
-                   scale: ScalingModel = None, log_domain: bool = None,
-                   tail_fraction: float = 0.25) -> Growth2Result:
+                   scale: ScalingModel = None, log_domain: bool = None) -> Growth2Result:
     """Compare the tail ratio x(n)/H(n) against the multiplier constant.
 
     The ratio limit lam is taken from ``scale`` when one is supplied and
     estimated from the forcing tail otherwise.  The empirical constant is
-    the mean of x/H over the final ``tail_fraction`` of indices.
+    the mean of x/H over the tail window.
     """
     if horizon is None:
         horizon = forcing.end
     if log_domain is None:
         log_domain = isinstance(forcing, LogTrajectory)
     x = solve_linear(kernel, forcing, xi, horizon, log_domain=log_domain)
-    lam_hat, converged = estimate_lambda(forcing, tail_fraction)
+    lam_hat, converged = estimate_lambda(forcing)
     if not converged:
         logger.warning(
             "forcing consecutive ratios have not settled (lambda_hat=%.6g); "
@@ -242,7 +250,7 @@ def verify_growth2(kernel: Kernel, forcing, xi: float = 1.0, horizon: int = None
     L_theory = multiplier_L(kernel, lam_used)
     lo = max(x.start, forcing.start, 1)
     ratio = ratio_series(x.window(lo, horizon), forcing.window(lo, horizon))
-    tail = ratio.tail_window(tail_fraction)
+    tail = ratio.tail_window()
     L_emp = float(np.mean(tail.values))
     return Growth2Result(
         L_empirical=L_emp,
@@ -260,19 +268,18 @@ def verify_growth2(kernel: Kernel, forcing, xi: float = 1.0, horizon: int = None
 # asymptotic representations
 # --------------------------------------------------------------------------
 
-def predict_x_over_a(kernel: Kernel, resol: Trajectory, lam: float, lam_a_H: Trajectory) -> Trajectory:
+def predict_x_over_a(kernel: Kernel, lam: float, lam_a_H: Trajectory) -> Trajectory:
     """Right side of the solution representation at scale a:
 
         out(n) = (H/a)(n) + sum_{j=1}^{n} r(j) lam^j (H/a)(n-j),
 
-    with the sum truncated where the stored bounded factor starts.
+    with the sum truncated where the stored bounded factor starts; r is the
+    per-term :func:`core.resolvent`, computed here to the same length.
     """
     if not 0.0 <= lam <= 1.0:
         raise InputError(f"lambda must lie in [0, 1], got {lam!r}")
     n = len(lam_a_H)
-    if len(resol) < n:
-        raise InputError("resolvent shorter than the bounded factor; precompute it to the same horizon")
-    weights = resol.values[:n] * lam ** np.arange(n)
+    weights = resolvent(kernel, n - 1).values * lam ** np.arange(n)
     out = np.convolve(weights, lam_a_H.values)[:n]
     return Trajectory(out, start=lam_a_H.start)
 
@@ -316,28 +323,26 @@ class PeriodicExtraction:
     residual_tail_sup: float
 
 
-def extract_almost_periodic(g_over_a: Trajectory, period_hint: int = None,
-                            tail_fraction: float = 0.25, noise_factor: float = 3.0,
-                            max_period_fraction: float = 0.125) -> PeriodicExtraction:
+def extract_almost_periodic(g_over_a: Trajectory, period_hint: int = None) -> PeriodicExtraction:
     """Split a bounded ratio series into a periodic part plus residual.
 
     With an explicit integer ``period_hint``, the periodic profile is the
     mean of the tail window over each residue class mod p.  Without a hint
     the period comes from the dominant discrete-spectrum peak of the tail
-    window, restricted to integer periods at most ``max_period_fraction``
+    window, restricted to integer periods at most ``_MAX_PERIOD_FRACTION``
     of the series length and refined by a folding score; if no spectral
-    peak clears ``noise_factor`` times the median magnitude, the series is
+    peak clears ``_NOISE_FACTOR`` times the median magnitude, the series is
     declared aperiodic and the constant tail mean is returned.
     """
-    tail = g_over_a.tail_window(tail_fraction)
-    max_period = max(2, int(len(g_over_a) * max_period_fraction))
+    tail = g_over_a.tail_window()
+    max_period = max(2, int(len(g_over_a) * _MAX_PERIOD_FRACTION))
     if period_hint is not None:
         if period_hint < 1:
             raise InputError("period hint must be a positive integer")
         period = int(period_hint)
         verdict = "periodic"
     else:
-        period = _spectral_period(tail, noise_factor, max_period)
+        period = _spectral_period(tail, max_period)
         verdict = "periodic" if period else "aperiodic"
     if not period or period == 1:
         period, verdict = 0, "aperiodic"
@@ -347,7 +352,7 @@ def extract_almost_periodic(g_over_a: Trajectory, period_hint: int = None,
     pi = Trajectory(profile[g_over_a.indices() % len(profile)], start=g_over_a.start)
     residual = Trajectory(g_over_a.values - pi.values, start=g_over_a.start)
     return PeriodicExtraction(pi, residual, period=period, verdict=verdict, profile=profile,
-                              residual_tail_sup=residual_tail_sup(g_over_a, pi, tail_fraction))
+                              residual_tail_sup=residual_tail_sup(g_over_a, pi))
 
 
 def _fold_profile(window: Trajectory, period: int) -> np.ndarray:
@@ -368,16 +373,14 @@ def _fold_score(window: Trajectory, period: int) -> float:
     return float(np.mean((window.values - profile[idx]) ** 2))
 
 
-def _spectral_period(tail: Trajectory, noise_factor: float, max_period: int):
+def _spectral_period(tail: Trajectory, max_period: int):
     vals = tail.values - np.mean(tail.values)
     if len(vals) < 8:
         return 0
     mags = np.abs(np.fft.rfft(vals))[1:]
-    if mags.size < 2:
-        return 0
     peak_bin = int(np.argmax(mags)) + 1
     floor = float(np.median(mags))
-    if mags[peak_bin - 1] < noise_factor * max(floor, 1e-300):
+    if mags[peak_bin - 1] < _NOISE_FACTOR * max(floor, 1e-300):
         return 0
     p0 = int(round(len(vals) / peak_bin))
     candidates = [p for p in range(max(2, p0 - 2), p0 + 3) if 2 <= p <= max_period]
@@ -426,11 +429,11 @@ class ConvexFunctional:
             raise InputError("log-domain evaluation exists only for power functionals")
         return self.params["p"] * np.asarray(log_abs_values, dtype=np.float64)
 
-    def validate(self, upper: float = 100.0, samples: int = 401) -> None:
-        grid = np.linspace(0.0, upper, samples)
+    def validate(self) -> None:
+        grid = np.linspace(0.0, 100.0, 401)
         vals = self.fn(grid)
         if not np.all(np.isfinite(vals)):
-            raise ParameterError(f"functional {self.name!r} not finite on [0, {upper}]")
+            raise ParameterError(f"functional {self.name!r} not finite on [0, 100.0]")
         scale = max(1.0, float(np.max(np.abs(vals))))
         if np.any(np.diff(vals) < -1e-12 * scale):
             raise ParameterError(f"functional {self.name!r} is not increasing")
@@ -468,7 +471,7 @@ class PhiMomentReport:
 
 
 def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
-                       tail_fraction: float = 0.25, slack: float = 1e-6) -> PhiMomentReport:
+                       slack: float = 1e-6) -> PhiMomentReport:
     """Tail-window averages of phi(|x|) against phi(|r|_1 |H|), plus dual.
 
     ``holds`` checks average phi(|x|) <= average phi(|r|_1 |H|) up to a
@@ -478,7 +481,7 @@ def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
     """
     lo, hi = overlap_range(x, forcing)
     lo = max(lo, 1)
-    count = tail_count(hi - lo + 1, tail_fraction)
+    count = tail_count(hi - lo + 1)
     wlo = hi - count + 1
     r = resolvent(kernel, hi)
     r_l1 = float(np.sum(np.abs(r.values)))
@@ -497,7 +500,6 @@ def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
                 dual_holds=bool(dual_lhs <= dual_rhs * (1.0 + slack)),
                 r_l1=r_l1, k_l1=k_l1, log_domain=False,
             )
-        use_log = True
     if phi.name != "power":
         raise InputError(
             "phi overflowed and the log-domain fallback exists only for "
@@ -546,9 +548,8 @@ def scaled_convolution(kernel: Kernel, forcing: Trajectory, scale: ScalingModel)
 # decomposition residual
 # --------------------------------------------------------------------------
 
-def residual_tail_sup(actual: Trajectory, predicted: Trajectory,
-                      tail_fraction: float = 0.25) -> float:
-    """Sup of |actual - predicted| over the final ``tail_fraction`` of their common indices."""
+def residual_tail_sup(actual: Trajectory, predicted: Trajectory) -> float:
+    """Sup of |actual - predicted| over the tail window of their common indices."""
     lo, hi = overlap_range(actual, predicted)
     diff = actual.window(lo, hi).values - predicted.window(lo, hi).values
-    return float(np.max(np.abs(diff[-tail_count(len(diff), tail_fraction):])))
+    return float(np.max(np.abs(diff[-tail_count(len(diff)):])))

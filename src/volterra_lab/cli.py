@@ -161,8 +161,7 @@ def _mode_verify_growth3(cfg):
     scale = _scale(cfg, cfg["log_domain"])
     lam_H = ratio_series(forcing, scale.a)
     lam_x = ratio_series(x, scale.a)
-    r = resolvent(kernel, cfg["horizon"])
-    predicted_x = predict_x_over_a(kernel, r, scale.lam, lam_H)
+    predicted_x = predict_x_over_a(kernel, scale.lam, lam_H)
     predicted_H = predict_H_over_a(kernel, scale.lam, lam_x)
     rep_residual = residual_tail_sup(lam_x, predicted_x)
     rec_residual = residual_tail_sup(lam_H, predicted_H)
@@ -199,8 +198,7 @@ def _mode_verify_periodic(cfg):
     hint = cfg.get("period_hint")
     extraction_H = extract_almost_periodic(lam_H, period_hint=hint)
     extraction_x = extract_almost_periodic(lam_x)
-    r = resolvent(kernel, cfg["horizon"])
-    predicted = predict_x_over_a(kernel, r, scale.lam, extraction_H.pi)
+    predicted = predict_x_over_a(kernel, scale.lam, extraction_H.pi)
     rep_residual = residual_tail_sup(lam_x, predicted)
     tol = cfg["tolerances"]["representation_residual"]
     expected = cfg.get("expected_period")
@@ -310,7 +308,7 @@ def _mode_verify_phi(cfg):
 
 def _mode_envelope(cfg):
     scale = _scale(cfg, log_domain=False)
-    report = envelope_sums(cfg.tail, scale.a, cfg["k_grid"], horizon=cfg["horizon"])
+    report = envelope_sums(cfg.tail, scale.a, cfg["k_grid"])
     verdicts = {"crossing_bracketed": report.crossing is not None}
     expected = cfg.get("expected_crossing")
     if expected is not None:
@@ -386,8 +384,7 @@ def _mode_verify_nonlinear(cfg):
     final_ok = maxima[-1] < cfg["tolerances"]["final_block_max"]
     lam_H = ratio_series(forcing, scale.a)
     lam_x = ratio_series(x_nl, scale.a)
-    r = resolvent(kernel, horizon)
-    predicted = predict_x_over_a(kernel, r, scale.lam, lam_H)
+    predicted = predict_x_over_a(kernel, scale.lam, lam_H)
     rep_residual = residual_tail_sup(lam_x, predicted)
     rep_ok = rep_residual < cfg["tolerances"]["representation_residual"]
     est_H = estimate_limsup(forcing, scale, cfg.thresholds)
@@ -547,10 +544,11 @@ def main(argv=None) -> int:
     raw["mode"] = args.mode
     if args.seed is not None:
         raw["seed"] = args.seed
-    out_dir = args.out or os.environ.get(OUT_DIR_ENV) or raw.get("out_dir") or "volterra_lab_out"
 
     try:
         config = ExperimentConfig.from_dict(raw)
+        out_dir = (args.out or os.environ.get(OUT_DIR_ENV) or config.get("out_dir")
+                   or "volterra_lab_out")
         report = run_experiment(config, out_dir=out_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

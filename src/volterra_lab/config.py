@@ -109,6 +109,12 @@ def _int(spec, key, path, default=_MISSING, minimum=0) -> int:
     return int(value)
 
 
+def _each(spec, key, path, ok, reason) -> None:
+    for i, value in enumerate(spec[key]):
+        if not ok(value):
+            raise ConfigError(f"{path}.{key}.{i}", f"{reason}, got {value!r}")
+
+
 def _build(path, factory, *args, **kwargs):
     """Call a library constructor; whatever it rejects is a ConfigError at path."""
     try:
@@ -305,6 +311,7 @@ class ExperimentConfig:
             data["k_grid"] = _floats(raw, "k_grid", "config")
             if not data["k_grid"]:
                 raise ConfigError("config.k_grid", "must be a nonempty list")
+            _each(data, "k_grid", "config", lambda k: k > 0.0, "must be positive")
         for key, minimum in (("period_hint", 1), ("expected_period", 0)):
             if raw.get(key) is not None:
                 data[key] = _int(raw, key, "config", minimum=minimum)
@@ -312,8 +319,11 @@ class ExperimentConfig:
             data["expected_crossing"] = _float(raw, "expected_crossing", "config")
         if "lambda_grid" in raw or mode == "spectrum":
             data["lambda_grid"] = _floats(raw, "lambda_grid", "config", [0.0, 0.25, 0.5, 0.75, 1.0])
+            _each(data, "lambda_grid", "config", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
         if "out_dir" in raw:
-            data["out_dir"] = str(raw["out_dir"])
+            data["out_dir"] = raw["out_dir"]
+            if not isinstance(data["out_dir"], str):
+                raise ConfigError("config.out_dir", f"expected a string, got {data['out_dir']!r}")
         return cls(data, **objects)
 
     def __getitem__(self, key):

@@ -172,9 +172,9 @@ class Nonlinearity:
     def __call__(self, x: float) -> float:
         return self.fn(x)
 
-    def validate(self, sample_range: float = 1e6, samples: int = 201) -> None:
-        """Check finite outputs on a symmetric sampled grid."""
-        grid = np.linspace(-sample_range, sample_range, samples)
+    def validate(self) -> None:
+        """Check finite outputs on a symmetric sampled grid of [-1e6, 1e6]."""
+        grid = np.linspace(-1e6, 1e6, 201)
         for x in grid:
             y = self.fn(float(x))
             if not math.isfinite(y):

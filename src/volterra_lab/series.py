@@ -73,9 +73,9 @@ class Trajectory:
             raise InputError(f"window [{lo}, {hi}] outside stored range [{self.start}, {self.end}]")
         return Trajectory(self.values[lo - self.start : hi - self.start + 1], start=lo)
 
-    def tail_window(self, fraction: float = 0.25) -> "Trajectory":
-        """The final ``fraction`` of stored indices (at least one point)."""
-        count = tail_count(len(self.values), fraction)
+    def tail_window(self) -> "Trajectory":
+        """The stored indices that :func:`tail_count` makes the tail."""
+        count = tail_count(len(self.values))
         return Trajectory(self.values[-count:], start=self.end - count + 1)
 
     def to_plain(self) -> "Trajectory":
@@ -160,9 +160,9 @@ class LogTrajectory:
         return Trajectory(self.sign * np.exp(self.log_abs), start=self.start)
 
 
-def tail_count(length: int, fraction: float) -> int:
-    """How many of ``length`` points make up the final ``fraction``: at least one."""
-    return max(1, int(round(fraction * length)))
+def tail_count(length: int) -> int:
+    """Size of every tail window, the package's stand-in for n -> infinity: the final quarter."""
+    return max(1, int(round(0.25 * length)))
 
 
 def overlap_range(a, b) -> tuple:
@@ -184,25 +184,19 @@ def ratio_series(num, den) -> Trajectory:
 
     Works for any mix of plain and log-form inputs; the division is carried
     out in log space so that two astronomically large sequences with a
-    moderate ratio divide cleanly.  A zero denominator raises.
+    moderate ratio divide cleanly.  A zero denominator raises, and so does
+    a ratio beyond double range.
     """
     lo, hi = overlap_range(num, den)
-    if isinstance(num, Trajectory) and isinstance(den, Trajectory):
-        d = den.window(lo, hi).values
-        if np.any(d == 0.0):
-            idx = lo + int(np.flatnonzero(d == 0.0)[0])
-            raise UndefinedRatioError(f"zero denominator at index {idx}")
-        return Trajectory(num.window(lo, hi).values / d, start=lo)
-    nl, ns = _log_parts(num, lo, hi)
-    dl, ds = _log_parts(den, lo, hi)
-    if np.any(ds == 0.0):
-        idx = lo + int(np.flatnonzero(ds == 0.0)[0])
-        raise UndefinedRatioError(f"zero denominator at index {idx}")
-    vals = ns * ds * np.exp(nl - dl)
-    if np.any(~np.isfinite(vals)):
-        idx = lo + int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise InputError(f"ratio overflows plain representation at index {idx}")
-    return Trajectory(vals, start=lo)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if isinstance(num, Trajectory) and isinstance(den, Trajectory):
+            d = den.window(lo, hi).values
+            vals = num.window(lo, hi).values / d
+        else:
+            nl, ns = _log_parts(num, lo, hi)
+            dl, d = _log_parts(den, lo, hi)
+            vals = ns * d * np.exp(nl - dl)
+    return _ratio_trajectory(vals, d, lo, "zero denominator")
 
 
 def consecutive_ratios(g) -> Trajectory:
@@ -210,26 +204,31 @@ def consecutive_ratios(g) -> Trajectory:
 
     Plain trajectories divide directly (exact for exact powers); log-form
     inputs go through log differences so astronomically large magnitudes
-    never overflow.
+    divide cleanly.  A ratio beyond double range raises.
     """
     lo, hi = g.start, g.end
     if hi - lo < 1:
         raise InputError("need at least two points for consecutive ratios")
-    if isinstance(g, Trajectory):
-        denom = g.values[1:]
-        if np.any(denom == 0.0):
-            idx = lo + 1 + int(np.flatnonzero(denom == 0.0)[0])
-            raise UndefinedRatioError(f"zero value at index {idx}")
-        return Trajectory(g.values[:-1] / denom, start=lo + 1)
-    gl, gs = _log_parts(g, lo, hi)
-    if np.any(gs[1:] == 0.0):
-        idx = lo + 1 + int(np.flatnonzero(gs[1:] == 0.0)[0])
-        raise UndefinedRatioError(f"zero value at index {idx}")
-    vals = gs[:-1] * gs[1:] * np.exp(gl[:-1] - gl[1:])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if isinstance(g, Trajectory):
+            d = g.values[1:]
+            vals = g.values[:-1] / d
+        else:
+            gl, gs = _log_parts(g, lo, hi)
+            d = gs[1:]
+            vals = gs[:-1] * d * np.exp(gl[:-1] - gl[1:])
+    return _ratio_trajectory(vals, d, lo + 1, "zero value")
+
+
+def _ratio_trajectory(vals, denom, start, zero):
+    """``vals`` as a plain trajectory; a zero in ``denom`` or an overflowed value raises."""
+    if np.any(denom == 0.0):
+        idx = start + int(np.flatnonzero(denom == 0.0)[0])
+        raise UndefinedRatioError(f"{zero} at index {idx}")
     if np.any(~np.isfinite(vals)):
-        idx = lo + 1 + int(np.flatnonzero(~np.isfinite(vals))[0])
+        idx = start + int(np.flatnonzero(~np.isfinite(vals))[0])
         raise InputError(f"ratio overflows plain representation at index {idx}")
-    return Trajectory(vals, start=lo + 1)
+    return Trajectory(vals, start=start)
 
 
 def abs_log_series(series) -> Trajectory:

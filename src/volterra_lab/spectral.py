@@ -61,35 +61,30 @@ def _polish_roots(coeffs, roots):
     norm = float(np.linalg.norm(np.nan_to_num(coeffs)))
     m = len(coeffs) - 1
     polished = np.array(roots, dtype=np.complex128)
-    errstate = np.errstate(invalid="ignore", divide="ignore", over="ignore")
-    with errstate:
-        return _polish_loop(coeffs, deriv, norm, m, polished)
-
-
-def _polish_loop(coeffs, deriv, norm, m, polished):
-    for i, z in enumerate(polished):
-        best = z
-        for attempt in range(4):
-            zi = z if attempt == 0 else z * (1.0 + 1e-8 * attempt) + 1e-12 * attempt
-            for _ in range(12):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for i, z in enumerate(polished):
+            best = z
+            for attempt in range(4):
+                zi = z if attempt == 0 else z * (1.0 + 1e-8 * attempt) + 1e-12 * attempt
+                for _ in range(12):
+                    pv = np.polyval(coeffs, zi)
+                    scale = norm * max(1.0, abs(zi)) ** m
+                    if abs(pv) <= 1e-12 * scale:
+                        break
+                    dv = np.polyval(deriv, zi)
+                    if dv == 0:
+                        break
+                    zi = zi - pv / dv
                 pv = np.polyval(coeffs, zi)
                 scale = norm * max(1.0, abs(zi)) ** m
                 if abs(pv) <= 1e-12 * scale:
+                    best = zi
                     break
-                dv = np.polyval(deriv, zi)
-                if dv == 0:
-                    break
-                zi = zi - pv / dv
-            pv = np.polyval(coeffs, zi)
-            scale = norm * max(1.0, abs(zi)) ** m
-            if abs(pv) <= 1e-12 * scale:
-                best = zi
-                break
-        else:
-            raise SpectralError(
-                f"root polishing failed to converge near z = {z!r}"
-            )
-        polished[i] = best
+            else:
+                raise SpectralError(
+                    f"root polishing failed to converge near z = {z!r}"
+                )
+            polished[i] = best
     return polished
 
 
@@ -166,11 +161,9 @@ class RhoResult:
     partial_sums: Trajectory
     limit: float
     gap: float
-    tolerance: float = None
-    within_tolerance: bool = None
 
 
-def rho_of_lambda(kernel: Kernel, lam: float, horizon: int, tolerance: float = None) -> RhoResult:
+def rho_of_lambda(kernel: Kernel, lam: float, horizon: int) -> RhoResult:
     """Partial sums of the geometric-weighted resolvent series.
 
     partial_sums(n) = sum_{j<=n} r(j) lam^j; the limit is multiplier_L.
@@ -182,11 +175,4 @@ def rho_of_lambda(kernel: Kernel, lam: float, horizon: int, tolerance: float = N
     sums = Trajectory(np.cumsum(weights), start=0)
     limit = multiplier_L(kernel, lam)
     gap = abs(float(sums.values[-1]) - limit)
-    within = None if tolerance is None else bool(gap < tolerance)
-    return RhoResult(
-        partial_sums=sums,
-        limit=limit,
-        gap=gap,
-        tolerance=tolerance,
-        within_tolerance=within,
-    )
+    return RhoResult(partial_sums=sums, limit=limit, gap=gap)

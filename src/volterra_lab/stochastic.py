@@ -60,6 +60,11 @@ def _default_modulus(x):
     return np.log(x) ** 2
 
 
+# rapid-tail certificate: probe points, and the relative quantile movement accepted there
+_SSV_PROBES = (1e3, 1e4, 1e5, 1e6)
+_SSV_TOLERANCE = 0.02
+
+
 @dataclass(frozen=True)
 class TailModel:
     """Distribution tails: F, the survival function G = 1 - F, quantiles.
@@ -90,10 +95,10 @@ class TailModel:
         u = np.maximum(rng.random(size), 1e-300)
         return self.quantile(u)
 
-    def validate(self, grid_points: int = 512) -> None:
+    def validate(self) -> None:
         lo = float(self.quantile(np.asarray(1e-8)))
         hi = float(self.quantile(np.asarray(1.0 - 1e-8)))
-        grid = np.linspace(lo, hi, grid_points)
+        grid = np.linspace(lo, hi, 512)
         f = self.cdf(grid)
         if np.any(np.diff(f) < -1e-12):
             raise ParameterError(f"{self.family}: cdf is not nondecreasing")
@@ -446,24 +451,22 @@ def _decay_regression(indices, summands):
     return ("convergent" if slope < -1.0 else "divergent"), slope
 
 
-def envelope_sums(tail: TailModel, a: Trajectory, k_grid, horizon: int = None) -> EnvelopeReport:
-    """Exact partial sums S_N(a, K) of the exceedance series for each K."""
+def envelope_sums(tail: TailModel, a: Trajectory, k_grid) -> EnvelopeReport:
+    """Exact partial sums S_N(a, K) of the exceedance series for each K, over all of a."""
     a = a.to_plain()
     if np.any(a.values <= 0.0) or np.any(np.diff(a.values) < 0.0):
         raise InputError("envelope scale must be positive and nondecreasing")
-    hi = a.end if horizon is None else min(a.end, int(horizon))
-    win = a.window(a.start, hi)
-    idx = win.indices().astype(np.float64)
+    idx = a.indices().astype(np.float64)
     k_grid = np.asarray(sorted(float(k) for k in k_grid))
     if k_grid.size == 0 or np.any(k_grid <= 0.0):
         raise InputError("K grid must contain positive values")
-    sums = np.empty((k_grid.size, len(win)))
+    sums = np.empty((k_grid.size, len(a)))
     verdicts = []
     slopes = []
-    reg_lo = max(win.start, hi // 10)
+    reg_lo = max(a.start, a.end // 10)
     reg_mask = idx >= reg_lo
     for i, k in enumerate(k_grid):
-        summand = np.asarray(tail.tail_probability(k * win.values), dtype=np.float64)
+        summand = np.asarray(tail.tail_probability(k * a.values), dtype=np.float64)
         sums[i] = np.cumsum(summand)
         verdict, slope = _decay_regression(idx[reg_mask], summand[reg_mask])
         verdicts.append(verdict)
@@ -479,7 +482,7 @@ def envelope_sums(tail: TailModel, a: Trajectory, k_grid, horizon: int = None) -
         verdicts=tuple(verdicts),
         slopes=tuple(slopes),
         crossing=crossing,
-        start_index=win.start,
+        start_index=a.start,
     )
 
 
@@ -530,9 +533,9 @@ def _rv_fit(tail: TailModel):
     return {"alpha": alpha, "sides": sides}
 
 
-def _ssv_certificate(tail: TailModel, probes, tolerance):
+def _ssv_certificate(tail: TailModel):
     """Finite-sample super-slow-variation check at exponents {0, delta*}."""
-    xs = np.asarray(probes, dtype=np.float64)
+    xs = np.asarray(_SSV_PROBES, dtype=np.float64)
     detail = {}
     worst = 0.0
     for delta in (0.0, tail.delta_star):
@@ -544,7 +547,7 @@ def _ssv_certificate(tail: TailModel, probes, tolerance):
         dev = float(np.max(np.abs(moved / base - 1.0)))
         detail[f"deviation_delta_{delta:g}"] = dev
         worst = max(worst, dev)
-    ratio_ok = worst < tolerance
+    ratio_ok = worst < _SSV_TOLERANCE
     n = np.logspace(4, 5, 60)
     summand = 1.0 / (n * _default_modulus(n) ** tail.delta_star)
     verdict, slope = _decay_regression(n, summand)
@@ -553,8 +556,7 @@ def _ssv_certificate(tail: TailModel, probes, tolerance):
     return ratio_ok and verdict == "convergent", detail
 
 
-def classify_tail(tail: TailModel, probes=(1e3, 1e4, 1e5, 1e6),
-                  ssv_tolerance: float = 0.02) -> TailClassification:
+def classify_tail(tail: TailModel) -> TailClassification:
     """Sort a tail model into rapid (thin) or regularly varying (power).
 
     The rapid certificate checks that the upper quantile barely moves when
@@ -566,7 +568,7 @@ def classify_tail(tail: TailModel, probes=(1e3, 1e4, 1e5, 1e6),
     or failing certificates yield "undecided".
     """
     rv = _rv_fit(tail)
-    rapid_ok, ssv_detail = _ssv_certificate(tail, probes, ssv_tolerance)
+    rapid_ok, ssv_detail = _ssv_certificate(tail)
     if rapid_ok and rv is not None:
         return TailClassification(
             verdict="undecided", detail={"conflict": True, "ssv": ssv_detail, "rv": rv}
@@ -699,7 +701,7 @@ def ensemble_verify(system: EnsembleSpec, paths: int, statistic: StatisticSpec) 
             x = solve_linear(system.kernel, forcing, system.xi, system.horizon,
                              log_domain=system.log_domain)
             values.append(float(_path_statistic(statistic, x, forcing, system)))
-        except (TrajectoryOverflowError, UndefinedRatioError, InputError) as err:
+        except (TrajectoryOverflowError, UndefinedRatioError, InputError):
             failures += 1
             values.append(float("nan"))
     arr = np.asarray(values)

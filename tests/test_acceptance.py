@@ -120,8 +120,7 @@ def test_criterion_04_representation_at_scale():
     x = solve_linear(kernel, H, 1.0, horizon)
     lam_H = ratio_series(H, scale.a)
     lam_x = ratio_series(x, scale.a)
-    r = resolvent(kernel, horizon)
-    predicted = predict_x_over_a(kernel, r, 0.5, lam_H)
+    predicted = predict_x_over_a(kernel, 0.5, lam_H)
     rep_sup = float(np.max(np.abs(
         (lam_x.values - predicted.values)[-(horizon // 4):]
     )))
@@ -150,7 +149,7 @@ def test_criterion_05_periodic_modulation():
     lam_H = ratio_series(H, scale.a)
     extraction = extract_almost_periodic(lam_x)
     pi_H = extract_almost_periodic(lam_H, period_hint=7).pi
-    predicted = predict_x_over_a(kernel, resolvent(kernel, horizon), lam, pi_H)
+    predicted = predict_x_over_a(kernel, lam, pi_H)
     tail = slice(-(horizon // 4), None)
     rep_sup = float(np.max(np.abs(lam_x.values[tail] - predicted.values[tail])))
     ok = extraction.period == 7 and rep_sup < 1e-3
@@ -228,7 +227,7 @@ def test_criterion_09_normal_envelope():
     scale = ScalingModel.from_catalogue("sqrt_log", horizon)
     tail = make_tail_model("normal", sigma=sigma)
     grid = [round(0.5 + 0.1 * i, 10) for i in range(11)]
-    report = envelope_sums(tail, scale.a, grid, horizon=horizon)
+    report = envelope_sums(tail, scale.a, grid)
     divergent = [k for k, v in zip(report.k_grid, report.verdicts) if v == "divergent"]
     convergent = [k for k, v in zip(report.k_grid, report.verdicts) if v == "convergent"]
     bracket_ok = (

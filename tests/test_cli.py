@@ -56,6 +56,10 @@ _MALFORMED = [
      "config.forcing.factor.low"),
     ("forcing", _modulated({"kind": "sinusoid", "amplitudes": [math.nan]}),
      "config.forcing.factor.amplitudes"),
+    ("out_dir", 5, "config.out_dir"),
+    ("out_dir", {"a": 1}, "config.out_dir"),
+    ("lambda_grid", [0.5, 1.5], "config.lambda_grid.1"),
+    ("k_grid", [-1, 1], "config.k_grid.0"),
 ]
 
 
@@ -417,25 +421,50 @@ class TestCommandLine:
         assert main(["solve", "--config", str(path)]) == 0
         assert (tmp_path / "envout" / "report.json").exists()
 
-    def test_log_space_overflow_exits_one_without_numpy_warning(self, tmp_path):
-        # H10 = exp(exp(n)) leaves double range even in log form past n = 709;
-        # a fresh process shows on stderr whatever numpy would warn there
-        path = self._write_config(tmp_path, {
-            "horizon": 800, "log_domain": True,
+    def test_out_dir_from_config_without_out_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("VOLTERRA_LAB_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        data = {
+            "horizon": 16,
             "kernel": {"name": "zero"},
-            "forcing": {"kind": "deterministic", "name": "H10"},
-        })
+            "forcing": {"kind": "deterministic", "name": "power", "params": {"theta": 1.0}},
+        }
+        path = self._write_config(tmp_path, dict(data, out_dir=5))
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "config error: config.out_dir:" in capsys.readouterr().err
+        assert not (tmp_path / "volterra_lab_out").exists()
+        path = self._write_config(tmp_path, dict(data, out_dir="from_config"))
+        assert main(["solve", "--config", str(path)]) == 0
+        assert (tmp_path / "from_config" / "report.json").exists()
+
+    _OVERFLOWS = [
+        # H10 = exp(exp(n)) leaves double range even in log form past n = 709
+        ("solve", {"horizon": 800, "log_domain": True, "kernel": {"name": "zero"},
+                   "forcing": {"kind": "deterministic", "name": "H10"}},
+         "overflowed in log space"),
+        # 2^n / (1e-20 n) leaves double range at n = 968
+        ("classify", {"horizon": 1000,
+                      "forcing": {"kind": "deterministic", "name": "geometric",
+                                  "params": {"lam": 0.5}},
+                      "scaling": {"name": "power", "params": {"theta": 1.0, "scale": 1e-20}}},
+         "ratio overflows plain representation at index 968"),
+    ]
+
+    def test_log_space_overflow_exits_one_without_numpy_warning(self, tmp_path):
+        # a fresh process shows on stderr whatever numpy would warn there
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        run = subprocess.run(
-            [sys.executable, "-m", "volterra_lab.cli", "solve", "--config", str(path),
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, check=False,
-        )
-        assert run.returncode == 1
-        assert "overflowed in log space" in run.stderr
-        assert "overflow encountered" not in run.stderr
+        for mode, data, message in self._OVERFLOWS:
+            path = self._write_config(tmp_path, data)
+            run = subprocess.run(
+                [sys.executable, "-m", "volterra_lab.cli", mode, "--config", str(path),
+                 "--out", str(tmp_path / "out")],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert run.returncode == 1, mode
+            assert message in run.stderr
+            assert "overflow encountered" not in run.stderr
 
 
 class TestReportSerialization:

@@ -31,7 +31,7 @@ def test_trajectory_rejects_non_finite():
 def test_trajectory_window_and_tail():
     t = Trajectory(np.arange(8.0))
     assert list(t.window(2, 4).values) == [2.0, 3.0, 4.0]
-    tail = t.tail_window(0.25)
+    tail = t.tail_window()
     assert tail.start == 6 and list(tail.values) == [6.0, 7.0]
     with pytest.raises(InputError):
         t.window(0, 99)
@@ -70,6 +70,18 @@ def test_ratio_series_plain_and_log():
 def test_ratio_series_zero_denominator():
     with pytest.raises(UndefinedRatioError, match="index 1"):
         ratio_series(Trajectory([1.0, 1.0]), Trajectory([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("form", [Trajectory.to_plain, Trajectory.to_log], ids=["plain", "log"])
+def test_ratio_overflow_is_one_input_error_in_both_forms(form):
+    # index 2 of each ratio is 1e300 / 1e-10, past double range; with
+    # RuntimeWarning an error, a leaked numpy warning fails this test first
+    num = form(Trajectory([1.0, 1.0, 1e300]))
+    den = form(Trajectory([1.0, 1.0, 1e-10]))
+    with pytest.raises(InputError, match="ratio overflows plain representation at index 2"):
+        ratio_series(num, den)
+    with pytest.raises(InputError, match="ratio overflows plain representation at index 2"):
+        consecutive_ratios(form(Trajectory([1.0, 1e300, 1e-10])))
 
 
 def test_consecutive_ratios_geometric():

@@ -131,9 +131,9 @@ class TestRhoOfLambda:
         assert res.limit == 1.0
 
     def test_geometric_kernel_partial_sum_converges(self):
-        res = rho_of_lambda(Kernel.geometric(0.3, 0.5, 40), 0.5, 200, tolerance=1e-10)
+        res = rho_of_lambda(Kernel.geometric(0.3, 0.5, 40), 0.5, 200)
         assert abs(res.partial_sums.values[-1] - 1.25) < 1e-10
-        assert res.within_tolerance
+        assert res.gap < 1e-10
 
     def test_identity_over_random_kernels(self):
         rng = np.random.Generator(np.random.Philox(26))

@@ -215,7 +215,7 @@ class TestEnvelopeSums:
     def test_normal_verdicts_bracket_sigma(self):
         scale = ScalingModel.from_catalogue("sqrt_log", 50_000)
         tail = make_tail_model("normal", sigma=1.0)
-        rep = envelope_sums(tail, scale.a, [0.8, 1.2], horizon=50_000)
+        rep = envelope_sums(tail, scale.a, [0.8, 1.2])
         assert rep.verdicts == ("divergent", "convergent")
         assert rep.crossing == 1.0
 
