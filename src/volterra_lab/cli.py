@@ -452,11 +452,20 @@ def _write_series(out_dir: Path, name: str, series) -> dict:
     return written
 
 
+# rows formatted and written per call; whole files at once would cost memory
+_CSV_ROWS = 4096
+
+
 def _dump_csv(path: Path, indices, values) -> None:
+    """Rows ``n,repr(float(value))`` under the header ``n,value``."""
+    indices = np.asarray(indices)
+    values = np.asarray(values, dtype=np.float64)
     with open(path, "w") as fh:
         fh.write("n,value\n")
-        for n, v in zip(indices, values):
-            fh.write(f"{int(n)},{float(v)!r}\n")
+        for lo in range(0, len(values), _CSV_ROWS):
+            rows = zip(indices[lo : lo + _CSV_ROWS].tolist(),
+                       values[lo : lo + _CSV_ROWS].tolist())
+            fh.write("".join([f"{n},{v!r}\n" for n, v in rows]))
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> Report:

@@ -64,6 +64,16 @@ drifts further from the exact value than that, and the scaled blocks stay
 the closer of the two.  Repeated calls of either engine are bitwise
 identical.
 
+Every per-term loop (the plain and log recursions and the nonlinear
+solve) runs on Python floats, reading its inputs with ``tolist`` and
+writing its results back into the numpy arrays one chunk of ``_CHUNK``
+steps at a time.  Python floats perform the same IEEE-754 double
+operations as numpy float64 scalars, and the loops keep their order, so
+the outputs are bitwise those of the numpy-scalar loops; the tests keep
+the latter as the reference.  The block resolvent prefix r[:B] is computed
+once per ``Kernel``, on the first blocked solve that needs it, and shared
+by every later solve with that kernel.
+
 The forward recursion and the resolvent representation stay
 algorithmically independent on purpose; their agreement is a mandatory
 cross-check, not an assumption.
@@ -74,6 +84,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,14 +121,16 @@ class Kernel:
 
     ``tail_bound`` is an analytic bound on the discarded tail mass for
     kernels that truncate an infinite sequence; it is 0 (exact) for kernels
-    defined with finite support.
+    defined with finite support.  ``coefficients`` is a read-only copy of
+    the weights given, so the resolvent prefix cached below cannot go stale.
     """
 
     coefficients: np.ndarray
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.float64)
+        coeffs = np.array(self.coefficients, dtype=np.float64)
+        coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
         if coeffs.ndim != 1:
             raise InputError("kernel coefficients must be one-dimensional")
@@ -133,6 +146,12 @@ class Kernel:
     @property
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.coefficients)))
+
+    @cached_property
+    def _resolvent_prefix(self):
+        """r[:B], B = max(256, M), shared by every blocked solve with this
+        kernel; None if it overflows."""
+        return _block_resolvent(self.coefficients, max(_BLOCK, self.size))
 
     @classmethod
     def zero(cls) -> "Kernel":
@@ -237,18 +256,37 @@ NONLINEARITY_CATALOGUE = ("identity", "bounded_offset", "sqrt_offset", "solow")
 # engine's first block and fallbacks; the plain one is the whole of resolvent().
 # --------------------------------------------------------------------------
 
+# steps per chunk of the per-term loops: each chunk reads its inputs and the M
+# values before it as Python floats, so a loop holds O(_CHUNK + M) of them
+_CHUNK = 4096
+
+
+def _chunks(lo, hi, m):
+    """(start, stop, base) for the chunks [start, stop) of [lo, hi); base is
+    max(start - m, 0), the first of the m history indices before the chunk."""
+    for start in range(lo, hi, _CHUNK):
+        yield start, min(start + _CHUNK, hi), max(start - m, 0)
+
+
 def _linear_recursion(k, h, xi, out):
     m = len(k)
+    k = k.tolist()
     out[0] = xi
-    for n in range(len(out) - 1):
-        w = n + 1 if n + 1 < m else m
-        acc = 0.0
-        for l in range(w):
-            acc += k[l] * out[n - l]
-        val = acc + h[n + 1]
-        out[n + 1] = val
-        if not math.isfinite(val):
-            return n + 1
+    for lo, hi, base in _chunks(1, len(out), m):
+        x = out[base:lo].tolist()
+        hh = h[lo:hi].tolist()
+        for n in range(lo - 1, hi - 1):
+            w = n + 1 if n + 1 < m else m
+            i = n - base
+            acc = 0.0
+            for l in range(w):
+                acc += k[l] * x[i - l]
+            val = acc + hh[n + 1 - lo]
+            x.append(val)
+            if not math.isfinite(val):
+                out[lo : n + 2] = x[lo - base :]
+                return n + 1
+        out[lo:hi] = x[lo - base :]
     return -1
 
 
@@ -265,42 +303,54 @@ def _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
     zero is stored as an exact zero and not counted: its ratio is undefined.
     """
     m = len(lk)
+    lk, sk = lk.tolist(), sk.tolist()
     lossy = None
-    for n in range(lo - 1, len(out_l) - 1 if hi is None else hi - 1):
-        w = n + 1 if n + 1 < m else m
-        peak = -math.inf
-        if sh[n + 1] != 0.0 and lh[n + 1] > peak:
-            peak = lh[n + 1]
-        for l in range(w):
-            if sk[l] != 0.0 and out_s[n - l] != 0.0:
-                t = lk[l] + out_l[n - l]
-                if t > peak:
-                    peak = t
-        if peak == -math.inf:
-            out_l[n + 1] = -math.inf
-            out_s[n + 1] = 0.0
-            continue
-        acc = 0.0
-        mag = 0.0
-        for l in range(w):
-            if sk[l] != 0.0 and out_s[n - l] != 0.0:
-                t = sk[l] * out_s[n - l] * math.exp(lk[l] + out_l[n - l] - peak)
+    for start, stop, base in _chunks(lo, len(out_l) if hi is None else hi, m):
+        xl = out_l[base:start].tolist()
+        xs = out_s[base:start].tolist()
+        hl = lh[start:stop].tolist()
+        hs = sh[start:stop].tolist()
+        for n in range(start - 1, stop - 1):
+            w = n + 1 if n + 1 < m else m
+            i = n - base
+            j = n + 1 - start
+            peak = -math.inf
+            if hs[j] != 0.0 and hl[j] > peak:
+                peak = hl[j]
+            for l in range(w):
+                if sk[l] != 0.0 and xs[i - l] != 0.0:
+                    t = lk[l] + xl[i - l]
+                    if t > peak:
+                        peak = t
+            if peak == -math.inf:
+                xl.append(-math.inf)
+                xs.append(0.0)
+                continue
+            acc = 0.0
+            mag = 0.0
+            for l in range(w):
+                if sk[l] != 0.0 and xs[i - l] != 0.0:
+                    t = sk[l] * xs[i - l] * math.exp(lk[l] + xl[i - l] - peak)
+                    acc += t
+                    mag += abs(t)
+            if hs[j] != 0.0:
+                t = hs[j] * math.exp(hl[j] - peak)
                 acc += t
                 mag += abs(t)
-        if sh[n + 1] != 0.0:
-            t = sh[n + 1] * math.exp(lh[n + 1] - peak)
-            acc += t
-            mag += abs(t)
-        if acc == 0.0:
-            out_l[n + 1] = -math.inf
-            out_s[n + 1] = 0.0
-        else:
-            out_l[n + 1] = peak + math.log(abs(acc))
-            out_s[n + 1] = 1.0 if acc > 0.0 else -1.0
-            if lossy is None and mag > _CANCELLATION * abs(acc):
-                lossy = (n + 1, mag / abs(acc))
-        if not math.isfinite(out_l[n + 1]) and out_s[n + 1] != 0.0:
-            return n + 1, lossy
+            if acc == 0.0:
+                xl.append(-math.inf)
+                xs.append(0.0)
+            else:
+                xl.append(peak + math.log(abs(acc)))
+                xs.append(1.0 if acc > 0.0 else -1.0)
+                if lossy is None and mag > _CANCELLATION * abs(acc):
+                    lossy = (n + 1, mag / abs(acc))
+            if not math.isfinite(xl[-1]) and xs[-1] != 0.0:
+                out_l[start : n + 2] = xl[start - base :]
+                out_s[start : n + 2] = xs[start - base :]
+                return n + 1, lossy
+        out_l[start:stop] = xl[start - base :]
+        out_s[start:stop] = xs[start - base :]
     return -1, lossy
 
 
@@ -315,31 +365,31 @@ _BLOCK = 256
 def _reference_linear(k, h, xi):
     """x(0..len(h)-1) by the per-term recursion; raises on the first non-finite value."""
     out = np.empty(len(h))
-    # overflow is detected and raised below; suppress the element-wise warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = _linear_recursion(k, h, xi, out)
+    bad = _linear_recursion(k, h, xi, out)
     if bad >= 0:
         raise TrajectoryOverflowError(bad)
     return out
 
 
-def _blocked_linear(k, h, xi):
+def _blocked_linear(kernel, h, xi):
     """x(0..len(h)-1) as a blocked unit lower-triangular Toeplitz solve.
 
     The first block [0, B) runs the reference recursion, so it is bitwise
     equal to it.  Every later block [t, t+L) solves x = r[:L] * f with
     f = H[t:t+L] plus the history sum_{l} k(l) x(n-l) over n-l < t, where
-    r is the resolvent, itself taken from the reference recursion.  Both
-    convolutions are direct (np.convolve), so exact zeros stay exact.  If
-    r[:B] itself overflows, the whole solve runs the reference recursion.
+    r[:B] is the kernel's resolvent prefix, itself taken from the reference
+    recursion.  Both convolutions are direct (np.convolve), so exact zeros
+    stay exact.  If r[:B] overflows, the whole solve runs the reference
+    recursion.
     """
+    k = kernel.coefficients
     m = len(k)
     b = max(_BLOCK, m)
     out = np.empty(len(h))
     out[:b] = _reference_linear(k, h[:b], xi)
     if len(h) <= b:
         return out
-    r = _block_resolvent(k, b)
+    r = kernel._resolvent_prefix
     if r is None:
         return _reference_linear(k, h, xi)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -353,11 +403,13 @@ def _blocked_linear(k, h, xi):
 
 
 def _block_resolvent(k, b):
-    """r[:b] by the reference recursion, or None if it overflows."""
+    """r[:b] by the reference recursion, read-only, or None if it overflows."""
     try:
-        return _reference_linear(k, np.zeros(b), 1.0)
+        r = _reference_linear(k, np.zeros(b), 1.0)
     except TrajectoryOverflowError:
         return None
+    r.flags.writeable = False
+    return r
 
 
 def _toeplitz_block(k, r, f, prev):
@@ -385,7 +437,7 @@ _SPAN = 600.0
 _FLOOR = 1e-280
 
 
-def _blocked_log_linear(k, lh, sh, xi):
+def _blocked_log_linear(kernel, lh, sh, xi):
     """(log|x|, sign x) on 0..len(lh)-1 as blocks of plain doubles times exp(ref).
 
     The first block [0, B), a signed kernel and every block that cannot be
@@ -395,6 +447,7 @@ def _blocked_log_linear(k, lh, sh, xi):
     times exp(-ref); L <= B keeps the forcing's log-range plus
     log sum r[:B] within ``_SPAN``.
     """
+    k = kernel.coefficients
     n = len(lh)
     lk, sk = _kernel_log(k)
     out_l = np.full(n, -np.inf)
@@ -418,7 +471,7 @@ def _blocked_log_linear(k, lh, sh, xi):
 
     b = max(_BLOCK, len(k))
     per_step(1, min(b, n))
-    r = _block_resolvent(k, b) if n > b and np.all(k >= 0.0) else None
+    r = kernel._resolvent_prefix if n > b and np.all(k >= 0.0) else None
     if r is None:
         per_step(b, n)
         return out_l, out_s
@@ -509,10 +562,10 @@ def solve_linear(kernel: Kernel, forcing, xi: float, horizon: int, log_domain: b
     """
     if log_domain or isinstance(forcing, LogTrajectory):
         horizon, (lh, sh) = _aligned_forcing(forcing, horizon, xi, log_domain=True)
-        out_l, out_s = _blocked_log_linear(kernel.coefficients, lh, sh, float(xi))
+        out_l, out_s = _blocked_log_linear(kernel, lh, sh, float(xi))
         return LogTrajectory(out_l, out_s, start=0)
     horizon, h = _aligned_forcing(forcing, horizon, xi)
-    return Trajectory(_blocked_linear(kernel.coefficients, h, float(xi)), start=0)
+    return Trajectory(_blocked_linear(kernel, h, float(xi)), start=0)
 
 
 def _kernel_log(k):
@@ -569,25 +622,33 @@ def recover_forcing(kernel: Kernel, solution: Trajectory) -> Trajectory:
 def solve_nonlinear(kernel: Kernel, f: Nonlinearity, forcing, xi: float, horizon: int) -> Trajectory:
     """Advance x(n+1) = sum k(n-j) f(x(j)) + H(n+1) with x(0) = xi."""
     horizon, h = _aligned_forcing(forcing, horizon, xi)
-    k = kernel.coefficients
+    k = kernel.coefficients.tolist()
     m = len(k)
     x = np.empty(horizon + 1)
     fx = np.empty(horizon + 1)
     x[0] = xi
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(horizon):
-            y = f(float(x[n]))
+    xn = float(x[0])
+    for lo, hi, base in _chunks(0, horizon, m):
+        fxs = fx[base:lo].tolist()
+        hh = h[lo + 1 : hi + 1].tolist()
+        xs = []
+        for n in range(lo, hi):
+            y = f(xn)
             if not math.isfinite(y):
                 raise NonlinearityError(
-                    f"nonlinearity {f.name!r} returned non-finite value at input {x[n]!r}"
+                    f"nonlinearity {f.name!r} returned non-finite value at input {xn!r}"
                 )
-            fx[n] = y
+            fxs.append(float(y))
             w = min(n + 1, m)
+            i = n - base
             acc = 0.0
             for l in range(w):
-                acc += k[l] * fx[n - l]
-            val = acc + h[n + 1]
+                acc += k[l] * fxs[i - l]
+            val = acc + hh[n - lo]
             if not math.isfinite(val):
                 raise TrajectoryOverflowError(n + 1)
-            x[n + 1] = val
+            xs.append(val)
+            xn = val
+        x[lo + 1 : hi + 1] = xs
+        fx[lo:hi] = fxs[lo - base :]
     return Trajectory(x, start=0)

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from volterra_lab import cli
 from volterra_lab.cli import main, run_experiment
 from volterra_lab.config import ExperimentConfig, validate_config
 from volterra_lab.exceptions import ConfigError
+from volterra_lab.series import LogTrajectory
 
 
 def cfg(**kwargs):
@@ -547,3 +549,45 @@ class TestReportSerialization:
             assert isinstance(value, bool), name
         for fname in parsed["series"].values():
             assert (tmp_path / fname).exists()
+
+
+# --------------------------------------------------------------------------
+# chunked CSV writer against the row-at-a-time writer it replaced
+# --------------------------------------------------------------------------
+
+def row_at_a_time_csv(path, indices, values):
+    with open(path, "w") as fh:
+        fh.write("n,value\n")
+        for n, v in zip(indices, values):
+            fh.write(f"{int(n)},{float(v)!r}\n")
+
+
+CSV_SPECIALS = [-0.0, 5e-324, 1e-5, 1e16, np.inf, -np.inf, np.nan, 0.1]
+CSV_ROWS = cli._CSV_ROWS
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("values", [
+        CSV_SPECIALS, [], [0.1],
+        np.resize(CSV_SPECIALS, CSV_ROWS - 1),
+        np.resize(CSV_SPECIALS, CSV_ROWS),
+        np.resize(CSV_SPECIALS, CSV_ROWS + 1),
+    ], ids=["specials", "empty", "one-row", "chunk-1", "chunk", "chunk+1"])
+    def test_bytes_equal_row_at_a_time(self, tmp_path, values):
+        # Trajectory refuses non-finite values, so this writes the CSV directly
+        values = np.array(values, dtype=float)
+        indices = np.arange(3, 3 + len(values))
+        cli._dump_csv(tmp_path / "x.csv", indices, values)
+        row_at_a_time_csv(tmp_path / "ref.csv", indices, values)
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_log_form_series(self, tmp_path):
+        rng = np.random.Generator(np.random.Philox(18))
+        la = np.concatenate(([-np.inf], rng.normal(scale=300.0, size=CSV_ROWS + 5)))
+        sg = np.concatenate(([0.0], rng.choice([-1.0, 1.0], CSV_ROWS + 5)))
+        series = LogTrajectory(la, sg)
+        written = cli._write_series(tmp_path, "x", series)
+        assert written == {"x_sign": "x_sign.csv", "x_logabs": "x_logabs.csv"}
+        for suffix, values in (("sign", series.sign), ("logabs", series.log_abs)):
+            row_at_a_time_csv(tmp_path / "ref.csv", series.indices(), values)
+            assert (tmp_path / f"x_{suffix}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

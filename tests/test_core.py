@@ -27,7 +27,14 @@ from volterra_lab.exceptions import (
     TrajectoryOverflowError,
 )
 from volterra_lab.series import LogTrajectory, Trajectory
-from volterra_lab.stochastic import ForcingGenerator, generate
+from volterra_lab.stochastic import (
+    EnsembleSpec,
+    ForcingGenerator,
+    StatisticSpec,
+    ensemble_verify,
+    generate,
+    make_tail_model,
+)
 
 
 def traj(values, start=0):
@@ -601,3 +608,296 @@ def test_blocked_log_engine_on_sign_coherent_inputs(weights, mass, drift, horizo
     x = solve_linear(k, H, xi, horizon, log_domain=True)
     ref_l, ref_s, _ = per_step_log_solve(k, H, xi, horizon)
     assert_log_contract(x, ref_l, ref_s, extended_log_solve(k.coefficients, la, xi))
+
+
+# --------------------------------------------------------------------------
+# per-term loops on Python floats against the numpy-scalar loops they replaced
+# --------------------------------------------------------------------------
+
+def numpy_linear_recursion(k, h, xi, out):
+    m = len(k)
+    out[0] = xi
+    for n in range(len(out) - 1):
+        w = n + 1 if n + 1 < m else m
+        acc = 0.0
+        for l in range(w):
+            acc += k[l] * out[n - l]
+        val = acc + h[n + 1]
+        out[n + 1] = val
+        if not math.isfinite(val):
+            return n + 1
+    return -1
+
+
+def numpy_log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
+    m = len(lk)
+    lossy = None
+    for n in range(lo - 1, len(out_l) - 1 if hi is None else hi - 1):
+        w = n + 1 if n + 1 < m else m
+        peak = -math.inf
+        if sh[n + 1] != 0.0 and lh[n + 1] > peak:
+            peak = lh[n + 1]
+        for l in range(w):
+            if sk[l] != 0.0 and out_s[n - l] != 0.0:
+                t = lk[l] + out_l[n - l]
+                if t > peak:
+                    peak = t
+        if peak == -math.inf:
+            out_l[n + 1] = -math.inf
+            out_s[n + 1] = 0.0
+            continue
+        acc = 0.0
+        mag = 0.0
+        for l in range(w):
+            if sk[l] != 0.0 and out_s[n - l] != 0.0:
+                t = sk[l] * out_s[n - l] * math.exp(lk[l] + out_l[n - l] - peak)
+                acc += t
+                mag += abs(t)
+        if sh[n + 1] != 0.0:
+            t = sh[n + 1] * math.exp(lh[n + 1] - peak)
+            acc += t
+            mag += abs(t)
+        if acc == 0.0:
+            out_l[n + 1] = -math.inf
+            out_s[n + 1] = 0.0
+        else:
+            out_l[n + 1] = peak + math.log(abs(acc))
+            out_s[n + 1] = 1.0 if acc > 0.0 else -1.0
+            if lossy is None and mag > core._CANCELLATION * abs(acc):
+                lossy = (n + 1, mag / abs(acc))
+        if not math.isfinite(out_l[n + 1]) and out_s[n + 1] != 0.0:
+            return n + 1, lossy
+    return -1, lossy
+
+
+def numpy_nonlinear_loop(k, f, h, xi, horizon):
+    m = len(k)
+    x = np.empty(horizon + 1)
+    fx = np.empty(horizon + 1)
+    x[0] = xi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(horizon):
+            y = f(float(x[n]))
+            if not math.isfinite(y):
+                raise NonlinearityError(
+                    f"nonlinearity {f.name!r} returned non-finite value at input {x[n]!r}"
+                )
+            fx[n] = y
+            w = min(n + 1, m)
+            acc = 0.0
+            for l in range(w):
+                acc += k[l] * fx[n - l]
+            val = acc + h[n + 1]
+            if not math.isfinite(val):
+                raise TrajectoryOverflowError(n + 1)
+            x[n + 1] = val
+    return x
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+CHUNK = core._CHUNK
+LOOP_HORIZONS = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+
+
+def loop_kernel(m, seed):
+    # mixed signs, one exact zero, sum|k| = 0.9
+    rng = np.random.Generator(np.random.Philox(seed))
+    k = rng.uniform(-1.0, 1.0, m)
+    k[m // 2 :: 7] = 0.0
+    return 0.9 * k / max(np.sum(np.abs(k)), 1.0)
+
+
+def loop_forcing(horizon, seed):
+    # normal draws with about a fifth of them exact zeros, H(0) = 0
+    rng = np.random.Generator(np.random.Philox(seed))
+    h = rng.normal(size=horizon + 1)
+    h[rng.random(horizon + 1) < 0.2] = 0.0
+    h[0] = 0.0
+    return h
+
+
+def both_linear(k, h, xi):
+    ref = np.empty(len(h))
+    with np.errstate(all="ignore"):
+        ref_bad = numpy_linear_recursion(k, h, xi, ref)
+    out = np.empty(len(h))
+    bad = _linear_recursion(k, h, xi, out)
+    stop = len(h) if bad < 0 else bad + 1
+    assert bad == ref_bad
+    assert_same_bits(out[:stop], ref[:stop])
+    return bad
+
+
+def both_log(k, h, xi, windows=((1, None),)):
+    lk, sk = _kernel_log(np.asarray(k, dtype=float))
+    lh, sh = _kernel_log(h)
+    results = []
+    for recursion in (numpy_log_linear_recursion, _log_linear_recursion):
+        out_l = np.full(len(h), -np.inf)
+        out_s = np.zeros(len(h))
+        if xi != 0.0:
+            out_l[0], out_s[0] = math.log(abs(xi)), math.copysign(1.0, xi)
+        with np.errstate(all="ignore"):
+            returned = [recursion(lk, sk, lh, sh, out_l, out_s, lo, hi) for lo, hi in windows]
+        results.append((out_l, out_s, returned))
+    (ref_l, ref_s, ref_ret), (out_l, out_s, ret) = results
+    assert ret == ref_ret
+    bad = next((b for b, _ in ret if b >= 0), -1)
+    stop = len(h) if bad < 0 else bad + 1
+    assert_same_bits(out_l[:stop], ref_l[:stop])
+    assert_same_bits(out_s[:stop], ref_s[:stop])
+    return ret
+
+
+class TestPythonFloatLoops:
+    @pytest.mark.parametrize("m", [0, 1, 40])
+    @pytest.mark.parametrize("horizon", LOOP_HORIZONS)
+    def test_linear_is_bitwise_numpy(self, m, horizon):
+        assert both_linear(loop_kernel(m, m), loop_forcing(horizon, horizon), 0.7) == -1
+
+    @pytest.mark.parametrize("m, horizon", [(40, 10), (300, 100), (5, 1)])
+    def test_kernel_longer_than_horizon(self, m, horizon):
+        assert both_linear(loop_kernel(m, 1), loop_forcing(horizon, 2), -1.3) == -1
+
+    def test_negative_zero_start(self):
+        # zero forcing: every x(n) is a sum of signed zeros, so sign bits matter
+        assert both_linear(np.array([-0.5, 0.0, 0.25]), np.zeros(CHUNK + 3), -0.0) == -1
+        assert both_linear(loop_kernel(40, 3), loop_forcing(CHUNK + 3, 4), -0.0) == -1
+
+    @pytest.mark.parametrize("k", [[1.125], list(1.2 * 0.5 ** np.arange(1, 41))],
+                             ids=["M=1", "M=40"])
+    def test_overflow_in_second_chunk(self, k):
+        bad = both_linear(np.array(k), loop_forcing(3 * CHUNK, 5), 1.0)
+        assert CHUNK < bad < 2 * CHUNK
+
+    @pytest.mark.parametrize("m", [0, 1, 40])
+    @pytest.mark.parametrize("horizon", LOOP_HORIZONS)
+    def test_log_is_bitwise_numpy(self, m, horizon):
+        [(bad, _)] = both_log(loop_kernel(m, m + 1), loop_forcing(horizon, horizon + 1), 0.7)
+        assert bad == -1
+
+    def test_log_kernel_longer_than_horizon(self):
+        both_log(loop_kernel(40, 6), loop_forcing(10, 7), 1.1)
+
+    @pytest.mark.parametrize("cuts", [(1, 2, 3), (100, CHUNK + 50), (CHUNK - 1, CHUNK + 1),
+                                      (7, 2 * CHUNK, 2 * CHUNK + 1)])
+    def test_log_windows(self, cuts):
+        edges = (1,) + cuts + (None,)
+        windows = list(zip(edges[:-1], edges[1:]))
+        both_log(loop_kernel(40, 8), loop_forcing(3 * CHUNK + 7, 9), -0.4, windows)
+
+    def test_log_overflow_in_second_chunk(self):
+        h = loop_forcing(3 * CHUNK, 10)
+        h[CHUNK + 100] = np.inf
+        [(bad, _)] = both_log(loop_kernel(40, 11), h, 0.7)
+        assert bad == CHUNK + 100
+
+    def test_log_lossy_in_second_chunk(self):
+        # x(n+1) = x(n) - x(n-1) + 1: a spike of 1e300 cancels two steps later
+        h = np.ones(2 * CHUNK)
+        h[0] = 0.0
+        h[CHUNK + 10] = 1e300
+        [(bad, lossy)] = both_log([1.0, -1.0], h, 1.0)
+        assert bad == -1
+        assert lossy[0] == CHUNK + 12
+
+    def test_log_negative_zero_start_and_zero_forcing(self):
+        both_log(loop_kernel(40, 12), np.zeros(CHUNK + 3), -0.0)
+        both_log(loop_kernel(40, 12), loop_forcing(CHUNK + 3, 13), -0.0)
+
+    @pytest.mark.parametrize("m", [0, 1, 40])
+    @pytest.mark.parametrize("horizon", LOOP_HORIZONS)
+    def test_nonlinear_is_bitwise_numpy(self, m, horizon):
+        k = loop_kernel(m, m + 2)
+        h = loop_forcing(horizon, horizon + 2)
+        f = make_nonlinearity("bounded_offset")
+        ref = numpy_nonlinear_loop(k, f, h, 0.7, horizon)
+        assert_same_bits(solve_nonlinear(Kernel(k), f, traj(h), 0.7, horizon).values, ref)
+
+    @pytest.mark.parametrize("m, horizon", [(40, 10), (300, 100)])
+    def test_nonlinear_kernel_longer_than_horizon(self, m, horizon):
+        k, h = loop_kernel(m, 14), loop_forcing(horizon, 15)
+        f = make_nonlinearity("bounded_offset")
+        ref = numpy_nonlinear_loop(k, f, h, -0.0, horizon)
+        assert_same_bits(solve_nonlinear(Kernel(k), f, traj(h), -0.0, horizon).values, ref)
+
+    def test_nonlinear_overflow_in_second_chunk(self):
+        h = loop_forcing(3 * CHUNK, 16)
+        f = make_nonlinearity("bounded_offset")
+        with pytest.raises(TrajectoryOverflowError) as ref:
+            numpy_nonlinear_loop(np.array([1.125]), f, h, 1.0, 3 * CHUNK)
+        with pytest.raises(TrajectoryOverflowError) as err:
+            solve_nonlinear(Kernel([1.125]), f, traj(h), 1.0, 3 * CHUNK)
+        assert err.value.index == ref.value.index
+        assert CHUNK < err.value.index < 2 * CHUNK
+
+
+# --------------------------------------------------------------------------
+# the resolvent prefix r[:B] a kernel computes once for all its blocked solves
+# --------------------------------------------------------------------------
+
+class TestResolventPrefix:
+    def count_prefixes(self, monkeypatch):
+        calls = []
+
+        def counted(k, b):
+            calls.append(b)
+            return block_resolvent(k, b)
+
+        block_resolvent = core._block_resolvent
+        monkeypatch.setattr(core, "_block_resolvent", counted)
+        return calls
+
+    def test_ensemble_computes_it_once(self, monkeypatch):
+        calls = self.count_prefixes(monkeypatch)
+        spec = EnsembleSpec(
+            kernel=Kernel.geometric(0.3, 0.5, 40),
+            forcing=ForcingGenerator(kind="iid", seed=3, tail=make_tail_model("normal", sigma=1.0)),
+            horizon=4 * _BLOCK,
+        )
+        res = ensemble_verify(spec, 16, StatisticSpec(name="phi_average", band=(0.0, 10.0)))
+        assert res.failures == 0
+        assert calls == [_BLOCK]
+
+    def test_coefficients_are_a_read_only_copy(self):
+        source = np.array([0.5, 0.25])
+        k = Kernel(source)
+        with pytest.raises(ValueError):
+            k.coefficients[0] = 1.0
+        source[0] = 9.0
+        assert list(k.coefficients) == [0.5, 0.25]
+        assert np.array_equal(k._resolvent_prefix, resolvent(Kernel([0.5, 0.25]), _BLOCK - 1).values)
+
+    def test_overflowing_prefix_keeps_the_reference_overflow_index(self):
+        # r(n) = 100^n overflows in r[:B]; x is zero through the first block,
+        # then the whole solve runs the reference recursion
+        horizon = 3 * _BLOCK
+        h = random_forcing(17, horizon)
+        h[: _BLOCK + 5] = 0.0
+        bad = reference_solve([100.0], h, 0.0)[1]
+        assert bad > _BLOCK
+        k = Kernel([100.0])
+        with pytest.raises(TrajectoryOverflowError) as err:
+            solve_linear(k, traj(h), 0.0, horizon)
+        assert err.value.index == bad
+        assert k._resolvent_prefix is None
+
+    def test_signed_kernel_in_log_domain_stays_per_step(self, monkeypatch):
+        calls = self.count_prefixes(monkeypatch)
+        steps = []
+
+        def counted(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
+            steps.append((hi if hi is not None else len(out_l)) - lo)
+            return _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo, hi)
+
+        monkeypatch.setattr(core, "_log_linear_recursion", counted)
+        horizon = 4 * _BLOCK
+        x = solve_linear(Kernel([0.5, -0.2, 0.1]), log_forcing("factorial", horizon), 1.0,
+                         horizon, log_domain=True)
+        assert sum(steps) == horizon
+        assert calls == []
+        assert np.all(x.sign == 1.0)
