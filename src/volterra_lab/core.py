@@ -36,7 +36,12 @@ Which engine runs where (B = max(256, M) for a kernel of length M):
   when L would be 1, or when a scaled |x| falls below a floor where
   underflowed inputs could show; a kernel with a negative coefficient, or
   an r[:B] that overflows, runs per step throughout.  Only same-signed
-  sums are ever scaled, so no cancellation is hidden.
+  sums are ever scaled, so no cancellation is hidden.  The block's forcing
+  maximum comes from the running maximum that sized it, and its sign test
+  is the largest and smallest sign of its forcing and history, so a block
+  costs a handful of array calls; the output is bitwise that of taking
+  both from the block's values directly, which the tests keep as the
+  reference.
 * ``resolvent`` and ``solve_by_representation`` run the per-term reference
   recursion, O(horizon * min(horizon, M)); ``solve_by_representation``
   adds the only O(horizon^2) step, the direct convolution of the
@@ -123,6 +128,8 @@ class Kernel:
     kernels that truncate an infinite sequence; it is 0 (exact) for kernels
     defined with finite support.  ``coefficients`` is a read-only copy of
     the weights given, so the resolvent prefix cached below cannot go stale.
+    Kernels compare and hash by value: equal coefficients (0.0 and -0.0
+    alike) and equal tail bounds; the cached prefix takes no part.
     """
 
     coefficients: np.ndarray
@@ -138,6 +145,15 @@ class Kernel:
             raise InputError("kernel coefficients must be finite")
         if self.tail_bound < 0 or not np.isfinite(self.tail_bound):
             raise InputError("tail bound must be finite and nonnegative")
+
+    def __eq__(self, other):
+        if not isinstance(other, Kernel):
+            return NotImplemented
+        return (self.tail_bound == other.tail_bound
+                and np.array_equal(self.coefficients, other.coefficients))
+
+    def __hash__(self):
+        return hash((tuple(self.coefficients.tolist()), self.tail_bound))
 
     @property
     def size(self) -> int:
@@ -445,7 +461,10 @@ def _blocked_log_linear(kernel, lh, sh, xi):
     logs its first cancellation beyond ``_CANCELLATION`` once per solve.
     Every other block [t, t+L) runs the plain Toeplitz step on its inputs
     times exp(-ref); L <= B keeps the forcing's log-range plus
-    log sum r[:B] within ``_SPAN``.
+    log sum r[:B] within ``_SPAN``.  The running maximum of log|H| that
+    sizes a block also gives its forcing maximum, and the block is sign
+    coherent unless its forcing and history hold both a +1 and a -1; the
+    output is bitwise that of reading both off the block's own values.
     """
     k = kernel.coefficients
     n = len(lh)
@@ -478,36 +497,45 @@ def _blocked_log_linear(kernel, lh, sh, xi):
     room = _SPAN - math.log(np.sum(r))
     floor = _FLOOR * np.max(r) * (1.0 + np.sum(k))
     t = b
-    while t < n:
-        # longest run [t, t+L) whose nonzero forcing stays within ``room`` in log|H|
-        live = sh[t : t + b] != 0.0
-        seg = lh[t : t + b]
-        spread = (np.maximum.accumulate(np.where(live, seg, -np.inf))
-                  - np.minimum.accumulate(np.where(live, seg, np.inf)))
-        size = max(1, int(np.argmax(spread > room)) if spread[-1] > room else len(seg))
-        if size == 1 or not _scaled_block(k, r, lh, sh, out_l, out_s, t, t + size, floor):
-            per_step(t, t + size)
-        t += size
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        while t < n:
+            # longest run [t, t+L) whose nonzero forcing stays within ``room`` in log|H|
+            live = sh[t : t + b] != 0.0
+            seg = lh[t : t + b]
+            top = np.maximum.accumulate(np.where(live, seg, -np.inf))
+            spread = top - np.minimum.accumulate(np.where(live, seg, np.inf))
+            size = max(1, int(np.argmax(spread > room)) if spread[-1] > room else len(seg))
+            if size == 1 or not _scaled_block(k, r, lh, sh, out_l, out_s, t, t + size,
+                                              floor, top[size - 1]):
+                per_step(t, t + size)
+            t += size
     return out_l, out_s
 
 
-def _scaled_block(k, r, lh, sh, out_l, out_s, lo, hi, floor):
-    """Solve [lo, hi) as plain doubles times exp(ref); False if it must run per step."""
+def _scaled_block(k, r, lh, sh, out_l, out_s, lo, hi, floor, top):
+    """Solve [lo, hi) as plain doubles times exp(ref); False if it must run per step.
+
+    ``top`` is max log|H| over [lo, hi), from the pass that sized the block:
+    sign 0 exactly where log|H| = -inf, so the zeros it skips change nothing.
+    The caller silences numpy's floating-point warnings.
+    """
     m = len(k)
-    signs = np.concatenate((sh[lo:hi], out_s[lo - m : lo]))
-    signs = signs[signs != 0.0]
-    if signs.size and np.any(signs != signs[0]):
+    hs, ps, pl = sh[lo:hi], out_s[lo - m : lo], out_l[lo - m : lo]
+    s_max, s_min, ref = hs.max(), hs.min(), top
+    if m:
+        s_max, s_min = max(s_max, ps.max()), min(s_min, ps.min())
+        ref = max(top, pl.max())
+    # signs are -1, 0 or +1: a nonzero forcing or history value of each sign
+    if s_max > 0.0 and s_min < 0.0:
         return False
     # an all-zero block gives ref = -inf and NaN below, so it runs per step
-    ref = max(np.max(lh[lo:hi]), np.max(out_l[lo - m : lo], initial=-np.inf))
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        f = sh[lo:hi] * np.exp(lh[lo:hi] - ref)
-        prev = out_s[lo - m : lo] * np.exp(out_l[lo - m : lo] - ref)
-        x = _toeplitz_block(k, r, f, prev)
-        mag = np.abs(x)
-        if not (np.min(mag) >= floor and np.max(mag) < np.inf):
-            return False
-        out_l[lo:hi] = np.log(mag) + ref
+    f = hs * np.exp(lh[lo:hi] - ref)
+    prev = ps * np.exp(pl - ref)
+    x = _toeplitz_block(k, r, f, prev)
+    mag = np.abs(x)
+    if not (mag.min() >= floor and mag.max() < np.inf):
+        return False
+    out_l[lo:hi] = np.log(mag) + ref
     out_s[lo:hi] = np.sign(x)
     return True
 

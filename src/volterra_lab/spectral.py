@@ -56,35 +56,57 @@ class SpectralReport:
 
 
 def _polish_roots(coeffs, roots):
-    """Newton-polish companion-matrix roots to small scaled residual."""
+    """Newton-polish companion-matrix roots to small scaled residual.
+
+    All roots are polished at once, as arrays, and each root goes through
+    exactly the steps of a per-root Newton loop: up to 4 attempts from the
+    root and three slightly perturbed starts, up to 12 iterations each,
+    stopping when the residual |p(z)| is at most 1e-12 * ||p|| max(1, |z|)^M
+    or p'(z) = 0, and accepting the first attempt whose end point passes that
+    residual test.  The result is bitwise that of the per-root loop.  Raises
+    SpectralError naming the first root, in input order, that no attempt
+    accepts.
+    """
     deriv = np.polyder(coeffs)
     norm = float(np.linalg.norm(np.nan_to_num(coeffs)))
     m = len(coeffs) - 1
-    polished = np.array(roots, dtype=np.complex128)
+
+    def small(pv, z):
+        # abs(pv) <= 1e-12 * norm * max(1, abs(z)) ** m, with numpy's scalar
+        # abs (hypot) and scalar **: the array np.abs of complex128 and the
+        # array ** differ from them in the last bits
+        scale = [norm * max(1.0, a) ** m for a in np.hypot(z.real, z.imag)]
+        return np.hypot(pv.real, pv.imag) <= np.multiply(1e-12, scale)
+
+    start = np.array(roots, dtype=np.complex128)
+    polished = start.copy()
+    pending = np.arange(len(start))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for i, z in enumerate(polished):
-            best = z
-            for attempt in range(4):
-                zi = z if attempt == 0 else z * (1.0 + 1e-8 * attempt) + 1e-12 * attempt
-                for _ in range(12):
-                    pv = np.polyval(coeffs, zi)
-                    scale = norm * max(1.0, abs(zi)) ** m
-                    if abs(pv) <= 1e-12 * scale:
-                        break
-                    dv = np.polyval(deriv, zi)
-                    if dv == 0:
-                        break
-                    zi = zi - pv / dv
-                pv = np.polyval(coeffs, zi)
-                scale = norm * max(1.0, abs(zi)) ** m
-                if abs(pv) <= 1e-12 * scale:
-                    best = zi
+        for attempt in range(4):
+            if not pending.size:
+                break
+            z = start[pending]
+            if attempt:
+                z = z * (1.0 + 1e-8 * attempt) + 1e-12 * attempt
+            live = np.arange(len(z))
+            for _ in range(12):
+                zl = z[live]
+                pv = np.polyval(coeffs, zl)
+                going = ~small(pv, zl)
+                live, zl, pv = live[going], zl[going], pv[going]
+                dv = np.polyval(deriv, zl)
+                going = dv != 0
+                live = live[going]
+                if not live.size:
                     break
-            else:
-                raise SpectralError(
-                    f"root polishing failed to converge near z = {z!r}"
-                )
-            polished[i] = best
+                z[live] = zl[going] - pv[going] / dv[going]
+            done = small(np.polyval(coeffs, z), z)
+            polished[pending[done]] = z[done]
+            pending = pending[~done]
+    if pending.size:
+        raise SpectralError(
+            f"root polishing failed to converge near z = {start[pending[0]]!r}"
+        )
     return polished
 
 

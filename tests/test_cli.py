@@ -550,6 +550,26 @@ class TestReportSerialization:
         for fname in parsed["series"].values():
             assert (tmp_path / fname).exists()
 
+    @pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
+    def test_every_mode_is_bitwise_reproducible(self, mode, tmp_path, capsys):
+        # two runs of one config and seed write the same bytes; only the
+        # report's wall-clock time may differ
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(self.MODE_CONFIGS[mode]))
+        runs = []
+        for name in ("first", "second"):
+            code = main([mode, "--config", str(config), "--out", str(tmp_path / name)])
+            text = (tmp_path / name / "report.json").read_text()
+            report = json.loads(text)
+            wall = f'"wall_clock_s": {json.dumps(report["wall_clock_s"])}'
+            assert text.count(wall) == 1
+            files = sorted((tmp_path / name).glob("*.csv"))
+            assert [f.name for f in files] == sorted(report["series"].values())
+            runs.append((code, text.replace(wall, ""), {f.name: f.read_bytes() for f in files}))
+        capsys.readouterr()
+        assert runs[0][0] in (0, 2)
+        assert runs[0] == runs[1]
+
 
 # --------------------------------------------------------------------------
 # chunked CSV writer against the row-at-a-time writer it replaced

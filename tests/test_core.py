@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from volterra_lab import core
 from volterra_lab.core import (
     _BLOCK,
+    _FLOOR,
+    _SPAN,
     Kernel,
     _kernel_log,
     _linear_recursion,
     _log_linear_recursion,
+    _toeplitz_block,
     make_nonlinearity,
     recover_forcing,
     resolvent,
@@ -65,6 +68,31 @@ class TestKernel:
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
             Kernel([1.0, np.nan])
+
+    def test_equality_and_hash_by_value(self):
+        a, b = Kernel([0.5, 0.25]), Kernel(np.array([0.5, 0.25]))
+        assert a == b and hash(a) == hash(b)
+        assert a != Kernel([0.5, 0.25], tail_bound=1e-3)
+        assert a != Kernel([0.5, 0.25, 0.0]) and a != Kernel([0.5])
+        assert Kernel([0.0]) == Kernel([-0.0])
+        assert hash(Kernel([0.0])) == hash(Kernel([-0.0]))
+        assert Kernel.geometric(0.3, 0.5, 40) == Kernel.geometric(0.3, 0.5, 40)
+        assert Kernel.zero() == Kernel([]) and a != [0.5, 0.25]
+        assert {a: "first"}[b] == "first"
+
+    def test_equality_ignores_the_cached_prefix(self):
+        a, b = Kernel([0.5, 0.25]), Kernel([0.5, 0.25])
+        before = hash(a)
+        assert a._resolvent_prefix is not None
+        assert a == b and hash(a) == before == hash(b)
+
+    def test_ensemble_specs_compare(self):
+        def spec(kernel):
+            return EnsembleSpec(kernel=kernel, forcing=ForcingGenerator(kind="iid", seed=3),
+                                horizon=100)
+
+        assert spec(Kernel([0.5, 0.25])) == spec(Kernel([0.5, 0.25]))
+        assert spec(Kernel([0.5, 0.25])) != spec(Kernel([0.5, 0.2]))
 
 
 class TestSolveLinear:
@@ -901,3 +929,233 @@ class TestResolventPrefix:
         assert sum(steps) == horizon
         assert calls == []
         assert np.all(x.sign == 1.0)
+
+
+# --------------------------------------------------------------------------
+# the block-scaled log engine against the version it replaced, which took
+# each block's forcing maximum and sign test from the block itself
+# --------------------------------------------------------------------------
+
+logger = logging.getLogger("volterra_lab.core")
+
+
+def reference_blocked_log_linear(kernel, lh, sh, xi):
+    """(log|x|, sign x) on 0..len(lh)-1 as blocks of plain doubles times exp(ref).
+
+    The first block [0, B), a signed kernel and every block that cannot be
+    scaled (see the module docstring) run the per-step recursion, which
+    logs its first cancellation beyond ``_CANCELLATION`` once per solve.
+    Every other block [t, t+L) runs the plain Toeplitz step on its inputs
+    times exp(-ref); L <= B keeps the forcing's log-range plus
+    log sum r[:B] within ``_SPAN``.
+    """
+    k = kernel.coefficients
+    n = len(lh)
+    lk, sk = _kernel_log(k)
+    out_l = np.full(n, -np.inf)
+    out_s = np.zeros(n)
+    if xi != 0.0:
+        out_l[0] = math.log(abs(xi))
+        out_s[0] = math.copysign(1.0, xi)
+    warned = False
+
+    def per_step(lo, hi):
+        nonlocal warned
+        bad, lossy = _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo, hi)
+        if lossy is not None and not warned:
+            warned = True
+            logger.warning(
+                "log-domain cancellation at index %d: sum|terms|/|sum| = %.3g, "
+                "about %.1f digits lost", lossy[0], lossy[1], math.log10(lossy[1])
+            )
+        if bad >= 0:
+            raise TrajectoryOverflowError(bad)
+
+    b = max(_BLOCK, len(k))
+    per_step(1, min(b, n))
+    r = kernel._resolvent_prefix if n > b and np.all(k >= 0.0) else None
+    if r is None:
+        per_step(b, n)
+        return out_l, out_s
+    room = _SPAN - math.log(np.sum(r))
+    floor = _FLOOR * np.max(r) * (1.0 + np.sum(k))
+    t = b
+    while t < n:
+        # longest run [t, t+L) whose nonzero forcing stays within ``room`` in log|H|
+        live = sh[t : t + b] != 0.0
+        seg = lh[t : t + b]
+        spread = (np.maximum.accumulate(np.where(live, seg, -np.inf))
+                  - np.minimum.accumulate(np.where(live, seg, np.inf)))
+        size = max(1, int(np.argmax(spread > room)) if spread[-1] > room else len(seg))
+        if size == 1 or not reference_scaled_block(k, r, lh, sh, out_l, out_s, t, t + size, floor):
+            per_step(t, t + size)
+        t += size
+    return out_l, out_s
+
+
+def reference_scaled_block(k, r, lh, sh, out_l, out_s, lo, hi, floor):
+    """Solve [lo, hi) as plain doubles times exp(ref); False if it must run per step."""
+    m = len(k)
+    signs = np.concatenate((sh[lo:hi], out_s[lo - m : lo]))
+    signs = signs[signs != 0.0]
+    if signs.size and np.any(signs != signs[0]):
+        return False
+    # an all-zero block gives ref = -inf and NaN below, so it runs per step
+    ref = max(np.max(lh[lo:hi]), np.max(out_l[lo - m : lo], initial=-np.inf))
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        f = sh[lo:hi] * np.exp(lh[lo:hi] - ref)
+        prev = out_s[lo - m : lo] * np.exp(out_l[lo - m : lo] - ref)
+        x = _toeplitz_block(k, r, f, prev)
+        mag = np.abs(x)
+        if not (np.min(mag) >= floor and np.max(mag) < np.inf):
+            return False
+        out_l[lo:hi] = np.log(mag) + ref
+    out_s[lo:hi] = np.sign(x)
+    return True
+
+
+def run_blocked_log(engine, kernel, forcing, xi, horizon):
+    """(log|x|, sign x, overflow index or -1, warnings logged) from one engine."""
+    _, (lh, sh) = core._aligned_forcing(forcing, horizon, xi, log_domain=True)
+    records = []
+    handler = logging.Handler()
+    handler.emit = lambda record: records.append(
+        (record.name, record.levelno, record.getMessage()))
+    logger.addHandler(handler)
+    try:
+        out_l, out_s = engine(kernel, lh, sh, float(xi))
+        bad = -1
+    except TrajectoryOverflowError as exc:
+        out_l = out_s = None
+        bad = exc.index
+    finally:
+        logger.removeHandler(handler)
+    return out_l, out_s, bad, records
+
+
+def assert_blocked_log_is_reference(kernel, forcing, xi, horizon):
+    expected = run_blocked_log(reference_blocked_log_linear, kernel, forcing, xi, horizon)
+    got = run_blocked_log(core._blocked_log_linear, kernel, forcing, xi, horizon)
+    assert got[2:] == expected[2:]
+    if expected[2] < 0:
+        assert_same_bits(got[0], expected[0])
+        assert_same_bits(got[1], expected[1])
+    return got
+
+
+def log_traj(la, sg=None):
+    la = np.asarray(la, dtype=float)
+    return LogTrajectory.from_log(la, None if sg is None else np.where(la == -np.inf, 0.0, sg))
+
+
+class TestBlockedLogOracle:
+    @pytest.mark.parametrize("name", [f"H{i}" for i in range(1, 10)])
+    def test_growth_catalogue(self, name):
+        horizon = 6 * _BLOCK + 5
+        assert_blocked_log_is_reference(GROWTH_KERNEL, log_forcing(name, horizon), 1.1, horizon)
+
+    @pytest.mark.parametrize("name, horizon, params", [
+        ("factorial", 20_000, {}),
+        ("geometric", 10_000, {"lam": 0.5}),
+    ])
+    def test_log_growth_configs(self, name, horizon, params):
+        out_l, out_s, bad, records = assert_blocked_log_is_reference(
+            GROWTH_KERNEL, log_forcing(name, horizon, **params), 1.25, horizon)
+        assert bad == -1 and not records and np.all(out_s == 1.0)
+
+    def test_exact_zeros_inside_scaled_blocks(self):
+        horizon = 6 * _BLOCK
+        rng = np.random.Generator(np.random.Philox(41))
+        la = 0.3 * np.arange(horizon + 1) + rng.normal(scale=1.0, size=horizon + 1)
+        la[rng.random(horizon + 1) < 0.3] = -np.inf
+        la[0] = -np.inf
+        for sign in (1.0, -1.0):
+            assert_blocked_log_is_reference(GROWTH_KERNEL, log_traj(la, sign), sign * 0.5, horizon)
+
+    def test_all_zero_blocks(self):
+        # zero start and forcing up to past 2B: whole blocks with ref = -inf,
+        # then forcing that starts, stops and leaves only a decaying history
+        horizon = 6 * _BLOCK
+        la = np.full(horizon + 1, -np.inf)
+        la[2 * _BLOCK + 17 : 3 * _BLOCK] = 0.5
+        out_l, out_s, _, _ = assert_blocked_log_is_reference(
+            GROWTH_KERNEL, log_traj(la), 0.0, horizon)
+        assert np.all(out_s[: 2 * _BLOCK + 17] == 0.0)
+        assert np.all(out_s[2 * _BLOCK + 17 :] == 1.0)
+
+    def test_mixed_sign_forcing(self):
+        horizon = 4 * _BLOCK
+        rng = np.random.Generator(np.random.Philox(42))
+        la = 0.7 * np.arange(horizon + 1)
+        la[0] = -np.inf
+        sg = np.ones(horizon + 1)
+        sg[rng.random(horizon + 1) < 0.01] = -1.0
+        assert_blocked_log_is_reference(GROWTH_KERNEL, log_traj(la, sg), 0.8, horizon)
+
+    def test_mixed_sign_history(self):
+        # alternating signs through the first block, positive forcing after:
+        # the history of the first scaled block carries both signs
+        horizon = 4 * _BLOCK
+        la = np.concatenate(([-np.inf], np.full(horizon, 2.0)))
+        sg = np.ones(horizon + 1)
+        sg[1:_BLOCK:2] = -1.0
+        for kernel in (GROWTH_KERNEL, Kernel([0.0, 0.5])):
+            assert_blocked_log_is_reference(kernel, log_traj(la, sg), -1.0, horizon)
+
+    def test_underflow_floor(self):
+        horizon = 3 * _BLOCK
+        la = np.full(horizon + 1, -np.inf)
+        la[_BLOCK + 40] = 0.0
+        out_l, _, _, _ = assert_blocked_log_is_reference(Kernel([1e-3]), log_traj(la), 0.0, horizon)
+        assert out_l[-1] < -1000.0
+
+    def test_zero_kernel(self):
+        # no history: blocks scale without zeros, and run per step with
+        # zeros (x = 0 is below the floor), mixed signs or nothing at all
+        horizon = 4 * _BLOCK
+        rng = np.random.Generator(np.random.Philox(43))
+        la = rng.normal(scale=50.0, size=horizon + 1)
+        la[0] = -np.inf
+        assert_blocked_log_is_reference(Kernel.zero(), log_traj(la), 2.0, horizon)
+        la[rng.random(horizon + 1) < 0.2] = -np.inf
+        assert_blocked_log_is_reference(Kernel.zero(), log_traj(la), 2.0, horizon)
+        sg = rng.choice([-1.0, 1.0], horizon + 1)
+        assert_blocked_log_is_reference(Kernel.zero(), log_traj(la, sg), 2.0, horizon)
+        assert_blocked_log_is_reference(Kernel.zero(), log_traj(np.full(horizon + 1, -np.inf)),
+                                        0.0, horizon)
+
+    def test_cancellation_warning_is_the_same(self):
+        # a signed kernel warns in its first block; with k = [1], a block of
+        # mixed signs after it runs per step and loses 10 digits at B + 12
+        H = traj([0.0, 1e300, 1.0, 1.0] + [1.0] * 300)
+        _, _, _, records = assert_blocked_log_is_reference(Kernel([1.0, -1.0]), H, 0.0, 303)
+        assert len(records) == 1
+        h = np.zeros(3 * _BLOCK + 1)
+        h[_BLOCK + 10 : _BLOCK + 13] = [1e300, 1.0, -1e300 * (1.0 - 1e-10)]
+        _, _, _, records = assert_blocked_log_is_reference(Kernel([1.0]), traj(h), 0.0, 3 * _BLOCK)
+        [(_, _, message)] = records
+        assert f"cancellation at index {_BLOCK + 12}" in message
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+    st.floats(min_value=0.0, max_value=1.5),
+    st.floats(min_value=-1.0, max_value=12.0),
+    st.integers(min_value=_BLOCK + 1, max_value=4 * _BLOCK),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=1e-3, max_value=3.0),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(min_value=0.0, max_value=0.5),
+)
+def test_blocked_log_engine_is_bitwise_reference(weights, mass, drift, horizon, seed, xi,
+                                                  sign, zeros):
+    # nonnegative kernel of total mass 0..1.5; forcing of one sign with a
+    # fraction ``zeros`` of exact zeros, whose log moves by ``drift`` a step
+    w = np.array(weights)
+    k = Kernel(w / np.sum(w) * mass if np.sum(w) > 0 else w)
+    rng = np.random.Generator(np.random.Philox(seed))
+    la = drift * np.arange(horizon + 1) + rng.normal(scale=2.0, size=horizon + 1)
+    la[rng.random(horizon + 1) < zeros] = -np.inf
+    la[0] = -np.inf
+    assert_blocked_log_is_reference(k, log_traj(la, sign), sign * xi, horizon)
