@@ -24,8 +24,14 @@ Which engine runs where (B = max(256, M) for a kernel of length M):
 
 * ``solve_linear`` in plain doubles runs the blocked engine: the first
   block of B indices by the per-term reference recursion, every later
-  block as the short Toeplitz solve x = r[:B] * (H + history) with direct
-  convolutions, O(horizon * B) in all.
+  block [t, t+L) as the Toeplitz solve x = r[:L] * (H + history) in two
+  matrix products, ``f[:, :M] += prev @ Hk.T`` for the history and
+  ``x = f @ R[:L, :L].T`` for the block, O(horizon * B) in all.  R is the
+  lower-triangular Toeplitz matrix of r[:B] and Hk maps the M values
+  before a block to their part of its first M forcings.
+* ``stochastic.ensemble_verify`` runs the same engine on many plain-domain
+  paths at once: their forcings are the rows of one (P, N) array, solved
+  in place, so each block step is one pair of products for all P rows.
 * ``solve_linear`` in the log domain runs the block-scaled engine: the
   first block by the per-step log recursion, every later block [t, t+L)
   as the same Toeplitz step on plain doubles times exp(ref), ref the
@@ -57,6 +63,15 @@ that grows with the horizon, by about 1e-12 at 2e5 steps each against
 extended precision.  On the growing kernels tested, both engines raise on
 the same first non-finite index.
 
+Batch contract: every row of a P-row solve is bitwise equal to the
+reference recursion below B, and within the same 1e-12 scaled gap of the
+same path solved alone beyond it.  A row that overflows fails alone, at
+the reference's first non-finite index.  Bit for bit, a row depends on the
+shape of its batch: BLAS rounds a P-row product differently from a
+one-row one, and may round a row differently at another position in the
+batch or under another BLAS thread count.  The same rows in the same
+order under the same BLAS give the same bits.
+
 Accuracy contract of the log engine: bitwise equal to the per-step log
 recursion below B and on every block that runs per step (so on all of a
 solve with a signed kernel or sign-incoherent forcing).  On scaled blocks
@@ -75,9 +90,10 @@ writing its results back into the numpy arrays one chunk of ``_CHUNK``
 steps at a time.  Python floats perform the same IEEE-754 double
 operations as numpy float64 scalars, and the loops keep their order, so
 the outputs are bitwise those of the numpy-scalar loops; the tests keep
-the latter as the reference.  The block resolvent prefix r[:B] is computed
-once per ``Kernel``, on the first blocked solve that needs it, and shared
-by every later solve with that kernel.
+the latter as the reference.  The block resolvent prefix r[:B] and the
+block matrices R and Hk are computed once per ``Kernel``, on the first
+blocked solve that needs them, and shared by every later solve with that
+kernel; R and Hk take 8 (B^2 + M^2) bytes, 0.5 MB for B = 256 and M = 40.
 
 The forward recursion and the resolvent representation stay
 algorithmically independent on purpose; their agreement is a mandatory
@@ -92,6 +108,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import (
     InputError,
@@ -168,6 +185,13 @@ class Kernel:
         """r[:B], B = max(256, M), shared by every blocked solve with this
         kernel; None if it overflows."""
         return _block_resolvent(self.coefficients, max(_BLOCK, self.size))
+
+    @cached_property
+    def _block_matrices(self):
+        """(R, Hk) of ``_toeplitz_matrices`` for r[:B], shared like r[:B];
+        None if r[:B] overflows.  They take 8 (B^2 + M^2) bytes."""
+        r = self._resolvent_prefix
+        return None if r is None else _toeplitz_matrices(self.coefficients, r)
 
     @classmethod
     def zero(cls) -> "Kernel":
@@ -387,35 +411,38 @@ def _reference_linear(k, h, xi):
     return out
 
 
-def _blocked_linear(kernel, h, xi):
-    """x(0..len(h)-1) as a blocked unit lower-triangular Toeplitz solve.
+def _blocked_linear(kernel, x, xi):
+    """Solve each row of a (P, N) array x in place, as a blocked unit
+    lower-triangular Toeplitz solve; return each row's first non-finite index.
 
-    The first block [0, B) runs the reference recursion, so it is bitwise
-    equal to it.  Every later block [t, t+L) solves x = r[:L] * f with
-    f = H[t:t+L] plus the history sum_{l} k(l) x(n-l) over n-l < t, where
-    r[:B] is the kernel's resolvent prefix, itself taken from the reference
-    recursion.  Both convolutions are direct (np.convolve), so exact zeros
-    stay exact.  If r[:B] overflows, the whole solve runs the reference
-    recursion.
+    On entry row p of x holds a forcing on 0..N-1 (index 0 is not read), on
+    return its solution x(0..N-1) from the start ``xi``.  The returned
+    bad[p] is -1, or the first non-finite index of row p; past it the row
+    holds no meaningful values.  Each row's first block [0, B) runs the
+    reference recursion, so it is bitwise equal to it.  Every later block
+    [t, t+L) solves all rows at once with ``_toeplitz_block``.  If r[:B]
+    overflows, every row runs the reference recursion throughout.
     """
     k = kernel.coefficients
     m = len(k)
     b = max(_BLOCK, m)
-    out = np.empty(len(h))
-    out[:b] = _reference_linear(k, h[:b], xi)
-    if len(h) <= b:
-        return out
-    r = kernel._resolvent_prefix
-    if r is None:
-        return _reference_linear(k, h, xi)
+    n = x.shape[1]
+    mats = kernel._block_matrices if n > b else None
+    head = n if mats is None else b
+    bad = np.array([_linear_recursion(k, row, xi, row[:head]) for row in x])
+    if head == n or bad.min() >= 0:
+        return bad
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(b, len(h), b):
-            block = _toeplitz_block(k, r, h[t : t + b].copy(), out[t - m : t])
+        for t in range(b, n, b):
+            block = _toeplitz_block(mats, x[:, t : t + b].copy(), x[:, t - m : t])
+            x[:, t : t + block.shape[1]] = block
             finite = np.isfinite(block)
             if not finite.all():
-                raise TrajectoryOverflowError(t + int(np.argmin(finite)))
-            out[t : t + len(block)] = block
-    return out
+                new = (bad < 0) & ~finite.all(axis=1)
+                bad[new] = t + np.argmin(finite[new], axis=1)
+                if bad.min() >= 0:
+                    break
+    return bad
 
 
 def _block_resolvent(k, b):
@@ -428,17 +455,40 @@ def _block_resolvent(k, b):
     return r
 
 
-def _toeplitz_block(k, r, f, prev):
-    """One block of the Toeplitz solve: x = r[:L] * (f + history), L = len(f).
+def _toeplitz(z, n):
+    """The read-only n x n matrix T[i, j] = z[n - 1 + i - j] of a length
+    2n - 1 array z, copied from one strided view of z."""
+    t = np.ascontiguousarray(sliding_window_view(z, n)[:n, ::-1])
+    t.flags.writeable = False
+    return t
 
-    ``prev`` holds the M = len(k) solution values just before the block, and
-    the history is their part of sum_l k(l) x(n-l).  ``f`` is updated in place.
+
+def _toeplitz_matrices(k, r):
+    """(R, Hk) for the block step of kernel k with resolvent prefix r = r[:B].
+
+    R[i, j] = r(i - j) for j <= i is the B x B lower-triangular Toeplitz
+    matrix of r, so x = R f solves a block.  Hk[i, j] = k(M - 1 + i - j) for
+    j >= i maps the M values before a block to their part of its first M
+    forcings.
     """
-    m = len(k)
-    if m:
-        hist = np.convolve(k, prev)[m - 1 : m - 1 + len(f)]
-        f[: len(hist)] += hist
-    return np.convolve(r[: len(f)], f)[: len(f)]
+    b, m = len(r), len(k)
+    return (_toeplitz(np.concatenate((np.zeros(b - 1), r)), b),
+            _toeplitz(np.concatenate((k, np.zeros(max(m - 1, 0)))), m))
+
+
+def _toeplitz_block(mats, f, prev):
+    """One block of the Toeplitz solve per row: x = r[:L] * (f + history).
+
+    ``mats`` is ``(R, Hk)`` from ``_toeplitz_matrices``; f is one row of L
+    forcings or P such rows, and ``prev`` holds, row by row, the M solution
+    values just before the block, whose part of sum_l k(l) x(n-l) is the
+    history.  ``f`` is updated in place.
+    """
+    r, hk = mats
+    size = f.shape[-1]
+    if len(hk):
+        f[..., : len(hk)] += prev @ hk[:size].T
+    return f @ r[:size, :size].T
 
 
 # --------------------------------------------------------------------------
@@ -494,6 +544,7 @@ def _blocked_log_linear(kernel, lh, sh, xi):
     if r is None:
         per_step(b, n)
         return out_l, out_s
+    mats = kernel._block_matrices
     room = _SPAN - math.log(np.sum(r))
     floor = _FLOOR * np.max(r) * (1.0 + np.sum(k))
     t = b
@@ -505,14 +556,14 @@ def _blocked_log_linear(kernel, lh, sh, xi):
             top = np.maximum.accumulate(np.where(live, seg, -np.inf))
             spread = top - np.minimum.accumulate(np.where(live, seg, np.inf))
             size = max(1, int(np.argmax(spread > room)) if spread[-1] > room else len(seg))
-            if size == 1 or not _scaled_block(k, r, lh, sh, out_l, out_s, t, t + size,
+            if size == 1 or not _scaled_block(k, mats, lh, sh, out_l, out_s, t, t + size,
                                               floor, top[size - 1]):
                 per_step(t, t + size)
             t += size
     return out_l, out_s
 
 
-def _scaled_block(k, r, lh, sh, out_l, out_s, lo, hi, floor, top):
+def _scaled_block(k, mats, lh, sh, out_l, out_s, lo, hi, floor, top):
     """Solve [lo, hi) as plain doubles times exp(ref); False if it must run per step.
 
     ``top`` is max log|H| over [lo, hi), from the pass that sized the block:
@@ -531,7 +582,7 @@ def _scaled_block(k, r, lh, sh, out_l, out_s, lo, hi, floor, top):
     # an all-zero block gives ref = -inf and NaN below, so it runs per step
     f = hs * np.exp(lh[lo:hi] - ref)
     prev = ps * np.exp(pl - ref)
-    x = _toeplitz_block(k, r, f, prev)
+    x = _toeplitz_block(mats, f, prev)
     mag = np.abs(x)
     if not (mag.min() >= floor and mag.max() < np.inf):
         return False
@@ -592,8 +643,11 @@ def solve_linear(kernel: Kernel, forcing, xi: float, horizon: int, log_domain: b
         horizon, (lh, sh) = _aligned_forcing(forcing, horizon, xi, log_domain=True)
         out_l, out_s = _blocked_log_linear(kernel, lh, sh, float(xi))
         return LogTrajectory(out_l, out_s, start=0)
-    horizon, h = _aligned_forcing(forcing, horizon, xi)
-    return Trajectory(_blocked_linear(kernel, h, float(xi)), start=0)
+    horizon, x = _aligned_forcing(forcing, horizon, xi)
+    bad = _blocked_linear(kernel, x[None], float(xi))
+    if bad[0] >= 0:
+        raise TrajectoryOverflowError(int(bad[0]))
+    return Trajectory(x, start=0)
 
 
 def _kernel_log(k):

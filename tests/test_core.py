@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volterra_lab import core
+from volterra_lab import core, stochastic
+from volterra_lab.asymptotics import ScalingModel
 from volterra_lab.core import (
     _BLOCK,
     _FLOOR,
@@ -28,6 +29,7 @@ from volterra_lab.exceptions import (
     NonlinearityError,
     ParameterError,
     TrajectoryOverflowError,
+    UndefinedRatioError,
 )
 from volterra_lab.series import LogTrajectory, Trajectory
 from volterra_lab.stochastic import (
@@ -93,6 +95,10 @@ class TestKernel:
 
         assert spec(Kernel([0.5, 0.25])) == spec(Kernel([0.5, 0.25]))
         assert spec(Kernel([0.5, 0.25])) != spec(Kernel([0.5, 0.2]))
+        # both compare by value but hold dicts, so they are declared unhashable
+        for value in (spec(Kernel([0.5])), ForcingGenerator(kind="iid", seed=3)):
+            with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+                hash(value)
 
 
 class TestSolveLinear:
@@ -459,6 +465,187 @@ def test_recover_forcing_round_trip_past_one_block(kc, horizon, seed, xi):
     H = traj(10.0 * random_forcing(seed, horizon))
     rec = recover_forcing(k, solve_linear(k, H, xi, horizon))
     assert np.allclose(rec.values, H.values[1:], rtol=1e-12, atol=1e-10)
+
+
+# --------------------------------------------------------------------------
+# the plain engine on many paths at once: the rows of one (P, N) array
+# --------------------------------------------------------------------------
+
+def batch_forcing(seed, paths, horizon):
+    return np.stack([random_forcing(seed + p, horizon) for p in range(paths)])
+
+
+def batch_solve(kernel, h, xi):
+    """(x, bad) from one call of the batched engine on a copy of h."""
+    x = h.copy()
+    bad = core._blocked_linear(kernel, x, xi)
+    return x, bad
+
+
+class TestBatchedEngine:
+    KERNEL = Kernel.geometric(0.3, 0.5, 40)
+
+    @pytest.mark.parametrize("kernel", [KERNEL, Kernel([1.0]), Kernel([1.9, -0.95])])
+    def test_first_block_of_every_row_is_bitwise_reference(self, kernel):
+        h = batch_forcing(20, 20, 3 * _BLOCK + 7)
+        x, bad = batch_solve(kernel, h, 0.7)
+        assert np.all(bad == -1)
+        for row, hp in zip(x, h):
+            ref = reference_solve(kernel.coefficients, hp, 0.7)[0]
+            assert np.array_equal(row[:_BLOCK], ref[:_BLOCK])
+            assert scaled_gap(row, ref) <= 1e-12
+
+    @pytest.mark.parametrize("paths", [2, 3, 16, 17])
+    @pytest.mark.parametrize("tail", [1, 41, _BLOCK])
+    def test_permuting_rows_permutes_the_output(self, paths, tail):
+        # BLAS may round a row differently at another position of the batch,
+        # so the rows agree to the engine's tolerance, not bit for bit
+        h = batch_forcing(30, paths, 3 * _BLOCK + tail - 1)
+        perm = np.random.Generator(np.random.Philox(paths)).permutation(paths)
+        x = batch_solve(self.KERNEL, h, -0.4)[0]
+        y = batch_solve(self.KERNEL, h[perm], -0.4)[0]
+        assert scaled_gap(y, x[perm]) <= 1e-12
+
+    def test_repeated_calls_are_bitwise_identical(self):
+        h = batch_forcing(40, 17, 5 * _BLOCK)
+        assert np.array_equal(batch_solve(self.KERNEL, h, 0.3)[0],
+                              batch_solve(self.KERNEL, h, 0.3)[0])
+
+    def test_overflowing_row_fails_alone(self):
+        # row 2 overflows inside a later block, row 4 inside the first one
+        h = batch_forcing(50, 6, 4 * _BLOCK)
+        h[2, 700:710] = 1.7e308
+        h[4, 100:110] = 1.7e308
+        x, bad = batch_solve(self.KERNEL, h, 1.0)
+        for p in range(6):
+            ref, ref_bad = reference_solve(self.KERNEL.coefficients, h[p], 1.0)
+            assert bad[p] == ref_bad
+            if ref_bad < 0:
+                assert scaled_gap(x[p], ref) <= 1e-12
+                alone = solve_linear(self.KERNEL, traj(h[p]), 1.0, 4 * _BLOCK).values
+                assert scaled_gap(x[p], alone) <= 1e-12
+        assert bad[2] == 701 and 100 < bad[4] < _BLOCK
+
+    def test_prefix_overflow_runs_every_row_on_the_reference(self):
+        h = batch_forcing(60, 3, 3 * _BLOCK)
+        h[:, : _BLOCK + 5] = 0.0
+        x, bad = batch_solve(Kernel([100.0]), h, 0.0)
+        for p in range(3):
+            assert bad[p] == reference_solve([100.0], h[p], 0.0)[1] > _BLOCK
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["summable", "marginal", "growing"]),
+    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=8),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=_BLOCK + 1, max_value=4 * _BLOCK),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(-2, 2),
+)
+def test_batched_rows_match_paths_solved_alone(kind, weights, level, paths, horizon, seed, xi):
+    # the kernels of test_blocked_engine_matches_reference
+    w = np.array(weights) / np.sum(weights)
+    if kind == "summable":
+        signs = np.where(np.arange(len(w)) % 2 == seed % 2, 1.0, -1.0)
+        k = w * 0.95 * level * signs
+    elif kind == "marginal":
+        k = w
+    else:
+        k = w * (1.02 + 0.48 * level)
+    kernel = Kernel(k)
+    h = batch_forcing(seed % 2**31, paths, horizon)
+    x, bad = batch_solve(kernel, h, xi)
+    assert np.all(bad == -1)
+    for row, hp in zip(x, h):
+        assert scaled_gap(row, solve_linear(kernel, traj(hp), xi, horizon).values) <= 1e-12
+
+
+def per_path_ensemble(system, paths, statistic):
+    """(failures, pass fraction, median) as ensemble_verify computed them
+    before it batched paths: each path generated, solved and scored alone."""
+    values = []
+    for child in np.random.SeedSequence(system.forcing.seed).spawn(paths):
+        rng = np.random.Generator(np.random.Philox(child))
+        try:
+            forcing = generate(system.forcing, system.horizon,
+                               log_domain=system.log_domain, rng=rng)
+            x = solve_linear(system.kernel, forcing, system.xi, system.horizon,
+                             log_domain=system.log_domain)
+            series = x if statistic.series == "solution" else forcing
+            values.append(float(stochastic._path_statistic(statistic, series, system)))
+        except (TrajectoryOverflowError, UndefinedRatioError, InputError):
+            values.append(None)
+    finite = np.array([v for v in values if v is not None and math.isfinite(v)])
+    lo, hi = statistic.band
+    in_band = int(np.count_nonzero((finite >= lo) & (finite <= hi)))
+    median = float(np.median(finite)) if finite.size else float("nan")
+    return values.count(None), in_band / paths, median
+
+
+POWER_TAIL = make_tail_model("symmetric_power", alpha=2.0, c1=0.5, c2=0.5)
+NORMAL_TAIL = make_tail_model("normal", sigma=1.0)
+
+
+class TestBatchedEnsemble:
+    @pytest.mark.parametrize("system, paths, statistic", [
+        # the ensemble_plain benchmark workload at a fifth of its horizon
+        (EnsembleSpec(kernel=Kernel.geometric(0.3, 0.5, 40), horizon=2500,
+                      forcing=ForcingGenerator(kind="iid", seed=11, tail=POWER_TAIL)),
+         16, StatisticSpec(name="log_log_exponent", band=(0.4, 0.6))),
+        # a forcing statistic, in groups of two paths
+        (EnsembleSpec(kernel=Kernel([0.5]), horizon=100_000,
+                      forcing=ForcingGenerator(kind="iid", seed=12, tail=NORMAL_TAIL),
+                      scaling=ScalingModel.from_catalogue("sqrt_log", 100_000)),
+         5, StatisticSpec(name="limsup_ratio", band=(0.8, 1.1), series="forcing")),
+        # x(n) ~ C 1.05^n: most paths overflow before the horizon, not all
+        (EnsembleSpec(kernel=Kernel([1.05]), horizon=14_552,
+                      forcing=ForcingGenerator(kind="iid", seed=13, tail=NORMAL_TAIL)),
+         12, StatisticSpec(name="log_growth_rate", band=(0.04, 0.05))),
+        # a plain geometric walk past e^709 fails in generation, on some paths
+        (EnsembleSpec(kernel=Kernel([0.5]), horizon=7000,
+                      forcing=ForcingGenerator(kind="geometric_random_walk", seed=17, drift=0.1,
+                                               noise=make_tail_model("normal", sigma=0.5))),
+         12, StatisticSpec(name="log_growth_rate", band=(0.09, 0.11))),
+        # a non-finite start or an invalid horizon fails every path
+        (EnsembleSpec(kernel=Kernel([0.5]), horizon=300, xi=math.inf,
+                      forcing=ForcingGenerator(kind="iid", seed=14, tail=NORMAL_TAIL)),
+         3, StatisticSpec(name="phi_average", band=(0.0, 10.0))),
+        (EnsembleSpec(kernel=Kernel([0.5]), horizon=0,
+                      forcing=ForcingGenerator(kind="iid", seed=15, tail=NORMAL_TAIL)),
+         3, StatisticSpec(name="phi_average", band=(0.0, 10.0))),
+    ])
+    def test_matches_the_per_path_loop(self, system, paths, statistic):
+        res = ensemble_verify(system, paths, statistic)
+        failures, pass_fraction, median = per_path_ensemble(system, paths, statistic)
+        assert (res.failures, res.pass_fraction) == (failures, pass_fraction)
+        assert res.median == pytest.approx(median, rel=1e-12, nan_ok=True)
+
+    def test_mixed_failures_are_mixed(self):
+        system = EnsembleSpec(kernel=Kernel([1.05]), horizon=14_552,
+                              forcing=ForcingGenerator(kind="iid", seed=13, tail=NORMAL_TAIL))
+        res = ensemble_verify(system, 12, StatisticSpec(name="log_growth_rate", band=(0.04, 0.05)))
+        assert 0 < res.failures < 12
+
+    @pytest.mark.parametrize("horizon, groups", [(4 * _BLOCK, 1), (2**16 - 1, 4)])
+    def test_one_block_product_per_block_per_group(self, monkeypatch, horizon, groups):
+        # 2^18 doubles per group: 16 paths of 1025 steps are one group, of 2^16 four
+        calls = []
+
+        def counted(mats, f, prev):
+            calls.append(f.shape[0])
+            return toeplitz_block(mats, f, prev)
+
+        toeplitz_block = core._toeplitz_block
+        monkeypatch.setattr(core, "_toeplitz_block", counted)
+        system = EnsembleSpec(kernel=Kernel.geometric(0.3, 0.5, 40), horizon=horizon,
+                              forcing=ForcingGenerator(kind="iid", seed=16, tail=NORMAL_TAIL))
+        res = ensemble_verify(system, 16, StatisticSpec(name="phi_average", band=(0.0, 10.0)))
+        assert res.failures == 0
+        blocks = -(-(horizon + 1 - _BLOCK) // _BLOCK)
+        assert len(calls) == groups * blocks
+        assert set(calls) == {16 // groups}
 
 
 # --------------------------------------------------------------------------
@@ -1005,7 +1192,7 @@ def reference_scaled_block(k, r, lh, sh, out_l, out_s, lo, hi, floor):
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         f = sh[lo:hi] * np.exp(lh[lo:hi] - ref)
         prev = out_s[lo - m : lo] * np.exp(out_l[lo - m : lo] - ref)
-        x = _toeplitz_block(k, r, f, prev)
+        x = _toeplitz_block(core._toeplitz_matrices(k, r), f, prev)
         mag = np.abs(x)
         if not (np.min(mag) >= floor and np.max(mag) < np.inf):
             return False

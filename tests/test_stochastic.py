@@ -19,6 +19,21 @@ from volterra_lab.stochastic import (
 )
 
 
+def select_power_quantile(alpha, c1, c2, u):
+    """The symmetric_power quantile as it was: both tails over every draw,
+    chosen by np.select."""
+    mid = max(1.0 - c1 - c2, 0.0)
+    u = np.asarray(u, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        lower = -((c1 / np.maximum(u, 1e-300)) ** (1.0 / alpha))
+        upper = (c2 / np.maximum(1.0 - u, 1e-300)) ** (1.0 / alpha)
+    if mid > 0:
+        middle = -1.0 + 2.0 * (u - c1) / mid
+    else:
+        middle = np.ones_like(u)
+    return np.select([u <= c1, u >= 1.0 - c2], [lower, upper], default=middle)
+
+
 class TestTailModels:
     @pytest.mark.parametrize(
         "family,params",
@@ -85,6 +100,24 @@ class TestTailModels:
             make_tail_model("symmetric_power", alpha=2.0, c1=0.8, c2=0.8)
         with pytest.raises(ParameterError):
             make_tail_model("nope")
+
+    @pytest.mark.parametrize("alpha, c1, c2", [(2.0, 0.5, 0.5), (1.0, 0.3, 0.2),
+                                                (3.5, 0.1, 0.4), (1.5, 0.2, 0.8)])
+    def test_power_quantile_is_bitwise_the_select_version(self, alpha, c1, c2):
+        t = make_tail_model("symmetric_power", alpha=alpha, c1=c1, c2=c2)
+        edges = [0.0, 1e-300, 5e-324, c1, 1.0 - c2, 1.0]
+        u = np.concatenate((
+            edges,
+            np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)[1:],
+            np.random.Generator(np.random.Philox(103)).random(100_000),
+        ))
+        u = u[(u >= 0.0) & (u <= 1.0)]
+        expected = select_power_quantile(alpha, c1, c2, u)
+        got = t.quantile(u)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        for v in edges:
+            assert float(t.quantile(np.asarray(v))) == float(
+                select_power_quantile(alpha, c1, c2, np.asarray(v)))
 
     def test_sampling_matches_tails(self):
         t = make_tail_model("symmetric_power", alpha=2.0, c1=0.5, c2=0.5)
