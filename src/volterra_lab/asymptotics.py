@@ -421,6 +421,8 @@ class ConvexFunctional:
     params: dict
     o_regularly_varying: bool
 
+    __hash__ = None  # compares by value, but ``params`` is a dict
+
     def __call__(self, values):
         return self.fn(np.asarray(values, dtype=np.float64))
 

@@ -13,6 +13,7 @@ prints ``config error: <path>: ...`` and exits 1.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, replace
 
@@ -294,6 +295,8 @@ class ExperimentConfig:
                 data[key] = _int(raw, key, "config", minimum=1)
         data["seed"] = _int(raw, "seed", "config", 0)
         data["xi"] = _float(raw, "xi", "config", 1.0)
+        if not math.isfinite(data["xi"]):
+            raise ConfigError("config.xi", f"must be finite, got {data['xi']!r}")
         data["log_domain"] = _field(raw, "log_domain", "config", False)
         if not isinstance(data["log_domain"], bool):
             raise ConfigError("config.log_domain", "expected true or false")

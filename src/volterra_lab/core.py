@@ -20,15 +20,16 @@ is intended for the sign-coherent growth regimes it exists for; the
 per-step log recursion logs one warning per solve, with the index and the
 digits lost, where sum|terms| / |sum| first exceeds 1e8.
 
-Which engine runs where (B = max(256, M) for a kernel of length M):
+Which engine runs where (B = 256 for a kernel of any length M):
 
 * ``solve_linear`` in plain doubles runs the blocked engine: the first
   block of B indices by the per-term reference recursion, every later
   block [t, t+L) as the Toeplitz solve x = r[:L] * (H + history) in two
-  matrix products, ``f[:, :M] += prev @ Hk.T`` for the history and
-  ``x = f @ R[:L, :L].T`` for the block, O(horizon * B) in all.  R is the
-  lower-triangular Toeplitz matrix of r[:B] and Hk maps the M values
-  before a block to their part of its first M forcings.
+  matrix products, ``f[:, :min(B, M)] += prev @ Hk.T`` for the history
+  prev = x[max(0, t-M):t] and ``x = f @ R[:L, :L].T`` for the block,
+  O(horizon * (B + M)) in all.  R is the lower-triangular Toeplitz matrix
+  of r[:B] and the min(B, M) x M matrix Hk maps the history to its part of
+  the block's first min(B, M) forcings.
 * ``stochastic.ensemble_verify`` runs the same engine on many plain-domain
   paths at once: their forcings are the rows of one (P, N) array, solved
   in place, so each block step is one pair of products for all P rows.
@@ -53,15 +54,15 @@ Which engine runs where (B = max(256, M) for a kernel of length M):
   adds the only O(horizon^2) step, the direct convolution of the
   resolvent with the forcing.
 
-Accuracy contract of the plain blocked engine: for horizon < B its output
-is bitwise equal to the reference recursion; beyond that, its scaled gap to
-the reference, max |x - x_ref| / max(|x_ref|, 1), is at most 1e-12 on
-summable, marginal (sum k = 1) and growing kernels at horizons up to a
-few thousand, and about 1e-15 on summable kernels at any horizon.  On
-marginal kernels both engines drift from exact arithmetic by rounding
-that grows with the horizon, by about 1e-12 at 2e5 steps each against
-extended precision.  On the growing kernels tested, both engines raise on
-the same first non-finite index.
+Accuracy contract of the plain blocked engine: below index 256 its output
+is bitwise equal to the reference recursion, for every kernel; beyond
+that, its scaled gap to the reference, max |x - x_ref| / max(|x_ref|, 1),
+is at most 1e-12 on summable, marginal (sum k = 1) and growing kernels at
+horizons up to a few thousand, and about 1e-15 on summable kernels at any
+horizon.  On marginal kernels both engines drift from exact arithmetic by
+rounding that grows with the horizon, by about 1e-12 at 2e5 steps each
+against extended precision.  On the growing kernels tested, both engines
+raise on the same first non-finite index.
 
 Batch contract: every row of a P-row solve is bitwise equal to the
 reference recursion below B, and within the same 1e-12 scaled gap of the
@@ -93,7 +94,8 @@ the outputs are bitwise those of the numpy-scalar loops; the tests keep
 the latter as the reference.  The block resolvent prefix r[:B] and the
 block matrices R and Hk are computed once per ``Kernel``, on the first
 blocked solve that needs them, and shared by every later solve with that
-kernel; R and Hk take 8 (B^2 + M^2) bytes, 0.5 MB for B = 256 and M = 40.
+kernel; R and Hk take 8 (B^2 + min(B, M) M) bytes, 0.5 MB for M = 40 and
+4.6 MB for M = 2000.
 
 The forward recursion and the resolvent representation stay
 algorithmically independent on purpose; their agreement is a mandatory
@@ -144,9 +146,9 @@ class Kernel:
     ``tail_bound`` is an analytic bound on the discarded tail mass for
     kernels that truncate an infinite sequence; it is 0 (exact) for kernels
     defined with finite support.  ``coefficients`` is a read-only copy of
-    the weights given, so the resolvent prefix cached below cannot go stale.
+    the weights given, so the block state cached below cannot go stale.
     Kernels compare and hash by value: equal coefficients (0.0 and -0.0
-    alike) and equal tail bounds; the cached prefix takes no part.
+    alike) and equal tail bounds; the cached state takes no part.
     """
 
     coefficients: np.ndarray
@@ -181,17 +183,16 @@ class Kernel:
         return float(np.sum(np.abs(self.coefficients)))
 
     @cached_property
-    def _resolvent_prefix(self):
-        """r[:B], B = max(256, M), shared by every blocked solve with this
-        kernel; None if it overflows."""
-        return _block_resolvent(self.coefficients, max(_BLOCK, self.size))
-
-    @cached_property
-    def _block_matrices(self):
-        """(R, Hk) of ``_toeplitz_matrices`` for r[:B], shared like r[:B];
-        None if r[:B] overflows.  They take 8 (B^2 + M^2) bytes."""
-        r = self._resolvent_prefix
-        return None if r is None else _toeplitz_matrices(self.coefficients, r)
+    def _block_state(self):
+        """(r[:B], R, Hk) of the blocked engines, shared by every blocked
+        solve with this kernel; None if r[:B] overflows.  R and Hk of
+        ``_toeplitz_matrices`` take 8 (B^2 + min(B, M) M) bytes."""
+        try:
+            r = _reference_linear(self.coefficients, np.zeros(_BLOCK), 1.0)
+        except TrajectoryOverflowError:
+            return None
+        r.flags.writeable = False
+        return (r, *_toeplitz_matrices(self.coefficients, r))
 
     @classmethod
     def zero(cls) -> "Kernel":
@@ -227,6 +228,8 @@ class Nonlinearity:
     linear_at_infinity: bool = True
     ratio_limit: float = 1.0
     params: dict = field(default_factory=dict)
+
+    __hash__ = None  # compares by value, but ``params`` is a dict
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -398,7 +401,7 @@ def _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
 # plain-domain engine, and the Toeplitz block step both domains share
 # --------------------------------------------------------------------------
 
-# shortest block of the blocked engines; a block is never shorter than the kernel
+# block length of both blocked engines, for a kernel of any length
 _BLOCK = 256
 
 
@@ -420,21 +423,20 @@ def _blocked_linear(kernel, x, xi):
     bad[p] is -1, or the first non-finite index of row p; past it the row
     holds no meaningful values.  Each row's first block [0, B) runs the
     reference recursion, so it is bitwise equal to it.  Every later block
-    [t, t+L) solves all rows at once with ``_toeplitz_block``.  If r[:B]
-    overflows, every row runs the reference recursion throughout.
+    [t, t+L) solves all rows at once with ``_toeplitz_block``, from the
+    history x[max(0, t - M):t].  If r[:B] overflows, every row runs the
+    reference recursion throughout.
     """
     k = kernel.coefficients
-    m = len(k)
-    b = max(_BLOCK, m)
     n = x.shape[1]
-    mats = kernel._block_matrices if n > b else None
-    head = n if mats is None else b
+    state = kernel._block_state if n > _BLOCK else None
+    head = n if state is None else _BLOCK
     bad = np.array([_linear_recursion(k, row, xi, row[:head]) for row in x])
     if head == n or bad.min() >= 0:
         return bad
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(b, n, b):
-            block = _toeplitz_block(mats, x[:, t : t + b].copy(), x[:, t - m : t])
+        for t in range(_BLOCK, n, _BLOCK):
+            block = _toeplitz_block(state, x[:, t : t + _BLOCK].copy(), x[:, max(0, t - len(k)) : t])
             x[:, t : t + block.shape[1]] = block
             finite = np.isfinite(block)
             if not finite.all():
@@ -445,20 +447,10 @@ def _blocked_linear(kernel, x, xi):
     return bad
 
 
-def _block_resolvent(k, b):
-    """r[:b] by the reference recursion, read-only, or None if it overflows."""
-    try:
-        r = _reference_linear(k, np.zeros(b), 1.0)
-    except TrajectoryOverflowError:
-        return None
-    r.flags.writeable = False
-    return r
-
-
-def _toeplitz(z, n):
-    """The read-only n x n matrix T[i, j] = z[n - 1 + i - j] of a length
-    2n - 1 array z, copied from one strided view of z."""
-    t = np.ascontiguousarray(sliding_window_view(z, n)[:n, ::-1])
+def _toeplitz(z, rows, n):
+    """The read-only rows x n matrix T[i, j] = z[n - 1 + i - j] of a length
+    rows + n - 1 array z, copied from one strided view of z."""
+    t = np.ascontiguousarray(sliding_window_view(z, n)[:rows, ::-1])
     t.flags.writeable = False
     return t
 
@@ -468,26 +460,26 @@ def _toeplitz_matrices(k, r):
 
     R[i, j] = r(i - j) for j <= i is the B x B lower-triangular Toeplitz
     matrix of r, so x = R f solves a block.  Hk[i, j] = k(M - 1 + i - j) for
-    j >= i maps the M values before a block to their part of its first M
-    forcings.
+    j >= i, min(B, M) x M, maps the M values before a block to their part
+    of its first min(B, M) forcings.
     """
     b, m = len(r), len(k)
-    return (_toeplitz(np.concatenate((np.zeros(b - 1), r)), b),
-            _toeplitz(np.concatenate((k, np.zeros(max(m - 1, 0)))), m))
+    return (_toeplitz(np.concatenate((np.zeros(b - 1), r)), b, b),
+            _toeplitz(np.concatenate((k, np.zeros(b - 1))), min(b, m), m))
 
 
-def _toeplitz_block(mats, f, prev):
+def _toeplitz_block(state, f, prev):
     """One block of the Toeplitz solve per row: x = r[:L] * (f + history).
 
-    ``mats`` is ``(R, Hk)`` from ``_toeplitz_matrices``; f is one row of L
-    forcings or P such rows, and ``prev`` holds, row by row, the M solution
-    values just before the block, whose part of sum_l k(l) x(n-l) is the
-    history.  ``f`` is updated in place.
+    ``state`` is a kernel's ``(r[:B], R, Hk)``; f is one row of L forcings
+    or P such rows, and ``prev`` holds, row by row, the solution values
+    x[max(0, t - M):t] before the block [t, t+L), whose part of
+    sum_l k(l) x(n-l) is the history; before index M they are fewer than
+    M and meet Hk's trailing columns.  ``f`` is updated in place.
     """
-    r, hk = mats
+    _, r, hk = state
     size = f.shape[-1]
-    if len(hk):
-        f[..., : len(hk)] += prev @ hk[:size].T
+    f[..., : len(hk)] += prev @ hk[:size, hk.shape[1] - prev.shape[-1] :].T
     return f @ r[:size, :size].T
 
 
@@ -538,51 +530,48 @@ def _blocked_log_linear(kernel, lh, sh, xi):
         if bad >= 0:
             raise TrajectoryOverflowError(bad)
 
-    b = max(_BLOCK, len(k))
-    per_step(1, min(b, n))
-    r = kernel._resolvent_prefix if n > b and np.all(k >= 0.0) else None
-    if r is None:
-        per_step(b, n)
+    per_step(1, min(_BLOCK, n))
+    state = kernel._block_state if n > _BLOCK and np.all(k >= 0.0) else None
+    if state is None:
+        per_step(_BLOCK, n)
         return out_l, out_s
-    mats = kernel._block_matrices
+    r = state[0]
     room = _SPAN - math.log(np.sum(r))
     floor = _FLOOR * np.max(r) * (1.0 + np.sum(k))
-    t = b
+    t = _BLOCK
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         while t < n:
             # longest run [t, t+L) whose nonzero forcing stays within ``room`` in log|H|
-            live = sh[t : t + b] != 0.0
-            seg = lh[t : t + b]
+            live = sh[t : t + _BLOCK] != 0.0
+            seg = lh[t : t + _BLOCK]
             top = np.maximum.accumulate(np.where(live, seg, -np.inf))
             spread = top - np.minimum.accumulate(np.where(live, seg, np.inf))
             size = max(1, int(np.argmax(spread > room)) if spread[-1] > room else len(seg))
-            if size == 1 or not _scaled_block(k, mats, lh, sh, out_l, out_s, t, t + size,
+            if size == 1 or not _scaled_block(k, state, lh, sh, out_l, out_s, t, t + size,
                                               floor, top[size - 1]):
                 per_step(t, t + size)
             t += size
     return out_l, out_s
 
 
-def _scaled_block(k, mats, lh, sh, out_l, out_s, lo, hi, floor, top):
+def _scaled_block(k, state, lh, sh, out_l, out_s, lo, hi, floor, top):
     """Solve [lo, hi) as plain doubles times exp(ref); False if it must run per step.
 
     ``top`` is max log|H| over [lo, hi), from the pass that sized the block:
     sign 0 exactly where log|H| = -inf, so the zeros it skips change nothing.
     The caller silences numpy's floating-point warnings.
     """
-    m = len(k)
-    hs, ps, pl = sh[lo:hi], out_s[lo - m : lo], out_l[lo - m : lo]
-    s_max, s_min, ref = hs.max(), hs.min(), top
-    if m:
-        s_max, s_min = max(s_max, ps.max()), min(s_min, ps.min())
-        ref = max(top, pl.max())
+    past = max(0, lo - len(k))
+    hs, ps, pl = sh[lo:hi], out_s[past:lo], out_l[past:lo]
+    s_max, s_min = max(hs.max(), ps.max(initial=0.0)), min(hs.min(), ps.min(initial=0.0))
+    ref = max(top, pl.max(initial=-np.inf))
     # signs are -1, 0 or +1: a nonzero forcing or history value of each sign
     if s_max > 0.0 and s_min < 0.0:
         return False
     # an all-zero block gives ref = -inf and NaN below, so it runs per step
     f = hs * np.exp(lh[lo:hi] - ref)
     prev = ps * np.exp(pl - ref)
-    x = _toeplitz_block(mats, f, prev)
+    x = _toeplitz_block(state, f, prev)
     mag = np.abs(x)
     if not (mag.min() >= floor and mag.max() < np.inf):
         return False

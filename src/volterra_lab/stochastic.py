@@ -85,6 +85,8 @@ class TailModel:
     symmetric: bool
     delta_star: float = 0.025
 
+    __hash__ = None  # compares by value, but ``params`` is a dict
+
     def tail_probability(self, threshold):
         """P[|X| > t] = G(t) + F(-t)."""
         t = np.asarray(threshold, dtype=np.float64)
@@ -650,6 +652,8 @@ class StatisticSpec:
     phi: ConvexFunctional = None
     burn_in_fraction: float = 0.25
 
+    __hash__ = None  # compares by value, but ``phi`` holds a dict
+
     def __post_init__(self):
         if self.name not in STATISTICS:
             raise ParameterError(f"unknown statistic {self.name!r}")
@@ -750,14 +754,14 @@ def ensemble_verify(system: EnsembleSpec, paths: int, statistic: StatisticSpec) 
     """Run seeded independent paths and score a statistic against a band.
 
     Path p draws from the stream spawned for (master seed, p); aggregation
-    is order independent and the per-path list is reported sorted.  A spec
-    no path could satisfy raises before any path runs; only numerical
-    failures of single paths count against the band.  Plain-domain paths
-    are solved in groups, as the rows of one array; log-domain paths one
-    at a time.  A path's statistic is bitwise reproducible for the same
-    spec, seed and path count under the same BLAS and thread count; its
-    solution is within the block engine's 1e-12 scaled gap of the same
-    path solved alone.
+    is order independent and the per-path list is reported sorted.  A
+    statistic that needs a missing scaling model raises before any path
+    runs; a non-finite start or an invalid horizon fails every path, as it
+    fails each path run alone.  Plain-domain paths are solved in groups,
+    as the rows of one array; log-domain paths one at a time.  A path's
+    statistic is bitwise reproducible for the same spec, seed and path
+    count under the same BLAS and thread count; its solution is within the
+    block engine's 1e-12 scaled gap of the same path solved alone.
     """
     if paths < 1:
         raise InputError("need at least one path")

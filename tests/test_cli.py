@@ -62,6 +62,8 @@ _MALFORMED = [
     ("out_dir", {"a": 1}, "config.out_dir"),
     ("lambda_grid", [0.5, 1.5], "config.lambda_grid.1"),
     ("k_grid", [-1, 1], "config.k_grid.0"),
+    ("xi", math.inf, "config.xi"),
+    ("xi", math.nan, "config.xi"),
 ]
 
 

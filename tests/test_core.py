@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volterra_lab import core, stochastic
-from volterra_lab.asymptotics import ScalingModel
+from volterra_lab.asymptotics import ScalingModel, make_phi
 from volterra_lab.core import (
     _BLOCK,
     _FLOOR,
@@ -85,7 +86,7 @@ class TestKernel:
     def test_equality_ignores_the_cached_prefix(self):
         a, b = Kernel([0.5, 0.25]), Kernel([0.5, 0.25])
         before = hash(a)
-        assert a._resolvent_prefix is not None
+        assert a._block_state is not None
         assert a == b and hash(a) == before == hash(b)
 
     def test_ensemble_specs_compare(self):
@@ -99,6 +100,21 @@ class TestKernel:
         for value in (spec(Kernel([0.5])), ForcingGenerator(kind="iid", seed=3)):
             with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
                 hash(value)
+
+
+@pytest.mark.parametrize("value, other", [
+    (make_tail_model("normal", sigma=1.0), make_tail_model("normal", sigma=2.0)),
+    (make_nonlinearity("solow"), make_nonlinearity("identity")),
+    (make_phi("power", p=2.0), make_phi("power", p=3.0)),
+    (StatisticSpec(name="phi_average", band=(0.0, 1.0), phi=make_phi("power", p=2.0)),
+     StatisticSpec(name="phi_average", band=(0.0, 2.0))),
+], ids=["tail-model", "nonlinearity", "convex-functional", "statistic-spec"])
+def test_dataclasses_holding_dicts_are_unhashable(value, other):
+    # they compare by value (their functions by identity) but hold dicts
+    with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+        hash(value)
+    copy = dataclasses.replace(value)
+    assert copy is not value and copy == value and value != other
 
 
 class TestSolveLinear:
@@ -1059,12 +1075,12 @@ class TestResolventPrefix:
     def count_prefixes(self, monkeypatch):
         calls = []
 
-        def counted(k, b):
-            calls.append(b)
-            return block_resolvent(k, b)
+        def counted(k, r):
+            calls.append(len(r))
+            return toeplitz_matrices(k, r)
 
-        block_resolvent = core._block_resolvent
-        monkeypatch.setattr(core, "_block_resolvent", counted)
+        toeplitz_matrices = core._toeplitz_matrices
+        monkeypatch.setattr(core, "_toeplitz_matrices", counted)
         return calls
 
     def test_ensemble_computes_it_once(self, monkeypatch):
@@ -1085,7 +1101,7 @@ class TestResolventPrefix:
             k.coefficients[0] = 1.0
         source[0] = 9.0
         assert list(k.coefficients) == [0.5, 0.25]
-        assert np.array_equal(k._resolvent_prefix, resolvent(Kernel([0.5, 0.25]), _BLOCK - 1).values)
+        assert np.array_equal(k._block_state[0], resolvent(Kernel([0.5, 0.25]), _BLOCK - 1).values)
 
     def test_overflowing_prefix_keeps_the_reference_overflow_index(self):
         # r(n) = 100^n overflows in r[:B]; x is zero through the first block,
@@ -1099,7 +1115,7 @@ class TestResolventPrefix:
         with pytest.raises(TrajectoryOverflowError) as err:
             solve_linear(k, traj(h), 0.0, horizon)
         assert err.value.index == bad
-        assert k._resolvent_prefix is None
+        assert k._block_state is None
 
     def test_signed_kernel_in_log_domain_stays_per_step(self, monkeypatch):
         calls = self.count_prefixes(monkeypatch)
@@ -1158,12 +1174,13 @@ def reference_blocked_log_linear(kernel, lh, sh, xi):
         if bad >= 0:
             raise TrajectoryOverflowError(bad)
 
-    b = max(_BLOCK, len(k))
+    b = _BLOCK
     per_step(1, min(b, n))
-    r = kernel._resolvent_prefix if n > b and np.all(k >= 0.0) else None
-    if r is None:
+    state = kernel._block_state if n > b and np.all(k >= 0.0) else None
+    if state is None:
         per_step(b, n)
         return out_l, out_s
+    r = state[0]
     room = _SPAN - math.log(np.sum(r))
     floor = _FLOOR * np.max(r) * (1.0 + np.sum(k))
     t = b
@@ -1183,16 +1200,16 @@ def reference_blocked_log_linear(kernel, lh, sh, xi):
 def reference_scaled_block(k, r, lh, sh, out_l, out_s, lo, hi, floor):
     """Solve [lo, hi) as plain doubles times exp(ref); False if it must run per step."""
     m = len(k)
-    signs = np.concatenate((sh[lo:hi], out_s[lo - m : lo]))
+    signs = np.concatenate((sh[lo:hi], out_s[max(0, lo - m) : lo]))
     signs = signs[signs != 0.0]
     if signs.size and np.any(signs != signs[0]):
         return False
     # an all-zero block gives ref = -inf and NaN below, so it runs per step
-    ref = max(np.max(lh[lo:hi]), np.max(out_l[lo - m : lo], initial=-np.inf))
+    ref = max(np.max(lh[lo:hi]), np.max(out_l[max(0, lo - m) : lo], initial=-np.inf))
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         f = sh[lo:hi] * np.exp(lh[lo:hi] - ref)
-        prev = out_s[lo - m : lo] * np.exp(out_l[lo - m : lo] - ref)
-        x = _toeplitz_block(core._toeplitz_matrices(k, r), f, prev)
+        prev = out_s[max(0, lo - m) : lo] * np.exp(out_l[max(0, lo - m) : lo] - ref)
+        x = _toeplitz_block((r, *core._toeplitz_matrices(k, r)), f, prev)
         mag = np.abs(x)
         if not (np.min(mag) >= floor and np.max(mag) < np.inf):
             return False
@@ -1346,3 +1363,56 @@ def test_blocked_log_engine_is_bitwise_reference(weights, mass, drift, horizon, 
     la[rng.random(horizon + 1) < zeros] = -np.inf
     la[0] = -np.inf
     assert_blocked_log_is_reference(k, log_traj(la, sign), sign * xi, horizon)
+
+
+# --------------------------------------------------------------------------
+# kernels longer than one block: until index M, a block's history
+# x[max(0, t - M):t] is shorter than M and meets Hk's trailing columns
+# --------------------------------------------------------------------------
+
+def long_kernel(m):
+    rng = np.random.Generator(np.random.Philox(m))
+    return Kernel(rng.dirichlet(np.ones(m)) * 0.9)
+
+
+class TestLongKernels:
+    @pytest.mark.parametrize("m, horizon", [(257, 3 * _BLOCK + 7), (300, 4 * 300 + 11),
+                                            (2000, 2500)])
+    def test_plain_single_path_and_batch(self, m, horizon):
+        k = long_kernel(m)
+        h = batch_forcing(70, 3, horizon)
+        x, bad = batch_solve(k, h, 0.5)
+        assert np.all(bad == -1)
+        for row, hp in zip(x, h):
+            ref = reference_solve(k.coefficients, hp, 0.5)[0]
+            for got in (solve_linear(k, traj(hp), 0.5, horizon).values, row):
+                assert np.array_equal(got[:_BLOCK], ref[:_BLOCK])
+                assert scaled_gap(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("m, horizon", [(257, 4 * _BLOCK), (300, 4 * _BLOCK),
+                                            (2000, 4 * _BLOCK + 5)])
+    def test_log_domain(self, monkeypatch, m, horizon):
+        # every block past the first is scaled, so each one reads a history
+        # shorter than M if t < M
+        steps = []
+
+        def counted(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
+            steps.append((hi if hi is not None else len(out_l)) - lo)
+            return _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo, hi)
+
+        k = long_kernel(m)
+        H = log_forcing("factorial", horizon)
+        monkeypatch.setattr(core, "_log_linear_recursion", counted)
+        x = solve_linear(k, H, 1.25, horizon, log_domain=True)
+        assert sum(steps) == _BLOCK - 1
+        ref_l, ref_s, bad = per_step_log_solve(k, H, 1.25, horizon)
+        assert bad == -1
+        assert_log_contract(x, ref_l, ref_s)
+        assert_blocked_log_is_reference(k, H, 1.25, horizon)
+
+    @pytest.mark.parametrize("m", [0, 40, 256, 2000])
+    def test_block_cache_is_rectangular(self, m):
+        r, R, hk = (long_kernel(m) if m else Kernel.zero())._block_state
+        rows = min(_BLOCK, m)
+        assert r.shape == (_BLOCK,) and R.shape == (_BLOCK, _BLOCK) and hk.shape == (rows, m)
+        assert R.nbytes + hk.nbytes == 8 * (_BLOCK**2 + rows * m) <= 8 * (_BLOCK**2 + _BLOCK * 2000)
