@@ -164,10 +164,7 @@ class LimsupEstimate:
 
     value: float
     classification: str
-    block_boundaries: tuple
     block_maxima: np.ndarray
-    burn_in_start: int
-    thresholds: LimsupThresholds
 
 
 def estimate_limsup(g, scale: ScalingModel, thresholds: LimsupThresholds = None) -> LimsupEstimate:
@@ -200,10 +197,7 @@ def _limsup_of_ratio(ratio: Trajectory, thresholds: LimsupThresholds) -> LimsupE
     return LimsupEstimate(
         value=value,
         classification=classification,
-        block_boundaries=tuple(blocks),
         block_maxima=maxima,
-        burn_in_start=burn_start,
-        thresholds=thresholds,
     )
 
 
@@ -443,20 +437,32 @@ class ConvexFunctional:
             raise ParameterError(f"functional {self.name!r} is not convex")
 
 
+def _power_phi(p=2.0):
+    p = float(p)
+    if p < 1.0:
+        raise ParameterError("power exponent must be at least 1")
+    return ConvexFunctional("power", lambda v: np.abs(v) ** p, {"p": p}, True)
+
+
+def _hinge_phi(c=0.0):
+    c = float(c)
+    if c < 0:
+        raise ParameterError("hinge offset must be nonnegative")
+    return ConvexFunctional("hinge", lambda v: np.maximum(0.0, v - c), {"c": c}, True)
+
+
+# name -> builder; a builder's keyword arguments are the functional's parameters
+_PHIS = {
+    "power": _power_phi,
+    "exp": lambda: ConvexFunctional("exp", np.exp, {}, False),
+    "hinge": _hinge_phi,
+}
+
+
 def make_phi(name: str, **params) -> ConvexFunctional:
-    if name == "power":
-        p = float(params.get("p", 2.0))
-        if p < 1.0:
-            raise ParameterError("power exponent must be at least 1")
-        return ConvexFunctional("power", lambda v: np.abs(v) ** p, {"p": p}, True)
-    if name == "exp":
-        return ConvexFunctional("exp", np.exp, {}, False)
-    if name == "hinge":
-        c = float(params.get("c", 0.0))
-        if c < 0:
-            raise ParameterError("hinge offset must be nonnegative")
-        return ConvexFunctional("hinge", lambda v: np.maximum(0.0, v - c), {"c": c}, True)
-    raise ParameterError(f"unknown convex functional {name!r}")
+    if name not in _PHIS:
+        raise ParameterError(f"unknown convex functional {name!r}")
+    return _PHIS[name](**params)
 
 
 @dataclass(frozen=True)

@@ -475,11 +475,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Report:
     ``series`` section maps series names to the files written.
     """
     started = time.perf_counter()
-    try:
-        handler = _HANDLERS[config.mode]
-    except KeyError:
-        raise ConfigError("config.mode", f"unhandled mode {config.mode!r}")
-    verdicts, statistics, series = handler(config)
+    verdicts, statistics, series = _HANDLERS[config.mode](config)
     series_index = {}
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -5,17 +5,21 @@ each section's parser checks its keys, converts its scalars and builds
 its library object once; every default that applies is written back, so
 the echoed config fully describes the run and reproduces all statistics
 bitwise.  Horizon-length work (scaling sequence, forcing draws) is left
-to the run.  Every malformed field raises ``ConfigError`` naming its
-dotted path, such as ``config.forcing.tail.sigma``; the command line
-prints ``config error: <path>: ...`` and exits 1.
+to the run.  Each input rule is checked here, where the input enters:
+every number must be finite, and a named family (tail, nonlinearity,
+convex functional, catalogue entry) takes exactly the keyword parameters
+of its library builder, so a misspelt or foreign parameter is refused.
+Every malformed field raises ``ConfigError`` naming its dotted path, such
+as ``config.forcing.tail.sigma``; the command line prints
+``config error: <path>: ...`` and exits 1.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field
 
 from .asymptotics import ConvexFunctional, LimsupThresholds, make_phi
 from .core import Kernel, Nonlinearity, make_nonlinearity
@@ -26,6 +30,7 @@ from .stochastic import (
     StatisticSpec,
     TailModel,
     factor_error,
+    forcing_entry,
     make_tail_model,
 )
 
@@ -88,8 +93,10 @@ def _choice(spec, key, path, choices):
 
 def _float(spec, key, path, default=_MISSING) -> float:
     value = _field(spec, key, path, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
+    # NaN fails the comparison, and so does an integer float() cannot hold
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -154,18 +161,11 @@ def _kernel(spec, path, top):
     return out, _build(path, Kernel.geometric, out["c"], out["ratio"], out["size"])
 
 
-_TAIL_PARAMS = ("sigma", "alpha", "c1", "c2", "scale", "shape", "low", "high")
-
-
 def _tail(spec, path, top=None):
-    _object(spec, path, {"family", "delta_star", *_TAIL_PARAMS})
-    out = {"family": _field(spec, "family", path)}
+    """``{family, <its parameters>}``: every parameter is a number."""
+    out = {"family": _field(_object(spec, path), "family", path)}
     out.update((key, _float(spec, key, path)) for key in spec if key != "family")
-    params = {k: out[k] for k in _TAIL_PARAMS if k in out}
-    model = _build(path, make_tail_model, out["family"], **params)
-    if "delta_star" in out:
-        model = replace(model, delta_star=out["delta_star"])
-    return out, model
+    return out, _build(path, make_tail_model, **out)
 
 
 # factor kind -> field -> (converter, default)
@@ -209,9 +209,9 @@ def _forcing(spec, path, top):
     if kind == "iid":
         out["tail"], tails["tail"] = _tail(_field(spec, "tail", path), f"{path}.tail")
     elif kind == "deterministic":
-        out.update(_named(spec, path, catalogue_entry, keys)[0])
+        out.update(_named(spec, path, forcing_entry, keys)[0])
     elif kind == "modulated":
-        out["base"] = _named(_field(spec, "base", path), f"{path}.base", catalogue_entry)[0]
+        out["base"] = _named(_field(spec, "base", path), f"{path}.base", forcing_entry)[0]
         out["factor"] = _factor(_field(spec, "factor", path), f"{path}.factor")
     else:
         out["drift"] = _float(spec, "drift", path, 0.0)
@@ -295,8 +295,6 @@ class ExperimentConfig:
                 data[key] = _int(raw, key, "config", minimum=1)
         data["seed"] = _int(raw, "seed", "config", 0)
         data["xi"] = _float(raw, "xi", "config", 1.0)
-        if not math.isfinite(data["xi"]):
-            raise ConfigError("config.xi", f"must be finite, got {data['xi']!r}")
         data["log_domain"] = _field(raw, "log_domain", "config", False)
         if not isinstance(data["log_domain"], bool):
             raise ConfigError("config.log_domain", "expected true or false")
@@ -338,11 +336,6 @@ class ExperimentConfig:
     @property
     def mode(self) -> str:
         return self.data["mode"]
-
-
-def validate_config(raw: dict) -> dict:
-    """Normalize a raw config dict, filling defaults; strict on unknowns."""
-    return ExperimentConfig.from_dict(raw).data
 
 
 # --------------------------------------------------------------------------

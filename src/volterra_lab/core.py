@@ -259,38 +259,41 @@ def _sqrt_offset(x):
     return x + math.copysign(math.sqrt(abs(x)), x)
 
 
-def _solow(delta, s):
+def _solow(delta=0.1, s=0.2):
+    delta, s = float(delta), float(s)
+    if not 0 <= delta < 1:
+        raise ParameterError("solow depreciation delta must lie in [0, 1)")
+    if not 0 < s < 1:
+        raise ParameterError("solow savings rate s must lie in (0, 1)")
+
     def fn(x):
         return (1.0 - delta) * x + s * math.sqrt(abs(x))
 
-    return fn
+    return Nonlinearity(
+        "solow",
+        fn,
+        linear_at_infinity=(delta == 0.0),
+        ratio_limit=1.0 - delta,
+        params={"delta": delta, "s": s},
+    )
+
+
+# name -> builder; a builder's keyword arguments are the member's parameters
+_NONLINEARITIES = {
+    "identity": lambda: Nonlinearity("identity", _identity),
+    "bounded_offset": lambda: Nonlinearity("bounded_offset", _bounded_offset),
+    "sqrt_offset": lambda: Nonlinearity("sqrt_offset", _sqrt_offset),
+    "solow": _solow,
+}
 
 
 def make_nonlinearity(name: str, **params) -> Nonlinearity:
-    if name == "identity":
-        return Nonlinearity("identity", _identity)
-    if name == "bounded_offset":
-        return Nonlinearity("bounded_offset", _bounded_offset)
-    if name == "sqrt_offset":
-        return Nonlinearity("sqrt_offset", _sqrt_offset)
-    if name == "solow":
-        delta = float(params.get("delta", 0.1))
-        s = float(params.get("s", 0.2))
-        if not 0 <= delta < 1:
-            raise ParameterError("solow depreciation delta must lie in [0, 1)")
-        if not 0 < s < 1:
-            raise ParameterError("solow savings rate s must lie in (0, 1)")
-        return Nonlinearity(
-            "solow",
-            _solow(delta, s),
-            linear_at_infinity=(delta == 0.0),
-            ratio_limit=1.0 - delta,
-            params={"delta": delta, "s": s},
-        )
-    raise ParameterError(f"unknown nonlinearity {name!r}")
+    if name not in _NONLINEARITIES:
+        raise ParameterError(f"unknown nonlinearity {name!r}")
+    return _NONLINEARITIES[name](**params)
 
 
-NONLINEARITY_CATALOGUE = ("identity", "bounded_offset", "sqrt_offset", "solow")
+NONLINEARITY_CATALOGUE = tuple(_NONLINEARITIES)
 
 
 # --------------------------------------------------------------------------
@@ -584,20 +587,25 @@ def _scaled_block(k, state, lh, sh, out_l, out_s, lo, hi, floor, top):
 # forcing alignment
 # --------------------------------------------------------------------------
 
-def _aligned_forcing(forcing, horizon, xi=0.0, log_domain=False):
-    """Check a solve's inputs; return (horizon, H on 0..horizon with H(0) := 0).
-
-    The horizon must be an integer >= 1, ``xi`` finite, and the forcing must
-    cover indices 1..horizon; a nonzero value at index 0 is ignored with a
-    logged warning.  Only the window 1..horizon changes domain, so a
-    log-form forcing may run past the horizon, and past double range there.
-    H is a float array, or a (log|H|, sign H) pair when ``log_domain``.
-    """
+def _solve_horizon(horizon, xi=0.0) -> int:
+    """A solve's horizon as an int, once it is an integer >= 1 and ``xi`` is finite."""
     if int(horizon) != horizon or horizon < 1:
         raise InputError(f"horizon must be an integer >= 1, got {horizon!r}")
     if not math.isfinite(xi):
         raise InputError("initial value must be finite")
-    horizon = int(horizon)
+    return int(horizon)
+
+
+def _aligned_forcing(forcing, horizon, xi=0.0, log_domain=False):
+    """Check a solve's inputs; return (horizon, H on 0..horizon with H(0) := 0).
+
+    The horizon and ``xi`` must pass :func:`_solve_horizon`, and the forcing
+    must cover indices 1..horizon; a nonzero value at index 0 is ignored
+    with a logged warning.  Only the window 1..horizon changes domain, so a
+    log-form forcing may run past the horizon, and past double range there.
+    H is a float array, or a (log|H|, sign H) pair when ``log_domain``.
+    """
+    horizon = _solve_horizon(horizon, xi)
     if forcing.start > 1:
         raise InputError(f"forcing must cover index 1, starts at {forcing.start}")
     if forcing.end < horizon:

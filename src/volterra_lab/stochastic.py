@@ -24,14 +24,14 @@ from .asymptotics import (
     make_phi,
     time_average,
 )
-from .core import Kernel, _blocked_linear, solve_linear
+from .core import Kernel, _blocked_linear, _solve_horizon, solve_linear
 from .exceptions import (
     InputError,
     ParameterError,
     TrajectoryOverflowError,
     UndefinedRatioError,
 )
-from .growth_catalogue import catalogue_entry
+from .growth_catalogue import CatalogueEntry, catalogue_entry
 from .series import LogTrajectory, Trajectory, abs_log_series, ratio_series
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "make_tail_model",
     "ForcingGenerator",
     "factor_error",
+    "forcing_entry",
     "generate",
     "EnvelopeReport",
     "envelope_sums",
@@ -118,7 +119,7 @@ class TailModel:
                 raise ParameterError(f"{self.family}: tails are not symmetric")
 
 
-def _normal_model(sigma):
+def _normal_model(sigma=1.0):
     if sigma <= 0:
         raise ParameterError("normal sigma must be positive")
     sigma = float(sigma)
@@ -136,7 +137,7 @@ def _normal_model(sigma):
     )
 
 
-def _symmetric_power_model(alpha, c1, c2):
+def _symmetric_power_model(alpha=2.0, c1=0.5, c2=0.5):
     alpha, c1, c2 = float(alpha), float(c1), float(c2)
     if alpha <= 0:
         raise ParameterError("power tail index alpha must be positive")
@@ -196,7 +197,7 @@ def _symmetric_power_model(alpha, c1, c2):
     )
 
 
-def _weibull_symmetric_model(scale, shape):
+def _weibull_symmetric_model(scale=1.0, shape=1.0):
     lam, k = float(scale), float(shape)
     if lam <= 0 or k <= 0:
         raise ParameterError("weibull scale and shape must be positive")
@@ -236,7 +237,7 @@ def _weibull_symmetric_model(scale, shape):
     )
 
 
-def _uniform_model(low, high):
+def _uniform_model(low=-1.0, high=1.0):
     low, high = float(low), float(high)
     if not low < high:
         raise ParameterError("uniform support must satisfy low < high")
@@ -259,31 +260,32 @@ def _uniform_model(low, high):
     )
 
 
+def _custom_quantile_model(cdf, sf, quantile, upper_quantile, symmetric=False):
+    return TailModel(
+        family="custom_quantile",
+        params={},
+        cdf=cdf,
+        sf=sf,
+        quantile=quantile,
+        upper_quantile=upper_quantile,
+        symmetric=bool(symmetric),
+    )
+
+
+# family -> builder; a builder's keyword arguments are the family's parameters
+_TAIL_FAMILIES = {
+    "normal": _normal_model,
+    "symmetric_power": _symmetric_power_model,
+    "weibull_symmetric": _weibull_symmetric_model,
+    "uniform": _uniform_model,
+    "custom_quantile": _custom_quantile_model,
+}
+
+
 def make_tail_model(family: str, **params) -> TailModel:
-    if family == "normal":
-        return _normal_model(params.get("sigma", 1.0))
-    if family == "symmetric_power":
-        return _symmetric_power_model(
-            params.get("alpha", 2.0), params.get("c1", 0.5), params.get("c2", 0.5)
-        )
-    if family == "weibull_symmetric":
-        return _weibull_symmetric_model(params.get("scale", 1.0), params.get("shape", 1.0))
-    if family == "uniform":
-        return _uniform_model(params.get("low", -1.0), params.get("high", 1.0))
-    if family == "custom_quantile":
-        required = {"cdf", "sf", "quantile", "upper_quantile"}
-        if not required <= set(params):
-            raise ParameterError(f"custom_quantile needs callables {sorted(required)}")
-        return TailModel(
-            family="custom_quantile",
-            params={},
-            cdf=params["cdf"],
-            sf=params["sf"],
-            quantile=params["quantile"],
-            upper_quantile=params["upper_quantile"],
-            symmetric=bool(params.get("symmetric", False)),
-        )
-    raise ParameterError(f"unknown tail family {family!r}")
+    if family not in _TAIL_FAMILIES:
+        raise ParameterError(f"unknown tail family {family!r}")
+    return _TAIL_FAMILIES[family](**params)
 
 
 # --------------------------------------------------------------------------
@@ -322,15 +324,19 @@ def _rng_for(gen: ForcingGenerator):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(gen.seed)))
 
 
-def _catalogue_sequence(name, params, horizon, log_domain):
-    """A catalogue entry on 1..horizon, as a forcing sequence."""
-    entry = catalogue_entry(name, **(params or {}))
+def forcing_entry(name, **params) -> CatalogueEntry:
+    """The catalogue entry a deterministic forcing or a modulated base uses.
+
+    A forcing starts at index 1, so an entry defined only from a later
+    index is refused.
+    """
+    entry = catalogue_entry(name, **params)
     if entry.min_index > 1:
         raise InputError(
             f"catalogue entry {name!r} starts at index {entry.min_index}; it "
             "cannot serve as a forcing sequence"
         )
-    return entry.sequence(1, horizon, log_domain)
+    return entry
 
 
 def factor_error(spec):
@@ -379,7 +385,7 @@ def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=
     Identical (kind, parameters, seed, horizon) produce bitwise identical
     output; the draws come from a counter-based Philox stream.
     """
-    horizon = _checked_horizon(horizon)
+    horizon = _solve_horizon(horizon)
     if rng is None:
         rng = _rng_for(gen)
 
@@ -389,12 +395,6 @@ def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=
         return LogTrajectory(np.concatenate(([-np.inf], h.log_abs)),
                              np.concatenate(([0.0], h.sign)))
     return Trajectory(np.concatenate(([0.0], h.to_plain().values)))
-
-
-def _checked_horizon(horizon):
-    if horizon < 1 or int(horizon) != horizon:
-        raise InputError("horizon must be an integer >= 1")
-    return int(horizon)
 
 
 def _forcing_body(gen, horizon, log_domain, rng):
@@ -412,15 +412,13 @@ def _forcing_body(gen, horizon, log_domain, rng):
         return LogTrajectory.from_log(walk, start=1)
 
     if gen.kind == "deterministic":
-        return _catalogue_sequence(gen.name, gen.params, horizon, log_domain)
+        return forcing_entry(gen.name, **gen.params).sequence(1, horizon, log_domain)
 
     if gen.kind == "modulated":
         if not gen.base or not gen.factor:
             raise ParameterError("modulated forcing needs base and factor specs")
-        base_spec = dict(gen.base)
-        base_name = base_spec.pop("name")
-        base_params = base_spec.pop("params", base_spec)
-        base = _catalogue_sequence(base_name, base_params, horizon, log_domain)
+        entry = forcing_entry(gen.base["name"], **gen.base.get("params", {}))
+        base = entry.sequence(1, horizon, log_domain)
         factor = _factor_values(gen.factor, horizon, rng)
         if log_domain:
             with np.errstate(divide="ignore"):
@@ -661,6 +659,8 @@ class StatisticSpec:
             raise ParameterError("statistic series must be 'solution' or 'forcing'")
         if len(self.band) != 2 or not self.band[0] <= self.band[1]:
             raise ParameterError("band must be (low, high) with low <= high")
+        if not 0.0 <= self.burn_in_fraction < 1.0:
+            raise ParameterError("burn_in_fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -693,10 +693,8 @@ def _path_statistic(spec: StatisticSpec, series, system: EnsembleSpec) -> float:
     if spec.name == "cesaro_limit":
         ratio = ratio_series(series, system.scaling.a)
         return float(time_average(ratio).values[-1])
-    if spec.name == "phi_average":
-        phi = spec.phi or make_phi("power", p=2.0)
-        return float(np.mean(phi(np.abs(series.to_plain().values))))
-    raise ParameterError(f"unknown statistic {spec.name!r}")
+    phi = spec.phi or make_phi("power", p=2.0)  # phi_average
+    return float(np.mean(phi(np.abs(series.to_plain().values))))
 
 
 # most doubles in the one array a batched plain-domain ensemble solves in
@@ -736,9 +734,6 @@ def _plain_group(system: EnsembleSpec, statistic: StatisticSpec, horizon: int, r
         except _PATH_ERRORS:
             pass
     values = [None] * len(rngs)
-    # solve_linear refuses a non-finite start, so then every solve fails
-    if not math.isfinite(system.xi):
-        return values
     # the solve overwrites the forcings, so keep them if the statistic reads them
     series = x if statistic.series == "solution" else x.copy()
     bad = _blocked_linear(system.kernel, x, float(system.xi))
@@ -754,34 +749,30 @@ def ensemble_verify(system: EnsembleSpec, paths: int, statistic: StatisticSpec) 
     """Run seeded independent paths and score a statistic against a band.
 
     Path p draws from the stream spawned for (master seed, p); aggregation
-    is order independent and the per-path list is reported sorted.  A
-    statistic that needs a missing scaling model raises before any path
-    runs; a non-finite start or an invalid horizon fails every path, as it
-    fails each path run alone.  Plain-domain paths are solved in groups,
-    as the rows of one array; log-domain paths one at a time.  A path's
-    statistic is bitwise reproducible for the same spec, seed and path
-    count under the same BLAS and thread count; its solution is within the
-    block engine's 1e-12 scaled gap of the same path solved alone.
+    is order independent and the per-path list is reported sorted.  The
+    spec is checked once, before any path runs: a statistic that needs a
+    missing scaling model, a horizon that is not an integer >= 1 and a
+    non-finite start each raise ``InputError``.  Plain-domain paths are
+    solved in groups, as the rows of one array; log-domain paths one at a
+    time.  A path's statistic is bitwise reproducible for the same spec,
+    seed and path count under the same BLAS and thread count; its solution
+    is within the block engine's 1e-12 scaled gap of the same path solved
+    alone.
     """
     if paths < 1:
         raise InputError("need at least one path")
     if statistic.name in ("limsup_ratio", "cesaro_limit") and system.scaling is None:
         raise InputError(f"{statistic.name} needs a scaling model")
+    horizon = _solve_horizon(system.horizon, system.xi)
     rngs = [np.random.Generator(np.random.Philox(child))
             for child in np.random.SeedSequence(system.forcing.seed).spawn(paths)]
-    try:
-        horizon = _checked_horizon(system.horizon)
-    except InputError:
-        # every path's generation refuses the horizon
-        values = [None] * paths
+    if system.log_domain:
+        values = [_log_path(system, statistic, rng) for rng in rngs]
     else:
-        if system.log_domain:
-            values = [_log_path(system, statistic, rng) for rng in rngs]
-        else:
-            group = max(1, _GROUP_DOUBLES // (horizon + 1))
-            values = []
-            for lo in range(0, paths, group):
-                values += _plain_group(system, statistic, horizon, rngs[lo : lo + group])
+        group = max(1, _GROUP_DOUBLES // (horizon + 1))
+        values = []
+        for lo in range(0, paths, group):
+            values += _plain_group(system, statistic, horizon, rngs[lo : lo + group])
     failures = values.count(None)
     arr = np.array([math.nan if v is None else v for v in values])
     finite = arr[np.isfinite(arr)]

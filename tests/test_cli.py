@@ -11,7 +11,7 @@ import pytest
 
 from volterra_lab import cli
 from volterra_lab.cli import main, run_experiment
-from volterra_lab.config import ExperimentConfig, validate_config
+from volterra_lab.config import MODES, ExperimentConfig
 from volterra_lab.exceptions import ConfigError
 from volterra_lab.series import LogTrajectory
 
@@ -51,19 +51,34 @@ _MALFORMED = [
     ("forcing", _modulated({"kind": "periodic", "profile": []}),
      "config.forcing.factor.profile"),
     ("forcing", _modulated({"kind": "periodic", "profile": [1.0, math.nan]}),
-     "config.forcing.factor.profile"),
+     "config.forcing.factor.profile.1"),
     ("forcing", _modulated({"kind": "sinusoid", "amplitudes": [1.0, 0.5], "frequencies": [1.0]}),
      "config.forcing.factor.frequencies"),
     ("forcing", _modulated({"kind": "iid_uniform", "low": -math.inf, "high": 1.0}),
      "config.forcing.factor.low"),
     ("forcing", _modulated({"kind": "sinusoid", "amplitudes": [math.nan]}),
-     "config.forcing.factor.amplitudes"),
+     "config.forcing.factor.amplitudes.0"),
     ("out_dir", 5, "config.out_dir"),
     ("out_dir", {"a": 1}, "config.out_dir"),
     ("lambda_grid", [0.5, 1.5], "config.lambda_grid.1"),
     ("k_grid", [-1, 1], "config.k_grid.0"),
     ("xi", math.inf, "config.xi"),
     ("xi", math.nan, "config.xi"),
+    # every number is finite, whichever field it fills
+    ("forcing.tail.sigma", math.inf, "config.forcing.tail.sigma"),
+    pytest.param("forcing.tail.sigma", 10**400, "config.forcing.tail.sigma", id="sigma-1e400-int"),
+    ("forcing", {"kind": "random_walk_drift", "drift": math.inf}, "config.forcing.drift"),
+    ("tolerances", {"min_pass_fraction": math.nan}, "config.tolerances.min_pass_fraction"),
+    ("expected_crossing", math.nan, "config.expected_crossing"),
+    # a family takes only the parameters its builder names
+    ("forcing.tail", {"family": "normal", "sigam": 2.0}, "config.forcing.tail"),
+    ("nonlinearity", {"name": "solow", "params": {"detla": 0.5}}, "config.nonlinearity"),
+    ("statistic.phi", {"name": "power", "params": {"q": 3.0}}, "config.statistic.phi"),
+    # sqrt(2 log n) starts at index 2, after a forcing's first index
+    ("forcing", {"kind": "deterministic", "name": "sqrt_log"}, "config.forcing"),
+    ("forcing", dict(_modulated({"kind": "periodic", "profile": [1.0]}),
+                     base={"name": "sqrt_log"}), "config.forcing.base"),
+    ("statistic.burn_in_fraction", 1.5, "config.statistic"),
 ]
 
 
@@ -80,11 +95,11 @@ def _malformed(field, value):
 class TestValidation:
     def test_unknown_top_level_field(self):
         with pytest.raises(ConfigError, match="config.bogus"):
-            validate_config({"mode": "solve", "bogus": 1})
+            ExperimentConfig.from_dict({"mode": "solve", "bogus": 1})
 
     def test_unknown_nested_field_names_path(self):
         with pytest.raises(ConfigError, match="forcing.wat"):
-            validate_config({
+            ExperimentConfig.from_dict({
                 "mode": "solve", "horizon": 5,
                 "kernel": {"name": "zero"},
                 "forcing": {"kind": "iid", "wat": 1,
@@ -93,17 +108,17 @@ class TestValidation:
 
     def test_missing_required_field(self):
         with pytest.raises(ConfigError, match="config.kernel"):
-            validate_config({"mode": "solve", "horizon": 5,
-                             "forcing": {"kind": "iid",
-                                         "tail": {"family": "normal"}}})
+            ExperimentConfig.from_dict({"mode": "solve", "horizon": 5,
+                                        "forcing": {"kind": "iid",
+                                                    "tail": {"family": "normal"}}})
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="config.mode"):
-            validate_config({"mode": "fly"})
+            ExperimentConfig.from_dict({"mode": "fly"})
 
     def test_bad_tail_parameter_points_at_section(self):
         with pytest.raises(ConfigError, match="tail"):
-            validate_config({
+            ExperimentConfig.from_dict({
                 "mode": "solve", "horizon": 5,
                 "kernel": {"name": "zero"},
                 "forcing": {"kind": "iid", "tail": {"family": "normal", "sigma": -2}},
@@ -111,7 +126,7 @@ class TestValidation:
 
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(ConfigError, match="tolerances.nope"):
-            validate_config({
+            ExperimentConfig.from_dict({
                 "mode": "verify-growth2", "horizon": 10,
                 "kernel": {"name": "zero"},
                 "forcing": {"kind": "deterministic", "name": "power",
@@ -122,7 +137,7 @@ class TestValidation:
     @pytest.mark.parametrize("field,value,path", _MALFORMED)
     def test_malformed_value_names_its_path(self, field, value, path):
         with pytest.raises(ConfigError) as info:
-            validate_config(dict(_malformed(field, value), mode="ensemble"))
+            ExperimentConfig.from_dict(dict(_malformed(field, value), mode="ensemble"))
         assert info.value.path == path
 
     def test_sections_come_back_as_built_objects(self):
@@ -135,12 +150,12 @@ class TestValidation:
         assert config.scaling is None and config.nonlinearity is None
 
     def test_defaults_recorded(self):
-        data = validate_config({
+        data = ExperimentConfig.from_dict({
             "mode": "verify-growth2", "horizon": 10,
             "kernel": {"name": "zero"},
             "forcing": {"kind": "deterministic", "name": "power",
                         "params": {"theta": 1.0}},
-        })
+        }).data
         assert data["xi"] == 1.0
         assert data["log_domain"] is False
         assert data["tolerances"]["residual"] == 1e-6
@@ -390,6 +405,28 @@ class TestCommandLine:
         assert "needs a scaling model" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_exit_one_on_infinite_tail_scale(self, tmp_path, capsys):
+        # JSON's Infinity parses to a float, so only the finite-number rule stops it
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(dict(_ENSEMBLE, horizon=100, paths=4))
+                        .replace('"sigma": 1.0', '"sigma": Infinity'))
+        code = main(["ensemble", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "config error: config.forcing.tail.sigma:" in capsys.readouterr().err
+
+    def test_exit_one_on_late_starting_forcing_in_solve(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, {
+            "horizon": 16, "kernel": {"name": "zero"},
+            "forcing": {"kind": "deterministic", "name": "sqrt_log"},
+        })
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "config error: config.forcing: catalogue entry 'sqrt_log' starts at index 2" \
+            in capsys.readouterr().err
+
+    def test_every_mode_has_a_handler(self):
+        assert set(cli._HANDLERS) == set(MODES)
+
     def test_exit_one_on_unreadable_config(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "missing.json")])
         assert code == 1
@@ -537,8 +574,8 @@ class TestReportSerialization:
 
     @pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
     def test_echo_is_a_fixed_point(self, mode):
-        echo = validate_config(dict(self.MODE_CONFIGS[mode], mode=mode))
-        assert validate_config(json.loads(json.dumps(echo))) == echo
+        echo = ExperimentConfig.from_dict(dict(self.MODE_CONFIGS[mode], mode=mode)).data
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(echo))).data == echo
 
     @pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
     def test_every_mode_emits_serializable_report(self, mode, tmp_path):

@@ -624,19 +624,24 @@ class TestBatchedEnsemble:
                       forcing=ForcingGenerator(kind="geometric_random_walk", seed=17, drift=0.1,
                                                noise=make_tail_model("normal", sigma=0.5))),
          12, StatisticSpec(name="log_growth_rate", band=(0.09, 0.11))),
-        # a non-finite start or an invalid horizon fails every path
-        (EnsembleSpec(kernel=Kernel([0.5]), horizon=300, xi=math.inf,
-                      forcing=ForcingGenerator(kind="iid", seed=14, tail=NORMAL_TAIL)),
-         3, StatisticSpec(name="phi_average", band=(0.0, 10.0))),
-        (EnsembleSpec(kernel=Kernel([0.5]), horizon=0,
-                      forcing=ForcingGenerator(kind="iid", seed=15, tail=NORMAL_TAIL)),
-         3, StatisticSpec(name="phi_average", band=(0.0, 10.0))),
     ])
     def test_matches_the_per_path_loop(self, system, paths, statistic):
         res = ensemble_verify(system, paths, statistic)
         failures, pass_fraction, median = per_path_ensemble(system, paths, statistic)
         assert (res.failures, res.pass_fraction) == (failures, pass_fraction)
         assert res.median == pytest.approx(median, rel=1e-12, nan_ok=True)
+
+    @pytest.mark.parametrize("log_domain", [False, True])
+    @pytest.mark.parametrize("horizon, xi",
+                             [(300, math.inf), (300, math.nan), (0, 1.0), (2.5, 1.0)])
+    def test_a_bad_start_or_horizon_raises_before_any_path(self, monkeypatch, log_domain,
+                                                           horizon, xi):
+        monkeypatch.setattr(stochastic, "_forcing_body", None)  # no path may start
+        system = EnsembleSpec(kernel=Kernel([0.5]), horizon=horizon, xi=xi,
+                              log_domain=log_domain,
+                              forcing=ForcingGenerator(kind="iid", seed=14, tail=NORMAL_TAIL))
+        with pytest.raises(InputError):
+            ensemble_verify(system, 3, StatisticSpec(name="phi_average", band=(0.0, 10.0)))
 
     def test_mixed_failures_are_mixed(self):
         system = EnsembleSpec(kernel=Kernel([1.05]), horizon=14_552,
