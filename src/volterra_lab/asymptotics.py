@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import Kernel, _aligned_forcing, resolvent, solve_linear
+from .core import Kernel, _aligned_forcing, _convolve, recover_forcing, resolvent, solve_linear
 from .exceptions import InputError, ParameterError
 from .growth_catalogue import CatalogueEntry, catalogue_entry
 from .series import (
@@ -267,15 +267,12 @@ def predict_x_over_a(kernel: Kernel, lam: float, lam_a_H: Trajectory) -> Traject
 
         out(n) = (H/a)(n) + sum_{j=1}^{n} r(j) lam^j (H/a)(n-j),
 
-    with the sum truncated where the stored bounded factor starts; r is the
-    per-term :func:`core.resolvent`, computed here to the same length.
+    n counted from where the stored bounded factor starts; r(j) lam^j is the
+    resolvent of ``kernel.at_scale(lam)``, so this is its :func:`solve_linear`.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise InputError(f"lambda must lie in [0, 1], got {lam!r}")
-    n = len(lam_a_H)
-    weights = resolvent(kernel, n - 1).values * lam ** np.arange(n)
-    out = np.convolve(weights, lam_a_H.values)[:n]
-    return Trajectory(out, start=lam_a_H.start)
+    g = lam_a_H.values
+    y = solve_linear(kernel.at_scale(lam), Trajectory(g[1:], start=1), g[0], len(g) - 1)
+    return Trajectory(y.values, start=lam_a_H.start)
 
 
 def predict_H_over_a(kernel: Kernel, lam: float, lam_a_x: Trajectory) -> Trajectory:
@@ -283,16 +280,9 @@ def predict_H_over_a(kernel: Kernel, lam: float, lam_a_x: Trajectory) -> Traject
 
         out(n) = (x/a)(n) - sum_{j=0}^{n-1} k(j) lam^(j+1) (x/a)(n-j-1).
     """
-    if not 0.0 <= lam <= 1.0:
-        raise InputError(f"lambda must lie in [0, 1], got {lam!r}")
-    n = len(lam_a_x)
-    weights = np.zeros(min(kernel.size + 1, n))
-    weights[0] = 1.0
-    if kernel.size:
-        m = len(weights) - 1
-        weights[1:] = -kernel.coefficients[:m] * lam ** (np.arange(m) + 1)
-    out = np.convolve(weights, lam_a_x.values)[:n]
-    return Trajectory(out, start=lam_a_x.start)
+    g = lam_a_x.values
+    h = recover_forcing(kernel.at_scale(lam), Trajectory(g, start=0)).values
+    return Trajectory(np.concatenate((g[:1], h)), start=lam_a_x.start)
 
 
 # --------------------------------------------------------------------------
@@ -544,12 +534,8 @@ def scaled_convolution(kernel: Kernel, forcing: Trajectory, scale: ScalingModel)
     Its tail-window magnitude is bounded by |k|_1 times the forcing's
     limsup estimate for monotone diverging scales; tests enforce that.
     """
-    n, h = _aligned_forcing(forcing, forcing.end)
-    if kernel.size:
-        conv = np.convolve(kernel.coefficients, h)[: n + 1]
-    else:
-        conv = np.zeros(n + 1)
-    return ratio_series(Trajectory(conv, start=0), scale.a)
+    _, h = _aligned_forcing(forcing, forcing.end)
+    return ratio_series(Trajectory(_convolve(kernel, h), start=0), scale.a)
 
 
 # --------------------------------------------------------------------------

@@ -555,15 +555,17 @@ def main(argv=None) -> int:
         out_dir = (args.out or os.environ.get(OUT_DIR_ENV) or config.get("out_dir")
                    or "volterra_lab_out")
         report = run_experiment(config, out_dir=out_dir)
+        report_path = Path(out_dir) / "report.json"
+        report_path.write_text(report.to_json())
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except VolterraLabError as err:
         print(f"error ({type(err).__name__}): {err}", file=sys.stderr)
         return 1
-
-    report_path = Path(out_dir) / "report.json"
-    report_path.write_text(report.to_json())
+    except OSError as err:
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return 1
     for name, ok in report.verdicts.items():
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     print(f"report: {report_path}")

@@ -53,6 +53,9 @@ Which engine runs where (B = 256 for a kernel of any length M):
   recursion, O(horizon * min(horizon, M)); ``solve_by_representation``
   adds the only O(horizon^2) step, the direct convolution of the
   resolvent with the forcing.
+* ``Kernel.at_scale(lam)``, with resolvent r(j) lam^j, carries the
+  representations at scale: ``predict_x_over_a`` is its ``solve_linear``,
+  ``predict_H_over_a`` its ``recover_forcing``, ``rho_of_lambda`` its ``resolvent``.
 
 Accuracy contract of the plain blocked engine: below index 256 its output
 is bitwise equal to the reference recursion, for every kernel; beyond
@@ -193,6 +196,14 @@ class Kernel:
             return None
         r.flags.writeable = False
         return (r, *_toeplitz_matrices(self.coefficients, r))
+
+    def at_scale(self, lam: float) -> "Kernel":
+        """k(l) lam^(l+1) for lam in [0, 1]: its resolvent is r(j) lam^j, and
+        its weights are at most |k(l)|, so the tail bound carries over."""
+        if not 0.0 <= lam <= 1.0:
+            raise InputError(f"lambda must lie in [0, 1], got {lam!r}")
+        powers = float(lam) ** (np.arange(self.size) + 1)
+        return Kernel(self.coefficients * powers, tail_bound=self.tail_bound)
 
     @classmethod
     def zero(cls) -> "Kernel":
@@ -690,12 +701,14 @@ def recover_forcing(kernel: Kernel, solution: Trajectory) -> Trajectory:
     if len(solution) < 2:
         raise InputError("solution must contain at least indices 0 and 1")
     x = solution.values
-    n = len(x) - 1
-    if kernel.size:
-        conv = np.convolve(kernel.coefficients, x)[:n]
-    else:
-        conv = np.zeros(n)
-    return Trajectory(x[1:] - conv, start=1)
+    return Trajectory(x[1:] - _convolve(kernel, x)[:-1], start=1)
+
+
+def _convolve(kernel: Kernel, x):
+    """(k * x)(n) = sum_l k(l) x(n - l) for the indices n of x, by direct convolution."""
+    if not kernel.size:
+        return np.zeros(len(x))
+    return np.convolve(kernel.coefficients, x)[: len(x)]
 
 
 def solve_nonlinear(kernel: Kernel, f: Nonlinearity, forcing, xi: float, horizon: int) -> Trajectory:

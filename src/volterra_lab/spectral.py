@@ -146,8 +146,6 @@ def characteristic_roots(kernel: Kernel) -> SpectralReport:
 
 def kappa(kernel: Kernel, lam: float) -> float:
     """Weighted kernel sum kappa(lam) = sum_{l<M} k(l) lam^(l+1)."""
-    if kernel.size == 0:
-        return 0.0
     lam = float(lam)
     powers = lam ** (np.arange(kernel.size) + 1)
     return float(np.dot(kernel.coefficients, powers))
@@ -188,13 +186,10 @@ class RhoResult:
 def rho_of_lambda(kernel: Kernel, lam: float, horizon: int) -> RhoResult:
     """Partial sums of the geometric-weighted resolvent series.
 
-    partial_sums(n) = sum_{j<=n} r(j) lam^j; the limit is multiplier_L.
+    partial_sums(n) = sum_{j<=n} r(j) lam^j, the running sum of the
+    resolvent of ``kernel.at_scale(lam)``; the limit is multiplier_L.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise InputError(f"lambda must lie in [0, 1], got {lam!r}")
-    r = resolvent(kernel, horizon)
-    weights = r.values * lam ** np.arange(horizon + 1)
-    sums = Trajectory(np.cumsum(weights), start=0)
+    sums = Trajectory(np.cumsum(resolvent(kernel.at_scale(lam), horizon).values), start=0)
     limit = multiplier_L(kernel, lam)
     gap = abs(float(sums.values[-1]) - limit)
     return RhoResult(partial_sums=sums, limit=limit, gap=gap)

@@ -751,19 +751,22 @@ def ensemble_verify(system: EnsembleSpec, paths: int, statistic: StatisticSpec) 
     Path p draws from the stream spawned for (master seed, p); aggregation
     is order independent and the per-path list is reported sorted.  The
     spec is checked once, before any path runs: a statistic that needs a
-    missing scaling model, a horizon that is not an integer >= 1 and a
-    non-finite start each raise ``InputError``.  Plain-domain paths are
-    solved in groups, as the rows of one array; log-domain paths one at a
-    time.  A path's statistic is bitwise reproducible for the same spec,
-    seed and path count under the same BLAS and thread count; its solution
-    is within the block engine's 1e-12 scaled gap of the same path solved
-    alone.
+    missing scaling model, a horizon that is not an integer >= 1, a
+    non-finite start and, in the plain domain, a deterministic or modulated
+    forcing past double range each raise ``InputError``.  Plain-domain
+    paths are solved in groups, as the rows of one array; log-domain paths
+    one at a time.  A path's statistic is bitwise reproducible for the same
+    spec, seed and path count under the same BLAS and thread count; its
+    solution is within the block engine's 1e-12 scaled gap of the same path
+    solved alone.
     """
     if paths < 1:
         raise InputError("need at least one path")
     if statistic.name in ("limsup_ratio", "cesaro_limit") and system.scaling is None:
         raise InputError(f"{statistic.name} needs a scaling model")
     horizon = _solve_horizon(system.horizon, system.xi)
+    if not system.log_domain and system.forcing.kind in ("deterministic", "modulated"):
+        _forcing_body(system.forcing, horizon, False, _rng_for(system.forcing))
     rngs = [np.random.Generator(np.random.Philox(child))
             for child in np.random.SeedSequence(system.forcing.seed).spawn(paths)]
     if system.log_domain:

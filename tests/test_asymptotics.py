@@ -14,14 +14,20 @@ from volterra_lab.asymptotics import (
     phi_average_bounds,
     predict_H_over_a,
     predict_x_over_a,
+    residual_tail_sup,
     scaled_convolution,
     time_average,
     verify_growth2,
 )
-from volterra_lab.core import Kernel, solve_linear
-from volterra_lab.exceptions import InputError, ParameterError, UndefinedRatioError
+from volterra_lab.core import Kernel, resolvent, solve_linear
+from volterra_lab.exceptions import (
+    InputError,
+    ParameterError,
+    TrajectoryOverflowError,
+    UndefinedRatioError,
+)
 from volterra_lab.growth_catalogue import catalogue_entry
-from volterra_lab.series import LogTrajectory, Trajectory
+from volterra_lab.series import LogTrajectory, Trajectory, dyadic_blocks, ratio_series
 from volterra_lab.stochastic import ForcingGenerator, generate
 
 
@@ -195,11 +201,66 @@ class TestVerifyGrowth2:
             verify_growth2(Kernel([0.5]), H)
 
 
+def convolution_x_over_a(kernel, lam, g):
+    """The representation by its defining O(N^2) convolution with r(j) lam^j."""
+    n = len(g)
+    weights = resolvent(kernel, n - 1).values * lam ** np.arange(n)
+    return np.convolve(weights, g.values)[:n]
+
+
+def convolution_H_over_a(kernel, lam, g):
+    """The recovery by its defining convolution with 1, -k(j) lam^(j+1)."""
+    n = len(g)
+    weights = np.zeros(min(kernel.size + 1, n))
+    weights[0] = 1.0
+    m = len(weights) - 1
+    weights[1:] = -kernel.coefficients[:m] * lam ** (np.arange(m) + 1)
+    return np.convolve(weights, g.values)[:n]
+
+
+def scaled_gap(x, ref):
+    return float(np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), 1.0))
+
+
+# (kernel, lam): summable, marginal (sum k = 1 at lam = 1), signed and long
+REPRESENTATION_CASES = {
+    "geometric-M40": (Kernel.geometric(0.3, 0.5, 40), 0.5),
+    "marginal": (Kernel([0.5, 0.5]), 1.0),
+    "signed": (Kernel([0.9, -0.3, 0.2]), 0.8),
+    "geometric-M300": (Kernel.geometric(0.004, 0.99, 300), 0.9),
+}
+
+
+def bounded_factor(horizon, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = np.arange(horizon + 1, dtype=float)
+    return traj(1.0 + 0.5 * np.sin(2 * np.pi * n / 13.0) + 0.1 * rng.standard_normal(len(n)),
+                start=1)
+
+
 class TestPredictions:
+    @pytest.mark.parametrize("kernel,lam", REPRESENTATION_CASES.values(),
+                             ids=REPRESENTATION_CASES.keys())
+    @pytest.mark.parametrize("horizon", [300, 700])
+    def test_solve_matches_convolution_formula(self, kernel, lam, horizon):
+        # both cross the 256-step block boundary, 700 also the second one
+        g = bounded_factor(horizon, seed=horizon)
+        out = predict_x_over_a(kernel, lam, g)
+        assert out.start == g.start
+        assert scaled_gap(out.values, convolution_x_over_a(kernel, lam, g)) <= 1e-14
+        rec = predict_H_over_a(kernel, lam, g)
+        assert rec.start == g.start
+        assert scaled_gap(rec.values, convolution_H_over_a(kernel, lam, g)) <= 1e-14
+
     def test_lambda_zero_returns_input(self):
-        lam_H = traj(np.sin(np.arange(50.0)))
-        out = predict_x_over_a(Kernel([0.5]), 0.0, lam_H)
-        assert np.allclose(out.values, lam_H.values)
+        lam_H = traj(np.sin(np.arange(700.0)), start=3)
+        for kernel, _ in REPRESENTATION_CASES.values():
+            out = predict_x_over_a(kernel, 0.0, lam_H)
+            assert out.start == 3 and np.array_equal(out.values, lam_H.values)
+
+    def test_non_summable_kernel_at_lambda_one_overflows(self):
+        with pytest.raises(TrajectoryOverflowError):
+            predict_x_over_a(Kernel([2.0]), 1.0, traj(np.ones(2000)))
 
     def test_constant_factor_partial_sums(self):
         k = Kernel([0.5])
@@ -248,8 +309,6 @@ class TestGrowth3ResidualDecay:
         if H.start > 1:
             H = traj(np.concatenate([np.zeros(H.start - 1), H.values]), start=1)
         x = solve_linear(k, H, 1.0, horizon)
-        from volterra_lab.series import dyadic_blocks, ratio_series
-
         lam_x = ratio_series(x, scale.a)
         lam_H = ratio_series(H, scale.a)
         pred = predict_x_over_a(k, scale.lam, lam_H)
@@ -258,6 +317,24 @@ class TestGrowth3ResidualDecay:
         blocks = dyadic_blocks(lo, lam_x.end)
         sups = [max(np.max(diff[blo - lo : bhi - lo + 1]), 1e-13) for blo, bhi in blocks]
         assert sups[-1] <= sups[-2] <= sups[-3]
+
+    def test_representation_residual_at_a_million_steps(self):
+        # the blocked solve takes the representation to 1e6 steps in well
+        # under a second; its tail residual falls about 10x from 1e5
+        k = Kernel.geometric(0.3, 0.5, 20)
+
+        def tail_residual(horizon):
+            scale = ScalingModel.from_catalogue("power", horizon, theta=1.5)
+            idx = scale.a.indices().astype(float)
+            H = Trajectory((1.0 + 0.5 * np.sin(2 * np.pi * idx / 13.0)) * scale.a.values,
+                           start=scale.a.start)
+            x = solve_linear(k, H, 1.0, horizon)
+            pred = predict_x_over_a(k, scale.lam, ratio_series(H, scale.a))
+            return residual_tail_sup(ratio_series(x, scale.a), pred)
+
+        big = tail_residual(10**6)
+        assert big < 1e-4
+        assert big <= tail_residual(10**5) / 5
 
 
 class TestConvolutionBound:

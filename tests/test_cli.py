@@ -381,6 +381,28 @@ class TestCommandLine:
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_exit_one_on_unwritable_output_directory(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, {
+            "horizon": 64,
+            "kernel": {"name": "zero"},
+            "forcing": {"kind": "deterministic", "name": "power", "params": {"theta": 1.0}},
+        })
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        code = main(["solve", "--config", str(path), "--out", str(blocker / "sub")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+    def test_exit_one_on_deterministic_ensemble_forcing_past_double_range(self, tmp_path,
+                                                                          capsys):
+        data = dict(_ENSEMBLE, horizon=1100, paths=4,
+                    forcing={"kind": "deterministic", "name": "geometric",
+                             "params": {"lam": 0.5}})
+        code = main(["ensemble", "--config", str(self._write_config(tmp_path, data)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "run with log_domain=True" in capsys.readouterr().err
+
     def test_exit_one_on_config_error(self, tmp_path, capsys):
         path = self._write_config(tmp_path, {"horizon": 5})
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])

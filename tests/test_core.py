@@ -89,6 +89,22 @@ class TestKernel:
         assert a._block_state is not None
         assert a == b and hash(a) == before == hash(b)
 
+    @pytest.mark.parametrize("kernel", [
+        Kernel.geometric(0.3, 0.5, 40), Kernel([0.5, 0.5]), Kernel([0.9, -0.3, 0.2]),
+        Kernel.geometric(0.004, 0.99, 300),
+    ], ids=["geometric-M40", "marginal", "signed", "geometric-M300"])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.7, 1.0])
+    def test_at_scale_resolvent_is_the_weighted_resolvent(self, kernel, lam):
+        weighted = resolvent(kernel, 600).values * lam ** np.arange(601)
+        scaled = kernel.at_scale(lam)
+        assert scaled.tail_bound == kernel.tail_bound
+        assert scaled_gap(resolvent(scaled, 600).values, weighted) <= 1e-15
+
+    @pytest.mark.parametrize("lam", [-0.1, 1 + 1e-15, math.nan])
+    def test_at_scale_rejects_lambda_outside_unit_interval(self, lam):
+        with pytest.raises(InputError, match=r"lambda must lie in \[0, 1\]"):
+            Kernel([0.5]).at_scale(lam)
+
     def test_ensemble_specs_compare(self):
         def spec(kernel):
             return EnsembleSpec(kernel=kernel, forcing=ForcingGenerator(kind="iid", seed=3),

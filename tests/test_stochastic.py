@@ -390,6 +390,22 @@ class TestEnsembles:
         assert res.pass_fraction == 0.0
         assert all(math.isnan(v) for v in res.per_path)
 
+    @pytest.mark.parametrize("forcing", [
+        ForcingGenerator(kind="deterministic", name="geometric", params={"lam": 0.5}),
+        ForcingGenerator(kind="modulated", base={"name": "geometric", "params": {"lam": 0.5}},
+                         factor={"kind": "iid_uniform", "low": 0.5, "high": 1.5}),
+    ], ids=["deterministic", "modulated"])
+    def test_deterministic_part_past_double_range_is_an_input_error(self, forcing):
+        # 2^n leaves double range before n = 1100 on every path alike: the
+        # spec is the mistake, not a path, so no path runs
+        spec = EnsembleSpec(kernel=Kernel([0.5]), forcing=forcing, horizon=1100)
+        stat = StatisticSpec(name="log_growth_rate", band=(0.6, 0.8))
+        with pytest.raises(InputError, match="run with log_domain=True"):
+            ensemble_verify(spec, 4, stat)
+        logged = ensemble_verify(EnsembleSpec(kernel=Kernel([0.5]), forcing=forcing,
+                                              horizon=1100, log_domain=True), 4, stat)
+        assert logged.failures == 0 and logged.pass_fraction == 1.0
+
     def test_band_validation(self):
         with pytest.raises(ParameterError):
             StatisticSpec(name="phi_average", band=(2.0, 1.0))
