@@ -1,4 +1,4 @@
-"""Experiment orchestration: config in, verdicts plus plot-ready CSVs out.
+"""Experiment orchestration: config in, verdicts plus ``.npy`` evidence out.
 
 Usage:
 
@@ -433,46 +433,38 @@ _HANDLERS = {
 # runner
 # --------------------------------------------------------------------------
 
+# one evidence file: the documented ``n,value`` layout as field names
+_SERIES_DTYPE = np.dtype([("n", "<i8"), ("value", "<f8")])
+
+
 def _write_series(out_dir: Path, name: str, series) -> dict:
-    """One CSV per named series, header ``n,value``.
+    """One ``.npy`` file per named series, a ``_SERIES_DTYPE`` array.
 
     Log-form trajectories are exported as two named series, sign and log
-    magnitude, so the ``n,value`` contract holds for every file.
+    magnitude, so the ``n,value`` contract holds for every file.  Values
+    are stored bit for bit, signed zeros and non-finite values included.
     """
-    written = {}
     if isinstance(series, LogTrajectory):
-        for suffix, values in (("sign", series.sign), ("logabs", series.log_abs)):
-            fname = f"{name}_{suffix}.csv"
-            _dump_csv(out_dir / fname, series.indices(), values)
-            written[f"{name}_{suffix}"] = fname
-        return written
-    fname = f"{name}.csv"
-    _dump_csv(out_dir / fname, series.indices(), series.values)
-    written[name] = fname
+        columns = {f"{name}_sign": series.sign, f"{name}_logabs": series.log_abs}
+    else:
+        columns = {name: series.values}
+    n = series.indices()
+    written = {}
+    for key, values in columns.items():
+        rows = np.empty(len(n), dtype=_SERIES_DTYPE)
+        rows["n"] = n
+        rows["value"] = values
+        written[key] = f"{key}.npy"
+        np.save(out_dir / written[key], rows, allow_pickle=False)
     return written
-
-
-# rows formatted and written per call; whole files at once would cost memory
-_CSV_ROWS = 4096
-
-
-def _dump_csv(path: Path, indices, values) -> None:
-    """Rows ``n,repr(float(value))`` under the header ``n,value``."""
-    indices = np.asarray(indices)
-    values = np.asarray(values, dtype=np.float64)
-    with open(path, "w") as fh:
-        fh.write("n,value\n")
-        for lo in range(0, len(values), _CSV_ROWS):
-            rows = zip(indices[lo : lo + _CSV_ROWS].tolist(),
-                       values[lo : lo + _CSV_ROWS].tolist())
-            fh.write("".join([f"{n},{v!r}\n" for n, v in rows]))
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> Report:
     """Dispatch one validated config and assemble its report.
 
-    CSV series are written only when ``out_dir`` is given; the report's
-    ``series`` section maps series names to the files written.
+    Evidence series are written as ``.npy`` files only when ``out_dir`` is
+    given; the report's ``series`` section maps series names to the files
+    written.
     """
     started = time.perf_counter()
     verdicts, statistics, series = _HANDLERS[config.mode](config)

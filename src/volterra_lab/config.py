@@ -54,6 +54,9 @@ _MODES = {
                          {"final_block_max": 1e-3, "representation_residual": 1e-3}),
 }
 MODES = tuple(_MODES)
+# modes that check x/a against its representation, which needs the ratio
+# series on two indices or more; a scale with a(0) = 0 starts it at n = 1
+_REPRESENTATION_MODES = ("verify-growth3", "verify-periodic", "verify-nonlinear")
 
 _SCALARS = {
     "mode", "horizon", "seed", "xi", "log_domain", "k_grid", "paths", "period_hint",
@@ -292,7 +295,8 @@ class ExperimentConfig:
         data = {"mode": mode}
         for key in ("horizon", "paths"):
             if key in raw:
-                data[key] = _int(raw, key, "config", minimum=1)
+                minimum = 2 if key == "horizon" and mode in _REPRESENTATION_MODES else 1
+                data[key] = _int(raw, key, "config", minimum=minimum)
         data["seed"] = _int(raw, "seed", "config", 0)
         data["xi"] = _float(raw, "xi", "config", 1.0)
         data["log_domain"] = _field(raw, "log_domain", "config", False)
@@ -347,9 +351,9 @@ class Report:
     """Machine-readable outcome of one experiment run.
 
     ``verdicts`` holds every declared check as a named boolean, and each
-    verdict's evidence lives in ``statistics`` or in the CSV series listed
-    in ``series``.  Re-running the echoed config reproduces all statistics
-    bitwise; the wall clock is informational only.
+    verdict's evidence lives in ``statistics`` or in the ``.npy`` series
+    files listed in ``series``.  Re-running the echoed config reproduces
+    all statistics bitwise; the wall clock is informational only.
     """
 
     mode: str

@@ -20,6 +20,14 @@ def cfg(**kwargs):
     return ExperimentConfig.from_dict(kwargs)
 
 
+def load_series(path):
+    """One evidence file, checked against the documented record layout."""
+    rows = np.load(path, allow_pickle=False)
+    assert rows.dtype == np.dtype([("n", "<i8"), ("value", "<f8")])
+    assert rows.ndim == 1
+    return rows
+
+
 _ENSEMBLE = {
     "horizon": 50, "paths": 2,
     "kernel": {"coefficients": [0.5]},
@@ -171,10 +179,9 @@ class TestModes:
         )
         report = run_experiment(config, out_dir=tmp_path)
         assert report.passed
-        rows = (tmp_path / "x.csv").read_text().strip().splitlines()
-        assert rows[0] == "n,value"
-        values = [float(r.split(",")[1]) for r in rows[1:]]
-        assert values == [7.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        rows = load_series(tmp_path / "x.npy")
+        assert rows["n"].tolist() == [0, 1, 2, 3, 4, 5]
+        assert rows["value"].tolist() == [7.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_solve_log_domain_splits_series_files(self, tmp_path):
         config = cfg(
@@ -183,8 +190,8 @@ class TestModes:
             forcing={"kind": "deterministic", "name": "geometric", "params": {"lam": 0.5}},
         )
         report = run_experiment(config, out_dir=tmp_path)
-        assert (tmp_path / "x_sign.csv").exists()
-        assert (tmp_path / "x_logabs.csv").exists()
+        assert (tmp_path / "x_sign.npy").exists()
+        assert (tmp_path / "x_logabs.npy").exists()
         # doubling forcing: log|x(N)| grows like N log 2
         assert abs(report.statistics["final_log_abs"] / 5000 - math.log(2.0)) < 1e-3
         assert report.statistics["final_sign"] == 1.0
@@ -212,7 +219,7 @@ class TestModes:
         ), out_dir=tmp_path)
         assert report.verdicts["residual_within_tolerance"]
         assert abs(report.statistics["L_theory"] - 1.25) < 1e-12
-        assert (tmp_path / "ratio_x_over_H.csv").exists()
+        assert (tmp_path / "ratio_x_over_H.npy").exists()
 
     def test_verify_growth3_modulated_exponential(self):
         report = run_experiment(cfg(
@@ -293,7 +300,7 @@ class TestModes:
         ), out_dir=tmp_path)
         assert report.passed
         assert report.statistics["crossing"] is not None
-        assert (tmp_path / "partial_sums_K_0.8.csv").exists()
+        assert (tmp_path / "partial_sums_K_0.8.npy").exists()
 
     def test_verify_nonlinear_sublinear_map_skips_decay_checks(self):
         # depreciation makes f(x)/x -> 0.9, so |x-y|/a does not vanish and
@@ -402,6 +409,23 @@ class TestCommandLine:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "run with log_domain=True" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["verify-growth3", "verify-periodic", "verify-nonlinear"])
+    def test_representation_modes_need_two_indices(self, mode, tmp_path, capsys):
+        # a power scale has a(0) = 0, so x/a starts at n = 1
+        data = {"kernel": {"coefficients": [0.5]},
+                "forcing": {"kind": "deterministic", "name": "power", "params": {"theta": 1.0}},
+                "scaling": {"name": "power", "params": {"theta": 1.0}}}
+        if mode == "verify-nonlinear":
+            data["nonlinearity"] = {"name": "bounded_offset"}
+        config = self._write_config(tmp_path, dict(data, horizon=1))
+        assert main([mode, "--config", str(config), "--out", str(tmp_path / "one")]) == 1
+        assert capsys.readouterr().err.startswith("config error: config.horizon: must be >= 2")
+        config = self._write_config(tmp_path, dict(data, horizon=2))
+        assert main([mode, "--config", str(config), "--out", str(tmp_path / "two")]) in (0, 2)
+        report = json.loads((tmp_path / "two" / "report.json").read_text())
+        for fname in report["series"].values():
+            assert len(load_series(tmp_path / "two" / fname)) >= 1
 
     def test_exit_one_on_config_error(self, tmp_path, capsys):
         path = self._write_config(tmp_path, {"horizon": 5})
@@ -609,7 +633,7 @@ class TestReportSerialization:
         for name, value in parsed["verdicts"].items():
             assert isinstance(value, bool), name
         for fname in parsed["series"].values():
-            assert (tmp_path / fname).exists()
+            load_series(tmp_path / fname)
 
     @pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
     def test_every_mode_is_bitwise_reproducible(self, mode, tmp_path, capsys):
@@ -624,7 +648,7 @@ class TestReportSerialization:
             report = json.loads(text)
             wall = f'"wall_clock_s": {json.dumps(report["wall_clock_s"])}'
             assert text.count(wall) == 1
-            files = sorted((tmp_path / name).glob("*.csv"))
+            files = sorted((tmp_path / name).glob("*.npy"))
             assert [f.name for f in files] == sorted(report["series"].values())
             runs.append((code, text.replace(wall, ""), {f.name: f.read_bytes() for f in files}))
         capsys.readouterr()
@@ -633,42 +657,48 @@ class TestReportSerialization:
 
 
 # --------------------------------------------------------------------------
-# chunked CSV writer against the row-at-a-time writer it replaced
+# evidence files: np.load gives back the written series bit for bit
 # --------------------------------------------------------------------------
 
-def row_at_a_time_csv(path, indices, values):
-    with open(path, "w") as fh:
-        fh.write("n,value\n")
-        for n, v in zip(indices, values):
-            fh.write(f"{int(n)},{float(v)!r}\n")
+class RawSeries:
+    """A plain series with any float values; ``Trajectory`` refuses non-finite ones."""
+
+    def __init__(self, values, start=3):
+        self.values = np.array(values, dtype=float)
+        self.start = start
+
+    def indices(self):
+        return np.arange(self.start, self.start + len(self.values))
 
 
-CSV_SPECIALS = [-0.0, 5e-324, 1e-5, 1e16, np.inf, -np.inf, np.nan, 0.1]
-CSV_ROWS = cli._CSV_ROWS
+# signed zero, subnormal, non-finite and a NaN with a payload and sign bit
+SPECIALS = np.concatenate((
+    [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, np.inf, -np.inf, np.nan, 0.1],
+    np.array([0xFFF8_0000_0000_0001], dtype=np.uint64).view(np.float64),
+))
 
 
-class TestCsvWriter:
-    @pytest.mark.parametrize("values", [
-        CSV_SPECIALS, [], [0.1],
-        np.resize(CSV_SPECIALS, CSV_ROWS - 1),
-        np.resize(CSV_SPECIALS, CSV_ROWS),
-        np.resize(CSV_SPECIALS, CSV_ROWS + 1),
-    ], ids=["specials", "empty", "one-row", "chunk-1", "chunk", "chunk+1"])
-    def test_bytes_equal_row_at_a_time(self, tmp_path, values):
-        # Trajectory refuses non-finite values, so this writes the CSV directly
-        values = np.array(values, dtype=float)
-        indices = np.arange(3, 3 + len(values))
-        cli._dump_csv(tmp_path / "x.csv", indices, values)
-        row_at_a_time_csv(tmp_path / "ref.csv", indices, values)
-        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+def assert_bitwise_series(path, indices, values):
+    rows = load_series(path)
+    assert np.array_equal(rows["n"], indices)
+    assert np.array_equal(rows["value"].view(np.int64),
+                          np.asarray(values, dtype=np.float64).view(np.int64))
+
+
+class TestSeriesFiles:
+    @pytest.mark.parametrize("values", [SPECIALS, [], [0.1], np.resize(SPECIALS, 10_001)],
+                             ids=["specials", "empty", "one-row", "long"])
+    def test_round_trip_is_bitwise(self, tmp_path, values):
+        series = RawSeries(values)
+        assert cli._write_series(tmp_path, "x", series) == {"x": "x.npy"}
+        assert_bitwise_series(tmp_path / "x.npy", series.indices(), series.values)
 
     def test_log_form_series(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(18))
-        la = np.concatenate(([-np.inf], rng.normal(scale=300.0, size=CSV_ROWS + 5)))
-        sg = np.concatenate(([0.0], rng.choice([-1.0, 1.0], CSV_ROWS + 5)))
-        series = LogTrajectory(la, sg)
+        la = np.concatenate(([-np.inf], rng.normal(scale=300.0, size=5000)))
+        sg = np.concatenate(([0.0], rng.choice([-1.0, 1.0], 5000)))
+        series = LogTrajectory(la, sg, start=5)
         written = cli._write_series(tmp_path, "x", series)
-        assert written == {"x_sign": "x_sign.csv", "x_logabs": "x_logabs.csv"}
-        for suffix, values in (("sign", series.sign), ("logabs", series.log_abs)):
-            row_at_a_time_csv(tmp_path / "ref.csv", series.indices(), values)
-            assert (tmp_path / f"x_{suffix}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert written == {"x_sign": "x_sign.npy", "x_logabs": "x_logabs.npy"}
+        assert_bitwise_series(tmp_path / "x_sign.npy", series.indices(), series.sign)
+        assert_bitwise_series(tmp_path / "x_logabs.npy", series.indices(), series.log_abs)
