@@ -143,11 +143,22 @@ def estimate_lambda(g):
 
 @dataclass(frozen=True)
 class LimsupThresholds:
-    """Classification thresholds; all three are heuristics and overridable."""
+    """Classification thresholds; all three are heuristics and overridable.
+
+    The two fractions lie in [0, 1) and the growth factor is at least 1;
+    anything else raises ``ParameterError``.
+    """
 
     burn_in_fraction: float = 0.25
     zero_peak_ratio: float = 1e-3
     growth_factor: float = 2.0
+
+    def __post_init__(self):
+        for name in ("burn_in_fraction", "zero_peak_ratio"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ParameterError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if not self.growth_factor >= 1.0:
+            raise ParameterError(f"growth_factor must be >= 1, got {self.growth_factor!r}")
 
 
 @dataclass(frozen=True)
@@ -217,19 +228,19 @@ class Growth2Result:
     ratio: Trajectory
 
 
-def verify_growth2(kernel: Kernel, forcing, xi: float = 1.0, horizon: int = None,
-                   scale: ScalingModel = None, log_domain: bool = None) -> Growth2Result:
+def verify_growth2(kernel: Kernel, x, forcing, scale: ScalingModel = None) -> Growth2Result:
     """Compare the tail ratio x(n)/H(n) against the multiplier constant.
+
+    ``x`` is the solved path of the recursion driven by ``forcing``, plain
+    or log form, and ``x.end`` is the horizon: the prefixes
+    ``x.window(0, n)`` and ``forcing.window(0, n)`` check the statement at
+    horizon n without a new solve.
 
     The ratio limit lam is taken from ``scale`` when one is supplied and
     estimated from the forcing tail otherwise.  The empirical constant is
     the mean of x/H over the tail window.
     """
-    if horizon is None:
-        horizon = forcing.end
-    if log_domain is None:
-        log_domain = isinstance(forcing, LogTrajectory)
-    x = solve_linear(kernel, forcing, xi, horizon, log_domain=log_domain)
+    horizon = x.end
     lam_hat, converged = estimate_lambda(forcing)
     if not converged:
         logger.warning(

@@ -59,15 +59,24 @@ logger = logging.getLogger(__name__)
 # --------------------------------------------------------------------------
 
 def _solve_system(cfg: ExperimentConfig):
+    """The config's forcing and its linear solve: ``(kernel, forcing, x)``.
+
+    The one place a single-path mode generates forcing or solves; ``x`` is
+    None when the config has no kernel.  Under ``log_domain`` the forcing
+    is a LogTrajectory, and ``solve_linear`` then solves in log form.
+    """
     horizon = cfg["horizon"]
-    log_domain = cfg["log_domain"]
-    forcing = generate(cfg.forcing, horizon, log_domain=log_domain)
-    x = solve_linear(cfg.kernel, forcing, cfg["xi"], horizon, log_domain=log_domain)
-    return cfg.kernel, forcing, x
+    forcing = generate(cfg.forcing, horizon, log_domain=cfg["log_domain"])
+    if cfg.kernel is None:
+        return None, forcing, None
+    return cfg.kernel, forcing, solve_linear(cfg.kernel, forcing, cfg["xi"], horizon)
 
 
-def _scale(cfg: ExperimentConfig, log_domain: bool) -> ScalingModel:
-    return ScalingModel.from_entry(cfg.scaling, cfg["horizon"], log_domain=log_domain)
+def _scale(cfg: ExperimentConfig):
+    """The scaling model at the config's horizon and arithmetic; None without one."""
+    if cfg.scaling is None:
+        return None
+    return ScalingModel.from_entry(cfg.scaling, cfg["horizon"], log_domain=cfg["log_domain"])
 
 
 # --------------------------------------------------------------------------
@@ -110,10 +119,8 @@ def _mode_spectrum(cfg):
 
 
 def _mode_classify(cfg):
-    horizon = cfg["horizon"]
-    log_domain = cfg["log_domain"]
-    forcing = generate(cfg.forcing, horizon, log_domain=log_domain)
-    scale = _scale(cfg, log_domain)
+    _, forcing, x = _solve_system(cfg)
+    scale = _scale(cfg)
     lam_hat, converged = estimate_lambda(forcing)
     est = estimate_limsup(forcing, scale, cfg.thresholds)
     stats = {
@@ -124,8 +131,7 @@ def _mode_classify(cfg):
         "block_maxima": [float(v) for v in est.block_maxima],
     }
     series = {"forcing": forcing}
-    if cfg.kernel is not None:
-        x = solve_linear(cfg.kernel, forcing, cfg["xi"], horizon, log_domain=log_domain)
+    if x is not None:
         est_x = estimate_limsup(x, scale, cfg.thresholds)
         stats["solution_limsup"] = est_x.value
         stats["solution_classification"] = est_x.classification
@@ -134,13 +140,8 @@ def _mode_classify(cfg):
 
 
 def _mode_verify_growth2(cfg):
-    horizon = cfg["horizon"]
-    log_domain = cfg["log_domain"]
-    forcing = generate(cfg.forcing, horizon, log_domain=log_domain)
-    scale = _scale(cfg, log_domain) if cfg.scaling is not None else None
-    result = verify_growth2(
-        cfg.kernel, forcing, xi=cfg["xi"], horizon=horizon, scale=scale, log_domain=log_domain
-    )
+    kernel, forcing, x = _solve_system(cfg)
+    result = verify_growth2(kernel, x, forcing, scale=_scale(cfg))
     tol = cfg["tolerances"]["residual"]
     verdicts = {"residual_within_tolerance": bool(result.residual < tol)}
     stats = {
@@ -158,7 +159,7 @@ def _mode_verify_growth2(cfg):
 
 def _mode_verify_growth3(cfg):
     kernel, forcing, x = _solve_system(cfg)
-    scale = _scale(cfg, cfg["log_domain"])
+    scale = _scale(cfg)
     lam_H = ratio_series(forcing, scale.a)
     lam_x = ratio_series(x, scale.a)
     predicted_x = predict_x_over_a(kernel, scale.lam, lam_H)
@@ -192,7 +193,7 @@ def _mode_verify_growth3(cfg):
 
 def _mode_verify_periodic(cfg):
     kernel, forcing, x = _solve_system(cfg)
-    scale = _scale(cfg, cfg["log_domain"])
+    scale = _scale(cfg)
     lam_H = ratio_series(forcing, scale.a)
     lam_x = ratio_series(x, scale.a)
     hint = cfg.get("period_hint")
@@ -230,7 +231,7 @@ def _mode_verify_periodic(cfg):
 
 def _mode_verify_ergodic(cfg):
     kernel, forcing, x = _solve_system(cfg)
-    scale = _scale(cfg, cfg["log_domain"])
+    scale = _scale(cfg)
     spectrum = characteristic_roots(kernel)
     if not spectrum.summable:
         logger.warning("kernel resolvent verdict is %s; the time-average limit may not exist",
@@ -255,7 +256,7 @@ def _mode_verify_ergodic(cfg):
 
 def _mode_verify_fluct(cfg):
     kernel, forcing, x = _solve_system(cfg)
-    scale = _scale(cfg, cfg["log_domain"])
+    scale = _scale(cfg)
     est_H = estimate_limsup(forcing, scale, cfg.thresholds)
     est_x = estimate_limsup(x, scale, cfg.thresholds)
     r = resolvent(kernel, cfg["horizon"])
@@ -307,7 +308,7 @@ def _mode_verify_phi(cfg):
 
 
 def _mode_envelope(cfg):
-    scale = _scale(cfg, log_domain=False)
+    scale = _scale(cfg)
     report = envelope_sums(cfg.tail, scale.a, cfg["k_grid"])
     verdicts = {"crossing_bracketed": report.crossing is not None}
     expected = cfg.get("expected_crossing")
@@ -341,7 +342,7 @@ def _mode_ensemble(cfg):
         horizon=cfg["horizon"],
         xi=cfg["xi"],
         log_domain=cfg["log_domain"],
-        scaling=_scale(cfg, cfg["log_domain"]) if cfg.scaling is not None else None,
+        scaling=_scale(cfg),
         thresholds=cfg.thresholds,
     )
     statistic = cfg.statistic
@@ -367,14 +368,11 @@ def _mode_ensemble(cfg):
 
 
 def _mode_verify_nonlinear(cfg):
-    kernel = cfg.kernel
-    horizon = cfg["horizon"]
-    forcing = generate(cfg.forcing, horizon, log_domain=False)
+    kernel, forcing, y = _solve_system(cfg)
     f = cfg.nonlinearity
     f.validate()
-    scale = _scale(cfg, log_domain=False)
-    x_nl = solve_nonlinear(kernel, f, forcing, cfg["xi"], horizon)
-    y = solve_linear(kernel, forcing, cfg["xi"], horizon)
+    scale = _scale(cfg)
+    x_nl = solve_nonlinear(kernel, f, forcing, cfg["xi"], cfg["horizon"])
     diff = Trajectory(np.abs(x_nl.values - y.values), start=0)
     diff_ratio = ratio_series(diff, scale.a)
     maxima = [float(v) for v in estimate_limsup(diff, scale, cfg.thresholds).block_maxima]

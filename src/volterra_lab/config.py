@@ -57,6 +57,8 @@ MODES = tuple(_MODES)
 # modes that check x/a against its representation, which needs the ratio
 # series on two indices or more; a scale with a(0) = 0 starts it at n = 1
 _REPRESENTATION_MODES = ("verify-growth3", "verify-periodic", "verify-nonlinear")
+# modes with no log-form path: their arithmetic is plain doubles only
+_PLAIN_MODES = ("spectrum", "envelope", "verify-nonlinear")
 
 _SCALARS = {
     "mode", "horizon", "seed", "xi", "log_domain", "k_grid", "paths", "period_hint",
@@ -250,7 +252,7 @@ def _tolerances(spec, path, top):
 def _thresholds(spec, path, top):
     keys = {"burn_in_fraction", "zero_peak_ratio", "growth_factor"}
     out = {key: _float(spec, key, path) for key in _object(spec, path, keys)}
-    return out, LimsupThresholds(**out)
+    return out, _build(path, LimsupThresholds, **out)
 
 
 _SECTIONS = {
@@ -302,6 +304,8 @@ class ExperimentConfig:
         data["log_domain"] = _field(raw, "log_domain", "config", False)
         if not isinstance(data["log_domain"], bool):
             raise ConfigError("config.log_domain", "expected true or false")
+        if data["log_domain"] and mode in _PLAIN_MODES:
+            raise ConfigError("config.log_domain", f"mode {mode!r} runs in plain doubles only")
         defaults = {"tolerances": {}, "thresholds": {}}
         if mode == "verify-phi":
             defaults["phi"] = {"name": "power", "params": {"p": 2.0}}

@@ -109,7 +109,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -238,9 +238,6 @@ class Nonlinearity:
     fn: callable
     linear_at_infinity: bool = True
     ratio_limit: float = 1.0
-    params: dict = field(default_factory=dict)
-
-    __hash__ = None  # compares by value, but ``params`` is a dict
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -285,7 +282,6 @@ def _solow(delta=0.1, s=0.2):
         fn,
         linear_at_infinity=(delta == 0.0),
         ratio_limit=1.0 - delta,
-        params={"delta": delta, "s": s},
     )
 
 

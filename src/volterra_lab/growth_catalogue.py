@@ -29,12 +29,10 @@ __all__ = ["CatalogueEntry", "catalogue_entry", "catalogue_names"]
 @dataclass(frozen=True)
 class CatalogueEntry:
     name: str
-    alias: str
     log_fn: callable          # (np.ndarray of indices) -> log values
     ratio_limit: float        # lim value(n-1)/value(n)
     min_index: int
     monotone: bool
-    params: dict
     plain_fn: callable = None  # exact plain values where exp(log) loses bits
 
     def sequence(self, lo, hi, log_domain):
@@ -97,11 +95,10 @@ def _entry_log_power_product(betas=(1.0,), scale=1.0):
     log_fn = _log_power_product(betas)
     s = _check_scale(scale)
     return CatalogueEntry(
-        "log_power_product", "H1",
+        "log_power_product",
         lambda n: log_fn(n) + math.log(s),
         ratio_limit=1.0, min_index=1,
         monotone=all(float(b) >= 0 for b in betas),
-        params={"betas": list(betas), "scale": s},
     )
 
 
@@ -126,8 +123,7 @@ def _entry_power_log_product(theta=1.0, betas=(), scale=1.0):
         return out
 
     return CatalogueEntry(
-        "power_log_product", "H2", log_fn, ratio_limit=1.0, min_index=1,
-        monotone=not betas, params={"theta": theta, "betas": list(betas), "scale": s},
+        "power_log_product", log_fn, ratio_limit=1.0, min_index=1, monotone=not betas,
     )
 
 
@@ -137,10 +133,9 @@ def _entry_power(theta=1.0, scale=1.0):
         raise ParameterError("power exponent theta must be positive")
     s = _check_scale(scale)
     return CatalogueEntry(
-        "power", "H3",
+        "power",
         lambda n: theta * np.log(np.asarray(n, dtype=np.float64)) + math.log(s),
         ratio_limit=1.0, min_index=1, monotone=True,
-        params={"theta": theta, "scale": s},
         plain_fn=lambda n: s * n ** theta,
     )
 
@@ -158,8 +153,7 @@ def _entry_stretched_exponential(alpha=1.0, theta=0.5):
     if not 0 < theta < 1:
         raise ParameterError("stretched exponent theta must lie in (0, 1)")
     return CatalogueEntry(
-        "stretched_exponential", "H4", log_fn, ratio_limit=1.0, min_index=0,
-        monotone=True, params={"alpha": alpha, "theta": theta},
+        "stretched_exponential", log_fn, ratio_limit=1.0, min_index=0, monotone=True,
     )
 
 
@@ -178,9 +172,7 @@ def _entry_stretched_exponential_power(alpha=1.0, theta2=0.5, theta1=1.0, betas=
         return out
 
     return CatalogueEntry(
-        "stretched_exponential_power", "H5", log_fn, ratio_limit=1.0, min_index=1,
-        monotone=False,
-        params={"alpha": alpha, "theta2": theta2, "theta1": theta1, "betas": list(betas)},
+        "stretched_exponential_power", log_fn, ratio_limit=1.0, min_index=1, monotone=False,
     )
 
 
@@ -195,10 +187,9 @@ def _entry_geometric(lam=0.5, scale=1.0):
     lam = _check_lam(lam)
     s = _check_scale(scale)
     return CatalogueEntry(
-        "geometric", "H6",
+        "geometric",
         lambda n: -np.asarray(n, dtype=np.float64) * math.log(lam) + math.log(s),
         ratio_limit=lam, min_index=0, monotone=(lam < 1 and s > 0),
-        params={"lam": lam, "scale": s},
         plain_fn=lambda n: s * (1.0 / lam) ** n,
     )
 
@@ -215,9 +206,7 @@ def _entry_geometric_mixture(lam=0.5, alpha=1.0, theta2=0.5, theta1=1.0):
         return -nn * math.log(lam) + stretched(nn) + theta1 * np.log(nn)
 
     return CatalogueEntry(
-        "geometric_mixture", "H7", log_fn, ratio_limit=lam, min_index=1,
-        monotone=False,
-        params={"lam": lam, "alpha": alpha, "theta2": theta2, "theta1": theta1},
+        "geometric_mixture", log_fn, ratio_limit=lam, min_index=1, monotone=False,
     )
 
 
@@ -226,16 +215,15 @@ def _entry_super_exponential(alpha=1.0, theta=2.0):
     if theta <= 1:
         raise ParameterError("super-exponential exponent theta must exceed 1")
     return CatalogueEntry(
-        "super_exponential", "H8", log_fn, ratio_limit=0.0, min_index=0,
-        monotone=True, params={"alpha": alpha, "theta": theta},
+        "super_exponential", log_fn, ratio_limit=0.0, min_index=0, monotone=True,
     )
 
 
 def _entry_factorial():
     return CatalogueEntry(
-        "factorial", "H9",
+        "factorial",
         lambda n: gammaln(np.asarray(n, dtype=np.float64) + 1.0),
-        ratio_limit=0.0, min_index=0, monotone=True, params={},
+        ratio_limit=0.0, min_index=0, monotone=True,
     )
 
 
@@ -251,8 +239,7 @@ def _entry_iterated_exponential(depth=2):
         return v
 
     return CatalogueEntry(
-        "iterated_exponential", "H10", log_fn, ratio_limit=0.0, min_index=0,
-        monotone=True, params={"depth": depth},
+        "iterated_exponential", log_fn, ratio_limit=0.0, min_index=0, monotone=True,
     )
 
 
@@ -262,8 +249,7 @@ def _entry_sqrt_log():
         return 0.5 * np.log(2.0 * np.log(np.asarray(n, dtype=np.float64)))
 
     return CatalogueEntry(
-        "sqrt_log", "BC", log_fn, ratio_limit=1.0, min_index=2, monotone=True,
-        params={},
+        "sqrt_log", log_fn, ratio_limit=1.0, min_index=2, monotone=True,
     )
 
 

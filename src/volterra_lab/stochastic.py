@@ -78,15 +78,12 @@ class TailModel:
     """
 
     family: str
-    params: dict
     cdf: callable
     sf: callable
     quantile: callable
     upper_quantile: callable
     symmetric: bool
     delta_star: float = 0.025
-
-    __hash__ = None  # compares by value, but ``params`` is a dict
 
     def tail_probability(self, threshold):
         """P[|X| > t] = G(t) + F(-t)."""
@@ -128,7 +125,6 @@ def _normal_model(sigma=1.0):
     # "+ loc" with loc = 0.0 is kept because it turns -0.0 into 0.0
     return TailModel(
         family="normal",
-        params={"sigma": sigma},
         cdf=lambda x: ndtr(np.asarray(x, dtype=np.float64) / sigma),
         sf=lambda x: ndtr(-(np.asarray(x, dtype=np.float64) / sigma)),
         quantile=lambda u: ndtri(np.asarray(u, dtype=np.float64)) * sigma + 0.0,
@@ -188,7 +184,6 @@ def _symmetric_power_model(alpha=2.0, c1=0.5, c2=0.5):
 
     return TailModel(
         family="symmetric_power",
-        params={"alpha": alpha, "c1": c1, "c2": c2},
         cdf=cdf,
         sf=sf,
         quantile=quantile,
@@ -228,7 +223,6 @@ def _weibull_symmetric_model(scale=1.0, shape=1.0):
 
     return TailModel(
         family="weibull_symmetric",
-        params={"scale": lam, "shape": k},
         cdf=cdf,
         sf=sf,
         quantile=quantile,
@@ -251,7 +245,6 @@ def _uniform_model(low=-1.0, high=1.0):
 
     return TailModel(
         family="uniform",
-        params={"low": low, "high": high},
         cdf=cdf,
         sf=sf,
         quantile=lambda u: low + span * np.asarray(u, dtype=np.float64),
@@ -263,7 +256,6 @@ def _uniform_model(low=-1.0, high=1.0):
 def _custom_quantile_model(cdf, sf, quantile, upper_quantile, symmetric=False):
     return TailModel(
         family="custom_quantile",
-        params={},
         cdf=cdf,
         sf=sf,
         quantile=quantile,

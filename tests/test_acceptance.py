@@ -95,13 +95,13 @@ def test_criterion_03_ratio_limit_constants():
     # geometric forcing: limit 1.25 by n = 200
     H = generate(ForcingGenerator(kind="deterministic", name="geometric",
                                   params={"lam": 0.5}), 200, log_domain=True)
-    res = verify_growth2(kernel, H, xi=1.0)
+    res = verify_growth2(kernel, solve_linear(kernel, H, 1.0, 200), H)
     final_ratio_gap = abs(res.ratio.value(200) - 1.25)
     geo_ok = res.residual < 1e-6 and abs(res.L_empirical - 1.25) < 1e-6 and final_ratio_gap < 1e-6
     # factorial forcing: ratio limit collapses to 1
     Hf = generate(ForcingGenerator(kind="deterministic", name="factorial"),
                   800_000, log_domain=True)
-    resf = verify_growth2(kernel, Hf, xi=1.0)
+    resf = verify_growth2(kernel, solve_linear(kernel, Hf, 1.0, 800_000), Hf)
     fac_ok = resf.residual < 1e-6 and abs(resf.L_empirical - 1.0) < 1e-6
     ok = geo_ok and fac_ok
     _report(3, "ratio limit constants", ok,

@@ -183,7 +183,7 @@ class TestVerifyGrowth2:
         k = Kernel.geometric(0.3, 0.5, 40)
         gen = ForcingGenerator(kind="deterministic", name="geometric", params={"lam": 0.5})
         H = generate(gen, 200, log_domain=True)
-        res = verify_growth2(k, H)
+        res = verify_growth2(k, solve_linear(k, H, 1.0, 200), H)
         assert abs(res.L_theory - 1.25) < 1e-12
         assert res.residual < 1e-6
         assert res.lambda_converged
@@ -191,14 +191,34 @@ class TestVerifyGrowth2:
     def test_zero_kernel_ratio_is_exactly_one(self):
         gen = ForcingGenerator(kind="deterministic", name="power", params={"theta": 1.0})
         H = generate(gen, 100)
-        res = verify_growth2(Kernel.zero(), H)
+        res = verify_growth2(Kernel.zero(), solve_linear(Kernel.zero(), H, 1.0, 100), H)
         assert res.L_theory == 1.0
         assert np.all(res.ratio.values == 1.0)
 
     def test_vanishing_forcing_raises(self):
         H = traj(np.zeros(64))
+        x = solve_linear(Kernel([0.5]), H, 1.0, 63)
         with pytest.raises(UndefinedRatioError):
-            verify_growth2(Kernel([0.5]), H)
+            verify_growth2(Kernel([0.5]), x, H)
+
+    def test_prefixes_of_one_solve_match_fresh_solves(self):
+        # criterion 03's factorial case on a horizon ladder: one solve at
+        # 2^14, then each prefix checked as if it had been solved alone
+        k = Kernel.geometric(0.3, 0.5, 40)
+        gen = ForcingGenerator(kind="deterministic", name="factorial")
+        H = generate(gen, 2 ** 14, log_domain=True)
+        x = solve_linear(k, H, 1.0, 2 ** 14)
+        residuals = []
+        for n in 2 ** np.arange(8, 15):
+            res = verify_growth2(k, x.window(0, n), H.window(0, n))
+            Hn = generate(gen, n, log_domain=True)
+            fresh = verify_growth2(k, solve_linear(k, Hn, 1.0, n), Hn)
+            assert res.ratio.end == n
+            assert abs(res.L_empirical - fresh.L_empirical) < 1e-12
+            residuals.append(res.residual)
+        # x/H - 1 decays like 1/n, so doubling the horizon halves the residual
+        steps = np.array(residuals[1:]) / np.array(residuals[:-1])
+        assert np.all((0.4 <= steps) & (steps <= 0.55)), steps
 
 
 def convolution_x_over_a(kernel, lam, g):

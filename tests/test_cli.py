@@ -87,6 +87,10 @@ _MALFORMED = [
     ("forcing", dict(_modulated({"kind": "periodic", "profile": [1.0]}),
                      base={"name": "sqrt_log"}), "config.forcing.base"),
     ("statistic.burn_in_fraction", 1.5, "config.statistic"),
+    # a negative burn-in would slice from the wrong end of the ratio series
+    ("thresholds", {"burn_in_fraction": -0.5}, "config.thresholds"),
+    ("thresholds", {"zero_peak_ratio": 5.0}, "config.thresholds"),
+    ("thresholds", {"growth_factor": -1.0}, "config.thresholds"),
 ]
 
 
@@ -426,6 +430,17 @@ class TestCommandLine:
         report = json.loads((tmp_path / "two" / "report.json").read_text())
         for fname in report["series"].values():
             assert len(load_series(tmp_path / "two" / fname)) >= 1
+
+    @pytest.mark.parametrize("mode", ["spectrum", "envelope", "verify-nonlinear"])
+    def test_plain_only_modes_refuse_log_domain(self, mode, tmp_path, capsys):
+        # no log-form path: a run in plain doubles must not echo log_domain true
+        data = dict(TestReportSerialization.MODE_CONFIGS[mode], log_domain=True)
+        out = tmp_path / "out"
+        code = main([mode, "--config", str(self._write_config(tmp_path, data)),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: config.log_domain:")
+        assert not (out / "report.json").exists()
 
     def test_exit_one_on_config_error(self, tmp_path, capsys):
         path = self._write_config(tmp_path, {"horizon": 5})
