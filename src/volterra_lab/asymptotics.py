@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+import numpy.ma  # noqa: F401  np.median and np.percentile import it at their first call
+from numpy.fft import rfft
 
 from .core import Kernel, _aligned_forcing, _convolve, recover_forcing, resolvent, solve_linear
 from .exceptions import InputError, ParameterError
@@ -372,7 +373,7 @@ def _spectral_period(tail: Trajectory, max_period: int):
     vals = tail.values - np.mean(tail.values)
     if len(vals) < 8:
         return 0
-    mags = np.abs(np.fft.rfft(vals))[1:]
+    mags = np.abs(rfft(vals))[1:]
     peak_bin = int(np.argmax(mags)) + 1
     floor = float(np.median(mags))
     if mags[peak_bin - 1] < _NOISE_FACTOR * max(floor, 1e-300):
@@ -479,6 +480,24 @@ class PhiMomentReport:
     log_domain: bool
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) of a nonempty 1-d array, shifted by its maximum.
+
+    Terms equal to the maximum are counted, not summed, and the rest enter
+    through log1p, as in ``scipy.special.logsumexp`` (SciPy 1.17 returns
+    the same doubles).  An infinite or NaN maximum is the result, so all -inf
+    terms give -inf.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    top = a.max()
+    if not np.isfinite(top):
+        return float(top)
+    at_top = a == top
+    count = np.count_nonzero(at_top)
+    rest = np.sum(np.exp(np.where(at_top, -np.inf, a - top))) / count
+    return float(np.log1p(rest) + np.log(count) + top)
+
+
 def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
                        slack: float = 1e-6) -> PhiMomentReport:
     """Tail-window averages of phi(|x|) against phi(|r|_1 |H|), plus dual.
@@ -517,10 +536,11 @@ def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
     lx = abs_log_series(x).window(wlo, hi).values
     lh = abs_log_series(forcing).window(wlo, hi).values
     logn = math.log(count)
-    lhs_log = float(logsumexp(phi.log_value(lx))) - logn
-    rhs_log = phi.params["p"] * math.log(r_l1) + float(logsumexp(phi.log_value(lh))) - logn
-    dual_lhs_log = float(logsumexp(phi.log_value(lh))) - logn
-    dual_rhs_log = phi.params["p"] * math.log1p(k_l1) + float(logsumexp(phi.log_value(lx))) - logn
+    sum_x, sum_h = _logsumexp(phi.log_value(lx)), _logsumexp(phi.log_value(lh))
+    lhs_log = sum_x - logn
+    rhs_log = phi.params["p"] * math.log(r_l1) + sum_h - logn
+    dual_lhs_log = sum_h - logn
+    dual_rhs_log = phi.params["p"] * math.log1p(k_l1) + sum_x - logn
     log_slack = math.log1p(slack)
 
     def _exp(v):

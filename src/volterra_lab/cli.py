@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  argparse's gettext imports it at the first parse
 import logging
 import os
 import sys

@@ -245,7 +245,12 @@ def _statistic(spec, path, top):
 def _tolerances(spec, path, top):
     out = dict(_MODES[top["mode"]][1])
     for key in _object(spec, path, out):
-        out[key] = _float(spec, key, path)
+        value = out[key] = _float(spec, key, path)
+        # outside these ranges the verdict is fixed before the run: exit 1, not 2
+        if key == "min_pass_fraction" and not 0.0 < value <= 1.0:
+            raise ConfigError(f"{path}.{key}", f"must lie in (0, 1], got {value!r}")
+        if value <= 0.0:
+            raise ConfigError(f"{path}.{key}", f"must be positive, got {value!r}")
     return out, None
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .exceptions import InputError, ParameterError
 from .series import LogTrajectory, Trajectory
@@ -219,10 +218,33 @@ def _entry_super_exponential(alpha=1.0, theta=2.0):
     )
 
 
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_factorial(n):
+    """log(n!) = lgamma(n + 1) for an array of n >= 0.
+
+    From x = n + 1 >= 16 the Stirling series up to its x**-9 term, whose
+    first omitted term is below 1.1e-16 absolute there; below that
+    ``math.lgamma`` per element.  Within 1e-15 relative of
+    ``scipy.special.gammaln`` for n <= 1e6.
+    """
+    x = np.asarray(n, dtype=np.float64) + 1.0
+    out = np.empty_like(x)
+    small = x < 16.0
+    out[small] = [math.lgamma(v) for v in x[small]]
+    big = x[~small]
+    p = 1.0 / (big * big)
+    series = ((((p / 1188.0 - 1.0 / 1680.0) * p + 1.0 / 1260.0) * p - 1.0 / 360.0) * p
+              + 1.0 / 12.0) / big
+    out[~small] = (big - 0.5) * np.log(big) - big + _HALF_LOG_2PI + series
+    return out
+
+
 def _entry_factorial():
     return CatalogueEntry(
         "factorial",
-        lambda n: gammaln(np.asarray(n, dtype=np.float64) + 1.0),
+        _log_factorial,
         ratio_limit=0.0, min_index=0, monotone=True,
     )
 

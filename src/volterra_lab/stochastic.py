@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+import numpy.ma  # noqa: F401  np.median imports it at its first call
+from numpy.random import Generator, Philox, SeedSequence
 
 from .asymptotics import (
     ConvexFunctional,
@@ -84,10 +85,13 @@ class TailModel:
     upper_quantile: callable
     symmetric: bool
     delta_star: float = 0.025
+    abs_sf: callable = None  # P[|X| > t] directly, where bitwise G(t) + F(-t)
 
     def tail_probability(self, threshold):
-        """P[|X| > t] = G(t) + F(-t)."""
+        """P[|X| > t] = G(t) + F(-t), through ``abs_sf`` where given."""
         t = np.asarray(threshold, dtype=np.float64)
+        if self.abs_sf is not None:
+            return self.abs_sf(t)
         return self.sf(t) + self.cdf(-t)
 
     def sample(self, rng, size):
@@ -120,16 +124,26 @@ def _normal_model(sigma=1.0):
     if sigma <= 0:
         raise ParameterError("normal sigma must be positive")
     sigma = float(sigma)
+    # the one family that needs SciPy loads it as it is built, when a config
+    # is parsed: other runs never load it, and no run loads it mid-way
+    from scipy.special import ndtr, ndtri
+
+    def sf(x):
+        return ndtr(-(np.asarray(x, dtype=np.float64) / sigma))
+
     # the arithmetic of scipy.stats.norm(scale=sigma), without building a
     # frozen distribution (about 1 ms, mostly docstring formatting); its
-    # "+ loc" with loc = 0.0 is kept because it turns -0.0 into 0.0
+    # "+ loc" with loc = 0.0 is kept because it turns -0.0 into 0.0.
+    # (-x)/sigma == -(x/sigma), so F(-t) == G(t) bitwise and G(t) + F(-t)
+    # is 2 G(t) with half the ndtr calls.
     return TailModel(
         family="normal",
         cdf=lambda x: ndtr(np.asarray(x, dtype=np.float64) / sigma),
-        sf=lambda x: ndtr(-(np.asarray(x, dtype=np.float64) / sigma)),
+        sf=sf,
         quantile=lambda u: ndtri(np.asarray(u, dtype=np.float64)) * sigma + 0.0,
         upper_quantile=lambda p: -ndtri(np.asarray(p, dtype=np.float64)) * sigma + 0.0,
         symmetric=True,
+        abs_sf=lambda t: 2.0 * sf(t),
     )
 
 
@@ -313,7 +327,7 @@ class ForcingGenerator:
 
 
 def _rng_for(gen: ForcingGenerator):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(gen.seed)))
+    return Generator(Philox(SeedSequence(gen.seed)))
 
 
 def forcing_entry(name, **params) -> CatalogueEntry:
@@ -759,8 +773,7 @@ def ensemble_verify(system: EnsembleSpec, paths: int, statistic: StatisticSpec) 
     horizon = _solve_horizon(system.horizon, system.xi)
     if not system.log_domain and system.forcing.kind in ("deterministic", "modulated"):
         _forcing_body(system.forcing, horizon, False, _rng_for(system.forcing))
-    rngs = [np.random.Generator(np.random.Philox(child))
-            for child in np.random.SeedSequence(system.forcing.seed).spawn(paths)]
+    rngs = [Generator(Philox(child)) for child in SeedSequence(system.forcing.seed).spawn(paths)]
     if system.log_domain:
         values = [_log_path(system, statistic, rng) for rng in rngs]
     else:

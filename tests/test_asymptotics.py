@@ -18,6 +18,7 @@ from volterra_lab.asymptotics import (
     scaled_convolution,
     time_average,
     verify_growth2,
+    _logsumexp,
 )
 from volterra_lab.core import Kernel, resolvent, solve_linear
 from volterra_lab.exceptions import (
@@ -26,7 +27,7 @@ from volterra_lab.exceptions import (
     TrajectoryOverflowError,
     UndefinedRatioError,
 )
-from volterra_lab.growth_catalogue import catalogue_entry
+from volterra_lab.growth_catalogue import _log_factorial, catalogue_entry
 from volterra_lab.series import LogTrajectory, Trajectory, dyadic_blocks, ratio_series
 from volterra_lab.stochastic import ForcingGenerator, generate
 
@@ -50,6 +51,16 @@ class TestCatalogue:
         entry = catalogue_entry("factorial")
         logs = entry.log_fn(np.arange(1, 8))
         assert np.allclose(np.exp(logs), [math.factorial(n) for n in range(1, 8)])
+
+    def test_log_factorial_matches_scipy_gammaln(self):
+        # SciPy is a test-only oracle: the package computes log(n!) itself
+        from scipy.special import gammaln
+
+        n = np.arange(0, 1_000_001, dtype=np.float64)
+        got, want = _log_factorial(n), gammaln(n + 1.0)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+        # below the Stirling switch-over at n + 1 = 16 it is math.lgamma itself
+        assert list(got[:15]) == [math.lgamma(k + 1.0) for k in range(15)]
 
     def test_iterated_exponential_log(self):
         entry = catalogue_entry("iterated_exponential", depth=2)
@@ -469,6 +480,29 @@ class TestPhiBounds:
         x = solve_linear(Kernel([0.5]), H, 1.0, 2000, log_domain=True)
         with pytest.raises(InputError, match="power"):
             phi_average_bounds(Kernel([0.5]), x, H, make_phi("exp"))
+
+
+class TestLogSumExp:
+    # SciPy is a test-only oracle: the package sums exponentials itself
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scipy_on_random_data(self, seed):
+        from scipy.special import logsumexp
+
+        rng = np.random.Generator(np.random.Philox(seed))
+        for size in (1, 2, 7, 1000):
+            for scale, shift in ((1e-3, 0.0), (1.0, -700.0), (50.0, 700.0), (1e4, 1e5)):
+                a = rng.normal(shift, scale, size)
+                a[rng.random(size) < 0.2] = -np.inf
+                if size > 2:
+                    a[:size // 3] = np.max(a)  # tied maxima
+                np.testing.assert_allclose(_logsumexp(a), logsumexp(a), rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("a", [[1.5], [-745.0], [-np.inf], [-np.inf, -np.inf],
+                                   [-np.inf, 2.0, -np.inf], [0.0, 0.0], [np.inf, 1.0]])
+    def test_matches_scipy_on_edge_cases(self, a):
+        from scipy.special import logsumexp
+
+        assert _logsumexp(np.array(a)) == logsumexp(np.array(a))
 
 
 class TestConvexFunctional:

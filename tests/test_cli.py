@@ -442,6 +442,26 @@ class TestCommandLine:
         assert capsys.readouterr().err.startswith("config error: config.log_domain:")
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("mode,key,value", [
+        ("verify-growth2", "residual", -1.0),
+        ("verify-growth2", "residual", 0.0),
+        ("ensemble", "min_pass_fraction", 2.0),
+        ("ensemble", "min_pass_fraction", 0.0),
+    ])
+    def test_exit_one_on_out_of_range_tolerance(self, mode, key, value, tmp_path, capsys):
+        # a verdict fixed before the run is a config error; every path of
+        # _ENSEMBLE lands in its band, so there only the fraction decides
+        growth2 = {"horizon": 64,
+                   "kernel": {"name": "geometric", "c": 0.3, "ratio": 0.5, "size": 10},
+                   "forcing": {"kind": "deterministic", "name": "geometric",
+                               "params": {"lam": 0.5}}}
+        data = dict(growth2 if mode == "verify-growth2" else _ENSEMBLE, tolerances={key: value})
+        out = tmp_path / "out"
+        code = main([mode, "--config", str(self._write_config(tmp_path, data)), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: config.tolerances.{key}:")
+        assert not (out / "report.json").exists()
+
     def test_exit_one_on_config_error(self, tmp_path, capsys):
         path = self._write_config(tmp_path, {"horizon": 5})
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -567,6 +587,82 @@ class TestCommandLine:
             assert run.returncode == 1, mode
             assert message in run.stderr
             assert "overflow encountered" not in run.stderr
+
+
+# Runs in a fresh interpreter: imports the CLI, parses every (mode, config)
+# of argv[1], then runs each through cli.main into argv[2]; prints the exit
+# codes and the modules each of the three stages added to sys.modules.
+_STAGES = """
+import contextlib, io, json, sys
+from pathlib import Path
+before = set(sys.modules)
+from volterra_lab import cli
+from volterra_lab.config import ExperimentConfig
+experiments, out = json.loads(sys.argv[1]), Path(sys.argv[2])
+added = {"import": set(sys.modules) - before}
+mark = set(sys.modules)
+for mode, data in experiments:
+    ExperimentConfig.from_dict(dict(data, mode=mode))
+added["parse"] = set(sys.modules) - mark
+mark = set(sys.modules)
+codes = []
+for i, (mode, data) in enumerate(experiments):
+    path = out / f"{i}.json"
+    path.write_text(json.dumps(data))
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main([mode, "--config", str(path), "--out", str(out / str(i))]))
+added["run"] = set(sys.modules) - mark
+print(json.dumps({"codes": codes, **{k: sorted(v) for k, v in added.items()}}))
+"""
+
+
+def _scipy(modules):
+    return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+class TestImportHygiene:
+    """SciPy is loaded only for the normal tail model, and only at parse time."""
+
+    _POWER_ENSEMBLE = {
+        "horizon": 400, "paths": 4,
+        "kernel": {"name": "geometric", "c": 0.3, "ratio": 0.5, "size": 40},
+        "forcing": {"kind": "iid", "tail": {"family": "symmetric_power", "alpha": 2.0}},
+        "statistic": {"name": "log_log_exponent", "band": [0.4, 0.6]},
+    }
+    _FACTORIAL_GROWTH2 = {
+        "horizon": 300, "log_domain": True,
+        "kernel": {"name": "geometric", "c": 0.3, "ratio": 0.5, "size": 40},
+        "forcing": {"kind": "deterministic", "name": "factorial"},
+        "tolerances": {"residual": 1e-4},
+    }
+
+    def _stages(self, experiments, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-c", _STAGES, json.dumps(experiments),
+                              str(tmp_path)],
+                             capture_output=True, text=True, env=env, check=True)
+        return json.loads(run.stdout.splitlines()[-1])
+
+    def test_cli_import_leaves_scipy_out(self, tmp_path):
+        stages = self._stages([], tmp_path)
+        assert "volterra_lab.cli" in stages["import"]
+        assert _scipy(stages["import"]) == []
+
+    def test_power_tail_and_factorial_runs_import_nothing(self, tmp_path):
+        stages = self._stages([["ensemble", self._POWER_ENSEMBLE],
+                               ["verify-growth2", self._FACTORIAL_GROWTH2]], tmp_path)
+        assert stages["codes"][0] in (0, 2) and stages["codes"][1] == 0
+        assert stages["parse"] == []
+        assert stages["run"] == []
+
+    def test_normal_tail_loads_scipy_at_parse_not_in_the_run(self, tmp_path):
+        stages = self._stages([["ensemble", _ENSEMBLE]], tmp_path)
+        assert stages["codes"] == [0]
+        assert _scipy(stages["import"]) == []
+        assert "scipy.special" in stages["parse"]
+        assert stages["run"] == []
 
 
 class TestReportSerialization:

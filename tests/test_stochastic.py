@@ -69,6 +69,16 @@ class TestTailModels:
             assert np.array_equal(np.signbit(got), np.signbit(expected))
         t.validate()
 
+    @pytest.mark.parametrize("sigma", [1.0, 2.5, 0.3])
+    def test_normal_tail_probability_is_twice_sf(self, sigma):
+        # (-t)/sigma == -(t/sigma), so F(-t) == G(t) and the sum is exactly 2 G(t)
+        t = make_tail_model("normal", sigma=sigma)
+        xs = np.concatenate(([0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf, 5e-324, 1e300],
+                             np.linspace(-40.0, 40.0, 801), np.logspace(-300, 300, 601)))
+        got = t.tail_probability(xs)
+        assert np.array_equal(got, t.sf(xs) + t.cdf(-xs))
+        assert np.array_equal(got, 2.0 * t.sf(xs))
+
     def test_symmetric_families_mirror(self):
         t = make_tail_model("normal", sigma=1.3)
         xs = np.linspace(0.5, 5.0, 7)
