@@ -62,7 +62,9 @@ from .stochastic import (
     classify_tail,
     ensemble_verify,
     envelope_sums,
+    forcing_entry,
     generate,
+    make_factor,
     make_tail_model,
 )
 

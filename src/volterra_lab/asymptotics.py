@@ -427,17 +427,6 @@ class ConvexFunctional:
             raise InputError("log-domain evaluation exists only for power functionals")
         return self.params["p"] * np.asarray(log_abs_values, dtype=np.float64)
 
-    def validate(self) -> None:
-        grid = np.linspace(0.0, 100.0, 401)
-        vals = self.fn(grid)
-        if not np.all(np.isfinite(vals)):
-            raise ParameterError(f"functional {self.name!r} not finite on [0, 100.0]")
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if np.any(np.diff(vals) < -1e-12 * scale):
-            raise ParameterError(f"functional {self.name!r} is not increasing")
-        if np.any(np.diff(vals, 2) < -1e-12 * scale):
-            raise ParameterError(f"functional {self.name!r} is not convex")
-
 
 def _power_phi(p=2.0):
     p = float(p)

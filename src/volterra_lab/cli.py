@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    _PHIS,
     ScalingModel,
     estimate_lambda,
     estimate_limsup,
@@ -37,8 +38,8 @@ from .asymptotics import (
     time_average,
     verify_growth2,
 )
-from .config import MODES, ExperimentConfig, Report
-from .core import resolvent, solve_linear, solve_nonlinear
+from .config import _FORCING_KEYS, MODES, ExperimentConfig, Report
+from .core import _NONLINEARITIES, resolvent, solve_linear, solve_nonlinear
 from .exceptions import ConfigError, VolterraLabError
 from .growth_catalogue import catalogue_names
 from .series import LogTrajectory, Trajectory, overlap_range, ratio_series
@@ -48,7 +49,15 @@ from .spectral import (
     kappa,
     multiplier_L,
 )
-from .stochastic import EnsembleSpec, STATISTICS, ensemble_verify, envelope_sums, generate
+from .stochastic import (
+    _FACTORS,
+    _TAIL_FAMILIES,
+    STATISTICS,
+    EnsembleSpec,
+    ensemble_verify,
+    envelope_sums,
+    generate,
+)
 
 OUT_DIR_ENV = "VOLTERRA_LAB_OUT"
 
@@ -290,7 +299,6 @@ def _mode_verify_fluct(cfg):
 def _mode_verify_phi(cfg):
     kernel, forcing, x = _solve_system(cfg)
     phi = cfg.phi
-    phi.validate()
     report = phi_average_bounds(
         kernel, x, forcing, phi, slack=cfg["tolerances"]["bound_slack"]
     )
@@ -314,14 +322,10 @@ def _mode_envelope(cfg):
     verdicts = {"crossing_bracketed": report.crossing is not None}
     expected = cfg.get("expected_crossing")
     if expected is not None:
-        divergent = [k for k, v in zip(report.k_grid, report.verdicts) if v == "divergent"]
-        convergent = [k for k, v in zip(report.k_grid, report.verdicts) if v == "convergent"]
-        ok = bool(
-            divergent
-            and convergent
-            and max(divergent) <= expected <= min(convergent)
+        bracket = report.bracket
+        verdicts["expected_crossing_bracketed"] = bool(
+            bracket is not None and bracket[0] <= expected <= bracket[1]
         )
-        verdicts["expected_crossing_bracketed"] = ok
     stats = {
         "k_grid": [float(k) for k in report.k_grid],
         "verdicts_per_k": list(report.verdicts),
@@ -371,7 +375,6 @@ def _mode_ensemble(cfg):
 def _mode_verify_nonlinear(cfg):
     kernel, forcing, y = _solve_system(cfg)
     f = cfg.nonlinearity
-    f.validate()
     scale = _scale(cfg)
     x_nl = solve_nonlinear(kernel, f, forcing, cfg["xi"], cfg["horizon"])
     diff = Trajectory(np.abs(x_nl.values - y.values), start=0)
@@ -496,15 +499,18 @@ def _print_catalogue():
     print("growth catalogue (scaling models and deterministic forcing):")
     for name, alias in catalogue_names():
         print(f"  {alias:<6} {name}")
-    print("forcing kinds: iid | random_walk_drift | geometric_random_walk | "
-          "deterministic | modulated")
-    print("modulation factors: iid_uniform | periodic | sinusoid")
-    print("tail families: normal | symmetric_power | weibull_symmetric | "
-          "uniform | custom_quantile (library only)")
-    print("nonlinearities: identity | bounded_offset | sqrt_offset | solow")
-    print("phi functionals: power | exp | hinge")
-    print("ensemble statistics: " + " | ".join(STATISTICS))
-    print("modes: " + " | ".join(MODES))
+    # a config holds no functions, so it cannot name the custom quantile family
+    tails = [f"{f} (library only)" if f == "custom_quantile" else f for f in _TAIL_FAMILIES]
+    for label, names in (
+        ("forcing kinds", _FORCING_KEYS),
+        ("modulation factors", _FACTORS),
+        ("tail families", tails),
+        ("nonlinearities", _NONLINEARITIES),
+        ("phi functionals", _PHIS),
+        ("ensemble statistics", STATISTICS),
+        ("modes", MODES),
+    ):
+        print(f"{label}: " + " | ".join(names))
 
 
 def main(argv=None) -> int:

@@ -2,13 +2,16 @@
 
 A single JSON document describes one experiment.  It is read in one pass:
 each section's parser checks its keys, converts its scalars and builds
-its library object once; every default that applies is written back, so
-the echoed config fully describes the run and reproduces all statistics
-bitwise.  Horizon-length work (scaling sequence, forcing draws) is left
-to the run.  Each input rule is checked here, where the input enters:
-every number must be finite, and a named family (tail, nonlinearity,
-convex functional, catalogue entry) takes exactly the keyword parameters
-of its library builder, so a misspelt or foreign parameter is refused.
+its library object once.  The defaults of the schema's own fields are
+written back; a named family's parameters are echoed as given, since
+their defaults live in its builder's signature.  Either way the echoed
+config reproduces all statistics bitwise.  Horizon-length work (scaling
+sequence, forcing draws) is left to the run.  Each input rule is checked
+here, where the input enters: every number must be finite, and a named
+family (tail, modulation factor, nonlinearity, convex functional,
+catalogue entry) takes exactly the keyword parameters of its library
+builder, so a misspelt or foreign parameter is refused, and whatever
+else the builder refuses is an error at the family's section.
 Every malformed field raises ``ConfigError`` naming its dotted path, such
 as ``config.forcing.tail.sigma``; the command line prints
 ``config error: <path>: ...`` and exits 1.
@@ -29,8 +32,8 @@ from .stochastic import (
     ForcingGenerator,
     StatisticSpec,
     TailModel,
-    factor_error,
     forcing_entry,
+    make_factor,
     make_tail_model,
 )
 
@@ -173,28 +176,13 @@ def _tail(spec, path, top=None):
     return out, _build(path, make_tail_model, **out)
 
 
-# factor kind -> field -> (converter, default)
-_FACTORS = {
-    "iid_uniform": {"low": (_float, 0.0), "high": (_float, 1.0)},
-    "periodic": {"profile": (_floats, _MISSING)},
-    "sinusoid": {
-        "amplitudes": (_floats, [1.0]),
-        "frequencies": (_floats, [1.0]),
-        "offset": (_float, 0.0),
-    },
-}
-
-
-def _factor(spec, path) -> dict:
-    fields = _FACTORS[_choice(_object(spec, path), "kind", path, _FACTORS)]
-    _object(spec, path, {"kind", *fields})
-    out = {"kind": spec["kind"]} | {
-        key: convert(spec, key, path, default) for key, (convert, default) in fields.items()
-    }
-    error = factor_error(out)
-    if error is not None:
-        raise ConfigError(f"{path}.{error[0]}", error[1])
-    return out
+def _factor(spec, path):
+    """``{kind, <its parameters>}``: a parameter is a number or a list of numbers."""
+    out = {"kind": _field(_object(spec, path), "kind", path)}
+    for key, value in spec.items():
+        if key != "kind":
+            out[key] = (_floats if isinstance(value, (list, tuple)) else _float)(spec, key, path)
+    return out, _build(path, make_factor, **out)
 
 
 _FORCING_KEYS = {
@@ -210,29 +198,29 @@ def _forcing(spec, path, top):
     kind = _choice(_object(spec, path), "kind", path, _FORCING_KEYS)
     keys = {"kind", "seed", *_FORCING_KEYS[kind]}
     _object(spec, path, keys)
-    out, tails = {"kind": kind}, {}
+    out, parts = {"kind": kind}, {}
     if kind == "iid":
-        out["tail"], tails["tail"] = _tail(_field(spec, "tail", path), f"{path}.tail")
+        out["tail"], parts["tail"] = _tail(_field(spec, "tail", path), f"{path}.tail")
     elif kind == "deterministic":
-        out.update(_named(spec, path, forcing_entry, keys)[0])
+        echo, parts["entry"] = _named(spec, path, forcing_entry, keys)
+        out.update(echo)
     elif kind == "modulated":
-        out["base"] = _named(_field(spec, "base", path), f"{path}.base", forcing_entry)[0]
-        out["factor"] = _factor(_field(spec, "factor", path), f"{path}.factor")
+        out["base"], parts["entry"] = _named(_field(spec, "base", path), f"{path}.base",
+                                             forcing_entry)
+        out["factor"], parts["factor"] = _factor(_field(spec, "factor", path), f"{path}.factor")
     else:
-        out["drift"] = _float(spec, "drift", path, 0.0)
-        out["noise"] = tails["noise"] = spec.get("noise")
+        out["drift"] = parts["drift"] = _float(spec, "drift", path, 0.0)
+        out["noise"] = spec.get("noise")
         if out["noise"] is not None:
-            out["noise"], tails["noise"] = _tail(out["noise"], f"{path}.noise")
+            out["noise"], parts["noise"] = _tail(out["noise"], f"{path}.noise")
     if "seed" in spec:
         out["seed"] = _int(spec, "seed", path)
-    return out, ForcingGenerator(**{**out, "seed": out.get("seed", top["seed"]), **tails})
+    return out, ForcingGenerator(kind, out.get("seed", top["seed"]), **parts)
 
 
 def _statistic(spec, path, top):
     _object(spec, path, {"name", "band", "series", "phi", "burn_in_fraction"})
     out = {"name": _field(spec, "name", path), "band": _floats(spec, "band", path)}
-    if len(out["band"]) != 2:
-        raise ConfigError(f"{path}.band", "band must be [low, high]")
     out["series"] = _field(spec, "series", path, "solution")
     if "burn_in_fraction" in spec:
         out["burn_in_fraction"] = _float(spec, "burn_in_fraction", path)

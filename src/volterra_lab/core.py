@@ -11,14 +11,15 @@ the inverse map recovering H from a solution, and the nonlinear variant
 with f applied inside the convolution.
 
 Two evaluation domains are supported.  The default is plain doubles with a
-hard failure on the first non-finite value.  When ``log_domain=True`` the
-solution is carried as (sign, log|x|) pairs so that genuinely growing
-solutions (for example geometric or factorial forcing) can be followed far
-past double-precision overflow.  Signed log-space sums suffer catastrophic
-cancellation when terms of opposite sign nearly cancel, so the log domain
-is intended for the sign-coherent growth regimes it exists for; the
-per-step log recursion logs one warning per solve, with the index and the
-digits lost, where sum|terms| / |sum| first exceeds 1e8.
+hard failure on the first non-finite value.  When the forcing is a
+``LogTrajectory`` the solution is carried as (sign, log|x|) pairs so that
+genuinely growing solutions (for example geometric or factorial forcing)
+can be followed far past double-precision overflow.  Signed log-space
+sums suffer catastrophic cancellation when terms of opposite sign nearly
+cancel, so the log domain is intended for the sign-coherent growth
+regimes it exists for; the per-step log recursion logs one warning per
+solve, with the index and the digits lost, where sum|terms| / |sum| first
+exceeds 1e8.
 
 Which engine runs where (B = 256 for a kernel of any length M):
 
@@ -128,7 +129,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "Kernel",
     "Nonlinearity",
-    "NONLINEARITY_CATALOGUE",
     "make_nonlinearity",
     "solve_linear",
     "resolvent",
@@ -242,16 +242,6 @@ class Nonlinearity:
     def __call__(self, x: float) -> float:
         return self.fn(x)
 
-    def validate(self) -> None:
-        """Check finite outputs on a symmetric sampled grid of [-1e6, 1e6]."""
-        grid = np.linspace(-1e6, 1e6, 201)
-        for x in grid:
-            y = self.fn(float(x))
-            if not math.isfinite(y):
-                raise NonlinearityError(
-                    f"nonlinearity {self.name!r} returned non-finite value at x={x!r}"
-                )
-
 
 def _identity(x):
     return x
@@ -298,9 +288,6 @@ def make_nonlinearity(name: str, **params) -> Nonlinearity:
     if name not in _NONLINEARITIES:
         raise ParameterError(f"unknown nonlinearity {name!r}")
     return _NONLINEARITIES[name](**params)
-
-
-NONLINEARITY_CATALOGUE = tuple(_NONLINEARITIES)
 
 
 # --------------------------------------------------------------------------
@@ -636,14 +623,14 @@ def _aligned_forcing(forcing, horizon, xi=0.0, log_domain=False):
 # solvers
 # --------------------------------------------------------------------------
 
-def solve_linear(kernel: Kernel, forcing, xi: float, horizon: int, log_domain: bool = False):
+def solve_linear(kernel: Kernel, forcing, xi: float, horizon: int):
     """Advance the forced linear recursion to ``horizon``.
 
-    Returns a Trajectory on indices 0..horizon (a LogTrajectory when
-    ``log_domain`` is set).  The forcing must cover indices 1..horizon;
-    a nonzero value at index 0 is ignored with a logged warning.
+    Returns a Trajectory on indices 0..horizon, or a LogTrajectory, solved
+    in log form, when the forcing is one.  The forcing must cover indices
+    1..horizon; a nonzero value at index 0 is ignored with a logged warning.
     """
-    if log_domain or isinstance(forcing, LogTrajectory):
+    if isinstance(forcing, LogTrajectory):
         horizon, (lh, sh) = _aligned_forcing(forcing, horizon, xi, log_domain=True)
         out_l, out_s = _blocked_log_linear(kernel, lh, sh, float(xi))
         return LogTrajectory(out_l, out_s, start=0)

@@ -38,8 +38,8 @@ from .series import LogTrajectory, Trajectory, abs_log_series, ratio_series
 __all__ = [
     "TailModel",
     "make_tail_model",
+    "make_factor",
     "ForcingGenerator",
-    "factor_error",
     "forcing_entry",
     "generate",
     "EnvelopeReport",
@@ -295,6 +295,64 @@ def make_tail_model(family: str, **params) -> TailModel:
 
 
 # --------------------------------------------------------------------------
+# modulation factors
+# --------------------------------------------------------------------------
+
+def _finite(values, what):
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"{what} must be finite")
+    return values
+
+
+def _iid_uniform_factor(low=0.0, high=1.0):
+    low, high = float(low), float(high)
+    _finite((low, high), "uniform factor bounds")
+    if not low < high:
+        raise ParameterError("factor support must satisfy low < high")
+    return lambda n, rng: rng.uniform(low, high, len(n))
+
+
+def _periodic_factor(profile):
+    profile = _finite(profile, "periodic factor profile")
+    if profile.ndim != 1 or not profile.size:
+        raise ParameterError("periodic factor needs a nonempty profile")
+    return lambda n, rng: profile[n % len(profile)]
+
+
+def _sinusoid_factor(amplitudes=(1.0,), frequencies=(1.0,), offset=0.0):
+    amps = _finite(amplitudes, "sinusoid amplitudes")
+    freqs = _finite(frequencies, "sinusoid frequencies")
+    offset = float(offset)
+    _finite(offset, "sinusoid offset")
+    if amps.ndim != 1 or amps.shape != freqs.shape:
+        raise ParameterError("sinusoid amplitudes and frequencies must pair up")
+
+    def values(n, rng):
+        out = np.full(len(n), offset)
+        for a, w in zip(amps, freqs):
+            out += a * np.sin(w * n)
+        return out
+
+    return values
+
+
+# kind -> builder; a builder's keyword arguments are the factor's parameters,
+# and it returns the factor as a function of (indices, rng)
+_FACTORS = {
+    "iid_uniform": _iid_uniform_factor,
+    "periodic": _periodic_factor,
+    "sinusoid": _sinusoid_factor,
+}
+
+
+def make_factor(kind: str, **params):
+    if kind not in _FACTORS:
+        raise ParameterError(f"unknown modulation factor kind {kind!r}")
+    return _FACTORS[kind](**params)
+
+
+# --------------------------------------------------------------------------
 # forcing generators
 # --------------------------------------------------------------------------
 
@@ -302,15 +360,15 @@ def make_tail_model(family: str, **params) -> TailModel:
 class ForcingGenerator:
     """Seeded description of a forcing sequence on indices 1..horizon.
 
-    Kinds: "iid" (tail model draws), "random_walk_drift" and
-    "geometric_random_walk" (drift plus centered noise increments),
-    "deterministic" (growth-catalogue entry), "modulated" (deterministic
-    base times a bounded stationary factor).  Index 0 of the output is
-    always the zero placeholder; the recursion never reads it.
+    Kinds: "iid" (``tail`` draws), "random_walk_drift" and
+    "geometric_random_walk" (``drift`` plus centered ``noise`` increments),
+    "deterministic" (the growth-catalogue ``entry``, from
+    :func:`forcing_entry`), "modulated" (``entry`` times a bounded
+    stationary ``factor``, from :func:`make_factor`).  Index 0 of the
+    output is always the zero placeholder; the recursion never reads it.
 
-    Generators compare by value but are unhashable: their ``params``,
-    ``base`` and ``factor`` are dicts, and a tail model compares by the
-    identity of its functions.
+    Every part is built, and so checked, before the generator is; tail
+    models, entries and factors compare by the identity of their functions.
     """
 
     kind: str
@@ -318,12 +376,8 @@ class ForcingGenerator:
     tail: TailModel = None
     drift: float = 0.0
     noise: TailModel = None
-    name: str = None
-    params: dict = field(default_factory=dict)
-    base: dict = None
-    factor: dict = None
-
-    __hash__ = None
+    entry: CatalogueEntry = None
+    factor: callable = None
 
 
 def _rng_for(gen: ForcingGenerator):
@@ -343,46 +397,6 @@ def forcing_entry(name, **params) -> CatalogueEntry:
             "cannot serve as a forcing sequence"
         )
     return entry
-
-
-def factor_error(spec):
-    """The first field of a modulation factor spec that generation rejects.
-
-    Returns ``(field, reason)``, or None when the spec is valid.
-    """
-    kind = spec.get("kind")
-    if kind not in ("iid_uniform", "periodic", "sinusoid"):
-        return "kind", f"unknown modulation factor kind {kind!r}"
-    for key, value in spec.items():
-        if key != "kind" and not np.all(np.isfinite(np.asarray(value, dtype=np.float64))):
-            return key, "factor parameters must be finite"
-    if kind == "iid_uniform" and not float(spec.get("low", 0.0)) < float(spec.get("high", 1.0)):
-        return "high", "factor support must satisfy low < high"
-    if kind == "periodic" and len(spec.get("profile", ())) < 1:
-        return "profile", "periodic factor needs a nonempty profile"
-    if kind == "sinusoid" and (len(spec.get("amplitudes", (1.0,)))
-                               != len(spec.get("frequencies", (1.0,)))):
-        return "frequencies", "sinusoid amplitudes and frequencies must pair up"
-    return None
-
-
-def _factor_values(spec, horizon, rng):
-    error = factor_error(spec)
-    if error is not None:
-        raise ParameterError(error[1])
-    kind = spec["kind"]
-    n = np.arange(1, horizon + 1)
-    if kind == "iid_uniform":
-        return rng.uniform(float(spec.get("low", 0.0)), float(spec.get("high", 1.0)), horizon)
-    if kind == "periodic":
-        profile = np.asarray(spec["profile"], dtype=np.float64)
-        return profile[n % len(profile)]
-    amps = np.asarray(spec.get("amplitudes", (1.0,)), dtype=np.float64)  # sinusoid
-    freqs = np.asarray(spec.get("frequencies", (1.0,)), dtype=np.float64)
-    out = np.full(horizon, float(spec.get("offset", 0.0)))
-    for a, w in zip(amps, freqs):
-        out += a * np.sin(w * n)
-    return out
 
 
 def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=None):
@@ -417,22 +431,21 @@ def _forcing_body(gen, horizon, log_domain, rng):
             return Trajectory(walk, start=1)
         return LogTrajectory.from_log(walk, start=1)
 
+    if gen.kind not in ("deterministic", "modulated"):
+        raise ParameterError(f"unknown forcing kind {gen.kind!r}")
+    if gen.entry is None:
+        raise ParameterError(f"{gen.kind} forcing needs a catalogue entry")
+    base = gen.entry.sequence(1, horizon, log_domain)
     if gen.kind == "deterministic":
-        return forcing_entry(gen.name, **gen.params).sequence(1, horizon, log_domain)
-
-    if gen.kind == "modulated":
-        if not gen.base or not gen.factor:
-            raise ParameterError("modulated forcing needs base and factor specs")
-        entry = forcing_entry(gen.base["name"], **gen.base.get("params", {}))
-        base = entry.sequence(1, horizon, log_domain)
-        factor = _factor_values(gen.factor, horizon, rng)
-        if log_domain:
-            with np.errstate(divide="ignore"):
-                return LogTrajectory(np.log(np.abs(factor)) + base.log_abs,
-                                     np.sign(factor), start=1)
-        return Trajectory(factor * base.values, start=1)
-
-    raise ParameterError(f"unknown forcing kind {gen.kind!r}")
+        return base
+    if gen.factor is None:
+        raise ParameterError("modulated forcing needs a factor")
+    factor = gen.factor(np.arange(1, horizon + 1), rng)
+    if log_domain:
+        with np.errstate(divide="ignore"):
+            return LogTrajectory(np.log(np.abs(factor)) + base.log_abs,
+                                 np.sign(factor), start=1)
+    return Trajectory(factor * base.values, start=1)
 
 
 # --------------------------------------------------------------------------
@@ -446,16 +459,23 @@ class EnvelopeReport:
     Verdicts follow a log-log regression of the summand over the last
     decade of indices: fitted decay exponent strictly below -1 reads
     convergent, at or above -1 divergent, an unusable fit undecided.
-    ``crossing`` is the midpoint between the largest divergent and the
-    smallest convergent K when the grid brackets the transition.
+    ``bracket`` is (largest divergent K, smallest convergent K) when the
+    former is the smaller, so that the grid brackets the transition, and
+    None otherwise; ``crossing`` is its midpoint.
     """
 
     k_grid: np.ndarray
     partial_sums: np.ndarray
     verdicts: tuple
     slopes: tuple
-    crossing: float
+    bracket: tuple
     start_index: int
+
+    @property
+    def crossing(self):
+        if self.bracket is None:
+            return None
+        return 0.5 * (self.bracket[0] + self.bracket[1])
 
 
 def _decay_regression(indices, summands):
@@ -489,17 +509,17 @@ def envelope_sums(tail: TailModel, a: Trajectory, k_grid) -> EnvelopeReport:
         verdict, slope = _decay_regression(idx[reg_mask], summand[reg_mask])
         verdicts.append(verdict)
         slopes.append(slope)
-    crossing = None
+    bracket = None
     divergent = [k for k, v in zip(k_grid, verdicts) if v == "divergent"]
     convergent = [k for k, v in zip(k_grid, verdicts) if v == "convergent"]
     if divergent and convergent and max(divergent) < min(convergent):
-        crossing = 0.5 * (max(divergent) + min(convergent))
+        bracket = (max(divergent), min(convergent))
     return EnvelopeReport(
         k_grid=k_grid,
         partial_sums=sums,
         verdicts=tuple(verdicts),
         slopes=tuple(slopes),
-        crossing=crossing,
+        bracket=bracket,
         start_index=a.start,
     )
 
@@ -623,7 +643,7 @@ def classify_tail(tail: TailModel) -> TailClassification:
 class EnsembleSpec:
     """One seeded system: kernel, forcing, optional scale, solve options.
 
-    Specs compare by value and, like their forcing generator, are unhashable.
+    Specs compare by value but are unhashable: a scaling model holds arrays.
     """
 
     kernel: Kernel
@@ -716,7 +736,7 @@ def _log_path(system: EnsembleSpec, statistic: StatisticSpec, rng):
     """One log-domain path's statistic, or None if it fails."""
     try:
         forcing = generate(system.forcing, system.horizon, log_domain=True, rng=rng)
-        x = solve_linear(system.kernel, forcing, system.xi, system.horizon, log_domain=True)
+        x = solve_linear(system.kernel, forcing, system.xi, system.horizon)
         series = x if statistic.series == "solution" else forcing
         return float(_path_statistic(statistic, series, system))
     except _PATH_ERRORS:

@@ -36,7 +36,9 @@ from volterra_lab.stochastic import (
     classify_tail,
     ensemble_verify,
     envelope_sums,
+    forcing_entry,
     generate,
+    make_factor,
     make_tail_model,
 )
 
@@ -93,13 +95,14 @@ def test_criterion_02_resolvent_identity():
 def test_criterion_03_ratio_limit_constants():
     kernel = Kernel.geometric(0.3, 0.5, 40)
     # geometric forcing: limit 1.25 by n = 200
-    H = generate(ForcingGenerator(kind="deterministic", name="geometric",
-                                  params={"lam": 0.5}), 200, log_domain=True)
+    H = generate(ForcingGenerator(kind="deterministic",
+                                  entry=forcing_entry("geometric", lam=0.5)),
+                 200, log_domain=True)
     res = verify_growth2(kernel, solve_linear(kernel, H, 1.0, 200), H)
     final_ratio_gap = abs(res.ratio.value(200) - 1.25)
     geo_ok = res.residual < 1e-6 and abs(res.L_empirical - 1.25) < 1e-6 and final_ratio_gap < 1e-6
     # factorial forcing: ratio limit collapses to 1
-    Hf = generate(ForcingGenerator(kind="deterministic", name="factorial"),
+    Hf = generate(ForcingGenerator(kind="deterministic", entry=forcing_entry("factorial")),
                   800_000, log_domain=True)
     resf = verify_growth2(kernel, solve_linear(kernel, Hf, 1.0, 800_000), Hf)
     fac_ok = resf.residual < 1e-6 and abs(resf.L_empirical - 1.0) < 1e-6
@@ -113,8 +116,8 @@ def test_criterion_04_representation_at_scale():
     horizon = 300
     kernel = Kernel.geometric(0.3, 0.5, 40)
     gen = ForcingGenerator(kind="modulated",
-                           base={"name": "geometric", "params": {"lam": 0.5}},
-                           factor={"kind": "periodic", "profile": [1.25, 0.75]})
+                           entry=forcing_entry("geometric", lam=0.5),
+                           factor=make_factor("periodic", profile=[1.25, 0.75]))
     H = generate(gen, horizon)
     scale = ScalingModel.from_catalogue("geometric", horizon, lam=0.5)
     x = solve_linear(kernel, H, 1.0, horizon)
@@ -140,8 +143,8 @@ def test_criterion_05_periodic_modulation():
     profile = [1.0 + 0.3 * math.sin(2 * math.pi * m / 7.0) for m in range(7)]
     kernel = Kernel([0.4])
     gen = ForcingGenerator(kind="modulated",
-                           base={"name": "geometric", "params": {"lam": lam}},
-                           factor={"kind": "periodic", "profile": profile})
+                           entry=forcing_entry("geometric", lam=lam),
+                           factor=make_factor("periodic", profile=profile))
     H = generate(gen, horizon)
     scale = ScalingModel.from_catalogue("geometric", horizon, lam=lam)
     x = solve_linear(kernel, H, 1.0, horizon)
@@ -162,8 +165,8 @@ def test_criterion_06_stationary_time_average():
     system = EnsembleSpec(
         kernel=Kernel([0.5]),
         forcing=ForcingGenerator(kind="modulated", seed=424242,
-                                 base={"name": "geometric", "params": {"lam": 0.5}},
-                                 factor={"kind": "iid_uniform", "low": 0.0, "high": 1.0}),
+                                 entry=forcing_entry("geometric", lam=0.5),
+                                 factor=make_factor("iid_uniform", low=0.0, high=1.0)),
         horizon=100_000, log_domain=True, scaling=scale,
     )
     target = 2.0 / 3.0
@@ -298,13 +301,13 @@ def _nonlinear_decay(kernel, nonlinearity, forcing_gen, scale_name, scale_params
 def test_criterion_12_linearisation_at_infinity():
     sys_a = _nonlinear_decay(
         Kernel([0.5]), make_nonlinearity("bounded_offset"),
-        ForcingGenerator(kind="deterministic", name="power", params={"theta": 1.0}),
+        ForcingGenerator(kind="deterministic", entry=forcing_entry("power", theta=1.0)),
         "power", {"theta": 1.0}, 10_000,
     )
     sys_b = _nonlinear_decay(
         Kernel([0.5]), make_nonlinearity("sqrt_offset"),
-        ForcingGenerator(kind="deterministic", name="geometric",
-                         params={"lam": 1.0 / 1.05}),
+        ForcingGenerator(kind="deterministic",
+                         entry=forcing_entry("geometric", lam=1.0 / 1.05)),
         "geometric", {"lam": 1.0 / 1.05}, 800,
     )
     ok = True

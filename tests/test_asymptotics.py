@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from volterra_lab.asymptotics import (
-    ConvexFunctional,
+    _PHIS,
     LimsupThresholds,
     ScalingModel,
     estimate_lambda,
@@ -29,7 +29,7 @@ from volterra_lab.exceptions import (
 )
 from volterra_lab.growth_catalogue import _log_factorial, catalogue_entry
 from volterra_lab.series import LogTrajectory, Trajectory, dyadic_blocks, ratio_series
-from volterra_lab.stochastic import ForcingGenerator, generate
+from volterra_lab.stochastic import ForcingGenerator, forcing_entry, generate
 
 
 def traj(values, start=0):
@@ -38,7 +38,7 @@ def traj(values, start=0):
 
 class TestCatalogue:
     def test_geometric_values_exact(self):
-        gen = ForcingGenerator(kind="deterministic", name="geometric", params={"lam": 0.5})
+        gen = ForcingGenerator(kind="deterministic", entry=forcing_entry("geometric", lam=0.5))
         H = generate(gen, 3)
         assert list(H.values) == [0.0, 2.0, 4.0, 8.0]
 
@@ -192,7 +192,7 @@ class TestEstimateLimsup:
 class TestVerifyGrowth2:
     def test_geometric_forcing_multiplier(self):
         k = Kernel.geometric(0.3, 0.5, 40)
-        gen = ForcingGenerator(kind="deterministic", name="geometric", params={"lam": 0.5})
+        gen = ForcingGenerator(kind="deterministic", entry=forcing_entry("geometric", lam=0.5))
         H = generate(gen, 200, log_domain=True)
         res = verify_growth2(k, solve_linear(k, H, 1.0, 200), H)
         assert abs(res.L_theory - 1.25) < 1e-12
@@ -200,7 +200,7 @@ class TestVerifyGrowth2:
         assert res.lambda_converged
 
     def test_zero_kernel_ratio_is_exactly_one(self):
-        gen = ForcingGenerator(kind="deterministic", name="power", params={"theta": 1.0})
+        gen = ForcingGenerator(kind="deterministic", entry=forcing_entry("power", theta=1.0))
         H = generate(gen, 100)
         res = verify_growth2(Kernel.zero(), solve_linear(Kernel.zero(), H, 1.0, 100), H)
         assert res.L_theory == 1.0
@@ -216,7 +216,7 @@ class TestVerifyGrowth2:
         # criterion 03's factorial case on a horizon ladder: one solve at
         # 2^14, then each prefix checked as if it had been solved alone
         k = Kernel.geometric(0.3, 0.5, 40)
-        gen = ForcingGenerator(kind="deterministic", name="factorial")
+        gen = ForcingGenerator(kind="deterministic", entry=forcing_entry("factorial"))
         H = generate(gen, 2 ** 14, log_domain=True)
         x = solve_linear(k, H, 1.0, 2 ** 14)
         residuals = []
@@ -469,7 +469,7 @@ class TestPhiBounds:
     def test_log_domain_fallback_for_power(self):
         n = np.arange(2001, dtype=float)
         H = LogTrajectory.from_log(n * math.log(2.0))
-        x = solve_linear(Kernel([0.5]), H, 1.0, 2000, log_domain=True)
+        x = solve_linear(Kernel([0.5]), H.to_log(), 1.0, 2000)
         rep = phi_average_bounds(Kernel([0.5]), x, H, make_phi("power", p=2))
         assert rep.log_domain
         assert rep.holds
@@ -477,7 +477,7 @@ class TestPhiBounds:
     def test_exp_phi_overflow_raises(self):
         n = np.arange(2001, dtype=float)
         H = LogTrajectory.from_log(n * math.log(2.0))
-        x = solve_linear(Kernel([0.5]), H, 1.0, 2000, log_domain=True)
+        x = solve_linear(Kernel([0.5]), H.to_log(), 1.0, 2000)
         with pytest.raises(InputError, match="power"):
             phi_average_bounds(Kernel([0.5]), x, H, make_phi("exp"))
 
@@ -506,20 +506,24 @@ class TestLogSumExp:
 
 
 class TestConvexFunctional:
-    def test_catalogue_members_validate(self):
-        for phi in (make_phi("power", p=1.0), make_phi("power", p=3.0),
-                    make_phi("exp"), make_phi("hinge", c=2.0)):
-            phi.validate()
+    def test_catalogue_members_are_increasing_and_convex(self):
+        # every member on [0, 100]: finite, nondecreasing and convex, to 1e-12
+        # of its largest value there
+        members = (make_phi("power", p=1.0), make_phi("power", p=3.0),
+                   make_phi("power", p=150.0), make_phi("exp"), make_phi("hinge", c=2.0))
+        assert {phi.name for phi in members} == set(_PHIS)
+        grid = np.linspace(0.0, 100.0, 401)
+        for phi in members:
+            vals = phi(grid)
+            assert np.all(np.isfinite(vals)), phi.name
+            scale = max(1.0, float(np.max(np.abs(vals))))
+            assert np.all(np.diff(vals) >= -1e-12 * scale), phi.name
+            assert np.all(np.diff(vals, 2) >= -1e-12 * scale), phi.name
 
     def test_orv_flags(self):
         assert make_phi("power", p=2).o_regularly_varying
         assert make_phi("hinge", c=1).o_regularly_varying
         assert not make_phi("exp").o_regularly_varying
-
-    def test_concave_map_rejected(self):
-        phi = ConvexFunctional("custom", np.sqrt, {}, True)
-        with pytest.raises(ParameterError, match="convex"):
-            phi.validate()
 
     def test_power_below_one_rejected(self):
         with pytest.raises(ParameterError):

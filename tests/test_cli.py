@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volterra_lab import cli
+from volterra_lab import asymptotics, cli, config, core, stochastic
 from volterra_lab.cli import main, run_experiment
 from volterra_lab.config import MODES, ExperimentConfig
 from volterra_lab.exceptions import ConfigError
@@ -53,15 +53,15 @@ _MALFORMED = [
     ("seed", -1, "config.seed"),
     ("log_domain", "false", "config.log_domain"),
     ("forcing", _modulated({"kind": "iid_uniform", "low": 2.0, "high": 1.0}),
-     "config.forcing.factor.high"),
+     "config.forcing.factor"),
     ("forcing", _modulated({"kind": "iid_uniform", "low": 1.0, "high": 1.0}),
-     "config.forcing.factor.high"),
+     "config.forcing.factor"),
     ("forcing", _modulated({"kind": "periodic", "profile": []}),
-     "config.forcing.factor.profile"),
+     "config.forcing.factor"),
     ("forcing", _modulated({"kind": "periodic", "profile": [1.0, math.nan]}),
      "config.forcing.factor.profile.1"),
     ("forcing", _modulated({"kind": "sinusoid", "amplitudes": [1.0, 0.5], "frequencies": [1.0]}),
-     "config.forcing.factor.frequencies"),
+     "config.forcing.factor"),
     ("forcing", _modulated({"kind": "iid_uniform", "low": -math.inf, "high": 1.0}),
      "config.forcing.factor.low"),
     ("forcing", _modulated({"kind": "sinusoid", "amplitudes": [math.nan]}),
@@ -161,6 +161,18 @@ class TestValidation:
         assert config.thresholds.burn_in_fraction == 0.25
         assert config.scaling is None and config.nonlinearity is None
 
+    def test_random_walk_with_noise_and_its_own_seed(self):
+        forcing = {"kind": "random_walk_drift", "drift": 0.5, "seed": 11,
+                   "noise": {"family": "normal", "sigma": 2.0}}
+        built = cfg(mode="solve", horizon=50, seed=3, kernel={"name": "zero"}, forcing=forcing)
+        assert built["forcing"] == forcing and built["seed"] == 3
+        assert built.forcing.seed == 11 and built.forcing.noise.family == "normal"
+        same = stochastic.ForcingGenerator(
+            kind="random_walk_drift", seed=11, drift=0.5,
+            noise=stochastic.make_tail_model("normal", sigma=2.0))
+        assert np.array_equal(stochastic.generate(built.forcing, 50).values,
+                              stochastic.generate(same, 50).values)
+
     def test_defaults_recorded(self):
         data = ExperimentConfig.from_dict({
             "mode": "verify-growth2", "horizon": 10,
@@ -214,6 +226,20 @@ class TestModes:
         ))
         assert abs(report.statistics["lambda_hat"] - 0.5) < 1e-12
         assert report.statistics["forcing_classification"] == "finite-positive"
+
+    def test_classify_with_a_kernel_classifies_the_solution_too(self, tmp_path):
+        report = run_experiment(cfg(
+            mode="classify", horizon=2000, log_domain=True,
+            kernel={"name": "geometric", "c": 0.3, "ratio": 0.5, "size": 40},
+            forcing={"kind": "deterministic", "name": "geometric", "params": {"lam": 0.5}},
+            scaling={"name": "geometric", "params": {"lam": 0.5}},
+        ), out_dir=tmp_path)
+        stats = report.statistics
+        assert stats["solution_classification"] == stats["forcing_classification"]
+        assert stats["solution_classification"] == "finite-positive"
+        # x/a tends to the growth-transfer constant 1/(1 - sum k(l) lam^l) > 1
+        assert stats["solution_limsup"] > stats["forcing_limsup"]
+        assert {"forcing_sign", "x_sign", "x_logabs"} <= set(report.series)
 
     def test_verify_growth2_geometric_system(self, tmp_path):
         report = run_experiment(cfg(
@@ -532,6 +558,35 @@ class TestCommandLine:
         for tag in ("H1", "H6", "H9", "H10"):
             assert tag in out
         assert "geometric" in out and "factorial" in out
+        # every key of every builder table, in table order
+        lines = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+        for label, table in (
+            ("forcing kinds", config._FORCING_KEYS),
+            ("modulation factors", stochastic._FACTORS),
+            ("tail families", stochastic._TAIL_FAMILIES),
+            ("nonlinearities", core._NONLINEARITIES),
+            ("phi functionals", asymptotics._PHIS),
+            ("ensemble statistics", stochastic.STATISTICS),
+            ("modes", MODES),
+        ):
+            listed = [name.split(" (")[0] for name in lines[label].split(" | ")]
+            assert listed == list(table), label
+        assert "custom_quantile (library only)" in lines["tail families"]
+
+    @pytest.mark.parametrize("p, log_domain", [(200.0, False), (2000.0, True)])
+    def test_verify_phi_with_a_large_power_runs(self, p, log_domain, tmp_path, capsys):
+        # p = 200 stays in doubles on this path, p = 2000 needs the log-form
+        # fallback; neither may leak a numpy warning (pyproject makes it an error)
+        path = self._write_config(tmp_path, {
+            "horizon": 2000, "seed": 6,
+            "kernel": {"coefficients": [0.5]},
+            "forcing": {"kind": "iid", "tail": {"family": "normal", "sigma": 1.0}},
+            "phi": {"name": "power", "params": {"p": p}},
+        })
+        out = tmp_path / "out"
+        assert main(["verify-phi", "--config", str(path), "--out", str(out)]) == 0
+        stats = json.loads((out / "report.json").read_text())["statistics"]
+        assert stats["log_domain"] is log_domain
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("VOLTERRA_LAB_OUT", str(tmp_path / "envout"))

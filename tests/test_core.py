@@ -38,6 +38,7 @@ from volterra_lab.stochastic import (
     ForcingGenerator,
     StatisticSpec,
     ensemble_verify,
+    forcing_entry,
     generate,
     make_tail_model,
 )
@@ -112,10 +113,11 @@ class TestKernel:
 
         assert spec(Kernel([0.5, 0.25])) == spec(Kernel([0.5, 0.25]))
         assert spec(Kernel([0.5, 0.25])) != spec(Kernel([0.5, 0.2]))
-        # both compare by value but hold dicts, so they are declared unhashable
-        for value in (spec(Kernel([0.5])), ForcingGenerator(kind="iid", seed=3)):
-            with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
-                hash(value)
+        # a spec's scaling model holds arrays, so specs are declared unhashable;
+        # a generator holds only built parts and hashes by value
+        with pytest.raises(TypeError, match="unhashable type: 'EnsembleSpec'"):
+            hash(spec(Kernel([0.5])))
+        assert {ForcingGenerator(kind="iid", seed=3): 1}[ForcingGenerator(kind="iid", seed=3)] == 1
 
 
 @pytest.mark.parametrize("value, other", [
@@ -182,7 +184,7 @@ class TestSolveLinear:
         k = Kernel(rng.uniform(-0.3, 0.3, size=3))
         H = traj(np.concatenate(([0.0], rng.normal(size=100))))
         plain = solve_linear(k, H, 1.3, 100)
-        logged = solve_linear(k, H, 1.3, 100, log_domain=True)
+        logged = solve_linear(k, H.to_log(), 1.3, 100)
         assert isinstance(logged, LogTrajectory)
         back = logged.to_plain()
         assert np.allclose(back.values, plain.values, rtol=1e-12, atol=1e-300)
@@ -191,7 +193,7 @@ class TestSolveLinear:
         # H(n) = 2^n up to n = 2000 cannot be represented in doubles
         n = np.arange(2001, dtype=float)
         H = LogTrajectory.from_log(n * math.log(2.0))
-        x = solve_linear(Kernel.zero(), H, 0.0, 2000, log_domain=True)
+        x = solve_linear(Kernel.zero(), H.to_log(), 0.0, 2000)
         assert np.allclose(x.log_abs[1:], n[1:] * math.log(2.0))
 
 
@@ -295,6 +297,13 @@ class TestNonlinear:
         with pytest.raises(ParameterError):
             make_nonlinearity("does_not_exist")
 
+    def test_catalogue_members_are_finite(self):
+        # every member, at its builder's defaults, on a symmetric grid of [-1e6, 1e6]
+        grid = np.linspace(-1e6, 1e6, 201).tolist()
+        for name in core._NONLINEARITIES:
+            f = make_nonlinearity(name)
+            assert all(math.isfinite(f(x)) for x in grid), name
+
 
 @pytest.mark.parametrize("solve", [
     lambda H: solve_by_representation(Kernel([0.5]), H, 1.0, 100),
@@ -347,7 +356,7 @@ def test_log_domain_matches_plain_on_sign_coherent_inputs(kc, h, xi):
     H = traj([0.0] + h)
     plain = solve_linear(k, H, xi, n).values
     # plain forcing aligned into the log domain
-    logged = solve_linear(k, H, xi, n, log_domain=True).to_plain().values
+    logged = solve_linear(k, H.to_log(), xi, n).to_plain().values
     # log forcing aligned into the plain domain
     identity = make_nonlinearity("identity")
     from_log = solve_nonlinear(k, identity, H.to_log(), xi, n).values
@@ -601,8 +610,7 @@ def per_path_ensemble(system, paths, statistic):
         try:
             forcing = generate(system.forcing, system.horizon,
                                log_domain=system.log_domain, rng=rng)
-            x = solve_linear(system.kernel, forcing, system.xi, system.horizon,
-                             log_domain=system.log_domain)
+            x = solve_linear(system.kernel, forcing, system.xi, system.horizon)
             series = x if statistic.series == "solution" else forcing
             values.append(float(stochastic._path_statistic(statistic, series, system)))
         except (TrajectoryOverflowError, UndefinedRatioError, InputError):
@@ -691,7 +699,7 @@ GROWTH_KERNEL = Kernel.geometric(0.3, 0.5, 40)
 
 
 def log_forcing(name, horizon, **params):
-    gen = ForcingGenerator(kind="deterministic", name=name, params=params)
+    gen = ForcingGenerator(kind="deterministic", entry=forcing_entry(name, **params))
     return generate(gen, horizon, log_domain=True)
 
 
@@ -736,7 +744,7 @@ class TestBlockedLogEngine:
     def test_growth_catalogue_matches_per_step(self, name):
         horizon = 6 * _BLOCK + 5
         H = log_forcing(name, horizon)
-        x = solve_linear(GROWTH_KERNEL, H, 1.1, horizon, log_domain=True)
+        x = solve_linear(GROWTH_KERNEL, H.to_log(), 1.1, horizon)
         ref_l, ref_s, bad = per_step_log_solve(GROWTH_KERNEL, H, 1.1, horizon)
         assert bad == -1
         assert_log_contract(x, ref_l, ref_s)
@@ -748,7 +756,7 @@ class TestBlockedLogEngine:
         with pytest.raises(InputError, match="overflowed in log space"):
             log_forcing("H10", 710)
         H = log_forcing("H10", 709)
-        x = solve_linear(GROWTH_KERNEL, H, 1.0, 709, log_domain=True)
+        x = solve_linear(GROWTH_KERNEL, H.to_log(), 1.0, 709)
         ref_l, ref_s, bad = per_step_log_solve(GROWTH_KERNEL, H, 1.0, 709)
         assert bad == -1
         assert np.array_equal(x.log_abs, ref_l)
@@ -765,7 +773,7 @@ class TestBlockedLogEngine:
         sg = np.ones(horizon + 1) if signs == "positive" else rng.choice([-1.0, 1.0], horizon + 1)
         sg[0] = 0.0
         H = LogTrajectory(la, sg)
-        x = solve_linear(kernel, H, 0.8, horizon, log_domain=True)
+        x = solve_linear(kernel, H.to_log(), 0.8, horizon)
         ref_l, ref_s, _ = per_step_log_solve(kernel, H, 0.8, horizon)
         assert np.array_equal(x.log_abs, ref_l)
         assert np.array_equal(x.sign, ref_s)
@@ -776,7 +784,7 @@ class TestBlockedLogEngine:
         la = np.full(horizon + 1, -np.inf)
         la[_BLOCK + 40] = 0.0
         H = LogTrajectory.from_log(la)
-        x = solve_linear(Kernel([1e-3]), H, 0.0, horizon, log_domain=True)
+        x = solve_linear(Kernel([1e-3]), H.to_log(), 0.0, horizon)
         ref_l, ref_s, _ = per_step_log_solve(Kernel([1e-3]), H, 0.0, horizon)
         assert x.log_abs[-1] < -1000.0
         assert np.array_equal(x.log_abs, ref_l)
@@ -785,14 +793,14 @@ class TestBlockedLogEngine:
     def test_zero_forcing_and_start_give_zeros(self):
         horizon = 3 * _BLOCK
         H = LogTrajectory.from_log(np.full(horizon + 1, -np.inf))
-        x = solve_linear(GROWTH_KERNEL, H, 0.0, horizon, log_domain=True)
+        x = solve_linear(GROWTH_KERNEL, H.to_log(), 0.0, horizon)
         assert np.all(x.sign == 0.0)
         assert np.all(x.log_abs == -np.inf)
 
     def test_repeated_calls_are_bitwise_identical(self):
         H = log_forcing("factorial", 8 * _BLOCK)
-        first = solve_linear(GROWTH_KERNEL, H, 0.9, 8 * _BLOCK, log_domain=True)
-        again = solve_linear(GROWTH_KERNEL, H, 0.9, 8 * _BLOCK, log_domain=True)
+        first = solve_linear(GROWTH_KERNEL, H.to_log(), 0.9, 8 * _BLOCK)
+        again = solve_linear(GROWTH_KERNEL, H.to_log(), 0.9, 8 * _BLOCK)
         assert np.array_equal(first.log_abs, again.log_abs)
         assert np.array_equal(first.sign, again.sign)
 
@@ -811,7 +819,7 @@ class TestBlockedLogEngine:
         monkeypatch.setattr(core, "_log_linear_recursion", counted)
         H = log_forcing(name, horizon, **params)
         with caplog.at_level(logging.WARNING, logger="volterra_lab.core"):
-            x = solve_linear(GROWTH_KERNEL, H, 1.25, horizon, log_domain=True)
+            x = solve_linear(GROWTH_KERNEL, H.to_log(), 1.25, horizon)
         assert sum(steps) == _BLOCK - 1
         assert np.all(x.sign == 1.0)
         assert not caplog.records
@@ -820,7 +828,7 @@ class TestBlockedLogEngine:
         # exact x(3) = (1e300 + 1) - 1e300 + 1 = 2; the log domain gets 1
         H = traj([0.0, 1e300, 1.0, 1.0])
         with caplog.at_level(logging.WARNING, logger="volterra_lab.core"):
-            x = solve_linear(Kernel([1.0, -1.0]), H, 0.0, 3, log_domain=True)
+            x = solve_linear(Kernel([1.0, -1.0]), H.to_log(), 0.0, 3)
         assert x.to_plain().values[3] == 1.0
         [record] = caplog.records
         assert "cancellation at index 3" in record.message
@@ -829,8 +837,7 @@ class TestBlockedLogEngine:
     def test_exact_zero_sum_is_not_reported(self, caplog):
         # x(3) = x(2) - x(1) + 0 = 0 exactly: no digits are lost
         with caplog.at_level(logging.WARNING, logger="volterra_lab.core"):
-            x = solve_linear(Kernel([1.0, -1.0]), traj([0.0, 1.0, 0.0, 0.0]), 0.0, 3,
-                             log_domain=True)
+            x = solve_linear(Kernel([1.0, -1.0]), traj([0.0, 1.0, 0.0, 0.0]).to_log(), 0.0, 3)
         assert list(x.sign) == [0.0, 1.0, 1.0, 0.0]
         assert not caplog.records
 
@@ -855,7 +862,7 @@ def test_blocked_log_engine_on_sign_coherent_inputs(weights, mass, drift, horizo
     la = drift * np.arange(horizon + 1) + rng.normal(scale=2.0, size=horizon + 1)
     la[0] = -np.inf
     H = LogTrajectory.from_log(la)
-    x = solve_linear(k, H, xi, horizon, log_domain=True)
+    x = solve_linear(k, H.to_log(), xi, horizon)
     ref_l, ref_s, _ = per_step_log_solve(k, H, xi, horizon)
     assert_log_contract(x, ref_l, ref_s, extended_log_solve(k.coefficients, la, xi))
 
@@ -1147,7 +1154,7 @@ class TestResolventPrefix:
         monkeypatch.setattr(core, "_log_linear_recursion", counted)
         horizon = 4 * _BLOCK
         x = solve_linear(Kernel([0.5, -0.2, 0.1]), log_forcing("factorial", horizon), 1.0,
-                         horizon, log_domain=True)
+                         horizon)
         assert sum(steps) == horizon
         assert calls == []
         assert np.all(x.sign == 1.0)
@@ -1422,7 +1429,7 @@ class TestLongKernels:
         k = long_kernel(m)
         H = log_forcing("factorial", horizon)
         monkeypatch.setattr(core, "_log_linear_recursion", counted)
-        x = solve_linear(k, H, 1.25, horizon, log_domain=True)
+        x = solve_linear(k, H.to_log(), 1.25, horizon)
         assert sum(steps) == _BLOCK - 1
         ref_l, ref_s, bad = per_step_log_solve(k, H, 1.25, horizon)
         assert bad == -1

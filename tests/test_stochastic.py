@@ -14,7 +14,9 @@ from volterra_lab.stochastic import (
     classify_tail,
     ensemble_verify,
     envelope_sums,
+    forcing_entry,
     generate,
+    make_factor,
     make_tail_model,
 )
 
@@ -162,13 +164,13 @@ class TestForcingGenerators:
         assert not np.array_equal(a.values, b.values)
 
     def test_index_zero_is_placeholder(self):
-        gen = ForcingGenerator(kind="deterministic", name="power", params={"theta": 1.0})
+        gen = ForcingGenerator(kind="deterministic", entry=forcing_entry("power", theta=1.0))
         H = generate(gen, 10)
         assert H.values[0] == 0.0
         assert list(H.values[1:4]) == [1.0, 2.0, 3.0]
 
     def test_geometric_catalogue_values(self):
-        gen = ForcingGenerator(kind="deterministic", name="geometric", params={"lam": 0.5})
+        gen = ForcingGenerator(kind="deterministic", entry=forcing_entry("geometric", lam=0.5))
         assert list(generate(gen, 3).values) == [0.0, 2.0, 4.0, 8.0]
 
     def test_degenerate_geometric_walk_is_pure_exponential(self):
@@ -223,19 +225,47 @@ class TestForcingGenerators:
     def test_modulated_periodic_factor(self):
         gen = ForcingGenerator(
             kind="modulated",
-            base={"name": "geometric", "params": {"lam": 0.5}},
-            factor={"kind": "periodic", "profile": [1.25, 0.75]},
+            entry=forcing_entry("geometric", lam=0.5),
+            factor=make_factor("periodic", profile=[1.25, 0.75]),
         )
         H = generate(gen, 4)
         assert list(H.values) == [0.0, 0.75 * 2, 1.25 * 4, 0.75 * 8, 1.25 * 16]
 
+    def test_modulated_sinusoid_factor(self):
+        amps, freqs, offset = (1.0, 0.5), (0.3, 2.0), 1.5
+        gen = ForcingGenerator(
+            kind="modulated",
+            entry=forcing_entry("power", theta=1.0),
+            factor=make_factor("sinusoid", amplitudes=amps, frequencies=freqs, offset=offset),
+        )
+        n = np.arange(1, 101)
+        factor = offset + amps[0] * np.sin(freqs[0] * n) + amps[1] * np.sin(freqs[1] * n)
+        H = generate(gen, 100)
+        assert H.values[0] == 0.0
+        assert np.array_equal(H.values[1:], n * factor)
+        default = ForcingGenerator(kind="modulated", entry=forcing_entry("power", theta=1.0),
+                                   factor=make_factor("sinusoid"))
+        assert np.array_equal(generate(default, 100).values[1:], n * (0.0 + np.sin(1.0 * n)))
+
+    @pytest.mark.parametrize("kind, params, reason", [
+        ("iid_uniform", {"low": 1.0, "high": 1.0}, "low < high"),
+        ("iid_uniform", {"low": -math.inf}, "finite"),
+        ("periodic", {"profile": []}, "nonempty profile"),
+        ("periodic", {"profile": [1.0, math.nan]}, "finite"),
+        ("sinusoid", {"amplitudes": [1.0, 0.5]}, "pair up"),
+        ("sinusoid", {"offset": math.inf}, "finite"),
+        ("square", {}, "unknown modulation factor kind"),
+    ])
+    def test_factor_builders_check_their_rules(self, kind, params, reason):
+        with pytest.raises(ParameterError, match=reason):
+            make_factor(kind, **params)
+
     def test_sqrt_log_cannot_serve_as_forcing(self):
-        gen = ForcingGenerator(kind="deterministic", name="sqrt_log")
         with pytest.raises(InputError, match="cannot serve"):
-            generate(gen, 100)
+            forcing_entry("sqrt_log")
 
 
-_GEOMETRIC_HALF = ForcingGenerator(kind="deterministic", name="geometric", params={"lam": 0.5})
+_GEOMETRIC_HALF = ForcingGenerator(kind="deterministic", entry=forcing_entry("geometric", lam=0.5))
 
 
 # one double-range rule: max log|value| just below 709 converts to plain
@@ -401,9 +431,9 @@ class TestEnsembles:
         assert all(math.isnan(v) for v in res.per_path)
 
     @pytest.mark.parametrize("forcing", [
-        ForcingGenerator(kind="deterministic", name="geometric", params={"lam": 0.5}),
-        ForcingGenerator(kind="modulated", base={"name": "geometric", "params": {"lam": 0.5}},
-                         factor={"kind": "iid_uniform", "low": 0.5, "high": 1.5}),
+        ForcingGenerator(kind="deterministic", entry=forcing_entry("geometric", lam=0.5)),
+        ForcingGenerator(kind="modulated", entry=forcing_entry("geometric", lam=0.5),
+                         factor=make_factor("iid_uniform", low=0.5, high=1.5)),
     ], ids=["deterministic", "modulated"])
     def test_deterministic_part_past_double_range_is_an_input_error(self, forcing):
         # 2^n leaves double range before n = 1100 on every path alike: the
