@@ -26,7 +26,7 @@ import numpy as np
 import numpy.ma  # noqa: F401  np.median and np.percentile import it at their first call
 from numpy.fft import rfft
 
-from .core import Kernel, _aligned_forcing, _convolve, recover_forcing, resolvent, solve_linear
+from .core import Kernel, _aligned_forcing, _convolve, recover_forcing, solve_linear
 from .exceptions import InputError, ParameterError
 from .growth_catalogue import CatalogueEntry, catalogue_entry
 from .series import (
@@ -458,6 +458,13 @@ def make_phi(name: str, **params) -> ConvexFunctional:
 
 @dataclass(frozen=True)
 class PhiMomentReport:
+    """The four averages and both verdicts of :func:`phi_average_bounds`.
+
+    On the log-domain fallback the ``*_log`` fields are the logarithms the
+    verdicts were decided on; the plain fields are their exponentials,
+    ``inf`` past double range.  On the plain branch they are None.
+    """
+
     lhs: float
     rhs: float
     holds: bool
@@ -467,6 +474,10 @@ class PhiMomentReport:
     r_l1: float
     k_l1: float
     log_domain: bool
+    lhs_log: float = None
+    rhs_log: float = None
+    dual_lhs_log: float = None
+    dual_rhs_log: float = None
 
 
 def _logsumexp(a):
@@ -500,8 +511,7 @@ def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
     lo = max(lo, 1)
     count = tail_count(hi - lo + 1)
     wlo = hi - count + 1
-    r = resolvent(kernel, hi)
-    r_l1 = float(np.sum(np.abs(r.values)))
+    r_l1 = kernel.resolvent_l1(hi)
     k_l1 = kernel.l1_norm
     use_log = isinstance(x, LogTrajectory) or isinstance(forcing, LogTrajectory)
     if not use_log:
@@ -541,6 +551,7 @@ def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
         dual_lhs=_exp(dual_lhs_log), dual_rhs=_exp(dual_rhs_log),
         dual_holds=bool(dual_lhs_log <= dual_rhs_log + log_slack),
         r_l1=r_l1, k_l1=k_l1, log_domain=True,
+        lhs_log=lhs_log, rhs_log=rhs_log, dual_lhs_log=dual_lhs_log, dual_rhs_log=dual_rhs_log,
     )
 
 

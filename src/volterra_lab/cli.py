@@ -5,6 +5,11 @@ Usage:
     volterra-lab <mode> --config experiment.json [--seed N] [--out DIR]
     volterra-lab --list-catalogue
 
+A run builds one system, once: ``_solve_system`` generates the forcing,
+solves and builds the scale, only what the mode reads, and each mode is a
+check on that system (``verify-nonlinear`` adds its nonlinear solve and
+``ensemble`` draws its own paths).
+
 Exit codes: 0 when the run completed and every declared check passed,
 2 when the run completed but some check failed (the report says which),
 1 on execution or configuration errors.  A failed verification is data,
@@ -38,8 +43,8 @@ from .asymptotics import (
     time_average,
     verify_growth2,
 )
-from .config import _FORCING_KEYS, MODES, ExperimentConfig, Report
-from .core import _NONLINEARITIES, resolvent, solve_linear, solve_nonlinear
+from .config import _FORCING_KEYS, _MODES, MODES, ExperimentConfig, Report
+from .core import _NONLINEARITIES, solve_linear, solve_nonlinear
 from .exceptions import ConfigError, VolterraLabError
 from .growth_catalogue import catalogue_names
 from .series import LogTrajectory, Trajectory, overlap_range, ratio_series
@@ -65,47 +70,62 @@ logger = logging.getLogger(__name__)
 
 
 # --------------------------------------------------------------------------
-# shared pieces
+# the solved system and the helpers the checks share
 # --------------------------------------------------------------------------
 
 def _solve_system(cfg: ExperimentConfig):
-    """The config's forcing and its linear solve: ``(kernel, forcing, x)``.
+    """The run's system ``(kernel, forcing, x, scale)``, each part built once.
 
-    The one place a single-path mode generates forcing or solves; ``x`` is
-    None when the config has no kernel.  Under ``log_domain`` the forcing
-    is a LogTrajectory, and ``solve_linear`` then solves in log form.
+    The one place a run generates forcing, solves or builds a scale, and
+    only what ``config._MODES`` says the mode reads: a single path (solved
+    when the config has a kernel) for a mode that requires a forcing and no
+    ``paths``, a scale for a mode that reads ``scaling``; None otherwise.
+    Under ``log_domain`` the forcing, and so ``x``, is a LogTrajectory.
     """
-    horizon = cfg["horizon"]
-    forcing = generate(cfg.forcing, horizon, log_domain=cfg["log_domain"])
-    if cfg.kernel is None:
-        return None, forcing, None
-    return cfg.kernel, forcing, solve_linear(cfg.kernel, forcing, cfg["xi"], horizon)
+    required, optional, _ = _MODES[cfg.mode]
+    reads, horizon = required + optional, cfg.get("horizon")
+    forcing = x = scale = None
+    if "forcing" in required and "paths" not in required:
+        forcing = generate(cfg.forcing, horizon, log_domain=cfg["log_domain"])
+        if cfg.kernel is not None and "kernel" in reads:
+            x = solve_linear(cfg.kernel, forcing, cfg["xi"], horizon)
+    if cfg.scaling is not None and "scaling" in reads:
+        scale = ScalingModel.from_entry(cfg.scaling, horizon, log_domain=cfg["log_domain"])
+    return cfg.kernel, forcing, x, scale
 
 
-def _scale(cfg: ExperimentConfig):
-    """The scaling model at the config's horizon and arithmetic; None without one."""
-    if cfg.scaling is None:
-        return None
-    return ScalingModel.from_entry(cfg.scaling, cfg["horizon"], log_domain=cfg["log_domain"])
+def _fields(result, *names) -> dict:
+    """Statistics named after fields of a result dataclass, copied from it."""
+    return {name: getattr(result, name) for name in names}
+
+
+def _limsups(cfg, scale, *paths):
+    """limsup |g|/a of each path under the config's thresholds; None for no path."""
+    return [None if g is None else estimate_limsup(g, scale, cfg.thresholds) for g in paths]
+
+
+def _representation(kernel, scale, x, g_H):
+    """x/a, its representation from g_H, a bounded factor of H at the same
+    scale, and the sup of their gap over the tail window."""
+    x_over_a = ratio_series(x, scale.a)
+    predicted = predict_x_over_a(kernel, scale.lam, g_H)
+    return x_over_a, predicted, residual_tail_sup(x_over_a, predicted)
 
 
 # --------------------------------------------------------------------------
-# mode handlers: each returns (verdicts, statistics, series)
+# mode checks: (cfg, kernel, forcing, x, scale) -> (verdicts, statistics, series)
 # --------------------------------------------------------------------------
 
-def _mode_solve(cfg):
-    kernel, forcing, x = _solve_system(cfg)
+def _mode_solve(cfg, kernel, forcing, x, scale):
     stats = {"horizon": cfg["horizon"], "l1_norm": kernel.l1_norm}
     if isinstance(x, LogTrajectory):
-        stats["final_log_abs"] = float(x.log_abs[-1])
-        stats["final_sign"] = float(x.sign[-1])
+        stats.update(final_log_abs=float(x.log_abs[-1]), final_sign=float(x.sign[-1]))
     else:
         stats["final_value"] = float(x.values[-1])
     return {"completed": True}, stats, {"x": x, "forcing": forcing}
 
 
-def _mode_spectrum(cfg):
-    kernel = cfg.kernel
+def _mode_spectrum(cfg, kernel, forcing, x, scale):
     report = characteristic_roots(kernel)
     grid = cfg["lambda_grid"]
     kappas, multipliers = [], []
@@ -116,10 +136,7 @@ def _mode_spectrum(cfg):
         except SingularMultiplierError:
             multipliers.append(None)
     stats = {
-        "max_modulus": report.max_modulus,
-        "verdict": report.verdict,
-        "summable": report.summable,
-        "tail_caveat": report.tail_caveat,
+        **_fields(report, "max_modulus", "verdict", "summable", "tail_caveat"),
         "roots": [[float(z.real), float(z.imag)] for z in report.roots],
         "lambda_grid": list(grid),
         "kappa": kappas,
@@ -128,11 +145,9 @@ def _mode_spectrum(cfg):
     return {"completed": True}, stats, {}
 
 
-def _mode_classify(cfg):
-    _, forcing, x = _solve_system(cfg)
-    scale = _scale(cfg)
+def _mode_classify(cfg, kernel, forcing, x, scale):
     lam_hat, converged = estimate_lambda(forcing)
-    est = estimate_limsup(forcing, scale, cfg.thresholds)
+    est, est_x = _limsups(cfg, scale, forcing, x)
     stats = {
         "lambda_hat": lam_hat,
         "lambda_converged": converged,
@@ -142,39 +157,27 @@ def _mode_classify(cfg):
     }
     series = {"forcing": forcing}
     if x is not None:
-        est_x = estimate_limsup(x, scale, cfg.thresholds)
-        stats["solution_limsup"] = est_x.value
-        stats["solution_classification"] = est_x.classification
+        stats.update(solution_limsup=est_x.value, solution_classification=est_x.classification)
         series["x"] = x
     return {"completed": True}, stats, series
 
 
-def _mode_verify_growth2(cfg):
-    kernel, forcing, x = _solve_system(cfg)
-    result = verify_growth2(kernel, x, forcing, scale=_scale(cfg))
+def _mode_verify_growth2(cfg, kernel, forcing, x, scale):
+    result = verify_growth2(kernel, x, forcing, scale)
     tol = cfg["tolerances"]["residual"]
     verdicts = {"residual_within_tolerance": bool(result.residual < tol)}
     stats = {
-        "L_empirical": result.L_empirical,
-        "L_theory": result.L_theory,
-        "residual": result.residual,
+        **_fields(result, "L_empirical", "L_theory", "residual", "lambda_hat",
+                  "lambda_used", "lambda_converged", "summable"),
         "tolerance": tol,
-        "lambda_hat": result.lambda_hat,
-        "lambda_used": result.lambda_used,
-        "lambda_converged": result.lambda_converged,
-        "summable": result.summable,
     }
     return verdicts, stats, {"ratio_x_over_H": result.ratio}
 
 
-def _mode_verify_growth3(cfg):
-    kernel, forcing, x = _solve_system(cfg)
-    scale = _scale(cfg)
+def _mode_verify_growth3(cfg, kernel, forcing, x, scale):
     lam_H = ratio_series(forcing, scale.a)
-    lam_x = ratio_series(x, scale.a)
-    predicted_x = predict_x_over_a(kernel, scale.lam, lam_H)
+    lam_x, predicted_x, rep_residual = _representation(kernel, scale, x, lam_H)
     predicted_H = predict_H_over_a(kernel, scale.lam, lam_x)
-    rep_residual = residual_tail_sup(lam_x, predicted_x)
     rec_residual = residual_tail_sup(lam_H, predicted_H)
     tol = cfg["tolerances"]
     verdicts = {
@@ -188,9 +191,8 @@ def _mode_verify_growth3(cfg):
         "tolerances": tol,
     }
     lo, hi = overlap_range(lam_x, predicted_x)
-    residual = Trajectory(
-        lam_x.window(lo, hi).values - predicted_x.window(lo, hi).values, start=lo
-    )
+    residual = Trajectory(lam_x.window(lo, hi).values - predicted_x.window(lo, hi).values,
+                          start=lo)
     series = {
         "x_over_a": lam_x,
         "x_over_a_predicted": predicted_x,
@@ -201,22 +203,14 @@ def _mode_verify_growth3(cfg):
     return verdicts, stats, series
 
 
-def _mode_verify_periodic(cfg):
-    kernel, forcing, x = _solve_system(cfg)
-    scale = _scale(cfg)
-    lam_H = ratio_series(forcing, scale.a)
-    lam_x = ratio_series(x, scale.a)
-    hint = cfg.get("period_hint")
-    extraction_H = extract_almost_periodic(lam_H, period_hint=hint)
+def _mode_verify_periodic(cfg, kernel, forcing, x, scale):
+    extraction_H = extract_almost_periodic(ratio_series(forcing, scale.a),
+                                           period_hint=cfg.get("period_hint"))
+    lam_x, predicted, rep_residual = _representation(kernel, scale, x, extraction_H.pi)
     extraction_x = extract_almost_periodic(lam_x)
-    predicted = predict_x_over_a(kernel, scale.lam, extraction_H.pi)
-    rep_residual = residual_tail_sup(lam_x, predicted)
     tol = cfg["tolerances"]["representation_residual"]
     expected = cfg.get("expected_period")
-    if expected is not None:
-        period_ok = extraction_x.period == expected
-    else:
-        period_ok = extraction_x.period > 0
+    period_ok = extraction_x.period == expected if expected is not None else extraction_x.period > 0
     verdicts = {
         "period_detected": bool(period_ok),
         "representation_residual": bool(rep_residual < tol),
@@ -239,9 +233,7 @@ def _mode_verify_periodic(cfg):
     return verdicts, stats, series
 
 
-def _mode_verify_ergodic(cfg):
-    kernel, forcing, x = _solve_system(cfg)
-    scale = _scale(cfg)
+def _mode_verify_ergodic(cfg, kernel, forcing, x, scale):
     spectrum = characteristic_roots(kernel)
     if not spectrum.summable:
         logger.warning("kernel resolvent verdict is %s; the time-average limit may not exist",
@@ -264,22 +256,15 @@ def _mode_verify_ergodic(cfg):
     return verdicts, stats, {"time_average_x": mu_x, "time_average_H": mu_H}
 
 
-def _mode_verify_fluct(cfg):
-    kernel, forcing, x = _solve_system(cfg)
-    scale = _scale(cfg)
-    est_H = estimate_limsup(forcing, scale, cfg.thresholds)
-    est_x = estimate_limsup(x, scale, cfg.thresholds)
-    r = resolvent(kernel, cfg["horizon"])
-    r_l1 = float(np.sum(np.abs(r.values)))
+def _mode_verify_fluct(cfg, kernel, forcing, x, scale):
+    est_H, est_x = _limsups(cfg, scale, forcing, x)
+    r_l1 = kernel.resolvent_l1(cfg["horizon"])
     k_l1 = kernel.l1_norm
     slack = cfg["tolerances"]["bound_slack"]
     verdicts = {
-        "solution_bounded_by_forcing": bool(
-            est_x.value <= (1.0 + slack) * r_l1 * est_H.value
-        ),
-        "forcing_bounded_by_solution": bool(
-            est_H.value <= (1.0 + slack) * (1.0 + k_l1) * est_x.value
-        ),
+        "solution_bounded_by_forcing": bool(est_x.value <= (1.0 + slack) * r_l1 * est_H.value),
+        "forcing_bounded_by_solution":
+            bool(est_H.value <= (1.0 + slack) * (1.0 + k_l1) * est_x.value),
         "classification_agreement": est_x.classification == est_H.classification,
     }
     stats = {
@@ -296,28 +281,19 @@ def _mode_verify_fluct(cfg):
     return verdicts, stats, {}
 
 
-def _mode_verify_phi(cfg):
-    kernel, forcing, x = _solve_system(cfg)
+def _mode_verify_phi(cfg, kernel, forcing, x, scale):
     phi = cfg.phi
-    report = phi_average_bounds(
-        kernel, x, forcing, phi, slack=cfg["tolerances"]["bound_slack"]
-    )
+    report = phi_average_bounds(kernel, x, forcing, phi, slack=cfg["tolerances"]["bound_slack"])
     verdicts = {"primal_bound": report.holds, "dual_bound": report.dual_holds}
     stats = {
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "dual_lhs": report.dual_lhs,
-        "dual_rhs": report.dual_rhs,
-        "r_l1": report.r_l1,
-        "k_l1": report.k_l1,
-        "log_domain": report.log_domain,
+        **_fields(report, "lhs", "rhs", "dual_lhs", "dual_rhs", "lhs_log", "rhs_log",
+                  "dual_lhs_log", "dual_rhs_log", "r_l1", "k_l1", "log_domain"),
         "o_regularly_varying": phi.o_regularly_varying,
     }
     return verdicts, stats, {}
 
 
-def _mode_envelope(cfg):
-    scale = _scale(cfg)
+def _mode_envelope(cfg, kernel, forcing, x, scale):
     report = envelope_sums(cfg.tail, scale.a, cfg["k_grid"])
     verdicts = {"crossing_bracketed": report.crossing is not None}
     expected = cfg.get("expected_crossing")
@@ -340,28 +316,19 @@ def _mode_envelope(cfg):
     return verdicts, stats, series
 
 
-def _mode_ensemble(cfg):
-    system = EnsembleSpec(
-        kernel=cfg.kernel,
-        forcing=cfg.forcing,
-        horizon=cfg["horizon"],
-        xi=cfg["xi"],
-        log_domain=cfg["log_domain"],
-        scaling=_scale(cfg),
-        thresholds=cfg.thresholds,
-    )
+def _mode_ensemble(cfg, kernel, forcing, x, scale):
+    system = EnsembleSpec(kernel, cfg.forcing, cfg["horizon"], xi=cfg["xi"],
+                          log_domain=cfg["log_domain"], scaling=scale, thresholds=cfg.thresholds)
     statistic = cfg.statistic
     result = ensemble_verify(system, cfg["paths"], statistic)
     min_fraction = cfg["tolerances"]["min_pass_fraction"]
     verdicts = {"pass_fraction_met": bool(result.pass_fraction >= min_fraction)}
     stats = {
+        **_fields(result, "pass_fraction", "median", "failures"),
         "statistic": statistic.name,
         "series": statistic.series,
         "band": list(statistic.band),
         "paths": cfg["paths"],
-        "pass_fraction": result.pass_fraction,
-        "median": result.median,
-        "failures": result.failures,
         "min_pass_fraction": min_fraction,
     }
     finite = [v for v in result.per_path if np.isfinite(v)]
@@ -372,25 +339,19 @@ def _mode_ensemble(cfg):
     return verdicts, stats, series
 
 
-def _mode_verify_nonlinear(cfg):
-    kernel, forcing, y = _solve_system(cfg)
+def _mode_verify_nonlinear(cfg, kernel, forcing, y, scale):
     f = cfg.nonlinearity
-    scale = _scale(cfg)
     x_nl = solve_nonlinear(kernel, f, forcing, cfg["xi"], cfg["horizon"])
     diff = Trajectory(np.abs(x_nl.values - y.values), start=0)
-    diff_ratio = ratio_series(diff, scale.a)
-    maxima = [float(v) for v in estimate_limsup(diff, scale, cfg.thresholds).block_maxima]
+    est_diff, est_H, est_x = _limsups(cfg, scale, diff, forcing, x_nl)
+    maxima = [float(v) for v in est_diff.block_maxima]
     floor = 1e-13
     clamped = [max(v, floor) for v in maxima[-3:]]
     decay_ok = len(clamped) == 3 and clamped[0] >= clamped[1] >= clamped[2]
     final_ok = maxima[-1] < cfg["tolerances"]["final_block_max"]
-    lam_H = ratio_series(forcing, scale.a)
-    lam_x = ratio_series(x_nl, scale.a)
-    predicted = predict_x_over_a(kernel, scale.lam, lam_H)
-    rep_residual = residual_tail_sup(lam_x, predicted)
+    lam_x, predicted, rep_residual = _representation(kernel, scale, x_nl,
+                                                     ratio_series(forcing, scale.a))
     rep_ok = rep_residual < cfg["tolerances"]["representation_residual"]
-    est_H = estimate_limsup(forcing, scale, cfg.thresholds)
-    est_x = estimate_limsup(x_nl, scale, cfg.thresholds)
     verdicts = {"classification_agreement": est_x.classification == est_H.classification}
     if f.linear_at_infinity:
         verdicts["difference_decay"] = bool(decay_ok)
@@ -408,27 +369,15 @@ def _mode_verify_nonlinear(cfg):
         "tolerances": cfg["tolerances"],
     }
     series = {
-        "difference_over_a": diff_ratio,
+        "difference_over_a": ratio_series(diff, scale.a),
         "x_over_a": lam_x,
         "x_over_a_predicted": predicted,
     }
     return verdicts, stats, series
 
 
-_HANDLERS = {
-    "solve": _mode_solve,
-    "spectrum": _mode_spectrum,
-    "classify": _mode_classify,
-    "verify-growth2": _mode_verify_growth2,
-    "verify-growth3": _mode_verify_growth3,
-    "verify-periodic": _mode_verify_periodic,
-    "verify-ergodic": _mode_verify_ergodic,
-    "verify-fluct": _mode_verify_fluct,
-    "verify-phi": _mode_verify_phi,
-    "envelope": _mode_envelope,
-    "ensemble": _mode_ensemble,
-    "verify-nonlinear": _mode_verify_nonlinear,
-}
+# each mode's check is the function _mode_<mode>, "-" spelt "_"
+_HANDLERS = {mode: globals()["_mode_" + mode.replace("-", "_")] for mode in MODES}
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +418,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Report:
     written.
     """
     started = time.perf_counter()
-    verdicts, statistics, series = _HANDLERS[config.mode](config)
+    verdicts, statistics, series = _HANDLERS[config.mode](config, *_solve_system(config))
     series_index = {}
     if out_dir is not None:
         out_dir = Path(out_dir)

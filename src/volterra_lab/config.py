@@ -37,23 +37,25 @@ from .stochastic import (
     make_tail_model,
 )
 
-# mode -> (fields it requires, its tolerances with their defaults)
+# mode -> (fields it requires, sections it reads only when given, its
+# tolerances with their defaults); the run builds a section's run-length
+# object (single path, scale) only for a mode that lists it here
 _MODES = {
-    "solve": (("kernel", "forcing", "horizon"), {}),
-    "spectrum": (("kernel",), {}),
-    "classify": (("forcing", "scaling", "horizon"), {}),
-    "verify-growth2": (("kernel", "forcing", "horizon"), {"residual": 1e-6}),
-    "verify-growth3": (("kernel", "forcing", "scaling", "horizon"),
+    "solve": (("kernel", "forcing", "horizon"), (), {}),
+    "spectrum": (("kernel",), (), {}),
+    "classify": (("forcing", "scaling", "horizon"), ("kernel",), {}),
+    "verify-growth2": (("kernel", "forcing", "horizon"), ("scaling",), {"residual": 1e-6}),
+    "verify-growth3": (("kernel", "forcing", "scaling", "horizon"), (),
                        {"representation_residual": 1e-4, "recovery_residual": 1e-4}),
-    "verify-periodic": (("kernel", "forcing", "scaling", "horizon"),
+    "verify-periodic": (("kernel", "forcing", "scaling", "horizon"), (),
                         {"representation_residual": 1e-3}),
-    "verify-ergodic": (("kernel", "forcing", "scaling", "horizon"), {"limit_abs_error": 0.01}),
-    "verify-fluct": (("kernel", "forcing", "scaling", "horizon"), {"bound_slack": 0.05}),
-    "verify-phi": (("kernel", "forcing", "horizon"), {"bound_slack": 1e-6}),
-    "envelope": (("tail", "scaling", "k_grid", "horizon"), {}),
-    "ensemble": (("kernel", "forcing", "horizon", "paths", "statistic"),
+    "verify-ergodic": (("kernel", "forcing", "scaling", "horizon"), (), {"limit_abs_error": 0.01}),
+    "verify-fluct": (("kernel", "forcing", "scaling", "horizon"), (), {"bound_slack": 0.05}),
+    "verify-phi": (("kernel", "forcing", "horizon"), (), {"bound_slack": 1e-6}),
+    "envelope": (("tail", "scaling", "k_grid", "horizon"), (), {}),
+    "ensemble": (("kernel", "forcing", "horizon", "paths", "statistic"), ("scaling",),
                  {"min_pass_fraction": 0.9}),
-    "verify-nonlinear": (("kernel", "forcing", "scaling", "nonlinearity", "horizon"),
+    "verify-nonlinear": (("kernel", "forcing", "scaling", "nonlinearity", "horizon"), (),
                          {"final_block_max": 1e-3, "representation_residual": 1e-3}),
 }
 MODES = tuple(_MODES)
@@ -231,7 +233,7 @@ def _statistic(spec, path, top):
 
 
 def _tolerances(spec, path, top):
-    out = dict(_MODES[top["mode"]][1])
+    out = dict(_MODES[top["mode"]][2])
     for key in _object(spec, path, out):
         value = out[key] = _float(spec, key, path)
         # outside these ranges the verdict is fixed before the run: exit 1, not 2

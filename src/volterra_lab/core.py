@@ -57,6 +57,8 @@ Which engine runs where (B = 256 for a kernel of any length M):
 * ``Kernel.at_scale(lam)``, with resolvent r(j) lam^j, carries the
   representations at scale: ``predict_x_over_a`` is its ``solve_linear``,
   ``predict_H_over_a`` its ``recover_forcing``, ``rho_of_lambda`` its ``resolvent``.
+* ``Kernel.resolvent_l1(horizon)``, the one owner of sum |r(n)|, runs
+  ``resolvent``.
 
 Accuracy contract of the plain blocked engine: below index 256 its output
 is bitwise equal to the reference recursion, for every kernel; beyond
@@ -184,6 +186,10 @@ class Kernel:
     @property
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.coefficients)))
+
+    def resolvent_l1(self, horizon: int) -> float:
+        """sum |r(n)| over n = 0..horizon, on the per-term :func:`resolvent`."""
+        return float(np.sum(np.abs(resolvent(self, horizon).values)))
 
     @cached_property
     def _block_state(self):

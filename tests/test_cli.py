@@ -588,6 +588,63 @@ class TestCommandLine:
         stats = json.loads((out / "report.json").read_text())["statistics"]
         assert stats["log_domain"] is log_domain
 
+    _PHI_LOG = {
+        "horizon": 2000, "seed": 6,
+        "kernel": {"coefficients": [0.5]},
+        "forcing": {"kind": "iid", "tail": {"family": "normal", "sigma": 1.0}},
+        "phi": {"name": "power", "params": {"p": 2000.0}},
+    }
+
+    def test_verify_phi_log_fallback_reports_the_logs_it_decided_on(self):
+        # phi(x) = x^2000 leaves double range, so the averages themselves are
+        # inf; the log statistics carry the margins the verdicts came from
+        report = run_experiment(cfg(mode="verify-phi", **self._PHI_LOG))
+        stats, slack = report.statistics, report.config["tolerances"]["bound_slack"]
+        assert stats["log_domain"] is True
+        assert math.isinf(stats["lhs"]) and math.isinf(stats["rhs"])
+        logs = ("lhs_log", "rhs_log", "dual_lhs_log", "dual_rhs_log")
+        assert all(math.isfinite(stats[key]) for key in logs)
+        assert report.verdicts["primal_bound"] == (
+            stats["lhs_log"] <= stats["rhs_log"] + math.log1p(slack))
+        assert report.verdicts["dual_bound"] == (
+            stats["dual_lhs_log"] <= stats["dual_rhs_log"] + math.log1p(slack))
+
+    def test_verify_phi_plain_branch_has_no_log_statistics(self):
+        report = run_experiment(cfg(mode="verify-phi",
+                                    **dict(self._PHI_LOG, phi={"name": "power"})))
+        assert report.statistics["log_domain"] is False
+        for key in ("lhs_log", "rhs_log", "dual_lhs_log", "dual_rhs_log"):
+            assert report.statistics[key] is None
+
+    def test_fluct_and_phi_report_one_resolvent_norm(self):
+        system = dict(horizon=3000, seed=2, kernel={"coefficients": [0.6, 0.3]},
+                      forcing={"kind": "iid", "tail": {"family": "normal", "sigma": 1.0}})
+        fluct = run_experiment(cfg(mode="verify-fluct", scaling={"name": "sqrt_log"}, **system))
+        phi = run_experiment(cfg(mode="verify-phi", **system))
+        assert fluct.statistics["r_l1"] == phi.statistics["r_l1"]
+        assert fluct.statistics["r_l1"] == core.Kernel([0.6, 0.3]).resolvent_l1(3000)
+
+    # sections a mode does not read are parsed but never built: sqrt_log has
+    # no value at index 1, and factorial forcing leaves plain doubles by 171
+    _SPECTRUM = {"kernel": {"coefficients": [0.5, -0.25]}}
+    _UNREAD = {
+        "scaling_at_horizon_1": {"horizon": 1, "scaling": {"name": "sqrt_log", "params": {}}},
+        "plain_factorial_forcing": {"horizon": 400,
+                                    "forcing": {"kind": "deterministic", "name": "factorial"}},
+    }
+
+    @pytest.mark.parametrize("unread", sorted(_UNREAD))
+    def test_spectrum_ignores_sections_it_does_not_read(self, unread, tmp_path, capsys):
+        reports = []
+        for name, data in (("bare", self._SPECTRUM),
+                           (unread, dict(self._SPECTRUM, **self._UNREAD[unread]))):
+            path = self._write_config(tmp_path, data)
+            assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+        assert capsys.readouterr().err == ""
+        assert reports[1]["statistics"] == reports[0]["statistics"]
+        assert reports[1]["verdicts"] == reports[0]["verdicts"]
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("VOLTERRA_LAB_OUT", str(tmp_path / "envout"))
         path = self._write_config(tmp_path, {
@@ -800,6 +857,28 @@ class TestReportSerialization:
             assert isinstance(value, bool), name
         for fname in parsed["series"].values():
             load_series(tmp_path / fname)
+
+    @pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
+    def test_one_run_builds_each_part_once(self, mode, monkeypatch):
+        calls = {"generate": 0, "solve_linear": 0, "from_entry": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("generate", "solve_linear"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        from_entry = asymptotics.ScalingModel.from_entry.__func__
+        monkeypatch.setattr(asymptotics.ScalingModel, "from_entry",
+                            classmethod(counted("from_entry", from_entry)))
+        data = self.MODE_CONFIGS[mode]
+        run_experiment(cfg(mode=mode, **data))
+        single_path = mode not in ("spectrum", "envelope", "ensemble")
+        assert calls["generate"] == int(single_path)
+        assert calls["solve_linear"] == int(single_path and "kernel" in data)
+        assert calls["from_entry"] == int("scaling" in data)
 
     @pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
     def test_every_mode_is_bitwise_reproducible(self, mode, tmp_path, capsys):

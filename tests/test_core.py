@@ -106,6 +106,16 @@ class TestKernel:
         with pytest.raises(InputError, match=r"lambda must lie in \[0, 1\]"):
             Kernel([0.5]).at_scale(lam)
 
+    @pytest.mark.parametrize("kernel", [
+        Kernel.geometric(0.3, 0.5, 40), Kernel([0.5, 0.5]), Kernel([0.9, -0.3, 0.2]),
+    ], ids=["summable", "marginal", "signed"])
+    @pytest.mark.parametrize("horizon", [0, 1, 255, 256, 3000])
+    def test_resolvent_l1_is_the_sum_of_the_resolvent(self, kernel, horizon):
+        expected = np.sum(np.abs(resolvent(kernel, horizon).values))
+        l1 = kernel.resolvent_l1(horizon)
+        assert type(l1) is float
+        assert l1.hex() == float(expected).hex()
+
     def test_ensemble_specs_compare(self):
         def spec(kernel):
             return EnsembleSpec(kernel=kernel, forcing=ForcingGenerator(kind="iid", seed=3),
