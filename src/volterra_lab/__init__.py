@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .asymptotics import (
     ConvexFunctional,
     LimsupEstimate,
-    LimsupThresholds,
     PeriodicExtraction,
     ScalingModel,
     estimate_lambda,

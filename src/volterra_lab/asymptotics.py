@@ -11,9 +11,10 @@ The central conventions:
 * every other tail statistic is taken over the final quarter of its
   series, the one window :func:`series.tail_count` sizes;
 * limsup estimation uses dyadic block maxima with the first quarter of
-  the window excluded as burn-in;
-* classification thresholds (zero / finite-positive / infinite) are
-  heuristics and are overridable through :class:`LimsupThresholds`.
+  the window excluded as burn-in (:func:`series.burn_in_start`);
+* the limsup classification thresholds (zero / finite-positive /
+  infinite) are fixed heuristics, ``_ZERO_PEAK_RATIO`` and
+  ``_GROWTH_FACTOR``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .series import (
     LogTrajectory,
     Trajectory,
     abs_log_series,
+    burn_in_start,
     consecutive_ratios,
     dyadic_blocks,
     overlap_range,
@@ -49,10 +51,14 @@ logger = logging.getLogger(__name__)
 _IQR_TOLERANCE = 1e-3
 _NOISE_FACTOR = 3.0
 _MAX_PERIOD_FRACTION = 0.125
+# limsup classification: the share of the overall peak under which a final
+# dyadic block maximum reads as zero, and the least overall climb of the
+# last three block maxima that reads as infinite
+_ZERO_PEAK_RATIO = 1e-3
+_GROWTH_FACTOR = 2.0
 
 __all__ = [
     "ScalingModel",
-    "LimsupThresholds",
     "LimsupEstimate",
     "ConvexFunctional",
     "make_phi",
@@ -143,34 +149,14 @@ def estimate_lambda(g):
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LimsupThresholds:
-    """Classification thresholds; all three are heuristics and overridable.
-
-    The two fractions lie in [0, 1) and the growth factor is at least 1;
-    anything else raises ``ParameterError``.
-    """
-
-    burn_in_fraction: float = 0.25
-    zero_peak_ratio: float = 1e-3
-    growth_factor: float = 2.0
-
-    def __post_init__(self):
-        for name in ("burn_in_fraction", "zero_peak_ratio"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
-        if not self.growth_factor >= 1.0:
-            raise ParameterError(f"growth_factor must be >= 1, got {self.growth_factor!r}")
-
-
-@dataclass(frozen=True)
 class LimsupEstimate:
     """A windowed stand-in for limsup |g(n)| / a(n).
 
-    ``value`` is the maximum of |g|/a over the post-burn-in range.  The
-    classification compares dyadic block maxima: "zero" when the final
-    block has sunk below ``zero_peak_ratio`` of the overall peak,
+    ``value`` is the maximum of |g|/a from :func:`series.burn_in_start` on.
+    The classification compares dyadic block maxima: "zero" when the final
+    block has sunk below ``_ZERO_PEAK_RATIO`` of the overall peak,
     "infinite" when the last three block maxima climb by at least
-    ``growth_factor`` overall, "finite-positive" otherwise.  An infinite
+    ``_GROWTH_FACTOR`` overall, "finite-positive" otherwise.  An infinite
     verdict is the +inf marker; ``value`` itself stays finite.
     """
 
@@ -179,22 +165,15 @@ class LimsupEstimate:
     block_maxima: np.ndarray
 
 
-def estimate_limsup(g, scale: ScalingModel, thresholds: LimsupThresholds = None) -> LimsupEstimate:
-    thresholds = thresholds or LimsupThresholds()
+def estimate_limsup(g, scale: ScalingModel) -> LimsupEstimate:
     ratio = ratio_series(g, scale.a)
-    return _limsup_of_ratio(ratio, thresholds)
-
-
-def _limsup_of_ratio(ratio: Trajectory, thresholds: LimsupThresholds) -> LimsupEstimate:
     lo, hi = ratio.start, ratio.end
     absvals = np.abs(ratio.values)
     blocks = dyadic_blocks(lo, hi)
     maxima = np.array([
         float(np.max(absvals[blo - lo : bhi - lo + 1])) for blo, bhi in blocks
     ])
-    burn_start = lo + int(math.ceil(thresholds.burn_in_fraction * (hi - lo + 1)))
-    burn_start = min(burn_start, hi)
-    value = float(np.max(absvals[burn_start - lo :]))
+    value = float(np.max(absvals[burn_in_start(lo, hi) - lo :]))
     peak = float(np.max(maxima))
     if peak == 0.0:
         classification = "zero"
@@ -202,9 +181,9 @@ def _limsup_of_ratio(ratio: Trajectory, thresholds: LimsupThresholds) -> LimsupE
         classification = "finite-positive"
         if len(maxima) >= 3:
             b3, b2, b1 = maxima[-3], maxima[-2], maxima[-1]
-            if b3 < b2 < b1 and b1 >= thresholds.growth_factor * b3:
+            if b3 < b2 < b1 and b1 >= _GROWTH_FACTOR * b3:
                 classification = "infinite"
-        if classification == "finite-positive" and maxima[-1] < thresholds.zero_peak_ratio * peak:
+        if classification == "finite-positive" and maxima[-1] < _ZERO_PEAK_RATIO * peak:
             classification = "zero"
     return LimsupEstimate(
         value=value,

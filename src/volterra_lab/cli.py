@@ -99,9 +99,9 @@ def _fields(result, *names) -> dict:
     return {name: getattr(result, name) for name in names}
 
 
-def _limsups(cfg, scale, *paths):
-    """limsup |g|/a of each path under the config's thresholds; None for no path."""
-    return [None if g is None else estimate_limsup(g, scale, cfg.thresholds) for g in paths]
+def _limsups(scale, *paths):
+    """limsup |g|/a of each path; None for no path."""
+    return [None if g is None else estimate_limsup(g, scale) for g in paths]
 
 
 def _representation(kernel, scale, x, g_H):
@@ -147,7 +147,7 @@ def _mode_spectrum(cfg, kernel, forcing, x, scale):
 
 def _mode_classify(cfg, kernel, forcing, x, scale):
     lam_hat, converged = estimate_lambda(forcing)
-    est, est_x = _limsups(cfg, scale, forcing, x)
+    est, est_x = _limsups(scale, forcing, x)
     stats = {
         "lambda_hat": lam_hat,
         "lambda_converged": converged,
@@ -204,8 +204,7 @@ def _mode_verify_growth3(cfg, kernel, forcing, x, scale):
 
 
 def _mode_verify_periodic(cfg, kernel, forcing, x, scale):
-    extraction_H = extract_almost_periodic(ratio_series(forcing, scale.a),
-                                           period_hint=cfg.get("period_hint"))
+    extraction_H = extract_almost_periodic(ratio_series(forcing, scale.a))
     lam_x, predicted, rep_residual = _representation(kernel, scale, x, extraction_H.pi)
     extraction_x = extract_almost_periodic(lam_x)
     tol = cfg["tolerances"]["representation_residual"]
@@ -257,7 +256,7 @@ def _mode_verify_ergodic(cfg, kernel, forcing, x, scale):
 
 
 def _mode_verify_fluct(cfg, kernel, forcing, x, scale):
-    est_H, est_x = _limsups(cfg, scale, forcing, x)
+    est_H, est_x = _limsups(scale, forcing, x)
     r_l1 = kernel.resolvent_l1(cfg["horizon"])
     k_l1 = kernel.l1_norm
     slack = cfg["tolerances"]["bound_slack"]
@@ -318,7 +317,7 @@ def _mode_envelope(cfg, kernel, forcing, x, scale):
 
 def _mode_ensemble(cfg, kernel, forcing, x, scale):
     system = EnsembleSpec(kernel, cfg.forcing, cfg["horizon"], xi=cfg["xi"],
-                          log_domain=cfg["log_domain"], scaling=scale, thresholds=cfg.thresholds)
+                          log_domain=cfg["log_domain"], scaling=scale)
     statistic = cfg.statistic
     result = ensemble_verify(system, cfg["paths"], statistic)
     min_fraction = cfg["tolerances"]["min_pass_fraction"]
@@ -343,7 +342,7 @@ def _mode_verify_nonlinear(cfg, kernel, forcing, y, scale):
     f = cfg.nonlinearity
     x_nl = solve_nonlinear(kernel, f, forcing, cfg["xi"], cfg["horizon"])
     diff = Trajectory(np.abs(x_nl.values - y.values), start=0)
-    est_diff, est_H, est_x = _limsups(cfg, scale, diff, forcing, x_nl)
+    est_diff, est_H, est_x = _limsups(scale, diff, forcing, x_nl)
     maxima = [float(v) for v in est_diff.block_maxima]
     floor = 1e-13
     clamped = [max(v, floor) for v in maxima[-3:]]
@@ -448,12 +447,10 @@ def _print_catalogue():
     print("growth catalogue (scaling models and deterministic forcing):")
     for name, alias in catalogue_names():
         print(f"  {alias:<6} {name}")
-    # a config holds no functions, so it cannot name the custom quantile family
-    tails = [f"{f} (library only)" if f == "custom_quantile" else f for f in _TAIL_FAMILIES]
     for label, names in (
         ("forcing kinds", _FORCING_KEYS),
         ("modulation factors", _FACTORS),
-        ("tail families", tails),
+        ("tail families", _TAIL_FAMILIES),
         ("nonlinearities", _NONLINEARITIES),
         ("phi functionals", _PHIS),
         ("ensemble statistics", STATISTICS),

@@ -24,7 +24,7 @@ import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 
-from .asymptotics import ConvexFunctional, LimsupThresholds, make_phi
+from .asymptotics import ConvexFunctional, make_phi
 from .core import Kernel, Nonlinearity, make_nonlinearity
 from .exceptions import ConfigError, VolterraLabError
 from .growth_catalogue import CatalogueEntry, catalogue_entry
@@ -66,8 +66,8 @@ _REPRESENTATION_MODES = ("verify-growth3", "verify-periodic", "verify-nonlinear"
 _PLAIN_MODES = ("spectrum", "envelope", "verify-nonlinear")
 
 _SCALARS = {
-    "mode", "horizon", "seed", "xi", "log_domain", "k_grid", "paths", "period_hint",
-    "expected_period", "expected_crossing", "lambda_grid", "out_dir",
+    "mode", "horizon", "seed", "xi", "log_domain", "k_grid", "paths", "expected_period",
+    "expected_crossing", "lambda_grid", "out_dir",
 }
 
 _MISSING = object()
@@ -198,7 +198,7 @@ _FORCING_KEYS = {
 
 def _forcing(spec, path, top):
     kind = _choice(_object(spec, path), "kind", path, _FORCING_KEYS)
-    keys = {"kind", "seed", *_FORCING_KEYS[kind]}
+    keys = {"kind", *_FORCING_KEYS[kind]}
     _object(spec, path, keys)
     out, parts = {"kind": kind}, {}
     if kind == "iid":
@@ -215,17 +215,13 @@ def _forcing(spec, path, top):
         out["noise"] = spec.get("noise")
         if out["noise"] is not None:
             out["noise"], parts["noise"] = _tail(out["noise"], f"{path}.noise")
-    if "seed" in spec:
-        out["seed"] = _int(spec, "seed", path)
-    return out, ForcingGenerator(kind, out.get("seed", top["seed"]), **parts)
+    return out, ForcingGenerator(kind, top["seed"], **parts)
 
 
 def _statistic(spec, path, top):
-    _object(spec, path, {"name", "band", "series", "phi", "burn_in_fraction"})
+    _object(spec, path, {"name", "band", "series", "phi"})
     out = {"name": _field(spec, "name", path), "band": _floats(spec, "band", path)}
     out["series"] = _field(spec, "series", path, "solution")
-    if "burn_in_fraction" in spec:
-        out["burn_in_fraction"] = _float(spec, "burn_in_fraction", path)
     phi = {}
     if "phi" in spec:
         out["phi"], phi["phi"] = _named(spec["phi"], f"{path}.phi", make_phi)
@@ -244,12 +240,6 @@ def _tolerances(spec, path, top):
     return out, None
 
 
-def _thresholds(spec, path, top):
-    keys = {"burn_in_fraction", "zero_peak_ratio", "growth_factor"}
-    out = {key: _float(spec, key, path) for key in _object(spec, path, keys)}
-    return out, _build(path, LimsupThresholds, **out)
-
-
 _SECTIONS = {
     "kernel": _kernel,
     "forcing": _forcing,
@@ -259,7 +249,6 @@ _SECTIONS = {
     "phi": lambda spec, path, top: _named(spec, path, make_phi),
     "statistic": _statistic,
     "tolerances": _tolerances,
-    "thresholds": _thresholds,
 }
 
 
@@ -279,7 +268,6 @@ class ExperimentConfig:
     tail: TailModel = None
     phi: ConvexFunctional = None
     statistic: StatisticSpec = None
-    thresholds: LimsupThresholds = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -301,7 +289,7 @@ class ExperimentConfig:
             raise ConfigError("config.log_domain", "expected true or false")
         if data["log_domain"] and mode in _PLAIN_MODES:
             raise ConfigError("config.log_domain", f"mode {mode!r} runs in plain doubles only")
-        defaults = {"tolerances": {}, "thresholds": {}}
+        defaults = {"tolerances": {}}
         if mode == "verify-phi":
             defaults["phi"] = {"name": "power", "params": {"p": 2.0}}
         objects = {}
@@ -316,9 +304,8 @@ class ExperimentConfig:
             if not data["k_grid"]:
                 raise ConfigError("config.k_grid", "must be a nonempty list")
             _each(data, "k_grid", "config", lambda k: k > 0.0, "must be positive")
-        for key, minimum in (("period_hint", 1), ("expected_period", 0)):
-            if raw.get(key) is not None:
-                data[key] = _int(raw, key, "config", minimum=minimum)
+        if raw.get("expected_period") is not None:
+            data["expected_period"] = _int(raw, "expected_period", "config")
         if "expected_crossing" in raw:
             data["expected_crossing"] = _float(raw, "expected_crossing", "config")
         if "lambda_grid" in raw or mode == "spectrum":

@@ -9,7 +9,7 @@ constructed; every operation returns a new object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "tail_count",
     "ratio_series",
     "consecutive_ratios",
+    "burn_in_start",
     "abs_log_series",
     "dyadic_blocks",
 ]
@@ -196,39 +197,30 @@ def ratio_series(num, den) -> Trajectory:
             nl, ns = _log_parts(num, lo, hi)
             dl, d = _log_parts(den, lo, hi)
             vals = ns * d * np.exp(nl - dl)
-    return _ratio_trajectory(vals, d, lo, "zero denominator")
+    if np.any(d == 0.0):
+        idx = lo + int(np.flatnonzero(d == 0.0)[0])
+        raise UndefinedRatioError(f"zero denominator at index {idx}")
+    if np.any(~np.isfinite(vals)):
+        idx = lo + int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise InputError(f"ratio overflows plain representation at index {idx}")
+    return Trajectory(vals, start=lo)
 
 
 def consecutive_ratios(g) -> Trajectory:
-    """g(n-1)/g(n) for n in [start+1, end].
+    """g(n-1)/g(n) for n in [start+1, end], in g's own form.
 
-    Plain trajectories divide directly (exact for exact powers); log-form
-    inputs go through log differences so astronomically large magnitudes
-    divide cleanly.  A ratio beyond double range raises.
+    The ratio series of g shifted one index on against g itself, over
+    their common range; a zero or a ratio beyond double range raises as in
+    :func:`ratio_series`.
     """
-    lo, hi = g.start, g.end
-    if hi - lo < 1:
+    if len(g) < 2:
         raise InputError("need at least two points for consecutive ratios")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if isinstance(g, Trajectory):
-            d = g.values[1:]
-            vals = g.values[:-1] / d
-        else:
-            gl, gs = _log_parts(g, lo, hi)
-            d = gs[1:]
-            vals = gs[:-1] * d * np.exp(gl[:-1] - gl[1:])
-    return _ratio_trajectory(vals, d, lo + 1, "zero value")
+    return ratio_series(replace(g, start=g.start + 1), g)
 
 
-def _ratio_trajectory(vals, denom, start, zero):
-    """``vals`` as a plain trajectory; a zero in ``denom`` or an overflowed value raises."""
-    if np.any(denom == 0.0):
-        idx = start + int(np.flatnonzero(denom == 0.0)[0])
-        raise UndefinedRatioError(f"{zero} at index {idx}")
-    if np.any(~np.isfinite(vals)):
-        idx = start + int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise InputError(f"ratio overflows plain representation at index {idx}")
-    return Trajectory(vals, start=start)
+def burn_in_start(lo: int, hi: int) -> int:
+    """First index after the burn-in of [lo, hi]: its first quarter, rounded up, clipped to hi."""
+    return min(lo + -(-(hi - lo + 1) // 4), hi)
 
 
 def abs_log_series(series) -> Trajectory:

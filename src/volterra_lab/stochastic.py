@@ -19,7 +19,6 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .asymptotics import (
     ConvexFunctional,
-    LimsupThresholds,
     ScalingModel,
     estimate_limsup,
     make_phi,
@@ -33,7 +32,7 @@ from .exceptions import (
     UndefinedRatioError,
 )
 from .growth_catalogue import CatalogueEntry, catalogue_entry
-from .series import LogTrajectory, Trajectory, abs_log_series, ratio_series
+from .series import LogTrajectory, Trajectory, abs_log_series, burn_in_start, ratio_series
 
 __all__ = [
     "TailModel",
@@ -267,24 +266,12 @@ def _uniform_model(low=-1.0, high=1.0):
     )
 
 
-def _custom_quantile_model(cdf, sf, quantile, upper_quantile, symmetric=False):
-    return TailModel(
-        family="custom_quantile",
-        cdf=cdf,
-        sf=sf,
-        quantile=quantile,
-        upper_quantile=upper_quantile,
-        symmetric=bool(symmetric),
-    )
-
-
 # family -> builder; a builder's keyword arguments are the family's parameters
 _TAIL_FAMILIES = {
     "normal": _normal_model,
     "symmetric_power": _symmetric_power_model,
     "weibull_symmetric": _weibull_symmetric_model,
     "uniform": _uniform_model,
-    "custom_quantile": _custom_quantile_model,
 }
 
 
@@ -652,7 +639,6 @@ class EnsembleSpec:
     xi: float = 1.0
     log_domain: bool = False
     scaling: ScalingModel = None
-    thresholds: LimsupThresholds = None
 
     __hash__ = None
 
@@ -674,7 +660,6 @@ class StatisticSpec:
     band: tuple
     series: str = "solution"  # "solution" or "forcing"
     phi: ConvexFunctional = None
-    burn_in_fraction: float = 0.25
 
     __hash__ = None  # compares by value, but ``phi`` holds a dict
 
@@ -685,8 +670,6 @@ class StatisticSpec:
             raise ParameterError("statistic series must be 'solution' or 'forcing'")
         if len(self.band) != 2 or not self.band[0] <= self.band[1]:
             raise ParameterError("band must be (low, high) with low <= high")
-        if not 0.0 <= self.burn_in_fraction < 1.0:
-            raise ParameterError("burn_in_fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -706,14 +689,13 @@ class EnsembleResult:
 def _path_statistic(spec: StatisticSpec, series, system: EnsembleSpec) -> float:
     """The statistic of one path's solution or forcing, as ``spec.series`` names."""
     if spec.name == "limsup_ratio":
-        est = estimate_limsup(series, system.scaling, system.thresholds)
-        return est.value
+        return estimate_limsup(series, system.scaling).value
     if spec.name == "log_growth_rate":
         la = abs_log_series(series)
         return float(la.values[-1]) / la.end
     if spec.name == "log_log_exponent":
         la = abs_log_series(series)
-        lo = max(series.start, 2, series.start + int(spec.burn_in_fraction * len(la)))
+        lo = max(2, burn_in_start(la.start, la.end))
         win = la.window(lo, la.end)
         return float(np.max(win.values / np.log(win.indices())))
     if spec.name == "cesaro_limit":

@@ -5,7 +5,6 @@ import pytest
 
 from volterra_lab.asymptotics import (
     _PHIS,
-    LimsupThresholds,
     ScalingModel,
     estimate_lambda,
     estimate_limsup,
@@ -180,13 +179,6 @@ class TestEstimateLimsup:
         est = estimate_limsup(x, scale)
         assert est.classification == "finite-positive"
         assert est.value <= 2.0 * 1.05  # resolvent l1 mass = 2
-
-    def test_thresholds_are_overridable(self):
-        n = np.arange(1, 5001, dtype=float)
-        scale = ScalingModel.from_catalogue("power", 5000, theta=1.0)
-        loose = LimsupThresholds(growth_factor=1.01)
-        est = estimate_limsup(traj(n ** 1.2, start=1), scale, loose)
-        assert est.classification == "infinite"
 
 
 class TestVerifyGrowth2:

@@ -86,11 +86,14 @@ _MALFORMED = [
     ("forcing", {"kind": "deterministic", "name": "sqrt_log"}, "config.forcing"),
     ("forcing", dict(_modulated({"kind": "periodic", "profile": [1.0]}),
                      base={"name": "sqrt_log"}), "config.forcing.base"),
-    ("statistic.burn_in_fraction", 1.5, "config.statistic"),
-    # a negative burn-in would slice from the wrong end of the ratio series
-    ("thresholds", {"burn_in_fraction": -0.5}, "config.thresholds"),
-    ("thresholds", {"zero_peak_ratio": 5.0}, "config.thresholds"),
-    ("thresholds", {"growth_factor": -1.0}, "config.thresholds"),
+    # fixed estimator settings and a second seed are no config keys, whatever
+    # the value, even the fixed one: one row per removed setting
+    ("statistic.burn_in_fraction", 1.5, "config.statistic.burn_in_fraction"),
+    ("thresholds", {"burn_in_fraction": 0.25}, "config.thresholds"),
+    ("thresholds", {"zero_peak_ratio": 1e-3}, "config.thresholds"),
+    ("thresholds", {"growth_factor": 2.0}, "config.thresholds"),
+    ("forcing.seed", 11, "config.forcing.seed"),
+    ("period_hint", 2, "config.period_hint"),
 ]
 
 
@@ -158,14 +161,13 @@ class TestValidation:
         assert config.forcing.tail.family == "normal"
         assert config.forcing.seed == config["seed"] == 0
         assert config.statistic.name == "phi_average"
-        assert config.thresholds.burn_in_fraction == 0.25
         assert config.scaling is None and config.nonlinearity is None
 
     def test_random_walk_with_noise_and_its_own_seed(self):
-        forcing = {"kind": "random_walk_drift", "drift": 0.5, "seed": 11,
+        forcing = {"kind": "random_walk_drift", "drift": 0.5,
                    "noise": {"family": "normal", "sigma": 2.0}}
-        built = cfg(mode="solve", horizon=50, seed=3, kernel={"name": "zero"}, forcing=forcing)
-        assert built["forcing"] == forcing and built["seed"] == 3
+        built = cfg(mode="solve", horizon=50, seed=11, kernel={"name": "zero"}, forcing=forcing)
+        assert built["forcing"] == forcing and built["seed"] == 11
         assert built.forcing.seed == 11 and built.forcing.noise.family == "normal"
         same = stochastic.ForcingGenerator(
             kind="random_walk_drift", seed=11, drift=0.5,
@@ -569,9 +571,9 @@ class TestCommandLine:
             ("ensemble statistics", stochastic.STATISTICS),
             ("modes", MODES),
         ):
-            listed = [name.split(" (")[0] for name in lines[label].split(" | ")]
-            assert listed == list(table), label
-        assert "custom_quantile (library only)" in lines["tail families"]
+            assert lines[label].split(" | ") == list(table), label
+        # a config holds no functions, so it has no custom quantile family to name
+        assert "custom_quantile" not in out
 
     @pytest.mark.parametrize("p, log_domain", [(200.0, False), (2000.0, True)])
     def test_verify_phi_with_a_large_power_runs(self, p, log_domain, tmp_path, capsys):

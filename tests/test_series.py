@@ -7,6 +7,7 @@ from volterra_lab.exceptions import InputError, UndefinedRatioError
 from volterra_lab.series import (
     LogTrajectory,
     Trajectory,
+    burn_in_start,
     consecutive_ratios,
     dyadic_blocks,
     ratio_series,
@@ -92,8 +93,27 @@ def test_consecutive_ratios_geometric():
 
 
 def test_consecutive_ratios_zero_error():
-    with pytest.raises(UndefinedRatioError):
-        consecutive_ratios(Trajectory([1.0, 0.0, 2.0]))
+    with pytest.raises(UndefinedRatioError, match="zero denominator at index 2"):
+        consecutive_ratios(Trajectory([1.0, 0.0, 2.0], start=1))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_consecutive_ratios_match_direct_division(seed):
+    # direct slice division, in plain and in log form, is the bitwise reference
+    rng = np.random.default_rng(seed)
+    g = Trajectory(rng.standard_normal(50) * np.exp(rng.uniform(-5, 5, 50)), start=seed)
+    log = g.to_log()
+    assert np.array_equal(consecutive_ratios(g).values, g.values[:-1] / g.values[1:])
+    reference = log.sign[:-1] * log.sign[1:] * np.exp(log.log_abs[:-1] - log.log_abs[1:])
+    ratios = consecutive_ratios(log)
+    assert ratios.start == seed + 1 and np.array_equal(ratios.values, reference)
+
+
+@pytest.mark.parametrize("lo_base", [0, 10**6 - 20])
+def test_burn_in_start_is_the_first_quarter_rounded_up(lo_base):
+    for lo in range(lo_base, lo_base + 40):
+        for hi in range(lo, lo_base + 40):
+            assert burn_in_start(lo, hi) == min(lo + math.ceil((hi - lo + 1) / 4), hi)
 
 
 def test_dyadic_blocks_cover_range():

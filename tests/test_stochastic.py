@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from volterra_lab import cli, stochastic
 from volterra_lab.asymptotics import ScalingModel
+from volterra_lab.config import ExperimentConfig
 from volterra_lab.core import Kernel
 from volterra_lab.exceptions import InputError, ParameterError
-from volterra_lab.series import LogTrajectory, Trajectory
+from volterra_lab.series import LogTrajectory, Trajectory, abs_log_series
 from volterra_lab.stochastic import (
     EnsembleSpec,
     ForcingGenerator,
     StatisticSpec,
+    TailModel,
     classify_tail,
     ensemble_verify,
     envelope_sums,
@@ -371,12 +374,48 @@ class TestClassifyTail:
         def upper_quantile(p):
             return quantile(1.0 - np.asarray(p, dtype=np.float64))
 
-        t = make_tail_model(
-            "custom_quantile", cdf=cdf, sf=sf, quantile=quantile, upper_quantile=upper_quantile
-        )
+        t = TailModel(family="custom_quantile", cdf=cdf, sf=sf, quantile=quantile,
+                      upper_quantile=upper_quantile, symmetric=False)
         c = classify_tail(t)
         assert c.verdict == "regularly-varying"
         assert c.case == "i"
+
+
+# the ensemble_plain benchmark config; the test's seeds are the ones its
+# workload seeds 0 and 1 draw
+_ENSEMBLE_PLAIN = {
+    "horizon": 12500, "paths": 16,
+    "kernel": {"name": "geometric", "c": 0.3, "ratio": 0.5, "size": 40},
+    "forcing": {"kind": "iid",
+                "tail": {"family": "symmetric_power", "alpha": 2.0, "c1": 0.5, "c2": 0.5}},
+    "statistic": {"name": "log_log_exponent", "band": [0.4, 0.6]},
+}
+
+
+@pytest.mark.parametrize("seed", [1396378717, 39312862])
+def test_log_log_exponent_burn_in_keeps_its_values(seed, monkeypatch):
+    """The statistic's window starts at series.burn_in_start, the first
+    quarter rounded up; per path the value is bitwise the one a window with
+    the quarter rounded down gives."""
+    def int_rounded(series):
+        la = abs_log_series(series)
+        lo = max(series.start, 2, series.start + int(0.25 * len(la)))
+        win = la.window(lo, la.end)
+        return float(np.max(win.values / np.log(win.indices())))
+
+    pairs = []
+    path_statistic = stochastic._path_statistic
+
+    def both(spec, series, system):
+        pairs.append((path_statistic(spec, series, system), int_rounded(series)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(stochastic, "_path_statistic", both)
+    config = ExperimentConfig.from_dict(dict(_ENSEMBLE_PLAIN, mode="ensemble", seed=seed))
+    cli.run_experiment(config)
+    assert len(pairs) == 16
+    for value, reference in pairs:
+        assert value == reference
 
 
 class TestEnsembles:
