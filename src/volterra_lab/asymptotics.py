@@ -361,8 +361,11 @@ def _spectral_period(tail: Trajectory, max_period: int):
     candidates = [p for p in range(max(2, p0 - 2), p0 + 3) if 2 <= p <= max_period]
     if not candidates:
         return 0
-    scores = [(_fold_score(tail, p), p) for p in candidates]
-    return min(scores)[1]
+    # a multiple of a period folds as well as the period, so the smallest
+    # candidate within rounding of the best score wins
+    scores = [_fold_score(tail, p) for p in candidates]
+    rounding = (len(vals) * np.finfo(float).eps) ** 2 * float(np.mean(tail.values ** 2))
+    return next(p for p, s in zip(candidates, scores) if s <= min(scores) + rounding)
 
 
 # --------------------------------------------------------------------------

@@ -50,10 +50,11 @@ Which engine runs where (B = 256 for a kernel of any length M):
   costs a handful of array calls; the output is bitwise that of taking
   both from the block's values directly, which the tests keep as the
   reference.
-* ``resolvent`` and ``solve_by_representation`` run the per-term reference
-  recursion, O(horizon * min(horizon, M)); ``solve_by_representation``
-  adds the only O(horizon^2) step, the direct convolution of the
-  resolvent with the forcing.
+* ``resolvent``, ``solve_by_representation`` and ``solve_nonlinear`` run
+  the per-term reference recursion, O(horizon * min(horizon, M)); the
+  nonlinear solve convolves over f(x) in place of x, and
+  ``solve_by_representation`` adds the only O(horizon^2) step, the direct
+  convolution of the resolvent with the forcing.
 * ``Kernel.at_scale(lam)``, with resolvent r(j) lam^j, carries the
   representations at scale: ``predict_x_over_a`` is its ``solve_linear``,
   ``predict_H_over_a`` its ``recover_forcing``, ``rho_of_lambda`` its ``resolvent``.
@@ -91,8 +92,8 @@ drifts further from the exact value than that, and the scaled blocks stay
 the closer of the two.  Repeated calls of either engine are bitwise
 identical.
 
-Every per-term loop (the plain and log recursions and the nonlinear
-solve) runs on Python floats, reading its inputs with ``tolist`` and
+Every per-term loop (the plain recursion, with or without f, and the log
+recursion) runs on Python floats, reading its inputs with ``tolist`` and
 writing its results back into the numpy arrays one chunk of ``_CHUNK``
 steps at a time.  Python floats perform the same IEEE-754 double
 operations as numpy float64 scalars, and the loops keep their order, so
@@ -314,19 +315,32 @@ def _chunks(lo, hi, m):
         yield start, min(start + _CHUNK, hi), max(start - m, 0)
 
 
-def _linear_recursion(k, h, xi, out):
+def _linear_recursion(k, h, xi, out, f=None):
+    """Fill out from x(0) = xi; return the first non-finite index, or -1.  With
+    f, step n convolves over f(x(0..n)), evaluating f(x(n)) once if M >= 1."""
     m = len(k)
     k = k.tolist()
+    apply = f is not None and m > 0
     out[0] = xi
+    y = []
     for lo, hi, base in _chunks(1, len(out), m):
         x = out[base:lo].tolist()
+        # y[i] is what the convolution reads at x[i]: x[i], or f(x[i]) once step i ran
+        y = y[len(y) - (lo - 1 - base) :] if apply else x
         hh = h[lo:hi].tolist()
         for n in range(lo - 1, hi - 1):
             w = n + 1 if n + 1 < m else m
             i = n - base
+            if apply:
+                v = f(x[i])
+                if not math.isfinite(v):
+                    raise NonlinearityError(
+                        f"nonlinearity {f.name!r} returned non-finite value at input {x[i]!r}"
+                    )
+                y.append(float(v))
             acc = 0.0
             for l in range(w):
-                acc += k[l] * x[i - l]
+                acc += k[l] * y[i - l]
             val = acc + hh[n + 1 - lo]
             x.append(val)
             if not math.isfinite(val):
@@ -408,10 +422,10 @@ def _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
 _BLOCK = 256
 
 
-def _reference_linear(k, h, xi):
+def _reference_linear(k, h, xi, f=None):
     """x(0..len(h)-1) by the per-term recursion; raises on the first non-finite value."""
     out = np.empty(len(h))
-    bad = _linear_recursion(k, h, xi, out)
+    bad = _linear_recursion(k, h, xi, out, f)
     if bad >= 0:
         raise TrajectoryOverflowError(bad)
     return out
@@ -701,35 +715,11 @@ def _convolve(kernel: Kernel, x):
 
 
 def solve_nonlinear(kernel: Kernel, f: Nonlinearity, forcing, xi: float, horizon: int) -> Trajectory:
-    """Advance x(n+1) = sum k(n-j) f(x(j)) + H(n+1) with x(0) = xi."""
+    """Advance x(n+1) = sum k(n-j) f(x(j)) + H(n+1) with x(0) = xi.
+
+    The per-term reference recursion with f applied to the values its
+    convolution reads: f sees x(0..horizon-1), never x(horizon), and with
+    M = 0 nothing at all.  Repeated calls give bitwise-identical output.
+    """
     horizon, h = _aligned_forcing(forcing, horizon, xi)
-    k = kernel.coefficients.tolist()
-    m = len(k)
-    x = np.empty(horizon + 1)
-    fx = np.empty(horizon + 1)
-    x[0] = xi
-    xn = float(x[0])
-    for lo, hi, base in _chunks(0, horizon, m):
-        fxs = fx[base:lo].tolist()
-        hh = h[lo + 1 : hi + 1].tolist()
-        xs = []
-        for n in range(lo, hi):
-            y = f(xn)
-            if not math.isfinite(y):
-                raise NonlinearityError(
-                    f"nonlinearity {f.name!r} returned non-finite value at input {xn!r}"
-                )
-            fxs.append(float(y))
-            w = min(n + 1, m)
-            i = n - base
-            acc = 0.0
-            for l in range(w):
-                acc += k[l] * fxs[i - l]
-            val = acc + hh[n - lo]
-            if not math.isfinite(val):
-                raise TrajectoryOverflowError(n + 1)
-            xs.append(val)
-            xn = val
-        x[lo + 1 : hi + 1] = xs
-        fx[lo:hi] = fxs[lo - base :]
-    return Trajectory(x, start=0)
+    return Trajectory(_reference_linear(kernel.coefficients, h, float(xi), f), start=0)

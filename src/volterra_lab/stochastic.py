@@ -702,6 +702,8 @@ def _path_statistic(spec: StatisticSpec, series, system: EnsembleSpec) -> float:
         ratio = ratio_series(series, system.scaling.a)
         return float(time_average(ratio).values[-1])
     phi = spec.phi or make_phi("power", p=2.0)  # phi_average
+    if spec.series == "forcing":  # H(0) = 0 is a placeholder, not data
+        series = series.window(1, series.end)
     return float(np.mean(phi(np.abs(series.to_plain().values))))
 
 

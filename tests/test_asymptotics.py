@@ -412,6 +412,15 @@ class TestExtraction:
         assert ext.period == 8
         assert ext.residual_tail_sup < 1e-12
 
+    @pytest.mark.parametrize("n", [512, 600, 1001])
+    def test_exact_period_beats_its_multiple(self, n):
+        # 2 and 4 both fold an exact period-2 series to rounding, and on these
+        # lengths 4's score comes out the smaller
+        g = traj(np.resize([1.1, 0.9], n), start=1)
+        ext = extract_almost_periodic(g)
+        assert ext.period == 2
+        assert ext.residual_tail_sup < 1e-12
+
 
 class TestTimeAverage:
     def test_constant(self):

@@ -902,6 +902,19 @@ class TestReportSerialization:
         assert runs[0][0] in (0, 2)
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("log_domain", [False, True], ids=["plain", "log"])
+    def test_periodic_fixture_detects_period_2_in_both_domains(self, log_domain, tmp_path,
+                                                               capsys):
+        # in the log domain x/a folds onto period 4 as well as onto 2, to rounding
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(dict(self.MODE_CONFIGS["verify-periodic"],
+                                          log_domain=log_domain)))
+        code = main(["verify-periodic", "--config", str(config), "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["statistics"]["detected_period_x"] == 2
+
 
 # --------------------------------------------------------------------------
 # evidence files: np.load gives back the written series bit for bit

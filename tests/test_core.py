@@ -1103,6 +1103,67 @@ class TestPythonFloatLoops:
         assert CHUNK < err.value.index < 2 * CHUNK
 
 
+def recording(fn, name="recording"):
+    """A nonlinearity that keeps every input it is evaluated on."""
+    seen = []
+
+    def record(x):
+        seen.append(x)
+        return fn(x)
+
+    return core.Nonlinearity(name, record), seen
+
+
+class TestNonlinearOnReferenceRecursion:
+    # solve_nonlinear is the plain per-term recursion with f applied to its history
+
+    @pytest.mark.parametrize("m", [1, 40, 300])
+    def test_identity_is_bitwise_the_reference(self, m):
+        k = loop_kernel(m, m + 20)
+        h = loop_forcing(3 * CHUNK, m + 21)
+        ref = core._reference_linear(k, h, 0.7)
+        x = solve_nonlinear(Kernel(k), make_nonlinearity("identity"), traj(h), 0.7, 3 * CHUNK)
+        assert_same_bits(x.values, ref)
+
+    @pytest.mark.parametrize("m", [1, 40, 300])
+    def test_identity_is_bitwise_solve_linear_below_the_block(self, m):
+        k = Kernel(loop_kernel(m, m + 22))
+        h = traj(loop_forcing(3 * _BLOCK, m + 23))
+        lin = solve_linear(k, h, -0.3, 3 * _BLOCK).values
+        x = solve_nonlinear(k, make_nonlinearity("identity"), h, -0.3, 3 * _BLOCK).values
+        assert_same_bits(x[:_BLOCK], lin[:_BLOCK])
+
+    def test_f_sees_every_value_but_the_last_once_in_order(self):
+        f, seen = recording(core._bounded_offset)
+        x = solve_nonlinear(Kernel(loop_kernel(40, 24)), f, traj(loop_forcing(CHUNK + 9, 25)),
+                            0.7, CHUNK + 9).values
+        assert_same_bits(np.array(seen), x[:-1])
+
+    def test_zero_kernel_never_evaluates_f(self):
+        # the convolution reads nothing, so a nonlinearity that is never finite is never asked
+        f, seen = recording(lambda x: math.nan)
+        h = loop_forcing(CHUNK + 3, 26)
+        x = solve_nonlinear(Kernel.zero(), f, traj(h), 2.5, CHUNK + 3).values
+        assert seen == []
+        assert x[0] == 2.5
+        assert_same_bits(x[1:], h[1:])
+
+    def test_nonlinearity_error_in_second_chunk(self):
+        # x(n) = n + 0.5 under k = [1], H = 1; f fails on its first input above CHUNK + 100
+        f, seen = recording(lambda x: math.nan if x > CHUNK + 100 else x, name="cutoff")
+        h = np.ones(3 * CHUNK + 1)
+        with pytest.raises(NonlinearityError):
+            numpy_nonlinear_loop([1.0], f, h, 0.5, 3 * CHUNK)
+        ref = list(seen)
+        seen.clear()
+        with pytest.raises(NonlinearityError) as err:
+            solve_nonlinear(Kernel([1.0]), f, traj(h), 0.5, 3 * CHUNK)
+        assert seen == ref == [n + 0.5 for n in range(CHUNK + 101)]
+        assert str(err.value) == (
+            f"nonlinearity 'cutoff' returned non-finite value at input {CHUNK + 100.5!r}"
+        )
+
+
 # --------------------------------------------------------------------------
 # the resolvent prefix r[:B] a kernel computes once for all its blocked solves
 # --------------------------------------------------------------------------

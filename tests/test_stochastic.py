@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
 from volterra_lab import cli, stochastic
 from volterra_lab.asymptotics import ScalingModel
@@ -490,3 +491,26 @@ class TestEnsembles:
             StatisticSpec(name="phi_average", band=(2.0, 1.0))
         with pytest.raises(ParameterError):
             StatisticSpec(name="unknown", band=(0.0, 1.0))
+
+    @pytest.mark.parametrize("log_domain", [False, True], ids=["plain", "log"])
+    def test_forcing_phi_average_skips_the_index_0_placeholder(self, log_domain):
+        # the mean of H^2 over indices 1..4, not over the placeholder H(0) = 0 too
+        gen = ForcingGenerator(kind="iid", seed=5,
+                               tail=make_tail_model("uniform", low=1.0, high=2.0))
+        spec = EnsembleSpec(kernel=Kernel(np.array([0.5])), forcing=gen, horizon=4,
+                            log_domain=log_domain)
+        stat = StatisticSpec(name="phi_average", band=(0.0, 10.0), series="forcing")
+        [value] = ensemble_verify(spec, 1, stat).per_path
+        rng = Generator(Philox(SeedSequence(5).spawn(1)[0]))
+        h = gen.tail.sample(rng, 4)
+        assert np.all((h >= 1.0) & (h <= 2.0))
+        assert value == pytest.approx(np.mean(h**2), rel=1e-12)
+
+    def test_solution_phi_average_keeps_the_start(self):
+        # x(0) = xi is data: with k = 0 the path is xi, H(1), ..., H(4)
+        gen = ForcingGenerator(kind="deterministic", entry=forcing_entry("geometric", lam=0.5))
+        spec = EnsembleSpec(kernel=Kernel.zero(), forcing=gen, horizon=4, xi=3.0)
+        stat = StatisticSpec(name="phi_average", band=(0.0, 1000.0))
+        [value] = ensemble_verify(spec, 1, stat).per_path
+        h = generate(gen, 4).values[1:]
+        assert value == pytest.approx((9.0 + np.sum(h**2)) / 5, rel=1e-12)
