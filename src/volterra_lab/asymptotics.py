@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.median and np.percentile import it at their first call
 from numpy.fft import rfft
 
 from .core import Kernel, _aligned_forcing, _convolve, recover_forcing, solve_linear
@@ -37,7 +36,9 @@ from .series import (
     burn_in_start,
     consecutive_ratios,
     dyadic_blocks,
+    median,
     overlap_range,
+    percentile,
     ratio_series,
     tail_count,
 )
@@ -139,8 +140,8 @@ def estimate_lambda(g):
     lo = max(g.start, g.end - count + 1)
     window = g.window(lo, g.end)
     ratios = consecutive_ratios(window).values
-    lam_hat = float(np.median(ratios))
-    iqr = float(np.percentile(ratios, 75) - np.percentile(ratios, 25))
+    lam_hat = median(ratios)
+    iqr = percentile(ratios, 75) - percentile(ratios, 25)
     return lam_hat, bool(iqr < _IQR_TOLERANCE)
 
 
@@ -354,7 +355,7 @@ def _spectral_period(tail: Trajectory, max_period: int):
         return 0
     mags = np.abs(rfft(vals))[1:]
     peak_bin = int(np.argmax(mags)) + 1
-    floor = float(np.median(mags))
+    floor = median(mags)
     if mags[peak_bin - 1] < _NOISE_FACTOR * max(floor, 1e-300):
         return 0
     p0 = int(round(len(vals) / peak_bin))

@@ -9,6 +9,7 @@ constructed; every operation returns a new object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +21,8 @@ __all__ = [
     "LogTrajectory",
     "overlap_range",
     "tail_count",
+    "median",
+    "percentile",
     "ratio_series",
     "consecutive_ratios",
     "burn_in_start",
@@ -164,6 +167,41 @@ class LogTrajectory:
 def tail_count(length: int) -> int:
     """Size of every tail window, the package's stand-in for n -> infinity: the final quarter."""
     return max(1, int(round(0.25 * length)))
+
+
+def median(values) -> float:
+    """np.median of a 1-d float array, bitwise, by one np.partition.
+
+    np.median and np.percentile import numpy.ma (about 11 ms) at their
+    first call; these two helpers leave it out of every run.
+    """
+    n = values.size
+    h = n // 2
+    part = np.partition(values, [h - 1, h, -1] if n % 2 == 0 else [h, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    # np.median takes the mean of the middle one or two: a sum from +0.0, over the count
+    if n % 2:
+        return float(part[h] + 0.0)
+    return float((part[h - 1] + part[h] + 0.0) / 2)
+
+
+def percentile(values, q) -> float:
+    """np.percentile(values, q) of a 1-d float array with the default linear method, bitwise."""
+    n = values.size
+    v = (n - 1) * (q / 100)
+    # numpy's indices: floor(v) and the next one, both the last past n - 1
+    lo = hi = -1
+    if v < n - 1:
+        lo = math.floor(v)
+        hi = lo + 1
+    # numpy's kth set: which of two equal values, say 0.0 and -0.0, lands where depends on it
+    part = np.partition(values, sorted({0, n - 1, lo % n, hi % n}))
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    a, b, t = part[lo], part[hi], v - lo
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
 
 
 def overlap_range(a, b) -> tuple:

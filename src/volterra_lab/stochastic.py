@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.median imports it at its first call
 from numpy.random import Generator, Philox, SeedSequence
 
 from .asymptotics import (
@@ -32,7 +31,14 @@ from .exceptions import (
     UndefinedRatioError,
 )
 from .growth_catalogue import CatalogueEntry, catalogue_entry
-from .series import LogTrajectory, Trajectory, abs_log_series, burn_in_start, ratio_series
+from .series import (
+    LogTrajectory,
+    Trajectory,
+    abs_log_series,
+    burn_in_start,
+    median,
+    ratio_series,
+)
 
 __all__ = [
     "TailModel",
@@ -119,28 +125,192 @@ class TailModel:
                 raise ParameterError(f"{self.family}: tails are not symmetric")
 
 
+def _piecewise(x, pieces):
+    """fn(x[mask]) into out[mask] for each (mask, fn) of disjoint 1-d masks covering x.
+
+    A mask that covers all of x is the fast path: fn(x), with no gather or
+    scatter.
+    """
+    for mask, fn in pieces:
+        if mask.all():
+            return fn(x)
+    out = np.empty(x.shape)
+    for mask, fn in pieces:
+        if mask.any():
+            out[mask] = fn(x[mask])
+    return out
+
+
+def _horner(x, coeffs):
+    """((c0 x + c1) x + ...) x + c_last, one rounding per step, in place."""
+    acc = coeffs[0] * x
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= x
+    acc += coeffs[-1]
+    return acc
+
+
+def _rational(x, pair):
+    num, den = (_horner(x, c) for c in pair)
+    return num / den
+
+
+# Cody's ANORM (ACM TOMS Algorithm 715), as in R's pnorm, in Horner order:
+# Cody's (a[4], a[0..3]) and (1, b[0..3]) on |z| <= 0.67448975 in s = z^2,
+# (c[8], c[0..7]) and (1, d[0..7]) on |z| <= sqrt(32) in y = |z|, and
+# (p[5], p[0..4]) and (1, q[0..4]) beyond in s = 1/z^2
+_ANORM_CENTRE = (
+    (0.065682337918207449113, 2.2352520354606839287, 161.02823106855587881,
+     1067.6894854603709582, 18154.981253343561249),
+    (1.0, 47.20258190468824187, 976.09855173777669322, 10260.932208618978205,
+     45507.789335026729956),
+)
+_ANORM_MIDDLE = (
+    (1.0765576773720192317e-8, 0.39894151208813466764, 8.8831497943883759412,
+     93.506656132177855979, 597.27027639480026226, 2494.5375852903726711,
+     6848.1904505362823326, 11602.651437647350124, 9842.7148383839780218),
+    (1.0, 22.266688044328115691, 235.38790178262499861, 1519.377599407554805,
+     6485.558298266760755, 18615.571640885098091, 34900.952721145977266,
+     38912.003286093271411, 19685.429676859990727),
+)
+_ANORM_FAR = (
+    (0.02307344176494017303, 0.21589853405795699, 0.1274011611602473639,
+     0.022235277870649807, 0.001421619193227893466, 2.9112874951168792e-5),
+    (1.0, 1.28426009614491121, 0.468238212480865118, 0.0659881378689285515,
+     0.00378239633202758244, 7.29751555083966205e-5),
+)
+_ANORM_EDGES = (0.67448975, math.sqrt(32.0), 38.5)  # Phi(-38.5) rounds to 0.0
+_INV_SQRT_2PI = 0.398942280401432677939946059934
+
+
+def _anorm_centre(z):
+    s = z * z
+    num, den = (_horner(s, c) for c in _ANORM_CENTRE)
+    return 0.5 + z * num / den
+
+
+def _anorm_tail(z, ratio):
+    """Phi(z) from Phi(-|z|) = gauss(|z|) ratio(|z|).
+
+    exp(-y^2/2) is split at y0 = trunc(16 y)/16 as exp(-y0^2/2) exp(-(y - y0)(y + y0)/2):
+    y0^2 is exact, so the rounding of y^2 is not magnified by exp.
+    """
+    y = np.abs(z)
+    y0 = np.trunc(y * 16.0) / 16.0
+    tail = np.exp(y0 * y0 * -0.5)
+    tail *= np.exp((y - y0) * (y + y0) * -0.5)
+    tail *= ratio(y)
+    np.subtract(1.0, tail, out=tail, where=z > 0.0)
+    return tail
+
+
+def _anorm_middle_ratio(y):
+    return _rational(y, _ANORM_MIDDLE)
+
+
+def _anorm_far_ratio(y):
+    s = 1.0 / (y * y)
+    num, den = (_horner(s, c) for c in _ANORM_FAR)
+    return (_INV_SQRT_2PI - s * num / den) / y
+
+
+def _ndtr(z):
+    """Phi(z), the standard normal cdf, by Cody's ANORM; 0 or 1 past |z| = 38.5."""
+    z = np.asarray(z, dtype=np.float64)
+    flat = z.ravel()
+    y = np.abs(flat)
+    centre = y <= _ANORM_EDGES[0]
+    middle = ~centre & (y <= _ANORM_EDGES[1])
+    far = (y > _ANORM_EDGES[1]) & (y < _ANORM_EDGES[2])
+    out = _piecewise(flat, (
+        (centre, _anorm_centre),
+        (middle, lambda v: _anorm_tail(v, _anorm_middle_ratio)),
+        (far, lambda v: _anorm_tail(v, _anorm_far_ratio)),
+        # |z| >= 38.5, and NaN: heaviside keeps NaN
+        (~(centre | middle | far), lambda v: np.heaviside(v, 0.5)),
+    ))
+    return out.reshape(z.shape)[()]  # a 0-d input gives a scalar, as from a ufunc
+
+
+# Wichura's AS241 (Appl. Statist. 37 (1988) 477-484), the coefficients and
+# steps of CPython's statistics._normal_dist_inv_cdf, in Horner order
+_AS241_CENTRE = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0),
+)
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0),
+)
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0),
+)
+
+
+def _as241_centre(q):
+    r = 0.180625 - q * q
+    num, den = (_horner(r, c) for c in _AS241_CENTRE)
+    num *= q
+    return num / den
+
+
+def _as241_tail(p):
+    """AS241 for 0 < p < 1 with |p - 1/2| > 0.425."""
+    q = p - 0.5
+    r = np.sqrt(-np.log(np.where(q <= 0.0, p, 1.0 - p)))
+    x = _piecewise(r, (
+        (r <= 5.0, lambda v: _rational(v - 1.6, _AS241_NEAR)),
+        (r > 5.0, lambda v: _rational(v - 5.0, _AS241_FAR)),
+    ))
+    return np.negative(x, out=x, where=q < 0.0)
+
+
+def _ndtri(p):
+    """Phi^{-1}(p) by AS241: -inf at p = 0, inf at p = 1, NaN outside [0, 1]."""
+    p = np.asarray(p, dtype=np.float64)
+    flat = p.ravel()
+    centre = np.abs(flat - 0.5) <= 0.425
+    tail = ~centre & (flat > 0.0) & (flat < 1.0)
+    out = _piecewise(flat, (
+        (centre, lambda v: _as241_centre(v - 0.5)),
+        (tail, _as241_tail),
+        (~(centre | tail), lambda v: np.select([v == 0.0, v == 1.0], [-np.inf, np.inf], np.nan)),
+    ))
+    return out.reshape(p.shape)[()]
+
+
 def _normal_model(sigma=1.0):
     if sigma <= 0:
         raise ParameterError("normal sigma must be positive")
     sigma = float(sigma)
-    # the one family that needs SciPy loads it as it is built, when a config
-    # is parsed: other runs never load it, and no run loads it mid-way
-    from scipy.special import ndtr, ndtri
 
     def sf(x):
-        return ndtr(-(np.asarray(x, dtype=np.float64) / sigma))
+        return _ndtr(-(np.asarray(x, dtype=np.float64) / sigma))
 
-    # the arithmetic of scipy.stats.norm(scale=sigma), without building a
-    # frozen distribution (about 1 ms, mostly docstring formatting); its
-    # "+ loc" with loc = 0.0 is kept because it turns -0.0 into 0.0.
+    # G(x) is Phi(-x/sigma), so far-tail probabilities keep full precision;
     # (-x)/sigma == -(x/sigma), so F(-t) == G(t) bitwise and G(t) + F(-t)
-    # is 2 G(t) with half the ndtr calls.
+    # is 2 G(t) with half the _ndtr calls.  "+ 0.0" turns a quantile's -0.0
+    # into 0.0, as statistics.NormalDist(0.0, sigma).inv_cdf does.
     return TailModel(
         family="normal",
-        cdf=lambda x: ndtr(np.asarray(x, dtype=np.float64) / sigma),
+        cdf=lambda x: _ndtr(np.asarray(x, dtype=np.float64) / sigma),
         sf=sf,
-        quantile=lambda u: ndtri(np.asarray(u, dtype=np.float64)) * sigma + 0.0,
-        upper_quantile=lambda p: -ndtri(np.asarray(p, dtype=np.float64)) * sigma + 0.0,
+        quantile=lambda u: _ndtri(u) * sigma + 0.0,
+        upper_quantile=lambda p: -_ndtri(p) * sigma + 0.0,
         symmetric=True,
         abs_sf=lambda t: 2.0 * sf(t),
     )
@@ -472,8 +642,17 @@ def _decay_regression(indices, summands):
         return "convergent", float("-inf")
     if np.count_nonzero(pos) < 8:
         return "undecided", float("nan")
-    slope = float(np.polyfit(np.log(indices[pos]), np.log(summands[pos]), 1)[0])
+    slope = _ls_slope(np.log(indices[pos]), np.log(summands[pos]))
     return ("convergent" if slope < -1.0 else "divergent"), slope
+
+
+def _ls_slope(x, y):
+    """Least-squares slope of y on x in closed form: centred x.y over centred x.x.
+
+    The slope of np.polyfit(x, y, 1), to rounding, at a twentieth of its cost.
+    """
+    xc = x - x.mean()
+    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
 
 
 def envelope_sums(tail: TailModel, a: Trajectory, k_grid) -> EnvelopeReport:
@@ -795,5 +974,5 @@ def ensemble_verify(system: EnsembleSpec, paths: int, statistic: StatisticSpec) 
         per_path=ordered,
         pass_fraction=in_band / paths,
         failures=failures,
-        median=float(np.median(finite)) if finite.size else float("nan"),
+        median=median(finite) if finite.size else float("nan"),
     )

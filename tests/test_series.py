@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_lab.exceptions import InputError, UndefinedRatioError
 from volterra_lab.series import (
@@ -10,6 +12,8 @@ from volterra_lab.series import (
     burn_in_start,
     consecutive_ratios,
     dyadic_blocks,
+    median,
+    percentile,
     ratio_series,
 )
 
@@ -128,3 +132,35 @@ def test_dyadic_blocks_respect_start():
     blocks = dyadic_blocks(30, 100)
     assert blocks[0][0] == 30
     assert blocks[-1] == (51, 100)
+
+
+# few distinct values make ties; signed zeros, infinities and NaN are the
+# values where a sum from +0.0 or a lerp could part from numpy's
+_order_values = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=24,
+)
+
+
+def _bitwise(got, expected):
+    return np.array(got).tobytes() == np.array(expected).tobytes() or (
+        np.isnan(got) and np.isnan(expected))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_order_values)
+def test_median_is_bitwise_np_median(values):
+    a = np.array(values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for part in (a, a[1:]):  # odd and even sizes of the same data
+            if part.size:
+                assert _bitwise(median(part), np.median(part))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_order_values, st.sampled_from([0, 10, 25, 50, 75, 90, 100]))
+def test_percentile_is_bitwise_np_percentile(values, q):
+    a = np.array(values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _bitwise(percentile(a, q), np.percentile(a, q))
