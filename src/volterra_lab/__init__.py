@@ -22,7 +22,6 @@ from .asymptotics import (
     predict_H_over_a,
     predict_x_over_a,
     residual_tail_sup,
-    scaled_convolution,
     time_average,
     verify_growth2,
 )
@@ -50,7 +49,7 @@ from .exceptions import (
 )
 from .growth_catalogue import catalogue_entry
 from .series import LogTrajectory, Trajectory, ratio_series
-from .spectral import SpectralReport, characteristic_roots, kappa, multiplier_L, rho_of_lambda
+from .spectral import SpectralReport, characteristic_roots, kappa, multiplier_L
 from .stochastic import (
     EnsembleResult,
     EnsembleSpec,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import rfft
 
-from .core import Kernel, _aligned_forcing, _convolve, recover_forcing, solve_linear
+from .core import Kernel, recover_forcing, solve_linear
 from .exceptions import InputError, ParameterError
 from .growth_catalogue import CatalogueEntry, catalogue_entry
 from .series import (
@@ -74,7 +74,6 @@ __all__ = [
     "extract_almost_periodic",
     "time_average",
     "phi_average_bounds",
-    "scaled_convolution",
     "residual_tail_sup",
 ]
 
@@ -93,21 +92,13 @@ class ScalingModel:
 
     a: object  # Trajectory or LogTrajectory
     lam: float
-    monotone: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ParameterError(f"ratio limit must lie in [0, 1], got {self.lam!r}")
-        if isinstance(self.a, LogTrajectory):
-            if np.any(self.a.sign <= 0.0):
-                raise ParameterError("scaling sequence must be strictly positive")
-            vals = self.a.log_abs
-        else:
-            if np.any(self.a.values <= 0.0):
-                raise ParameterError("scaling sequence must be strictly positive")
-            vals = self.a.values
-        if self.monotone and np.any(np.diff(vals) < 0.0):
-            raise ParameterError("scaling flagged monotone but decreases somewhere")
+        signs = self.a.sign if isinstance(self.a, LogTrajectory) else self.a.values
+        if np.any(signs <= 0.0):
+            raise ParameterError("scaling sequence must be strictly positive")
 
     @classmethod
     def from_catalogue(cls, name, horizon, log_domain=False, **params) -> "ScalingModel":
@@ -121,8 +112,7 @@ class ScalingModel:
                 f"catalogue entry {entry.name!r} starts at index {entry.min_index}, "
                 f"horizon {horizon} is too short"
             )
-        return cls(a=entry.sequence(entry.min_index, horizon, log_domain),
-                   lam=entry.ratio_limit, monotone=entry.monotone)
+        return cls(a=entry.sequence(entry.min_index, horizon, log_domain), lam=entry.ratio_limit)
 
 
 # --------------------------------------------------------------------------
@@ -405,11 +395,6 @@ class ConvexFunctional:
     def __call__(self, values):
         return self.fn(np.asarray(values, dtype=np.float64))
 
-    def log_value(self, log_abs_values):
-        if self.name != "power":
-            raise InputError("log-domain evaluation exists only for power functionals")
-        return self.params["p"] * np.asarray(log_abs_values, dtype=np.float64)
-
 
 def _power_phi(p=2.0):
     p = float(p)
@@ -518,11 +503,12 @@ def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
     lx = abs_log_series(x).window(wlo, hi).values
     lh = abs_log_series(forcing).window(wlo, hi).values
     logn = math.log(count)
-    sum_x, sum_h = _logsumexp(phi.log_value(lx)), _logsumexp(phi.log_value(lh))
+    p = phi.params["p"]
+    sum_x, sum_h = _logsumexp(p * lx), _logsumexp(p * lh)
     lhs_log = sum_x - logn
-    rhs_log = phi.params["p"] * math.log(r_l1) + sum_h - logn
+    rhs_log = p * math.log(r_l1) + sum_h - logn
     dual_lhs_log = sum_h - logn
-    dual_rhs_log = phi.params["p"] * math.log1p(k_l1) + sum_x - logn
+    dual_rhs_log = p * math.log1p(k_l1) + sum_x - logn
     log_slack = math.log1p(slack)
 
     def _exp(v):
@@ -536,20 +522,6 @@ def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
         r_l1=r_l1, k_l1=k_l1, log_domain=True,
         lhs_log=lhs_log, rhs_log=rhs_log, dual_lhs_log=dual_lhs_log, dual_rhs_log=dual_rhs_log,
     )
-
-
-# --------------------------------------------------------------------------
-# convolution growth evidence
-# --------------------------------------------------------------------------
-
-def scaled_convolution(kernel: Kernel, forcing: Trajectory, scale: ScalingModel) -> Trajectory:
-    """(sum_{j=1}^n k(n-j) H(j)) / a(n): the scaled convolution series.
-
-    Its tail-window magnitude is bounded by |k|_1 times the forcing's
-    limsup estimate for monotone diverging scales; tests enforce that.
-    """
-    _, h = _aligned_forcing(forcing, forcing.end)
-    return ratio_series(Trajectory(_convolve(kernel, h), start=0), scale.a)
 
 
 # --------------------------------------------------------------------------

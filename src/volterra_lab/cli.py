@@ -257,7 +257,7 @@ def _mode_verify_ergodic(cfg, kernel, forcing, x, scale):
 
 def _mode_verify_fluct(cfg, kernel, forcing, x, scale):
     est_H, est_x = _limsups(scale, forcing, x)
-    r_l1 = kernel.resolvent_l1(cfg["horizon"])
+    r_l1 = kernel.resolvent_l1(x.end)
     k_l1 = kernel.l1_norm
     slack = cfg["tolerances"]["bound_slack"]
     verdicts = {
@@ -482,7 +482,7 @@ def main(argv=None) -> int:
 
     try:
         raw = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # ValueError: invalid JSON or not UTF-8
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 1
     if not isinstance(raw, dict):

@@ -56,8 +56,8 @@ Which engine runs where (B = 256 for a kernel of any length M):
   ``solve_by_representation`` adds the only O(horizon^2) step, the direct
   convolution of the resolvent with the forcing.
 * ``Kernel.at_scale(lam)``, with resolvent r(j) lam^j, carries the
-  representations at scale: ``predict_x_over_a`` is its ``solve_linear``,
-  ``predict_H_over_a`` its ``recover_forcing``, ``rho_of_lambda`` its ``resolvent``.
+  representations at scale: ``predict_x_over_a`` is its ``solve_linear``
+  and ``predict_H_over_a`` its ``recover_forcing``.
 * ``Kernel.resolvent_l1(horizon)``, the one owner of sum |r(n)|, runs
   ``resolvent``.
 
@@ -704,14 +704,9 @@ def recover_forcing(kernel: Kernel, solution: Trajectory) -> Trajectory:
     if len(solution) < 2:
         raise InputError("solution must contain at least indices 0 and 1")
     x = solution.values
-    return Trajectory(x[1:] - _convolve(kernel, x)[:-1], start=1)
-
-
-def _convolve(kernel: Kernel, x):
-    """(k * x)(n) = sum_l k(l) x(n - l) for the indices n of x, by direct convolution."""
-    if not kernel.size:
-        return np.zeros(len(x))
-    return np.convolve(kernel.coefficients, x)[: len(x)]
+    # (k * x)(n) for the indices n of x, by direct convolution
+    conv = np.convolve(kernel.coefficients, x)[: len(x)] if kernel.size else np.zeros(len(x))
+    return Trajectory(x[1:] - conv[:-1], start=1)
 
 
 def solve_nonlinear(kernel: Kernel, f: Nonlinearity, forcing, xi: float, horizon: int) -> Trajectory:

@@ -31,7 +31,6 @@ class CatalogueEntry:
     log_fn: callable          # (np.ndarray of indices) -> log values
     ratio_limit: float        # lim value(n-1)/value(n)
     min_index: int
-    monotone: bool
     plain_fn: callable = None  # exact plain values where exp(log) loses bits
 
     def sequence(self, lo, hi, log_domain):
@@ -97,7 +96,6 @@ def _entry_log_power_product(betas=(1.0,), scale=1.0):
         "log_power_product",
         lambda n: log_fn(n) + math.log(s),
         ratio_limit=1.0, min_index=1,
-        monotone=all(float(b) >= 0 for b in betas),
     )
 
 
@@ -121,9 +119,7 @@ def _entry_power_log_product(theta=1.0, betas=(), scale=1.0):
             out = out + inner(n)
         return out
 
-    return CatalogueEntry(
-        "power_log_product", log_fn, ratio_limit=1.0, min_index=1, monotone=not betas,
-    )
+    return CatalogueEntry("power_log_product", log_fn, ratio_limit=1.0, min_index=1)
 
 
 def _entry_power(theta=1.0, scale=1.0):
@@ -134,7 +130,7 @@ def _entry_power(theta=1.0, scale=1.0):
     return CatalogueEntry(
         "power",
         lambda n: theta * np.log(np.asarray(n, dtype=np.float64)) + math.log(s),
-        ratio_limit=1.0, min_index=1, monotone=True,
+        ratio_limit=1.0, min_index=1,
         plain_fn=lambda n: s * n ** theta,
     )
 
@@ -151,9 +147,7 @@ def _entry_stretched_exponential(alpha=1.0, theta=0.5):
     alpha, theta, log_fn = _stretched_log(alpha, theta)
     if not 0 < theta < 1:
         raise ParameterError("stretched exponent theta must lie in (0, 1)")
-    return CatalogueEntry(
-        "stretched_exponential", log_fn, ratio_limit=1.0, min_index=0, monotone=True,
-    )
+    return CatalogueEntry("stretched_exponential", log_fn, ratio_limit=1.0, min_index=0)
 
 
 def _entry_stretched_exponential_power(alpha=1.0, theta2=0.5, theta1=1.0, betas=()):
@@ -170,9 +164,7 @@ def _entry_stretched_exponential_power(alpha=1.0, theta2=0.5, theta1=1.0, betas=
             out = out + inner(n)
         return out
 
-    return CatalogueEntry(
-        "stretched_exponential_power", log_fn, ratio_limit=1.0, min_index=1, monotone=False,
-    )
+    return CatalogueEntry("stretched_exponential_power", log_fn, ratio_limit=1.0, min_index=1)
 
 
 def _check_lam(lam):
@@ -188,7 +180,7 @@ def _entry_geometric(lam=0.5, scale=1.0):
     return CatalogueEntry(
         "geometric",
         lambda n: -np.asarray(n, dtype=np.float64) * math.log(lam) + math.log(s),
-        ratio_limit=lam, min_index=0, monotone=(lam < 1 and s > 0),
+        ratio_limit=lam, min_index=0,
         plain_fn=lambda n: s * (1.0 / lam) ** n,
     )
 
@@ -204,18 +196,14 @@ def _entry_geometric_mixture(lam=0.5, alpha=1.0, theta2=0.5, theta1=1.0):
         nn = np.asarray(n, dtype=np.float64)
         return -nn * math.log(lam) + stretched(nn) + theta1 * np.log(nn)
 
-    return CatalogueEntry(
-        "geometric_mixture", log_fn, ratio_limit=lam, min_index=1, monotone=False,
-    )
+    return CatalogueEntry("geometric_mixture", log_fn, ratio_limit=lam, min_index=1)
 
 
 def _entry_super_exponential(alpha=1.0, theta=2.0):
     alpha, theta, log_fn = _stretched_log(alpha, theta)
     if theta <= 1:
         raise ParameterError("super-exponential exponent theta must exceed 1")
-    return CatalogueEntry(
-        "super_exponential", log_fn, ratio_limit=0.0, min_index=0, monotone=True,
-    )
+    return CatalogueEntry("super_exponential", log_fn, ratio_limit=0.0, min_index=0)
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -242,11 +230,7 @@ def _log_factorial(n):
 
 
 def _entry_factorial():
-    return CatalogueEntry(
-        "factorial",
-        _log_factorial,
-        ratio_limit=0.0, min_index=0, monotone=True,
-    )
+    return CatalogueEntry("factorial", _log_factorial, ratio_limit=0.0, min_index=0)
 
 
 def _entry_iterated_exponential(depth=2):
@@ -260,9 +244,7 @@ def _entry_iterated_exponential(depth=2):
             v = np.exp(v)
         return v
 
-    return CatalogueEntry(
-        "iterated_exponential", log_fn, ratio_limit=0.0, min_index=0, monotone=True,
-    )
+    return CatalogueEntry("iterated_exponential", log_fn, ratio_limit=0.0, min_index=0)
 
 
 def _entry_sqrt_log():
@@ -270,9 +252,7 @@ def _entry_sqrt_log():
     def log_fn(n):
         return 0.5 * np.log(2.0 * np.log(np.asarray(n, dtype=np.float64)))
 
-    return CatalogueEntry(
-        "sqrt_log", log_fn, ratio_limit=1.0, min_index=2, monotone=True,
-    )
+    return CatalogueEntry("sqrt_log", log_fn, ratio_limit=1.0, min_index=2)
 
 
 _BUILDERS = {

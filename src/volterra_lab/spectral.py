@@ -6,10 +6,9 @@ the polynomial
     p(z) = z^M - sum_{l=0}^{M-1} k(l) z^{M-1-l},
 
 whose roots must all lie strictly inside the unit disc for the resolvent
-to be summable.  The module also computes kappa(lam) = sum k(l) lam^(l+1),
-the multiplier L(lam) = 1 / (1 - kappa(lam)), and the geometric-weighted
-resolvent sum rho(lam) = sum r(j) lam^j, which coincides with L(lam) for
-summable kernels.
+to be summable.  The module also computes kappa(lam) = sum k(l) lam^(l+1)
+and the multiplier L(lam) = 1 / (1 - kappa(lam)), which equals the
+geometric-weighted resolvent sum, sum r(j) lam^j, for summable kernels.
 """
 
 from __future__ import annotations
@@ -18,17 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Kernel, resolvent
+from .core import Kernel
 from .exceptions import InputError, SingularMultiplierError, SpectralError
-from .series import Trajectory
 
 __all__ = [
     "SpectralReport",
     "characteristic_roots",
     "kappa",
     "multiplier_L",
-    "rho_of_lambda",
-    "RhoResult",
     "ROOT_TOLERANCE",
 ]
 
@@ -168,28 +164,3 @@ def multiplier_L(kernel: Kernel, lam: float) -> float:
             f"1 - kappa(lambda) = {denom!r} at lambda = {lam!r}"
         )
     return 1.0 / denom
-
-
-@dataclass(frozen=True)
-class RhoResult:
-    """Partial sums of sum r(j) lam^j next to their closed-form limit.
-
-    The gap at the final index is reported, never asserted; callers decide
-    what tolerance their experiment needs.
-    """
-
-    partial_sums: Trajectory
-    limit: float
-    gap: float
-
-
-def rho_of_lambda(kernel: Kernel, lam: float, horizon: int) -> RhoResult:
-    """Partial sums of the geometric-weighted resolvent series.
-
-    partial_sums(n) = sum_{j<=n} r(j) lam^j, the running sum of the
-    resolvent of ``kernel.at_scale(lam)``; the limit is multiplier_L.
-    """
-    sums = Trajectory(np.cumsum(resolvent(kernel.at_scale(lam), horizon).values), start=0)
-    limit = multiplier_L(kernel, lam)
-    gap = abs(float(sums.values[-1]) - limit)
-    return RhoResult(partial_sums=sums, limit=limit, gap=gap)

@@ -67,9 +67,12 @@ def _default_modulus(x):
     return np.log(x) ** 2
 
 
-# rapid-tail certificate: probe points, and the relative quantile movement accepted there
+# rapid-tail certificate: probe points, the relative quantile movement accepted
+# there, and the modulus exponent delta* (any positive value is admissible;
+# small ones keep the finite-sample certificate decisive)
 _SSV_PROBES = (1e3, 1e4, 1e5, 1e6)
 _SSV_TOLERANCE = 0.02
+_DELTA_STAR = 0.025
 
 
 @dataclass(frozen=True)
@@ -77,10 +80,7 @@ class TailModel:
     """Distribution tails: F, the survival function G = 1 - F, quantiles.
 
     ``sf`` and ``upper_quantile`` are stored separately from ``cdf`` and
-    ``quantile`` so far-tail probabilities keep full precision.  The
-    rapid-tail certificate probes the slow-variation modulus log(x)**2 at
-    exponent ``delta_star`` (any positive probe exponent is admissible;
-    small values keep the finite-sample certificate decisive).
+    ``quantile`` so far-tail probabilities keep full precision.
     """
 
     family: str
@@ -88,8 +88,6 @@ class TailModel:
     sf: callable
     quantile: callable
     upper_quantile: callable
-    symmetric: bool
-    delta_star: float = 0.025
     abs_sf: callable = None  # P[|X| > t] directly, where bitwise G(t) + F(-t)
 
     def tail_probability(self, threshold):
@@ -103,26 +101,6 @@ class TailModel:
         """Inverse-transform draws; one uniform consumed per sample."""
         u = np.maximum(rng.random(size), 1e-300)
         return self.quantile(u)
-
-    def validate(self) -> None:
-        lo = float(self.quantile(np.asarray(1e-8)))
-        hi = float(self.quantile(np.asarray(1.0 - 1e-8)))
-        grid = np.linspace(lo, hi, 512)
-        f = self.cdf(grid)
-        if np.any(np.diff(f) < -1e-12):
-            raise ParameterError(f"{self.family}: cdf is not nondecreasing")
-        if not (f[0] < 1e-6 and f[-1] > 1 - 1e-6):
-            raise ParameterError(f"{self.family}: cdf does not span (0, 1)")
-        ps = np.logspace(-8, -2, 25)
-        xs = self.upper_quantile(ps)
-        back = self.upper_quantile(self.sf(xs))
-        rel = np.abs(back - xs) / np.maximum(np.abs(xs), 1e-30)
-        if np.any(rel > 1e-8):
-            raise ParameterError(f"{self.family}: quantile/survival round trip off")
-        if self.symmetric:
-            probe = self.upper_quantile(np.logspace(-6, -1, 12))
-            if np.any(np.abs(self.cdf(-probe) - self.sf(probe)) > 1e-12):
-                raise ParameterError(f"{self.family}: tails are not symmetric")
 
 
 def _piecewise(x, pieces):
@@ -311,7 +289,6 @@ def _normal_model(sigma=1.0):
         sf=sf,
         quantile=lambda u: _ndtri(u) * sigma + 0.0,
         upper_quantile=lambda p: -_ndtri(p) * sigma + 0.0,
-        symmetric=True,
         abs_sf=lambda t: 2.0 * sf(t),
     )
 
@@ -371,7 +348,6 @@ def _symmetric_power_model(alpha=2.0, c1=0.5, c2=0.5):
         sf=sf,
         quantile=quantile,
         upper_quantile=upper_quantile,
-        symmetric=(abs(c1 - c2) < 1e-15 and mid == 0.0),
     )
 
 
@@ -410,7 +386,6 @@ def _weibull_symmetric_model(scale=1.0, shape=1.0):
         sf=sf,
         quantile=quantile,
         upper_quantile=upper_quantile,
-        symmetric=True,
     )
 
 
@@ -432,7 +407,6 @@ def _uniform_model(low=-1.0, high=1.0):
         sf=sf,
         quantile=lambda u: low + span * np.asarray(u, dtype=np.float64),
         upper_quantile=lambda p: high - span * np.asarray(p, dtype=np.float64),
-        symmetric=(abs(low + high) < 1e-15),
     )
 
 
@@ -742,7 +716,7 @@ def _ssv_certificate(tail: TailModel):
     xs = np.asarray(_SSV_PROBES, dtype=np.float64)
     detail = {}
     worst = 0.0
-    for delta in (0.0, tail.delta_star):
+    for delta in (0.0, _DELTA_STAR):
         scaled = xs * _default_modulus(xs) ** delta
         base = np.asarray(tail.upper_quantile(1.0 / xs), dtype=np.float64)
         moved = np.asarray(tail.upper_quantile(1.0 / scaled), dtype=np.float64)
@@ -753,7 +727,7 @@ def _ssv_certificate(tail: TailModel):
         worst = max(worst, dev)
     ratio_ok = worst < _SSV_TOLERANCE
     n = np.logspace(4, 5, 60)
-    summand = 1.0 / (n * _default_modulus(n) ** tail.delta_star)
+    summand = 1.0 / (n * _default_modulus(n) ** _DELTA_STAR)
     verdict, slope = _decay_regression(n, summand)
     detail["modulus_series_slope"] = slope
     detail["modulus_series_verdict"] = verdict

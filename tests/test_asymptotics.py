@@ -14,7 +14,6 @@ from volterra_lab.asymptotics import (
     predict_H_over_a,
     predict_x_over_a,
     residual_tail_sup,
-    scaled_convolution,
     time_average,
     verify_growth2,
     _logsumexp,
@@ -106,10 +105,6 @@ class TestScalingModel:
     def test_positivity_enforced(self):
         with pytest.raises(ParameterError):
             ScalingModel(a=traj([1.0, -1.0]), lam=1.0)
-
-    def test_monotone_flag_checked(self):
-        with pytest.raises(ParameterError):
-            ScalingModel(a=traj([2.0, 1.0]), lam=1.0, monotone=True)
 
     def test_plain_overflow_advises_log_domain(self):
         with pytest.raises(InputError, match="log_domain"):
@@ -373,7 +368,8 @@ class TestConvolutionBound:
             vals = np.zeros(n_max + 1)
             vals[1:] = ((-1.0) ** idx) * idx
             H = traj(vals)
-            conv = scaled_convolution(k, H, scale)
+            # (k * H)(n) / a(n), with H(0) = 0
+            conv = ratio_series(traj(np.convolve(k.coefficients, vals)[: n_max + 1]), scale.a)
             est_H = estimate_limsup(H, scale)
             tail = conv.tail_window()
             assert np.max(np.abs(tail.values)) <= k.l1_norm * est_H.value * 1.05
