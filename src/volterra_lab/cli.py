@@ -340,7 +340,7 @@ def _mode_ensemble(cfg, kernel, forcing, x, scale):
 
 def _mode_verify_nonlinear(cfg, kernel, forcing, y, scale):
     f = cfg.nonlinearity
-    x_nl = solve_nonlinear(kernel, f, forcing, cfg["xi"], cfg["horizon"])
+    x_nl = solve_nonlinear(kernel, f, forcing, cfg["xi"], y.end)
     diff = Trajectory(np.abs(x_nl.values - y.values), start=0)
     est_diff, est_H, est_x = _limsups(scale, diff, forcing, x_nl)
     maxima = [float(v) for v in est_diff.block_maxima]

@@ -59,7 +59,9 @@ Which engine runs where (B = 256 for a kernel of any length M):
   representations at scale: ``predict_x_over_a`` is its ``solve_linear``
   and ``predict_H_over_a`` its ``recover_forcing``.
 * ``Kernel.resolvent_l1(horizon)``, the one owner of sum |r(n)|, runs
-  ``resolvent``.
+  the plain blocked engine on one zero-forcing row from r(0) = 1, so its
+  sum carries that engine's accuracy contract below; ``resolvent`` stays
+  the per-term oracle the representation is built on.
 
 Accuracy contract of the plain blocked engine: below index 256 its output
 is bitwise equal to the reference recursion, for every kernel; beyond
@@ -189,8 +191,19 @@ class Kernel:
         return float(np.sum(np.abs(self.coefficients)))
 
     def resolvent_l1(self, horizon: int) -> float:
-        """sum |r(n)| over n = 0..horizon, on the per-term :func:`resolvent`."""
-        return float(np.sum(np.abs(resolvent(self, horizon).values)))
+        """sum |r(n)| over n = 0..horizon, on the plain blocked engine.
+
+        The engine solves for r from r(0) = 1 with zero forcing: r(n) is
+        bitwise that of the per-term :func:`resolvent` below index 256, and
+        within the engine's 1e-12 scaled gap of it beyond (see the module
+        docstring).  An overflow raises at the resolvent's first non-finite
+        index.
+        """
+        r = np.zeros((1, _resolvent_horizon(horizon) + 1))
+        bad = _blocked_linear(self, r, 1.0)
+        if bad[0] >= 0:
+            raise TrajectoryOverflowError(int(bad[0]))
+        return float(np.sum(np.abs(r[0])))
 
     @cached_property
     def _block_state(self):
@@ -321,6 +334,7 @@ def _linear_recursion(k, h, xi, out, f=None):
     m = len(k)
     k = k.tolist()
     apply = f is not None and m > 0
+    fn = f.fn if apply else None
     out[0] = xi
     y = []
     for lo, hi, base in _chunks(1, len(out), m):
@@ -332,7 +346,7 @@ def _linear_recursion(k, h, xi, out, f=None):
             w = n + 1 if n + 1 < m else m
             i = n - base
             if apply:
-                v = f(x[i])
+                v = fn(x[i])
                 if not math.isfinite(v):
                     raise NonlinearityError(
                         f"nonlinearity {f.name!r} returned non-finite value at input {x[i]!r}"
@@ -667,11 +681,16 @@ def _kernel_log(k):
     return lk, np.sign(k)
 
 
-def resolvent(kernel: Kernel, horizon: int) -> Trajectory:
-    """Unforced solution r with r(0) = 1 on indices 0..horizon."""
+def _resolvent_horizon(horizon) -> int:
+    """A resolvent's horizon as an int, once it is an integer >= 0."""
     if int(horizon) != horizon or horizon < 0:
         raise InputError(f"horizon must be an integer >= 0, got {horizon!r}")
-    zero = np.zeros(int(horizon) + 1)
+    return int(horizon)
+
+
+def resolvent(kernel: Kernel, horizon: int) -> Trajectory:
+    """Unforced solution r with r(0) = 1 on indices 0..horizon."""
+    zero = np.zeros(_resolvent_horizon(horizon) + 1)
     return Trajectory(_reference_linear(kernel.coefficients, zero, 1.0), start=0)
 
 

@@ -116,6 +116,34 @@ class TestKernel:
         assert type(l1) is float
         assert l1.hex() == float(expected).hex()
 
+    def test_resolvent_l1_on_a_long_horizon_is_bitwise_the_per_term_sum(self, monkeypatch):
+        kernel = Kernel([0.5])
+        expected = float(np.sum(np.abs(resolvent(kernel, 50000).values)))
+        # the sum runs on the blocked engine, not on the per-term resolvent
+        monkeypatch.setattr(core, "resolvent", None)
+        assert kernel.resolvent_l1(50000).hex() == expected.hex()
+
+    @pytest.mark.parametrize("kernel, horizon", [
+        (Kernel([1.1]), 1000), (Kernel([0.6, 0.5]), 5000), (Kernel([1.0, 0.5]), 1500),
+    ], ids=["1.1", "0.6,0.5", "1.0,0.5"])
+    def test_resolvent_l1_of_a_growing_kernel_is_within_the_engine_gap(self, kernel, horizon):
+        expected = np.sum(np.abs(resolvent(kernel, horizon).values))
+        assert abs(kernel.resolvent_l1(horizon) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("kernel, horizon", [(Kernel([2.0]), 2000), (Kernel([1.1]), 10000)],
+                             ids=["2.0", "1.1"])
+    def test_resolvent_l1_overflows_where_the_resolvent_does(self, kernel, horizon):
+        with pytest.raises(TrajectoryOverflowError) as ref:
+            resolvent(kernel, horizon)
+        with pytest.raises(TrajectoryOverflowError) as err:
+            kernel.resolvent_l1(horizon)
+        assert err.value.index == ref.value.index > _BLOCK
+
+    @pytest.mark.parametrize("horizon", [-1, 2.5])
+    def test_resolvent_l1_rejects_a_bad_horizon(self, horizon):
+        with pytest.raises(InputError, match=r"horizon must be an integer >= 0"):
+            Kernel([0.5]).resolvent_l1(horizon)
+
     def test_ensemble_specs_compare(self):
         def spec(kernel):
             return EnsembleSpec(kernel=kernel, forcing=ForcingGenerator(kind="iid", seed=3),
