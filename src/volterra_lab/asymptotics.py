@@ -28,7 +28,7 @@ from numpy.fft import rfft
 
 from .core import Kernel, recover_forcing, solve_linear
 from .exceptions import InputError, ParameterError
-from .growth_catalogue import CatalogueEntry, catalogue_entry
+from .growth_catalogue import CatalogueEntry
 from .series import (
     LogTrajectory,
     Trajectory,
@@ -99,10 +99,6 @@ class ScalingModel:
         signs = self.a.sign if isinstance(self.a, LogTrajectory) else self.a.values
         if np.any(signs <= 0.0):
             raise ParameterError("scaling sequence must be strictly positive")
-
-    @classmethod
-    def from_catalogue(cls, name, horizon, log_domain=False, **params) -> "ScalingModel":
-        return cls.from_entry(catalogue_entry(name, **params), horizon, log_domain)
 
     @classmethod
     def from_entry(cls, entry: CatalogueEntry, horizon, log_domain=False) -> "ScalingModel":

@@ -77,25 +77,37 @@ _DELTA_STAR = 0.025
 
 @dataclass(frozen=True)
 class TailModel:
-    """Distribution tails: F, the survival function G = 1 - F, quantiles.
+    """The law of X, and of -X where X is not symmetric, each as (cdf, quantile).
 
-    ``sf`` and ``upper_quantile`` are stored separately from ``cdf`` and
-    ``quantile`` so far-tail probabilities keep full precision.
+    ``reflected`` is the (cdf, quantile) pair of -X, or None when -X has the
+    law of X.  The far side is read off it: G(t) = P[X > t] is the cdf of
+    -X at -t, and the upper quantile G^{-1}(p) is minus its quantile at p,
+    so far-tail probabilities and quantiles keep full precision where
+    1 - F(t) would round to 0, or 1 - p to 1.
     """
 
     family: str
     cdf: callable
-    sf: callable
     quantile: callable
-    upper_quantile: callable
-    abs_sf: callable = None  # P[|X| > t] directly, where bitwise G(t) + F(-t)
+    reflected: tuple = None
+
+    def _mirror(self):
+        return self.reflected or (self.cdf, self.quantile)
+
+    def sf(self, x):
+        """G(x) = P[X > x], the cdf of -X at -x."""
+        return self._mirror()[0](-np.asarray(x, dtype=np.float64))
+
+    def upper_quantile(self, p):
+        """G^{-1}(p), minus the quantile of -X at p; "+ 0.0" keeps a zero at +0.0."""
+        return -self._mirror()[1](p) + 0.0
 
     def tail_probability(self, threshold):
-        """P[|X| > t] = G(t) + F(-t), through ``abs_sf`` where given."""
-        t = np.asarray(threshold, dtype=np.float64)
-        if self.abs_sf is not None:
-            return self.abs_sf(t)
-        return self.sf(t) + self.cdf(-t)
+        """P[|X| > t] = G(t) + F(-t), which is 2 F(-t) when X is symmetric."""
+        below = -np.asarray(threshold, dtype=np.float64)
+        if self.reflected is None:
+            return 2.0 * self.cdf(below)
+        return self.reflected[0](below) + self.cdf(below)
 
     def sample(self, rng, size):
         """Inverse-transform draws; one uniform consumed per sample."""
@@ -201,6 +213,7 @@ def _ndtr(z):
     centre = y <= _ANORM_EDGES[0]
     middle = ~centre & (y <= _ANORM_EDGES[1])
     far = (y > _ANORM_EDGES[1]) & (y < _ANORM_EDGES[2])
+    del y  # not read past the masks: one array fewer alive while the pieces run
     out = _piecewise(flat, (
         (centre, _anorm_centre),
         (middle, lambda v: _anorm_tail(v, _anorm_middle_ratio)),
@@ -275,22 +288,42 @@ def _normal_model(sigma=1.0):
     if sigma <= 0:
         raise ParameterError("normal sigma must be positive")
     sigma = float(sigma)
-
-    def sf(x):
-        return _ndtr(-(np.asarray(x, dtype=np.float64) / sigma))
-
-    # G(x) is Phi(-x/sigma), so far-tail probabilities keep full precision;
-    # (-x)/sigma == -(x/sigma), so F(-t) == G(t) bitwise and G(t) + F(-t)
-    # is 2 G(t) with half the _ndtr calls.  "+ 0.0" turns a quantile's -0.0
-    # into 0.0, as statistics.NormalDist(0.0, sigma).inv_cdf does.
+    # symmetric: G(t) is F(-t), Phi((-t)/sigma), so far-tail probabilities keep
+    # full precision, and P[|X| > t] is 2 F(-t) in one _ndtr pass.  "+ 0.0"
+    # turns a quantile's -0.0 into 0.0, as statistics.NormalDist(0.0, sigma).inv_cdf does.
     return TailModel(
         family="normal",
         cdf=lambda x: _ndtr(np.asarray(x, dtype=np.float64) / sigma),
-        sf=sf,
         quantile=lambda u: _ndtri(u) * sigma + 0.0,
-        upper_quantile=lambda p: -_ndtri(p) * sigma + 0.0,
-        abs_sf=lambda t: 2.0 * sf(t),
     )
+
+
+def _power_side(alpha, c_lo, c_hi, mid):
+    """(cdf, quantile) of the law with c_lo |x|^-alpha below -1, 1 - c_hi x^-alpha
+    above 1 and uniform mass mid on [-1, 1]."""
+
+    def cdf(x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.select(
+            [x <= -1.0, x >= 1.0],
+            [c_lo * np.abs(x) ** -alpha, 1.0 - c_hi * np.where(x >= 1.0, x, 1.0) ** -alpha],
+            default=c_lo + mid * (x + 1.0) / 2.0,
+        )
+
+    def quantile(u):
+        # one power per draw: -(c_lo / u)^(1/alpha) in the lower tail,
+        # (c_hi / (1 - u))^(1/alpha) in the upper one
+        u = np.asarray(u, dtype=np.float64)
+        lo = u <= c_lo
+        tail = (np.where(lo, c_lo, c_hi) / np.maximum(np.where(lo, u, 1.0 - u), 1e-300)) ** (1.0 / alpha)
+        tail = np.where(lo, -tail, tail)
+        if mid > 0:
+            middle = -1.0 + 2.0 * (u - c_lo) / mid
+        else:
+            middle = np.ones_like(u)
+        return np.where(lo | (u >= 1.0 - c_hi), tail, middle)
+
+    return cdf, quantile
 
 
 def _symmetric_power_model(alpha=2.0, c1=0.5, c2=0.5):
@@ -299,55 +332,14 @@ def _symmetric_power_model(alpha=2.0, c1=0.5, c2=0.5):
         raise ParameterError("power tail index alpha must be positive")
     if c1 <= 0 or c2 <= 0 or c1 + c2 > 1 + 1e-12:
         raise ParameterError("tail weights must be positive with c1 + c2 <= 1")
+    # one mid for both sides: 1 - c2 - c1 may round differently
     mid = max(1.0 - c1 - c2, 0.0)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.select(
-            [x <= -1.0, x >= 1.0],
-            [c1 * np.abs(x) ** -alpha, 1.0 - c2 * np.where(x >= 1.0, x, 1.0) ** -alpha],
-            default=c1 + mid * (x + 1.0) / 2.0,
-        )
-
-    def sf(x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.select(
-            [x >= 1.0, x <= -1.0],
-            [c2 * np.where(x >= 1.0, x, 1.0) ** -alpha, 1.0 - c1 * np.abs(x) ** -alpha],
-            default=c2 + mid * (1.0 - x) / 2.0,
-        )
-
-    def quantile(u):
-        # one power per draw: -(c1 / u)^(1/alpha) in the lower tail,
-        # (c2 / (1 - u))^(1/alpha) in the upper one
-        u = np.asarray(u, dtype=np.float64)
-        lo = u <= c1
-        tail = (np.where(lo, c1, c2) / np.maximum(np.where(lo, u, 1.0 - u), 1e-300)) ** (1.0 / alpha)
-        tail = np.where(lo, -tail, tail)
-        if mid > 0:
-            middle = -1.0 + 2.0 * (u - c1) / mid
-        else:
-            middle = np.ones_like(u)
-        return np.where(lo | (u >= 1.0 - c2), tail, middle)
-
-    def upper_quantile(p):
-        p = np.asarray(p, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            upper = (c2 / np.maximum(p, 1e-300)) ** (1.0 / alpha)
-        if mid > 0:
-            middle = 1.0 - 2.0 * (p - c2) / mid
-        else:
-            middle = np.ones_like(p)
-        with np.errstate(divide="ignore"):
-            lower = -((c1 / np.maximum(1.0 - p, 1e-300)) ** (1.0 / alpha))
-        return np.select([p <= c2, p >= 1.0 - c1], [upper, lower], default=middle)
-
+    cdf, quantile = _power_side(alpha, c1, c2, mid)
     return TailModel(
         family="symmetric_power",
         cdf=cdf,
-        sf=sf,
         quantile=quantile,
-        upper_quantile=upper_quantile,
+        reflected=_power_side(alpha, c2, c1, mid),
     )
 
 
@@ -363,10 +355,6 @@ def _weibull_symmetric_model(scale=1.0, shape=1.0):
         x = np.asarray(x, dtype=np.float64)
         return np.where(x < 0, 0.5 * _one_sided_sf(-x), 1.0 - 0.5 * _one_sided_sf(x))
 
-    def sf(x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(x >= 0, 0.5 * _one_sided_sf(x), 1.0 - 0.5 * _one_sided_sf(-x))
-
     def quantile(u):
         u = np.asarray(u, dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -374,40 +362,23 @@ def _weibull_symmetric_model(scale=1.0, shape=1.0):
             down = -lam * (-np.log(np.maximum(2.0 * u, 1e-300))) ** (1.0 / k)
         return np.where(u >= 0.5, np.maximum(up, 0.0), np.minimum(down, 0.0))
 
-    def upper_quantile(p):
-        p = np.asarray(p, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            up = lam * (-np.log(np.maximum(2.0 * p, 1e-300))) ** (1.0 / k)
-        return np.where(p <= 0.5, np.maximum(up, 0.0), quantile(1.0 - p))
+    return TailModel(family="weibull_symmetric", cdf=cdf, quantile=quantile)
 
-    return TailModel(
-        family="weibull_symmetric",
-        cdf=cdf,
-        sf=sf,
-        quantile=quantile,
-        upper_quantile=upper_quantile,
-    )
+
+def _uniform_side(low, high):
+    """(cdf, quantile) of the uniform law on [low, high]."""
+    span = high - low
+    return (lambda x: np.clip((np.asarray(x, dtype=np.float64) - low) / span, 0.0, 1.0),
+            lambda u: low + span * np.asarray(u, dtype=np.float64))
 
 
 def _uniform_model(low=-1.0, high=1.0):
     low, high = float(low), float(high)
     if not low < high:
         raise ParameterError("uniform support must satisfy low < high")
-    span = high - low
-
-    def cdf(x):
-        return np.clip((np.asarray(x, dtype=np.float64) - low) / span, 0.0, 1.0)
-
-    def sf(x):
-        return np.clip((high - np.asarray(x, dtype=np.float64)) / span, 0.0, 1.0)
-
-    return TailModel(
-        family="uniform",
-        cdf=cdf,
-        sf=sf,
-        quantile=lambda u: low + span * np.asarray(u, dtype=np.float64),
-        upper_quantile=lambda p: high - span * np.asarray(p, dtype=np.float64),
-    )
+    cdf, quantile = _uniform_side(low, high)
+    return TailModel(family="uniform", cdf=cdf, quantile=quantile,
+                     reflected=_uniform_side(-high, -low))
 
 
 # family -> builder; a builder's keyword arguments are the family's parameters

@@ -27,6 +27,7 @@ from volterra_lab.core import (
     solve_linear,
     solve_nonlinear,
 )
+from volterra_lab.growth_catalogue import catalogue_entry
 from volterra_lab.series import Trajectory, dyadic_blocks, ratio_series
 from volterra_lab.spectral import multiplier_L
 from volterra_lab.stochastic import (
@@ -119,7 +120,7 @@ def test_criterion_04_representation_at_scale():
                            entry=forcing_entry("geometric", lam=0.5),
                            factor=make_factor("periodic", profile=[1.25, 0.75]))
     H = generate(gen, horizon)
-    scale = ScalingModel.from_catalogue("geometric", horizon, lam=0.5)
+    scale = ScalingModel.from_entry(catalogue_entry("geometric", lam=0.5), horizon)
     x = solve_linear(kernel, H, 1.0, horizon)
     lam_H = ratio_series(H, scale.a)
     lam_x = ratio_series(x, scale.a)
@@ -146,7 +147,7 @@ def test_criterion_05_periodic_modulation():
                            entry=forcing_entry("geometric", lam=lam),
                            factor=make_factor("periodic", profile=profile))
     H = generate(gen, horizon)
-    scale = ScalingModel.from_catalogue("geometric", horizon, lam=lam)
+    scale = ScalingModel.from_entry(catalogue_entry("geometric", lam=lam), horizon)
     x = solve_linear(kernel, H, 1.0, horizon)
     lam_x = ratio_series(x, scale.a)
     lam_H = ratio_series(H, scale.a)
@@ -161,7 +162,7 @@ def test_criterion_05_periodic_modulation():
 
 
 def test_criterion_06_stationary_time_average():
-    scale = ScalingModel.from_catalogue("geometric", 100_000, log_domain=True, lam=0.5)
+    scale = ScalingModel.from_entry(catalogue_entry("geometric", lam=0.5), 100_000, log_domain=True)
     system = EnsembleSpec(
         kernel=Kernel([0.5]),
         forcing=ForcingGenerator(kind="modulated", seed=424242,
@@ -181,7 +182,7 @@ def test_criterion_06_stationary_time_average():
 def test_criterion_07_fluctuation_dichotomy():
     horizon = 100_000
     kernel = Kernel([0.5])
-    scale = ScalingModel.from_catalogue("power", horizon, theta=1.0)
+    scale = ScalingModel.from_entry(catalogue_entry("power", theta=1.0), horizon)
     idx = np.arange(1, horizon + 1, dtype=float)
     families = {
         "zero": np.log(np.arange(horizon + 1, dtype=float) + 1.0),
@@ -227,7 +228,7 @@ def test_criterion_08_quadratic_time_average():
 def test_criterion_09_normal_envelope():
     horizon = 100_000
     sigma = 1.0
-    scale = ScalingModel.from_catalogue("sqrt_log", horizon)
+    scale = ScalingModel.from_entry(catalogue_entry("sqrt_log"), horizon)
     tail = make_tail_model("normal", sigma=sigma)
     grid = [round(0.5 + 0.1 * i, 10) for i in range(11)]
     report = envelope_sums(tail, scale.a, grid)
@@ -287,7 +288,7 @@ def test_criterion_11_power_tail_exponent():
 
 def _nonlinear_decay(kernel, nonlinearity, forcing_gen, scale_name, scale_params, horizon):
     H = generate(forcing_gen, horizon)
-    scale = ScalingModel.from_catalogue(scale_name, horizon, **scale_params)
+    scale = ScalingModel.from_entry(catalogue_entry(scale_name, **scale_params), horizon)
     x = solve_nonlinear(kernel, nonlinearity, H, 1.0, horizon)
     y = solve_linear(kernel, H, 1.0, horizon)
     diff = ratio_series(Trajectory(np.abs(x.values - y.values)), scale.a)

@@ -96,7 +96,7 @@ class TestCatalogue:
         ],
     )
     def test_empirical_ratio_converges_to_declared_limit(self, name, params, horizon, tol):
-        scale = ScalingModel.from_catalogue(name, horizon, log_domain=True, **params)
+        scale = ScalingModel.from_entry(catalogue_entry(name, **params), horizon, log_domain=True)
         lam_hat, _ = estimate_lambda(scale.a)
         assert abs(lam_hat - scale.lam) < tol
 
@@ -108,7 +108,7 @@ class TestScalingModel:
 
     def test_plain_overflow_advises_log_domain(self):
         with pytest.raises(InputError, match="log_domain"):
-            ScalingModel.from_catalogue("factorial", 400, log_domain=False)
+            ScalingModel.from_entry(catalogue_entry("factorial"), 400, log_domain=False)
 
 
 class TestEstimateLambda:
@@ -121,7 +121,7 @@ class TestEstimateLambda:
         assert abs(lam - 1.0) < 1e-3 and converged
 
     def test_factorial_tends_to_zero(self):
-        scale = ScalingModel.from_catalogue("factorial", 2000, log_domain=True)
+        scale = ScalingModel.from_entry(catalogue_entry("factorial"), 2000, log_domain=True)
         lam, converged = estimate_lambda(scale.a)
         assert lam < 1e-3 and converged
 
@@ -133,7 +133,7 @@ class TestEstimateLambda:
 class TestEstimateLimsup:
     def test_alternating_scale_hits_one(self):
         n = np.arange(1, 20001, dtype=float)
-        scale = ScalingModel.from_catalogue("power", 20000, theta=1.0)
+        scale = ScalingModel.from_entry(catalogue_entry("power", theta=1.0), 20000)
         g = traj(((-1.0) ** n) * n, start=1)
         est = estimate_limsup(g, scale)
         assert np.isclose(est.value, 1.0)
@@ -141,23 +141,23 @@ class TestEstimateLimsup:
 
     def test_log_over_linear_classifies_zero(self):
         n = np.arange(1, 100001, dtype=float)
-        scale = ScalingModel.from_catalogue("power", 100000, theta=1.0)
+        scale = ScalingModel.from_entry(catalogue_entry("power", theta=1.0), 100000)
         est = estimate_limsup(traj(np.log(n + 1.0), start=1), scale)
         assert est.classification == "zero"
 
     def test_quadratic_classifies_infinite(self):
         n = np.arange(1, 20001, dtype=float)
-        scale = ScalingModel.from_catalogue("power", 20000, theta=1.0)
+        scale = ScalingModel.from_entry(catalogue_entry("power", theta=1.0), 20000)
         est = estimate_limsup(traj(n ** 2, start=1), scale)
         assert est.classification == "infinite"
 
     def test_range_mismatch_raises(self):
-        scale = ScalingModel.from_catalogue("power", 100, theta=1.0)
+        scale = ScalingModel.from_entry(catalogue_entry("power", theta=1.0), 100)
         with pytest.raises(InputError):
             estimate_limsup(traj([1.0, 2.0], start=500), scale)
 
     def test_identically_zero_series_classifies_zero(self):
-        scale = ScalingModel.from_catalogue("power", 100, theta=1.0)
+        scale = ScalingModel.from_entry(catalogue_entry("power", theta=1.0), 100)
         est = estimate_limsup(traj(np.zeros(100), start=1), scale)
         assert est.value == 0.0
         assert est.classification == "zero"
@@ -170,7 +170,7 @@ class TestEstimateLimsup:
         idx = np.arange(1, n_max + 1, dtype=float)
         vals[1:] = ((-1.0) ** idx) * idx
         x = solve_linear(k, traj(vals), 1.0, n_max)
-        scale = ScalingModel.from_catalogue("power", n_max, theta=1.0)
+        scale = ScalingModel.from_entry(catalogue_entry("power", theta=1.0), n_max)
         est = estimate_limsup(x, scale)
         assert est.classification == "finite-positive"
         assert est.value <= 2.0 * 1.05  # resolvent l1 mass = 2
@@ -320,7 +320,7 @@ class TestGrowth3ResidualDecay:
     )
     def test_representation_residual_decays_over_blocks(self, name, params, horizon):
         k = Kernel.geometric(0.3, 0.5, 20)
-        scale = ScalingModel.from_catalogue(name, horizon, **params)
+        scale = ScalingModel.from_entry(catalogue_entry(name, **params), horizon)
         idx = scale.a.indices().astype(float)
         factor = 1.0 + 0.5 * np.sin(2 * np.pi * idx / 13.0)
         H = Trajectory(factor * scale.a.values, start=scale.a.start)
@@ -342,7 +342,7 @@ class TestGrowth3ResidualDecay:
         k = Kernel.geometric(0.3, 0.5, 20)
 
         def tail_residual(horizon):
-            scale = ScalingModel.from_catalogue("power", horizon, theta=1.5)
+            scale = ScalingModel.from_entry(catalogue_entry("power", theta=1.5), horizon)
             idx = scale.a.indices().astype(float)
             H = Trajectory((1.0 + 0.5 * np.sin(2 * np.pi * idx / 13.0)) * scale.a.values,
                            start=scale.a.start)
@@ -359,7 +359,7 @@ class TestConvolutionBound:
     def test_scaled_convolution_respects_l1_mass(self):
         rng = np.random.Generator(np.random.Philox(31))
         n_max = 20000
-        scale = ScalingModel.from_catalogue("power", n_max, theta=1.0)
+        scale = ScalingModel.from_entry(catalogue_entry("power", theta=1.0), n_max)
         idx = np.arange(1, n_max + 1, dtype=float)
         for _ in range(5):
             m = int(rng.integers(1, 5))

@@ -536,10 +536,6 @@ class TestCommandLine:
     def test_every_mode_has_a_handler(self):
         assert set(cli._HANDLERS) == set(MODES)
 
-    def test_exit_one_on_unreadable_config(self, tmp_path, capsys):
-        code = main(["solve", "--config", str(tmp_path / "missing.json")])
-        assert code == 1
-
     @pytest.mark.parametrize("content,prefix", [
         (None, "error: cannot read config: "),
         (b'{"horizon": ', "error: cannot read config: "),

@@ -32,6 +32,7 @@ from volterra_lab.exceptions import (
     TrajectoryOverflowError,
     UndefinedRatioError,
 )
+from volterra_lab.growth_catalogue import catalogue_entry
 from volterra_lab.series import LogTrajectory, Trajectory
 from volterra_lab.stochastic import (
     EnsembleSpec,
@@ -673,7 +674,7 @@ class TestBatchedEnsemble:
         # a forcing statistic, in groups of two paths
         (EnsembleSpec(kernel=Kernel([0.5]), horizon=100_000,
                       forcing=ForcingGenerator(kind="iid", seed=12, tail=NORMAL_TAIL),
-                      scaling=ScalingModel.from_catalogue("sqrt_log", 100_000)),
+                      scaling=ScalingModel.from_entry(catalogue_entry("sqrt_log"), 100_000)),
          5, StatisticSpec(name="limsup_ratio", band=(0.8, 1.1), series="forcing")),
         # x(n) ~ C 1.05^n: most paths overflow before the horizon, not all
         (EnsembleSpec(kernel=Kernel([1.05]), horizon=14_552,

@@ -10,6 +10,7 @@ from volterra_lab.asymptotics import ScalingModel
 from volterra_lab.config import ExperimentConfig
 from volterra_lab.core import Kernel
 from volterra_lab.exceptions import InputError, ParameterError
+from volterra_lab.growth_catalogue import catalogue_entry
 from volterra_lab.series import LogTrajectory, Trajectory, abs_log_series
 from volterra_lab.stochastic import (
     EnsembleSpec,
@@ -39,6 +40,107 @@ def select_power_quantile(alpha, c1, c2, u):
     else:
         middle = np.ones_like(u)
     return np.select([u <= c1, u >= 1.0 - c2], [lower, upper], default=middle)
+
+
+def two_sided_tail_oracle(family, **params):
+    """The four tail builders as they were, with G, the upper quantile and
+    P[|X| > t] written out per family beside F and the quantile."""
+    if family == "normal":
+        sigma = float(params.get("sigma", 1.0))
+
+        def sf(x):
+            return stochastic._ndtr(-(np.asarray(x, dtype=np.float64) / sigma))
+
+        return {
+            "cdf": lambda x: stochastic._ndtr(np.asarray(x, dtype=np.float64) / sigma),
+            "sf": sf,
+            "quantile": lambda u: stochastic._ndtri(u) * sigma + 0.0,
+            "upper_quantile": lambda p: -stochastic._ndtri(p) * sigma + 0.0,
+            "tail_probability": lambda t: 2.0 * sf(t),
+        }
+    if family == "symmetric_power":
+        alpha, c1, c2 = (float(params[k]) for k in ("alpha", "c1", "c2"))
+        mid = max(1.0 - c1 - c2, 0.0)
+
+        def cdf(x):
+            x = np.asarray(x, dtype=np.float64)
+            return np.select(
+                [x <= -1.0, x >= 1.0],
+                [c1 * np.abs(x) ** -alpha, 1.0 - c2 * np.where(x >= 1.0, x, 1.0) ** -alpha],
+                default=c1 + mid * (x + 1.0) / 2.0,
+            )
+
+        def sf(x):
+            x = np.asarray(x, dtype=np.float64)
+            return np.select(
+                [x >= 1.0, x <= -1.0],
+                [c2 * np.where(x >= 1.0, x, 1.0) ** -alpha, 1.0 - c1 * np.abs(x) ** -alpha],
+                default=c2 + mid * (1.0 - x) / 2.0,
+            )
+
+        def quantile(u):
+            u = np.asarray(u, dtype=np.float64)
+            lo = u <= c1
+            tail = (np.where(lo, c1, c2) / np.maximum(np.where(lo, u, 1.0 - u), 1e-300)) ** (1.0 / alpha)
+            tail = np.where(lo, -tail, tail)
+            middle = -1.0 + 2.0 * (u - c1) / mid if mid > 0 else np.ones_like(u)
+            return np.where(lo | (u >= 1.0 - c2), tail, middle)
+
+        def upper_quantile(p):
+            p = np.asarray(p, dtype=np.float64)
+            upper = (c2 / np.maximum(p, 1e-300)) ** (1.0 / alpha)
+            middle = 1.0 - 2.0 * (p - c2) / mid if mid > 0 else np.ones_like(p)
+            lower = -((c1 / np.maximum(1.0 - p, 1e-300)) ** (1.0 / alpha))
+            return np.select([p <= c2, p >= 1.0 - c1], [upper, lower], default=middle)
+
+    elif family == "weibull_symmetric":
+        lam, k = float(params["scale"]), float(params["shape"])
+
+        def one_sided_sf(x):
+            return np.exp(-((np.maximum(x, 0.0) / lam) ** k))
+
+        def cdf(x):
+            x = np.asarray(x, dtype=np.float64)
+            return np.where(x < 0, 0.5 * one_sided_sf(-x), 1.0 - 0.5 * one_sided_sf(x))
+
+        def sf(x):
+            x = np.asarray(x, dtype=np.float64)
+            return np.where(x >= 0, 0.5 * one_sided_sf(x), 1.0 - 0.5 * one_sided_sf(-x))
+
+        def quantile(u):
+            u = np.asarray(u, dtype=np.float64)
+            up = lam * (-np.log(np.maximum(2.0 * (1.0 - u), 1e-300))) ** (1.0 / k)
+            down = -lam * (-np.log(np.maximum(2.0 * u, 1e-300))) ** (1.0 / k)
+            return np.where(u >= 0.5, np.maximum(up, 0.0), np.minimum(down, 0.0))
+
+        def upper_quantile(p):
+            p = np.asarray(p, dtype=np.float64)
+            up = lam * (-np.log(np.maximum(2.0 * p, 1e-300))) ** (1.0 / k)
+            return np.where(p <= 0.5, np.maximum(up, 0.0), quantile(1.0 - p))
+
+    else:
+        low, high = float(params["low"]), float(params["high"])
+        span = high - low
+
+        def cdf(x):
+            return np.clip((np.asarray(x, dtype=np.float64) - low) / span, 0.0, 1.0)
+
+        def sf(x):
+            return np.clip((high - np.asarray(x, dtype=np.float64)) / span, 0.0, 1.0)
+
+        def quantile(u):
+            return low + span * np.asarray(u, dtype=np.float64)
+
+        def upper_quantile(p):
+            return high - span * np.asarray(p, dtype=np.float64)
+
+    return {
+        "cdf": cdf,
+        "sf": sf,
+        "quantile": quantile,
+        "upper_quantile": upper_quantile,
+        "tail_probability": lambda t: sf(t) + cdf(-np.asarray(t, dtype=np.float64)),
+    }
 
 
 def assert_tail_invariants(t, symmetric):
@@ -127,6 +229,55 @@ class TestTailModels:
             normal = exact >= 2.3e-308
             assert np.all(np.abs(got[normal] - exact[normal]) <= 1e-15 * exact[normal])
         assert_tail_invariants(t, symmetric=True)
+
+    @pytest.mark.parametrize("family,params", [
+        ("normal", {"sigma": 1.0}), ("normal", {"sigma": 2.5}), ("normal", {"sigma": 0.3}),
+        *(("symmetric_power", {"alpha": a, "c1": c1, "c2": c2}) for a, c1, c2 in (
+            (2.0, 0.5, 0.5), (1.0, 0.3, 0.2), (3.5, 0.1, 0.4), (1.5, 0.2, 0.8),
+            (1.5, 0.2, 0.3), (1.5, 0.2, 0.6), (0.5, 0.25, 0.25), (10.0, 0.05, 0.05),
+            (0.1, 0.4, 0.1), (2.0, 0.3, 0.7), (1.0, 0.01, 0.99), (4.0, 0.6, 0.4 + 5e-13),
+            (2.0, 0.1, 0.1), (0.75, 0.45, 0.05), (6.0, 1e-3, 0.5))),
+        *(("weibull_symmetric", {"scale": lam, "shape": k}) for lam, k in (
+            (1.0, 1.0), (2.0, 2.0), (1.0, 0.5), (0.5, 3.0), (3.0, 0.7), (1e-3, 1.5),
+            (10.0, 0.25), (1.0, 10.0))),
+        *(("uniform", {"low": lo, "high": hi}) for lo, hi in (
+            (-1.0, 1.0), (0.0, 1.0), (-3.0, 0.5), (2.0, 7.25))),
+    ])
+    def test_reflected_law_is_bitwise_the_two_sided_oracle(self, family, params):
+        """G, the upper quantile and P[|X| > t], read off the law of -X, equal
+        the hand-written two-sided versions bitwise, sign bits included; F and
+        the quantile are unchanged.  A NaN output matches any NaN.  The one
+        change: with c1 + c2 = 1, the power upper quantile of NaN is -1.0, the
+        reflection of quantile(NaN) = 1.0, where it was 1.0."""
+        t = make_tail_model(family, **params)
+        oracle = two_sided_tail_oracle(family, **params)
+        breaks = np.array([v for p in params.values() for v in (p, -p, 1.0 - p)]
+                          + [1.0, -1.0, 0.5, -0.5, 0.0])
+        near = np.concatenate((breaks, np.nextafter(breaks, np.inf),
+                               np.nextafter(breaks, -np.inf)))
+        specials = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300,
+                    1e-300, -1e-300, np.nan]
+        magnitudes = np.logspace(-300, 300, 2401)
+        xs = np.concatenate((specials, near, magnitudes, -magnitudes,
+                             np.linspace(-40.0, 40.0, 4001)))
+        small = np.logspace(-300, -1, 2000)
+        ps = np.concatenate((specials, near, small, 1.0 - small, np.linspace(0.0, 1.0, 4001),
+                             np.random.Generator(np.random.Philox(24)).random(2000),
+                             [2.0, 1.0 + 2**-52, -1e-300]))
+        mid_is_zero = family == "symmetric_power" and 1.0 - params["c1"] - params["c2"] <= 0.0
+        with np.errstate(all="ignore"):
+            for name, grid in (("cdf", xs), ("sf", xs), ("tail_probability", xs),
+                               ("quantile", ps), ("upper_quantile", ps)):
+                got = np.asarray(getattr(t, name)(grid), dtype=np.float64)
+                want = np.asarray(oracle[name](grid), dtype=np.float64)
+                if name == "upper_quantile" and mid_is_zero:
+                    nan_in = np.isnan(grid)
+                    assert np.all(got[nan_in] == -1.0) and np.all(want[nan_in] == 1.0)
+                    got, want = got[~nan_in], want[~nan_in]
+                nan_out = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan_out), name
+                assert np.array_equal(got[~nan_out].view(np.uint64),
+                                      want[~nan_out].view(np.uint64)), name
 
     def test_normal_inverse_outside_unit_interval_is_nan(self):
         t = make_tail_model("normal", sigma=1.0)
@@ -335,9 +486,10 @@ _GEOMETRIC_HALF = ForcingGenerator(kind="deterministic", entry=forcing_entry("ge
 # one double-range rule: max log|value| just below 709 converts to plain
 # doubles, just above it every route refuses and names the log domain
 @pytest.mark.parametrize("build, below, above", [
-    (lambda n: ScalingModel.from_catalogue("geometric", n, lam=0.5), 1022, 1023),
+    (lambda n: ScalingModel.from_entry(catalogue_entry("geometric", lam=0.5), n), 1022, 1023),
     # 1e-10 * 2**n: the exact form overflows from n = 1024, the value at 1057
-    (lambda n: ScalingModel.from_catalogue("geometric", n, lam=0.5, scale=1e-10), 1056, 1057),
+    (lambda n: ScalingModel.from_entry(catalogue_entry("geometric", lam=0.5, scale=1e-10), n),
+     1056, 1057),
     (lambda n: generate(_GEOMETRIC_HALF, n), 1022, 1023),
     (lambda n: generate(ForcingGenerator(kind="geometric_random_walk", drift=1.0), n), 708, 710),
     (lambda v: LogTrajectory.from_log([0.0, v]).to_plain(), 708.9, 709.1),
@@ -350,7 +502,7 @@ def test_plain_form_refused_just_past_double_range(build, below, above):
 
 class TestEnvelopeSums:
     def test_normal_verdicts_bracket_sigma(self):
-        scale = ScalingModel.from_catalogue("sqrt_log", 50_000)
+        scale = ScalingModel.from_entry(catalogue_entry("sqrt_log"), 50_000)
         tail = make_tail_model("normal", sigma=1.0)
         rep = envelope_sums(tail, scale.a, [0.8, 1.2])
         assert rep.verdicts == ("divergent", "convergent")
@@ -374,7 +526,7 @@ class TestEnvelopeSums:
         assert np.all(rep.partial_sums[0, 5:] == final)
 
     def test_partial_sums_monotone_in_n_and_k(self):
-        scale = ScalingModel.from_catalogue("sqrt_log", 5000)
+        scale = ScalingModel.from_entry(catalogue_entry("sqrt_log"), 5000)
         tail = make_tail_model("normal", sigma=1.0)
         rep = envelope_sums(tail, scale.a, [0.5, 1.0, 1.5])
         for row in rep.partial_sums:
@@ -448,8 +600,8 @@ class TestClassifyTail:
         def upper_quantile(p):
             return quantile(1.0 - np.asarray(p, dtype=np.float64))
 
-        t = TailModel(family="custom_quantile", cdf=cdf, sf=sf, quantile=quantile,
-                      upper_quantile=upper_quantile)
+        t = TailModel(family="custom_quantile", cdf=cdf, quantile=quantile,
+                      reflected=(lambda y: sf(-y), lambda u: -upper_quantile(u)))
         c = classify_tail(t)
         assert c.verdict == "regularly-varying"
         assert c.case == "i"
