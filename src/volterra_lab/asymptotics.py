@@ -9,7 +9,7 @@ The central conventions:
 * the bounded factor of g against a reference scale a is taken as
   g(n)/a(n) itself;
 * every other tail statistic is taken over the final quarter of its
-  series, the one window :func:`series.tail_count` sizes;
+  series, the one window :func:`series.tail` cuts;
 * limsup estimation uses dyadic block maxima with the first quarter of
   the window excluded as burn-in (:func:`series.burn_in_start`);
 * the limsup classification thresholds (zero / finite-positive /
@@ -40,7 +40,7 @@ from .series import (
     overlap_range,
     percentile,
     ratio_series,
-    tail_count,
+    tail,
 )
 from .spectral import characteristic_roots, multiplier_L
 
@@ -122,10 +122,7 @@ def estimate_lambda(g):
     tail window (at least two points), and whether the interquartile
     range of those ratios is below ``_IQR_TOLERANCE``.
     """
-    count = max(2, tail_count(len(g)))
-    lo = max(g.start, g.end - count + 1)
-    window = g.window(lo, g.end)
-    ratios = consecutive_ratios(window).values
+    ratios = consecutive_ratios(tail(g, least=2)).values
     lam_hat = median(ratios)
     iqr = percentile(ratios, 75) - percentile(ratios, 25)
     return lam_hat, bool(iqr < _IQR_TOLERANCE)
@@ -222,8 +219,7 @@ def verify_growth2(kernel: Kernel, x, forcing, scale: ScalingModel = None) -> Gr
     L_theory = multiplier_L(kernel, lam_used)
     lo = max(x.start, forcing.start, 1)
     ratio = ratio_series(x.window(lo, horizon), forcing.window(lo, horizon))
-    tail = ratio.tail_window()
-    L_emp = float(np.mean(tail.values))
+    L_emp = float(np.mean(tail(ratio).values))
     return Growth2Result(
         L_empirical=L_emp,
         L_theory=L_theory,
@@ -285,32 +281,24 @@ class PeriodicExtraction:
     residual_tail_sup: float
 
 
-def extract_almost_periodic(g_over_a: Trajectory, period_hint: int = None) -> PeriodicExtraction:
+def extract_almost_periodic(g_over_a: Trajectory) -> PeriodicExtraction:
     """Split a bounded ratio series into a periodic part plus residual.
 
-    With an explicit integer ``period_hint``, the periodic profile is the
-    mean of the tail window over each residue class mod p.  Without a hint
-    the period comes from the dominant discrete-spectrum peak of the tail
+    The period comes from the dominant discrete-spectrum peak of the tail
     window, restricted to integer periods at most ``_MAX_PERIOD_FRACTION``
     of the series length and refined by a folding score; if no spectral
     peak clears ``_NOISE_FACTOR`` times the median magnitude, the series is
     declared aperiodic and the constant tail mean is returned.
     """
-    tail = g_over_a.tail_window()
+    window = tail(g_over_a)
     max_period = max(2, int(len(g_over_a) * _MAX_PERIOD_FRACTION))
-    if period_hint is not None:
-        if period_hint < 1:
-            raise InputError("period hint must be a positive integer")
-        period = int(period_hint)
-        verdict = "periodic"
-    else:
-        period = _spectral_period(tail, max_period)
-        verdict = "periodic" if period else "aperiodic"
+    period = _spectral_period(window, max_period)
+    verdict = "periodic" if period else "aperiodic"
     if not period or period == 1:
         period, verdict = 0, "aperiodic"
-        profile = np.array([float(np.mean(tail.values))])
+        profile = np.array([float(np.mean(window.values))])
     else:
-        profile = _fold_profile(tail, period)
+        profile = _fold_profile(window, period)
     pi = Trajectory(profile[g_over_a.indices() % len(profile)], start=g_over_a.start)
     residual = Trajectory(g_over_a.values - pi.values, start=g_over_a.start)
     return PeriodicExtraction(pi, residual, period=period, verdict=verdict, profile=profile,
@@ -335,8 +323,8 @@ def _fold_score(window: Trajectory, period: int) -> float:
     return float(np.mean((window.values - profile[idx]) ** 2))
 
 
-def _spectral_period(tail: Trajectory, max_period: int):
-    vals = tail.values - np.mean(tail.values)
+def _spectral_period(window: Trajectory, max_period: int):
+    vals = window.values - np.mean(window.values)
     if len(vals) < 8:
         return 0
     mags = np.abs(rfft(vals))[1:]
@@ -350,8 +338,8 @@ def _spectral_period(tail: Trajectory, max_period: int):
         return 0
     # a multiple of a period folds as well as the period, so the smallest
     # candidate within rounding of the best score wins
-    scores = [_fold_score(tail, p) for p in candidates]
-    rounding = (len(vals) * np.finfo(float).eps) ** 2 * float(np.mean(tail.values ** 2))
+    scores = [_fold_score(window, p) for p in candidates]
+    rounding = (len(vals) * np.finfo(float).eps) ** 2 * float(np.mean(window.values ** 2))
     return next(p for p, s in zip(candidates, scores) if s <= min(scores) + rounding)
 
 
@@ -472,15 +460,14 @@ def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
     log-domain evaluation when plain evaluation overflows.
     """
     lo, hi = overlap_range(x, forcing)
-    lo = max(lo, 1)
-    count = tail_count(hi - lo + 1)
-    wlo = hi - count + 1
+    x = tail(x.window(max(lo, 1), hi))
+    forcing = forcing.window(x.start, hi)
     r_l1 = kernel.resolvent_l1(hi)
     k_l1 = kernel.l1_norm
     use_log = isinstance(x, LogTrajectory) or isinstance(forcing, LogTrajectory)
     if not use_log:
-        ax = np.abs(x.window(wlo, hi).values)
-        ah = np.abs(forcing.window(wlo, hi).values)
+        ax = np.abs(x.values)
+        ah = np.abs(forcing.values)
         with np.errstate(over="ignore"):
             parts = [phi(ax), phi(r_l1 * ah), phi(ah), phi((1.0 + k_l1) * ax)]
         if all(np.all(np.isfinite(p)) for p in parts):
@@ -496,9 +483,9 @@ def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
             "phi overflowed and the log-domain fallback exists only for "
             "power functionals"
         )
-    lx = abs_log_series(x).window(wlo, hi).values
-    lh = abs_log_series(forcing).window(wlo, hi).values
-    logn = math.log(count)
+    lx = abs_log_series(x).values
+    lh = abs_log_series(forcing).values
+    logn = math.log(len(x))
     p = phi.params["p"]
     sum_x, sum_h = _logsumexp(p * lx), _logsumexp(p * lh)
     lhs_log = sum_x - logn
@@ -527,5 +514,5 @@ def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
 def residual_tail_sup(actual: Trajectory, predicted: Trajectory) -> float:
     """Sup of |actual - predicted| over the tail window of their common indices."""
     lo, hi = overlap_range(actual, predicted)
-    diff = actual.window(lo, hi).values - predicted.window(lo, hi).values
-    return float(np.max(np.abs(diff[-tail_count(len(diff)):])))
+    actual = tail(actual.window(lo, hi))
+    return float(np.max(np.abs(actual.values - predicted.window(actual.start, hi).values)))

@@ -20,7 +20,7 @@ __all__ = [
     "Trajectory",
     "LogTrajectory",
     "overlap_range",
-    "tail_count",
+    "tail",
     "median",
     "percentile",
     "ratio_series",
@@ -76,11 +76,6 @@ class Trajectory:
         if lo < self.start or hi > self.end or lo > hi:
             raise InputError(f"window [{lo}, {hi}] outside stored range [{self.start}, {self.end}]")
         return Trajectory(self.values[lo - self.start : hi - self.start + 1], start=lo)
-
-    def tail_window(self) -> "Trajectory":
-        """The stored indices that :func:`tail_count` makes the tail."""
-        count = tail_count(len(self.values))
-        return Trajectory(self.values[-count:], start=self.end - count + 1)
 
     def to_plain(self) -> "Trajectory":
         return self
@@ -164,9 +159,14 @@ class LogTrajectory:
         return Trajectory(self.sign * np.exp(self.log_abs), start=self.start)
 
 
-def tail_count(length: int) -> int:
-    """Size of every tail window, the package's stand-in for n -> infinity: the final quarter."""
-    return max(1, int(round(0.25 * length)))
+def tail(g, least: int = 1):
+    """The tail window of g, plain or log: the package's stand-in for n -> infinity.
+
+    It is the final quarter of g's indices, rounded, and at least ``least``
+    of them where g has that many.
+    """
+    count = max(least, int(round(0.25 * len(g))))
+    return g.window(max(g.start, g.end - count + 1), g.end)
 
 
 def median(values) -> float:

@@ -482,10 +482,6 @@ class ForcingGenerator:
     factor: callable = None
 
 
-def _rng_for(gen: ForcingGenerator):
-    return Generator(Philox(SeedSequence(gen.seed)))
-
-
 def forcing_entry(name, **params) -> CatalogueEntry:
     """The catalogue entry a deterministic forcing or a modulated base uses.
 
@@ -505,49 +501,45 @@ def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=
     """Materialise the forcing on indices 0..horizon (index 0 set to 0).
 
     Identical (kind, parameters, seed, horizon) produce bitwise identical
-    output; the draws come from a counter-based Philox stream.
+    output; the draws come from a counter-based Philox stream, ``rng`` or
+    else the one the generator's seed starts.
     """
     horizon = _solve_horizon(horizon)
     if rng is None:
-        rng = _rng_for(gen)
+        rng = Generator(Philox(SeedSequence(gen.seed)))
 
-    h = _forcing_body(gen, horizon, log_domain, rng)
+    if gen.kind == "iid":
+        if gen.tail is None:
+            raise ParameterError("iid forcing needs a tail model")
+        h = Trajectory(gen.tail.sample(rng, horizon), start=1)
+    elif gen.kind in ("random_walk_drift", "geometric_random_walk"):
+        steps = gen.noise.sample(rng, horizon) if gen.noise is not None else np.zeros(horizon)
+        walk = gen.drift * np.arange(1, horizon + 1) + np.cumsum(steps)
+        if gen.kind == "random_walk_drift":
+            h = Trajectory(walk, start=1)
+        else:
+            h = LogTrajectory.from_log(walk, start=1)
+    elif gen.kind in ("deterministic", "modulated"):
+        if gen.entry is None:
+            raise ParameterError(f"{gen.kind} forcing needs a catalogue entry")
+        h = gen.entry.sequence(1, horizon, log_domain)
+        if gen.kind == "modulated":
+            if gen.factor is None:
+                raise ParameterError("modulated forcing needs a factor")
+            factor = gen.factor(np.arange(1, horizon + 1), rng)
+            if log_domain:
+                with np.errstate(divide="ignore"):
+                    h = LogTrajectory(np.log(np.abs(factor)) + h.log_abs, np.sign(factor), start=1)
+            else:
+                h = Trajectory(factor * h.values, start=1)
+    else:
+        raise ParameterError(f"unknown forcing kind {gen.kind!r}")
+
     if log_domain:
         h = h.to_log()
         return LogTrajectory(np.concatenate(([-np.inf], h.log_abs)),
                              np.concatenate(([0.0], h.sign)))
     return Trajectory(np.concatenate(([0.0], h.to_plain().values)))
-
-
-def _forcing_body(gen, horizon, log_domain, rng):
-    """The forcing on indices 1..horizon, in whichever form it is built."""
-    if gen.kind == "iid":
-        if gen.tail is None:
-            raise ParameterError("iid forcing needs a tail model")
-        return Trajectory(gen.tail.sample(rng, horizon), start=1)
-
-    if gen.kind in ("random_walk_drift", "geometric_random_walk"):
-        steps = gen.noise.sample(rng, horizon) if gen.noise is not None else np.zeros(horizon)
-        walk = gen.drift * np.arange(1, horizon + 1) + np.cumsum(steps)
-        if gen.kind == "random_walk_drift":
-            return Trajectory(walk, start=1)
-        return LogTrajectory.from_log(walk, start=1)
-
-    if gen.kind not in ("deterministic", "modulated"):
-        raise ParameterError(f"unknown forcing kind {gen.kind!r}")
-    if gen.entry is None:
-        raise ParameterError(f"{gen.kind} forcing needs a catalogue entry")
-    base = gen.entry.sequence(1, horizon, log_domain)
-    if gen.kind == "deterministic":
-        return base
-    if gen.factor is None:
-        raise ParameterError("modulated forcing needs a factor")
-    factor = gen.factor(np.arange(1, horizon + 1), rng)
-    if log_domain:
-        with np.errstate(divide="ignore"):
-            return LogTrajectory(np.log(np.abs(factor)) + base.log_abs,
-                                 np.sign(factor), start=1)
-    return Trajectory(factor * base.values, start=1)
 
 
 # --------------------------------------------------------------------------
@@ -831,51 +823,49 @@ def _path_statistic(spec: StatisticSpec, series, system: EnsembleSpec) -> float:
     return float(np.mean(phi(np.abs(series.to_plain().values))))
 
 
-# most doubles in the one array a batched plain-domain ensemble solves in
-# place: paths run in groups of max(1, _GROUP_DOUBLES // (horizon + 1)), so a
-# group's array takes at most 2 MB unless a single path is longer
+# most doubles in the one array a plain-domain group of paths solves in
+# place: plain paths run in groups of max(1, _GROUP_DOUBLES // (horizon + 1)),
+# so a group's array takes at most 2 MB unless a single path is longer;
+# log-domain paths run in groups of one
 _GROUP_DOUBLES = 2**18
 
 # the errors that fail a single path; any other error stops the ensemble
 _PATH_ERRORS = (TrajectoryOverflowError, UndefinedRatioError, InputError)
 
 
-def _log_path(system: EnsembleSpec, statistic: StatisticSpec, rng):
-    """One log-domain path's statistic, or None if it fails."""
-    try:
-        forcing = generate(system.forcing, system.horizon, log_domain=True, rng=rng)
-        x = solve_linear(system.kernel, forcing, system.xi, system.horizon)
-        series = x if statistic.series == "solution" else forcing
-        return float(_path_statistic(statistic, series, system))
-    except _PATH_ERRORS:
-        return None
+def _path_group(system: EnsembleSpec, statistic: StatisticSpec, horizon: int, rngs) -> list:
+    """The statistics of one group of paths, one per generator in ``rngs``.
 
-
-def _plain_group(system: EnsembleSpec, statistic: StatisticSpec, horizon: int, rngs) -> list:
-    """The statistics of plain-domain paths solved as the rows of one array.
-
-    Each path's forcing is written into its row of one (P, horizon + 1)
-    array, all rows are solved in place in one call, and each row is then
-    scored.  A path's entry is None if its generation, its solve or its
-    statistic fails, as when the path runs alone.
+    Each path's forcing is drawn by :func:`generate`.  In the log domain the
+    path is solved alone; in the plain domain it is copied into its row of
+    one (P, horizon + 1) array, and all rows are solved in place in one
+    call.  A path's entry is None if its generation, its solve or its
+    statistic fails.
     """
-    x = np.zeros((len(rngs), horizon + 1))
-    made = np.zeros(len(rngs), dtype=bool)
+    rows = None if system.log_domain else np.zeros((len(rngs), horizon + 1))
+    series = [None] * len(rngs)
     for p, rng in enumerate(rngs):
         try:
-            x[p, 1:] = _forcing_body(system.forcing, horizon, False, rng).to_plain().values
-            made[p] = True
+            forcing = generate(system.forcing, horizon, system.log_domain, rng)
+            if rows is None:
+                x = solve_linear(system.kernel, forcing, system.xi, horizon)
+            else:
+                rows[p] = forcing.values
+                x = Trajectory(rows[p])  # a view: the solve below fills it in
+            series[p] = x if statistic.series == "solution" else forcing
         except _PATH_ERRORS:
             pass
+        forcing = x = None  # a forcing the statistic does not read goes before the next draw
+    if rows is not None:
+        for p in np.flatnonzero(_blocked_linear(system.kernel, rows, float(system.xi)) >= 0):
+            series[p] = None
     values = [None] * len(rngs)
-    # the solve overwrites the forcings, so keep them if the statistic reads them
-    series = x if statistic.series == "solution" else x.copy()
-    bad = _blocked_linear(system.kernel, x, float(system.xi))
-    for p in np.flatnonzero(made & (bad < 0)):
-        try:
-            values[p] = float(_path_statistic(statistic, Trajectory(series[p]), system))
-        except _PATH_ERRORS:
-            pass
+    for p, path in enumerate(series):
+        if path is not None:
+            try:
+                values[p] = float(_path_statistic(statistic, path, system))
+            except _PATH_ERRORS:
+                pass
     return values
 
 
@@ -887,12 +877,13 @@ def ensemble_verify(system: EnsembleSpec, paths: int, statistic: StatisticSpec) 
     spec is checked once, before any path runs: a statistic that needs a
     missing scaling model, a horizon that is not an integer >= 1, a
     non-finite start and, in the plain domain, a deterministic or modulated
-    forcing past double range each raise ``InputError``.  Plain-domain
-    paths are solved in groups, as the rows of one array; log-domain paths
-    one at a time.  A path's statistic is bitwise reproducible for the same
-    spec, seed and path count under the same BLAS and thread count; its
-    solution is within the block engine's 1e-12 scaled gap of the same path
-    solved alone.
+    forcing past double range each raise ``InputError``.  Every path is
+    drawn, solved and scored by one loop, in groups: a plain-domain group
+    is solved as the rows of one array, a log-domain path alone.  A
+    failing path counts once, whichever step failed.  A path's statistic
+    is bitwise reproducible for the same spec, seed and path count under
+    the same BLAS and thread count; a plain path's solution is within the
+    block engine's 1e-12 scaled gap of the same path solved alone.
     """
     if paths < 1:
         raise InputError("need at least one path")
@@ -900,15 +891,12 @@ def ensemble_verify(system: EnsembleSpec, paths: int, statistic: StatisticSpec) 
         raise InputError(f"{statistic.name} needs a scaling model")
     horizon = _solve_horizon(system.horizon, system.xi)
     if not system.log_domain and system.forcing.kind in ("deterministic", "modulated"):
-        _forcing_body(system.forcing, horizon, False, _rng_for(system.forcing))
+        generate(system.forcing, horizon)
     rngs = [Generator(Philox(child)) for child in SeedSequence(system.forcing.seed).spawn(paths)]
-    if system.log_domain:
-        values = [_log_path(system, statistic, rng) for rng in rngs]
-    else:
-        group = max(1, _GROUP_DOUBLES // (horizon + 1))
-        values = []
-        for lo in range(0, paths, group):
-            values += _plain_group(system, statistic, horizon, rngs[lo : lo + group])
+    group = 1 if system.log_domain else max(1, _GROUP_DOUBLES // (horizon + 1))
+    values = []
+    for lo in range(0, paths, group):
+        values += _path_group(system, statistic, horizon, rngs[lo : lo + group])
     failures = values.count(None)
     arr = np.array([math.nan if v is None else v for v in values])
     finite = arr[np.isfinite(arr)]

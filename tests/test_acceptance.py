@@ -152,7 +152,7 @@ def test_criterion_05_periodic_modulation():
     lam_x = ratio_series(x, scale.a)
     lam_H = ratio_series(H, scale.a)
     extraction = extract_almost_periodic(lam_x)
-    pi_H = extract_almost_periodic(lam_H, period_hint=7).pi
+    pi_H = extract_almost_periodic(lam_H).pi
     predicted = predict_x_over_a(kernel, lam, pi_H)
     tail = slice(-(horizon // 4), None)
     rep_sup = float(np.max(np.abs(lam_x.values[tail] - predicted.values[tail])))

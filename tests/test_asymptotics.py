@@ -26,7 +26,7 @@ from volterra_lab.exceptions import (
     UndefinedRatioError,
 )
 from volterra_lab.growth_catalogue import _log_factorial, catalogue_entry
-from volterra_lab.series import LogTrajectory, Trajectory, dyadic_blocks, ratio_series
+from volterra_lab.series import LogTrajectory, Trajectory, dyadic_blocks, ratio_series, tail
 from volterra_lab.stochastic import ForcingGenerator, forcing_entry, generate
 
 
@@ -305,8 +305,8 @@ class TestPredictions:
         lam = 0.5
         lam_x = predict_x_over_a(k, lam, lam_H)
         recovered = predict_H_over_a(k, lam, lam_x)
-        tail = slice(-500, None)
-        assert np.max(np.abs(recovered.values[tail] - lam_H.values[tail])) < 1e-4
+        late = slice(-500, None)
+        assert np.max(np.abs(recovered.values[late] - lam_H.values[late])) < 1e-4
 
 
 class TestGrowth3ResidualDecay:
@@ -371,8 +371,7 @@ class TestConvolutionBound:
             # (k * H)(n) / a(n), with H(0) = 0
             conv = ratio_series(traj(np.convolve(k.coefficients, vals)[: n_max + 1]), scale.a)
             est_H = estimate_limsup(H, scale)
-            tail = conv.tail_window()
-            assert np.max(np.abs(tail.values)) <= k.l1_norm * est_H.value * 1.05
+            assert np.max(np.abs(tail(conv).values)) <= k.l1_norm * est_H.value * 1.05
 
 
 class TestExtraction:
@@ -382,9 +381,9 @@ class TestExtraction:
         ext = extract_almost_periodic(g)
         assert ext.period == 7
         assert ext.residual_tail_sup < 5e-4
-        tail = ext.pi.window(3601, 4000)
-        expected = np.sin(2 * np.pi * tail.indices() / 7.0)
-        assert np.max(np.abs(tail.values - expected)) < 5e-4
+        late = ext.pi.window(3601, 4000)
+        expected = np.sin(2 * np.pi * late.indices() / 7.0)
+        assert np.max(np.abs(late.values - expected)) < 5e-4
 
     def test_constant_series(self):
         g = traj(np.full(512, 3.25))
@@ -400,13 +399,6 @@ class TestExtraction:
         ext = extract_almost_periodic(g)
         assert ext.verdict == "aperiodic"
         assert ext.period == 0
-
-    def test_explicit_hint_is_used(self):
-        n = np.arange(512, dtype=float)
-        g = traj(np.cos(2 * np.pi * n / 8.0))
-        ext = extract_almost_periodic(g, period_hint=8)
-        assert ext.period == 8
-        assert ext.residual_tail_sup < 1e-12
 
     @pytest.mark.parametrize("n", [512, 600, 1001])
     def test_exact_period_beats_its_multiple(self, n):

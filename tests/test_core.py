@@ -41,6 +41,7 @@ from volterra_lab.stochastic import (
     ensemble_verify,
     forcing_entry,
     generate,
+    make_factor,
     make_tail_model,
 )
 
@@ -641,8 +642,8 @@ def test_batched_rows_match_paths_solved_alone(kind, weights, level, paths, hori
 
 
 def per_path_ensemble(system, paths, statistic):
-    """(failures, pass fraction, median) as ensemble_verify computed them
-    before it batched paths: each path generated, solved and scored alone."""
+    """(failures, pass fraction, median, per_path) as ensemble_verify computed
+    them before it batched paths: each path generated, solved and scored alone."""
     values = []
     for child in np.random.SeedSequence(system.forcing.seed).spawn(paths):
         rng = np.random.Generator(np.random.Philox(child))
@@ -658,7 +659,8 @@ def per_path_ensemble(system, paths, statistic):
     lo, hi = statistic.band
     in_band = int(np.count_nonzero((finite >= lo) & (finite <= hi)))
     median = float(np.median(finite)) if finite.size else float("nan")
-    return values.count(None), in_band / paths, median
+    per_path = tuple(sorted(finite)) + (float("nan"),) * (paths - finite.size)
+    return values.count(None), in_band / paths, median, per_path
 
 
 POWER_TAIL = make_tail_model("symmetric_power", alpha=2.0, c1=0.5, c2=0.5)
@@ -685,19 +687,34 @@ class TestBatchedEnsemble:
                       forcing=ForcingGenerator(kind="geometric_random_walk", seed=17, drift=0.1,
                                                noise=make_tail_model("normal", sigma=0.5))),
          12, StatisticSpec(name="log_growth_rate", band=(0.09, 0.11))),
+        # log-domain paths, each solved alone: a modulated geometric forcing
+        # that underflows doubles past n = 1074, and a geometric walk scored on itself
+        (EnsembleSpec(kernel=Kernel([0.5]), horizon=3000, log_domain=True,
+                      forcing=ForcingGenerator(kind="modulated", seed=3,
+                                               entry=forcing_entry("geometric", lam=0.5),
+                                               factor=make_factor("iid_uniform")),
+                      scaling=ScalingModel.from_entry(catalogue_entry("geometric", lam=0.5),
+                                                      3000, log_domain=True)),
+         6, StatisticSpec(name="cesaro_limit", band=(0.6, 0.7))),
+        (EnsembleSpec(kernel=Kernel([0.5]), horizon=8000, log_domain=True,
+                      forcing=ForcingGenerator(kind="geometric_random_walk", seed=17, drift=0.1,
+                                               noise=make_tail_model("normal", sigma=0.5))),
+         12, StatisticSpec(name="log_growth_rate", band=(0.09, 0.11), series="forcing")),
     ])
     def test_matches_the_per_path_loop(self, system, paths, statistic):
         res = ensemble_verify(system, paths, statistic)
-        failures, pass_fraction, median = per_path_ensemble(system, paths, statistic)
+        failures, pass_fraction, median, per_path = per_path_ensemble(system, paths, statistic)
         assert (res.failures, res.pass_fraction) == (failures, pass_fraction)
         assert res.median == pytest.approx(median, rel=1e-12, nan_ok=True)
+        if system.log_domain:
+            np.testing.assert_array_equal(res.per_path, per_path)
 
     @pytest.mark.parametrize("log_domain", [False, True])
     @pytest.mark.parametrize("horizon, xi",
                              [(300, math.inf), (300, math.nan), (0, 1.0), (2.5, 1.0)])
     def test_a_bad_start_or_horizon_raises_before_any_path(self, monkeypatch, log_domain,
                                                            horizon, xi):
-        monkeypatch.setattr(stochastic, "_forcing_body", None)  # no path may start
+        monkeypatch.setattr(stochastic, "generate", None)  # no path may start
         system = EnsembleSpec(kernel=Kernel([0.5]), horizon=horizon, xi=xi,
                               log_domain=log_domain,
                               forcing=ForcingGenerator(kind="iid", seed=14, tail=NORMAL_TAIL))

@@ -15,6 +15,7 @@ from volterra_lab.series import (
     median,
     percentile,
     ratio_series,
+    tail,
 )
 
 
@@ -36,8 +37,10 @@ def test_trajectory_rejects_non_finite():
 def test_trajectory_window_and_tail():
     t = Trajectory(np.arange(8.0))
     assert list(t.window(2, 4).values) == [2.0, 3.0, 4.0]
-    tail = t.tail_window()
-    assert tail.start == 6 and list(tail.values) == [6.0, 7.0]
+    late = tail(t)
+    assert late.start == 6 and list(late.values) == [6.0, 7.0]
+    late = tail(t.to_log(), least=3)
+    assert late.start == 5 and np.array_equal(late.log_abs, np.log([5.0, 6.0, 7.0]))
     with pytest.raises(InputError):
         t.window(0, 99)
 
