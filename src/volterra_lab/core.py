@@ -34,6 +34,9 @@ Which engine runs where (B = 256 for a kernel of any length M):
 * ``stochastic.ensemble_verify`` runs the same engine on many plain-domain
   paths at once: their forcings are the rows of one (P, N) array, solved
   in place, so each block step is one pair of products for all P rows.
+  The first block runs the reference recursion on all rows per step, in
+  the reference's order of operations, for any P >= 2; a single row runs
+  the per-term loop.
 * ``solve_linear`` in the log domain runs the block-scaled engine: the
   first block by the per-step log recursion, every later block [t, t+L)
   as the same Toeplitz step on plain doubles times exp(ref), ref the
@@ -74,8 +77,13 @@ against extended precision.  On the growing kernels tested, both engines
 raise on the same first non-finite index.
 
 Batch contract: every row of a P-row solve is bitwise equal to the
-reference recursion below B, and within the same 1e-12 scaled gap of the
-same path solved alone beyond it.  A row that overflows fails alone, at
+reference recursion below B, whether the first block runs row by row or
+all rows per step, and within the same 1e-12 scaled gap of the same path
+solved alone beyond it.  All rows per step, step n sums the products
+k(l) x(n - l) over l = 0, 1, ... from 0.0 and then adds H(n + 1), the
+per-term loop's order: numpy reduces the outer axis of a (w, P) array one
+l at a time, where it would sum a contiguous axis pairwise, and no
+matrix product runs there.  A row that overflows fails alone, at
 the reference's first non-finite index.  Bit for bit, a row depends on the
 shape of its batch: BLAS rounds a P-row product differently from a
 one-row one, and may round a row differently at another position in the
@@ -445,6 +453,39 @@ def _reference_linear(k, h, xi, f=None):
     return out
 
 
+def _rows_recursion(k, x, xi, head):
+    """Fill indices [0, head) of every row of a (P, N) array x by the
+    reference recursion, all rows per step; return each row's first
+    non-finite index, or -1.
+
+    Step n forms the (w, P) products k(l) x(n - l), w = min(n + 1, M),
+    sums them over the outer axis from 0.0, one l at a time, and adds
+    H(n + 1): the order of the per-term loop, so each row is bitwise its
+    output.  Numpy sums a contiguous axis pairwise instead, and the outer
+    axis of a one-row batch is contiguous, so P must be at least 2.
+    Overflow stays as silent as in Python floats.  The working copy is the
+    chunk and the M values before it, transposed and in reverse time
+    order, so a step's M values are one contiguous slice.
+    """
+    m = len(k)
+    # k(l) in every column, so that a step multiplies two contiguous arrays
+    kp = np.repeat(k[: min(m, head), None], len(x), axis=1)
+    x[:, 0] = xi
+    bad = np.full(len(x), -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, base in _chunks(1, head, m):
+            # row j holds x(hi - 1 - j): step n reads rows hi - 1 - n onward
+            xt = x[:, hi - 1 : (base - 1 if base else None) : -1].T.copy()
+            for n in range(lo - 1, hi - 1):
+                w = n + 1 if n + 1 < m else m
+                j = hi - 1 - n
+                xt[j - 1] += np.add.reduce(kp[:w] * xt[j : j + w], axis=0, initial=0.0)
+            x[:, lo:hi] = xt[hi - lo - 1 :: -1].T
+            if _all_failed(bad, x[:, lo:hi], lo):
+                break
+    return bad
+
+
 def _blocked_linear(kernel, x, xi):
     """Solve each row of a (P, N) array x in place, as a blocked unit
     lower-triangular Toeplitz solve; return each row's first non-finite index.
@@ -452,30 +493,39 @@ def _blocked_linear(kernel, x, xi):
     On entry row p of x holds a forcing on 0..N-1 (index 0 is not read), on
     return its solution x(0..N-1) from the start ``xi``.  The returned
     bad[p] is -1, or the first non-finite index of row p; past it the row
-    holds no meaningful values.  Each row's first block [0, B) runs the
-    reference recursion, so it is bitwise equal to it.  Every later block
-    [t, t+L) solves all rows at once with ``_toeplitz_block``, from the
-    history x[max(0, t - M):t].  If r[:B] overflows, every row runs the
-    reference recursion throughout.
+    holds no meaningful values.  The first block [0, B) runs the reference
+    recursion, bitwise: all rows per step for P >= 2 rows, the per-term loop
+    for one.  Every later block [t, t+L) solves all rows at once with
+    ``_toeplitz_block``, from the history x[max(0, t - M):t].  If r[:B]
+    overflows, the reference recursion runs throughout.
     """
     k = kernel.coefficients
     n = x.shape[1]
     state = kernel._block_state if n > _BLOCK else None
     head = n if state is None else _BLOCK
-    bad = np.array([_linear_recursion(k, row, xi, row[:head]) for row in x])
+    if len(x) > 1:
+        bad = _rows_recursion(k, x, xi, head)
+    else:
+        bad = np.array([_linear_recursion(k, x[0], xi, x[0, :head])])
     if head == n or bad.min() >= 0:
         return bad
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(_BLOCK, n, _BLOCK):
             block = _toeplitz_block(state, x[:, t : t + _BLOCK].copy(), x[:, max(0, t - len(k)) : t])
             x[:, t : t + block.shape[1]] = block
-            finite = np.isfinite(block)
-            if not finite.all():
-                new = (bad < 0) & ~finite.all(axis=1)
-                bad[new] = t + np.argmin(finite[new], axis=1)
-                if bad.min() >= 0:
-                    break
+            if _all_failed(bad, block, t):
+                break
     return bad
+
+
+def _all_failed(bad, block, t):
+    """Set bad[p] of each row p not yet failed to its first non-finite index
+    in ``block``, whose first column is index t; True once every row failed."""
+    finite = np.isfinite(block)
+    if not finite.all():
+        new = (bad < 0) & ~finite.all(axis=1)
+        bad[new] = t + np.argmin(finite[new], axis=1)
+    return bad.min() >= 0
 
 
 def _toeplitz(z, rows, n):

@@ -792,8 +792,11 @@ class StatisticSpec:
 class EnsembleResult:
     """Sorted per-path statistics and the fraction inside the band.
 
-    Failed paths (overflow outside the log domain) are recorded as NaN at
-    the end of ``per_path`` and count against the pass fraction.
+    Failed paths are recorded as NaN at the end of ``per_path`` and count
+    against the pass fraction: a path whose generation, solve or statistic
+    fails, in either domain; for example a plain path that overflows, a log
+    path past double range for a statistic read in plain doubles, or a
+    ``phi_average`` whose mean is not finite.
     """
 
     per_path: tuple
@@ -820,7 +823,11 @@ def _path_statistic(spec: StatisticSpec, series, system: EnsembleSpec) -> float:
     phi = spec.phi or make_phi("power", p=2.0)  # phi_average
     if spec.series == "forcing":  # H(0) = 0 is a placeholder, not data
         series = series.window(1, series.end)
-    return float(np.mean(phi(np.abs(series.to_plain().values))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(phi(np.abs(series.to_plain().values))))
+    if not math.isfinite(mean):  # phi can leave double range on values inside it
+        raise TrajectoryOverflowError(series.end)
+    return mean
 
 
 # most doubles in the one array a plain-domain group of paths solves in

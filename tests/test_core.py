@@ -561,18 +561,74 @@ def batch_solve(kernel, h, xi):
     return x, bad
 
 
+def bits(a):
+    """The raw bits of a float array: signed zeros differ here, not under ==."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def rows_match_reference(kernel, h, xi, x, bad, upto=None):
+    """Each row of x bitwise the per-term loop's on [0, upto), or through its
+    first non-finite index, which bad must name."""
+    for row, hp, b in zip(x, h, bad):
+        ref, ref_bad = reference_solve(kernel.coefficients, hp, xi)
+        assert b == ref_bad
+        end = ref_bad + 1 if ref_bad >= 0 else upto
+        assert np.array_equal(bits(row[:end]), bits(ref[:end]))
+
+
 class TestBatchedEngine:
     KERNEL = Kernel.geometric(0.3, 0.5, 40)
+    LONG = Kernel(np.random.Generator(np.random.Philox(3)).dirichlet(np.ones(300)) * 0.9)
 
-    @pytest.mark.parametrize("kernel", [KERNEL, Kernel([1.0]), Kernel([1.9, -0.95])])
-    def test_first_block_of_every_row_is_bitwise_reference(self, kernel):
-        h = batch_forcing(20, 20, 3 * _BLOCK + 7)
-        x, bad = batch_solve(kernel, h, 0.7)
+    @pytest.mark.parametrize("kernel, paths, xi", [
+        (KERNEL, 20, 0.7), (Kernel([1.0]), 20, 0.7), (Kernel([1.9, -0.95]), 20, 0.7),
+        (Kernel.zero(), 20, 0.7),
+        # M = 300 > B: no step of the first block reads the whole kernel
+        (LONG, 20, 0.7),
+        # forcings with signed zeros, from xi = -0.0 (see below)
+        (KERNEL, 16, -0.0), (Kernel([1.9, -0.95]), 16, -0.0),
+        # two rows at M > 8: numpy sums a contiguous axis of more than 8 terms
+        # pairwise, so the outer-axis sum must keep the reference order
+        (Kernel.geometric(0.3, 0.5, 12), 2, 0.7),
+    ], ids=["kernel0", "kernel1", "kernel2", "zero", "M300", "zeros", "zeros-signed", "P2"])
+    def test_first_block_of_every_row_is_bitwise_reference(self, kernel, paths, xi):
+        h = batch_forcing(20, paths, 3 * _BLOCK + 7)
+        if math.copysign(1.0, xi) < 0:
+            # the reference sums from +0.0: x(1) = (0.0 + k(0) xi) + H(1) is +0.0
+            # on an all -0.0 row, where a sum from k(0) xi would give -0.0
+            h[:, ::3] = -0.0
+            h[::2] = -0.0
+        x, bad = batch_solve(kernel, h, xi)
         assert np.all(bad == -1)
+        rows_match_reference(kernel, h, xi, x, bad, _BLOCK)
         for row, hp in zip(x, h):
-            ref = reference_solve(kernel.coefficients, hp, 0.7)[0]
-            assert np.array_equal(row[:_BLOCK], ref[:_BLOCK])
-            assert scaled_gap(row, ref) <= 1e-12
+            assert scaled_gap(row, reference_solve(kernel.coefficients, hp, xi)[0]) <= 1e-12
+        if math.copysign(1.0, xi) < 0:
+            assert bits(x[0, :2]).tolist() == bits([-0.0, 0.0]).tolist()
+
+    @pytest.mark.parametrize("paths, size, at_once", [
+        # one row runs the per-term loop, at any kernel length; two rows run
+        # all rows per step, at the shortest kernel
+        (1, 300, False),
+        (2, 1, True),
+    ], ids=["one-row", "two-rows"])
+    def test_dispatch_rule(self, monkeypatch, paths, size, at_once):
+        calls = []
+        rows_recursion = core._rows_recursion
+        monkeypatch.setattr(core, "_rows_recursion",
+                            lambda *args: calls.append(args) or rows_recursion(*args))
+        kernel = Kernel.geometric(0.3, 0.5, size)
+        h = batch_forcing(22, paths, 2 * _BLOCK)
+        x, bad = batch_solve(kernel, h, 0.7)
+        assert bool(calls) is at_once
+        rows_match_reference(kernel, h, 0.7, x, bad, _BLOCK)
+
+    def test_short_batch_is_bitwise_reference(self):
+        # N <= B: the first block is the whole solve
+        h = batch_forcing(23, 8, _BLOCK - 1)
+        x, bad = batch_solve(self.KERNEL, h, 0.7)
+        rows_match_reference(self.KERNEL, h, 0.7, x, bad)
+        assert np.all(bad == -1)
 
     @pytest.mark.parametrize("paths", [2, 3, 16, 17])
     @pytest.mark.parametrize("tail", [1, 41, _BLOCK])
@@ -606,11 +662,27 @@ class TestBatchedEngine:
         assert bad[2] == 701 and 100 < bad[4] < _BLOCK
 
     def test_prefix_overflow_runs_every_row_on_the_reference(self):
-        h = batch_forcing(60, 3, 3 * _BLOCK)
-        h[:, : _BLOCK + 5] = 0.0
-        x, bad = batch_solve(Kernel([100.0]), h, 0.0)
-        for p in range(3):
-            assert bad[p] == reference_solve([100.0], h[p], 0.0)[1] > _BLOCK
+        # one row runs the per-term loop, three all rows per step
+        for paths in (1, 3):
+            h = batch_forcing(60, paths, 3 * _BLOCK)
+            h[:, : _BLOCK + 5] = 0.0
+            x, bad = batch_solve(Kernel([100.0]), h, 0.0)
+            rows_match_reference(Kernel([100.0]), h, 0.0, x, bad)
+            assert np.all(bad > _BLOCK)
+
+    def test_prefix_overflow_over_several_chunks(self):
+        # r(n) ~ 21^n overflows before B, so all rows run per step to the end,
+        # each chunk past the first from M values of history: a zero row, two
+        # that reach 1e264 and one that overflows soon after its forcing starts
+        kernel = Kernel(np.full(40, 20.0))
+        assert kernel._block_state is None
+        h = batch_forcing(61, 4, core._CHUNK + 300)
+        h[:, : core._CHUNK + 100] = 0.0
+        h[0] = 0.0
+        h[3] *= 1e300
+        x, bad = batch_solve(kernel, h, 0.0)
+        rows_match_reference(kernel, h, 0.0, x, bad)
+        assert bad[:3].tolist() == [-1, -1, -1] and bad[3] > core._CHUNK + 100
 
 
 @settings(max_examples=40, deadline=None)
@@ -639,6 +711,26 @@ def test_batched_rows_match_paths_solved_alone(kind, weights, level, paths, hori
     assert np.all(bad == -1)
     for row, hp in zip(x, h):
         assert scaled_gap(row, solve_linear(kernel, traj(hp), xi, horizon).values) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([0, 1, 2, 5, 40, 300]),
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=2, max_value=600),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0.7, 0.0, -0.0]),
+)
+def test_rows_at_once_are_bitwise_the_per_term_loop(m, paths, n, seed, xi):
+    # signed kernels and forcings with signed zeros; a 1e300 scale makes rows overflow
+    rng = np.random.Generator(np.random.Philox(seed))
+    k = rng.normal(size=m) * rng.choice([0.3, 1.0, 3.0])
+    k[rng.random(m) < 0.2] = -0.0
+    h = rng.normal(size=(paths, n)) * rng.choice([1.0, 1e300], size=(paths, 1))
+    h[rng.random(h.shape) < 0.2] = -0.0
+    x = h.copy()
+    bad = core._rows_recursion(k, x, xi, n)
+    rows_match_reference(Kernel(k), h, xi, x, bad)
 
 
 def per_path_ensemble(system, paths, statistic):

@@ -711,6 +711,18 @@ class TestEnsembles:
                                               horizon=1100, log_domain=True), 4, stat)
         assert logged.failures == 0 and logged.pass_fraction == 1.0
 
+    def test_phi_average_past_double_range_fails_the_path(self):
+        # |x| stays below e^709 on every path, but x^2 leaves double range on
+        # two of them: each fails once, silently, and is not scored
+        spec = EnsembleSpec(kernel=Kernel([0.5]), horizon=3000, log_domain=True,
+                            forcing=ForcingGenerator(kind="geometric_random_walk", seed=3,
+                                                     drift=0.1,
+                                                     noise=make_tail_model("normal", sigma=1.0)))
+        res = ensemble_verify(spec, 6, StatisticSpec(name="phi_average", band=(0.0, 1.0)))
+        assert res.failures == 2 and res.pass_fraction == 0.0
+        assert np.all(np.isfinite(res.per_path[:4])) and np.all(np.isnan(res.per_path[4:]))
+        assert math.isfinite(res.median)
+
     def test_band_validation(self):
         with pytest.raises(ParameterError):
             StatisticSpec(name="phi_average", band=(2.0, 1.0))
