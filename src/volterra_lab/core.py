@@ -41,12 +41,16 @@ Which engine runs where (B = 256 for a kernel of any length M):
   first block by the per-step log recursion, every later block [t, t+L)
   as the same Toeplitz step on plain doubles times exp(ref), ref the
   largest log|.| among its forcing and the M values before it.  L <= B is
-  chosen from the forcing's log-range so that nothing overflows (about 60
-  steps for factorial forcing near n = 2e4, all of B for geometric).  A
-  block runs per step when its nonzero forcing and history signs differ,
-  when L would be 1, or when a scaled |x| falls below a floor where
-  underflowed inputs could show; a kernel with a negative coefficient, or
-  an r[:B] that overflows, runs per step throughout.  Only same-signed
+  chosen from the forcing's log-range so that nothing overflows or
+  underflows: up to room ~ 600 below the largest value, and up to about
+  700 more above 1, used by lowering ref by the part of the range beyond
+  room, so that scaled |x| stays below exp(700).  That is about 130 steps
+  for factorial forcing near n = 2e4, and all of B for geometric, whose
+  blocks fit room and keep their ref.  A block runs per step when its
+  nonzero forcing and history signs differ, when L would be 1, or when a
+  scaled |x| falls below a floor where underflowed inputs could show; a
+  kernel with a negative coefficient, or an r[:B] that overflows, runs
+  per step throughout.  Only same-signed
   sums are ever scaled, so no cancellation is hidden.  The block's forcing
   maximum comes from the running maximum that sized it, and its sign test
   is the largest and smallest sign of its forcing and history, so a block
@@ -99,8 +103,10 @@ log|x| itself as one double.  The same bound holds against the per-step
 recursion on the growth catalogue and the growth, ergodic and random-walk
 configurations tested; with decaying forcing the per-step recursion itself
 drifts further from the exact value than that, and the scaled blocks stay
-the closer of the two.  Repeated calls of either engine are bitwise
-identical.
+the closer of the two.  A block whose forcing fits room keeps ref, so a
+solve whose blocks all fit it (geometric forcing, for one) is bitwise that
+of sizing blocks by room alone, which the tests keep as a reference.
+Repeated calls of either engine are bitwise identical.
 
 Every per-term loop (the plain recursion, with or without f, and the log
 recursion) runs on Python floats, reading its inputs with ``tolist`` and
@@ -387,6 +393,10 @@ def _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
     m = len(lk)
     lk, sk = lk.tolist(), sk.tolist()
     lossy = None
+    # sign 0 exactly where log|.| = -inf, in the weights, the forcing and the
+    # history alike, so the loops below need no zero guards: a zero never
+    # raises the peak, and its term exp(-inf) = 0 adds a signed zero, which
+    # leaves the bits of an accumulator started at +0.0 as they are
     for start, stop, base in _chunks(lo, len(out_l) if hi is None else hi, m):
         xl = out_l[base:start].tolist()
         xs = out_s[base:start].tolist()
@@ -396,14 +406,11 @@ def _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
             w = n + 1 if n + 1 < m else m
             i = n - base
             j = n + 1 - start
-            peak = -math.inf
-            if hs[j] != 0.0 and hl[j] > peak:
-                peak = hl[j]
+            peak = hl[j]
             for l in range(w):
-                if sk[l] != 0.0 and xs[i - l] != 0.0:
-                    t = lk[l] + xl[i - l]
-                    if t > peak:
-                        peak = t
+                t = lk[l] + xl[i - l]
+                if t > peak:
+                    peak = t
             if peak == -math.inf:
                 xl.append(-math.inf)
                 xs.append(0.0)
@@ -411,10 +418,9 @@ def _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
             acc = 0.0
             mag = 0.0
             for l in range(w):
-                if sk[l] != 0.0 and xs[i - l] != 0.0:
-                    t = sk[l] * xs[i - l] * math.exp(lk[l] + xl[i - l] - peak)
-                    acc += t
-                    mag += abs(t)
+                t = sk[l] * xs[i - l] * math.exp(lk[l] + xl[i - l] - peak)
+                acc += t
+                mag += abs(t)
             if hs[j] != 0.0:
                 t = hs[j] * math.exp(hl[j] - peak)
                 acc += t
@@ -568,9 +574,13 @@ def _toeplitz_block(state, f, prev):
 # log-domain engine
 # --------------------------------------------------------------------------
 
-# most a block's forcing log-range plus log sum|r[:B]| may span, so that its
-# scaled values stay normal doubles (exp(-600) ~ 1e-261) and |x| stays finite
+# most a block's scaled forcing may span below 1 in log, plus log sum|r[:B]|,
+# so that its smallest scaled values stay normal doubles (exp(-600) ~ 1e-261);
+# a block whose log|H| spans more than this room lowers its ref by the excess
 _SPAN = 600.0
+# largest log of a scaled |x| that a lowered ref may allow: exp(700) ~ 1e304
+# stays a factor e^9.7 below overflow
+_CEILING = 700.0
 # smallest |x| / exp(ref) a scaled block may return, per unit of
 # max|r[:B]| * (1 + sum|k|): inputs that underflow move x by less than 1e-25 of it
 _FLOOR = 1e-280
@@ -583,11 +593,16 @@ def _blocked_log_linear(kernel, lh, sh, xi):
     scaled (see the module docstring) run the per-step recursion, which
     logs its first cancellation beyond ``_CANCELLATION`` once per solve.
     Every other block [t, t+L) runs the plain Toeplitz step on its inputs
-    times exp(-ref); L <= B keeps the forcing's log-range plus
-    log sum r[:B] within ``_SPAN``.  The running maximum of log|H| that
-    sizes a block also gives its forcing maximum, and the block is sign
-    coherent unless its forcing and history hold both a +1 and a -1; the
-    output is bitwise that of reading both off the block's own values.
+    times exp(-ref); L <= B keeps the forcing's log-range within
+    room + up, room = ``_SPAN`` - log sum r[:B] below 1 and
+    up = ``_CEILING`` - log(sum r[:B] (1 + sum k)) above it.  A block whose
+    spread s exceeds room lowers its ref by s - room <= up, so its scaled
+    |x| stays at most exp(``_CEILING``); every other block keeps ref, the
+    largest log|.| among its forcing and history.  The running maximum of
+    log|H| that sizes a block also gives its forcing maximum, and the block
+    is sign coherent unless its forcing and history hold both a +1 and a
+    -1; the output is bitwise that of reading both off the block's own
+    values.
     """
     k = kernel.coefficients
     n = len(lh)
@@ -618,34 +633,39 @@ def _blocked_log_linear(kernel, lh, sh, xi):
         return out_l, out_s
     r = state[0]
     room = _SPAN - math.log(np.sum(r))
+    up = max(0.0, _CEILING - math.log(np.sum(r) * (1.0 + np.sum(k))))
     floor = _FLOOR * np.max(r) * (1.0 + np.sum(k))
+    # sign 0 exactly where log|H| = -inf, so lh is its own maximum over the
+    # nonzero forcing, and ``low`` its minimum
+    low = np.where(sh != 0.0, lh, np.inf)
     t = _BLOCK
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         while t < n:
-            # longest run [t, t+L) whose nonzero forcing stays within ``room`` in log|H|
-            live = sh[t : t + _BLOCK] != 0.0
-            seg = lh[t : t + _BLOCK]
-            top = np.maximum.accumulate(np.where(live, seg, -np.inf))
-            spread = top - np.minimum.accumulate(np.where(live, seg, np.inf))
-            size = max(1, int(np.argmax(spread > room)) if spread[-1] > room else len(seg))
+            # longest run [t, t+L) whose nonzero forcing stays within room + up in log|H|
+            top = np.maximum.accumulate(lh[t : t + _BLOCK])
+            spread = top - np.minimum.accumulate(low[t : t + _BLOCK])
+            size = (max(1, int(np.argmax(spread > room + up)))
+                    if spread[-1] > room + up else len(spread))
+            shift = max(0.0, spread[size - 1] - room)
             if size == 1 or not _scaled_block(k, state, lh, sh, out_l, out_s, t, t + size,
-                                              floor, top[size - 1]):
+                                              floor, top[size - 1], shift):
                 per_step(t, t + size)
             t += size
     return out_l, out_s
 
 
-def _scaled_block(k, state, lh, sh, out_l, out_s, lo, hi, floor, top):
+def _scaled_block(k, state, lh, sh, out_l, out_s, lo, hi, floor, top, shift):
     """Solve [lo, hi) as plain doubles times exp(ref); False if it must run per step.
 
     ``top`` is max log|H| over [lo, hi), from the pass that sized the block:
     sign 0 exactly where log|H| = -inf, so the zeros it skips change nothing.
-    The caller silences numpy's floating-point warnings.
+    ref is the largest log|.| among the block's forcing and history, less
+    ``shift`` >= 0.  The caller silences numpy's floating-point warnings.
     """
     past = max(0, lo - len(k))
     hs, ps, pl = sh[lo:hi], out_s[past:lo], out_l[past:lo]
     s_max, s_min = max(hs.max(), ps.max(initial=0.0)), min(hs.min(), ps.min(initial=0.0))
-    ref = max(top, pl.max(initial=-np.inf))
+    ref = max(top, pl.max(initial=-np.inf)) - shift
     # signs are -1, 0 or +1: a nonzero forcing or history value of each sign
     if s_max > 0.0 and s_min < 0.0:
         return False

@@ -217,16 +217,29 @@ def _log_factorial(n):
     ``math.lgamma`` per element.  Within 1e-15 relative of
     ``scipy.special.gammaln`` for n <= 1e6.
     """
-    x = np.asarray(n, dtype=np.float64) + 1.0
-    out = np.empty_like(x)
+    x = np.array(n, dtype=np.float64)
+    x += 1.0
     small = x < 16.0
-    out[small] = [math.lgamma(v) for v in x[small]]
     big = x[~small]
-    p = 1.0 / (big * big)
-    series = ((((p / 1188.0 - 1.0 / 1680.0) * p + 1.0 / 1260.0) * p - 1.0 / 360.0) * p
-              + 1.0 / 12.0) / big
-    out[~small] = (big - 0.5) * np.log(big) - big + _HALF_LOG_2PI + series
-    return out
+    # ((((p / 1188 - 1/1680) p + 1/1260) p - 1/360) p + 1/12) / big with
+    # p = 1 / big^2, then (big - 0.5) log(big) - big + log(2 pi)/2 + series,
+    # in place and in that order of operations
+    p = np.multiply(big, big)
+    np.divide(1.0, p, out=p)
+    series = p / 1188.0
+    for c in (-1.0 / 1680.0, 1.0 / 1260.0, -1.0 / 360.0):
+        series += c
+        series *= p
+    series += 1.0 / 12.0
+    series /= big
+    lead = np.log(big)
+    lead *= big - 0.5
+    lead -= big
+    lead += _HALF_LOG_2PI
+    lead += series
+    x[small] = [math.lgamma(v) for v in x[small]]
+    x[~small] = lead
+    return x
 
 
 def _entry_factorial():

@@ -60,6 +60,28 @@ class TestCatalogue:
         # below the Stirling switch-over at n + 1 = 16 it is math.lgamma itself
         assert list(got[:15]) == [math.lgamma(k + 1.0) for k in range(15)]
 
+    @pytest.mark.parametrize("n", [
+        np.arange(0.0, 20_001.0),
+        np.arange(15.0, 20_001.0),
+        np.array([1e6, 3.0, 14.0, 15.0, 2.0]),
+        np.array([7.0]),
+        np.array(4.0),
+        np.array(100.0),
+    ], ids=["from-zero", "stirling-only", "unsorted", "lgamma-only", "scalar-lgamma",
+            "scalar-stirling"])
+    def test_log_factorial_is_bitwise_the_array_formula(self, n):
+        # the in-place evaluation against the expression it replaced
+        x = n + 1.0
+        want = np.empty_like(x)
+        small = x < 16.0
+        want[small] = [math.lgamma(v) for v in x[small]]
+        big = x[~small]
+        p = 1.0 / (big * big)
+        series = ((((p / 1188.0 - 1.0 / 1680.0) * p + 1.0 / 1260.0) * p - 1.0 / 360.0) * p
+                  + 1.0 / 12.0) / big
+        want[~small] = (big - 0.5) * np.log(big) - big + 0.5 * math.log(2.0 * math.pi) + series
+        assert _log_factorial(n).tobytes() == want.tobytes()
+
     def test_iterated_exponential_log(self):
         entry = catalogue_entry("iterated_exponential", depth=2)
         assert np.allclose(entry.log_fn(np.array([3.0])), [math.exp(3.0)])

@@ -11,6 +11,7 @@ from volterra_lab import core, stochastic
 from volterra_lab.asymptotics import ScalingModel, make_phi
 from volterra_lab.core import (
     _BLOCK,
+    _CEILING,
     _FLOOR,
     _SPAN,
     Kernel,
@@ -1377,15 +1378,17 @@ class TestResolventPrefix:
 logger = logging.getLogger("volterra_lab.core")
 
 
-def reference_blocked_log_linear(kernel, lh, sh, xi):
+def reference_blocked_log_linear(kernel, lh, sh, xi, headroom=True):
     """(log|x|, sign x) on 0..len(lh)-1 as blocks of plain doubles times exp(ref).
 
     The first block [0, B), a signed kernel and every block that cannot be
     scaled (see the module docstring) run the per-step recursion, which
     logs its first cancellation beyond ``_CANCELLATION`` once per solve.
     Every other block [t, t+L) runs the plain Toeplitz step on its inputs
-    times exp(-ref); L <= B keeps the forcing's log-range plus
-    log sum r[:B] within ``_SPAN``.
+    times exp(-ref); L <= B keeps the forcing's log-range within room + up,
+    and a block whose range exceeds room lowers its ref by the excess.
+    ``headroom=False`` sets up = 0: L <= B keeps the forcing's log-range
+    plus log sum r[:B] within ``_SPAN``, and no block lowers its ref.
     """
     k = kernel.coefficients
     n = len(lh)
@@ -1417,22 +1420,25 @@ def reference_blocked_log_linear(kernel, lh, sh, xi):
         return out_l, out_s
     r = state[0]
     room = _SPAN - math.log(np.sum(r))
+    up = max(0.0, _CEILING - math.log(np.sum(r) * (1.0 + np.sum(k)))) if headroom else 0.0
     floor = _FLOOR * np.max(r) * (1.0 + np.sum(k))
     t = b
     while t < n:
-        # longest run [t, t+L) whose nonzero forcing stays within ``room`` in log|H|
+        # longest run [t, t+L) whose nonzero forcing stays within room + up in log|H|
         live = sh[t : t + b] != 0.0
         seg = lh[t : t + b]
         spread = (np.maximum.accumulate(np.where(live, seg, -np.inf))
                   - np.minimum.accumulate(np.where(live, seg, np.inf)))
-        size = max(1, int(np.argmax(spread > room)) if spread[-1] > room else len(seg))
-        if size == 1 or not reference_scaled_block(k, r, lh, sh, out_l, out_s, t, t + size, floor):
+        size = max(1, int(np.argmax(spread > room + up)) if spread[-1] > room + up else len(seg))
+        shift = max(0.0, spread[size - 1] - room)
+        if size == 1 or not reference_scaled_block(k, r, lh, sh, out_l, out_s, t, t + size,
+                                                   floor, shift):
             per_step(t, t + size)
         t += size
     return out_l, out_s
 
 
-def reference_scaled_block(k, r, lh, sh, out_l, out_s, lo, hi, floor):
+def reference_scaled_block(k, r, lh, sh, out_l, out_s, lo, hi, floor, shift):
     """Solve [lo, hi) as plain doubles times exp(ref); False if it must run per step."""
     m = len(k)
     signs = np.concatenate((sh[lo:hi], out_s[max(0, lo - m) : lo]))
@@ -1440,7 +1446,7 @@ def reference_scaled_block(k, r, lh, sh, out_l, out_s, lo, hi, floor):
     if signs.size and np.any(signs != signs[0]):
         return False
     # an all-zero block gives ref = -inf and NaN below, so it runs per step
-    ref = max(np.max(lh[lo:hi]), np.max(out_l[max(0, lo - m) : lo], initial=-np.inf))
+    ref = max(np.max(lh[lo:hi]), np.max(out_l[max(0, lo - m) : lo], initial=-np.inf)) - shift
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         f = sh[lo:hi] * np.exp(lh[lo:hi] - ref)
         prev = out_s[max(0, lo - m) : lo] * np.exp(out_l[max(0, lo - m) : lo] - ref)
@@ -1598,6 +1604,67 @@ def test_blocked_log_engine_is_bitwise_reference(weights, mass, drift, horizon, 
     la[rng.random(horizon + 1) < zeros] = -np.inf
     la[0] = -np.inf
     assert_blocked_log_is_reference(k, log_traj(la, sign), sign * xi, horizon)
+
+
+# --------------------------------------------------------------------------
+# headroom above 1: a block whose log|H| spread exceeds room lowers its ref
+# --------------------------------------------------------------------------
+
+def record_shifts(monkeypatch):
+    """The ``shift`` of every block the log engine scales, in order."""
+    shifts = []
+    scaled_block = core._scaled_block
+
+    def recorded(*args):
+        shifts.append(args[-1])
+        return scaled_block(*args)
+
+    monkeypatch.setattr(core, "_scaled_block", recorded)
+    return shifts
+
+
+def mpmath_log_solve(k, lh, xi):
+    """log x in 40-digit arithmetic for a nonnegative kernel, positive forcing and xi > 0."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        weights = [mpmath.mpf(c) for c in k]
+        x = [mpmath.mpf(xi)]
+        for n in range(len(lh) - 1):
+            acc = mpmath.exp(mpmath.mpf(lh[n + 1]))
+            for l in range(min(n + 1, len(weights))):
+                acc += weights[l] * x[n - l]
+            x.append(acc)
+        return np.array([float(mpmath.log(v)) for v in x])
+
+
+class TestLogHeadroom:
+    def test_factorial_benchmark_config_runs_half_the_blocks(self, monkeypatch):
+        # log_growth's factorial config: 294 scaled blocks under room alone
+        shifts = record_shifts(monkeypatch)
+        x = solve_linear(GROWTH_KERNEL, log_forcing("factorial", 20_000), 1.25, 20_000)
+        assert len(shifts) <= 140
+        assert np.all(x.sign == 1.0)
+
+    def test_shifted_blocks_keep_the_contract_against_mpmath(self, monkeypatch):
+        horizon = 1500
+        shifts = record_shifts(monkeypatch)
+        H = log_forcing("factorial", horizon)
+        x = solve_linear(GROWTH_KERNEL, H, 1.25, horizon)
+        assert len(shifts) == 7 and sum(s > 0.0 for s in shifts) == 6
+        ref_l, ref_s, bad = per_step_log_solve(GROWTH_KERNEL, H, 1.25, horizon)
+        assert bad == -1
+        _, (lh, _) = core._aligned_forcing(H, horizon, 1.25, log_domain=True)
+        assert_log_contract(x, ref_l, ref_s, mpmath_log_solve(GROWTH_KERNEL.coefficients, lh, 1.25))
+
+    def test_geometric_forcing_is_bitwise_the_unshifted_rule(self, monkeypatch):
+        shifts = record_shifts(monkeypatch)
+        _, (lh, sh) = core._aligned_forcing(log_forcing("geometric", 10_000, lam=0.5), 10_000,
+                                            1.25, log_domain=True)
+        got = core._blocked_log_linear(GROWTH_KERNEL, lh, sh, 1.25)
+        want = reference_blocked_log_linear(GROWTH_KERNEL, lh, sh, 1.25, headroom=False)
+        assert shifts and not any(shifts)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
 
 
 # --------------------------------------------------------------------------
