@@ -49,7 +49,7 @@ from .exceptions import (
 )
 from .growth_catalogue import catalogue_entry
 from .series import LogTrajectory, Trajectory, ratio_series
-from .spectral import SpectralReport, characteristic_roots, kappa, multiplier_L
+from .spectral import SpectralReport, characteristic_roots, multiplier_L, symbol
 from .stochastic import (
     EnsembleResult,
     EnsembleSpec,

@@ -47,11 +47,15 @@ from .spectral import characteristic_roots, multiplier_L
 logger = logging.getLogger(__name__)
 
 # estimator constants: the interquartile range under which tail ratios have
-# settled, the multiple of the median a spectral peak must clear, and the
-# longest detectable period as a fraction of the series length
+# settled, the multiple of the median a spectral peak must clear, the
+# longest detectable period as a fraction of the series length, the highest
+# harmonic the spectral peak is taken to be, and the share of the window's
+# variance within which a fold score ties the best one
 _IQR_TOLERANCE = 1e-3
 _NOISE_FACTOR = 3.0
 _MAX_PERIOD_FRACTION = 0.125
+_HARMONICS = 8
+_FOLD_SLACK = 1e-3
 # limsup classification: the share of the overall peak under which a final
 # dyadic block maximum reads as zero, and the least overall climb of the
 # last three block maxima that reads as infinite
@@ -308,19 +312,15 @@ def extract_almost_periodic(g_over_a: Trajectory) -> PeriodicExtraction:
 def _fold_profile(window: Trajectory, period: int) -> np.ndarray:
     """Mean of window values in each residue class of the absolute index."""
     idx = window.indices() % period
-    profile = np.zeros(period)
-    for m in range(period):
-        sel = window.values[idx == m]
-        if sel.size == 0:
-            raise InputError(f"period {period} leaves an empty residue class in the tail window")
-        profile[m] = float(np.mean(sel))
-    return profile
+    counts = np.bincount(idx, minlength=period)
+    if not counts.all():
+        raise InputError(f"period {period} leaves an empty residue class in the tail window")
+    return np.bincount(idx, weights=window.values, minlength=period) / counts
 
 
 def _fold_score(window: Trajectory, period: int) -> float:
-    idx = window.indices() % period
     profile = _fold_profile(window, period)
-    return float(np.mean((window.values - profile[idx]) ** 2))
+    return float(np.mean((window.values - profile[window.indices() % period]) ** 2))
 
 
 def _spectral_period(window: Trajectory, max_period: int):
@@ -332,15 +332,18 @@ def _spectral_period(window: Trajectory, max_period: int):
     floor = median(mags)
     if mags[peak_bin - 1] < _NOISE_FACTOR * max(floor, 1e-300):
         return 0
-    p0 = int(round(len(vals) / peak_bin))
-    candidates = [p for p in range(max(2, p0 - 2), p0 + 3) if 2 <= p <= max_period]
+    # the peak is some harmonic h of the fundamental, so the fundamental
+    # period lies near h times the peak's period
+    near = {int(round(h * len(vals) / peak_bin)) for h in range(1, _HARMONICS + 1)}
+    candidates = sorted({q for p in near for q in range(p - 2, p + 3) if 2 <= q <= max_period})
     if not candidates:
         return 0
     # a multiple of a period folds as well as the period, so the smallest
-    # candidate within rounding of the best score wins
+    # candidate within a small share of the window's variance of the best
+    # score wins
     scores = [_fold_score(window, p) for p in candidates]
-    rounding = (len(vals) * np.finfo(float).eps) ** 2 * float(np.mean(window.values ** 2))
-    return next(p for p, s in zip(candidates, scores) if s <= min(scores) + rounding)
+    slack = _FOLD_SLACK * float(np.mean(vals ** 2))
+    return next(p for p, s in zip(candidates, scores) if s <= min(scores) + slack)
 
 
 # --------------------------------------------------------------------------

@@ -48,12 +48,7 @@ from .core import _NONLINEARITIES, solve_linear, solve_nonlinear
 from .exceptions import ConfigError, VolterraLabError
 from .growth_catalogue import catalogue_names
 from .series import LogTrajectory, Trajectory, overlap_range, ratio_series
-from .spectral import (
-    SingularMultiplierError,
-    characteristic_roots,
-    kappa,
-    multiplier_L,
-)
+from .spectral import _inverse_symbol, characteristic_roots, multiplier_L, symbol
 from .stochastic import (
     _FACTORS,
     _TAIL_FAMILIES,
@@ -128,19 +123,14 @@ def _mode_solve(cfg, kernel, forcing, x, scale):
 def _mode_spectrum(cfg, kernel, forcing, x, scale):
     report = characteristic_roots(kernel)
     grid = cfg["lambda_grid"]
-    kappas, multipliers = [], []
-    for lam in grid:
-        kappas.append(kappa(kernel, lam))
-        try:
-            multipliers.append(multiplier_L(kernel, lam))
-        except SingularMultiplierError:
-            multipliers.append(None)
+    g = symbol(kernel, grid).tolist()
     stats = {
-        **_fields(report, "max_modulus", "verdict", "summable", "tail_caveat"),
+        **_fields(report, "max_modulus", "verdict", "summable"),
+        "tail_caveat": kernel.tail_bound,
         "roots": [[float(z.real), float(z.imag)] for z in report.roots],
         "lambda_grid": list(grid),
-        "kappa": kappas,
-        "multiplier": multipliers,
+        "kappa": [1.0 - v for v in g],
+        "multiplier": [_inverse_symbol(v) for v in g],
     }
     return {"completed": True}, stats, {}
 

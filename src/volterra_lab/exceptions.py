@@ -28,7 +28,7 @@ class SpectralError(VolterraLabError):
 
 
 class SingularMultiplierError(SpectralError):
-    """The multiplier denominator 1 - kappa(lambda) vanished."""
+    """The symbol g(lambda) vanished, so the multiplier 1/g(lambda) is undefined."""
 
 
 class ParameterError(VolterraLabError, ValueError):

@@ -1,14 +1,15 @@
-"""Resolvent summability via characteristic roots, and the limit constants.
+"""The kernel symbol, resolvent summability and the growth multiplier.
 
-For a kernel with M stored entries the characteristic condition reduces to
-the polynomial
+For a kernel with M stored entries k(0), ..., k(M-1) the kernel symbol is
 
-    p(z) = z^M - sum_{l=0}^{M-1} k(l) z^{M-1-l},
+    g(z) = 1 - sum_{l<M} k(l) z^(l+1),
 
-whose roots must all lie strictly inside the unit disc for the resolvent
-to be summable.  The module also computes kappa(lam) = sum k(l) lam^(l+1)
-and the multiplier L(lam) = 1 / (1 - kappa(lam)), which equals the
-geometric-weighted resolvent sum, sum r(j) lam^j, for summable kernels.
+and every spectral quantity here is read from it.  The characteristic
+polynomial is p(w) = w^M g(1/w) = w^M - sum_l k(l) w^(M-1-l); the resolvent
+is summable when all of its roots lie strictly inside the unit disc.  Inside
+the disc of convergence 1/g(z) = sum_j r(j) z^j, so the growth multiplier is
+L(lam) = 1/g(lam), the geometric-weighted resolvent sum, for summable
+kernels.
 """
 
 from __future__ import annotations
@@ -23,32 +24,52 @@ from .exceptions import InputError, SingularMultiplierError, SpectralError
 __all__ = [
     "SpectralReport",
     "characteristic_roots",
-    "kappa",
     "multiplier_L",
+    "symbol",
     "ROOT_TOLERANCE",
 ]
 
 # open-unit-disc test width; the dichotomy is sharp, floating point is not,
 # so roots within [1 - tol, 1 + tol] of the circle yield verdict "marginal"
 ROOT_TOLERANCE = 1e-9
+# |g(lam)| at or below this leaves the multiplier 1/g(lam) undefined
+_SINGULAR_SYMBOL = 1e-12
+
+
+def _symbol_coefficients(kernel: Kernel) -> np.ndarray:
+    """[1, -k(0), ..., -k(M-1)]: g's coefficients by ascending power of z,
+    and p's by descending power of w."""
+    return np.concatenate(([1.0], -kernel.coefficients))
+
+
+def symbol(kernel: Kernel, z):
+    """The kernel symbol g(z) = 1 - sum_l k(l) z^(l+1), by Horner's rule, at
+    real or complex z, a scalar or an array."""
+    return np.polyval(_symbol_coefficients(kernel)[::-1], z)
+
+
+def _inverse_symbol(g: float):
+    """1/g, or None where |g| <= _SINGULAR_SYMBOL."""
+    return None if abs(g) <= _SINGULAR_SYMBOL else 1.0 / g
 
 
 @dataclass(frozen=True)
 class SpectralReport:
     """Roots of the truncated characteristic polynomial and the verdict.
 
-    ``summable`` is True exactly when every root modulus is below
-    1 - ROOT_TOLERANCE; ``verdict`` refines the boolean with "marginal"
-    for roots within ROOT_TOLERANCE of the unit circle.  ``tail_caveat``
-    carries the kernel's discarded-tail bound: the verdict is exact only
-    when it is zero.
+    ``verdict`` is "summable" when every root modulus is below
+    1 - ROOT_TOLERANCE, "marginal" when the largest lies within
+    ROOT_TOLERANCE of the unit circle and "nonsummable" beyond.  The
+    verdict is exact only when the kernel's ``tail_bound`` is zero.
     """
 
     roots: np.ndarray
     max_modulus: float
-    summable: bool
     verdict: str
-    tail_caveat: float = 0.0
+
+    @property
+    def summable(self) -> bool:
+        return self.verdict == "summable"
 
 
 def _polish_roots(coeffs, roots):
@@ -107,23 +128,13 @@ def _polish_roots(coeffs, roots):
 
 
 def characteristic_roots(kernel: Kernel) -> SpectralReport:
-    """All M roots of the truncated characteristic polynomial.
+    """All M roots of p(w) = w^M g(1/w); none for the empty kernel.
 
     Root finding goes through companion-matrix eigenvalues followed by
-    Newton polishing.  An empty kernel is trivially summable.
+    Newton polishing.
     """
-    m = kernel.size
-    if m == 0:
-        return SpectralReport(
-            roots=np.zeros(0, dtype=np.complex128),
-            max_modulus=0.0,
-            summable=True,
-            verdict="summable",
-            tail_caveat=kernel.tail_bound,
-        )
-    coeffs = np.concatenate(([1.0], -kernel.coefficients))
-    roots = np.roots(coeffs)
-    roots = _polish_roots(coeffs, roots)
+    coeffs = _symbol_coefficients(kernel)
+    roots = _polish_roots(coeffs, np.roots(coeffs))
     max_mod = float(np.max(np.abs(roots))) if roots.size else 0.0
     if max_mod < 1.0 - ROOT_TOLERANCE:
         verdict = "summable"
@@ -131,36 +142,22 @@ def characteristic_roots(kernel: Kernel) -> SpectralReport:
         verdict = "marginal"
     else:
         verdict = "nonsummable"
-    return SpectralReport(
-        roots=roots,
-        max_modulus=max_mod,
-        summable=(verdict == "summable"),
-        verdict=verdict,
-        tail_caveat=kernel.tail_bound,
-    )
-
-
-def kappa(kernel: Kernel, lam: float) -> float:
-    """Weighted kernel sum kappa(lam) = sum_{l<M} k(l) lam^(l+1)."""
-    lam = float(lam)
-    powers = lam ** (np.arange(kernel.size) + 1)
-    return float(np.dot(kernel.coefficients, powers))
+    return SpectralReport(roots=roots, max_modulus=max_mod, verdict=verdict)
 
 
 def multiplier_L(kernel: Kernel, lam: float) -> float:
-    """The growth multiplier L(lam) = 1 / (1 - kappa(lam)) for lam in [0, 1].
+    """The growth multiplier L(lam) = 1/g(lam) for lam in [0, 1].
 
-    For a summable kernel the denominator is bounded away from zero; a
-    near-zero denominator therefore signals an inconsistent input and
-    raises.  The formula is evaluated for any kernel and never solves for
-    roots: callers that state a limit with this constant check
-    summability themselves (``characteristic_roots``), once per verdict.
+    For a summable kernel g is bounded away from zero on [0, 1]; a
+    vanishing g(lam) therefore signals an inconsistent input and raises.
+    The formula is evaluated for any kernel and never solves for roots:
+    callers that state a limit with this constant check summability
+    themselves (``characteristic_roots``), once per verdict.
     """
     if not 0.0 <= lam <= 1.0:
         raise InputError(f"lambda must lie in [0, 1], got {lam!r}")
-    denom = 1.0 - kappa(kernel, lam)
-    if abs(denom) <= 1e-12:
-        raise SingularMultiplierError(
-            f"1 - kappa(lambda) = {denom!r} at lambda = {lam!r}"
-        )
-    return 1.0 / denom
+    g = float(symbol(kernel, lam))
+    inverse = _inverse_symbol(g)
+    if inverse is None:
+        raise SingularMultiplierError(f"g(lambda) = {g!r} at lambda = {lam!r}")
+    return inverse

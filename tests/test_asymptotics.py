@@ -16,6 +16,7 @@ from volterra_lab.asymptotics import (
     residual_tail_sup,
     time_average,
     verify_growth2,
+    _fold_profile,
     _logsumexp,
 )
 from volterra_lab.core import Kernel, resolvent, solve_linear
@@ -430,6 +431,37 @@ class TestExtraction:
         ext = extract_almost_periodic(g)
         assert ext.period == 2
         assert ext.residual_tail_sup < 1e-12
+
+    # profiles whose strongest harmonic is not the fundamental: the peak of
+    # the period-7 one is its second harmonic (period 3.5), that of the
+    # period-12 one its third (period 4)
+    @pytest.mark.parametrize("profile, period", [
+        ([1.0, 2.0, 3.0, 1.0, 0.5, 2.0, 1.0], 7),
+        ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 2.0], 12),
+    ], ids=["period7", "period12"])
+    @pytest.mark.parametrize("n", [600, 2000, 20000])
+    @pytest.mark.parametrize("transient", [False, True], ids=["exact", "decay"])
+    def test_fundamental_beats_its_strongest_harmonic(self, profile, period, n, transient):
+        idx = np.arange(1, n + 1)
+        values = np.resize(profile, n + 1)[idx] + (1.0 / idx if transient else 0.0)
+        ext = extract_almost_periodic(traj(values, start=1))
+        assert ext.period == period
+        assert np.allclose(ext.profile, profile, atol=5e-3 if transient else 1e-12)
+
+    @pytest.mark.parametrize("period", [2, 7, 12, 31])
+    def test_fold_profile_is_the_mean_of_each_residue_class(self, period):
+        # np.bincount sums a class in index order and np.mean pairwise: the
+        # two agree to n eps max|value|
+        rng = np.random.Generator(np.random.Philox(34))
+        window = traj(rng.normal(size=997), start=1003)
+        idx = window.indices() % period
+        expected = [np.mean(window.values[idx == m]) for m in range(period)]
+        bound = window.values.size * np.finfo(float).eps * np.max(np.abs(window.values))
+        assert np.allclose(_fold_profile(window, period), expected, rtol=0.0, atol=bound)
+
+    def test_fold_profile_refuses_an_empty_residue_class(self):
+        with pytest.raises(InputError, match="empty residue class"):
+            _fold_profile(traj(np.ones(5), start=3), 7)
 
 
 class TestTimeAverage:

@@ -406,6 +406,21 @@ class TestCommandLine:
         assert "PASS" in out
         assert (tmp_path / "out" / "report.json").exists()
 
+    def test_periodic_factor_with_a_dominant_second_harmonic(self, tmp_path, capsys):
+        # the profile's second harmonic outweighs its fundamental: both H/a
+        # and x/a must fold at period 7, or x/a is predicted from a wrong fold
+        path = self._write_config(tmp_path, {
+            "horizon": 20000,
+            "kernel": {"coefficients": [0.5]},
+            "forcing": _modulated({"kind": "periodic", "profile": [1, 2, 3, 1, 0.5, 2, 1]}),
+            "scaling": {"name": "power", "params": {"theta": 1.0}},
+        })
+        code = main(["verify-periodic", "--config", str(path), "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert code == 0
+        stats = json.loads((tmp_path / "out" / "report.json").read_text())["statistics"]
+        assert stats["detected_period_H"] == stats["detected_period_x"] == 7
+
     def test_exit_two_on_failed_check(self, tmp_path, capsys):
         # impossible tolerance forces a failed verdict, not a crash
         path = self._write_config(tmp_path, {

@@ -1,14 +1,28 @@
 import numpy as np
 import pytest
 
+from volterra_lab.cli import run_experiment
+from volterra_lab.config import ExperimentConfig
 from volterra_lab.core import Kernel, resolvent
 from volterra_lab.exceptions import InputError, SingularMultiplierError, SpectralError
 from volterra_lab.spectral import (
     _polish_roots,
+    _symbol_coefficients,
     characteristic_roots,
-    kappa,
     multiplier_L,
+    symbol,
 )
+
+SYMBOL_KERNELS = {
+    "single": Kernel([0.5]),
+    "signed": Kernel([0.4, -0.3, 0.2]),
+    "geometric40": Kernel.geometric(0.3, 0.5, 40),
+}
+
+
+def spectrum_statistics(kernel, **fields):
+    return run_experiment(ExperimentConfig.from_dict(
+        dict(mode="spectrum", kernel=kernel, **fields))).statistics
 
 
 def random_summable_kernel(rng, max_size=4, max_l1=0.94):
@@ -46,7 +60,9 @@ class TestCharacteristicRoots:
 
     def test_tail_caveat_propagates(self):
         k = Kernel.geometric(0.3, 0.5, 10)
-        assert characteristic_roots(k).tail_caveat == k.tail_bound
+        stats = spectrum_statistics({"name": "geometric", "c": 0.3, "ratio": 0.5, "size": 10})
+        assert k.tail_bound > 0.0
+        assert stats["tail_caveat"] == k.tail_bound
 
     def test_roots_satisfy_polynomial(self):
         rng = np.random.Generator(np.random.Philox(21))
@@ -113,9 +129,55 @@ class TestMultiplier:
             multiplier_L(Kernel([0.5]), 1.5)
 
     def test_kappa_definition(self):
+        # kappa(lam) = sum k(l) lam^(l+1) = 1 - g(lam)
         k = Kernel([0.5, 0.25])
-        assert np.isclose(kappa(k, 0.5), 0.5 * 0.5 + 0.25 * 0.25)
-        assert kappa(Kernel.zero(), 0.7) == 0.0
+        assert np.isclose(1.0 - symbol(k, 0.5), 0.5 * 0.5 + 0.25 * 0.25)
+        assert symbol(Kernel.zero(), 0.7) == 1.0
+
+
+class TestSymbol:
+    @pytest.mark.parametrize("name", sorted(SYMBOL_KERNELS))
+    def test_reciprocal_is_the_resolvent_generating_function(self, name):
+        # 1/g(z) = sum_j r(j) z^j inside the disc of convergence
+        k = SYMBOL_KERNELS[name]
+        r = resolvent(k, 2000).values
+        z = 0.9 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 9))
+        series = np.array([np.sum(r * zi ** np.arange(r.size)) for zi in z])
+        assert np.max(np.abs(1.0 / symbol(k, z) - series)) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(SYMBOL_KERNELS))
+    def test_vanishes_at_the_reciprocal_roots(self, name):
+        # p(w) = w^M g(1/w) vanishes at every listed root w, to the polish
+        # target |p(w)| <= 1e-12 ||p|| max(1, |w|)^M: the clustered roots of
+        # the geometric kernel are accurate only to about 1e-8, and there g
+        # at 1/w, near 2, is p(w) scaled up by 2^40
+        k = SYMBOL_KERNELS[name]
+        w = characteristic_roots(k).roots
+        target = np.linalg.norm(_symbol_coefficients(k)) * np.maximum(1.0, np.abs(w)) ** k.size
+        assert w.size == k.size
+        assert np.all(np.abs(w ** k.size * symbol(k, 1.0 / w)) <= 1e-12 * target)
+
+    def test_scalar_and_array_arguments_agree(self):
+        k = SYMBOL_KERNELS["signed"]
+        z = np.array([0.0, 0.5, -1.0, 0.3 + 0.4j])
+        assert np.array_equal(symbol(k, z), [symbol(k, zi) for zi in z])
+        assert symbol(k, 0.0) == 1.0
+
+
+class TestSpectrumMode:
+    def test_multipliers_and_singular_point(self):
+        # g(lam) = 1 - 2 lam: 1, 0.5, 0 and -1 on the grid
+        stats = spectrum_statistics({"coefficients": [2.0]}, lambda_grid=[0, 0.25, 0.5, 1])
+        assert stats["multiplier"] == [1.0, 2.0, None, -1.0]
+        assert stats["kappa"] == [0.0, 0.5, 1.0, 2.0]
+        assert stats["verdict"] == "nonsummable"
+
+    def test_zero_kernel_has_no_roots(self):
+        stats = spectrum_statistics({"name": "zero"})
+        assert stats["roots"] == []
+        assert stats["summable"] is True
+        assert stats["max_modulus"] == 0.0
+        assert stats["multiplier"] == [1.0] * 5
 
 
 def rho_partial_sums(kernel, lam, horizon):
