@@ -42,7 +42,7 @@ from .series import (
     ratio_series,
     tail,
 )
-from .spectral import characteristic_roots, multiplier_L
+from .spectral import _summability_caveat, multiplier_L
 
 logger = logging.getLogger(__name__)
 
@@ -217,9 +217,7 @@ def verify_growth2(kernel: Kernel, x, forcing, scale: ScalingModel = None) -> Gr
             lam_hat,
         )
     lam_used = scale.lam if scale is not None else min(max(lam_hat, 0.0), 1.0)
-    report = characteristic_roots(kernel)
-    if not report.summable:
-        logger.warning("kernel resolvent verdict is %s; limit may not exist", report.verdict)
+    summable = _summability_caveat(kernel)
     L_theory = multiplier_L(kernel, lam_used)
     lo = max(x.start, forcing.start, 1)
     ratio = ratio_series(x.window(lo, horizon), forcing.window(lo, horizon))
@@ -231,7 +229,7 @@ def verify_growth2(kernel: Kernel, x, forcing, scale: ScalingModel = None) -> Gr
         lambda_hat=lam_hat,
         lambda_used=lam_used,
         lambda_converged=converged,
-        summable=report.summable,
+        summable=summable,
         ratio=ratio,
     )
 
@@ -274,15 +272,19 @@ class PeriodicExtraction:
     ``pi`` is the periodic part extended over the full input range (the
     constant tail mean when no periodicity is found), ``residual`` the
     pointwise difference, and ``residual_tail_sup`` its sup over the tail
-    window the extraction used.
+    window the extraction used.  ``period`` is 0 when no periodicity is
+    found, and at least 2 otherwise.
     """
 
     pi: Trajectory
     residual: Trajectory
     period: int
-    verdict: str
     profile: np.ndarray
     residual_tail_sup: float
+
+    @property
+    def verdict(self) -> str:
+        return "periodic" if self.period > 0 else "aperiodic"
 
 
 def extract_almost_periodic(g_over_a: Trajectory) -> PeriodicExtraction:
@@ -297,15 +299,13 @@ def extract_almost_periodic(g_over_a: Trajectory) -> PeriodicExtraction:
     window = tail(g_over_a)
     max_period = max(2, int(len(g_over_a) * _MAX_PERIOD_FRACTION))
     period = _spectral_period(window, max_period)
-    verdict = "periodic" if period else "aperiodic"
-    if not period or period == 1:
-        period, verdict = 0, "aperiodic"
-        profile = np.array([float(np.mean(window.values))])
-    else:
+    if period:
         profile = _fold_profile(window, period)
+    else:
+        profile = np.array([float(np.mean(window.values))])
     pi = Trajectory(profile[g_over_a.indices() % len(profile)], start=g_over_a.start)
     residual = Trajectory(g_over_a.values - pi.values, start=g_over_a.start)
-    return PeriodicExtraction(pi, residual, period=period, verdict=verdict, profile=profile,
+    return PeriodicExtraction(pi, residual, period=period, profile=profile,
                               residual_tail_sup=residual_tail_sup(g_over_a, pi))
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import locale  # noqa: F401  argparse's gettext imports it at the first parse
-import logging
 import os
 import sys
 import time
@@ -48,7 +47,8 @@ from .core import _NONLINEARITIES, solve_linear, solve_nonlinear
 from .exceptions import ConfigError, VolterraLabError
 from .growth_catalogue import catalogue_names
 from .series import LogTrajectory, Trajectory, overlap_range, ratio_series
-from .spectral import _inverse_symbol, characteristic_roots, multiplier_L, symbol
+from .spectral import (_inverse_symbol, _summability_caveat, characteristic_roots,
+                       multiplier_L, symbol)
 from .stochastic import (
     _FACTORS,
     _TAIL_FAMILIES,
@@ -60,8 +60,6 @@ from .stochastic import (
 )
 
 OUT_DIR_ENV = "VOLTERRA_LAB_OUT"
-
-logger = logging.getLogger(__name__)
 
 
 # --------------------------------------------------------------------------
@@ -223,10 +221,7 @@ def _mode_verify_periodic(cfg, kernel, forcing, x, scale):
 
 
 def _mode_verify_ergodic(cfg, kernel, forcing, x, scale):
-    spectrum = characteristic_roots(kernel)
-    if not spectrum.summable:
-        logger.warning("kernel resolvent verdict is %s; the time-average limit may not exist",
-                       spectrum.verdict)
+    _summability_caveat(kernel)
     mu_x = time_average(ratio_series(x, scale.a))
     mu_H = time_average(ratio_series(forcing, scale.a))
     multiplier = multiplier_L(kernel, scale.lam)
@@ -433,7 +428,7 @@ def _print_catalogue():
     print("kernels:")
     print("  zero                         {'name': 'zero'}")
     print("  geometric                    {'name': 'geometric', 'c': .., 'ratio': .., 'size': ..}")
-    print("  explicit                     {'coefficients': [..], 'tail_bound': 0.0}")
+    print("  explicit                     {'coefficients': [..]}")
     print("growth catalogue (scaling models and deterministic forcing):")
     for name, alias in catalogue_names():
         print(f"  {alias:<6} {name}")

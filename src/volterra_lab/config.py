@@ -11,7 +11,9 @@ here, where the input enters: every number must be finite, and a named
 family (tail, modulation factor, nonlinearity, convex functional,
 catalogue entry) takes exactly the keyword parameters of its library
 builder, so a misspelt or foreign parameter is refused, and whatever
-else the builder refuses is an error at the family's section.
+else the builder refuses is an error at the family's section.  An
+ensemble's ``statistic`` section takes ``name``, ``band`` and ``series``
+only: its ``phi_average`` is the mean of x^2, with no functional to choose.
 Every malformed field raises ``ConfigError`` naming its dotted path, such
 as ``config.forcing.tail.sigma``; the command line prints
 ``config error: <path>: ...`` and exits 1.
@@ -154,11 +156,9 @@ def _named(spec, path, factory, keys=("name", "params")):
 
 
 def _kernel(spec, path, top):
-    _object(spec, path, {"name", "coefficients", "tail_bound", "c", "ratio", "size"})
+    _object(spec, path, {"name", "coefficients", "c", "ratio", "size"})
     if "coefficients" in spec:
         out = {"coefficients": _floats(spec, "coefficients", path)}
-        if "tail_bound" in spec:
-            out["tail_bound"] = _float(spec, "tail_bound", path)
         return out, _build(path, Kernel, **out)
     if _choice(spec, "name", path, ("zero", "geometric")) == "zero":
         return {"name": "zero"}, Kernel.zero()
@@ -219,13 +219,10 @@ def _forcing(spec, path, top):
 
 
 def _statistic(spec, path, top):
-    _object(spec, path, {"name", "band", "series", "phi"})
+    _object(spec, path, {"name", "band", "series"})
     out = {"name": _field(spec, "name", path), "band": _floats(spec, "band", path)}
     out["series"] = _field(spec, "series", path, "solution")
-    phi = {}
-    if "phi" in spec:
-        out["phi"], phi["phi"] = _named(spec["phi"], f"{path}.phi", make_phi)
-    return out, _build(path, StatisticSpec, **{**out, "band": tuple(out["band"]), **phi})
+    return out, _build(path, StatisticSpec, **{**out, "band": tuple(out["band"])})
 
 
 def _tolerances(spec, path, top):

@@ -213,7 +213,7 @@ class Kernel:
         docstring).  An overflow raises at the resolvent's first non-finite
         index.
         """
-        r = np.zeros((1, _resolvent_horizon(horizon) + 1))
+        r = np.zeros((1, _solve_horizon(horizon, least=0) + 1))
         bad = _blocked_linear(self, r, 1.0)
         if bad[0] >= 0:
             raise TrajectoryOverflowError(int(bad[0]))
@@ -263,15 +263,18 @@ class Kernel:
 class Nonlinearity:
     """A scalar map f applied inside the convolution.
 
-    ``linear_at_infinity`` flags whether f(x)/x -> 1 as |x| -> infinity;
-    catalogue members satisfy it except where the flag says otherwise, in
-    which case ``ratio_limit`` records the actual limit.
+    ``ratio_limit`` is the limit of f(x)/x as |x| -> infinity: 1 for every
+    catalogue member but ``solow`` with delta > 0, whose limit is 1 - delta.
     """
 
     name: str
     fn: callable
-    linear_at_infinity: bool = True
     ratio_limit: float = 1.0
+
+    @property
+    def linear_at_infinity(self) -> bool:
+        """Whether f(x)/x -> 1 as |x| -> infinity."""
+        return self.ratio_limit == 1.0
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -301,12 +304,7 @@ def _solow(delta=0.1, s=0.2):
     def fn(x):
         return (1.0 - delta) * x + s * math.sqrt(abs(x))
 
-    return Nonlinearity(
-        "solow",
-        fn,
-        linear_at_infinity=(delta == 0.0),
-        ratio_limit=1.0 - delta,
-    )
+    return Nonlinearity("solow", fn, ratio_limit=1.0 - delta)
 
 
 # name -> builder; a builder's keyword arguments are the member's parameters
@@ -685,13 +683,23 @@ def _scaled_block(k, state, lh, sh, out_l, out_s, lo, hi, floor, top, shift):
 # forcing alignment
 # --------------------------------------------------------------------------
 
-def _solve_horizon(horizon, xi=0.0) -> int:
-    """A solve's horizon as an int, once it is an integer >= 1 and ``xi`` is finite."""
-    if int(horizon) != horizon or horizon < 1:
-        raise InputError(f"horizon must be an integer >= 1, got {horizon!r}")
+def _solve_horizon(horizon, xi=0.0, least=1) -> int:
+    """A solve's horizon as an int, once it is an integer >= ``least`` and
+    ``xi`` is finite: a forced solve needs index 1, a resolvent only index 0."""
+    if int(horizon) != horizon or horizon < least:
+        raise InputError(f"horizon must be an integer >= {least}, got {horizon!r}")
     if not math.isfinite(xi):
         raise InputError("initial value must be finite")
     return int(horizon)
+
+
+def _placeholder_forcing(h, log_domain):
+    """H on 1..N as arrays on 0..N, with the placeholder H(0) = 0 the
+    recursion never reads: a float array, or (log|H|, sign H) when ``log_domain``."""
+    if log_domain:
+        h = h.to_log()
+        return np.concatenate(([-np.inf], h.log_abs)), np.concatenate(([0.0], h.sign))
+    return np.concatenate(([0.0], h.to_plain().values))
 
 
 def _aligned_forcing(forcing, horizon, xi=0.0, log_domain=False):
@@ -715,12 +723,7 @@ def _aligned_forcing(forcing, horizon, xi=0.0, log_domain=False):
             "forcing value at index 0 is ignored; the recursion consumes H "
             "from index 1"
         )
-    win = forcing.window(1, horizon)
-    if log_domain:
-        win = win.to_log()
-        return horizon, (np.concatenate(([-np.inf], win.log_abs)),
-                         np.concatenate(([0.0], win.sign)))
-    return horizon, np.concatenate(([0.0], win.to_plain().values))
+    return horizon, _placeholder_forcing(forcing.window(1, horizon), log_domain)
 
 
 # --------------------------------------------------------------------------
@@ -751,16 +754,9 @@ def _kernel_log(k):
     return lk, np.sign(k)
 
 
-def _resolvent_horizon(horizon) -> int:
-    """A resolvent's horizon as an int, once it is an integer >= 0."""
-    if int(horizon) != horizon or horizon < 0:
-        raise InputError(f"horizon must be an integer >= 0, got {horizon!r}")
-    return int(horizon)
-
-
 def resolvent(kernel: Kernel, horizon: int) -> Trajectory:
     """Unforced solution r with r(0) = 1 on indices 0..horizon."""
-    zero = np.zeros(_resolvent_horizon(horizon) + 1)
+    zero = np.zeros(_solve_horizon(horizon, least=0) + 1)
     return Trajectory(_reference_linear(kernel.coefficients, zero, 1.0), start=0)
 
 

@@ -63,8 +63,6 @@ _ITERLOG_SHIFT = {1: 1, 2: 2, 3: 16}
 
 
 def _iterated_log(n, depth):
-    if depth not in _ITERLOG_SHIFT:
-        raise ParameterError(f"iterated-log depth must be in {sorted(_ITERLOG_SHIFT)}")
     v = np.asarray(n, dtype=np.float64) + _ITERLOG_SHIFT[depth]
     for _ in range(depth):
         v = np.log(v)
@@ -75,6 +73,9 @@ def _log_power_product(betas):
     betas = [float(b) for b in betas]
     if not betas or all(b == 0 for b in betas):
         raise ParameterError("log_power_product needs a nonzero exponent list")
+    if len(betas) > len(_ITERLOG_SHIFT):
+        raise ParameterError(f"log_power_product takes at most {len(_ITERLOG_SHIFT)} exponents, "
+                             f"one per iterated-log depth, got {len(betas)}")
     first_nonzero = next(b for b in betas if b != 0)
     if first_nonzero <= 0:
         raise ParameterError("leading nonzero exponent must be positive for growth")
@@ -247,6 +248,8 @@ def _entry_factorial():
 
 
 def _entry_iterated_exponential(depth=2):
+    if depth % 1 != 0:
+        raise ParameterError(f"iterated-exponential depth must be an integer, got {depth!r}")
     depth = int(depth)
     if depth < 2:
         raise ParameterError("iterated-exponential depth must be at least 2")

@@ -31,8 +31,30 @@ __all__ = [
 ]
 
 
+class _Indexed:
+    """The index range start..end of len(self) values that both forms store."""
+
+    def _check_start(self):
+        if self.start < 0 or int(self.start) != self.start:
+            raise InputError(f"start index must be a nonnegative integer, got {self.start}")
+        object.__setattr__(self, "start", int(self.start))
+
+    @property
+    def end(self) -> int:
+        return self.start + len(self) - 1
+
+    def indices(self) -> np.ndarray:
+        return np.arange(self.start, self.end + 1)
+
+    def _window_slice(self, lo: int, hi: int) -> slice:
+        """The stored positions of [lo, hi] inclusive; bounds must lie in the stored range."""
+        if lo < self.start or hi > self.end or lo > hi:
+            raise InputError(f"window [{lo}, {hi}] outside stored range [{self.start}, {self.end}]")
+        return slice(lo - self.start, hi - self.start + 1)
+
+
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Indexed):
     """A finite real sequence value(n) for ``start <= n <= start + len - 1``.
 
     All stored values must be finite; a NaN or infinity is an error state
@@ -47,9 +69,7 @@ class Trajectory:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1:
             raise InputError("trajectory values must be one-dimensional")
-        if self.start < 0 or int(self.start) != self.start:
-            raise InputError(f"start index must be a nonnegative integer, got {self.start}")
-        object.__setattr__(self, "start", int(self.start))
+        self._check_start()
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise InputError(
@@ -59,13 +79,6 @@ class Trajectory:
     def __len__(self):
         return len(self.values)
 
-    @property
-    def end(self) -> int:
-        return self.start + len(self.values) - 1
-
-    def indices(self) -> np.ndarray:
-        return np.arange(self.start, self.end + 1)
-
     def value(self, n: int) -> float:
         if not self.start <= n <= self.end:
             raise InputError(f"index {n} outside stored range [{self.start}, {self.end}]")
@@ -73,9 +86,7 @@ class Trajectory:
 
     def window(self, lo: int, hi: int) -> "Trajectory":
         """Values on [lo, hi] inclusive; bounds must lie in the stored range."""
-        if lo < self.start or hi > self.end or lo > hi:
-            raise InputError(f"window [{lo}, {hi}] outside stored range [{self.start}, {self.end}]")
-        return Trajectory(self.values[lo - self.start : hi - self.start + 1], start=lo)
+        return Trajectory(self.values[self._window_slice(lo, hi)], start=lo)
 
     def to_plain(self) -> "Trajectory":
         return self
@@ -87,7 +98,7 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class LogTrajectory:
+class LogTrajectory(_Indexed):
     """Signed log-magnitude form: value(n) = sign(n) * exp(log_abs(n)).
 
     ``log_abs`` entries may be finite or -inf (exact zero, sign 0); +inf and
@@ -105,9 +116,7 @@ class LogTrajectory:
         object.__setattr__(self, "sign", sg)
         if la.shape != sg.shape or la.ndim != 1:
             raise InputError("log_abs and sign must be one-dimensional with equal length")
-        if self.start < 0 or int(self.start) != self.start:
-            raise InputError(f"start index must be a nonnegative integer, got {self.start}")
-        object.__setattr__(self, "start", int(self.start))
+        self._check_start()
         bad = np.flatnonzero(np.isnan(la) | (la == np.inf))
         if bad.size:
             raise InputError(f"invalid log magnitude at index {self.start + int(bad[0])}")
@@ -119,26 +128,16 @@ class LogTrajectory:
             raise InputError(f"sign/zero mismatch at index {idx}")
 
     @classmethod
-    def from_log(cls, log_abs, sign=None, start: int = 0) -> "LogTrajectory":
+    def from_log(cls, log_abs, start: int = 0) -> "LogTrajectory":
+        """The nonnegative sequence exp(log_abs): sign 0 where log_abs is -inf, else +1."""
         la = np.asarray(log_abs, dtype=np.float64)
-        if sign is None:
-            sign = np.where(la == -np.inf, 0.0, 1.0)
-        return cls(log_abs=la, sign=np.asarray(sign, dtype=np.float64), start=start)
+        return cls(log_abs=la, sign=np.where(la == -np.inf, 0.0, 1.0), start=start)
 
     def __len__(self):
         return len(self.log_abs)
 
-    @property
-    def end(self) -> int:
-        return self.start + len(self.log_abs) - 1
-
-    def indices(self) -> np.ndarray:
-        return np.arange(self.start, self.end + 1)
-
     def window(self, lo: int, hi: int) -> "LogTrajectory":
-        if lo < self.start or hi > self.end or lo > hi:
-            raise InputError(f"window [{lo}, {hi}] outside stored range [{self.start}, {self.end}]")
-        sl = slice(lo - self.start, hi - self.start + 1)
+        sl = self._window_slice(lo, hi)
         return LogTrajectory(self.log_abs[sl], self.sign[sl], start=lo)
 
     def to_log(self) -> "LogTrajectory":

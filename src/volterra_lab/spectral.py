@@ -14,12 +14,15 @@ kernels.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Kernel
 from .exceptions import InputError, SingularMultiplierError, SpectralError
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "SpectralReport",
@@ -145,14 +148,24 @@ def characteristic_roots(kernel: Kernel) -> SpectralReport:
     return SpectralReport(roots=roots, max_modulus=max_mod, verdict=verdict)
 
 
+def _summability_caveat(kernel: Kernel) -> bool:
+    """Whether the kernel's resolvent is summable, by ``characteristic_roots``;
+    if not, the one warning that a limit stated with L(lam) may not exist."""
+    report = characteristic_roots(kernel)
+    if not report.summable:
+        logger.warning("kernel resolvent verdict is %s; the limit stated with "
+                       "L(lambda) may not exist", report.verdict)
+    return report.summable
+
+
 def multiplier_L(kernel: Kernel, lam: float) -> float:
     """The growth multiplier L(lam) = 1/g(lam) for lam in [0, 1].
 
     For a summable kernel g is bounded away from zero on [0, 1]; a
     vanishing g(lam) therefore signals an inconsistent input and raises.
     The formula is evaluated for any kernel and never solves for roots:
-    callers that state a limit with this constant check summability
-    themselves (``characteristic_roots``), once per verdict.
+    callers that state a limit with this constant take summability, and
+    its warning, from ``_summability_caveat``, once per verdict.
     """
     if not 0.0 <= lam <= 1.0:
         raise InputError(f"lambda must lie in [0, 1], got {lam!r}")

@@ -16,14 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .asymptotics import (
-    ConvexFunctional,
-    ScalingModel,
-    estimate_limsup,
-    make_phi,
-    time_average,
-)
-from .core import Kernel, _blocked_linear, _solve_horizon, solve_linear
+from .asymptotics import ScalingModel, estimate_limsup, time_average
+from .core import Kernel, _blocked_linear, _placeholder_forcing, _solve_horizon, solve_linear
 from .exceptions import (
     InputError,
     ParameterError,
@@ -68,8 +62,8 @@ def _default_modulus(x):
 
 
 # rapid-tail certificate: probe points, the relative quantile movement accepted
-# there, and the modulus exponent delta* (any positive value is admissible;
-# small ones keep the finite-sample certificate decisive)
+# there, and the one modulus exponent delta* that both of its conditions are
+# checked at; no other exponent is tried
 _SSV_PROBES = (1e3, 1e4, 1e5, 1e6)
 _SSV_TOLERANCE = 0.02
 _DELTA_STAR = 0.025
@@ -535,11 +529,8 @@ def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=
     else:
         raise ParameterError(f"unknown forcing kind {gen.kind!r}")
 
-    if log_domain:
-        h = h.to_log()
-        return LogTrajectory(np.concatenate(([-np.inf], h.log_abs)),
-                             np.concatenate(([0.0], h.sign)))
-    return Trajectory(np.concatenate(([0.0], h.to_plain().values)))
+    h = _placeholder_forcing(h, log_domain)
+    return LogTrajectory(*h) if log_domain else Trajectory(h)
 
 
 # --------------------------------------------------------------------------
@@ -675,20 +666,16 @@ def _rv_fit(tail: TailModel):
 
 
 def _ssv_certificate(tail: TailModel):
-    """Finite-sample super-slow-variation check at exponents {0, delta*}."""
+    """Finite-sample super-slow-variation check at the exponent delta*."""
     xs = np.asarray(_SSV_PROBES, dtype=np.float64)
-    detail = {}
-    worst = 0.0
-    for delta in (0.0, _DELTA_STAR):
-        scaled = xs * _default_modulus(xs) ** delta
-        base = np.asarray(tail.upper_quantile(1.0 / xs), dtype=np.float64)
-        moved = np.asarray(tail.upper_quantile(1.0 / scaled), dtype=np.float64)
-        if np.any(~np.isfinite(base)) or np.any(base <= 0.0):
-            return False, {"error": "quantile not positive at probe points"}
-        dev = float(np.max(np.abs(moved / base - 1.0)))
-        detail[f"deviation_delta_{delta:g}"] = dev
-        worst = max(worst, dev)
-    ratio_ok = worst < _SSV_TOLERANCE
+    base = np.asarray(tail.upper_quantile(1.0 / xs), dtype=np.float64)
+    if np.any(~np.isfinite(base)) or np.any(base <= 0.0):
+        return False, {"error": "quantile not positive at probe points"}
+    scaled = xs * _default_modulus(xs) ** _DELTA_STAR
+    moved = np.asarray(tail.upper_quantile(1.0 / scaled), dtype=np.float64)
+    dev = float(np.max(np.abs(moved / base - 1.0)))
+    detail = {f"deviation_delta_{_DELTA_STAR:g}": dev}
+    ratio_ok = dev < _SSV_TOLERANCE
     n = np.logspace(4, 5, 60)
     summand = 1.0 / (n * _default_modulus(n) ** _DELTA_STAR)
     verdict, slope = _decay_regression(n, summand)
@@ -770,14 +757,13 @@ STATISTICS = (
 
 @dataclass(frozen=True)
 class StatisticSpec:
-    """Named per-path statistic with its pre-registered acceptance band."""
+    """Named per-path statistic with its pre-registered acceptance band;
+    specs compare and hash by value.  ``phi_average`` is the mean of x^2,
+    with no functional to choose."""
 
     name: str
     band: tuple
     series: str = "solution"  # "solution" or "forcing"
-    phi: ConvexFunctional = None
-
-    __hash__ = None  # compares by value, but ``phi`` holds a dict
 
     def __post_init__(self):
         if self.name not in STATISTICS:
@@ -820,12 +806,12 @@ def _path_statistic(spec: StatisticSpec, series, system: EnsembleSpec) -> float:
     if spec.name == "cesaro_limit":
         ratio = ratio_series(series, system.scaling.a)
         return float(time_average(ratio).values[-1])
-    phi = spec.phi or make_phi("power", p=2.0)  # phi_average
+    # phi_average
     if spec.series == "forcing":  # H(0) = 0 is a placeholder, not data
         series = series.window(1, series.end)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(phi(np.abs(series.to_plain().values))))
-    if not math.isfinite(mean):  # phi can leave double range on values inside it
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(np.square(series.to_plain().values)))
+    if not math.isfinite(mean):  # x^2 can leave double range on values inside it
         raise TrajectoryOverflowError(series.end)
     return mean
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -86,6 +87,24 @@ class TestCatalogue:
     def test_iterated_exponential_log(self):
         entry = catalogue_entry("iterated_exponential", depth=2)
         assert np.allclose(entry.log_fn(np.array([3.0])), [math.exp(3.0)])
+        # an integral float is an integer depth
+        entry = catalogue_entry("iterated_exponential", depth=3.0)
+        assert np.allclose(entry.log_fn(np.array([1.0])), [math.exp(math.e)])
+
+    @pytest.mark.parametrize("depth", [2.5, math.inf, math.nan])
+    def test_iterated_exponential_refuses_a_fractional_depth(self, depth):
+        with pytest.raises(ParameterError, match=f"depth must be an integer, got {depth}"):
+            catalogue_entry("iterated_exponential", depth=depth)
+
+    # the iterated logs go three deep, and H1, H2 and H5 share the exponent list
+    @pytest.mark.parametrize("name, params", [
+        ("H1", {}), ("H2", {"theta": 1.0}), ("H5", {}),
+    ])
+    def test_betas_hold_at_most_three_exponents(self, name, params):
+        with pytest.raises(ParameterError, match="at most 3 exponents"):
+            catalogue_entry(name, betas=[1.0, 0.0, 0.0, 1.0], **params)
+        entry = catalogue_entry(name, betas=[1.0, 0.0, 1.0], **params)
+        assert np.all(np.isfinite(entry.log_fn(np.arange(1.0, 5.0))))
 
     def test_sqrt_log_starts_at_two(self):
         entry = catalogue_entry("sqrt_log")
@@ -402,8 +421,10 @@ class TestExtraction:
         n = np.arange(1, 4001, dtype=float)
         g = traj(np.sin(2 * np.pi * n / 7.0) + 1.0 / n, start=1)
         ext = extract_almost_periodic(g)
-        assert ext.period == 7
+        assert ext.period == 7 and ext.verdict == "periodic"
         assert ext.residual_tail_sup < 5e-4
+        # the verdict is read off the period, whatever it is
+        assert dataclasses.replace(ext, period=0).verdict == "aperiodic"
         late = ext.pi.window(3601, 4000)
         expected = np.sin(2 * np.pi * late.indices() / 7.0)
         assert np.max(np.abs(late.values - expected)) < 5e-4
@@ -429,7 +450,7 @@ class TestExtraction:
         # lengths 4's score comes out the smaller
         g = traj(np.resize([1.1, 0.9], n), start=1)
         ext = extract_almost_periodic(g)
-        assert ext.period == 2
+        assert ext.period == 2 and ext.verdict == "periodic"
         assert ext.residual_tail_sup < 1e-12
 
     # profiles whose strongest harmonic is not the fundamental: the peak of

@@ -1,5 +1,6 @@
 import copy
 import json
+import logging
 import math
 import os
 import subprocess
@@ -49,7 +50,8 @@ _MALFORMED = [
     ("paths", None, "config.paths"),
     ("forcing.tail.sigma", "x", "config.forcing.tail.sigma"),
     ("forcing.tail", [1.0], "config.forcing.tail"),
-    ("statistic.phi", {"name": "power", "params": {"p": "x"}}, "config.statistic.phi"),
+    # phi_average is the mean of x^2: the statistic takes no functional
+    ("statistic.phi", {"name": "power", "params": {"p": 2.0}}, "config.statistic.phi"),
     ("seed", -1, "config.seed"),
     ("log_domain", "false", "config.log_domain"),
     ("forcing", _modulated({"kind": "iid_uniform", "low": 2.0, "high": 1.0}),
@@ -81,7 +83,7 @@ _MALFORMED = [
     # a family takes only the parameters its builder names
     ("forcing.tail", {"family": "normal", "sigam": 2.0}, "config.forcing.tail"),
     ("nonlinearity", {"name": "solow", "params": {"detla": 0.5}}, "config.nonlinearity"),
-    ("statistic.phi", {"name": "power", "params": {"q": 3.0}}, "config.statistic.phi"),
+    ("phi", {"name": "power", "params": {"q": 3.0}}, "config.phi"),
     # sqrt(2 log n) starts at index 2, after a forcing's first index
     ("forcing", {"kind": "deterministic", "name": "sqrt_log"}, "config.forcing"),
     ("forcing", dict(_modulated({"kind": "periodic", "profile": [1.0]}),
@@ -94,6 +96,13 @@ _MALFORMED = [
     ("thresholds", {"growth_factor": 2.0}, "config.thresholds"),
     ("forcing.seed", 11, "config.forcing.seed"),
     ("period_hint", 2, "config.period_hint"),
+    ("kernel.tail_bound", 0.0, "config.kernel.tail_bound"),
+    # the iterated logs go three deep, so betas hold at most three exponents
+    ("forcing", {"kind": "deterministic", "name": "H1", "params": {"betas": [1, 0, 0, 1]}},
+     "config.forcing"),
+    ("scaling", {"name": "H2", "params": {"betas": [1, 0, 0, 1]}}, "config.scaling"),
+    # a named family's parameter that is not a number fails at its section
+    ("phi", {"name": "power", "params": {"p": "x"}}, "config.phi"),
 ]
 
 
@@ -242,6 +251,20 @@ class TestModes:
         # x/a tends to the growth-transfer constant 1/(1 - sum k(l) lam^l) > 1
         assert stats["solution_limsup"] > stats["forcing_limsup"]
         assert {"forcing_sign", "x_sign", "x_logabs"} <= set(report.series)
+
+    # g(z) = 1 - 1.5 z vanishes at z = 2/3, inside the unit disc: r(n) = 1.5^n
+    @pytest.mark.parametrize("mode", ["verify-growth2", "verify-ergodic"])
+    def test_nonsummable_kernel_warns_once(self, mode, caplog):
+        with caplog.at_level(logging.WARNING):
+            run_experiment(cfg(
+                mode=mode, horizon=100, kernel={"coefficients": [1.5]},
+                forcing={"kind": "deterministic", "name": "geometric", "params": {"lam": 0.5}},
+                scaling={"name": "geometric", "params": {"lam": 0.5}},
+            ))
+        [record] = caplog.records
+        assert record.name == "volterra_lab.spectral"
+        assert record.getMessage() == ("kernel resolvent verdict is nonsummable; "
+                                       "the limit stated with L(lambda) may not exist")
 
     def test_verify_growth2_geometric_system(self, tmp_path):
         report = run_experiment(cfg(

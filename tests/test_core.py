@@ -160,12 +160,19 @@ class TestKernel:
             hash(spec(Kernel([0.5])))
         assert {ForcingGenerator(kind="iid", seed=3): 1}[ForcingGenerator(kind="iid", seed=3)] == 1
 
+    def test_statistic_specs_hash_by_value(self):
+        # a spec holds a name, a band and a series name, so equal specs share a hash
+        a = StatisticSpec(name="phi_average", band=(0.0, 1.0))
+        b = StatisticSpec(name="phi_average", band=(0.0, 1.0))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a != StatisticSpec(name="phi_average", band=(0.0, 2.0))
+        assert a != StatisticSpec(name="phi_average", band=(0.0, 1.0), series="forcing")
+
 
 @pytest.mark.parametrize("value, other", [
     (make_phi("power", p=2.0), make_phi("power", p=3.0)),
-    (StatisticSpec(name="phi_average", band=(0.0, 1.0), phi=make_phi("power", p=2.0)),
-     StatisticSpec(name="phi_average", band=(0.0, 2.0))),
-], ids=["convex-functional", "statistic-spec"])
+], ids=["convex-functional"])
 def test_dataclasses_holding_dicts_are_unhashable(value, other):
     # they compare by value (their functions by identity) but hold dicts
     with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
@@ -327,6 +334,11 @@ class TestNonlinear:
         assert not f.linear_at_infinity
         assert np.isclose(f.ratio_limit, 0.9)
         assert make_nonlinearity("solow", delta=0.0, s=0.2).linear_at_infinity
+        # the flag is read off ratio_limit, for every member and any limit
+        for name in ("identity", "bounded_offset", "sqrt_offset", "solow"):
+            assert make_nonlinearity(name).linear_at_infinity == (name != "solow")
+        assert dataclasses.replace(f, ratio_limit=1.0).linear_at_infinity
+        assert not dataclasses.replace(make_nonlinearity("identity"), ratio_limit=0.75).linear_at_infinity
 
     def test_nonlinearity_error_names_input(self):
         bad = make_nonlinearity("identity")
@@ -1490,7 +1502,9 @@ def assert_blocked_log_is_reference(kernel, forcing, xi, horizon):
 
 def log_traj(la, sg=None):
     la = np.asarray(la, dtype=float)
-    return LogTrajectory.from_log(la, None if sg is None else np.where(la == -np.inf, 0.0, sg))
+    if sg is None:
+        return LogTrajectory.from_log(la)
+    return LogTrajectory(la, np.where(la == -np.inf, 0.0, sg))
 
 
 class TestBlockedLogOracle:
