@@ -23,35 +23,37 @@ exceeds 1e8.
 
 Which engine runs where (B = 256 for a kernel of any length M):
 
-* ``solve_linear`` in plain doubles runs the blocked engine: the first
-  block of B indices by the per-term reference recursion, every later
-  block [t, t+L) as the Toeplitz solve x = r[:L] * (H + history) in two
-  matrix products, ``f[:, :min(B, M)] += prev @ Hk.T`` for the history
+* ``solve_linear`` in plain doubles runs the blocked engine: from
+  x(0) = xi, every block [t, t+L), t = 1, 1 + B, ..., is the Toeplitz solve
+  x = r[:L] * (H + history) in two matrix products,
+  ``f[:, :min(B, M)] += prev @ Hk.T`` for the history
   prev = x[max(0, t-M):t] and ``x = f @ R[:L, :L].T`` for the block,
   O(horizon * (B + M)) in all.  R is the lower-triangular Toeplitz matrix
   of r[:B] and the min(B, M) x M matrix Hk maps the history to its part of
-  the block's first min(B, M) forcings.
+  the block's first min(B, M) forcings; the first block's history is
+  x(0) alone.  A solve of at most B values in all (paths times indices)
+  runs the per-term recursion, and so does the first block [0, B) of a
+  kernel with a negative coefficient, whose blocks then start at t = B.
+  A row whose block turns non-finite runs that block again at a
+  power-of-2 scale (see below).
 * ``stochastic.ensemble_verify`` runs the same engine on many plain-domain
   paths at once: their forcings are the rows of one (P, N) array, solved
   in place, so each block step is one pair of products for all P rows.
-  The first block runs the reference recursion on all rows per step, in
-  the reference's order of operations, for any P >= 2; a single row runs
-  the per-term loop.
-* ``solve_linear`` in the log domain runs the block-scaled engine: the
-  first block by the per-step log recursion, every later block [t, t+L)
-  as the same Toeplitz step on plain doubles times exp(ref), ref the
-  largest log|.| among its forcing and the M values before it.  L <= B is
-  chosen from the forcing's log-range so that nothing overflows or
-  underflows: up to room ~ 600 below the largest value, and up to about
-  700 more above 1, used by lowering ref by the part of the range beyond
-  room, so that scaled |x| stays below exp(700).  That is about 130 steps
-  for factorial forcing near n = 2e4, and all of B for geometric, whose
-  blocks fit room and keep their ref.  A block runs per step when its
-  nonzero forcing and history signs differ, when L would be 1, or when a
-  scaled |x| falls below a floor where underflowed inputs could show; a
-  kernel with a negative coefficient, or an r[:B] that overflows, runs
-  per step throughout.  Only same-signed
-  sums are ever scaled, so no cancellation is hidden.  The block's forcing
+* ``solve_linear`` in the log domain runs the block-scaled engine: every
+  block [t, t+L) from t = 1 on is the same Toeplitz step on plain doubles
+  times exp(ref), ref the largest log|.| among its forcing and the M
+  values before it.  L <= B is chosen from the forcing's log-range so that
+  nothing overflows or underflows: up to room ~ 600 below the largest
+  value, and up to about 700 more above 1, used by lowering ref by the
+  part of the range beyond room, so that scaled |x| stays below exp(700).
+  That is about 130 steps for factorial forcing near n = 2e4, and all of
+  B for geometric, whose blocks fit room and keep their ref.  A block runs
+  the per-step log recursion when its nonzero forcing and history signs
+  differ, when L would be 1, or when a scaled |x| falls below a floor
+  where underflowed inputs could show; a kernel with a negative
+  coefficient, an r[:B] that overflows, or a solve of at most B values
+  runs per step throughout, the plain engine's rule for one path.  Only same-signed sums are ever scaled, so no
+  cancellation is hidden.  The block's forcing
   maximum comes from the running maximum that sized it, and its sign test
   is the largest and smallest sign of its forcing and history, so a block
   costs a handful of array calls; the output is bitwise that of taking
@@ -70,43 +72,47 @@ Which engine runs where (B = 256 for a kernel of any length M):
   sum carries that engine's accuracy contract below; ``resolvent`` stays
   the per-term oracle the representation is built on.
 
-Accuracy contract of the plain blocked engine: below index 256 its output
-is bitwise equal to the reference recursion, for every kernel; beyond
-that, its scaled gap to the reference, max |x - x_ref| / max(|x_ref|, 1),
-is at most 1e-12 on summable, marginal (sum k = 1) and growing kernels at
-horizons up to a few thousand, and about 1e-15 on summable kernels at any
-horizon.  On marginal kernels both engines drift from exact arithmetic by
-rounding that grows with the horizon, by about 1e-12 at 2e5 steps each
-against extended precision.  On the growing kernels tested, both engines
-raise on the same first non-finite index.
+Accuracy contract of the plain blocked engine: wherever it runs the
+per-term recursion (a solve of at most B values in all, the first block
+of a signed kernel) it is bitwise the reference.  Elsewhere its scaled gap to
+the reference, max |x - x_ref| / max(|x_ref|, 1) for a forcing of order
+one (the floor is the forcing's scale), is at most 1e-12 on summable,
+marginal (sum k = 1) and growing kernels up to sum k = 1.5 at horizons
+up to a few thousand, and about 1e-15 on summable kernels at any
+horizon.  On marginal kernels both engines drift from exact arithmetic
+by rounding that grows with the horizon, by about 1e-12 at 2e5 steps each
+against extended precision.  On kernels without a negative coefficient,
+both raise on the same first non-finite index: a block's products
+r(i - j) f(j) can overflow, by up to a factor max|r[:B]|, where the
+per-term sums do not, so a row that turns non-finite runs its block
+again at the power of 2 that brings its largest |f| into [0.5, 1), which
+is exact.  A signed kernel's solutions can grow while changing sign, and
+their cancelling sums round differently in a block: beyond its first
+block the gap can exceed 1e-12 (2e-10 seen with k ~ 3 N(0, 1) at
+N = 600) and the first non-finite index differ by a few steps either way.
 
-Batch contract: every row of a P-row solve is bitwise equal to the
-reference recursion below B, whether the first block runs row by row or
-all rows per step, and within the same 1e-12 scaled gap of the same path
-solved alone beyond it.  All rows per step, step n sums the products
-k(l) x(n - l) over l = 0, 1, ... from 0.0 and then adds H(n + 1), the
-per-term loop's order: numpy reduces the outer axis of a (w, P) array one
-l at a time, where it would sum a contiguous axis pairwise, and no
-matrix product runs there.  A row that overflows fails alone, at
-the reference's first non-finite index.  Bit for bit, a row depends on the
-shape of its batch: BLAS rounds a P-row product differently from a
-one-row one, and may round a row differently at another position in the
-batch or under another BLAS thread count.  The same rows in the same
-order under the same BLAS give the same bits.
+Batch contract: every row of a P-row solve keeps that contract, and is
+within the gap of the same path solved alone.  A row that overflows fails
+alone.  Bit for bit, a row that runs blocks depends on the shape of its
+batch: BLAS rounds a P-row product differently from a one-row one, and
+may round a row differently at another position in the batch or under
+another BLAS thread count.  The same rows in the same order under the
+same BLAS give the same bits.
 
 Accuracy contract of the log engine: bitwise equal to the per-step log
-recursion below B and on every block that runs per step (so on all of a
-solve with a signed kernel or sign-incoherent forcing).  On scaled blocks
-the signs equal the per-step recursion's, and log|x| is within 1e-12 +
-1e-15 |log|x|| of the exact value, the second term being the rounding of
-log|x| itself as one double.  The same bound holds against the per-step
-recursion on the growth catalogue and the growth, ergodic and random-walk
-configurations tested; with decaying forcing the per-step recursion itself
-drifts further from the exact value than that, and the scaled blocks stay
-the closer of the two.  A block whose forcing fits room keeps ref, so a
-solve whose blocks all fit it (geometric forcing, for one) is bitwise that
-of sizing blocks by room alone, which the tests keep as a reference.
-Repeated calls of either engine are bitwise identical.
+recursion on every block that runs per step (so on all of a solve with a
+signed kernel or sign-incoherent forcing).  On scaled blocks, the first
+included, the signs equal the per-step recursion's, and log|x| is within
+1e-12 + 1e-15 |log|x|| of the exact value, the second term being the
+rounding of log|x| itself as one double.  The same bound holds against
+the per-step recursion on the growth catalogue and the growth, ergodic
+and random-walk configurations tested; with decaying forcing the per-step
+recursion itself drifts further from the exact value than that, and the
+scaled blocks stay the closer of the two.  A block whose forcing fits
+room keeps ref, so a solve whose blocks all fit it (geometric forcing,
+for one) is bitwise that of sizing blocks by room alone, which the tests
+keep as a reference.  Repeated calls of either engine are bitwise
+identical.
 
 Every per-term loop (the plain recursion, with or without f, and the log
 recursion) runs on Python floats, reading its inputs with ``tolist`` and
@@ -208,10 +214,11 @@ class Kernel:
         """sum |r(n)| over n = 0..horizon, on the plain blocked engine.
 
         The engine solves for r from r(0) = 1 with zero forcing: r(n) is
-        bitwise that of the per-term :func:`resolvent` below index 256, and
-        within the engine's 1e-12 scaled gap of it beyond (see the module
-        docstring).  An overflow raises at the resolvent's first non-finite
-        index.
+        bitwise the per-term :func:`resolvent` where the per-term loop runs
+        (a horizon below 256, and the first 256 indices of a signed kernel),
+        and within the engine's scaled gap of it elsewhere (see the module
+        docstring).  An overflow raises at the engine's first non-finite
+        index, the resolvent's for a kernel without a negative coefficient.
         """
         r = np.zeros((1, _solve_horizon(horizon, least=0) + 1))
         bad = _blocked_linear(self, r, 1.0)
@@ -325,7 +332,7 @@ def make_nonlinearity(name: str, **params) -> Nonlinearity:
 # --------------------------------------------------------------------------
 # per-term reference recursions: O(horizon * M) in the interpreter.  Each is
 # the reference its domain's blocked engine below is held to, and runs that
-# engine's first block and fallbacks; the plain one is the whole of resolvent().
+# engine's short solves and fallbacks; the plain one is the whole of resolvent().
 # --------------------------------------------------------------------------
 
 # steps per chunk of the per-term loops: each chunk reads its inputs and the M
@@ -457,39 +464,6 @@ def _reference_linear(k, h, xi, f=None):
     return out
 
 
-def _rows_recursion(k, x, xi, head):
-    """Fill indices [0, head) of every row of a (P, N) array x by the
-    reference recursion, all rows per step; return each row's first
-    non-finite index, or -1.
-
-    Step n forms the (w, P) products k(l) x(n - l), w = min(n + 1, M),
-    sums them over the outer axis from 0.0, one l at a time, and adds
-    H(n + 1): the order of the per-term loop, so each row is bitwise its
-    output.  Numpy sums a contiguous axis pairwise instead, and the outer
-    axis of a one-row batch is contiguous, so P must be at least 2.
-    Overflow stays as silent as in Python floats.  The working copy is the
-    chunk and the M values before it, transposed and in reverse time
-    order, so a step's M values are one contiguous slice.
-    """
-    m = len(k)
-    # k(l) in every column, so that a step multiplies two contiguous arrays
-    kp = np.repeat(k[: min(m, head), None], len(x), axis=1)
-    x[:, 0] = xi
-    bad = np.full(len(x), -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, base in _chunks(1, head, m):
-            # row j holds x(hi - 1 - j): step n reads rows hi - 1 - n onward
-            xt = x[:, hi - 1 : (base - 1 if base else None) : -1].T.copy()
-            for n in range(lo - 1, hi - 1):
-                w = n + 1 if n + 1 < m else m
-                j = hi - 1 - n
-                xt[j - 1] += np.add.reduce(kp[:w] * xt[j : j + w], axis=0, initial=0.0)
-            x[:, lo:hi] = xt[hi - lo - 1 :: -1].T
-            if _all_failed(bad, x[:, lo:hi], lo):
-                break
-    return bad
-
-
 def _blocked_linear(kernel, x, xi):
     """Solve each row of a (P, N) array x in place, as a blocked unit
     lower-triangular Toeplitz solve; return each row's first non-finite index.
@@ -497,36 +471,54 @@ def _blocked_linear(kernel, x, xi):
     On entry row p of x holds a forcing on 0..N-1 (index 0 is not read), on
     return its solution x(0..N-1) from the start ``xi``.  The returned
     bad[p] is -1, or the first non-finite index of row p; past it the row
-    holds no meaningful values.  The first block [0, B) runs the reference
-    recursion, bitwise: all rows per step for P >= 2 rows, the per-term loop
-    for one.  Every later block [t, t+L) solves all rows at once with
-    ``_toeplitz_block``, from the history x[max(0, t - M):t].  If r[:B]
-    overflows, the reference recursion runs throughout.
+    holds no meaningful values.  From x(0) = xi, every block [t, t+L),
+    t = 1, 1 + B, ..., solves all rows at once with ``_toeplitz_block``,
+    from the history x[max(0, t - M):t].  Each row runs the per-term loop
+    instead on all of a solve of at most B values in all (P N <= B) or with
+    a kernel whose r[:B] overflows, and on the first block [0, B) of a
+    signed kernel, whose solutions can grow while changing sign: a block
+    rounds their cancelling sums by more than the gap.  A block's products
+    r(i - j) f(j) can overflow, by up to a factor max|r[:B]|, where the
+    per-term sums do not, so ``_all_failed`` solves a row that turns
+    non-finite again.
     """
     k = kernel.coefficients
     n = x.shape[1]
-    state = kernel._block_state if n > _BLOCK else None
-    head = n if state is None else _BLOCK
-    if len(x) > 1:
-        bad = _rows_recursion(k, x, xi, head)
-    else:
-        bad = np.array([_linear_recursion(k, x[0], xi, x[0, :head])])
-    if head == n or bad.min() >= 0:
-        return bad
+    state = kernel._block_state if x.size > _BLOCK else None
+    head = n if state is None else min(n, _BLOCK) if np.any(k < 0.0) else 1
+    bad = np.full(len(x), -1)
+    x[:, 0] = xi
+    if head > 1:
+        bad[:] = [_linear_recursion(k, row, xi, row[:head]) for row in x]
+        if head == n or bad.min() >= 0:
+            return bad
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(_BLOCK, n, _BLOCK):
-            block = _toeplitz_block(state, x[:, t : t + _BLOCK].copy(), x[:, max(0, t - len(k)) : t])
+        for t in range(head, n, _BLOCK):
+            f = x[:, t : t + _BLOCK].copy()
+            block = _toeplitz_block(state, f, x[:, max(0, t - len(k)) : t])
+            done = _all_failed(bad, block, t, f, state[1])
             x[:, t : t + block.shape[1]] = block
-            if _all_failed(bad, block, t):
+            if done:
                 break
     return bad
 
 
-def _all_failed(bad, block, t):
+def _all_failed(bad, block, t, f, r):
     """Set bad[p] of each row p not yet failed to its first non-finite index
-    in ``block``, whose first column is index t; True once every row failed."""
+    in ``block``, whose first column is index t; True once every row failed.
+
+    ``block`` is f @ R[:L, :L].T, R = ``r``.  A row that turns non-finite
+    here runs it again first, at the power of 2 that brings its largest |f|
+    into [0.5, 1), which is exact: its products can no longer overflow, only
+    a sum that would at scale 1.
+    """
     finite = np.isfinite(block)
     if not finite.all():
+        size = block.shape[1]
+        redo = (bad < 0) & ~finite.all(axis=1)
+        e = np.frexp(np.abs(f[redo]).max(axis=1, keepdims=True))[1]
+        block[redo] = np.ldexp(np.ldexp(f[redo], -e) @ r[:size, :size].T, e)
+        finite[redo] = np.isfinite(block[redo])
         new = (bad < 0) & ~finite.all(axis=1)
         bad[new] = t + np.argmin(finite[new], axis=1)
     return bad.min() >= 0
@@ -587,12 +579,13 @@ _FLOOR = 1e-280
 def _blocked_log_linear(kernel, lh, sh, xi):
     """(log|x|, sign x) on 0..len(lh)-1 as blocks of plain doubles times exp(ref).
 
-    The first block [0, B), a signed kernel and every block that cannot be
-    scaled (see the module docstring) run the per-step recursion, which
-    logs its first cancellation beyond ``_CANCELLATION`` once per solve.
-    Every other block [t, t+L) runs the plain Toeplitz step on its inputs
-    times exp(-ref); L <= B keeps the forcing's log-range within
-    room + up, room = ``_SPAN`` - log sum r[:B] below 1 and
+    A solve of at most B indices, a signed kernel and every block that
+    cannot be scaled (see the module docstring) run the per-step
+    recursion, which logs its first cancellation beyond ``_CANCELLATION``
+    once per solve.  Every other block [t, t+L), from t = 1 and the history
+    x(0) = xi on, runs the plain Toeplitz step on its inputs times
+    exp(-ref); L <= B keeps the forcing's log-range within room + up,
+    room = ``_SPAN`` - log sum r[:B] below 1 and
     up = ``_CEILING`` - log(sum r[:B] (1 + sum k)) above it.  A block whose
     spread s exceeds room lowers its ref by s - room <= up, so its scaled
     |x| stays at most exp(``_CEILING``); every other block keeps ref, the
@@ -624,10 +617,9 @@ def _blocked_log_linear(kernel, lh, sh, xi):
         if bad >= 0:
             raise TrajectoryOverflowError(bad)
 
-    per_step(1, min(_BLOCK, n))
     state = kernel._block_state if n > _BLOCK and np.all(k >= 0.0) else None
     if state is None:
-        per_step(_BLOCK, n)
+        per_step(1, n)
         return out_l, out_s
     r = state[0]
     room = _SPAN - math.log(np.sum(r))
@@ -636,7 +628,7 @@ def _blocked_log_linear(kernel, lh, sh, xi):
     # sign 0 exactly where log|H| = -inf, so lh is its own maximum over the
     # nonzero forcing, and ``low`` its minimum
     low = np.where(sh != 0.0, lh, np.inf)
-    t = _BLOCK
+    t = 1
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         while t < n:
             # longest run [t, t+L) whose nonzero forcing stays within room + up in log|H|

@@ -255,8 +255,11 @@ def _entry_iterated_exponential(depth=2):
         raise ParameterError("iterated-exponential depth must be at least 2")
 
     def log_fn(n):
+        # exp(inf) = inf: once every value is inf, further passes change nothing
         v = np.asarray(n, dtype=np.float64)
         for _ in range(depth - 1):
+            if np.all(v == np.inf):
+                break
             v = np.exp(v)
         return v
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -90,6 +91,23 @@ class TestCatalogue:
         # an integral float is an integer depth
         entry = catalogue_entry("iterated_exponential", depth=3.0)
         assert np.allclose(entry.log_fn(np.array([1.0])), [math.exp(math.e)])
+
+    def test_iterated_exponential_stops_its_passes_at_inf(self):
+        # exp(inf) = inf, so the passes stop once every value is inf: a depth
+        # of 1e12 refuses at once, and every depth gives the bits of all its passes
+        n = np.arange(0.0, 50.0)
+        for depth in (2, 3, 4, 5, 6, 9):
+            want = n
+            with np.errstate(over="ignore"):
+                for _ in range(depth - 1):
+                    want = np.exp(want)
+                got = catalogue_entry("iterated_exponential", depth=depth).log_fn(n)
+            assert got.tobytes() == want.tobytes()
+        entry = catalogue_entry("iterated_exponential", depth=10**12)
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="overflowed in log space"):
+            entry.sequence(1, 800, log_domain=True)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("depth", [2.5, math.inf, math.nan])
     def test_iterated_exponential_refuses_a_fractional_depth(self, depth):

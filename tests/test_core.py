@@ -114,10 +114,14 @@ class TestKernel:
     ], ids=["summable", "marginal", "signed"])
     @pytest.mark.parametrize("horizon", [0, 1, 255, 256, 3000])
     def test_resolvent_l1_is_the_sum_of_the_resolvent(self, kernel, horizon):
+        # bitwise while one row of at most B values runs the per-term loop,
+        # within the engine's gap once it runs blocks
         expected = np.sum(np.abs(resolvent(kernel, horizon).values))
         l1 = kernel.resolvent_l1(horizon)
         assert type(l1) is float
-        assert l1.hex() == float(expected).hex()
+        if horizon < _BLOCK:
+            assert l1.hex() == float(expected).hex()
+        assert abs(l1 - expected) <= 1e-12 * expected
 
     def test_resolvent_l1_on_a_long_horizon_is_bitwise_the_per_term_sum(self, monkeypatch):
         kernel = Kernel([0.5])
@@ -596,52 +600,63 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("kernel, paths, xi", [
         (KERNEL, 20, 0.7), (Kernel([1.0]), 20, 0.7), (Kernel([1.9, -0.95]), 20, 0.7),
         (Kernel.zero(), 20, 0.7),
-        # M = 300 > B: no step of the first block reads the whole kernel
+        # M = 300 > B: the first blocks read a history shorter than M
         (LONG, 20, 0.7),
-        # forcings with signed zeros, from xi = -0.0 (see below)
+        # forcings with signed zeros, from xi = -0.0, and all-zero rows
         (KERNEL, 16, -0.0), (Kernel([1.9, -0.95]), 16, -0.0),
-        # two rows at M > 8: numpy sums a contiguous axis of more than 8 terms
-        # pairwise, so the outer-axis sum must keep the reference order
+        # the smallest batch
         (Kernel.geometric(0.3, 0.5, 12), 2, 0.7),
     ], ids=["kernel0", "kernel1", "kernel2", "zero", "M300", "zeros", "zeros-signed", "P2"])
-    def test_first_block_of_every_row_is_bitwise_reference(self, kernel, paths, xi):
+    def test_every_row_from_index_0_is_within_the_gap(self, kernel, paths, xi):
+        # past a signed kernel's first block, and from index 1 for any other,
+        # every block runs all rows at once
         h = batch_forcing(20, paths, 3 * _BLOCK + 7)
         if math.copysign(1.0, xi) < 0:
-            # the reference sums from +0.0: x(1) = (0.0 + k(0) xi) + H(1) is +0.0
-            # on an all -0.0 row, where a sum from k(0) xi would give -0.0
             h[:, ::3] = -0.0
             h[::2] = -0.0
         x, bad = batch_solve(kernel, h, xi)
         assert np.all(bad == -1)
-        rows_match_reference(kernel, h, xi, x, bad, _BLOCK)
         for row, hp in zip(x, h):
             assert scaled_gap(row, reference_solve(kernel.coefficients, hp, xi)[0]) <= 1e-12
+        if np.any(kernel.coefficients < 0.0):
+            # a signed kernel's first block runs the per-term loop
+            rows_match_reference(kernel, h, xi, x, bad, _BLOCK)
+        assert bits(x[:, 0]).tolist() == bits(np.full(paths, xi)).tolist()
         if math.copysign(1.0, xi) < 0:
-            assert bits(x[0, :2]).tolist() == bits([-0.0, 0.0]).tolist()
+            assert np.all(x[::2] == 0.0)
 
-    @pytest.mark.parametrize("paths, size, at_once", [
-        # one row runs the per-term loop, at any kernel length; two rows run
-        # all rows per step, at the shortest kernel
-        (1, 300, False),
-        (2, 1, True),
-    ], ids=["one-row", "two-rows"])
-    def test_dispatch_rule(self, monkeypatch, paths, size, at_once):
-        calls = []
-        rows_recursion = core._rows_recursion
-        monkeypatch.setattr(core, "_rows_recursion",
-                            lambda *args: calls.append(args) or rows_recursion(*args))
+    @pytest.mark.parametrize("paths, size, horizon, per_term", [
+        # every row of a solve of at most B values in all runs the per-term
+        # loop; larger solves run blocks, at any kernel length
+        (1, 300, _BLOCK - 1, True),
+        (1, 300, _BLOCK, False),
+        (2, 1, _BLOCK // 2 - 1, True),
+        (2, 1, _BLOCK // 2, False),
+        (2, 300, 2 * _BLOCK, False),
+    ], ids=["one-short-row", "one-row", "two-short-rows", "two-rows-past-B-values",
+            "two-rows"])
+    def test_dispatch_rule(self, monkeypatch, paths, size, horizon, per_term):
         kernel = Kernel.geometric(0.3, 0.5, size)
-        h = batch_forcing(22, paths, 2 * _BLOCK)
+        assert kernel._block_state is not None  # r[:B] by the per-term loop, before counting
+        calls = []
+        linear_recursion = core._linear_recursion
+        monkeypatch.setattr(core, "_linear_recursion",
+                            lambda *args: calls.append(args) or linear_recursion(*args))
+        h = batch_forcing(22, paths, horizon)
         x, bad = batch_solve(kernel, h, 0.7)
-        assert bool(calls) is at_once
-        rows_match_reference(kernel, h, 0.7, x, bad, _BLOCK)
+        assert len(calls) == (paths if per_term else 0)
+        if per_term:
+            rows_match_reference(kernel, h, 0.7, x, bad)
+        for row, hp in zip(x, h):
+            assert scaled_gap(row, reference_solve(kernel.coefficients, hp, 0.7)[0]) <= 1e-12
 
-    def test_short_batch_is_bitwise_reference(self):
-        # N <= B: the first block is the whole solve
+    def test_short_batch_is_within_the_gap(self):
+        # N <= B: the whole solve is one block
         h = batch_forcing(23, 8, _BLOCK - 1)
         x, bad = batch_solve(self.KERNEL, h, 0.7)
-        rows_match_reference(self.KERNEL, h, 0.7, x, bad)
         assert np.all(bad == -1)
+        for row, hp in zip(x, h):
+            assert scaled_gap(row, reference_solve(self.KERNEL.coefficients, hp, 0.7)[0]) <= 1e-12
 
     @pytest.mark.parametrize("paths", [2, 3, 16, 17])
     @pytest.mark.parametrize("tail", [1, 41, _BLOCK])
@@ -674,8 +689,22 @@ class TestBatchedEngine:
                 assert scaled_gap(x[p], alone) <= 1e-12
         assert bad[2] == 701 and 100 < bad[4] < _BLOCK
 
+    @pytest.mark.parametrize("delay", [0, _BLOCK + 40], ids=["first-block", "later-block"])
+    def test_rows_whose_products_alone_overflow_are_solved_again(self, delay):
+        # r(n) = 1.1^n reaches 3.6e10 within a block, so near DBL_MAX its
+        # products r(i - j) g(j) overflow up to 33 steps before the per-term
+        # sums; solved again at a power of 2, each row fails where they do
+        kernel = Kernel([1.1])
+        h = np.random.Generator(np.random.Philox(70)).normal(size=(6, 4 * _BLOCK)) * 1e300
+        h[:, :delay] = 0.0
+        x, bad = batch_solve(kernel, h, 0.0)
+        for row, hp, b in zip(x, h, bad):
+            ref, ref_bad = reference_solve(kernel.coefficients, hp, 0.0)
+            assert b == ref_bad > delay
+            assert scaled_gap(row[:b] / 1e300, ref[:b] / 1e300) <= 1e-12
+
     def test_prefix_overflow_runs_every_row_on_the_reference(self):
-        # one row runs the per-term loop, three all rows per step
+        # every row runs the per-term loop, one or several
         for paths in (1, 3):
             h = batch_forcing(60, paths, 3 * _BLOCK)
             h[:, : _BLOCK + 5] = 0.0
@@ -684,9 +713,10 @@ class TestBatchedEngine:
             assert np.all(bad > _BLOCK)
 
     def test_prefix_overflow_over_several_chunks(self):
-        # r(n) ~ 21^n overflows before B, so all rows run per step to the end,
-        # each chunk past the first from M values of history: a zero row, two
-        # that reach 1e264 and one that overflows soon after its forcing starts
+        # r(n) ~ 21^n overflows before B, so every row runs the per-term loop
+        # to the end, each chunk past the first from M values of history: a
+        # zero row, two that reach 1e264 and one that overflows soon after its
+        # forcing starts
         kernel = Kernel(np.full(40, 20.0))
         assert kernel._block_state is None
         h = batch_forcing(61, 4, core._CHUNK + 300)
@@ -734,16 +764,34 @@ def test_batched_rows_match_paths_solved_alone(kind, weights, level, paths, hori
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from([0.7, 0.0, -0.0]),
 )
-def test_rows_at_once_are_bitwise_the_per_term_loop(m, paths, n, seed, xi):
-    # signed kernels and forcings with signed zeros; a 1e300 scale makes rows overflow
+def test_rows_fail_where_the_per_term_loop_does(m, paths, n, seed, xi):
+    # signed kernels and forcings with signed zeros; a 1e300 scale makes rows
+    # overflow.  A signed kernel's first block runs the per-term loop, so it
+    # is bitwise that loop's there, through a first non-finite index in it.
+    # A kernel without a negative weight runs blocks from index 1: each row
+    # fails at the loop's first non-finite index, and on the kernels of the
+    # contract, sum k <= 1.5, keeps the scaled gap, its floor of 1 being the
+    # scale of the row's forcing
     rng = np.random.Generator(np.random.Philox(seed))
     k = rng.normal(size=m) * rng.choice([0.3, 1.0, 3.0])
     k[rng.random(m) < 0.2] = -0.0
-    h = rng.normal(size=(paths, n)) * rng.choice([1.0, 1e300], size=(paths, 1))
+    h = rng.normal(size=(paths, n))
+    scale = rng.choice([1.0, 1e300], size=(paths, 1))
+    h *= scale
     h[rng.random(h.shape) < 0.2] = -0.0
-    x = h.copy()
-    bad = core._rows_recursion(k, x, xi, n)
-    rows_match_reference(Kernel(k), h, xi, x, bad)
+    x, bad = batch_solve(Kernel(k), h, xi)
+    head = min(n, _BLOCK)
+    for row, hp, b, s in zip(x, h, bad, scale[:, 0]):
+        ref, ref_bad = reference_solve(k, hp, xi)
+        if np.any(k < 0.0):
+            assert b == ref_bad if 0 <= ref_bad < head else b < 0 or b >= head
+            end = ref_bad + 1 if 0 <= ref_bad < head else head
+            assert np.array_equal(bits(row[:end]), bits(ref[:end]))
+        else:
+            assert b == ref_bad
+            if np.sum(k) <= 1.5:
+                end = ref_bad if ref_bad >= 0 else n
+                assert scaled_gap(row[:end] / s, ref[:end] / s) <= 1e-12
 
 
 def per_path_ensemble(system, paths, statistic):
@@ -847,7 +895,8 @@ class TestBatchedEnsemble:
                               forcing=ForcingGenerator(kind="iid", seed=16, tail=NORMAL_TAIL))
         res = ensemble_verify(system, 16, StatisticSpec(name="phi_average", band=(0.0, 10.0)))
         assert res.failures == 0
-        blocks = -(-(horizon + 1 - _BLOCK) // _BLOCK)
+        # blocks of B from index 1 cover the horizon indices 1..N
+        blocks = -(-horizon // _BLOCK)
         assert len(calls) == groups * blocks
         assert set(calls) == {16 // groups}
 
@@ -889,10 +938,22 @@ def extended_log_solve(k, log_h, xi):
     return out
 
 
+def record_per_step(monkeypatch):
+    """The (lo, hi) of every run of the per-step log recursion, in order."""
+    steps = []
+
+    def recorded(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
+        steps.append((lo, len(out_l) if hi is None else hi))
+        return per_step(lk, sk, lh, sh, out_l, out_s, lo, hi)
+
+    per_step = core._log_linear_recursion
+    monkeypatch.setattr(core, "_log_linear_recursion", recorded)
+    return steps
+
+
 def assert_log_contract(x, ref_l, ref_s, exact_l=None):
-    # bitwise below one block and equal signs throughout; log|x| within the
+    # equal signs throughout, the first block included; log|x| within the
     # tolerance of the exact value, or of the per-step recursion without one
-    assert np.array_equal(x.log_abs[:_BLOCK], ref_l[:_BLOCK])
     assert np.array_equal(x.sign, ref_s)
     live = ref_s != 0.0
     target = ref_l if exact_l is None else exact_l
@@ -910,18 +971,21 @@ class TestBlockedLogEngine:
         assert bad == -1
         assert_log_contract(x, ref_l, ref_s)
 
-    def test_iterated_exponential_runs_per_step_to_its_last_index(self):
+    def test_iterated_exponential_runs_per_step_past_its_first_block(self, monkeypatch):
         # log H(n) = e^n leaves double range after n = 709: generation refuses
-        # it, and up to there each step spans more than one block may, so the
-        # whole solve is the per-step recursion and nothing overflows
+        # it.  Up to there, from n = 8 on, each step spans more than one block
+        # may, so all but the scaled block [1, 8) is the per-step recursion,
+        # bitwise, and nothing overflows
         with pytest.raises(InputError, match="overflowed in log space"):
             log_forcing("H10", 710)
         H = log_forcing("H10", 709)
+        steps = record_per_step(monkeypatch)
         x = solve_linear(GROWTH_KERNEL, H.to_log(), 1.0, 709)
+        assert steps == [(n, n + 1) for n in range(8, 710)]
         ref_l, ref_s, bad = per_step_log_solve(GROWTH_KERNEL, H, 1.0, 709)
         assert bad == -1
-        assert np.array_equal(x.log_abs, ref_l)
-        assert np.array_equal(x.sign, ref_s)
+        assert_log_contract(x, ref_l, ref_s)
+        assert np.array_equal(x.log_abs[8:], ref_l[8:])
 
     @pytest.mark.parametrize("kernel, signs", [
         (Kernel([0.5, -0.2, 0.1]), "positive"),
@@ -969,21 +1033,19 @@ class TestBlockedLogEngine:
         ("factorial", 20_000, {}),
         ("geometric", 10_000, {"lam": 0.5}),
     ])
-    def test_only_the_first_block_runs_per_step(self, monkeypatch, caplog, name, horizon, params):
-        # the log_growth benchmark configs: past the first block every block is scaled
-        steps = []
-
-        def counted(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
-            steps.append((hi if hi is not None else len(out_l)) - lo)
-            return _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo, hi)
-
-        monkeypatch.setattr(core, "_log_linear_recursion", counted)
+    def test_no_block_runs_per_step(self, monkeypatch, caplog, name, horizon, params):
+        # the log_growth benchmark configs: every block is scaled, the first
+        # included, and within the contract of the per-step recursion
         H = log_forcing(name, horizon, **params)
+        steps = record_per_step(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="volterra_lab.core"):
             x = solve_linear(GROWTH_KERNEL, H.to_log(), 1.25, horizon)
-        assert sum(steps) == _BLOCK - 1
+        assert steps == []
         assert np.all(x.sign == 1.0)
         assert not caplog.records
+        ref_l, ref_s, bad = per_step_log_solve(GROWTH_KERNEL, H, 1.25, horizon)
+        assert bad == -1
+        assert_log_contract(x, ref_l, ref_s)
 
     def test_cancellation_is_reported(self, caplog):
         # exact x(3) = (1e300 + 1) - 1e300 + 1 = 2; the log domain gets 1
@@ -1277,12 +1339,18 @@ class TestNonlinearOnReferenceRecursion:
         assert_same_bits(x.values, ref)
 
     @pytest.mark.parametrize("m", [1, 40, 300])
-    def test_identity_is_bitwise_solve_linear_below_the_block(self, m):
+    def test_identity_matches_solve_linear(self, m):
+        # bitwise while solve_linear runs the per-term loop (N <= B), within
+        # its gap once it runs blocks
         k = Kernel(loop_kernel(m, m + 22))
         h = traj(loop_forcing(3 * _BLOCK, m + 23))
-        lin = solve_linear(k, h, -0.3, 3 * _BLOCK).values
-        x = solve_nonlinear(k, make_nonlinearity("identity"), h, -0.3, 3 * _BLOCK).values
-        assert_same_bits(x[:_BLOCK], lin[:_BLOCK])
+        identity = make_nonlinearity("identity")
+        for horizon in (_BLOCK - 1, 3 * _BLOCK):
+            lin = solve_linear(k, h, -0.3, horizon).values
+            x = solve_nonlinear(k, identity, h, -0.3, horizon).values
+            if horizon < _BLOCK:
+                assert_same_bits(x, lin)
+            assert scaled_gap(x, lin) <= 1e-12
 
     def test_f_sees_every_value_but_the_last_once_in_order(self):
         f, seen = recording(core._bounded_offset)
@@ -1367,17 +1435,11 @@ class TestResolventPrefix:
 
     def test_signed_kernel_in_log_domain_stays_per_step(self, monkeypatch):
         calls = self.count_prefixes(monkeypatch)
-        steps = []
-
-        def counted(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
-            steps.append((hi if hi is not None else len(out_l)) - lo)
-            return _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo, hi)
-
-        monkeypatch.setattr(core, "_log_linear_recursion", counted)
+        steps = record_per_step(monkeypatch)
         horizon = 4 * _BLOCK
         x = solve_linear(Kernel([0.5, -0.2, 0.1]), log_forcing("factorial", horizon), 1.0,
                          horizon)
-        assert sum(steps) == horizon
+        assert steps == [(1, horizon + 1)]
         assert calls == []
         assert np.all(x.sign == 1.0)
 
@@ -1393,11 +1455,12 @@ logger = logging.getLogger("volterra_lab.core")
 def reference_blocked_log_linear(kernel, lh, sh, xi, headroom=True):
     """(log|x|, sign x) on 0..len(lh)-1 as blocks of plain doubles times exp(ref).
 
-    The first block [0, B), a signed kernel and every block that cannot be
-    scaled (see the module docstring) run the per-step recursion, which
-    logs its first cancellation beyond ``_CANCELLATION`` once per solve.
-    Every other block [t, t+L) runs the plain Toeplitz step on its inputs
-    times exp(-ref); L <= B keeps the forcing's log-range within room + up,
+    A solve of at most B indices, a signed kernel and every block that
+    cannot be scaled (see the module docstring) run the per-step recursion,
+    which logs its first cancellation beyond ``_CANCELLATION`` once per
+    solve.  Every other block [t, t+L), from t = 1 on, runs the plain
+    Toeplitz step on its inputs times exp(-ref), the first one from the
+    history x(0) = xi; L <= B keeps the forcing's log-range within room + up,
     and a block whose range exceeds room lowers its ref by the excess.
     ``headroom=False`` sets up = 0: L <= B keeps the forcing's log-range
     plus log sum r[:B] within ``_SPAN``, and no block lowers its ref.
@@ -1425,16 +1488,15 @@ def reference_blocked_log_linear(kernel, lh, sh, xi, headroom=True):
             raise TrajectoryOverflowError(bad)
 
     b = _BLOCK
-    per_step(1, min(b, n))
     state = kernel._block_state if n > b and np.all(k >= 0.0) else None
     if state is None:
-        per_step(b, n)
+        per_step(1, n)
         return out_l, out_s
     r = state[0]
     room = _SPAN - math.log(np.sum(r))
     up = max(0.0, _CEILING - math.log(np.sum(r) * (1.0 + np.sum(k)))) if headroom else 0.0
     floor = _FLOOR * np.max(r) * (1.0 + np.sum(k))
-    t = b
+    t = 1
     while t < n:
         # longest run [t, t+L) whose nonzero forcing stays within room + up in log|H|
         live = sh[t : t + b] != 0.0
@@ -1553,7 +1615,8 @@ class TestBlockedLogOracle:
 
     def test_mixed_sign_history(self):
         # alternating signs through the first block, positive forcing after:
-        # the history of the first scaled block carries both signs
+        # the first block runs per step on its mixed forcing, and the history
+        # of the block after it carries both signs
         horizon = 4 * _BLOCK
         la = np.concatenate(([-np.inf], np.full(horizon, 2.0)))
         sg = np.ones(horizon + 1)
@@ -1664,7 +1727,7 @@ class TestLogHeadroom:
         shifts = record_shifts(monkeypatch)
         H = log_forcing("factorial", horizon)
         x = solve_linear(GROWTH_KERNEL, H, 1.25, horizon)
-        assert len(shifts) == 7 and sum(s > 0.0 for s in shifts) == 6
+        assert len(shifts) == 8 and sum(s > 0.0 for s in shifts) == 7
         ref_l, ref_s, bad = per_step_log_solve(GROWTH_KERNEL, H, 1.25, horizon)
         assert bad == -1
         _, (lh, _) = core._aligned_forcing(H, horizon, 1.25, log_domain=True)
@@ -1702,25 +1765,18 @@ class TestLongKernels:
         for row, hp in zip(x, h):
             ref = reference_solve(k.coefficients, hp, 0.5)[0]
             for got in (solve_linear(k, traj(hp), 0.5, horizon).values, row):
-                assert np.array_equal(got[:_BLOCK], ref[:_BLOCK])
                 assert scaled_gap(got, ref) <= 1e-12
 
     @pytest.mark.parametrize("m, horizon", [(257, 4 * _BLOCK), (300, 4 * _BLOCK),
                                             (2000, 4 * _BLOCK + 5)])
     def test_log_domain(self, monkeypatch, m, horizon):
-        # every block past the first is scaled, so each one reads a history
-        # shorter than M if t < M
-        steps = []
-
-        def counted(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
-            steps.append((hi if hi is not None else len(out_l)) - lo)
-            return _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo, hi)
-
+        # every block is scaled, so each one reads a history shorter than M
+        # if t < M, the first one from x(0) alone
         k = long_kernel(m)
         H = log_forcing("factorial", horizon)
-        monkeypatch.setattr(core, "_log_linear_recursion", counted)
+        steps = record_per_step(monkeypatch)
         x = solve_linear(k, H.to_log(), 1.25, horizon)
-        assert sum(steps) == _BLOCK - 1
+        assert steps == []
         ref_l, ref_s, bad = per_step_log_solve(k, H, 1.25, horizon)
         assert bad == -1
         assert_log_contract(x, ref_l, ref_s)
