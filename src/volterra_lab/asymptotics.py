@@ -47,12 +47,11 @@ from .spectral import _summability_caveat, multiplier_L
 logger = logging.getLogger(__name__)
 
 # estimator constants: the interquartile range under which tail ratios have
-# settled, the multiple of the median a spectral peak must clear, the
-# longest detectable period as a fraction of the series length, the highest
-# harmonic the spectral peak is taken to be, and the share of the window's
-# variance within which a fold score ties the best one
+# settled, the longest detectable period as a fraction of the series length,
+# the highest harmonic the spectral peak is taken to be, and the share of the
+# window's variance that a period's fold may leave, which is also the margin
+# within which a fold score ties the best one
 _IQR_TOLERANCE = 1e-3
-_NOISE_FACTOR = 3.0
 _MAX_PERIOD_FRACTION = 0.125
 _HARMONICS = 8
 _FOLD_SLACK = 1e-3
@@ -272,8 +271,8 @@ class PeriodicExtraction:
     ``pi`` is the periodic part extended over the full input range (the
     constant tail mean when no periodicity is found), ``residual`` the
     pointwise difference, and ``residual_tail_sup`` its sup over the tail
-    window the extraction used.  ``period`` is 0 when no periodicity is
-    found, and at least 2 otherwise.
+    window the extraction used.  ``period`` is 0 when no fold explains the
+    window (the verdict "aperiodic"), and at least 2 otherwise.
     """
 
     pi: Trajectory
@@ -290,11 +289,13 @@ class PeriodicExtraction:
 def extract_almost_periodic(g_over_a: Trajectory) -> PeriodicExtraction:
     """Split a bounded ratio series into a periodic part plus residual.
 
-    The period comes from the dominant discrete-spectrum peak of the tail
-    window, restricted to integer periods at most ``_MAX_PERIOD_FRACTION``
-    of the series length and refined by a folding score; if no spectral
-    peak clears ``_NOISE_FACTOR`` times the median magnitude, the series is
-    declared aperiodic and the constant tail mean is returned.
+    Candidate periods come from the dominant discrete-spectrum peak of the
+    tail window, restricted to integer periods at most
+    ``_MAX_PERIOD_FRACTION`` of the series length.  A period is a fold that
+    explains the window: the best candidate's fold must leave at most
+    ``_FOLD_SLACK`` of the window's variance.  Otherwise, and on a window
+    with zero variance, the series is aperiodic and the constant tail mean
+    is returned.
     """
     window = tail(g_over_a)
     max_period = max(2, int(len(g_over_a) * _MAX_PERIOD_FRACTION))
@@ -324,25 +325,23 @@ def _fold_score(window: Trajectory, period: int) -> float:
 
 
 def _spectral_period(window: Trajectory, max_period: int):
+    # every fold explains a window of one repeated value, which has zero
+    # variance; its mean-centred values are rounding noise, not a period
+    if len(window) < 8 or np.ptp(window.values) == 0.0:
+        return 0
     vals = window.values - np.mean(window.values)
-    if len(vals) < 8:
-        return 0
-    mags = np.abs(rfft(vals))[1:]
-    peak_bin = int(np.argmax(mags)) + 1
-    floor = median(mags)
-    if mags[peak_bin - 1] < _NOISE_FACTOR * max(floor, 1e-300):
-        return 0
+    peak_bin = int(np.argmax(np.abs(rfft(vals))[1:])) + 1
     # the peak is some harmonic h of the fundamental, so the fundamental
     # period lies near h times the peak's period
     near = {int(round(h * len(vals) / peak_bin)) for h in range(1, _HARMONICS + 1)}
     candidates = sorted({q for p in near for q in range(p - 2, p + 3) if 2 <= q <= max_period})
-    if not candidates:
-        return 0
-    # a multiple of a period folds as well as the period, so the smallest
-    # candidate within a small share of the window's variance of the best
-    # score wins
-    scores = [_fold_score(window, p) for p in candidates]
     slack = _FOLD_SLACK * float(np.mean(vals ** 2))
+    scores = [_fold_score(window, p) for p in candidates]
+    # a period's fold explains the window; a multiple of a period folds as
+    # well as the period, so the smallest candidate within the same share of
+    # the best score wins
+    if not candidates or min(scores) > slack:
+        return 0
     return next(p for p, s in zip(candidates, scores) if s <= min(scores) + slack)
 
 

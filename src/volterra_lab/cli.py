@@ -197,7 +197,8 @@ def _mode_verify_periodic(cfg, kernel, forcing, x, scale):
     extraction_x = extract_almost_periodic(lam_x)
     tol = cfg["tolerances"]["representation_residual"]
     expected = cfg.get("expected_period")
-    period_ok = extraction_x.period == expected if expected is not None else extraction_x.period > 0
+    period_ok = (extraction_x.period == expected if expected is not None
+                 else extraction_x.verdict == "periodic")
     verdicts = {
         "period_detected": bool(period_ok),
         "representation_residual": bool(rep_residual < tol),

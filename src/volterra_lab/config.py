@@ -301,10 +301,16 @@ class ExperimentConfig:
             if not data["k_grid"]:
                 raise ConfigError("config.k_grid", "must be a nonempty list")
             _each(data, "k_grid", "config", lambda k: k > 0.0, "must be positive")
+        # a period is at least 2, and a crossing outside the grid is never
+        # bracketed: either expectation would decide its verdict before the run
         if raw.get("expected_period") is not None:
-            data["expected_period"] = _int(raw, "expected_period", "config")
+            data["expected_period"] = _int(raw, "expected_period", "config", minimum=2)
         if "expected_crossing" in raw:
             data["expected_crossing"] = _float(raw, "expected_crossing", "config")
+            grid = data.get("k_grid")
+            if grid and not min(grid) <= data["expected_crossing"] <= max(grid):
+                raise ConfigError("config.expected_crossing",
+                                  f"must lie in the k_grid range [{min(grid):g}, {max(grid):g}]")
         if "lambda_grid" in raw or mode == "spectrum":
             data["lambda_grid"] = _floats(raw, "lambda_grid", "config", [0.0, 0.25, 0.5, 0.75, 1.0])
             _each(data, "lambda_grid", "config", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")

@@ -11,7 +11,7 @@ every number bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -57,13 +57,9 @@ __all__ = [
 # tail models
 # --------------------------------------------------------------------------
 
-def _default_modulus(x):
-    return np.log(x) ** 2
-
-
 # rapid-tail certificate: probe points, the relative quantile movement accepted
-# there, and the one modulus exponent delta* that both of its conditions are
-# checked at; no other exponent is tried
+# there, and the one exponent delta* of the modulus mu(x) = (log x)^2 that its
+# quantile test rescales by; no other exponent is tried
 _SSV_PROBES = (1e3, 1e4, 1e5, 1e6)
 _SSV_TOLERANCE = 0.02
 _DELTA_STAR = 0.025
@@ -628,7 +624,6 @@ class TailClassification:
     alpha: float = None
     case: str = None      # "i" | "ii" | "iii"
     ratio_limit: float = None
-    detail: dict = field(default_factory=dict)
 
 
 def _side_slopes(qfun):
@@ -647,7 +642,7 @@ def _side_slopes(qfun):
 
 
 def _rv_fit(tail: TailModel):
-    """Power-decay fit of either tail; None when the slope drifts."""
+    """Power-decay fit of either tail: (alpha, sides), or None when the slope drifts."""
     sides = {}
     right = _side_slopes(tail.upper_quantile)
     left = _side_slopes(lambda p: tail.quantile(np.asarray(p)))
@@ -661,68 +656,51 @@ def _rv_fit(tail: TailModel):
             sides[label] = -0.5 * (near + far)
     if not sides:
         return None
-    alpha = min(sides.values())
-    return {"alpha": alpha, "sides": sides}
+    return min(sides.values()), sides
 
 
-def _ssv_certificate(tail: TailModel):
+def _ssv_certificate(tail: TailModel) -> bool:
     """Finite-sample super-slow-variation check at the exponent delta*."""
     xs = np.asarray(_SSV_PROBES, dtype=np.float64)
     base = np.asarray(tail.upper_quantile(1.0 / xs), dtype=np.float64)
     if np.any(~np.isfinite(base)) or np.any(base <= 0.0):
-        return False, {"error": "quantile not positive at probe points"}
-    scaled = xs * _default_modulus(xs) ** _DELTA_STAR
+        return False
+    scaled = xs * (np.log(xs) ** 2) ** _DELTA_STAR
     moved = np.asarray(tail.upper_quantile(1.0 / scaled), dtype=np.float64)
-    dev = float(np.max(np.abs(moved / base - 1.0)))
-    detail = {f"deviation_delta_{_DELTA_STAR:g}": dev}
-    ratio_ok = dev < _SSV_TOLERANCE
-    n = np.logspace(4, 5, 60)
-    summand = 1.0 / (n * _default_modulus(n) ** _DELTA_STAR)
-    verdict, slope = _decay_regression(n, summand)
-    detail["modulus_series_slope"] = slope
-    detail["modulus_series_verdict"] = verdict
-    return ratio_ok and verdict == "convergent", detail
+    return bool(np.max(np.abs(moved / base - 1.0)) < _SSV_TOLERANCE)
 
 
 def classify_tail(tail: TailModel) -> TailClassification:
     """Sort a tail model into rapid (thin) or regularly varying (power).
 
-    The rapid certificate checks that the upper quantile barely moves when
-    its argument is rescaled by mu(x)**delta*, and that the modulus series
-    sum 1/(n mu(n)**delta*) passes the convergence regression.  The
-    regularly-varying branch fits a stable log-log tail slope -alpha and
-    decides the side balance from the limit of G(x) / F(-x): infinite is
-    case i, zero case ii, a finite positive constant case iii.  Conflicting
-    or failing certificates yield "undecided".
+    The rapid certificate is one quantile condition: the upper quantile
+    moves by less than ``_SSV_TOLERANCE`` when its argument is rescaled by
+    mu(x)**delta* at the probe points.  The regularly-varying branch fits a
+    stable log-log tail slope -alpha and decides the side balance from the
+    limit of G(x) / F(-x): infinite is case i, zero case ii, a finite
+    positive constant case iii.  A tail that passes both tests, or neither,
+    or has no settled balance, is "undecided".
     """
     rv = _rv_fit(tail)
-    rapid_ok, ssv_detail = _ssv_certificate(tail)
-    if rapid_ok and rv is not None:
-        return TailClassification(
-            verdict="undecided", detail={"conflict": True, "ssv": ssv_detail, "rv": rv}
-        )
-    if rapid_ok:
-        return TailClassification(verdict="rapid", detail={"ssv": ssv_detail})
+    if _ssv_certificate(tail):
+        return TailClassification("rapid" if rv is None else "undecided")
     if rv is not None:
+        alpha, sides = rv
         xs = np.abs(np.asarray(tail.upper_quantile(np.array([1e-4, 1e-6]))))
-        if "left" in rv["sides"]:
+        if "left" in sides:
             xs = np.maximum(xs, np.abs(np.asarray(tail.quantile(np.array([1e-4, 1e-6])))))
         with np.errstate(divide="ignore"):
             num = np.asarray(tail.sf(xs), dtype=np.float64)
             den = np.asarray(tail.cdf(-xs), dtype=np.float64)
         ratios = np.divide(num, den, out=np.full_like(num, np.inf), where=den > 0.0)
-        detail = {"rv": rv, "balance_ratios": [float(r) for r in ratios]}
         if np.all(ratios > 100.0):
-            return TailClassification("regularly-varying", alpha=rv["alpha"], case="i", detail=detail)
+            return TailClassification("regularly-varying", alpha=alpha, case="i")
         if np.all(ratios < 0.01):
-            return TailClassification("regularly-varying", alpha=rv["alpha"], case="ii", detail=detail)
+            return TailClassification("regularly-varying", alpha=alpha, case="ii")
         if ratios[0] > 0 and np.isfinite(ratios).all() and abs(ratios[1] / ratios[0] - 1.0) < 0.5:
-            return TailClassification(
-                "regularly-varying", alpha=rv["alpha"], case="iii",
-                ratio_limit=float(ratios[1]), detail=detail,
-            )
-        return TailClassification("undecided", detail=detail)
-    return TailClassification("undecided", detail={"ssv": ssv_detail})
+            return TailClassification("regularly-varying", alpha=alpha, case="iii",
+                                      ratio_limit=float(ratios[1]))
+    return TailClassification("undecided")
 
 
 # --------------------------------------------------------------------------

@@ -454,11 +454,29 @@ class TestExtraction:
         assert np.all(ext.pi.values == 3.25)
         assert np.all(ext.residual.values == 0.0)
 
-    def test_noise_yields_aperiodic_verdict(self):
-        # short window keeps the noise-floor rule decisive for white noise
+    def test_constant_with_an_inexact_mean_is_aperiodic(self):
+        # the mean of 1000 copies of 1/3 is not 1/3 in doubles, so the
+        # centred window is rounding noise, which some fold leaves nothing of
+        ext = extract_almost_periodic(traj(np.full(4000, 1.0 / 3.0)))
+        assert ext.verdict == "aperiodic"
+        assert ext.period == 0
+
+    @pytest.mark.parametrize("n", [256, 2000, 20000])
+    def test_noise_yields_aperiodic_verdict(self, n):
+        # white noise still has a largest spectral bin, so it has candidate
+        # periods, but no fold explains the window: the best one leaves
+        # nearly all of the window's variance
         rng = np.random.Generator(np.random.Philox(32))
-        g = traj(rng.normal(size=256))
+        g = traj(rng.normal(size=n))
         ext = extract_almost_periodic(g)
+        assert ext.verdict == "aperiodic"
+        assert ext.period == 0
+
+    def test_quasi_periodic_series_is_aperiodic(self):
+        # sin(sqrt(2) n) has no integer period: the best fold near its
+        # spectral peak leaves almost all of the window's variance
+        n = np.arange(20001, dtype=float)
+        ext = extract_almost_periodic(traj(1.3 + np.sin(np.sqrt(2.0) * n)))
         assert ext.verdict == "aperiodic"
         assert ext.period == 0
 

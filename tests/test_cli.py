@@ -80,6 +80,15 @@ _MALFORMED = [
     ("forcing", {"kind": "random_walk_drift", "drift": math.inf}, "config.forcing.drift"),
     ("tolerances", {"min_pass_fraction": math.nan}, "config.tolerances.min_pass_fraction"),
     ("expected_crossing", math.nan, "config.expected_crossing"),
+    # verdicts decided before the run: no series has period 1, and a period
+    # of 0 would read an aperiodic series as a match; a crossing outside
+    # the K grid is never bracketed
+    ("expected_period", 1, "config.expected_period"),
+    ("expected_period", 0, "config.expected_period"),
+    pytest.param(("k_grid", "expected_crossing"), ([0.8, 1.2], 1.5), "config.expected_crossing",
+                 id="crossing-above-k_grid"),
+    pytest.param(("k_grid", "expected_crossing"), ([0.8, 1.2], 0.5), "config.expected_crossing",
+                 id="crossing-below-k_grid"),
     # a family takes only the parameters its builder names
     ("forcing.tail", {"family": "normal", "sigam": 2.0}, "config.forcing.tail"),
     ("nonlinearity", {"name": "solow", "params": {"detla": 0.5}}, "config.nonlinearity"),
@@ -107,12 +116,15 @@ _MALFORMED = [
 
 
 def _malformed(field, value):
+    """_ENSEMBLE with value at a dotted field, or each value at its field of a tuple."""
     raw = copy.deepcopy(_ENSEMBLE)
-    *parents, leaf = field.split(".")
-    section = raw
-    for key in parents:
-        section = section[key]
-    section[leaf] = value
+    fields, values = (field, value) if isinstance(field, tuple) else ((field,), (value,))
+    for field, value in zip(fields, values):
+        *parents, leaf = field.split(".")
+        section = raw
+        for key in parents:
+            section = section[key]
+        section[leaf] = value
     return raw
 
 
@@ -443,6 +455,26 @@ class TestCommandLine:
         assert code == 0
         stats = json.loads((tmp_path / "out" / "report.json").read_text())["statistics"]
         assert stats["detected_period_H"] == stats["detected_period_x"] == 7
+
+    @pytest.mark.parametrize("factor", [
+        {"kind": "sinusoid", "frequencies": [math.sqrt(2.0)], "offset": 1.3},
+        {"kind": "iid_uniform", "low": 0.5, "high": 1.5},
+    ], ids=["quasi_periodic", "noise"])
+    def test_aperiodic_factor_fails_period_detected(self, factor, tmp_path, capsys):
+        # sin(sqrt(2) n) has no integer period and uniform noise none at all:
+        # no fold explains x/a, so a run with no expected period fails
+        path = self._write_config(tmp_path, {
+            "horizon": 20000,
+            "kernel": {"coefficients": [0.5]},
+            "forcing": _modulated(factor),
+            "scaling": {"name": "power", "params": {"theta": 1.0}},
+        })
+        code = main(["verify-periodic", "--config", str(path), "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert code == 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["verdicts"]["period_detected"] is False
+        assert report["statistics"]["detected_period_x"] == 0
 
     def test_exit_two_on_failed_check(self, tmp_path, capsys):
         # impossible tolerance forces a failed verdict, not a crash

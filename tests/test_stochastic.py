@@ -16,6 +16,7 @@ from volterra_lab.stochastic import (
     EnsembleSpec,
     ForcingGenerator,
     StatisticSpec,
+    TailClassification,
     TailModel,
     classify_tail,
     ensemble_verify,
@@ -574,6 +575,20 @@ class TestClassifyTail:
     def test_symmetrized_exponential_is_rapid(self):
         c = classify_tail(make_tail_model("weibull_symmetric", scale=1.0, shape=1.0))
         assert c.verdict == "rapid"
+
+    def test_tail_passing_both_tests_is_undecided(self):
+        # at alpha = 20 the quantile barely moves under the rescaling, and
+        # the log-log slope is stable too
+        t = make_tail_model("symmetric_power", alpha=20.0, c1=0.5, c2=0.5)
+        assert stochastic._ssv_certificate(t) and stochastic._rv_fit(t) is not None
+        assert classify_tail(t) == TailClassification("undecided")
+
+    def test_tail_passing_neither_test_is_undecided(self):
+        # a stretched exponential of shape 0.3 is too heavy for the quantile
+        # test, and its log-log slope drifts
+        t = make_tail_model("weibull_symmetric", scale=1.0, shape=0.3)
+        assert not stochastic._ssv_certificate(t) and stochastic._rv_fit(t) is None
+        assert classify_tail(t) == TailClassification("undecided")
 
     def test_right_dominant_power_is_case_i(self):
         # right tail power decay, left tail exponential
