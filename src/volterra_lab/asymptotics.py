@@ -30,6 +30,7 @@ from .core import Kernel, recover_forcing, solve_linear
 from .exceptions import InputError, ParameterError
 from .growth_catalogue import CatalogueEntry
 from .series import (
+    _LOG_DOUBLE_MAX,
     LogTrajectory,
     Trajectory,
     abs_log_series,
@@ -497,7 +498,7 @@ def phi_average_bounds(kernel: Kernel, x, forcing, phi: ConvexFunctional,
     log_slack = math.log1p(slack)
 
     def _exp(v):
-        return float(np.exp(v)) if v <= 709.0 else math.inf
+        return float(np.exp(v)) if v <= _LOG_DOUBLE_MAX else math.inf
 
     return PhiMomentReport(
         lhs=_exp(lhs_log), rhs=_exp(rhs_log),

@@ -31,11 +31,11 @@ Which engine runs where (B = 256 for a kernel of any length M):
   O(horizon * (B + M)) in all.  R is the lower-triangular Toeplitz matrix
   of r[:B] and the min(B, M) x M matrix Hk maps the history to its part of
   the block's first min(B, M) forcings; the first block's history is
-  x(0) alone.  A solve of at most B values in all (paths times indices)
-  runs the per-term recursion, and so does the first block [0, B) of a
-  kernel with a negative coefficient, whose blocks then start at t = B.
-  A row whose block turns non-finite runs that block again at a
-  power-of-2 scale (see below).
+  x(0) alone.  Blocks run for a kernel with sum |k| <= 1, signed or not,
+  which keeps |r(n)| <= 1 (``Kernel._block_state``); any other kernel,
+  and a solve of at most B values in all (paths times indices), runs the
+  per-term recursion on each row.  A row whose block turns non-finite
+  runs that block again at a power-of-2 scale (see below).
 * ``stochastic.ensemble_verify`` runs the same engine on many plain-domain
   paths at once: their forcings are the rows of one (P, N) array, solved
   in place, so each block step is one pair of products for all P rows.
@@ -51,8 +51,8 @@ Which engine runs where (B = 256 for a kernel of any length M):
   the per-step log recursion when its nonzero forcing and history signs
   differ, when L would be 1, or when a scaled |x| falls below a floor
   where underflowed inputs could show; a kernel with a negative
-  coefficient, an r[:B] that overflows, or a solve of at most B values
-  runs per step throughout, the plain engine's rule for one path.  Only same-signed sums are ever scaled, so no
+  coefficient, one with sum k > 1, or a solve of at most B values runs
+  per step throughout.  Only same-signed sums are ever scaled, so no
   cancellation is hidden.  The block's forcing
   maximum comes from the running maximum that sized it, and its sign test
   is the largest and smallest sign of its forcing and history, so a block
@@ -72,24 +72,21 @@ Which engine runs where (B = 256 for a kernel of any length M):
   sum carries that engine's accuracy contract below; ``resolvent`` stays
   the per-term oracle the representation is built on.
 
-Accuracy contract of the plain blocked engine: wherever it runs the
-per-term recursion (a solve of at most B values in all, the first block
-of a signed kernel) it is bitwise the reference.  Elsewhere its scaled gap to
-the reference, max |x - x_ref| / max(|x_ref|, 1) for a forcing of order
-one (the floor is the forcing's scale), is at most 1e-12 on summable,
-marginal (sum k = 1) and growing kernels up to sum k = 1.5 at horizons
-up to a few thousand, and about 1e-15 on summable kernels at any
-horizon.  On marginal kernels both engines drift from exact arithmetic
-by rounding that grows with the horizon, by about 1e-12 at 2e5 steps each
-against extended precision.  On kernels without a negative coefficient,
-both raise on the same first non-finite index: a block's products
-r(i - j) f(j) can overflow, by up to a factor max|r[:B]|, where the
-per-term sums do not, so a row that turns non-finite runs its block
-again at the power of 2 that brings its largest |f| into [0.5, 1), which
-is exact.  A signed kernel's solutions can grow while changing sign, and
-their cancelling sums round differently in a block: beyond its first
-block the gap can exceed 1e-12 (2e-10 seen with k ~ 3 N(0, 1) at
-N = 600) and the first non-finite index differ by a few steps either way.
+Accuracy contract of the plain blocked engine: for a kernel with
+sum |k| > 1, or a solve of at most B values in all, it is bitwise the
+reference, its first non-finite index included.  For any other kernel,
+signed or not, its scaled gap to the reference, max |x - x_ref| /
+max(|x_ref|, 1) for a forcing of order one (the floor is the forcing's
+scale), is at most 1e-12 from index 0 at horizons up to a few thousand,
+and about 1e-15 on summable kernels at any horizon: with |r| <= 1 no
+product r(i - j) f(j) exceeds its input, so a block's sum cannot cancel
+far below its terms.  On marginal kernels (sum k = 1) both engines drift
+from exact arithmetic by rounding that grows with the horizon, by about
+1e-12 at 2e5 steps each against extended precision.  Both raise on the
+same first non-finite index: a row whose block turns non-finite runs it
+again at the power of 2 that brings its forcing and history into
+[0.5, 1), which is exact, so no partial sum overflows before the
+per-term value does.
 
 Batch contract: every row of a P-row solve keeps that contract, and is
 within the gap of the same path solved alone.  A row that overflows fails
@@ -101,10 +98,10 @@ same BLAS give the same bits.
 
 Accuracy contract of the log engine: bitwise equal to the per-step log
 recursion on every block that runs per step (so on all of a solve with a
-signed kernel or sign-incoherent forcing).  On scaled blocks, the first
-included, the signs equal the per-step recursion's, and log|x| is within
-1e-12 + 1e-15 |log|x|| of the exact value, the second term being the
-rounding of log|x| itself as one double.  The same bound holds against
+signed kernel, sum k > 1 or sign-incoherent forcing).  On scaled blocks,
+the first included, the signs equal the per-step recursion's, and log|x|
+is within 1e-12 + 1e-15 |log|x|| of the exact value, the second term
+being the rounding of log|x| itself as one double.  The same bound holds against
 the per-step recursion on the growth catalogue and the growth, ergodic
 and random-walk configurations tested; with decaying forcing the per-step
 recursion itself drifts further from the exact value than that, and the
@@ -215,10 +212,10 @@ class Kernel:
 
         The engine solves for r from r(0) = 1 with zero forcing: r(n) is
         bitwise the per-term :func:`resolvent` where the per-term loop runs
-        (a horizon below 256, and the first 256 indices of a signed kernel),
-        and within the engine's scaled gap of it elsewhere (see the module
-        docstring).  An overflow raises at the engine's first non-finite
-        index, the resolvent's for a kernel without a negative coefficient.
+        (a horizon below 256, or sum |k| > 1), and within the engine's
+        scaled gap of it elsewhere (see the module docstring).  Only the
+        per-term loop can overflow, since blocks keep |r| <= 1, so an
+        overflow raises at the resolvent's own first non-finite index.
         """
         r = np.zeros((1, _solve_horizon(horizon, least=0) + 1))
         bad = _blocked_linear(self, r, 1.0)
@@ -229,12 +226,12 @@ class Kernel:
     @cached_property
     def _block_state(self):
         """(r[:B], R, Hk) of the blocked engines, shared by every blocked
-        solve with this kernel; None if r[:B] overflows.  R and Hk of
-        ``_toeplitz_matrices`` take 8 (B^2 + min(B, M) M) bytes."""
-        try:
-            r = _reference_linear(self.coefficients, np.zeros(_BLOCK), 1.0)
-        except TrajectoryOverflowError:
+        solve with this kernel; None unless sum |k| <= 1, which keeps
+        |r(n)| <= 1 (r(n+1) = sum k(l) r(n-l) from r(0) = 1): the one rule
+        for where blocks run.  R and Hk take 8 (B^2 + min(B, M) M) bytes."""
+        if self.l1_norm > 1.0:
             return None
+        r = _reference_linear(self.coefficients, np.zeros(_BLOCK), 1.0)
         r.flags.writeable = False
         return (r, *_toeplitz_matrices(self.coefficients, r))
 
@@ -471,53 +468,48 @@ def _blocked_linear(kernel, x, xi):
     On entry row p of x holds a forcing on 0..N-1 (index 0 is not read), on
     return its solution x(0..N-1) from the start ``xi``.  The returned
     bad[p] is -1, or the first non-finite index of row p; past it the row
-    holds no meaningful values.  From x(0) = xi, every block [t, t+L),
-    t = 1, 1 + B, ..., solves all rows at once with ``_toeplitz_block``,
-    from the history x[max(0, t - M):t].  Each row runs the per-term loop
-    instead on all of a solve of at most B values in all (P N <= B) or with
-    a kernel whose r[:B] overflows, and on the first block [0, B) of a
-    signed kernel, whose solutions can grow while changing sign: a block
-    rounds their cancelling sums by more than the gap.  A block's products
-    r(i - j) f(j) can overflow, by up to a factor max|r[:B]|, where the
-    per-term sums do not, so ``_all_failed`` solves a row that turns
+    holds no meaningful values.  Without a block state (sum |k| > 1) or
+    with at most B values in all (P N <= B), each row runs the per-term
+    loop.  Otherwise, from x(0) = xi, every block [t, t+L), t = 1, 1 + B,
+    ..., solves all rows at once with ``_toeplitz_block``, from the history
+    x[max(0, t - M):t], and ``_all_failed`` solves a row that turns
     non-finite again.
     """
     k = kernel.coefficients
-    n = x.shape[1]
     state = kernel._block_state if x.size > _BLOCK else None
-    head = n if state is None else min(n, _BLOCK) if np.any(k < 0.0) else 1
     bad = np.full(len(x), -1)
     x[:, 0] = xi
-    if head > 1:
-        bad[:] = [_linear_recursion(k, row, xi, row[:head]) for row in x]
-        if head == n or bad.min() >= 0:
-            return bad
+    if state is None:
+        bad[:] = [_linear_recursion(k, row, xi, row) for row in x]
+        return bad
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(head, n, _BLOCK):
-            f = x[:, t : t + _BLOCK].copy()
-            block = _toeplitz_block(state, f, x[:, max(0, t - len(k)) : t])
-            done = _all_failed(bad, block, t, f, state[1])
-            x[:, t : t + block.shape[1]] = block
+        for t in range(1, x.shape[1], _BLOCK):
+            h, prev = x[:, t : t + _BLOCK], x[:, max(0, t - len(k)) : t]
+            block = _toeplitz_block(state, h.copy(), prev)
+            done = _all_failed(bad, block, t, h, prev, state)
+            h[:] = block
             if done:
                 break
     return bad
 
 
-def _all_failed(bad, block, t, f, r):
+def _all_failed(bad, block, t, h, prev, state):
     """Set bad[p] of each row p not yet failed to its first non-finite index
     in ``block``, whose first column is index t; True once every row failed.
 
-    ``block`` is f @ R[:L, :L].T, R = ``r``.  A row that turns non-finite
-    here runs it again first, at the power of 2 that brings its largest |f|
-    into [0.5, 1), which is exact: its products can no longer overflow, only
-    a sum that would at scale 1.
+    ``block`` is the block step on forcing h and history prev.  A row that
+    turns non-finite here runs it again first, on h and prev times the power
+    of 2 that brings their largest |.| into [0.5, 1), which is exact: no
+    partial sum can then overflow, in whatever order BLAS adds it, nor an
+    infinite forcing plus history times a zero of R make earlier indices NaN.
     """
     finite = np.isfinite(block)
     if not finite.all():
-        size = block.shape[1]
         redo = (bad < 0) & ~finite.all(axis=1)
-        e = np.frexp(np.abs(f[redo]).max(axis=1, keepdims=True))[1]
-        block[redo] = np.ldexp(np.ldexp(f[redo], -e) @ r[:size, :size].T, e)
+        h, prev = h[redo], prev[redo]
+        top = np.maximum(np.abs(h).max(axis=1), np.abs(prev).max(axis=1, initial=0.0))
+        e = np.frexp(top)[1][:, None]
+        block[redo] = np.ldexp(_toeplitz_block(state, np.ldexp(h, -e), np.ldexp(prev, -e)), e)
         finite[redo] = np.isfinite(block[redo])
         new = (bad < 0) & ~finite.all(axis=1)
         bad[new] = t + np.argmin(finite[new], axis=1)
@@ -579,14 +571,15 @@ _FLOOR = 1e-280
 def _blocked_log_linear(kernel, lh, sh, xi):
     """(log|x|, sign x) on 0..len(lh)-1 as blocks of plain doubles times exp(ref).
 
-    A solve of at most B indices, a signed kernel and every block that
-    cannot be scaled (see the module docstring) run the per-step
-    recursion, which logs its first cancellation beyond ``_CANCELLATION``
-    once per solve.  Every other block [t, t+L), from t = 1 and the history
-    x(0) = xi on, runs the plain Toeplitz step on its inputs times
-    exp(-ref); L <= B keeps the forcing's log-range within room + up,
-    room = ``_SPAN`` - log sum r[:B] below 1 and
-    up = ``_CEILING`` - log(sum r[:B] (1 + sum k)) above it.  A block whose
+    A solve of at most B indices, a kernel with a negative coefficient or
+    without a block state (sum k > 1), and every block that cannot be
+    scaled (see the module docstring) run the per-step recursion, which
+    logs its first cancellation beyond ``_CANCELLATION`` once per solve.
+    Every other block [t, t+L), from t = 1 and the history x(0) = xi on,
+    runs the plain Toeplitz step on its inputs times exp(-ref); L <= B
+    keeps the forcing's log-range within room + up, room = ``_SPAN`` -
+    log sum r[:B] below 1 and up = ``_CEILING`` - log(sum r[:B] (1 + sum k))
+    above it, at least 693 since r <= 1 and sum k <= 1.  A block whose
     spread s exceeds room lowers its ref by s - room <= up, so its scaled
     |x| stays at most exp(``_CEILING``); every other block keeps ref, the
     largest log|.| among its forcing and history.  The running maximum of
@@ -623,7 +616,7 @@ def _blocked_log_linear(kernel, lh, sh, xi):
         return out_l, out_s
     r = state[0]
     room = _SPAN - math.log(np.sum(r))
-    up = max(0.0, _CEILING - math.log(np.sum(r) * (1.0 + np.sum(k))))
+    up = _CEILING - math.log(np.sum(r) * (1.0 + np.sum(k)))
     floor = _FLOOR * np.max(r) * (1.0 + np.sum(k))
     # sign 0 exactly where log|H| = -inf, so lh is its own maximum over the
     # nonzero forcing, and ``low`` its minimum

@@ -30,6 +30,8 @@ __all__ = [
     "dyadic_blocks",
 ]
 
+_LOG_DOUBLE_MAX = 709.0  # largest log|value| of a plain double: e^709 < DBL_MAX ~ e^709.78
+
 
 class _Indexed:
     """The index range start..end of len(self) values that both forms store."""
@@ -147,10 +149,10 @@ class LogTrajectory(_Indexed):
         """Materialise plain values.
 
         This is the package's one double-range rule: a magnitude above
-        e^709 is refused, whatever the sequence is.
+        e^709 (``_LOG_DOUBLE_MAX``) is refused, whatever the sequence is.
         """
-        if np.any(self.log_abs > 709.0):
-            idx = self.start + int(np.flatnonzero(self.log_abs > 709.0)[0])
+        if np.any(self.log_abs > _LOG_DOUBLE_MAX):
+            idx = self.start + int(np.flatnonzero(self.log_abs > _LOG_DOUBLE_MAX)[0])
             raise InputError(
                 f"log magnitude at index {idx} too large for plain representation; "
                 "run with log_domain=True"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volterra_lab import core, stochastic
@@ -496,7 +496,8 @@ class TestBlockedEngine:
         assert err.value.index == bad
 
     def test_resolvent_overflow_inside_block_falls_back(self):
-        # r(n) = 100^n overflows inside the first block; x stays exactly zero
+        # sum|k| = 100 > 1 runs the per-term loop, where r(n) = 100^n would
+        # overflow inside the first block; x stays exactly zero
         x = solve_linear(Kernel([100.0]), traj(np.zeros(2 * _BLOCK + 1)), 0.0, 2 * _BLOCK)
         assert np.array_equal(x.values, np.zeros(2 * _BLOCK + 1))
 
@@ -583,13 +584,13 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
-def rows_match_reference(kernel, h, xi, x, bad, upto=None):
-    """Each row of x bitwise the per-term loop's on [0, upto), or through its
-    first non-finite index, which bad must name."""
+def rows_match_reference(kernel, h, xi, x, bad):
+    """Each row of x bitwise the per-term loop's, through its first
+    non-finite index, which bad must name."""
     for row, hp, b in zip(x, h, bad):
         ref, ref_bad = reference_solve(kernel.coefficients, hp, xi)
         assert b == ref_bad
-        end = ref_bad + 1 if ref_bad >= 0 else upto
+        end = ref_bad + 1 if ref_bad >= 0 else None
         assert np.array_equal(bits(row[:end]), bits(ref[:end]))
 
 
@@ -599,17 +600,18 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("kernel, paths, xi", [
         (KERNEL, 20, 0.7), (Kernel([1.0]), 20, 0.7), (Kernel([1.9, -0.95]), 20, 0.7),
-        (Kernel.zero(), 20, 0.7),
+        (Kernel([0.4, -0.3, 0.2]), 20, 0.7), (Kernel.zero(), 20, 0.7),
         # M = 300 > B: the first blocks read a history shorter than M
         (LONG, 20, 0.7),
         # forcings with signed zeros, from xi = -0.0, and all-zero rows
-        (KERNEL, 16, -0.0), (Kernel([1.9, -0.95]), 16, -0.0),
+        (KERNEL, 16, -0.0), (Kernel([1.9, -0.95]), 16, -0.0), (Kernel([0.4, -0.3, 0.2]), 16, -0.0),
         # the smallest batch
         (Kernel.geometric(0.3, 0.5, 12), 2, 0.7),
-    ], ids=["kernel0", "kernel1", "kernel2", "zero", "M300", "zeros", "zeros-signed", "P2"])
+    ], ids=["kernel0", "kernel1", "kernel2", "signed", "zero", "M300", "zeros", "zeros-signed",
+            "zeros-signed-summable", "P2"])
     def test_every_row_from_index_0_is_within_the_gap(self, kernel, paths, xi):
-        # past a signed kernel's first block, and from index 1 for any other,
-        # every block runs all rows at once
+        # a kernel with sum|k| <= 1, signed or not, runs every block on all
+        # rows at once from index 1; any other runs the per-term loop on each row
         h = batch_forcing(20, paths, 3 * _BLOCK + 7)
         if math.copysign(1.0, xi) < 0:
             h[:, ::3] = -0.0
@@ -618,26 +620,28 @@ class TestBatchedEngine:
         assert np.all(bad == -1)
         for row, hp in zip(x, h):
             assert scaled_gap(row, reference_solve(kernel.coefficients, hp, xi)[0]) <= 1e-12
-        if np.any(kernel.coefficients < 0.0):
-            # a signed kernel's first block runs the per-term loop
-            rows_match_reference(kernel, h, xi, x, bad, _BLOCK)
+        if kernel.l1_norm > 1.0:
+            rows_match_reference(kernel, h, xi, x, bad)
         assert bits(x[:, 0]).tolist() == bits(np.full(paths, xi)).tolist()
         if math.copysign(1.0, xi) < 0:
             assert np.all(x[::2] == 0.0)
 
-    @pytest.mark.parametrize("paths, size, horizon, per_term", [
+    @pytest.mark.parametrize("kernel, paths, horizon, per_term", [
         # every row of a solve of at most B values in all runs the per-term
-        # loop; larger solves run blocks, at any kernel length
-        (1, 300, _BLOCK - 1, True),
-        (1, 300, _BLOCK, False),
-        (2, 1, _BLOCK // 2 - 1, True),
-        (2, 1, _BLOCK // 2, False),
-        (2, 300, 2 * _BLOCK, False),
+        # loop; larger solves run blocks, at any kernel length, when sum|k| <= 1
+        (Kernel.geometric(0.3, 0.5, 300), 1, _BLOCK - 1, True),
+        (Kernel.geometric(0.3, 0.5, 300), 1, _BLOCK, False),
+        (Kernel.geometric(0.3, 0.5, 1), 2, _BLOCK // 2 - 1, True),
+        (Kernel.geometric(0.3, 0.5, 1), 2, _BLOCK // 2, False),
+        (Kernel.geometric(0.3, 0.5, 300), 2, 2 * _BLOCK, False),
+        # the kernel's sign takes no part; sum|k| > 1 runs every row per term
+        (Kernel([0.4, -0.3, 0.2]), 2, 2 * _BLOCK, False),
+        (Kernel([0.6, 0.5]), 2, 2 * _BLOCK, True),
     ], ids=["one-short-row", "one-row", "two-short-rows", "two-rows-past-B-values",
-            "two-rows"])
-    def test_dispatch_rule(self, monkeypatch, paths, size, horizon, per_term):
-        kernel = Kernel.geometric(0.3, 0.5, size)
-        assert kernel._block_state is not None  # r[:B] by the per-term loop, before counting
+            "two-rows", "signed", "growing"])
+    def test_dispatch_rule(self, monkeypatch, kernel, paths, horizon, per_term):
+        # r[:B] by the per-term loop, before counting
+        assert (kernel._block_state is None) == (kernel.l1_norm > 1.0)
         calls = []
         linear_recursion = core._linear_recursion
         monkeypatch.setattr(core, "_linear_recursion",
@@ -690,21 +694,44 @@ class TestBatchedEngine:
         assert bad[2] == 701 and 100 < bad[4] < _BLOCK
 
     @pytest.mark.parametrize("delay", [0, _BLOCK + 40], ids=["first-block", "later-block"])
-    def test_rows_whose_products_alone_overflow_are_solved_again(self, delay):
-        # r(n) = 1.1^n reaches 3.6e10 within a block, so near DBL_MAX its
-        # products r(i - j) g(j) overflow up to 33 steps before the per-term
-        # sums; solved again at a power of 2, each row fails where they do
-        kernel = Kernel([1.1])
-        h = np.random.Generator(np.random.Philox(70)).normal(size=(6, 4 * _BLOCK)) * 1e300
+    def test_rows_whose_block_sums_overflow_are_solved_again(self, delay):
+        # x(n+1) = 0.999 x(n) + H(n+1), a random walk of steps 1e307 that
+        # reaches DBL_MAX.  With |r| <= 1 no product overflows, but a block's
+        # sums, in the order BLAS adds them, can (on one BLAS, rows 0 and 1
+        # at 205 and 218 in the first block, and row 2 at 747 in a later one,
+        # against 289, 384 and 819); solved again at a power of 2, each row
+        # fails where the per-term loop does
+        kernel = Kernel([0.999])
+        h = np.random.Generator(np.random.Philox(71)).normal(size=(3, 4 * _BLOCK)) * 1e307
         h[:, :delay] = 0.0
         x, bad = batch_solve(kernel, h, 0.0)
         for row, hp, b in zip(x, h, bad):
             ref, ref_bad = reference_solve(kernel.coefficients, hp, 0.0)
             assert b == ref_bad > delay
-            assert scaled_gap(row[:b] / 1e300, ref[:b] / 1e300) <= 1e-12
+            assert scaled_gap(row[:b] / 1e307, ref[:b] / 1e307) <= 1e-12
 
-    def test_prefix_overflow_runs_every_row_on_the_reference(self):
-        # every row runs the per-term loop, one or several
+    @pytest.mark.parametrize("kernel, spikes", [
+        # x(B + 2) = 0.999 x(B) + 1e308 overflows, x(B + 1) = 0 does not
+        (Kernel([0.0, 0.999]), [1.7e308, 0.0, 1e308]),
+        # x(B..B+2) = 1.7e308, 0.85e308, 1.425e308, and then it decays
+        (Kernel([-0.5, 0.5]), [1.7e308, 1.7e308, 1e308]),
+    ], ids=["fails-at-B+2", "never-fails"])
+    def test_block_whose_forcing_plus_history_overflows_is_solved_again(self, kernel, spikes):
+        # spikes at B, B + 1 and B + 2: the block from B + 1 adds the history
+        # k(1) x(B) to H(B + 2) = 1e308, which overflows, and inf times the
+        # zero R[0, 1] makes x(B + 1) NaN.  Solved again at a power of 2,
+        # each row fails where the per-term loop does
+        h = np.zeros((2, 3 * _BLOCK))
+        h[0, _BLOCK : _BLOCK + 3] = spikes
+        x, bad = batch_solve(kernel, h, 0.0)
+        for row, hp, b in zip(x, h, bad):
+            ref, ref_bad = reference_solve(kernel.coefficients, hp, 0.0)
+            assert b == ref_bad
+            end = ref_bad if ref_bad >= 0 else len(hp)
+            assert scaled_gap(row[:end] / 1e308, ref[:end] / 1e308) <= 1e-12
+
+    def test_growing_kernel_runs_every_row_on_the_reference(self):
+        # sum|k| > 1: every row runs the per-term loop, one or several
         for paths in (1, 3):
             h = batch_forcing(60, paths, 3 * _BLOCK)
             h[:, : _BLOCK + 5] = 0.0
@@ -712,11 +739,10 @@ class TestBatchedEngine:
             rows_match_reference(Kernel([100.0]), h, 0.0, x, bad)
             assert np.all(bad > _BLOCK)
 
-    def test_prefix_overflow_over_several_chunks(self):
-        # r(n) ~ 21^n overflows before B, so every row runs the per-term loop
-        # to the end, each chunk past the first from M values of history: a
-        # zero row, two that reach 1e264 and one that overflows soon after its
-        # forcing starts
+    def test_growing_kernel_runs_per_term_over_several_chunks(self):
+        # sum|k| = 800 > 1, so every row runs the per-term loop to the end,
+        # each chunk past the first from M values of history: a zero row, two
+        # that reach 1e264 and one that overflows soon after its forcing starts
         kernel = Kernel(np.full(40, 20.0))
         assert kernel._block_state is None
         h = batch_forcing(61, 4, core._CHUNK + 300)
@@ -738,6 +764,10 @@ class TestBatchedEngine:
     st.integers(min_value=0, max_value=2**32 - 1),
     st.floats(-2, 2),
 )
+# growing kernels, sum k = 1.4625 and 1.157, on which blocks of all rows
+# once left a row 4.8e-12 and 2.4e-12 from the same path solved alone
+@example("growing", [0.5, 0.5, 0.375, 0.375], 0.921875, 2, 257, 8287137, 0.0)
+@example("growing", [0.8125, 0.3125, 0.875, 0.9375], 0.28515625, 2, 257, 1588, 0.80859375)
 def test_batched_rows_match_paths_solved_alone(kind, weights, level, paths, horizon, seed, xi):
     # the kernels of test_blocked_engine_matches_reference
     w = np.array(weights) / np.sum(weights)
@@ -766,32 +796,28 @@ def test_batched_rows_match_paths_solved_alone(kind, weights, level, paths, hori
 )
 def test_rows_fail_where_the_per_term_loop_does(m, paths, n, seed, xi):
     # signed kernels and forcings with signed zeros; a 1e300 scale makes rows
-    # overflow.  A signed kernel's first block runs the per-term loop, so it
-    # is bitwise that loop's there, through a first non-finite index in it.
-    # A kernel without a negative weight runs blocks from index 1: each row
-    # fails at the loop's first non-finite index, and on the kernels of the
-    # contract, sum k <= 1.5, keeps the scaled gap, its floor of 1 being the
-    # scale of the row's forcing
+    # overflow.  A kernel with sum|k| > 1 runs the per-term loop on every
+    # row, so each row is bitwise that loop's through its first non-finite
+    # index.  Any other kernel, signed or not, runs blocks from index 1: each
+    # row fails at the loop's first non-finite index and keeps the scaled gap
+    # from index 0, its floor of 1 being the scale of the row's forcing
     rng = np.random.Generator(np.random.Philox(seed))
     k = rng.normal(size=m) * rng.choice([0.3, 1.0, 3.0])
     k[rng.random(m) < 0.2] = -0.0
+    kernel = Kernel(k)
     h = rng.normal(size=(paths, n))
     scale = rng.choice([1.0, 1e300], size=(paths, 1))
     h *= scale
     h[rng.random(h.shape) < 0.2] = -0.0
-    x, bad = batch_solve(Kernel(k), h, xi)
-    head = min(n, _BLOCK)
+    x, bad = batch_solve(kernel, h, xi)
+    if kernel.l1_norm > 1.0:
+        rows_match_reference(kernel, h, xi, x, bad)
+        return
     for row, hp, b, s in zip(x, h, bad, scale[:, 0]):
         ref, ref_bad = reference_solve(k, hp, xi)
-        if np.any(k < 0.0):
-            assert b == ref_bad if 0 <= ref_bad < head else b < 0 or b >= head
-            end = ref_bad + 1 if 0 <= ref_bad < head else head
-            assert np.array_equal(bits(row[:end]), bits(ref[:end]))
-        else:
-            assert b == ref_bad
-            if np.sum(k) <= 1.5:
-                end = ref_bad if ref_bad >= 0 else n
-                assert scaled_gap(row[:end] / s, ref[:end] / s) <= 1e-12
+        assert b == ref_bad
+        end = ref_bad if ref_bad >= 0 else n
+        assert scaled_gap(row[:end] / s, ref[:end] / s) <= 1e-12
 
 
 def per_path_ensemble(system, paths, statistic):
@@ -1078,7 +1104,9 @@ def test_blocked_log_engine_on_sign_coherent_inputs(weights, mass, drift, horizo
     # nonnegative kernel of total mass 0..1.5, positive forcing whose log
     # moves by ``drift`` a step plus noise: every block is sign coherent.
     # The tolerance is held against extended precision: with decaying forcing
-    # the per-step recursion itself drifts from it by more (2.7e-12 at log|x| = -508)
+    # the per-step recursion itself drifts from it by more (2.7e-12 at log|x| = -508),
+    # and so it does on a kernel of mass above 1, which has no blocks and is
+    # held to the per-step recursion bit for bit
     w = np.array(weights)
     k = Kernel(w / np.sum(w) * mass if np.sum(w) > 0 else w)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -1087,7 +1115,11 @@ def test_blocked_log_engine_on_sign_coherent_inputs(weights, mass, drift, horizo
     H = LogTrajectory.from_log(la)
     x = solve_linear(k, H.to_log(), xi, horizon)
     ref_l, ref_s, _ = per_step_log_solve(k, H, xi, horizon)
-    assert_log_contract(x, ref_l, ref_s, extended_log_solve(k.coefficients, la, xi))
+    if k.l1_norm > 1.0:
+        assert np.array_equal(x.log_abs, ref_l)
+        assert np.array_equal(x.sign, ref_s)
+    else:
+        assert_log_contract(x, ref_l, ref_s, extended_log_solve(k.coefficients, la, xi))
 
 
 # --------------------------------------------------------------------------
@@ -1420,8 +1452,9 @@ class TestResolventPrefix:
         assert np.array_equal(k._block_state[0], resolvent(Kernel([0.5, 0.25]), _BLOCK - 1).values)
 
     def test_overflowing_prefix_keeps_the_reference_overflow_index(self):
-        # r(n) = 100^n overflows in r[:B]; x is zero through the first block,
-        # then the whole solve runs the reference recursion
+        # sum|k| = 100 > 1, so no r[:B] is built (r(n) = 100^n would overflow
+        # in it) and the whole solve runs the reference recursion; x is zero
+        # through the first block
         horizon = 3 * _BLOCK
         h = random_forcing(17, horizon)
         h[: _BLOCK + 5] = 0.0
@@ -1443,6 +1476,22 @@ class TestResolventPrefix:
         assert calls == []
         assert np.all(x.sign == 1.0)
 
+    def test_growing_kernel_in_log_domain_runs_per_step(self, monkeypatch):
+        # sum k = 1.1 > 1: no block state, so every index runs the per-step
+        # recursion, bitwise
+        calls = self.count_prefixes(monkeypatch)
+        steps = record_per_step(monkeypatch)
+        horizon = 4 * _BLOCK
+        kernel = Kernel([0.6, 0.5])
+        H = log_forcing("factorial", horizon)
+        x = solve_linear(kernel, H, 1.0, horizon)
+        assert steps == [(1, horizon + 1)]
+        assert calls == []
+        ref_l, ref_s, bad = per_step_log_solve(kernel, H, 1.0, horizon)
+        assert bad == -1
+        assert np.array_equal(x.log_abs, ref_l)
+        assert np.array_equal(x.sign, ref_s)
+
 
 # --------------------------------------------------------------------------
 # the block-scaled log engine against the version it replaced, which took
@@ -1455,10 +1504,10 @@ logger = logging.getLogger("volterra_lab.core")
 def reference_blocked_log_linear(kernel, lh, sh, xi, headroom=True):
     """(log|x|, sign x) on 0..len(lh)-1 as blocks of plain doubles times exp(ref).
 
-    A solve of at most B indices, a signed kernel and every block that
-    cannot be scaled (see the module docstring) run the per-step recursion,
-    which logs its first cancellation beyond ``_CANCELLATION`` once per
-    solve.  Every other block [t, t+L), from t = 1 on, runs the plain
+    A solve of at most B indices, a kernel with a negative coefficient or
+    without a block state, and every block that cannot be scaled (see the
+    module docstring) run the per-step recursion, which logs its first
+    cancellation beyond ``_CANCELLATION`` once per solve.  Every other block [t, t+L), from t = 1 on, runs the plain
     Toeplitz step on its inputs times exp(-ref), the first one from the
     history x(0) = xi; L <= B keeps the forcing's log-range within room + up,
     and a block whose range exceeds room lowers its ref by the excess.
