@@ -1466,27 +1466,19 @@ class TestResolventPrefix:
         assert err.value.index == bad
         assert k._block_state is None
 
-    def test_signed_kernel_in_log_domain_stays_per_step(self, monkeypatch):
+    @pytest.mark.parametrize("kernel", [Kernel([0.5, -0.2, 0.1]), Kernel([0.6, 0.5])],
+                             ids=["signed", "growing"])
+    def test_log_domain_runs_per_step_without_blocks(self, monkeypatch, kernel):
+        # a negative coefficient, or sum k = 1.1 > 1 and so no block state:
+        # every index runs the per-step recursion, bitwise
         calls = self.count_prefixes(monkeypatch)
         steps = record_per_step(monkeypatch)
         horizon = 4 * _BLOCK
-        x = solve_linear(Kernel([0.5, -0.2, 0.1]), log_forcing("factorial", horizon), 1.0,
-                         horizon)
-        assert steps == [(1, horizon + 1)]
-        assert calls == []
-        assert np.all(x.sign == 1.0)
-
-    def test_growing_kernel_in_log_domain_runs_per_step(self, monkeypatch):
-        # sum k = 1.1 > 1: no block state, so every index runs the per-step
-        # recursion, bitwise
-        calls = self.count_prefixes(monkeypatch)
-        steps = record_per_step(monkeypatch)
-        horizon = 4 * _BLOCK
-        kernel = Kernel([0.6, 0.5])
         H = log_forcing("factorial", horizon)
         x = solve_linear(kernel, H, 1.0, horizon)
         assert steps == [(1, horizon + 1)]
         assert calls == []
+        assert np.all(x.sign == 1.0)
         ref_l, ref_s, bad = per_step_log_solve(kernel, H, 1.0, horizon)
         assert bad == -1
         assert np.array_equal(x.log_abs, ref_l)
