@@ -32,10 +32,10 @@ Which engine runs where (B = 256 for a kernel of any length M):
   of r[:B] and the min(B, M) x M matrix Hk maps the history to its part of
   the block's first min(B, M) forcings; the first block's history is
   x(0) alone.  Blocks run for a kernel with sum |k| <= 1, signed or not,
-  which keeps |r(n)| <= 1 (``Kernel._block_state``); any other kernel,
-  and a solve of at most B values in all (paths times indices), runs the
-  per-term recursion on each row.  A row whose block turns non-finite
-  runs that block again at a power-of-2 scale (see below).
+  which keeps |r(n)| <= 1; any other kernel, and a solve of at most B
+  values in all (paths times indices), runs the per-term recursion on
+  each row.  A row whose block turns non-finite runs that block again at
+  a power-of-2 scale (see below).
 * ``stochastic.ensemble_verify`` runs the same engine on many plain-domain
   paths at once: their forcings are the rows of one (P, N) array, solved
   in place, so each block step is one pair of products for all P rows.
@@ -51,14 +51,15 @@ Which engine runs where (B = 256 for a kernel of any length M):
   the per-step log recursion when its nonzero forcing and history signs
   differ, when L would be 1, or when a scaled |x| falls below a floor
   where underflowed inputs could show; a kernel with a negative
-  coefficient, one with sum k > 1, or a solve of at most B values runs
-  per step throughout.  Only same-signed sums are ever scaled, so no
-  cancellation is hidden.  The block's forcing
-  maximum comes from the running maximum that sized it, and its sign test
-  is the largest and smallest sign of its forcing and history, so a block
-  costs a handful of array calls; the output is bitwise that of taking
-  both from the block's values directly, which the tests keep as the
-  reference.
+  coefficient, an r[:B] that overflows, or a solve of at most B values
+  runs per step throughout.  Only same-signed sums are ever scaled, so no
+  cancellation is hidden and the plain engine's sum |k| <= 1 is not
+  needed: a nonnegative kernel with sum k > 1 runs blocks too.  The
+  block's forcing maximum comes from the running maximum that sized it,
+  and its sign test is the largest and smallest sign of its forcing and
+  history, so a block costs a handful of array calls; the output is
+  bitwise that of taking both from the block's values directly, which the
+  tests keep as the reference.
 * ``resolvent``, ``solve_by_representation`` and ``solve_nonlinear`` run
   the per-term reference recursion, O(horizon * min(horizon, M)); the
   nonlinear solve convolves over f(x) in place of x, and
@@ -98,18 +99,18 @@ same BLAS give the same bits.
 
 Accuracy contract of the log engine: bitwise equal to the per-step log
 recursion on every block that runs per step (so on all of a solve with a
-signed kernel, sum k > 1 or sign-incoherent forcing).  On scaled blocks,
-the first included, the signs equal the per-step recursion's, and log|x|
-is within 1e-12 + 1e-15 |log|x|| of the exact value, the second term
-being the rounding of log|x| itself as one double.  The same bound holds against
-the per-step recursion on the growth catalogue and the growth, ergodic
-and random-walk configurations tested; with decaying forcing the per-step
-recursion itself drifts further from the exact value than that, and the
-scaled blocks stay the closer of the two.  A block whose forcing fits
-room keeps ref, so a solve whose blocks all fit it (geometric forcing,
-for one) is bitwise that of sizing blocks by room alone, which the tests
-keep as a reference.  Repeated calls of either engine are bitwise
-identical.
+signed kernel, an overflowing r[:B] or sign-incoherent forcing).  On
+scaled blocks, the first included, the signs equal the per-step
+recursion's, and log|x| is within 1e-12 + 1e-15 |log|x|| of the exact
+value, the second term being the rounding of log|x| itself as one
+double.  The same bound holds against the per-step recursion on the
+growth catalogue and the growth, ergodic and random-walk configurations
+tested; with decaying forcing the per-step recursion itself drifts
+further from the exact value than that, and the scaled blocks stay the
+closer of the two.  A block whose forcing fits room keeps ref, so a solve
+whose blocks all fit it (geometric forcing, for one) is bitwise that of
+sizing blocks by room alone, which the tests keep as a reference.
+Repeated calls of either engine are bitwise identical.
 
 Every per-term loop (the plain recursion, with or without f, and the log
 recursion) runs on Python floats, reading its inputs with ``tolist`` and
@@ -226,12 +227,12 @@ class Kernel:
     @cached_property
     def _block_state(self):
         """(r[:B], R, Hk) of the blocked engines, shared by every blocked
-        solve with this kernel; None unless sum |k| <= 1, which keeps
-        |r(n)| <= 1 (r(n+1) = sum k(l) r(n-l) from r(0) = 1): the one rule
-        for where blocks run.  R and Hk take 8 (B^2 + min(B, M) M) bytes."""
-        if self.l1_norm > 1.0:
+        solve with this kernel; None if r[:B] overflows, which needs
+        sum k > 1.  R and Hk take 8 (B^2 + min(B, M) M) bytes."""
+        try:
+            r = _reference_linear(self.coefficients, np.zeros(_BLOCK), 1.0)
+        except TrajectoryOverflowError:
             return None
-        r = _reference_linear(self.coefficients, np.zeros(_BLOCK), 1.0)
         r.flags.writeable = False
         return (r, *_toeplitz_matrices(self.coefficients, r))
 
@@ -468,15 +469,15 @@ def _blocked_linear(kernel, x, xi):
     On entry row p of x holds a forcing on 0..N-1 (index 0 is not read), on
     return its solution x(0..N-1) from the start ``xi``.  The returned
     bad[p] is -1, or the first non-finite index of row p; past it the row
-    holds no meaningful values.  Without a block state (sum |k| > 1) or
-    with at most B values in all (P N <= B), each row runs the per-term
-    loop.  Otherwise, from x(0) = xi, every block [t, t+L), t = 1, 1 + B,
-    ..., solves all rows at once with ``_toeplitz_block``, from the history
+    holds no meaningful values.  A kernel with sum |k| <= 1, which keeps
+    |r(n)| <= 1 (r(n+1) = sum k(l) r(n-l) from r(0) = 1), runs blocks once
+    P N > B: from x(0) = xi, every block [t, t+L), t = 1, 1 + B, ...,
+    solves all rows at once with ``_toeplitz_block``, from the history
     x[max(0, t - M):t], and ``_all_failed`` solves a row that turns
-    non-finite again.
+    non-finite again.  Otherwise each row runs the per-term loop.
     """
     k = kernel.coefficients
-    state = kernel._block_state if x.size > _BLOCK else None
+    state = kernel._block_state if x.size > _BLOCK and kernel.l1_norm <= 1.0 else None
     bad = np.full(len(x), -1)
     x[:, 0] = xi
     if state is None:
@@ -571,15 +572,14 @@ _FLOOR = 1e-280
 def _blocked_log_linear(kernel, lh, sh, xi):
     """(log|x|, sign x) on 0..len(lh)-1 as blocks of plain doubles times exp(ref).
 
-    A solve of at most B indices, a kernel with a negative coefficient or
-    without a block state (sum k > 1), and every block that cannot be
-    scaled (see the module docstring) run the per-step recursion, which
-    logs its first cancellation beyond ``_CANCELLATION`` once per solve.
-    Every other block [t, t+L), from t = 1 and the history x(0) = xi on,
-    runs the plain Toeplitz step on its inputs times exp(-ref); L <= B
-    keeps the forcing's log-range within room + up, room = ``_SPAN`` -
-    log sum r[:B] below 1 and up = ``_CEILING`` - log(sum r[:B] (1 + sum k))
-    above it, at least 693 since r <= 1 and sum k <= 1.  A block whose
+    A solve of at most B indices, a signed kernel, an r[:B] that overflows
+    and every block that cannot be scaled (see the module docstring) run
+    the per-step recursion, which logs its first cancellation beyond
+    ``_CANCELLATION`` once per solve.  Every other block [t, t+L), from
+    t = 1 and the history x(0) = xi on, runs the plain Toeplitz step on its
+    inputs times exp(-ref); L <= B keeps the forcing's log-range within
+    room + up, room = ``_SPAN`` - log sum r[:B] below 1 and
+    up = ``_CEILING`` - log(sum r[:B] (1 + sum k)) above it.  A block whose
     spread s exceeds room lowers its ref by s - room <= up, so its scaled
     |x| stays at most exp(``_CEILING``); every other block keeps ref, the
     largest log|.| among its forcing and history.  The running maximum of
@@ -616,7 +616,7 @@ def _blocked_log_linear(kernel, lh, sh, xi):
         return out_l, out_s
     r = state[0]
     room = _SPAN - math.log(np.sum(r))
-    up = _CEILING - math.log(np.sum(r) * (1.0 + np.sum(k)))
+    up = max(0.0, _CEILING - math.log(np.sum(r) * (1.0 + np.sum(k))))
     floor = _FLOOR * np.max(r) * (1.0 + np.sum(k))
     # sign 0 exactly where log|H| = -inf, so lh is its own maximum over the
     # nonzero forcing, and ``low`` its minimum

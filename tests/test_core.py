@@ -634,14 +634,14 @@ class TestBatchedEngine:
         (Kernel.geometric(0.3, 0.5, 1), 2, _BLOCK // 2 - 1, True),
         (Kernel.geometric(0.3, 0.5, 1), 2, _BLOCK // 2, False),
         (Kernel.geometric(0.3, 0.5, 300), 2, 2 * _BLOCK, False),
-        # the kernel's sign takes no part; sum|k| > 1 runs every row per term
+        # the kernel's sign takes no part; sum|k| > 1 runs every row per term,
+        # though its r[:B] is finite and the log engine runs blocks with it
         (Kernel([0.4, -0.3, 0.2]), 2, 2 * _BLOCK, False),
         (Kernel([0.6, 0.5]), 2, 2 * _BLOCK, True),
     ], ids=["one-short-row", "one-row", "two-short-rows", "two-rows-past-B-values",
             "two-rows", "signed", "growing"])
     def test_dispatch_rule(self, monkeypatch, kernel, paths, horizon, per_term):
-        # r[:B] by the per-term loop, before counting
-        assert (kernel._block_state is None) == (kernel.l1_norm > 1.0)
+        assert kernel._block_state is not None  # r[:B] by the per-term loop, before counting
         calls = []
         linear_recursion = core._linear_recursion
         monkeypatch.setattr(core, "_linear_recursion",
@@ -1104,9 +1104,7 @@ def test_blocked_log_engine_on_sign_coherent_inputs(weights, mass, drift, horizo
     # nonnegative kernel of total mass 0..1.5, positive forcing whose log
     # moves by ``drift`` a step plus noise: every block is sign coherent.
     # The tolerance is held against extended precision: with decaying forcing
-    # the per-step recursion itself drifts from it by more (2.7e-12 at log|x| = -508),
-    # and so it does on a kernel of mass above 1, which has no blocks and is
-    # held to the per-step recursion bit for bit
+    # the per-step recursion itself drifts from it by more (2.7e-12 at log|x| = -508)
     w = np.array(weights)
     k = Kernel(w / np.sum(w) * mass if np.sum(w) > 0 else w)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -1115,11 +1113,7 @@ def test_blocked_log_engine_on_sign_coherent_inputs(weights, mass, drift, horizo
     H = LogTrajectory.from_log(la)
     x = solve_linear(k, H.to_log(), xi, horizon)
     ref_l, ref_s, _ = per_step_log_solve(k, H, xi, horizon)
-    if k.l1_norm > 1.0:
-        assert np.array_equal(x.log_abs, ref_l)
-        assert np.array_equal(x.sign, ref_s)
-    else:
-        assert_log_contract(x, ref_l, ref_s, extended_log_solve(k.coefficients, la, xi))
+    assert_log_contract(x, ref_l, ref_s, extended_log_solve(k.coefficients, la, xi))
 
 
 # --------------------------------------------------------------------------
@@ -1452,9 +1446,9 @@ class TestResolventPrefix:
         assert np.array_equal(k._block_state[0], resolvent(Kernel([0.5, 0.25]), _BLOCK - 1).values)
 
     def test_overflowing_prefix_keeps_the_reference_overflow_index(self):
-        # sum|k| = 100 > 1, so no r[:B] is built (r(n) = 100^n would overflow
-        # in it) and the whole solve runs the reference recursion; x is zero
-        # through the first block
+        # sum|k| = 100 > 1, so the whole solve runs the reference recursion,
+        # and r(n) = 100^n overflows in r[:B], which leaves no block state;
+        # x is zero through the first block
         horizon = 3 * _BLOCK
         h = random_forcing(17, horizon)
         h[: _BLOCK + 5] = 0.0
@@ -1466,23 +1460,32 @@ class TestResolventPrefix:
         assert err.value.index == bad
         assert k._block_state is None
 
-    @pytest.mark.parametrize("kernel", [Kernel([0.5, -0.2, 0.1]), Kernel([0.6, 0.5])],
-                             ids=["signed", "growing"])
-    def test_log_domain_runs_per_step_without_blocks(self, monkeypatch, kernel):
-        # a negative coefficient, or sum k = 1.1 > 1 and so no block state:
-        # every index runs the per-step recursion, bitwise
+    @pytest.mark.parametrize("kernel, blocks", [
+        # a negative coefficient: every index runs the per-step recursion
+        (Kernel([0.5, -0.2, 0.1]), False),
+        # sum k = 100 > 1 and r(n) = 100^n overflows in r[:B]: no block state
+        (Kernel([100.0]), False),
+        # sum k = 1.1 > 1 with a finite r[:B]: only same-signed sums are
+        # scaled, so the log engine needs no sum |k| <= 1 and runs blocks
+        (Kernel([0.6, 0.5]), True),
+    ], ids=["signed", "overflowing-prefix", "growing"])
+    def test_log_domain_dispatch_rule(self, monkeypatch, kernel, blocks):
         calls = self.count_prefixes(monkeypatch)
         steps = record_per_step(monkeypatch)
         horizon = 4 * _BLOCK
         H = log_forcing("factorial", horizon)
         x = solve_linear(kernel, H, 1.0, horizon)
-        assert steps == [(1, horizon + 1)]
-        assert calls == []
         assert np.all(x.sign == 1.0)
         ref_l, ref_s, bad = per_step_log_solve(kernel, H, 1.0, horizon)
         assert bad == -1
-        assert np.array_equal(x.log_abs, ref_l)
-        assert np.array_equal(x.sign, ref_s)
+        if blocks:
+            assert calls == [_BLOCK] and (1, horizon + 1) not in steps
+            assert_log_contract(x, ref_l, ref_s)
+        else:
+            assert steps == [(1, horizon + 1)]
+            assert calls == []
+            assert np.array_equal(x.log_abs, ref_l)
+            assert np.array_equal(x.sign, ref_s)
 
 
 # --------------------------------------------------------------------------
@@ -1496,13 +1499,13 @@ logger = logging.getLogger("volterra_lab.core")
 def reference_blocked_log_linear(kernel, lh, sh, xi, headroom=True):
     """(log|x|, sign x) on 0..len(lh)-1 as blocks of plain doubles times exp(ref).
 
-    A solve of at most B indices, a kernel with a negative coefficient or
-    without a block state, and every block that cannot be scaled (see the
-    module docstring) run the per-step recursion, which logs its first
-    cancellation beyond ``_CANCELLATION`` once per solve.  Every other block [t, t+L), from t = 1 on, runs the plain
-    Toeplitz step on its inputs times exp(-ref), the first one from the
-    history x(0) = xi; L <= B keeps the forcing's log-range within room + up,
-    and a block whose range exceeds room lowers its ref by the excess.
+    A solve of at most B indices, a signed kernel, an r[:B] that overflows
+    and every block that cannot be scaled (see the module docstring) run
+    the per-step recursion, which logs its first cancellation beyond
+    ``_CANCELLATION`` once per solve.  Every other block [t, t+L), from
+    t = 1 on, runs the plain Toeplitz step on its inputs times exp(-ref),
+    the first one from the history x(0) = xi; L <= B keeps the forcing's
+    log-range within room + up, and a block whose range exceeds room lowers its ref by the excess.
     ``headroom=False`` sets up = 0: L <= B keeps the forcing's log-range
     plus log sum r[:B] within ``_SPAN``, and no block lowers its ref.
     """
