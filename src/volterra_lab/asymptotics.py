@@ -330,6 +330,9 @@ def _spectral_period(window: Trajectory, max_period: int):
     # variance; its mean-centred values are rounding noise, not a period
     if len(window) < 8 or np.ptp(window.values) == 0.0:
         return 0
+    # the fold scores square the window, so they read it over its largest
+    # |value|: no square of a value in [-1, 1] overflows, and the largest is 1
+    window = Trajectory(window.values / np.max(np.abs(window.values)), start=window.start)
     vals = window.values - np.mean(window.values)
     peak_bin = int(np.argmax(np.abs(rfft(vals))[1:])) + 1
     # the peak is some harmonic h of the fundamental, so the fundamental

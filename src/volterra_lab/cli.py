@@ -2,7 +2,7 @@
 
 Usage:
 
-    volterra-lab <mode> --config experiment.json [--seed N] [--out DIR]
+    volterra-lab <mode> --config experiment.json [--out DIR]
     volterra-lab --list-catalogue
 
 A run builds one system, once: ``_solve_system`` generates the forcing,
@@ -12,8 +12,8 @@ check on that system (``verify-nonlinear`` adds its nonlinear solve and
 
 Exit codes: 0 when the run completed and every declared check passed,
 2 when the run completed but some check failed (the report says which),
-1 on execution or configuration errors.  A failed verification is data,
-not a crash.
+1 on execution or configuration errors, and on command-line mistakes.
+A failed verification is data, not a crash.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import locale  # noqa: F401  argparse's gettext imports it at the first parse
-import os
 import sys
 import time
 from pathlib import Path
@@ -58,8 +57,6 @@ from .stochastic import (
     envelope_sums,
     generate,
 )
-
-OUT_DIR_ENV = "VOLTERRA_LAB_OUT"
 
 
 # --------------------------------------------------------------------------
@@ -445,15 +442,23 @@ def _print_catalogue():
         print(f"{label}: " + " | ".join(names))
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1: exit code 2 means a check failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="volterra-lab",
         description="numerical laboratory for forced convolution recursions",
     )
     parser.add_argument("mode", nargs="?", choices=MODES, help="experiment mode")
     parser.add_argument("--config", type=Path, help="path to the experiment JSON")
-    parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--out", type=Path, default=None, help="output directory")
+    parser.add_argument("--out", type=Path, default=Path("volterra_lab_out"),
+                        help="output directory (default: %(default)s)")
     parser.add_argument(
         "--list-catalogue", action="store_true",
         help="print built-in kernels, growth sequences, tails, and modes",
@@ -476,15 +481,10 @@ def main(argv=None) -> int:
         return 1
 
     raw["mode"] = args.mode
-    if args.seed is not None:
-        raw["seed"] = args.seed
-
     try:
         config = ExperimentConfig.from_dict(raw)
-        out_dir = (args.out or os.environ.get(OUT_DIR_ENV) or config.get("out_dir")
-                   or "volterra_lab_out")
-        report = run_experiment(config, out_dir=out_dir)
-        report_path = Path(out_dir) / "report.json"
+        report = run_experiment(config, out_dir=args.out)
+        report_path = args.out / "report.json"
         report_path.write_text(report.to_json())
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -69,7 +69,7 @@ _PLAIN_MODES = ("spectrum", "envelope", "verify-nonlinear")
 
 _SCALARS = {
     "mode", "horizon", "seed", "xi", "log_domain", "k_grid", "paths", "expected_period",
-    "expected_crossing", "lambda_grid", "out_dir",
+    "expected_crossing", "lambda_grid",
 }
 
 _MISSING = object()
@@ -314,10 +314,6 @@ class ExperimentConfig:
         if "lambda_grid" in raw or mode == "spectrum":
             data["lambda_grid"] = _floats(raw, "lambda_grid", "config", [0.0, 0.25, 0.5, 0.75, 1.0])
             _each(data, "lambda_grid", "config", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
-        if "out_dir" in raw:
-            data["out_dir"] = raw["out_dir"]
-            if not isinstance(data["out_dir"], str):
-                raise ConfigError("config.out_dir", f"expected a string, got {data['out_dir']!r}")
         return cls(data, **objects)
 
     def __getitem__(self, key):

@@ -296,8 +296,11 @@ def _power_side(alpha, c_lo, c_hi, mid):
         x = np.asarray(x, dtype=np.float64)
         return np.select(
             [x <= -1.0, x >= 1.0],
-            [c_lo * np.abs(x) ** -alpha, 1.0 - c_hi * np.where(x >= 1.0, x, 1.0) ** -alpha],
-            default=c_lo + mid * (x + 1.0) / 2.0,
+            # each branch reads x only where it is selected, so none overflows
+            # (|x|^-alpha near 0) or computes 0 * inf (mid = 0 at x = +-inf)
+            [c_lo * np.where(x <= -1.0, -x, 1.0) ** -alpha,
+             1.0 - c_hi * np.where(x >= 1.0, x, 1.0) ** -alpha],
+            default=c_lo + mid * (np.clip(x, -1.0, 1.0) + 1.0) / 2.0,
         )
 
     def quantile(u):
@@ -339,7 +342,9 @@ def _weibull_symmetric_model(scale=1.0, shape=1.0):
         raise ParameterError("weibull scale and shape must be positive")
 
     def _one_sided_sf(x):
-        return np.exp(-((np.maximum(x, 0.0) / lam) ** k))
+        # (x / lam)^k overflows to inf far out, and exp(-inf) = 0 is the exact sf there
+        with np.errstate(over="ignore"):
+            return np.exp(-((np.maximum(x, 0.0) / lam) ** k))
 
     def cdf(x):
         x = np.asarray(x, dtype=np.float64)

@@ -520,6 +520,24 @@ class TestExtraction:
         with pytest.raises(InputError, match="empty residue class"):
             _fold_profile(traj(np.ones(5), start=3), 7)
 
+    # the fold scores square the window: unscaled, they overflow past about
+    # 1e154 and underflow below about 1e-154, and any fold then reads as a period
+    _SCALES = [1e-300, 1e-160, 1.0, 1e160, 1e300]
+
+    @pytest.mark.parametrize("scale", _SCALES)
+    def test_period_does_not_depend_on_scale(self, scale):
+        profile = np.array([1.0, 2.0, 3.0, 1.0, 0.5, 2.0, 1.0])
+        ext = extract_almost_periodic(traj(scale * np.resize(profile, 2001)))
+        assert ext.period == 7
+        # the profile is folded from the window as given, not the scaled one
+        assert np.allclose(ext.profile, scale * profile, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("scale", _SCALES)
+    def test_noise_is_aperiodic_at_every_scale(self, scale):
+        rng = np.random.Generator(np.random.Philox(35))
+        ext = extract_almost_periodic(traj(scale * (1.0 + rng.random(2001))))
+        assert ext.period == 0
+
 
 class TestTimeAverage:
     def test_constant(self):

@@ -104,6 +104,7 @@ _MALFORMED = [
     ("thresholds", {"zero_peak_ratio": 1e-3}, "config.thresholds"),
     ("thresholds", {"growth_factor": 2.0}, "config.thresholds"),
     ("forcing.seed", 11, "config.forcing.seed"),
+    ("out_dir", "elsewhere", "config.out_dir"),
     ("period_hint", 2, "config.period_hint"),
     ("kernel.tail_bound", 0.0, "config.kernel.tail_bound"),
     # the iterated logs go three deep, so betas hold at most three exponents
@@ -622,19 +623,20 @@ class TestCommandLine:
         assert err.startswith(prefix)
         assert "Traceback" not in err
 
-    def test_seed_override_changes_echo(self, tmp_path):
-        path = self._write_config(tmp_path, {
-            "horizon": 50, "paths": 2, "seed": 1,
-            "kernel": {"coefficients": [0.5]},
-            "forcing": {"kind": "iid", "tail": {"family": "normal", "sigma": 1.0}},
-            "statistic": {"name": "phi_average", "band": [0.0, 99.0]},
-        })
-        out = tmp_path / "out"
-        code = main(["ensemble", "--config", str(path), "--seed", "777",
-                     "--out", str(out)])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["config"]["seed"] == 777
+    # argparse exits 2 on its own errors, the code of a failed check
+    @pytest.mark.parametrize("argv", [
+        ["solve"],
+        ["--bogus"],
+        ["fly", "--config", "x.json"],
+        ["solve", "--config", "x.json", "--seed", "abc"],
+        # the seed is read from the config only
+        ["solve", "--config", "x.json", "--seed", "5"],
+    ], ids=["no-config", "unknown-flag", "unknown-mode", "seed-abc", "seed-5"])
+    def test_usage_errors_exit_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert "usage:" in capsys.readouterr().err
 
     def test_list_catalogue(self, capsys):
         assert main(["--list-catalogue"]) == 0
@@ -729,7 +731,9 @@ class TestCommandLine:
         assert reports[1]["statistics"] == reports[0]["statistics"]
         assert reports[1]["verdicts"] == reports[0]["verdicts"]
 
-    def test_env_var_out_dir(self, tmp_path, monkeypatch, capsys):
+    def test_out_defaults_to_volterra_lab_out(self, tmp_path, monkeypatch):
+        # --out is the output directory's one source: the environment does not move it
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("VOLTERRA_LAB_OUT", str(tmp_path / "envout"))
         path = self._write_config(tmp_path, {
             "horizon": 16,
@@ -737,23 +741,24 @@ class TestCommandLine:
             "forcing": {"kind": "deterministic", "name": "power", "params": {"theta": 1.0}},
         })
         assert main(["solve", "--config", str(path)]) == 0
-        assert (tmp_path / "envout" / "report.json").exists()
+        assert (tmp_path / "volterra_lab_out" / "report.json").exists()
+        assert not (tmp_path / "envout").exists()
 
-    def test_out_dir_from_config_without_out_flag(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("VOLTERRA_LAB_OUT", raising=False)
-        monkeypatch.chdir(tmp_path)
-        data = {
-            "horizon": 16,
-            "kernel": {"name": "zero"},
-            "forcing": {"kind": "deterministic", "name": "power", "params": {"theta": 1.0}},
-        }
-        path = self._write_config(tmp_path, dict(data, out_dir=5))
-        assert main(["solve", "--config", str(path)]) == 1
-        assert "config error: config.out_dir:" in capsys.readouterr().err
-        assert not (tmp_path / "volterra_lab_out").exists()
-        path = self._write_config(tmp_path, dict(data, out_dir="from_config"))
-        assert main(["solve", "--config", str(path)]) == 0
-        assert (tmp_path / "from_config" / "report.json").exists()
+    def test_diverging_periodic_run_detects_no_period(self, tmp_path):
+        # x/a reaches 1.5e216 on this path: squared, the fold scores would
+        # overflow, and any fold would then read as a period
+        path = self._write_config(tmp_path, {
+            "horizon": 600, "seed": 797, "xi": -2.5,
+            "kernel": {"coefficients": [-0.512, -0.527]},
+            "forcing": {"kind": "geometric_random_walk", "drift": 0.1,
+                        "noise": {"family": "normal", "sigma": 50.0}},
+            "scaling": {"name": "power", "params": {"theta": 1.0}},
+        })
+        out = tmp_path / "out"
+        assert main(["verify-periodic", "--config", str(path), "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["statistics"]["detected_period_x"] == 0
+        assert report["verdicts"]["period_detected"] is False
 
     _OVERFLOWS = [
         # H10 = exp(exp(n)) leaves double range even in log form past n = 709

@@ -297,6 +297,25 @@ class TestTailModels:
         assert np.array_equal(got, t.sf(xs) + t.cdf(-xs))
         assert np.array_equal(got, 2.0 * t.sf(xs))
 
+    # pyproject makes a numpy warning an error, and np.select evaluates every
+    # branch at every x: the power law's lower branch meets |x|^-alpha at 0,
+    # its middle one 0 * inf at +-inf, and Weibull's (x / lam)^k overflows far out
+    @pytest.mark.parametrize("family,params", [
+        ("normal", {"sigma": 1.0}),
+        ("symmetric_power", {"alpha": 2.0, "c1": 0.5, "c2": 0.5}),
+        ("symmetric_power", {"alpha": 1.5, "c1": 0.2, "c2": 0.3}),
+        ("weibull_symmetric", {"scale": 1.0, "shape": 2.0}),
+        ("uniform", {}),
+    ])
+    def test_whole_line_raises_no_warning(self, family, params):
+        t = make_tail_model(family, **params)
+        xs = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300, np.inf, -np.inf])
+        got = {name: getattr(t, name)(xs) for name in ("cdf", "sf", "tail_probability")}
+        far = slice(6, None)  # 1e300, -1e300, inf, -inf
+        assert np.array_equal(got["cdf"][far], [1.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(got["sf"][far], [0.0, 1.0, 0.0, 1.0])
+        assert np.array_equal(got["tail_probability"][[6, 8]], [0.0, 0.0])
+
     def test_symmetric_families_mirror(self):
         t = make_tail_model("normal", sigma=1.3)
         xs = np.linspace(0.5, 5.0, 7)
