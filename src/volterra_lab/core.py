@@ -34,8 +34,9 @@ Which engine runs where (B = 256 for a kernel of any length M):
   x(0) alone.  Blocks run for a kernel with sum |k| <= 1, signed or not,
   which keeps |r(n)| <= 1; any other kernel, and a solve of at most B
   values in all (paths times indices), runs the per-term recursion on
-  each row.  A row whose block turns non-finite runs that block again at
-  a power-of-2 scale (see below).
+  each row.  A row whose block turns non-finite runs the per-term
+  recursion on that block alone, from the engine's history (see below),
+  as the log engine does with a block it cannot scale.
 * ``stochastic.ensemble_verify`` runs the same engine on many plain-domain
   paths at once: their forcings are the rows of one (P, N) array, solved
   in place, so each block step is one pair of products for all P rows.
@@ -84,10 +85,11 @@ product r(i - j) f(j) exceeds its input, so a block's sum cannot cancel
 far below its terms.  On marginal kernels (sum k = 1) both engines drift
 from exact arithmetic by rounding that grows with the horizon, by about
 1e-12 at 2e5 steps each against extended precision.  Both raise on the
-same first non-finite index: a row whose block turns non-finite runs it
-again at the power of 2 that brings its forcing and history into
-[0.5, 1), which is exact, so no partial sum overflows before the
-per-term value does.
+same first non-finite index: a row can only fail in a block whose
+product turns non-finite, and there its values are bitwise the per-term
+recursion from the engine's history before the block, which names the
+index, so no partial sum that BLAS overflows, nor an infinite forcing
+plus history times a zero of R, decides it.
 
 Batch contract: every row of a P-row solve keeps that contract, and is
 within the gap of the same path solved alone.  A row that overflows fails
@@ -229,9 +231,8 @@ class Kernel:
         """(r[:B], R, Hk) of the blocked engines, shared by every blocked
         solve with this kernel; None if r[:B] overflows, which needs
         sum k > 1.  R and Hk take 8 (B^2 + min(B, M) M) bytes."""
-        try:
-            r = _reference_linear(self.coefficients, np.zeros(_BLOCK), 1.0)
-        except TrajectoryOverflowError:
+        r = np.zeros(_BLOCK)
+        if _linear_recursion(self.coefficients, r, 1.0, r) >= 0:
             return None
         r.flags.writeable = False
         return (r, *_toeplitz_matrices(self.coefficients, r))
@@ -345,21 +346,23 @@ def _chunks(lo, hi, m):
         yield start, min(start + _CHUNK, hi), max(start - m, 0)
 
 
-def _linear_recursion(k, h, xi, out, f=None):
-    """Fill out from x(0) = xi; return the first non-finite index, or -1.  With
-    f, step n convolves over f(x(0..n)), evaluating f(x(n)) once if M >= 1."""
+def _linear_recursion(k, h, xi, out, f=None, lo=1, hi=None):
+    """Set out[0] = xi and fill indices [lo, hi) of out from the values it
+    holds before lo; return the first non-finite index, or -1.  With f, step
+    n convolves over f(x(0..n)), evaluating f(x(n)) once if M >= 1; the
+    window is for the linear loop, and with f the loop starts at index 1."""
     m = len(k)
     k = k.tolist()
     apply = f is not None and m > 0
     fn = f.fn if apply else None
     out[0] = xi
     y = []
-    for lo, hi, base in _chunks(1, len(out), m):
-        x = out[base:lo].tolist()
+    for start, stop, base in _chunks(lo, len(out) if hi is None else hi, m):
+        x = out[base:start].tolist()
         # y[i] is what the convolution reads at x[i]: x[i], or f(x[i]) once step i ran
-        y = y[len(y) - (lo - 1 - base) :] if apply else x
-        hh = h[lo:hi].tolist()
-        for n in range(lo - 1, hi - 1):
+        y = y[len(y) - (start - 1 - base) :] if apply else x
+        hh = h[start:stop].tolist()
+        for n in range(start - 1, stop - 1):
             w = n + 1 if n + 1 < m else m
             i = n - base
             if apply:
@@ -372,12 +375,12 @@ def _linear_recursion(k, h, xi, out, f=None):
             acc = 0.0
             for l in range(w):
                 acc += k[l] * y[i - l]
-            val = acc + hh[n + 1 - lo]
+            val = acc + hh[n + 1 - start]
             x.append(val)
             if not math.isfinite(val):
-                out[lo : n + 2] = x[lo - base :]
+                out[start : n + 2] = x[start - base :]
                 return n + 1
-        out[lo:hi] = x[lo - base :]
+        out[start:stop] = x[start - base :]
     return -1
 
 
@@ -473,8 +476,11 @@ def _blocked_linear(kernel, x, xi):
     |r(n)| <= 1 (r(n+1) = sum k(l) r(n-l) from r(0) = 1), runs blocks once
     P N > B: from x(0) = xi, every block [t, t+L), t = 1, 1 + B, ...,
     solves all rows at once with ``_toeplitz_block``, from the history
-    x[max(0, t - M):t], and ``_all_failed`` solves a row that turns
-    non-finite again.  Otherwise each row runs the per-term loop.
+    x[max(0, t - M):t].  A row not yet failed whose block holds a
+    non-finite value runs the per-term loop on that block instead, in
+    place, from its forcing and the history: the loop's values are the
+    row's block, and its return value the row's failure index.  Otherwise
+    each row runs the per-term loop throughout.
     """
     k = kernel.coefficients
     state = kernel._block_state if x.size > _BLOCK and kernel.l1_norm <= 1.0 else None
@@ -487,34 +493,14 @@ def _blocked_linear(kernel, x, xi):
         for t in range(1, x.shape[1], _BLOCK):
             h, prev = x[:, t : t + _BLOCK], x[:, max(0, t - len(k)) : t]
             block = _toeplitz_block(state, h.copy(), prev)
-            done = _all_failed(bad, block, t, h, prev, state)
+            if not np.isfinite(block).all():
+                for p in np.flatnonzero((bad < 0) & ~np.isfinite(block).all(axis=1)):
+                    bad[p] = _linear_recursion(k, x[p], xi, x[p], lo=t, hi=t + h.shape[1])
+                    block[p] = h[p]
+                if bad.min() >= 0:
+                    break
             h[:] = block
-            if done:
-                break
     return bad
-
-
-def _all_failed(bad, block, t, h, prev, state):
-    """Set bad[p] of each row p not yet failed to its first non-finite index
-    in ``block``, whose first column is index t; True once every row failed.
-
-    ``block`` is the block step on forcing h and history prev.  A row that
-    turns non-finite here runs it again first, on h and prev times the power
-    of 2 that brings their largest |.| into [0.5, 1), which is exact: no
-    partial sum can then overflow, in whatever order BLAS adds it, nor an
-    infinite forcing plus history times a zero of R make earlier indices NaN.
-    """
-    finite = np.isfinite(block)
-    if not finite.all():
-        redo = (bad < 0) & ~finite.all(axis=1)
-        h, prev = h[redo], prev[redo]
-        top = np.maximum(np.abs(h).max(axis=1), np.abs(prev).max(axis=1, initial=0.0))
-        e = np.frexp(top)[1][:, None]
-        block[redo] = np.ldexp(_toeplitz_block(state, np.ldexp(h, -e), np.ldexp(prev, -e)), e)
-        finite[redo] = np.isfinite(block[redo])
-        new = (bad < 0) & ~finite.all(axis=1)
-        bad[new] = t + np.argmin(finite[new], axis=1)
-    return bad.min() >= 0
 
 
 def _toeplitz(z, rows, n):

@@ -594,6 +594,32 @@ def rows_match_reference(kernel, h, xi, x, bad):
         assert np.array_equal(bits(row[:end]), bits(ref[:end]))
 
 
+def redone_blocks_are_the_loop(kernel, h, xi, x, bad):
+    """Check each block whose product on the engine's own history x holds a
+    non-finite value: there each row not failed before it is bitwise the
+    per-term loop on that block from that history, through its failure
+    index, which bad must name.  Returns the number of rows so checked."""
+    k = kernel.coefficients
+    checked = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, x.shape[1], _BLOCK):
+            if np.all((bad >= 0) & (bad < t)):
+                break
+            stop = min(t + _BLOCK, x.shape[1])
+            block = _toeplitz_block(kernel._block_state, h[:, t:stop].copy(),
+                                    x[:, max(0, t - len(k)) : t])
+            for p in np.flatnonzero(~np.isfinite(block).all(axis=1)):
+                if 0 <= bad[p] < t:
+                    continue
+                out = x[p].copy()
+                loop_bad = _linear_recursion(k, h[p], xi, out, lo=t, hi=stop)
+                assert loop_bad == (bad[p] if bad[p] < stop else -1)
+                end = stop if loop_bad < 0 else loop_bad + 1
+                assert np.array_equal(bits(x[p, t:end]), bits(out[t:end]))
+                checked += 1
+    return checked
+
+
 class TestBatchedEngine:
     KERNEL = Kernel.geometric(0.3, 0.5, 40)
     LONG = Kernel(np.random.Generator(np.random.Philox(3)).dirichlet(np.ones(300)) * 0.9)
@@ -699,8 +725,8 @@ class TestBatchedEngine:
         # reaches DBL_MAX.  With |r| <= 1 no product overflows, but a block's
         # sums, in the order BLAS adds them, can (on one BLAS, rows 0 and 1
         # at 205 and 218 in the first block, and row 2 at 747 in a later one,
-        # against 289, 384 and 819); solved again at a power of 2, each row
-        # fails where the per-term loop does
+        # against 289, 384 and 819); such a block runs the per-term loop from
+        # the engine's history, so each row fails where the per-term loop does
         kernel = Kernel([0.999])
         h = np.random.Generator(np.random.Philox(71)).normal(size=(3, 4 * _BLOCK)) * 1e307
         h[:, :delay] = 0.0
@@ -709,6 +735,7 @@ class TestBatchedEngine:
             ref, ref_bad = reference_solve(kernel.coefficients, hp, 0.0)
             assert b == ref_bad > delay
             assert scaled_gap(row[:b] / 1e307, ref[:b] / 1e307) <= 1e-12
+        assert redone_blocks_are_the_loop(kernel, h, 0.0, x, bad) >= len(h)
 
     @pytest.mark.parametrize("kernel, spikes", [
         # x(B + 2) = 0.999 x(B) + 1e308 overflows, x(B + 1) = 0 does not
@@ -719,8 +746,9 @@ class TestBatchedEngine:
     def test_block_whose_forcing_plus_history_overflows_is_solved_again(self, kernel, spikes):
         # spikes at B, B + 1 and B + 2: the block from B + 1 adds the history
         # k(1) x(B) to H(B + 2) = 1e308, which overflows, and inf times the
-        # zero R[0, 1] makes x(B + 1) NaN.  Solved again at a power of 2,
-        # each row fails where the per-term loop does
+        # zero R[0, 1] makes x(B + 1) NaN.  That block runs the per-term loop
+        # from the engine's history, so each row fails where the per-term
+        # loop does
         h = np.zeros((2, 3 * _BLOCK))
         h[0, _BLOCK : _BLOCK + 3] = spikes
         x, bad = batch_solve(kernel, h, 0.0)
@@ -729,6 +757,7 @@ class TestBatchedEngine:
             assert b == ref_bad
             end = ref_bad if ref_bad >= 0 else len(hp)
             assert scaled_gap(row[:end] / 1e308, ref[:end] / 1e308) <= 1e-12
+        assert redone_blocks_are_the_loop(kernel, h, 0.0, x, bad) >= 1
 
     def test_growing_kernel_runs_every_row_on_the_reference(self):
         # sum|k| > 1: every row runs the per-term loop, one or several
@@ -1226,12 +1255,14 @@ def loop_forcing(horizon, seed):
     return h
 
 
-def both_linear(k, h, xi):
+def both_linear(k, h, xi, windows=((1, None),)):
+    # the numpy-scalar loop in one run, the Python-float loop window by window
     ref = np.empty(len(h))
     with np.errstate(all="ignore"):
         ref_bad = numpy_linear_recursion(k, h, xi, ref)
     out = np.empty(len(h))
-    bad = _linear_recursion(k, h, xi, out)
+    returned = [_linear_recursion(k, h, xi, out, lo=lo, hi=hi) for lo, hi in windows]
+    bad = next((b for b in returned if b >= 0), -1)
     stop = len(h) if bad < 0 else bad + 1
     assert bad == ref_bad
     assert_same_bits(out[:stop], ref[:stop])
@@ -1259,6 +1290,15 @@ def both_log(k, h, xi, windows=((1, None),)):
     return ret
 
 
+# indices that split [1, N) into consecutive windows [lo, hi)
+WINDOW_CUTS = [(1, 2, 3), (100, CHUNK + 50), (CHUNK - 1, CHUNK + 1), (7, 2 * CHUNK, 2 * CHUNK + 1)]
+
+
+def split_at(cuts):
+    edges = (1,) + cuts + (None,)
+    return list(zip(edges[:-1], edges[1:]))
+
+
 class TestPythonFloatLoops:
     @pytest.mark.parametrize("m", [0, 1, 40])
     @pytest.mark.parametrize("horizon", LOOP_HORIZONS)
@@ -1280,6 +1320,11 @@ class TestPythonFloatLoops:
         bad = both_linear(np.array(k), loop_forcing(3 * CHUNK, 5), 1.0)
         assert CHUNK < bad < 2 * CHUNK
 
+    @pytest.mark.parametrize("cuts", WINDOW_CUTS)
+    def test_linear_windows(self, cuts):
+        assert both_linear(loop_kernel(40, 8), loop_forcing(3 * CHUNK + 7, 9), -0.4,
+                           split_at(cuts)) == -1
+
     @pytest.mark.parametrize("m", [0, 1, 40])
     @pytest.mark.parametrize("horizon", LOOP_HORIZONS)
     def test_log_is_bitwise_numpy(self, m, horizon):
@@ -1289,12 +1334,9 @@ class TestPythonFloatLoops:
     def test_log_kernel_longer_than_horizon(self):
         both_log(loop_kernel(40, 6), loop_forcing(10, 7), 1.1)
 
-    @pytest.mark.parametrize("cuts", [(1, 2, 3), (100, CHUNK + 50), (CHUNK - 1, CHUNK + 1),
-                                      (7, 2 * CHUNK, 2 * CHUNK + 1)])
+    @pytest.mark.parametrize("cuts", WINDOW_CUTS)
     def test_log_windows(self, cuts):
-        edges = (1,) + cuts + (None,)
-        windows = list(zip(edges[:-1], edges[1:]))
-        both_log(loop_kernel(40, 8), loop_forcing(3 * CHUNK + 7, 9), -0.4, windows)
+        both_log(loop_kernel(40, 8), loop_forcing(3 * CHUNK + 7, 9), -0.4, split_at(cuts))
 
     def test_log_overflow_in_second_chunk(self):
         h = loop_forcing(3 * CHUNK, 10)
