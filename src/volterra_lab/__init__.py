@@ -42,7 +42,6 @@ from .exceptions import (
     NonlinearityError,
     ParameterError,
     SingularMultiplierError,
-    SpectralError,
     TrajectoryOverflowError,
     UndefinedRatioError,
     VolterraLabError,

@@ -206,7 +206,8 @@ def verify_growth2(kernel: Kernel, x, forcing, scale: ScalingModel = None) -> Gr
 
     The ratio limit lam is taken from ``scale`` when one is supplied and
     estimated from the forcing tail otherwise.  The empirical constant is
-    the mean of x/H over the tail window.
+    the mean of x/H over the tail window.  ``summable`` is whether r(j)
+    lam^j is summable at the scale's lam, or at 1 when lam is estimated.
     """
     horizon = x.end
     lam_hat, converged = estimate_lambda(forcing)
@@ -217,7 +218,7 @@ def verify_growth2(kernel: Kernel, x, forcing, scale: ScalingModel = None) -> Gr
             lam_hat,
         )
     lam_used = scale.lam if scale is not None else min(max(lam_hat, 0.0), 1.0)
-    summable = _summability_caveat(kernel)
+    summable = _summability_caveat(kernel, scale.lam if scale is not None else 1.0)
     L_theory = multiplier_L(kernel, lam_used)
     lo = max(x.start, forcing.start, 1)
     ratio = ratio_series(x.window(lo, horizon), forcing.window(lo, horizon))

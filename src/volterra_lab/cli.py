@@ -219,7 +219,7 @@ def _mode_verify_periodic(cfg, kernel, forcing, x, scale):
 
 
 def _mode_verify_ergodic(cfg, kernel, forcing, x, scale):
-    _summability_caveat(kernel)
+    _summability_caveat(kernel, scale.lam)
     mu_x = time_average(ratio_series(x, scale.a))
     mu_H = time_average(ratio_series(forcing, scale.a))
     multiplier = multiplier_L(kernel, scale.lam)

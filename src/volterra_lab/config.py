@@ -156,11 +156,15 @@ def _named(spec, path, factory, keys=("name", "params")):
 
 
 def _kernel(spec, path, top):
+    """Explicit ``{coefficients}``, ``{name: zero}`` or ``{name: geometric,
+    c, ratio, size}``: each form takes only the fields it reads."""
     _object(spec, path, {"name", "coefficients", "c", "ratio", "size"})
     if "coefficients" in spec:
+        _object(spec, path, {"coefficients"})
         out = {"coefficients": _floats(spec, "coefficients", path)}
         return out, _build(path, Kernel, **out)
     if _choice(spec, "name", path, ("zero", "geometric")) == "zero":
+        _object(spec, path, {"name"})
         return {"name": "zero"}, Kernel.zero()
     out = {
         "name": "geometric",

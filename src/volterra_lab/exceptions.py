@@ -23,12 +23,10 @@ class NonlinearityError(VolterraLabError):
     """A nonlinearity returned a non-finite value for a finite input."""
 
 
-class SpectralError(VolterraLabError):
-    """Characteristic root finding failed to converge."""
-
-
-class SingularMultiplierError(SpectralError):
-    """The symbol g(lambda) vanished, so the multiplier 1/g(lambda) is undefined."""
+class SingularMultiplierError(VolterraLabError):
+    """The symbol g vanished at lambda, so the growth multiplier
+    L(lambda) = 1/g(lambda) is undefined; a summable r(j) lambda^j rules
+    this out, since g then has no zero in |z| <= lambda."""
 
 
 class ParameterError(VolterraLabError, ValueError):

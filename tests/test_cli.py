@@ -107,6 +107,10 @@ _MALFORMED = [
     ("out_dir", "elsewhere", "config.out_dir"),
     ("period_hint", 2, "config.period_hint"),
     ("kernel.tail_bound", 0.0, "config.kernel.tail_bound"),
+    # each kernel form takes only the fields it reads
+    ("kernel", {"coefficients": [0.5], "name": "geometric", "c": 0.3, "ratio": 0.5, "size": 4},
+     "config.kernel.name"),
+    ("kernel", {"name": "zero", "size": 5, "c": 2.0}, "config.kernel.size"),
     # the iterated logs go three deep, so betas hold at most three exponents
     ("forcing", {"kind": "deterministic", "name": "H1", "params": {"betas": [1, 0, 0, 1]}},
      "config.forcing"),
@@ -265,19 +269,54 @@ class TestModes:
         assert stats["solution_limsup"] > stats["forcing_limsup"]
         assert {"forcing_sign", "x_sign", "x_logabs"} <= set(report.series)
 
-    # g(z) = 1 - 1.5 z vanishes at z = 2/3, inside the unit disc: r(n) = 1.5^n
+    @staticmethod
+    def _geometric_run(mode, coefficients, lam, horizon=100):
+        return run_experiment(cfg(
+            mode=mode, horizon=horizon, kernel={"coefficients": coefficients},
+            forcing={"kind": "deterministic", "name": "geometric", "params": {"lam": lam}},
+            scaling={"name": "geometric", "params": {"lam": lam}},
+        ))
+
+    # g(z) = 1 - 1.5 z vanishes at z = 2/3, inside the disc |z| <= 0.8:
+    # r(j) 0.8^j = 1.2^j
     @pytest.mark.parametrize("mode", ["verify-growth2", "verify-ergodic"])
     def test_nonsummable_kernel_warns_once(self, mode, caplog):
         with caplog.at_level(logging.WARNING):
-            run_experiment(cfg(
-                mode=mode, horizon=100, kernel={"coefficients": [1.5]},
-                forcing={"kind": "deterministic", "name": "geometric", "params": {"lam": 0.5}},
-                scaling={"name": "geometric", "params": {"lam": 0.5}},
-            ))
+            report = self._geometric_run(mode, [1.5], 0.8)
         [record] = caplog.records
         assert record.name == "volterra_lab.spectral"
-        assert record.getMessage() == ("kernel resolvent verdict is nonsummable; "
+        assert record.getMessage() == ("kernel resolvent verdict at lambda = 0.8 is nonsummable; "
                                        "the limit stated with L(lambda) may not exist")
+        if mode == "verify-growth2":
+            assert report.statistics["summable"] is False
+
+    # the caveat is decided on the disc |z| <= lambda, not on the unit disc:
+    # g's zeros 2/3 and 1/1.0348 lie outside |z| <= 0.5, so r(j) 0.5^j is
+    # summable though r is not
+    @pytest.mark.parametrize("mode", ["verify-growth2", "verify-ergodic"])
+    @pytest.mark.parametrize("coefficients", [[1.5], [0.6, 0.45]])
+    def test_kernel_summable_at_lambda_does_not_warn(self, mode, coefficients, caplog):
+        with caplog.at_level(logging.WARNING):
+            report = self._geometric_run(mode, coefficients, 0.5, horizon=400)
+        assert caplog.records == []
+        if mode == "verify-growth2":
+            assert report.statistics["summable"] is True
+            assert report.verdicts["residual_within_tolerance"]
+
+    # with no scaling section lambda is estimated, and H(n) = n at N = 400
+    # reads as lambda_hat = 0.99715 < 1; r(n) = 1.002^n is summable there but
+    # not at the limit 1, so the caveat is decided at lambda = 1
+    def test_estimated_lambda_decides_the_caveat_at_one(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            report = run_experiment(cfg(
+                mode="verify-growth2", horizon=400, kernel={"coefficients": [1.002]},
+                forcing={"kind": "deterministic", "name": "power", "params": {"theta": 1.0}},
+            ))
+        assert report.statistics["lambda_used"] < 1.0
+        [record] = caplog.records
+        assert record.getMessage() == ("kernel resolvent verdict at lambda = 1 is nonsummable; "
+                                       "the limit stated with L(lambda) may not exist")
+        assert report.statistics["summable"] is False
 
     def test_verify_growth2_geometric_system(self, tmp_path):
         report = run_experiment(cfg(

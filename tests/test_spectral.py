@@ -1,12 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
 
 from volterra_lab.cli import run_experiment
 from volterra_lab.config import ExperimentConfig
 from volterra_lab.core import Kernel, resolvent
-from volterra_lab.exceptions import InputError, SingularMultiplierError, SpectralError
+from volterra_lab.exceptions import InputError, SingularMultiplierError
 from volterra_lab.spectral import (
-    _polish_roots,
+    _summability_caveat,
     _symbol_coefficients,
     characteristic_roots,
     multiplier_L,
@@ -35,6 +37,7 @@ class TestCharacteristicRoots:
     def test_single_contractive_root(self):
         rep = characteristic_roots(Kernel([0.5]))
         assert np.allclose(rep.roots, [0.5])
+        assert rep.roots.dtype == np.complex128
         assert rep.summable and rep.verdict == "summable"
 
     def test_single_expanding_root(self):
@@ -51,6 +54,7 @@ class TestCharacteristicRoots:
     def test_empty_kernel_trivially_summable(self):
         rep = characteristic_roots(Kernel.zero())
         assert rep.summable and rep.max_modulus == 0.0
+        assert rep.roots.dtype == np.complex128 and rep.roots.size == 0
 
     def test_geometric_kernel_summable(self):
         rep = characteristic_roots(Kernel.geometric(0.3, 0.5, 20))
@@ -73,17 +77,17 @@ class TestCharacteristicRoots:
             residuals = np.abs(np.polyval(coeffs, rep.roots))
             assert np.all(residuals < 1e-10)
 
-    def test_non_convergent_polish_raises(self):
-        # a NaN coefficient can never satisfy the residual target
-        with pytest.raises(SpectralError):
-            _polish_roots(np.array([1.0, np.nan]), np.array([0.5 + 0j]))
+    def test_repeated_root(self):
+        # w^2 - 0.5 w + 0.0625 = (w - 0.25)^2
+        assert np.allclose(characteristic_roots(Kernel([0.5, -0.0625])).roots, 0.25, atol=1e-7)
 
 
 class TestNonnegativeCriterion:
     def test_mass_below_one_iff_summable(self):
+        # small kernels, then companion matrices of size 40, 100 and 300
         rng = np.random.Generator(np.random.Philox(22))
-        for _ in range(100):
-            m = int(rng.integers(1, 6))
+        for size in [None] * 100 + [40, 100, 300] * 10:
+            m = int(rng.integers(1, 6)) if size is None else size
             total = rng.uniform(0.2, 1.8)
             k = Kernel(rng.dirichlet(np.ones(m)) * total)
             rep = characteristic_roots(k)
@@ -94,6 +98,26 @@ class TestNonnegativeCriterion:
         for _ in range(100):
             k = random_summable_kernel(rng, max_size=6, max_l1=0.99)
             assert characteristic_roots(k).summable
+
+
+class TestSummabilityCaveat:
+    # rho_lam = lam * max |w| against 1 +/- ROOT_TOLERANCE: r(j) lam^j is
+    # summable iff g has no zero in |z| <= lam
+    @pytest.mark.parametrize("coefficients,lam,verdict", [
+        ([2.0], 0.0, "summable"),
+        ([0.5], 1.0, "summable"),
+        ([1.5], 0.5, "summable"),
+        ([1.5], 2.0 / 3.0, "marginal"),
+        ([1.5], 0.8, "nonsummable"),
+    ])
+    def test_verdict_at_lambda(self, coefficients, lam, verdict, caplog):
+        with caplog.at_level(logging.WARNING):
+            summable = _summability_caveat(Kernel(coefficients), lam)
+        assert summable == (verdict == "summable")
+        expected = [] if summable else [
+            f"kernel resolvent verdict at lambda = {lam:.6g} is {verdict}; "
+            "the limit stated with L(lambda) may not exist"]
+        assert [record.getMessage() for record in caplog.records] == expected
 
 
 class TestMultiplier:
@@ -147,8 +171,8 @@ class TestSymbol:
 
     @pytest.mark.parametrize("name", sorted(SYMBOL_KERNELS))
     def test_vanishes_at_the_reciprocal_roots(self, name):
-        # p(w) = w^M g(1/w) vanishes at every listed root w, to the polish
-        # target |p(w)| <= 1e-12 ||p|| max(1, |w|)^M: the clustered roots of
+        # p(w) = w^M g(1/w) vanishes at every listed root w, to a scaled
+        # residual |p(w)| <= 1e-12 ||p|| max(1, |w|)^M: the clustered roots of
         # the geometric kernel are accurate only to about 1e-8, and there g
         # at 1/w, near 2, is p(w) scaled up by 2^40
         k = SYMBOL_KERNELS[name]
@@ -210,127 +234,3 @@ class TestRhoOfLambda:
             for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
                 weighted = float(np.sum(r.values * lam ** np.arange(2001)))
                 assert abs(weighted - multiplier_L(k, lam)) < 1e-8
-
-
-# --------------------------------------------------------------------------
-# the vectorised root polish against the per-root Newton loop it replaced
-# --------------------------------------------------------------------------
-
-def per_root_polish(coeffs, roots):
-    """Newton-polish companion-matrix roots to small scaled residual."""
-    deriv = np.polyder(coeffs)
-    norm = float(np.linalg.norm(np.nan_to_num(coeffs)))
-    m = len(coeffs) - 1
-    polished = np.array(roots, dtype=np.complex128)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for i, z in enumerate(polished):
-            best = z
-            for attempt in range(4):
-                zi = z if attempt == 0 else z * (1.0 + 1e-8 * attempt) + 1e-12 * attempt
-                for _ in range(12):
-                    pv = np.polyval(coeffs, zi)
-                    scale = norm * max(1.0, abs(zi)) ** m
-                    if abs(pv) <= 1e-12 * scale:
-                        break
-                    dv = np.polyval(deriv, zi)
-                    if dv == 0:
-                        break
-                    zi = zi - pv / dv
-                pv = np.polyval(coeffs, zi)
-                scale = norm * max(1.0, abs(zi)) ** m
-                if abs(pv) <= 1e-12 * scale:
-                    best = zi
-                    break
-            else:
-                raise SpectralError(
-                    f"root polishing failed to converge near z = {z!r}"
-                )
-            polished[i] = best
-    return polished
-
-
-def assert_polish_matches(coeffs, roots):
-    try:
-        expected = per_root_polish(coeffs, roots)
-    except SpectralError as exc:
-        with pytest.raises(SpectralError) as raised:
-            _polish_roots(coeffs, roots)
-        assert str(raised.value) == str(exc)
-        return
-    got = _polish_roots(coeffs, roots)
-    assert got.dtype == expected.dtype
-    assert np.array_equal(got.view(np.float64), expected.view(np.float64), equal_nan=True)
-    assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(expected.view(np.float64)))
-
-
-def oracle_kernel(rng, kind, m):
-    w = rng.dirichlet(np.ones(m))
-    if kind == "summable":
-        return w * rng.uniform(0.05, 0.95)
-    if kind == "marginal":
-        return w
-    if kind == "nonsummable":
-        return w * rng.uniform(1.05, 3.0)
-    return w * rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0], size=m)
-
-
-class TestPolishOracle:
-    @pytest.mark.parametrize("kind", ["summable", "marginal", "nonsummable", "signed"])
-    def test_random_kernels_are_bitwise_per_root(self, kind):
-        rng = np.random.Generator(np.random.Philox(31))
-        for m in list(range(1, 61)) + [int(s) for s in rng.integers(1, 61, size=20)]:
-            coeffs = np.concatenate(([1.0], -oracle_kernel(rng, kind, m)))
-            assert_polish_matches(coeffs, np.roots(coeffs))
-
-    def test_perturbed_starts_are_bitwise_per_root(self):
-        # starts away from the roots take several Newton steps and attempts
-        rng = np.random.Generator(np.random.Philox(32))
-        for m in (3, 12, 40):
-            coeffs = np.concatenate(([1.0], -oracle_kernel(rng, "signed", m)))
-            roots = np.roots(coeffs)
-            starts = roots * (1.0 + rng.uniform(-0.05, 0.05, m)) + 1j * rng.uniform(-0.05, 0.05, m)
-            assert_polish_matches(coeffs, starts)
-
-    def test_newton_steps_and_attempts_near_their_limits(self):
-        # from far outside, Newton on a quadratic halves the distance a step:
-        # the starts below need from 1 to more than 48 steps, so some finish
-        # on the last iteration, some on a later attempt and some fail
-        coeffs = np.array([1.0, -0.3, -0.1])
-        for k in range(0, 60, 3):
-            for angle in (0.0, 0.7, 2.0):
-                assert_polish_matches(coeffs, np.array([2.0**k * np.exp(1j * angle)]))
-
-    def test_residual_test_uses_the_scalar_modulus(self):
-        # p(z) = z, so the residual of this start is |z| itself: hypot, as the
-        # scalar abs, puts it at 1e-12 and the start passes untouched, while
-        # the array np.abs of complex128 puts it one ulp above
-        start = complex(-8.41620980565793e-13, 5.400686299642604e-13)
-        coeffs = np.concatenate(([1.0], -Kernel([0.0]).coefficients))
-        assert np.hypot(start.real, start.imag) <= 1e-12 < np.abs(np.array([start]))[0]
-        assert_polish_matches(coeffs, np.array([start]))
-        assert _polish_roots(coeffs, np.array([start]))[0] == start
-
-    def test_repeated_root(self):
-        # z^2 - 0.5 z + 0.0625 = (z - 0.25)^2
-        coeffs = np.array([1.0, -0.5, 0.0625])
-        assert_polish_matches(coeffs, np.roots(coeffs))
-        assert_polish_matches(coeffs, np.array([0.25 + 0j, 0.25 + 0j]))
-        assert np.allclose(characteristic_roots(Kernel([0.5, -0.0625])).roots, 0.25, atol=1e-7)
-
-    def test_nan_coefficient_raises_the_same_error(self):
-        coeffs = np.array([1.0, np.nan, 0.5])
-        roots = np.array([0.5 + 0j, -0.25 + 0.1j])
-        assert_polish_matches(coeffs, roots)
-        with pytest.raises(SpectralError, match=r"near z = np\.complex128\(0\.5\+0j\)"):
-            _polish_roots(coeffs, roots)
-
-    def test_first_failing_root_in_input_order_is_named(self):
-        # Newton from far outside the roots of a degree-40 polynomial shrinks
-        # the start by about 1/40 a step: 48 steps do not reach a root
-        rng = np.random.Generator(np.random.Philox(33))
-        coeffs = np.concatenate(([1.0], -oracle_kernel(rng, "summable", 40)))
-        starts = np.roots(coeffs)
-        starts[[7, 3]] = [2e8 + 0j, 1e8 + 1e8j]
-        assert_polish_matches(coeffs, starts)
-        with pytest.raises(SpectralError, match=r"near z = np\.complex128\(100000000\+100000000j\)"):
-            _polish_roots(coeffs, starts)
