@@ -3,7 +3,7 @@
 A single JSON document describes one experiment.  It is read in one pass:
 each section's parser checks its keys, converts its scalars and builds
 its library object once.  The defaults of the schema's own fields are
-written back; a named family's parameters are echoed as given, since
+written back; a named family's parameters are echoed as numbers, since
 their defaults live in its builder's signature.  Either way the echoed
 config reproduces all statistics bitwise.  Horizon-length work (scaling
 sequence, forcing draws) is left to the run.  Each input rule is checked
@@ -120,6 +120,11 @@ def _floats(spec, key, path, default=_MISSING) -> list:
     return [_float(items, i, f"{path}.{key}") for i in items]
 
 
+def _number(spec, key, path):
+    """A family's parameter: a finite number or a list of finite numbers."""
+    return (_floats if isinstance(spec[key], (list, tuple)) else _float)(spec, key, path)
+
+
 def _int(spec, key, path, default=_MISSING, minimum=0) -> int:
     value = _field(spec, key, path, default)
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
@@ -152,7 +157,8 @@ def _named(spec, path, factory, keys=("name", "params")):
     _object(spec, path, keys)
     name = _field(spec, "name", path)
     params = _object(_field(spec, "params", path, {}), f"{path}.params")
-    return {"name": name, "params": dict(params)}, _build(path, factory, name, **params)
+    params = {key: _number(params, key, f"{path}.params") for key in params}
+    return {"name": name, "params": params}, _build(path, factory, name, **params)
 
 
 def _kernel(spec, path, top):
@@ -185,9 +191,7 @@ def _tail(spec, path, top=None):
 def _factor(spec, path):
     """``{kind, <its parameters>}``: a parameter is a number or a list of numbers."""
     out = {"kind": _field(_object(spec, path), "kind", path)}
-    for key, value in spec.items():
-        if key != "kind":
-            out[key] = (_floats if isinstance(value, (list, tuple)) else _float)(spec, key, path)
+    out.update((key, _number(spec, key, path)) for key in spec if key != "kind")
     return out, _build(path, make_factor, **out)
 
 

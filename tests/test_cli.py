@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,8 +116,20 @@ _MALFORMED = [
     ("forcing", {"kind": "deterministic", "name": "H1", "params": {"betas": [1, 0, 0, 1]}},
      "config.forcing"),
     ("scaling", {"name": "H2", "params": {"betas": [1, 0, 0, 1]}}, "config.scaling"),
-    # a named family's parameter that is not a number fails at its section
-    ("phi", {"name": "power", "params": {"p": "x"}}, "config.phi"),
+    # a named family's parameter is a finite number or a list of them: no
+    # string, boolean or non-finite value
+    ("phi", {"name": "power", "params": {"p": "x"}}, "config.phi.params.p"),
+    ("phi", {"name": "power", "params": {"p": "2"}}, "config.phi.params.p"),
+    ("scaling", {"name": "H3", "params": {"theta": True}}, "config.scaling.params.theta"),
+    ("scaling", {"name": "H1", "params": {"betas": "12"}}, "config.scaling.params.betas"),
+    ("scaling", {"name": "H3", "params": {"theta": math.nan}}, "config.scaling.params.theta"),
+    ("forcing", {"kind": "deterministic", "name": "power", "params": {"theta": math.inf}},
+     "config.forcing.params.theta"),
+    ("forcing", dict(_modulated({"kind": "periodic", "profile": [1.0, 2.0]}),
+                     base={"name": "H1", "params": {"betas": [1.0, math.nan]}}),
+     "config.forcing.base.params.betas.1"),
+    ("nonlinearity", {"name": "solow", "params": {"delta": "0.1"}},
+     "config.nonlinearity.params.delta"),
 ]
 
 
@@ -245,6 +258,9 @@ class TestModes:
         assert report.statistics["summable"] is False
         assert np.isclose(report.statistics["max_modulus"], 2.0)
         assert report.statistics["multiplier"][0] == 1.0  # lambda = 0
+        # g(lambda) = 1 - 2 lambda vanishes at lambda = 0.5, where L is null
+        assert report.statistics["multiplier"][2] is None
+        assert report.statistics["verdict"] == "nonsummable"
 
     def test_classify_reports_lambda_and_limsup(self):
         report = run_experiment(cfg(
@@ -680,8 +696,8 @@ class TestCommandLine:
     def test_list_catalogue(self, capsys):
         assert main(["--list-catalogue"]) == 0
         out = capsys.readouterr().out
-        for tag in ("H1", "H6", "H9", "H10"):
-            assert tag in out
+        # every catalogue entry and the envelope scale, each as a whole word
+        assert {f"H{i}" for i in range(1, 11)} | {"sqrt_log"} <= set(re.findall(r"\w+", out))
         assert "geometric" in out and "factorial" in out
         # every key of every builder table, in table order
         lines = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
@@ -799,6 +815,129 @@ class TestCommandLine:
         assert report["statistics"]["detected_period_x"] == 0
         assert report["verdicts"]["period_detected"] is False
 
+    # End-to-end runs through cli.main, one row per claim checked at a scale
+    # no other test runs: name -> (mode, config, exit code, statistics the
+    # report must hold exactly).  A new end-to-end check is one more row.
+    _RUNS = {
+        # ensembles through the one path loop: log-domain paths solved one
+        # at a time, plain geometric-walk paths that fail in generation
+        # (e^(0.1 n) leaves double range), and plain paths of x(n) ~ C 1.05^n
+        # that fail in the solve
+        "ens_log": ("ensemble", {
+            "horizon": 3000, "paths": 6, "seed": 3, "log_domain": True,
+            "kernel": {"coefficients": [0.5]},
+            "forcing": {"kind": "modulated",
+                        "base": {"name": "geometric", "params": {"lam": 0.5}},
+                        "factor": {"kind": "iid_uniform", "low": 0.0, "high": 1.0}},
+            "scaling": {"name": "geometric", "params": {"lam": 0.5}},
+            "statistic": {"name": "cesaro_limit", "band": [0.6, 0.7]},
+        }, 0, {"failures": 0}),
+        "ens_walk": ("ensemble", {
+            "horizon": 8000, "paths": 12, "seed": 17,
+            "kernel": {"coefficients": [0.5]},
+            "forcing": {"kind": "geometric_random_walk", "drift": 0.1,
+                        "noise": {"family": "normal", "sigma": 0.5}},
+            "statistic": {"name": "log_growth_rate", "band": [0.09, 0.11]},
+        }, 2, {"failures": 10}),
+        "ens_overflow": ("ensemble", {
+            "horizon": 14552, "paths": 12, "seed": 13,
+            "kernel": {"coefficients": [1.05]},
+            "forcing": {"kind": "iid", "tail": {"family": "normal", "sigma": 1.0}},
+            "statistic": {"name": "log_growth_rate", "band": [0.04, 0.05]},
+        }, 2, {"failures": 9, "pass_fraction": 0.25}),
+        # criterion 10's shape at a fifth of its horizon: every block of
+        # every log-domain path is scaled, the first one from x(0) alone
+        "ens_log_walk": ("ensemble", {
+            "horizon": 2000, "paths": 8, "seed": 31337, "log_domain": True,
+            "kernel": {"name": "geometric", "c": 0.3, "ratio": 0.5, "size": 40},
+            "forcing": {"kind": "geometric_random_walk", "drift": 0.1,
+                        "noise": {"family": "normal", "sigma": 0.05}},
+            "statistic": {"name": "log_growth_rate", "band": [0.09, 0.11]},
+        }, 0, {"failures": 0, "pass_fraction": 1.0}),
+        # x^2 leaves double range on two log-domain paths whose |x| stays
+        # inside it: each counts once in failures
+        "ens_phi": ("ensemble", {
+            "horizon": 3000, "paths": 6, "seed": 3, "log_domain": True,
+            "kernel": {"coefficients": [0.5]},
+            "forcing": {"kind": "geometric_random_walk", "drift": 0.1,
+                        "noise": {"family": "normal", "sigma": 1.0}},
+            "statistic": {"name": "phi_average", "band": [0.0, 1.0]},
+        }, 2, {"failures": 2, "pass_fraction": 0.0}),
+        # an ensemble limsup_ratio on the forcing against sqrt(2 log n)
+        "limsup": ("ensemble", {
+            "horizon": 2000, "paths": 8, "seed": 7,
+            "kernel": {"coefficients": [0.5]},
+            "forcing": {"kind": "iid", "tail": {"family": "normal", "sigma": 1.0}},
+            "scaling": {"name": "sqrt_log", "params": {}},
+            "statistic": {"name": "limsup_ratio", "band": [0.5, 2.0], "series": "forcing"},
+        }, 0, {}),
+        # cli_sweep's fluctuation config (workload seed 0): r_l1 is sum |r|
+        # over 50000 steps of kernel [0.5], 2.0 in doubles
+        "fluct": ("verify-fluct", {
+            "horizon": 50000, "seed": 2076458226,
+            "kernel": {"coefficients": [0.5]},
+            "forcing": {"kind": "iid", "tail": {"family": "normal", "sigma": 1.0}},
+            "scaling": {"name": "sqrt_log", "params": {}},
+        }, 0, {"r_l1": 2.0}),
+        # a symmetrised exponential tail against a(n) = log(n + 1):
+        # P[|X| > K a(n)] = (n + 1)^-K, so the series diverges below K = 1
+        # and converges above it
+        "envelope": ("envelope", {
+            "horizon": 20000, "expected_crossing": 1.0,
+            "tail": {"family": "weibull_symmetric", "scale": 1.0, "shape": 1.0},
+            "scaling": {"name": "log_power_product", "params": {"betas": [1.0]}},
+            "k_grid": [0.8, 0.9, 1.1, 1.2],
+        }, 0, {"verdicts_per_k": ["divergent", "divergent", "convergent", "convergent"],
+               "crossing": 1.0}),
+        # a shape-2 Weibull tail's (x / scale)^2 overflows past |x| = 1.3e154,
+        # where its survival function is exactly 0: no warning may leak
+        "envelope_weibull": ("envelope", {
+            "horizon": 600,
+            "tail": {"family": "weibull_symmetric", "scale": 1.0, "shape": 2.0},
+            "scaling": {"name": "H7"},
+            "k_grid": [0.8, 0.9, 1.1, 1.2],
+        }, 2, {}),
+        # log_growth's factorial config: its blocks past index 256 span more
+        # than 600 in log|H| and scale into the double range above 1
+        "growth2_long": ("verify-growth2", {
+            "horizon": 20000, "log_domain": True, "xi": 1.25,
+            "kernel": {"name": "geometric", "c": 0.3, "ratio": 0.5, "size": 40},
+            "forcing": {"kind": "deterministic", "name": "factorial"},
+        }, 0, {}),
+        # the nonlinear solve on bounded_offset over several loop chunks
+        "nonlinear": ("verify-nonlinear", {
+            "horizon": 20000,
+            "kernel": {"coefficients": [0.5]},
+            "forcing": {"kind": "deterministic", "name": "power", "params": {"theta": 1.0}},
+            "scaling": {"name": "power", "params": {"theta": 1.0}},
+            "nonlinearity": {"name": "bounded_offset"},
+        }, 0, {}),
+    }
+
+    @pytest.mark.parametrize("name", list(_RUNS))
+    def test_end_to_end_run(self, name, tmp_path, capsys, caplog):
+        # nothing on stderr and no logged caveat; pyproject turns a numpy
+        # warning into an error, so none can leak either
+        mode, data, code, statistics = self._RUNS[name]
+        out = tmp_path / "out"
+        assert main([mode, "--config", str(self._write_config(tmp_path, data)),
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().err == ""
+        assert caplog.records == []
+        stats = json.loads((out / "report.json").read_text())["statistics"]
+        assert {key: stats[key] for key in statistics} == statistics
+
+    # steps of scale 1e307 leave double range at index 582, where the per-term
+    # loop run from x(0) does; the first block's product turns non-finite long
+    # before (at 137 on one BLAS), so that block runs the per-term loop
+    _HUGE_STEPS = {"horizon": 2000, "seed": 5, "xi": 0.0, "kernel": {"coefficients": [0.999]},
+                   "forcing": {"kind": "iid", "tail": {"family": "normal", "sigma": 1e307}}}
+
+    def test_huge_steps_overflow_where_the_per_term_loop_does(self):
+        config = cfg(mode="solve", **self._HUGE_STEPS)
+        x = stochastic.generate(config.forcing, config["horizon"]).values.copy()
+        assert core._linear_recursion(config.kernel.coefficients, x, config["xi"], x) == 582
+
     _OVERFLOWS = [
         # H10 = exp(exp(n)) leaves double range even in log form past n = 709
         ("solve", {"horizon": 800, "log_domain": True, "kernel": {"name": "zero"},
@@ -810,6 +949,13 @@ class TestCommandLine:
                                   "params": {"lam": 0.5}},
                       "scaling": {"name": "power", "params": {"theta": 1.0, "scale": 1e-20}}},
          "ratio overflows plain representation at index 968"),
+        # an iterated exponential of depth 1e12 overflows in log space and
+        # exits 1 at once: its exp passes stop when every value is inf
+        ("solve", {"horizon": 50, "log_domain": True, "kernel": {"coefficients": [0.5]},
+                   "forcing": {"kind": "deterministic", "name": "iterated_exponential",
+                               "params": {"depth": 1e12}}},
+         "overflowed in log space"),
+        ("solve", _HUGE_STEPS, "non-finite value first produced at index 582\n"),
     ]
 
     def test_log_space_overflow_exits_one_without_numpy_warning(self, tmp_path):
@@ -822,7 +968,7 @@ class TestCommandLine:
             run = subprocess.run(
                 [sys.executable, "-m", "volterra_lab.cli", mode, "--config", str(path),
                  "--out", str(tmp_path / "out")],
-                capture_output=True, text=True, env=env, check=False,
+                capture_output=True, text=True, env=env, check=False, timeout=60,
             )
             assert run.returncode == 1, mode
             assert message in run.stderr
@@ -866,8 +1012,8 @@ class TestImportHygiene:
 
     The normal tail model is numpy arithmetic, and medians and percentiles
     are np.partition helpers.  So once the CLI is imported, parsing and
-    running a normal- or a power-tail ensemble, or a log-domain factorial
-    run, add nothing to sys.modules.
+    running a normal- or a power-tail ensemble, a normal-tail classify run
+    or a log-domain factorial run, add nothing to sys.modules.
     """
 
     _POWER_ENSEMBLE = {
@@ -905,8 +1051,10 @@ class TestImportHygiene:
         assert stages["run"] == []
 
     def test_normal_tail_ensemble_imports_nothing(self, tmp_path):
-        stages = self._stages([["ensemble", _ENSEMBLE]], tmp_path)
-        assert stages["codes"] == [0]
+        stages = self._stages([["ensemble", _ENSEMBLE],
+                               ["classify", TestReportSerialization.MODE_CONFIGS["classify"]]],
+                              tmp_path)
+        assert stages["codes"] == [0, 0]
         assert _scipy_or_ma(stages["import"]) == []
         assert stages["parse"] == []
         assert stages["run"] == []
