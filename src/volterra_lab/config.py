@@ -26,7 +26,7 @@ import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 
-from .asymptotics import ConvexFunctional, make_phi
+from .asymptotics import _MAX_PERIOD_FRACTION, ConvexFunctional, make_phi
 from .core import Kernel, Nonlinearity, make_nonlinearity
 from .exceptions import ConfigError, VolterraLabError
 from .growth_catalogue import CatalogueEntry, catalogue_entry
@@ -62,7 +62,8 @@ _MODES = {
 }
 MODES = tuple(_MODES)
 # modes that check x/a against its representation, which needs the ratio
-# series on two indices or more; a scale with a(0) = 0 starts it at n = 1
+# series on two indices or more: it starts at the scale's first index, or
+# at n = 1 where a(0) = 0
 _REPRESENTATION_MODES = ("verify-growth3", "verify-periodic", "verify-nonlinear")
 # modes with no log-form path: their arithmetic is plain doubles only
 _PLAIN_MODES = ("spectrum", "envelope", "verify-nonlinear")
@@ -279,14 +280,14 @@ class ExperimentConfig:
         """Check, normalize and build every section of ``raw`` in one pass."""
         _object(raw, "config", _SCALARS | _SECTIONS.keys())
         mode = _choice(raw, "mode", "config", MODES)
-        for key in _MODES[mode][0]:
+        required, optional, _ = _MODES[mode]
+        for key in required:
             if key not in raw:
                 raise ConfigError(f"config.{key}", f"required for mode {mode!r}")
         data = {"mode": mode}
         for key in ("horizon", "paths"):
             if key in raw:
-                minimum = 2 if key == "horizon" and mode in _REPRESENTATION_MODES else 1
-                data[key] = _int(raw, key, "config", minimum=minimum)
+                data[key] = _int(raw, key, "config", minimum=1)
         data["seed"] = _int(raw, "seed", "config", 0)
         data["xi"] = _float(raw, "xi", "config", 1.0)
         data["log_domain"] = _field(raw, "log_domain", "config", False)
@@ -304,15 +305,34 @@ class ExperimentConfig:
                 data[key], obj = parse(spec, f"config.{key}", data)
                 if obj is not None:
                     objects[key] = obj
+        entry = objects.get("scaling") if "scaling" in required + optional else None
+        if entry is not None:
+            floor = (max(2, entry.min_index + 1) if mode in _REPRESENTATION_MODES
+                     else entry.min_index)
+            if data["horizon"] < floor:
+                raise ConfigError("config.horizon", f"must be >= {floor} for scaling {entry.name!r}")
+            # a time average starts at index 1, where a later scale has no value
+            if entry.min_index > 1 and (mode == "verify-ergodic" or (
+                    mode == "ensemble" and objects["statistic"].name == "cesaro_limit")):
+                raise ConfigError("config.scaling", f"{entry.name!r} starts at index "
+                                  f"{entry.min_index}; a time average starts at index 1")
         if "k_grid" in raw:
             data["k_grid"] = _floats(raw, "k_grid", "config")
             if not data["k_grid"]:
                 raise ConfigError("config.k_grid", "must be a nonempty list")
             _each(data, "k_grid", "config", lambda k: k > 0.0, "must be positive")
-        # a period is at least 2, and a crossing outside the grid is never
-        # bracketed: either expectation would decide its verdict before the run
+        # a period is at least 2 and at most the longest one extraction reads
+        # from x/a on the scale's indices up to the horizon, and a crossing
+        # outside the grid is never bracketed: either expectation would
+        # decide its verdict before the run
         if raw.get("expected_period") is not None:
             data["expected_period"] = _int(raw, "expected_period", "config", minimum=2)
+            if entry is not None:
+                values = data["horizon"] + 1 - entry.min_index
+                longest = max(2, int(values * _MAX_PERIOD_FRACTION))
+                if data["expected_period"] > longest:
+                    raise ConfigError("config.expected_period", f"must be <= {longest}, the "
+                                      f"longest period read from {values} values of x/a")
         if "expected_crossing" in raw:
             data["expected_crossing"] = _float(raw, "expected_crossing", "config")
             grid = data.get("k_grid")

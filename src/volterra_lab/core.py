@@ -269,18 +269,14 @@ class Kernel:
 class Nonlinearity:
     """A scalar map f applied inside the convolution.
 
-    ``ratio_limit`` is the limit of f(x)/x as |x| -> infinity: 1 for every
-    catalogue member but ``solow`` with delta > 0, whose limit is 1 - delta.
+    ``ratio_limit`` is the limit beta of f(x)/x as |x| -> infinity: 1 for
+    every catalogue member but ``solow`` with delta > 0, whose limit is
+    1 - delta; the equation linearises to the linear one on beta * k.
     """
 
     name: str
     fn: callable
     ratio_limit: float = 1.0
-
-    @property
-    def linear_at_infinity(self) -> bool:
-        """Whether f(x)/x -> 1 as |x| -> infinity."""
-        return self.ratio_limit == 1.0
 
     def __call__(self, x: float) -> float:
         return self.fn(x)

@@ -765,7 +765,8 @@ class EnsembleResult:
     against the pass fraction: a path whose generation, solve or statistic
     fails, in either domain; for example a plain path that overflows, a log
     path past double range for a statistic read in plain doubles, or a
-    ``phi_average`` whose mean is not finite.
+    ``phi_average`` whose mean is not finite.  A statistic of the forcing
+    solves nothing, so no solve can fail it.
     """
 
     per_path: tuple
@@ -812,26 +813,29 @@ _PATH_ERRORS = (TrajectoryOverflowError, UndefinedRatioError, InputError)
 def _path_group(system: EnsembleSpec, statistic: StatisticSpec, horizon: int, rngs) -> list:
     """The statistics of one group of paths, one per generator in ``rngs``.
 
-    Each path's forcing is drawn by :func:`generate`.  In the log domain the
+    Each path's forcing is drawn by :func:`generate`.  A statistic of the
+    forcing solves nothing.  For one of the solution, in the log domain the
     path is solved alone; in the plain domain it is copied into its row of
     one (P, horizon + 1) array, and all rows are solved in place in one
     call.  A path's entry is None if its generation, its solve or its
     statistic fails.
     """
-    rows = None if system.log_domain else np.zeros((len(rngs), horizon + 1))
+    solve = statistic.series == "solution"
+    rows = np.zeros((len(rngs), horizon + 1)) if solve and not system.log_domain else None
     series = [None] * len(rngs)
     for p, rng in enumerate(rngs):
         try:
             forcing = generate(system.forcing, horizon, system.log_domain, rng)
-            if rows is None:
-                x = solve_linear(system.kernel, forcing, system.xi, horizon)
+            if not solve:
+                series[p] = forcing
+            elif rows is None:
+                series[p] = solve_linear(system.kernel, forcing, system.xi, horizon)
             else:
                 rows[p] = forcing.values
-                x = Trajectory(rows[p])  # a view: the solve below fills it in
-            series[p] = x if statistic.series == "solution" else forcing
+                series[p] = Trajectory(rows[p])  # a view: the solve below fills it in
         except _PATH_ERRORS:
             pass
-        forcing = x = None  # a forcing the statistic does not read goes before the next draw
+        forcing = None  # a forcing the statistic does not read goes before the next draw
     if rows is not None:
         for p in np.flatnonzero(_blocked_linear(system.kernel, rows, float(system.xi)) >= 0):
             series[p] = None
@@ -854,9 +858,10 @@ def ensemble_verify(system: EnsembleSpec, paths: int, statistic: StatisticSpec) 
     missing scaling model, a horizon that is not an integer >= 1, a
     non-finite start and, in the plain domain, a deterministic or modulated
     forcing past double range each raise ``InputError``.  Every path is
-    drawn, solved and scored by one loop, in groups: a plain-domain group
-    is solved as the rows of one array, a log-domain path alone.  A
-    failing path counts once, whichever step failed.  A path's statistic
+    drawn, solved (for a statistic of the solution only) and scored by one
+    loop, in groups: a plain-domain group is solved as the rows of one
+    array, a log-domain path alone.  A failing path counts once, whichever
+    step failed.  A path's statistic
     is bitwise reproducible for the same spec, seed and path count under
     the same BLAS and thread count; a plain path's solution is within the
     block engine's 1e-12 scaled gap of the same path solved alone.

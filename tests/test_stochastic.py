@@ -785,3 +785,16 @@ class TestEnsembles:
         [value] = ensemble_verify(spec, 1, stat).per_path
         h = generate(gen, 4).values[1:]
         assert value == pytest.approx((9.0 + np.sum(h**2)) / 5, rel=1e-12)
+
+    def test_forcing_statistic_solves_nothing(self):
+        # kernel [2.0] sends every solution past double range by n = 1100;
+        # a statistic of the forcing reads no solution, so the kernel is moot
+        scale = ScalingModel.from_entry(catalogue_entry("sqrt_log"), 2000)
+        stat = StatisticSpec(name="limsup_ratio", band=(0.5, 2.0), series="forcing")
+        results = [
+            ensemble_verify(EnsembleSpec(kernel=Kernel([k]), forcing=self._spec(seed=7).forcing,
+                                         horizon=2000, scaling=scale), 4, stat)
+            for k in (0.5, 2.0)
+        ]
+        assert results[0].failures == results[1].failures == 0
+        assert results[1].per_path == results[0].per_path
