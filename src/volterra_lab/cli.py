@@ -42,7 +42,7 @@ from .asymptotics import (
     verify_growth2,
 )
 from .config import _FORCING_KEYS, _MODES, MODES, ExperimentConfig, Report
-from .core import _NONLINEARITIES, Kernel, solve_linear, solve_nonlinear
+from .core import _CHUNK, _NONLINEARITIES, Kernel, solve_linear, solve_nonlinear
 from .exceptions import ConfigError, VolterraLabError
 from .growth_catalogue import catalogue_names
 from .series import LogTrajectory, Trajectory, overlap_range, ratio_series
@@ -379,19 +379,28 @@ def _write_series(out_dir: Path, name: str, series) -> dict:
     Log-form trajectories are exported as two named series, sign and log
     magnitude, so the ``n,value`` contract holds for every file.  Values
     are stored bit for bit, signed zeros and non-finite values included.
+    A file is its header and then its rows, filled ``_CHUNK`` at a time
+    in one reused buffer: its bytes are those ``np.save`` writes for the
+    whole array.
     """
     if isinstance(series, LogTrajectory):
         columns = {f"{name}_sign": series.sign, f"{name}_logabs": series.log_abs}
     else:
         columns = {name: series.values}
     n = series.indices()
+    header = {"descr": np.lib.format.dtype_to_descr(_SERIES_DTYPE),
+              "fortran_order": False, "shape": (len(n),)}
+    rows = np.empty(min(len(n), _CHUNK), dtype=_SERIES_DTYPE)
     written = {}
     for key, values in columns.items():
-        rows = np.empty(len(n), dtype=_SERIES_DTYPE)
-        rows["n"] = n
-        rows["value"] = values
         written[key] = f"{key}.npy"
-        np.save(out_dir / written[key], rows, allow_pickle=False)
+        with open(out_dir / written[key], "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            for lo in range(0, len(n), _CHUNK):
+                piece = rows[: min(_CHUNK, len(n) - lo)]
+                piece["n"] = n[lo : lo + _CHUNK]
+                piece["value"] = values[lo : lo + _CHUNK]
+                fh.write(piece)
     return written
 
 

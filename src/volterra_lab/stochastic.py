@@ -17,7 +17,14 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .asymptotics import ScalingModel, estimate_limsup, time_average
-from .core import Kernel, _blocked_linear, _placeholder_forcing, _solve_horizon, solve_linear
+from .core import (
+    _CHUNK,
+    Kernel,
+    _blocked_linear,
+    _placeholder_forcing,
+    _solve_horizon,
+    solve_linear,
+)
 from .exceptions import (
     InputError,
     ParameterError,
@@ -100,9 +107,34 @@ class TailModel:
         return self.reflected[0](below) + self.cdf(below)
 
     def sample(self, rng, size):
-        """Inverse-transform draws; one uniform consumed per sample."""
-        u = np.maximum(rng.random(size), 1e-300)
-        return self.quantile(u)
+        """Inverse-transform draws; one uniform consumed per sample.
+
+        Uniforms are drawn and mapped through the quantile ``_CHUNK`` at a
+        time into one output array.  The generator's stream runs on across
+        pieces, so the draws are bitwise those of one whole-array pass.
+        """
+        out = np.empty(size)
+        for lo in range(0, size, _CHUNK):
+            piece = out[lo : lo + _CHUNK]
+            piece[:] = self.quantile(np.maximum(rng.random(piece.size), 1e-300))
+        return out
+
+
+def _in_chunks(fn, x):
+    """fn of the flat float64 values of x, ``_CHUNK`` at a time, in x's shape.
+
+    fn must act elementwise, so the pieces give bitwise its whole-array
+    result; a 0-d input gives a scalar, as from a ufunc.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    if flat.size <= _CHUNK:
+        out = fn(flat)
+    else:
+        out = np.empty(flat.size)
+        for lo in range(0, flat.size, _CHUNK):
+            out[lo : lo + _CHUNK] = fn(flat[lo : lo + _CHUNK])
+    return out.reshape(x.shape)[()]
 
 
 def _piecewise(x, pieces):
@@ -197,21 +229,21 @@ def _anorm_far_ratio(y):
 
 def _ndtr(z):
     """Phi(z), the standard normal cdf, by Cody's ANORM; 0 or 1 past |z| = 38.5."""
-    z = np.asarray(z, dtype=np.float64)
-    flat = z.ravel()
+    return _in_chunks(_ndtr_flat, z)
+
+
+def _ndtr_flat(flat):
     y = np.abs(flat)
     centre = y <= _ANORM_EDGES[0]
     middle = ~centre & (y <= _ANORM_EDGES[1])
     far = (y > _ANORM_EDGES[1]) & (y < _ANORM_EDGES[2])
-    del y  # not read past the masks: one array fewer alive while the pieces run
-    out = _piecewise(flat, (
+    return _piecewise(flat, (
         (centre, _anorm_centre),
         (middle, lambda v: _anorm_tail(v, _anorm_middle_ratio)),
         (far, lambda v: _anorm_tail(v, _anorm_far_ratio)),
         # |z| >= 38.5, and NaN: heaviside keeps NaN
         (~(centre | middle | far), lambda v: np.heaviside(v, 0.5)),
     ))
-    return out.reshape(z.shape)[()]  # a 0-d input gives a scalar, as from a ufunc
 
 
 # Wichura's AS241 (Appl. Statist. 37 (1988) 477-484), the coefficients and
@@ -262,16 +294,17 @@ def _as241_tail(p):
 
 def _ndtri(p):
     """Phi^{-1}(p) by AS241: -inf at p = 0, inf at p = 1, NaN outside [0, 1]."""
-    p = np.asarray(p, dtype=np.float64)
-    flat = p.ravel()
+    return _in_chunks(_ndtri_flat, p)
+
+
+def _ndtri_flat(flat):
     centre = np.abs(flat - 0.5) <= 0.425
     tail = ~centre & (flat > 0.0) & (flat < 1.0)
-    out = _piecewise(flat, (
+    return _piecewise(flat, (
         (centre, lambda v: _as241_centre(v - 0.5)),
         (tail, _as241_tail),
         (~(centre | tail), lambda v: np.select([v == 0.0, v == 1.0], [-np.inf, np.inf], np.nan)),
     ))
-    return out.reshape(p.shape)[()]
 
 
 def _normal_model(sigma=1.0):
@@ -564,46 +597,62 @@ class EnvelopeReport:
         return 0.5 * (self.bracket[0] + self.bracket[1])
 
 
-def _decay_regression(indices, summands):
-    """Classify series convergence from the summand's log-log decay."""
+def _decay_regression(log_indices, summands):
+    """Classify series convergence from the summand's log-log decay.
+
+    ``log_indices`` are the logs of the summands' indices.  A summand of 0
+    has no log, and is left out of the fit.
+    """
     pos = summands > 0.0
-    if not np.any(pos):
+    count = np.count_nonzero(pos)
+    if count == 0:
         return "convergent", float("-inf")
-    if np.count_nonzero(pos) < 8:
+    if count < 8:
         return "undecided", float("nan")
-    slope = _ls_slope(np.log(indices[pos]), np.log(summands[pos]))
+    if count < summands.size:
+        log_indices, summands = log_indices[pos], summands[pos]
+    slope = _ls_slope(log_indices, np.log(summands))
     return ("convergent" if slope < -1.0 else "divergent"), slope
 
 
 def _ls_slope(x, y):
     """Least-squares slope of y on x in closed form: centred x.y over centred x.x.
 
-    The slope of np.polyfit(x, y, 1), to rounding, at a twentieth of its cost.
+    The slope of np.polyfit(x, y, 1), to rounding, at a twentieth of its
+    cost.  y is centred in place.
     """
     xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+    y -= y.mean()
+    return float(np.dot(xc, y) / np.dot(xc, xc))
 
 
 def envelope_sums(tail: TailModel, a: Trajectory, k_grid) -> EnvelopeReport:
-    """Exact partial sums S_N(a, K) of the exceedance series for each K, over all of a."""
+    """Exact partial sums S_N(a, K) of the exceedance series for each K, over all of a.
+
+    Each K's summand is computed ``_CHUNK`` values at a time straight into
+    its row of ``partial_sums``, which is then summed up in place; the
+    output is bitwise that of whole-array passes.
+    """
     a = a.to_plain()
-    if np.any(a.values <= 0.0) or np.any(np.diff(a.values) < 0.0):
+    values = a.values
+    if np.any(values <= 0.0) or np.any(values[1:] < values[:-1]):
         raise InputError("envelope scale must be positive and nondecreasing")
-    idx = a.indices().astype(np.float64)
     k_grid = np.asarray(sorted(float(k) for k in k_grid))
     if k_grid.size == 0 or np.any(k_grid <= 0.0):
         raise InputError("K grid must contain positive values")
     sums = np.empty((k_grid.size, len(a)))
     verdicts = []
     slopes = []
+    # the regression window: the last decade of indices
     reg_lo = max(a.start, a.end // 10)
-    reg_mask = idx >= reg_lo
-    for i, k in enumerate(k_grid):
-        summand = np.asarray(tail.tail_probability(k * a.values), dtype=np.float64)
-        sums[i] = np.cumsum(summand)
-        verdict, slope = _decay_regression(idx[reg_mask], summand[reg_mask])
+    log_idx = np.log(np.arange(reg_lo, a.end + 1, dtype=np.float64))
+    for k, row in zip(k_grid, sums):
+        for lo in range(0, row.size, _CHUNK):
+            row[lo : lo + _CHUNK] = tail.tail_probability(k * values[lo : lo + _CHUNK])
+        verdict, slope = _decay_regression(log_idx, row[reg_lo - a.start :])
         verdicts.append(verdict)
         slopes.append(slope)
+        np.cumsum(row, out=row)
     bracket = None
     divergent = [k for k, v in zip(k_grid, verdicts) if v == "divergent"]
     convergent = [k for k, v in zip(k_grid, verdicts) if v == "convergent"]

@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import logging
 import math
@@ -1340,6 +1341,28 @@ class TestSeriesFiles:
         series = RawSeries(values)
         assert cli._write_series(tmp_path, "x", series) == {"x": "x.npy"}
         assert_bitwise_series(tmp_path / "x.npy", series.indices(), series.values)
+
+    @pytest.mark.parametrize("size", [1, core._CHUNK - 1, core._CHUNK, core._CHUNK + 1, 100_001])
+    @pytest.mark.parametrize("form", ["plain", "log"])
+    def test_bytes_are_np_save_of_whole_array(self, tmp_path, form, size):
+        rng = np.random.Generator(np.random.Philox(size))
+        values = np.resize(SPECIALS, size) * rng.choice([-1.0, 1.0], size)
+        if form == "plain":
+            series, columns = RawSeries(values), {"x": values}
+        else:
+            # log magnitudes -inf (exact zero), -0.0 (magnitude 1) and finite
+            la = np.where(np.isfinite(values), values, -np.inf)
+            la[::3] = -0.0
+            series = LogTrajectory(la, np.where(la == -np.inf, 0.0, np.where(values < 0.0, -1.0, 1.0)))
+            columns = {"x_sign": series.sign, "x_logabs": series.log_abs}
+        assert cli._write_series(tmp_path, "x", series) == {k: f"{k}.npy" for k in columns}
+        for key, column in columns.items():
+            rows = np.empty(size, dtype=cli._SERIES_DTYPE)
+            rows["n"] = series.indices()
+            rows["value"] = column
+            whole = io.BytesIO()
+            np.save(whole, rows, allow_pickle=False)
+            assert (tmp_path / f"{key}.npy").read_bytes() == whole.getvalue()
 
     def test_log_form_series(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(18))

@@ -1,5 +1,6 @@
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.random import Generator, Philox, SeedSequence
 from volterra_lab import cli, stochastic
 from volterra_lab.asymptotics import ScalingModel
 from volterra_lab.config import ExperimentConfig
-from volterra_lab.core import Kernel
+from volterra_lab.core import _CHUNK, Kernel
 from volterra_lab.exceptions import InputError, ParameterError
 from volterra_lab.growth_catalogue import catalogue_entry
 from volterra_lab.series import LogTrajectory, Trajectory, abs_log_series
@@ -385,6 +386,68 @@ class TestTailModels:
             assert abs(observed - expected) < 4.0 * math.sqrt(expected / 200_000) + 1e-4
 
 
+# sizes around the piece length of the chunked elementwise passes
+CHUNK_SIZES = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+
+
+def normal_law_inputs(size, seed):
+    """size values for _ndtr and _ndtri, specials first: signed zeros,
+    infinities, NaN, both sides of every edge, p = 0 and 1, subnormal p."""
+    edges = [0.67448975, 38.5, math.sqrt(32.0), 0.075, 0.925, 0.5, 1.0]
+    edges += list(np.nextafter(edges, np.inf)) + list(np.nextafter(edges, -np.inf))
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310, 1e-300, 2.2e-308]
+    specials += edges + [-e for e in edges]
+    rng = np.random.Generator(np.random.Philox(seed))
+    draws = np.concatenate((rng.normal(scale=6.0, size=size), rng.random(size)))
+    rng.shuffle(draws)
+    return np.concatenate((specials, draws))[:size]
+
+
+class TestChunkedPasses:
+    """Evaluation in pieces of _CHUNK values changes no bit."""
+
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    @pytest.mark.parametrize("law", ["ndtr", "ndtri"])
+    def test_normal_law_is_bitwise_whole_array(self, law, size):
+        chunked, whole = (getattr(stochastic, f"_{law}"), getattr(stochastic, f"_{law}_flat"))
+        x = normal_law_inputs(size, size)
+        for values in (x, x[::-1].copy()):
+            with np.errstate(all="ignore"):
+                got, expected = chunked(values), whole(values)
+            assert got.shape == values.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("law", ["ndtr", "ndtri"])
+    def test_normal_law_keeps_shape_and_scalars(self, law):
+        chunked, whole = (getattr(stochastic, f"_{law}"), getattr(stochastic, f"_{law}_flat"))
+        x = normal_law_inputs(3 * _CHUNK, 7).reshape(3, _CHUNK)
+        with np.errstate(all="ignore"):
+            got, expected = chunked(x), whole(x.ravel()).reshape(x.shape)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        for v in (0.3, -0.0, 38.5, np.nan):
+            with np.errstate(all="ignore"):
+                scalar = chunked(np.asarray(v))
+            assert not isinstance(scalar, np.ndarray) and np.ndim(scalar) == 0
+            assert np.asarray(scalar).view(np.uint64) == whole(np.array([v])).view(np.uint64)[0]
+
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    @pytest.mark.parametrize("family, params", [
+        ("normal", {"sigma": 1.5}),
+        ("symmetric_power", {"alpha": 2.0, "c1": 0.3, "c2": 0.4}),
+        ("weibull_symmetric", {"scale": 2.0, "shape": 0.7}),
+        ("uniform", {"low": -1.0, "high": 3.0}),
+    ])
+    def test_sample_is_bitwise_whole_array(self, family, params, size):
+        t = make_tail_model(family, **params)
+        chunked_rng, whole_rng = (np.random.Generator(np.random.Philox(size)) for _ in range(2))
+        got = t.sample(chunked_rng, size)
+        expected = t.quantile(np.maximum(whole_rng.random(size), 1e-300))
+        assert got.shape == (size,)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        # the stream runs on from the same point
+        assert chunked_rng.random() == whole_rng.random()
+
+
 class TestForcingGenerators:
     def test_seed_determinism_bitwise(self):
         gen = ForcingGenerator(kind="iid", seed=99, tail=make_tail_model("normal", sigma=1.0))
@@ -520,6 +583,56 @@ def test_plain_form_refused_just_past_double_range(build, below, above):
         build(above)
 
 
+def whole_array_envelope_sums(tail, a, k_grid):
+    """envelope_sums as whole-array passes: each K's summand and its
+    cumulative sum as new arrays, and the regression over a boolean gather
+    of the last decade."""
+    a = a.to_plain()
+    idx = a.indices().astype(np.float64)
+    k_grid = np.asarray(sorted(float(k) for k in k_grid))
+    sums = np.empty((k_grid.size, len(a)))
+    verdicts, slopes = [], []
+    reg_mask = idx >= max(a.start, a.end // 10)
+    for i, k in enumerate(k_grid):
+        summand = np.asarray(tail.tail_probability(k * a.values), dtype=np.float64)
+        sums[i] = np.cumsum(summand)
+        indices, summands = idx[reg_mask], summand[reg_mask]
+        pos = summands > 0.0
+        if not np.any(pos):
+            verdict, slope = "convergent", float("-inf")
+        elif np.count_nonzero(pos) < 8:
+            verdict, slope = "undecided", float("nan")
+        else:
+            x, y = np.log(indices[pos]), np.log(summands[pos])
+            xc = x - x.mean()
+            slope = float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+            verdict = "convergent" if slope < -1.0 else "divergent"
+        verdicts.append(verdict)
+        slopes.append(slope)
+    divergent = [k for k, v in zip(k_grid, verdicts) if v == "divergent"]
+    convergent = [k for k, v in zip(k_grid, verdicts) if v == "convergent"]
+    bracket = None
+    if divergent and convergent and max(divergent) < min(convergent):
+        bracket = (max(divergent), min(convergent))
+    return sums, tuple(verdicts), tuple(slopes), bracket
+
+
+_ENVELOPE_N = 100_000
+_ENVELOPE_K = (0.5, 0.8, 1.0, 1.2, 2.0)
+_ENVELOPE_CASES = {
+    "normal_sqrt_log": lambda: (
+        make_tail_model("normal", sigma=1.0),
+        ScalingModel.from_entry(catalogue_entry("sqrt_log"), _ENVELOPE_N).a),
+    # exactly critical: P[|X| > K sqrt(n)] = K^-2 / n, a slope of -1 up to rounding
+    "power_critical_sqrt": lambda: (
+        make_tail_model("symmetric_power", alpha=2.0),
+        Trajectory(np.sqrt(np.arange(1, _ENVELOPE_N + 1, dtype=float)), start=1)),
+    "weibull_sqrt_log": lambda: (
+        make_tail_model("weibull_symmetric", scale=1.0, shape=1.5),
+        ScalingModel.from_entry(catalogue_entry("sqrt_log"), _ENVELOPE_N).a),
+}
+
+
 class TestEnvelopeSums:
     def test_normal_verdicts_bracket_sigma(self):
         scale = ScalingModel.from_entry(catalogue_entry("sqrt_log"), 50_000)
@@ -558,6 +671,28 @@ class TestEnvelopeSums:
         tail = make_tail_model("normal", sigma=1.0)
         with pytest.raises(InputError):
             envelope_sums(tail, Trajectory([2.0, 1.0], start=1), [1.0])
+
+    @pytest.mark.parametrize("case", sorted(_ENVELOPE_CASES))
+    def test_chunked_is_bitwise_whole_array(self, case):
+        tail, a = _ENVELOPE_CASES[case]()
+        rep = envelope_sums(tail, a, _ENVELOPE_K)
+        sums, verdicts, slopes, bracket = whole_array_envelope_sums(tail, a, _ENVELOPE_K)
+        assert np.array_equal(rep.partial_sums.view(np.uint64), sums.view(np.uint64))
+        assert np.array_equal(np.array(rep.slopes).view(np.uint64), np.array(slopes).view(np.uint64))
+        assert rep.verdicts == verdicts and rep.bracket == bracket
+
+    @pytest.mark.parametrize("case", sorted(_ENVELOPE_CASES))
+    def test_peak_memory_is_output_plus_four_rows(self, case):
+        tail, a = _ENVELOPE_CASES[case]()
+        envelope_sums(tail, a, _ENVELOPE_K[:1])  # first-call set-up is not the pass
+        tracemalloc.start()
+        try:
+            rep = envelope_sums(tail, a, _ENVELOPE_K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rep.partial_sums.nbytes + 4 * _ENVELOPE_N * 8
+
 
     @pytest.mark.parametrize("seed", range(4))
     def test_closed_form_slope_matches_polyfit(self, seed):
