@@ -6,9 +6,10 @@ Usage:
     volterra-lab --list-catalogue
 
 A run builds one system, once: ``_solve_system`` generates the forcing,
-solves and builds the scale, only what the mode reads, and each mode is a
-check on that system (``verify-nonlinear`` adds its nonlinear solve on k
-to the linear one on beta * k, f(x)/x -> beta; ``ensemble`` draws its own paths).
+solves and builds the scale from the sections the config holds, which
+are only those its mode reads, and each mode is a check on that system
+(``verify-nonlinear`` adds its nonlinear solve on k to the linear one on
+beta * k, f(x)/x -> beta; ``ensemble`` draws its own paths).
 
 Exit codes: 0 when the run completed and every declared check passed,
 2 when the run completed but some check failed (the report says which),
@@ -41,7 +42,7 @@ from .asymptotics import (
     time_average,
     verify_growth2,
 )
-from .config import _FORCING_KEYS, _MODES, MODES, ExperimentConfig, Report
+from .config import _FORCING_KEYS, MODES, ExperimentConfig, Report
 from .core import _CHUNK, _NONLINEARITIES, Kernel, solve_linear, solve_nonlinear
 from .exceptions import ConfigError, VolterraLabError
 from .growth_catalogue import catalogue_names
@@ -66,24 +67,23 @@ from .stochastic import (
 def _solve_system(cfg: ExperimentConfig):
     """The run's system ``(kernel, forcing, x, scale)``, each part built once.
 
-    The one place a run generates forcing, solves or builds a scale, and
-    only what ``config._MODES`` says the mode reads: a single path (solved
-    when the config has a kernel) for a mode that requires a forcing and no
-    ``paths``, a scale for a mode that reads ``scaling``; None otherwise.
-    ``x`` solves on ``kernel``: k, or beta * k where the mode reads a
+    The one place a run generates forcing, solves or builds a scale.  It
+    builds whatever the config holds, since a section is there only for a
+    mode that reads it: a single path for a forcing without ``paths``
+    (solved when there is a kernel), a scale for a ``scaling``; None
+    otherwise.  ``x`` solves on ``kernel``: k, or beta * k under a
     ``nonlinearity`` f with f(x)/x -> beta.  Under ``log_domain`` the
     forcing, and so ``x``, is a LogTrajectory.
     """
-    required, optional, _ = _MODES[cfg.mode]
-    reads, horizon, kernel = required + optional, cfg.get("horizon"), cfg.kernel
-    if "nonlinearity" in reads:
+    horizon, kernel = cfg.get("horizon"), cfg.kernel
+    if cfg.nonlinearity is not None:
         kernel = Kernel(kernel.coefficients * cfg.nonlinearity.ratio_limit, kernel.tail_bound)
     forcing = x = scale = None
-    if "forcing" in required and "paths" not in required:
+    if cfg.forcing is not None and cfg.get("paths") is None:
         forcing = generate(cfg.forcing, horizon, log_domain=cfg["log_domain"])
-        if kernel is not None and "kernel" in reads:
+        if kernel is not None:
             x = solve_linear(kernel, forcing, cfg["xi"], horizon)
-    if cfg.scaling is not None and "scaling" in reads:
+    if cfg.scaling is not None:
         scale = ScalingModel.from_entry(cfg.scaling, horizon, log_domain=cfg["log_domain"])
     return kernel, forcing, x, scale
 
@@ -501,7 +501,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except VolterraLabError as err:
+    except (VolterraLabError, MemoryError) as err:  # MemoryError: a horizon past memory
         print(f"error ({type(err).__name__}): {err}", file=sys.stderr)
         return 1
     except OSError as err:

@@ -1,22 +1,25 @@
 """Experiment configuration schema and the machine-readable report.
 
-A single JSON document describes one experiment.  It is read in one pass:
-each section's parser checks its keys, converts its scalars and builds
-its library object once.  The defaults of the schema's own fields are
-written back; a named family's parameters are echoed as numbers, since
-their defaults live in its builder's signature.  Either way the echoed
-config reproduces all statistics bitwise.  Horizon-length work (scaling
-sequence, forcing draws) is left to the run.  Each input rule is checked
-here, where the input enters: every number must be finite, and a named
-family (tail, modulation factor, nonlinearity, convex functional,
-catalogue entry) takes exactly the keyword parameters of its library
-builder, so a misspelt or foreign parameter is refused, and whatever
-else the builder refuses is an error at the family's section.  An
-ensemble's ``statistic`` section takes ``name``, ``band`` and ``series``
-only: its ``phi_average`` is the mean of x^2, with no functional to choose.
-Every malformed field raises ``ConfigError`` naming its dotted path, such
-as ``config.forcing.tail.sigma``; the command line prints
-``config error: <path>: ...`` and exits 1.
+A single JSON document describes one experiment.  Its mode's fields are
+its schema: the top-level fields the mode reads (``_MODES``) and the
+settings every mode takes (``_SETTINGS``); any other field is refused.
+It is read in one pass: each section's parser checks its keys, converts
+its scalars and builds its library object once.  The defaults of the
+schema's own fields are written back; a named family's parameters are
+echoed as numbers, since their defaults live in its builder's signature.
+Either way the echoed config reproduces all statistics bitwise.
+Horizon-length work (scaling sequence, forcing draws) is left to the
+run.  Each input rule is checked here, where the input enters: every
+number must be finite, and a named family (tail, modulation factor,
+nonlinearity, convex functional, catalogue entry) takes exactly the
+keyword parameters of its library builder, so a misspelt or foreign
+parameter is refused, and whatever else the builder refuses is an error
+at the family's section.  An ensemble's ``statistic`` section takes
+``name``, ``band`` and ``series`` only: its ``phi_average`` is the mean
+of x^2, with no functional to choose.  Every malformed field raises
+``ConfigError`` naming its dotted path, such as
+``config.forcing.tail.sigma``; the command line prints ``config error:
+<path>: ...`` and exits 1.
 """
 
 from __future__ import annotations
@@ -39,39 +42,36 @@ from .stochastic import (
     make_tail_model,
 )
 
-# mode -> (fields it requires, sections it reads only when given, its
-# tolerances with their defaults); the run builds a section's run-length
-# object (single path, scale) only for a mode that lists it here
+# mode -> (fields it requires, fields it reads only when given, its
+# tolerances with their defaults).  With _SETTINGS the two lists are the
+# mode's whole schema: any other top-level field is a config error
 _MODES = {
     "solve": (("kernel", "forcing", "horizon"), (), {}),
-    "spectrum": (("kernel",), (), {}),
+    "spectrum": (("kernel",), ("lambda_grid",), {}),
     "classify": (("forcing", "scaling", "horizon"), ("kernel",), {}),
     "verify-growth2": (("kernel", "forcing", "horizon"), ("scaling",), {"residual": 1e-6}),
     "verify-growth3": (("kernel", "forcing", "scaling", "horizon"), (),
                        {"representation_residual": 1e-4, "recovery_residual": 1e-4}),
-    "verify-periodic": (("kernel", "forcing", "scaling", "horizon"), (),
+    "verify-periodic": (("kernel", "forcing", "scaling", "horizon"), ("expected_period",),
                         {"representation_residual": 1e-3}),
     "verify-ergodic": (("kernel", "forcing", "scaling", "horizon"), (), {"limit_abs_error": 0.01}),
     "verify-fluct": (("kernel", "forcing", "scaling", "horizon"), (), {"bound_slack": 0.05}),
-    "verify-phi": (("kernel", "forcing", "horizon"), (), {"bound_slack": 1e-6}),
-    "envelope": (("tail", "scaling", "k_grid", "horizon"), (), {}),
+    "verify-phi": (("kernel", "forcing", "horizon"), ("phi",), {"bound_slack": 1e-6}),
+    "envelope": (("tail", "scaling", "k_grid", "horizon"), ("expected_crossing",), {}),
     "ensemble": (("kernel", "forcing", "horizon", "paths", "statistic"), ("scaling",),
                  {"min_pass_fraction": 0.9}),
     "verify-nonlinear": (("kernel", "forcing", "scaling", "nonlinearity", "horizon"), (),
                          {"final_block_max": 1e-3, "representation_residual": 1e-3}),
 }
 MODES = tuple(_MODES)
+# the settings every mode takes and echoes
+_SETTINGS = ("mode", "seed", "xi", "log_domain", "tolerances")
 # modes that check x/a against its representation, which needs the ratio
 # series on two indices or more: it starts at the scale's first index, or
 # at n = 1 where a(0) = 0
 _REPRESENTATION_MODES = ("verify-growth3", "verify-periodic", "verify-nonlinear")
 # modes with no log-form path: their arithmetic is plain doubles only
 _PLAIN_MODES = ("spectrum", "envelope", "verify-nonlinear")
-
-_SCALARS = {
-    "mode", "horizon", "seed", "xi", "log_domain", "k_grid", "paths", "expected_period",
-    "expected_crossing", "lambda_grid",
-}
 
 _MISSING = object()
 
@@ -260,7 +260,8 @@ _SECTIONS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The normalized document plus the objects built from it (None if absent).
+    """The normalized document plus the objects built from it (None where
+    the config has no such section, as for every mode that does not read it).
 
     ``scaling`` is a catalogue entry: ``ScalingModel.from_entry`` turns it
     into a sequence at the run's horizon and arithmetic.
@@ -278,9 +279,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Check, normalize and build every section of ``raw`` in one pass."""
-        _object(raw, "config", _SCALARS | _SECTIONS.keys())
-        mode = _choice(raw, "mode", "config", MODES)
+        mode = _choice(_object(raw, "config"), "mode", "config", MODES)
         required, optional, _ = _MODES[mode]
+        for key in raw:
+            if key not in _SETTINGS + required + optional:
+                raise ConfigError(f"config.{key}", f"not a field of mode {mode!r}")
         for key in required:
             if key not in raw:
                 raise ConfigError(f"config.{key}", f"required for mode {mode!r}")
@@ -305,7 +308,7 @@ class ExperimentConfig:
                 data[key], obj = parse(spec, f"config.{key}", data)
                 if obj is not None:
                     objects[key] = obj
-        entry = objects.get("scaling") if "scaling" in required + optional else None
+        entry = objects.get("scaling")
         if entry is not None:
             floor = (max(2, entry.min_index + 1) if mode in _REPRESENTATION_MODES
                      else entry.min_index)
@@ -327,19 +330,18 @@ class ExperimentConfig:
         # decide its verdict before the run
         if raw.get("expected_period") is not None:
             data["expected_period"] = _int(raw, "expected_period", "config", minimum=2)
-            if entry is not None:
-                values = data["horizon"] + 1 - entry.min_index
-                longest = max(2, int(values * _MAX_PERIOD_FRACTION))
-                if data["expected_period"] > longest:
-                    raise ConfigError("config.expected_period", f"must be <= {longest}, the "
-                                      f"longest period read from {values} values of x/a")
+            values = data["horizon"] + 1 - entry.min_index
+            longest = max(2, int(values * _MAX_PERIOD_FRACTION))
+            if data["expected_period"] > longest:
+                raise ConfigError("config.expected_period", f"must be <= {longest}, the "
+                                  f"longest period read from {values} values of x/a")
         if "expected_crossing" in raw:
             data["expected_crossing"] = _float(raw, "expected_crossing", "config")
-            grid = data.get("k_grid")
-            if grid and not min(grid) <= data["expected_crossing"] <= max(grid):
+            grid = data["k_grid"]
+            if not min(grid) <= data["expected_crossing"] <= max(grid):
                 raise ConfigError("config.expected_crossing",
                                   f"must lie in the k_grid range [{min(grid):g}, {max(grid):g}]")
-        if "lambda_grid" in raw or mode == "spectrum":
+        if mode == "spectrum":
             data["lambda_grid"] = _floats(raw, "lambda_grid", "config", [0.0, 0.25, 0.5, 0.75, 1.0])
             _each(data, "lambda_grid", "config", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
         return cls(data, **objects)

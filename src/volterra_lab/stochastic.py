@@ -120,23 +120,6 @@ class TailModel:
         return out
 
 
-def _in_chunks(fn, x):
-    """fn of the flat float64 values of x, ``_CHUNK`` at a time, in x's shape.
-
-    fn must act elementwise, so the pieces give bitwise its whole-array
-    result; a 0-d input gives a scalar, as from a ufunc.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.ravel()
-    if flat.size <= _CHUNK:
-        out = fn(flat)
-    else:
-        out = np.empty(flat.size)
-        for lo in range(0, flat.size, _CHUNK):
-            out[lo : lo + _CHUNK] = fn(flat[lo : lo + _CHUNK])
-    return out.reshape(x.shape)[()]
-
-
 def _piecewise(x, pieces):
     """fn(x[mask]) into out[mask] for each (mask, fn) of disjoint 1-d masks covering x.
 
@@ -228,11 +211,12 @@ def _anorm_far_ratio(y):
 
 
 def _ndtr(z):
-    """Phi(z), the standard normal cdf, by Cody's ANORM; 0 or 1 past |z| = 38.5."""
-    return _in_chunks(_ndtr_flat, z)
+    """Phi(z), the standard normal cdf, by Cody's ANORM; 0 or 1 past |z| = 38.5.
 
-
-def _ndtr_flat(flat):
+    Any shape; a 0-d input gives a scalar, as from a ufunc.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    flat = z.ravel()
     y = np.abs(flat)
     centre = y <= _ANORM_EDGES[0]
     middle = ~centre & (y <= _ANORM_EDGES[1])
@@ -243,7 +227,7 @@ def _ndtr_flat(flat):
         (far, lambda v: _anorm_tail(v, _anorm_far_ratio)),
         # |z| >= 38.5, and NaN: heaviside keeps NaN
         (~(centre | middle | far), lambda v: np.heaviside(v, 0.5)),
-    ))
+    )).reshape(z.shape)[()]
 
 
 # Wichura's AS241 (Appl. Statist. 37 (1988) 477-484), the coefficients and
@@ -293,18 +277,19 @@ def _as241_tail(p):
 
 
 def _ndtri(p):
-    """Phi^{-1}(p) by AS241: -inf at p = 0, inf at p = 1, NaN outside [0, 1]."""
-    return _in_chunks(_ndtri_flat, p)
+    """Phi^{-1}(p) by AS241: -inf at p = 0, inf at p = 1, NaN outside [0, 1].
 
-
-def _ndtri_flat(flat):
+    Any shape; a 0-d input gives a scalar, as from a ufunc.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    flat = p.ravel()
     centre = np.abs(flat - 0.5) <= 0.425
     tail = ~centre & (flat > 0.0) & (flat < 1.0)
     return _piecewise(flat, (
         (centre, lambda v: _as241_centre(v - 0.5)),
         (tail, _as241_tail),
         (~(centre | tail), lambda v: np.select([v == 0.0, v == 1.0], [-np.inf, np.inf], np.nan)),
-    ))
+    )).reshape(p.shape)[()]
 
 
 def _normal_model(sigma=1.0):

@@ -74,8 +74,10 @@ _MALFORMED = [
      "config.forcing.factor.amplitudes.0"),
     ("out_dir", 5, "config.out_dir"),
     ("out_dir", {"a": 1}, "config.out_dir"),
-    ("lambda_grid", [0.5, 1.5], "config.lambda_grid.1"),
-    ("k_grid", [-1, 1], "config.k_grid.0"),
+    pytest.param(("mode", "lambda_grid"), ("spectrum", [0.5, 1.5]), "config.lambda_grid.1",
+                 id="lambda_grid-above-1"),
+    pytest.param(("mode", "k_grid"), ("envelope", [-1, 1]), "config.k_grid.0",
+                 id="k_grid-negative"),
     ("xi", math.inf, "config.xi"),
     ("xi", math.nan, "config.xi"),
     # every number is finite, whichever field it fills
@@ -83,20 +85,26 @@ _MALFORMED = [
     pytest.param("forcing.tail.sigma", 10**400, "config.forcing.tail.sigma", id="sigma-1e400-int"),
     ("forcing", {"kind": "random_walk_drift", "drift": math.inf}, "config.forcing.drift"),
     ("tolerances", {"min_pass_fraction": math.nan}, "config.tolerances.min_pass_fraction"),
-    ("expected_crossing", math.nan, "config.expected_crossing"),
+    pytest.param(("mode", "expected_crossing"), ("envelope", math.nan),
+                 "config.expected_crossing", id="crossing-nan"),
     # verdicts decided before the run: no series has period 1, and a period
     # of 0 would read an aperiodic series as a match; a crossing outside
     # the K grid is never bracketed
-    ("expected_period", 1, "config.expected_period"),
-    ("expected_period", 0, "config.expected_period"),
-    pytest.param(("k_grid", "expected_crossing"), ([0.8, 1.2], 1.5), "config.expected_crossing",
-                 id="crossing-above-k_grid"),
-    pytest.param(("k_grid", "expected_crossing"), ([0.8, 1.2], 0.5), "config.expected_crossing",
-                 id="crossing-below-k_grid"),
+    pytest.param(("mode", "expected_period"), ("verify-periodic", 1), "config.expected_period",
+                 id="period-1"),
+    pytest.param(("mode", "expected_period"), ("verify-periodic", 0), "config.expected_period",
+                 id="period-0"),
+    pytest.param(("mode", "k_grid", "expected_crossing"), ("envelope", [0.8, 1.2], 1.5),
+                 "config.expected_crossing", id="crossing-above-k_grid"),
+    pytest.param(("mode", "k_grid", "expected_crossing"), ("envelope", [0.8, 1.2], 0.5),
+                 "config.expected_crossing", id="crossing-below-k_grid"),
     # a family takes only the parameters its builder names
     ("forcing.tail", {"family": "normal", "sigam": 2.0}, "config.forcing.tail"),
-    ("nonlinearity", {"name": "solow", "params": {"detla": 0.5}}, "config.nonlinearity"),
-    ("phi", {"name": "power", "params": {"q": 3.0}}, "config.phi"),
+    pytest.param(("mode", "nonlinearity"),
+                 ("verify-nonlinear", {"name": "solow", "params": {"detla": 0.5}}),
+                 "config.nonlinearity", id="solow-detla"),
+    pytest.param(("mode", "phi"), ("verify-phi", {"name": "power", "params": {"q": 3.0}}),
+                 "config.phi", id="phi-power-q"),
     # sqrt(2 log n) starts at index 2, after a forcing's first index
     ("forcing", {"kind": "deterministic", "name": "sqrt_log"}, "config.forcing"),
     ("forcing", dict(_modulated({"kind": "periodic", "profile": [1.0]}),
@@ -121,8 +129,10 @@ _MALFORMED = [
     ("scaling", {"name": "H2", "params": {"betas": [1, 0, 0, 1]}}, "config.scaling"),
     # a named family's parameter is a finite number or a list of them: no
     # string, boolean or non-finite value
-    ("phi", {"name": "power", "params": {"p": "x"}}, "config.phi.params.p"),
-    ("phi", {"name": "power", "params": {"p": "2"}}, "config.phi.params.p"),
+    pytest.param(("mode", "phi"), ("verify-phi", {"name": "power", "params": {"p": "x"}}),
+                 "config.phi.params.p", id="phi-p-x"),
+    pytest.param(("mode", "phi"), ("verify-phi", {"name": "power", "params": {"p": "2"}}),
+                 "config.phi.params.p", id="phi-p-string-2"),
     ("scaling", {"name": "H3", "params": {"theta": True}}, "config.scaling.params.theta"),
     ("scaling", {"name": "H1", "params": {"betas": "12"}}, "config.scaling.params.betas"),
     ("scaling", {"name": "H3", "params": {"theta": math.nan}}, "config.scaling.params.theta"),
@@ -131,8 +141,9 @@ _MALFORMED = [
     ("forcing", dict(_modulated({"kind": "periodic", "profile": [1.0, 2.0]}),
                      base={"name": "H1", "params": {"betas": [1.0, math.nan]}}),
      "config.forcing.base.params.betas.1"),
-    ("nonlinearity", {"name": "solow", "params": {"delta": "0.1"}},
-     "config.nonlinearity.params.delta"),
+    pytest.param(("mode", "nonlinearity"),
+                 ("verify-nonlinear", {"name": "solow", "params": {"delta": "0.1"}}),
+                 "config.nonlinearity.params.delta", id="solow-delta-string"),
     # a scale's first index fixes what a run can read: sqrt(2 log n) starts
     # at index 2, so a representation needs horizon 3, a scale horizon 2,
     # and a time average, which starts at index 1, none
@@ -156,11 +167,24 @@ _MALFORMED = [
 ]
 
 
+# top-level keys no mode reads: their rows check that they stay refused
+_REMOVED = ("out_dir", "thresholds", "period_hint")
+
+
 def _malformed(field, value):
-    """_ENSEMBLE with value at a dotted field, or each value at its field of a
-    tuple; a ``mode`` field picks the mode, ``ensemble`` otherwise."""
-    raw = copy.deepcopy(_ENSEMBLE)
+    """A config of the row's mode with value at a dotted field, or each value
+    at its field of a tuple.  A ``mode`` field picks the mode and its base in
+    MODE_CONFIGS; otherwise the mode is ``ensemble`` on _ENSEMBLE.  Each field
+    is one the mode reads, so a row fails by its own rule, not as a foreign
+    field."""
     fields, values = (field, value) if isinstance(field, tuple) else ((field,), (value,))
+    mode = dict(zip(fields, values)).get("mode", "ensemble")
+    required, optional, _ = config._MODES[mode]
+    for field in fields:
+        top = field.split(".")[0]
+        assert top in _REMOVED or top in config._SETTINGS + required + optional, (mode, field)
+    raw = copy.deepcopy(_ENSEMBLE if mode == "ensemble"
+                        else TestReportSerialization.MODE_CONFIGS[mode])
     for field, value in zip(fields, values):
         *parents, leaf = field.split(".")
         section = raw
@@ -848,8 +872,9 @@ class TestCommandLine:
         assert fluct.statistics["r_l1"] == phi.statistics["r_l1"]
         assert fluct.statistics["r_l1"] == core.Kernel([0.6, 0.3]).resolvent_l1(3000)
 
-    # sections a mode does not read are parsed but never built: sqrt_log has
-    # no value at index 1, and factorial forcing leaves plain doubles by 171
+    # spectrum reads no horizon, scaling or forcing, so a config that holds
+    # them is refused, though sqrt_log has no value at index 1 and factorial
+    # forcing leaves plain doubles by 171
     _SPECTRUM = {"kernel": {"coefficients": [0.5, -0.25]}}
     _UNREAD = {
         "scaling_at_horizon_1": {"horizon": 1, "scaling": {"name": "sqrt_log", "params": {}}},
@@ -858,16 +883,39 @@ class TestCommandLine:
     }
 
     @pytest.mark.parametrize("unread", sorted(_UNREAD))
-    def test_spectrum_ignores_sections_it_does_not_read(self, unread, tmp_path, capsys):
-        reports = []
-        for name, data in (("bare", self._SPECTRUM),
-                           (unread, dict(self._SPECTRUM, **self._UNREAD[unread]))):
-            path = self._write_config(tmp_path, data)
-            assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / name)]) == 0
-            reports.append(json.loads((tmp_path / name / "report.json").read_text()))
-        assert capsys.readouterr().err == ""
-        assert reports[1]["statistics"] == reports[0]["statistics"]
-        assert reports[1]["verdicts"] == reports[0]["verdicts"]
+    def test_spectrum_refuses_sections_it_does_not_read(self, unread, tmp_path, capsys):
+        path = self._write_config(tmp_path, dict(self._SPECTRUM, **self._UNREAD[unread]))
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: config.horizon: not a field of mode 'spectrum'")
+        assert not (out / "report.json").exists()
+
+    def test_solve_refuses_a_nonlinearity(self, tmp_path, capsys):
+        data = dict(TestReportSerialization.MODE_CONFIGS["solve"],
+                    nonlinearity={"name": "solow", "params": {"delta": 0.5}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(self._write_config(tmp_path, data)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: config.nonlinearity:")
+        assert not (out / "report.json").exists()
+
+    # 1e18 doubles are 6.9 EiB: numpy refuses the request at once, before
+    # it allocates anything, in the draws, the catalogue's indices and the
+    # ensemble's paths
+    @pytest.mark.parametrize("mode,data", [
+        ("solve", {"kernel": {"coefficients": [0.5]},
+                   "forcing": {"kind": "iid", "tail": {"family": "normal", "sigma": 1.0}}}),
+        ("solve", {"kernel": {"coefficients": [0.5]},
+                   "forcing": {"kind": "deterministic", "name": "power",
+                               "params": {"theta": 1.0}}}),
+        ("ensemble", _ENSEMBLE),
+    ], ids=["iid", "deterministic", "ensemble"])
+    def test_horizon_past_memory_exits_one(self, mode, data, tmp_path, capsys):
+        path = self._write_config(tmp_path, dict(data, horizon=1e18))
+        assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (") and "Traceback" not in err
 
     def test_out_defaults_to_volterra_lab_out(self, tmp_path, monkeypatch):
         # --out is the output directory's one source: the environment does not move it
@@ -1303,6 +1351,33 @@ class TestReportSerialization:
         assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["statistics"]["detected_period_x"] == 2
+
+
+def _foreign_fields(configs):
+    """(mode, field, a well-formed value of it) for each mode of configs and
+    each top-level field that another mode reads and this one does not."""
+    values = {key: value for data in configs.values() for key, value in data.items()}
+    values.update(lambda_grid=[0.5], expected_crossing=1.0, phi={"name": "power"})
+    read = {key for required, optional, _ in config._MODES.values() for key in required + optional}
+    rows = []
+    for mode in sorted(configs):
+        required, optional, _ = config._MODES[mode]
+        rows += [pytest.param(mode, key, values[key], id=f"{mode}-{key}")
+                 for key in sorted(read - {*required, *optional})]
+    return rows
+
+
+class TestModeSchema:
+    """A mode's fields are its schema: a config holds the fields its mode
+    reads and the settings every mode takes, and nothing else."""
+
+    @pytest.mark.parametrize("mode,key,value",
+                             _foreign_fields(TestReportSerialization.MODE_CONFIGS))
+    def test_a_field_the_mode_does_not_read_is_refused(self, mode, key, value):
+        raw = dict(TestReportSerialization.MODE_CONFIGS[mode], mode=mode, **{key: value})
+        with pytest.raises(ConfigError, match=f"mode {mode!r}") as info:
+            ExperimentConfig.from_dict(raw)
+        assert info.value.path == f"config.{key}"
 
 
 # --------------------------------------------------------------------------
