@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 from .asymptotics import ScalingModel, estimate_limsup, time_average
 from .core import (
@@ -420,19 +419,25 @@ def _finite(values, what):
     return values
 
 
+def _factor(values, draws):
+    """A factor: ``values`` of (indices, rng), and whether it reads rng."""
+    values.draws = draws
+    return values
+
+
 def _iid_uniform_factor(low=0.0, high=1.0):
     low, high = float(low), float(high)
     _finite((low, high), "uniform factor bounds")
     if not low < high:
         raise ParameterError("factor support must satisfy low < high")
-    return lambda n, rng: rng.uniform(low, high, len(n))
+    return _factor(lambda n, rng: rng.uniform(low, high, len(n)), draws=True)
 
 
 def _periodic_factor(profile):
     profile = _finite(profile, "periodic factor profile")
     if profile.ndim != 1 or not profile.size:
         raise ParameterError("periodic factor needs a nonempty profile")
-    return lambda n, rng: profile[n % len(profile)]
+    return _factor(lambda n, rng: profile[n % len(profile)], draws=False)
 
 
 def _sinusoid_factor(amplitudes=(1.0,), frequencies=(1.0,), offset=0.0):
@@ -449,11 +454,11 @@ def _sinusoid_factor(amplitudes=(1.0,), frequencies=(1.0,), offset=0.0):
             out += a * np.sin(w * n)
         return out
 
-    return values
+    return _factor(values, draws=False)
 
 
 # kind -> builder; a builder's keyword arguments are the factor's parameters,
-# and it returns the factor as a function of (indices, rng)
+# and it returns the factor from _factor; one that draws nothing gets rng=None
 _FACTORS = {
     "iid_uniform": _iid_uniform_factor,
     "periodic": _periodic_factor,
@@ -471,6 +476,16 @@ def make_factor(kind: str, **params):
 # forcing generators
 # --------------------------------------------------------------------------
 
+def _philox(seed, paths=None):
+    """The Philox stream ``seed`` starts, or the streams of its ``paths`` spawned
+    children.  The one import of numpy.random: a run that draws nothing never loads it."""
+    from numpy.random import Generator, Philox, SeedSequence
+
+    if paths is None:
+        return Generator(Philox(SeedSequence(seed)))
+    return [Generator(Philox(child)) for child in SeedSequence(seed).spawn(paths)]
+
+
 @dataclass(frozen=True)
 class ForcingGenerator:
     """Seeded description of a forcing sequence on indices 1..horizon.
@@ -484,6 +499,9 @@ class ForcingGenerator:
 
     Every part is built, and so checked, before the generator is; tail
     models, entries and factors compare by the identity of their functions.
+    A generator that ``draws`` loads the random-number machinery when it is
+    built, and checks its seed there: a config that draws pays for that
+    import while it is parsed, never in the middle of a run.
     """
 
     kind: str
@@ -493,6 +511,17 @@ class ForcingGenerator:
     noise: TailModel = None
     entry: CatalogueEntry = None
     factor: callable = None
+
+    def __post_init__(self):
+        if self.draws:
+            _philox(self.seed, 0)
+
+    @property
+    def draws(self) -> bool:
+        """Whether the forcing reads a stream; a factor that does not say is taken to."""
+        if self.kind == "modulated":
+            return getattr(self.factor, "draws", True)
+        return self.kind == "iid" or self.noise is not None
 
 
 def forcing_entry(name, **params) -> CatalogueEntry:
@@ -515,11 +544,12 @@ def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=
 
     Identical (kind, parameters, seed, horizon) produce bitwise identical
     output; the draws come from a counter-based Philox stream, ``rng`` or
-    else the one the generator's seed starts.
+    else the one the generator's seed starts.  A forcing that draws nothing
+    (not ``gen.draws``) opens no stream and leaves ``rng`` untouched.
     """
     horizon = _solve_horizon(horizon)
-    if rng is None:
-        rng = Generator(Philox(SeedSequence(gen.seed)))
+    if rng is None and gen.draws:
+        rng = _philox(gen.seed)
 
     if gen.kind == "iid":
         if gen.tail is None:
@@ -886,8 +916,9 @@ def _path_group(system: EnsembleSpec, statistic: StatisticSpec, horizon: int, rn
 def ensemble_verify(system: EnsembleSpec, paths: int, statistic: StatisticSpec) -> EnsembleResult:
     """Run seeded independent paths and score a statistic against a band.
 
-    Path p draws from the stream spawned for (master seed, p); aggregation
-    is order independent and the per-path list is reported sorted.  The
+    Path p draws from the stream spawned for (master seed, p), and a
+    forcing that draws nothing opens none; aggregation is order
+    independent and the per-path list is reported sorted.  The
     spec is checked once, before any path runs: a statistic that needs a
     missing scaling model, a horizon that is not an integer >= 1, a
     non-finite start and, in the plain domain, a deterministic or modulated
@@ -907,7 +938,7 @@ def ensemble_verify(system: EnsembleSpec, paths: int, statistic: StatisticSpec) 
     horizon = _solve_horizon(system.horizon, system.xi)
     if not system.log_domain and system.forcing.kind in ("deterministic", "modulated"):
         generate(system.forcing, horizon)
-    rngs = [Generator(Philox(child)) for child in SeedSequence(system.forcing.seed).spawn(paths)]
+    rngs = _philox(system.forcing.seed, paths) if system.forcing.draws else [None] * paths
     group = 1 if system.log_domain else max(1, _GROUP_DOUBLES // (horizon + 1))
     values = []
     for lo in range(0, paths, group):

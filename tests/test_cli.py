@@ -1129,9 +1129,12 @@ class TestCommandLine:
 
 # Runs in a fresh interpreter: imports the CLI, parses every (mode, config)
 # of argv[1], then runs each through cli.main into argv[2]; prints the exit
-# codes and the modules each of the three stages added to sys.modules.
+# codes and the modules each of the three stages added to sys.modules.  A
+# fork taken after the import stage imports numpy.random alone, and reports
+# as "numpy.random" the modules that adds to the same sys.modules; one BLAS
+# thread keeps the process single-threaded, so the fork is safe.
 _STAGES = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from pathlib import Path
 before = set(sys.modules)
 from volterra_lab import cli
@@ -1139,6 +1142,16 @@ from volterra_lab.config import ExperimentConfig
 experiments, out = json.loads(sys.argv[1]), Path(sys.argv[2])
 added = {"import": set(sys.modules) - before}
 mark = set(sys.modules)
+read, write = os.pipe()
+child = os.fork()
+if child == 0:
+    import numpy.random
+    os.write(write, json.dumps(sorted(set(sys.modules) - mark)).encode())
+    os._exit(0)
+os.close(write)
+with os.fdopen(read) as pipe:
+    bare = json.load(pipe)
+os.waitpid(child, 0)
 for mode, data in experiments:
     ExperimentConfig.from_dict(dict(data, mode=mode))
 added["parse"] = set(sys.modules) - mark
@@ -1150,7 +1163,8 @@ for i, (mode, data) in enumerate(experiments):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main([mode, "--config", str(path), "--out", str(out / str(i))]))
 added["run"] = set(sys.modules) - mark
-print(json.dumps({"codes": codes, **{k: sorted(v) for k, v in added.items()}}))
+print(json.dumps({"codes": codes, "numpy.random": bare,
+                  **{k: sorted(v) for k, v in added.items()}}))
 """
 
 
@@ -1159,13 +1173,18 @@ def _scipy_or_ma(modules):
             if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]]
 
 
+def _numpy_random(modules):
+    return [m for m in modules if m.split(".")[:2] == ["numpy", "random"]]
+
+
 class TestImportHygiene:
-    """No stage imports SciPy or numpy.ma, and parsing and running add no module.
+    """No stage imports SciPy or numpy.ma, and running adds no module.
 
     The normal tail model is numpy arithmetic, and medians and percentiles
-    are np.partition helpers.  So once the CLI is imported, parsing and
-    running a normal- or a power-tail ensemble, a normal-tail classify run
-    or a log-domain factorial run, add nothing to sys.modules.
+    are np.partition helpers.  Importing the CLI loads no numpy.random
+    either: a config whose forcing draws loads it while it is parsed, and
+    adds nothing else; a config that draws nothing adds no module at parse
+    or at run.
     """
 
     _POWER_ENSEMBLE = {
@@ -1180,11 +1199,18 @@ class TestImportHygiene:
         "forcing": {"kind": "deterministic", "name": "factorial"},
         "tolerances": {"residual": 1e-4},
     }
+    _SINUSOID_SOLVE = {
+        "horizon": 64, "kernel": {"coefficients": [0.5]},
+        "forcing": _modulated({"kind": "sinusoid", "amplitudes": [0.5], "frequencies": [0.3],
+                               "offset": 1.0}),
+    }
 
     def _stages(self, experiments, tmp_path):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                                  "VECLIB_MAXIMUM_THREADS"), "1"))
         run = subprocess.run([sys.executable, "-c", _STAGES, json.dumps(experiments),
                               str(tmp_path)],
                              capture_output=True, text=True, env=env, check=True)
@@ -1194,12 +1220,15 @@ class TestImportHygiene:
         stages = self._stages([], tmp_path)
         assert "volterra_lab.cli" in stages["import"]
         assert _scipy_or_ma(stages["import"]) == []
+        assert _numpy_random(stages["import"]) == []
+        assert "numpy.random" in stages["numpy.random"]
 
     def test_power_tail_and_factorial_runs_import_nothing(self, tmp_path):
         stages = self._stages([["ensemble", self._POWER_ENSEMBLE],
                                ["verify-growth2", self._FACTORIAL_GROWTH2]], tmp_path)
         assert stages["codes"][0] in (0, 2) and stages["codes"][1] == 0
-        assert stages["parse"] == []
+        assert "numpy.random" in stages["parse"]
+        assert stages["parse"] == stages["numpy.random"]
         assert stages["run"] == []
 
     def test_normal_tail_ensemble_imports_nothing(self, tmp_path):
@@ -1208,6 +1237,19 @@ class TestImportHygiene:
                               tmp_path)
         assert stages["codes"] == [0, 0]
         assert _scipy_or_ma(stages["import"]) == []
+        assert "numpy.random" in stages["parse"]
+        assert stages["parse"] == stages["numpy.random"]
+        assert stages["run"] == []
+
+    # configs that draw nothing: deterministic forcing, no forcing, a tail
+    # read only through its law, and periodic and sinusoid modulation factors
+    @pytest.mark.parametrize("mode", ["verify-growth2", "spectrum", "envelope",
+                                      "verify-periodic", "solve"])
+    def test_runs_that_draw_nothing_import_nothing(self, mode, tmp_path):
+        data = {"verify-growth2": self._FACTORIAL_GROWTH2,
+                "solve": self._SINUSOID_SOLVE}.get(mode) or TestReportSerialization.MODE_CONFIGS[mode]
+        stages = self._stages([[mode, data]], tmp_path)
+        assert stages["codes"] == [0]
         assert stages["parse"] == []
         assert stages["run"] == []
 

@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 import tracemalloc
@@ -551,6 +552,98 @@ class TestForcingGenerators:
     def test_sqrt_log_cannot_serve_as_forcing(self):
         with pytest.raises(InputError, match="cannot serve"):
             forcing_entry("sqrt_log")
+
+
+def _uniform_draws(rng, size):
+    """What TailModel.sample reads from rng: one uniform per draw, floored at 1e-300."""
+    return np.maximum(rng.random(size), 1e-300)
+
+
+def _stream_state(rng):
+    """A generator's bit_generator.state, its arrays as lists, as one string."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+# forcings that read no stream
+_DRAWS_NOTHING = {
+    "deterministic": ForcingGenerator(kind="deterministic", entry=forcing_entry("factorial")),
+    "noiseless-walk": ForcingGenerator(kind="geometric_random_walk", seed=3, drift=0.1),
+    "periodic": ForcingGenerator(kind="modulated", seed=4, entry=forcing_entry("power", theta=1.0),
+                                 factor=make_factor("periodic", profile=[1.25, 0.75])),
+    "sinusoid": ForcingGenerator(kind="modulated", seed=5, entry=forcing_entry("power", theta=1.0),
+                                 factor=make_factor("sinusoid", amplitudes=[0.5], offset=1.0)),
+}
+
+
+class TestStreams:
+    """Opening streams only where a forcing draws changes no stream."""
+
+    @pytest.mark.parametrize("name", sorted(_DRAWS_NOTHING))
+    def test_a_forcing_that_draws_nothing_opens_no_stream(self, name, monkeypatch):
+        gen = _DRAWS_NOTHING[name]
+        assert not gen.draws
+        rng = Generator(Philox(SeedSequence(9)))
+        state = _stream_state(rng)
+        supplied = generate(gen, 300, log_domain=True, rng=rng)
+        assert _stream_state(rng) == state
+        monkeypatch.setattr(stochastic, "_philox", None)  # any stream opened now raises
+        own = generate(gen, 300, log_domain=True)
+        assert np.array_equal(own.log_abs, supplied.log_abs)
+        assert np.array_equal(own.sign, supplied.sign)
+        spec = EnsembleSpec(kernel=Kernel([0.5]), forcing=gen, horizon=300, log_domain=True)
+        result = ensemble_verify(spec, 3, StatisticSpec(name="log_growth_rate", band=(0.0, 9.0)))
+        assert result.failures == 0 and len(set(result.per_path)) == 1
+
+    def test_each_factor_states_whether_it_draws(self):
+        assert make_factor("iid_uniform").draws
+        assert not make_factor("periodic", profile=[1.0]).draws
+        assert not make_factor("sinusoid").draws
+        # a factor that does not say is given a stream
+        gen = ForcingGenerator(kind="modulated", seed=6, entry=forcing_entry("power", theta=1.0),
+                               factor=lambda n, rng: rng.uniform(0.5, 1.5, len(n)))
+        assert gen.draws
+        expected = Generator(Philox(SeedSequence(6))).uniform(0.5, 1.5, 50) * np.arange(1, 51)
+        assert np.array_equal(generate(gen, 50).values[1:], expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 7])
+    def test_seeded_draws_are_the_hand_built_stream(self, seed):
+        horizon = 2 * _CHUNK + 5  # the draws run over three _CHUNK pieces
+        tail = make_tail_model("normal", sigma=1.5)
+        iid = generate(ForcingGenerator(kind="iid", seed=seed, tail=tail), horizon)
+        rng = Generator(Philox(SeedSequence(seed)))
+        assert np.array_equal(iid.values[1:], tail.quantile(_uniform_draws(rng, horizon)))
+
+        walk = ForcingGenerator(kind="geometric_random_walk", seed=seed, drift=0.01, noise=tail)
+        rng = Generator(Philox(SeedSequence(seed)))
+        log_walk = 0.01 * np.arange(1, horizon + 1) + np.cumsum(
+            tail.quantile(_uniform_draws(rng, horizon)))
+        assert np.array_equal(generate(walk, horizon, log_domain=True).log_abs[1:], log_walk)
+
+        base = forcing_entry("power", theta=1.0)
+        modulated = ForcingGenerator(kind="modulated", seed=seed, entry=base,
+                                     factor=make_factor("iid_uniform", low=0.5, high=1.5))
+        rng = Generator(Philox(SeedSequence(seed)))
+        expected = rng.uniform(0.5, 1.5, horizon) * base.sequence(1, horizon, False).values
+        assert np.array_equal(generate(modulated, horizon).values[1:], expected)
+
+    def test_ensemble_paths_read_their_spawned_streams(self):
+        # a statistic of the forcing solves nothing, so each path's value is
+        # the mean square of its own spawned stream's draws
+        tail = make_tail_model("symmetric_power", alpha=3.0)
+        spec = EnsembleSpec(kernel=Kernel([0.5]), horizon=700,
+                            forcing=ForcingGenerator(kind="iid", seed=21, tail=tail))
+        stat = StatisticSpec(name="phi_average", band=(0.0, 99.0), series="forcing")
+        expected = sorted(
+            float(np.mean(np.square(tail.quantile(_uniform_draws(Generator(Philox(child)), 700)))))
+            for child in SeedSequence(21).spawn(6))
+        assert ensemble_verify(spec, 6, stat).per_path == tuple(expected)
+
+    def test_a_drawing_generator_checks_its_seed_when_built(self):
+        tail = make_tail_model("normal")
+        with pytest.raises(ValueError):
+            ForcingGenerator(kind="iid", seed=-1, tail=tail)
+        assert not ForcingGenerator(kind="deterministic", seed=-1,
+                                    entry=forcing_entry("factorial")).draws
 
 
 _GEOMETRIC_HALF = ForcingGenerator(kind="deterministic", entry=forcing_entry("geometric", lam=0.5))
