@@ -3,13 +3,13 @@
 Each entry supplies the sequence in log form (so factorial or iterated
 exponential growth can be represented far past double overflow) together
 with its consecutive-ratio limit: 1 for subgeometric growth, a fixed
-lam in (0, 1) for geometric growth, 0 for supergeometric growth.
+lam in (0, 1) for geometric growth, 0 for supergeometric growth.  H1-H8
+are terms of one product, built by ``_product``, which derives both facts.
 
-The iterated-logarithm entries are evaluated at shifted arguments
-(log applied to n + offset) so every member is positive from index 1;
-the shift changes nothing asymptotically.  An extra entry ``sqrt_log``
-provides the classic extreme-value envelope sqrt(2 log n), defined from
-index 2, and is deliberately unshifted.
+The iterated logarithms are evaluated at shifted arguments (log applied
+to n + offset) so every member is positive from index 1; the shift
+changes nothing asymptotically.  An extra entry ``sqrt_log`` provides the
+classic extreme-value envelope sqrt(2 log n), from index 2, unshifted.
 """
 
 from __future__ import annotations
@@ -62,149 +62,124 @@ class CatalogueEntry:
 _ITERLOG_SHIFT = {1: 1, 2: 2, 3: 16}
 
 
-def _iterated_log(n, depth):
-    v = np.asarray(n, dtype=np.float64) + _ITERLOG_SHIFT[depth]
-    for _ in range(depth):
-        v = np.log(v)
-    return v
+def _product(name, lam=None, alpha=None, theta=None, power=None, scale=None, betas=None,
+             plain_fn=None):
+    """The entry log a(n) = -n log lam + alpha n**theta + power log n + log scale
+    + sum_d betas[d-1] log L_d(n), with L_d the depth-d iterated log.
 
+    Only the terms given are summed, left to right in that order, which fixes
+    the rounding.  The ratio limit follows from them: 0 when theta > 1, else
+    lam, else 1; a power or log term starts the entry at index 1.
+    """
+    terms = []
+    if lam is not None:
+        terms.append(lambda n: -n * math.log(lam))
+    if alpha is not None:
+        terms.append(lambda n: alpha * n ** theta)
+    if power is not None:
+        terms.append(lambda n: power * np.log(n))
+    if scale is not None:
+        scale = float(scale)
+        if scale <= 0 or not math.isfinite(scale):
+            raise ParameterError("scale must be positive and finite")
+        terms.append(lambda n: math.log(scale))
+    if betas is not None:
+        betas = [float(b) for b in betas]
+        if not any(betas):
+            raise ParameterError("log_power_product needs a nonzero exponent list")
+        if len(betas) > len(_ITERLOG_SHIFT):
+            raise ParameterError(f"log_power_product takes at most {len(_ITERLOG_SHIFT)} exponents, "
+                                 f"one per iterated-log depth, got {len(betas)}")
+        if next(b for b in betas if b) < 0:
+            raise ParameterError("leading nonzero exponent must be positive for growth")
 
-def _log_power_product(betas):
-    betas = [float(b) for b in betas]
-    if not betas or all(b == 0 for b in betas):
-        raise ParameterError("log_power_product needs a nonzero exponent list")
-    if len(betas) > len(_ITERLOG_SHIFT):
-        raise ParameterError(f"log_power_product takes at most {len(_ITERLOG_SHIFT)} exponents, "
-                             f"one per iterated-log depth, got {len(betas)}")
-    first_nonzero = next(b for b in betas if b != 0)
-    if first_nonzero <= 0:
-        raise ParameterError("leading nonzero exponent must be positive for growth")
+        def log_sum(n):
+            out = np.zeros(n.shape)
+            for depth, beta in enumerate(betas, start=1):
+                if beta:
+                    v = n + _ITERLOG_SHIFT[depth]
+                    for _ in range(depth):
+                        v = np.log(v)
+                    out += beta * np.log(v)
+            return out
+
+        terms.append(log_sum)
 
     def log_fn(n):
-        out = np.zeros(len(n))
-        for depth, beta in enumerate(betas, start=1):
-            if beta:
-                out += beta * np.log(_iterated_log(n, depth))
-        return out
+        n = np.asarray(n, dtype=np.float64)
+        # sum's start 0 changes no bit: no first term can be -0.0
+        return sum(term(n) for term in terms)
 
-    return log_fn
+    ratio_limit = 0.0 if theta is not None and theta > 1 else 1.0 if lam is None else lam
+    min_index = 1 if power is not None or betas is not None else 0
+    return CatalogueEntry(name, log_fn, ratio_limit, min_index, plain_fn)
 
 
 def _entry_log_power_product(betas=(1.0,), scale=1.0):
-    log_fn = _log_power_product(betas)
-    s = _check_scale(scale)
-    return CatalogueEntry(
-        "log_power_product",
-        lambda n: log_fn(n) + math.log(s),
-        ratio_limit=1.0, min_index=1,
-    )
-
-
-def _check_scale(scale):
-    s = float(scale)
-    if s <= 0 or not math.isfinite(s):
-        raise ParameterError("scale must be positive and finite")
-    return s
+    return _product("log_power_product", scale=scale, betas=betas)
 
 
 def _entry_power_log_product(theta=1.0, betas=(), scale=1.0):
     theta = float(theta)
     if theta <= 0:
         raise ParameterError("power exponent theta must be positive")
-    s = _check_scale(scale)
-    inner = _log_power_product(betas) if betas else None
-
-    def log_fn(n):
-        out = theta * np.log(np.asarray(n, dtype=np.float64)) + math.log(s)
-        if inner is not None:
-            out = out + inner(n)
-        return out
-
-    return CatalogueEntry("power_log_product", log_fn, ratio_limit=1.0, min_index=1)
+    return _product("power_log_product", power=theta, scale=scale, betas=betas or None)
 
 
 def _entry_power(theta=1.0, scale=1.0):
     theta = float(theta)
     if theta <= 0:
         raise ParameterError("power exponent theta must be positive")
-    s = _check_scale(scale)
-    return CatalogueEntry(
-        "power",
-        lambda n: theta * np.log(np.asarray(n, dtype=np.float64)) + math.log(s),
-        ratio_limit=1.0, min_index=1,
-        plain_fn=lambda n: s * n ** theta,
-    )
-
-
-def _stretched_log(alpha, theta):
-    alpha = float(alpha)
-    theta = float(theta)
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
-    return alpha, theta, lambda n: alpha * np.asarray(n, dtype=np.float64) ** theta
+    s = float(scale)
+    return _product("power", power=theta, scale=s, plain_fn=lambda n: s * n ** theta)
 
 
 def _entry_stretched_exponential(alpha=1.0, theta=0.5):
-    alpha, theta, log_fn = _stretched_log(alpha, theta)
+    alpha, theta = float(alpha), float(theta)
+    if alpha <= 0:
+        raise ParameterError("alpha must be positive")
     if not 0 < theta < 1:
         raise ParameterError("stretched exponent theta must lie in (0, 1)")
-    return CatalogueEntry("stretched_exponential", log_fn, ratio_limit=1.0, min_index=0)
+    return _product("stretched_exponential", alpha=alpha, theta=theta)
 
 
 def _entry_stretched_exponential_power(alpha=1.0, theta2=0.5, theta1=1.0, betas=()):
-    alpha, theta2, stretched = _stretched_log(alpha, theta2)
+    alpha, theta2 = float(alpha), float(theta2)
+    if alpha <= 0:
+        raise ParameterError("alpha must be positive")
     if not 0 < theta2 < 1:
         raise ParameterError("stretched exponent theta2 must lie in (0, 1)")
-    theta1 = float(theta1)
-    inner = _log_power_product(betas) if betas else None
-
-    def log_fn(n):
-        nn = np.asarray(n, dtype=np.float64)
-        out = stretched(nn) + theta1 * np.log(nn)
-        if inner is not None:
-            out = out + inner(n)
-        return out
-
-    return CatalogueEntry("stretched_exponential_power", log_fn, ratio_limit=1.0, min_index=1)
-
-
-def _check_lam(lam):
-    lam = float(lam)
-    if not 0 < lam < 1:
-        raise ParameterError("geometric ratio lam must lie in (0, 1)")
-    return lam
+    return _product("stretched_exponential_power", alpha=alpha, theta=theta2, power=float(theta1),
+                    betas=betas or None)
 
 
 def _entry_geometric(lam=0.5, scale=1.0):
-    lam = _check_lam(lam)
-    s = _check_scale(scale)
-    return CatalogueEntry(
-        "geometric",
-        lambda n: -np.asarray(n, dtype=np.float64) * math.log(lam) + math.log(s),
-        ratio_limit=lam, min_index=0,
-        plain_fn=lambda n: s * (1.0 / lam) ** n,
-    )
+    lam = float(lam)
+    if not 0 < lam < 1:
+        raise ParameterError("geometric ratio lam must lie in (0, 1)")
+    s = float(scale)
+    return _product("geometric", lam=lam, scale=s, plain_fn=lambda n: s * (1.0 / lam) ** n)
 
 
 def _entry_geometric_mixture(lam=0.5, alpha=1.0, theta2=0.5, theta1=1.0):
-    lam = _check_lam(lam)
-    alpha, theta2, stretched = _stretched_log(alpha, theta2)
+    lam = float(lam)
+    if not 0 < lam < 1:
+        raise ParameterError("geometric ratio lam must lie in (0, 1)")
+    alpha, theta2 = float(alpha), float(theta2)
+    if alpha <= 0:
+        raise ParameterError("alpha must be positive")
     if not 0 < theta2 < 1:
         raise ParameterError("stretched exponent theta2 must lie in (0, 1)")
-    theta1 = float(theta1)
-
-    def log_fn(n):
-        nn = np.asarray(n, dtype=np.float64)
-        return -nn * math.log(lam) + stretched(nn) + theta1 * np.log(nn)
-
-    return CatalogueEntry("geometric_mixture", log_fn, ratio_limit=lam, min_index=1)
+    return _product("geometric_mixture", lam=lam, alpha=alpha, theta=theta2, power=float(theta1))
 
 
 def _entry_super_exponential(alpha=1.0, theta=2.0):
-    alpha, theta, log_fn = _stretched_log(alpha, theta)
+    alpha, theta = float(alpha), float(theta)
+    if alpha <= 0:
+        raise ParameterError("alpha must be positive")
     if theta <= 1:
         raise ParameterError("super-exponential exponent theta must exceed 1")
-    return CatalogueEntry("super_exponential", log_fn, ratio_limit=0.0, min_index=0)
+    return _product("super_exponential", alpha=alpha, theta=theta)
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)

@@ -658,8 +658,8 @@ def envelope_sums(tail: TailModel, a: Trajectory, k_grid) -> EnvelopeReport:
     sums = np.empty((k_grid.size, len(a)))
     verdicts = []
     slopes = []
-    # the regression window: the last decade of indices
-    reg_lo = max(a.start, a.end // 10)
+    # the regression window: the last decade of indices, never index 0 (log 0)
+    reg_lo = max(a.start, 1, a.end // 10)
     log_idx = np.log(np.arange(reg_lo, a.end + 1, dtype=np.float64))
     for k, row in zip(k_grid, sums):
         for lo in range(0, row.size, _CHUNK):

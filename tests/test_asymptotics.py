@@ -161,6 +161,145 @@ class TestCatalogue:
         assert abs(lam_hat - scale.lam) < tol
 
 
+def _ref_log_sum(n, betas):
+    """sum_d beta_d log L_d(n), each L_d the depth-d log at n + {1: 1, 2: 2, 3: 16}[d]."""
+    out = np.zeros(len(n))
+    for depth, beta in enumerate(betas, start=1):
+        if beta:
+            v = n + {1: 1, 2: 2, 3: 16}[depth]
+            for _ in range(depth):
+                v = np.log(v)
+            out += beta * np.log(v)
+    return out
+
+
+# H1-H8 as closed forms, each summed in the order the entry first wrote it:
+# (name, params, log a(n), exact plain a(n) or None, ratio limit, first index)
+_PRODUCT_REFERENCE = [
+    ("H1", {}, lambda n: _ref_log_sum(n, [1.0]) + math.log(1.0), None, 1.0, 1),
+    ("H1", {"betas": [1.0, 0.0, -0.5], "scale": 3.0},
+     lambda n: _ref_log_sum(n, [1.0, 0.0, -0.5]) + math.log(3.0), None, 1.0, 1),
+    ("H1", {"betas": [0.0, 1.5, 2.0], "scale": 0.25},
+     lambda n: _ref_log_sum(n, [0.0, 1.5, 2.0]) + math.log(0.25), None, 1.0, 1),
+    ("H2", {}, lambda n: 1.0 * np.log(n) + math.log(1.0), None, 1.0, 1),
+    ("H2", {"theta": 2.5, "scale": 7.0}, lambda n: 2.5 * np.log(n) + math.log(7.0), None, 1.0, 1),
+    ("H2", {"theta": 0.5, "betas": [1.0, 0.0, -2.0], "scale": 3.0},
+     lambda n: 0.5 * np.log(n) + math.log(3.0) + _ref_log_sum(n, [1.0, 0.0, -2.0]), None, 1.0, 1),
+    ("H3", {}, lambda n: 1.0 * np.log(n) + math.log(1.0), lambda n: 1.0 * n ** 1.0, 1.0, 1),
+    ("H3", {"theta": 1.5, "scale": 0.3}, lambda n: 1.5 * np.log(n) + math.log(0.3),
+     lambda n: 0.3 * n ** 1.5, 1.0, 1),
+    ("H4", {}, lambda n: 1.0 * n ** 0.5, None, 1.0, 0),
+    ("H4", {"alpha": 2.5, "theta": 0.25}, lambda n: 2.5 * n ** 0.25, None, 1.0, 0),
+    ("H5", {}, lambda n: 1.0 * n ** 0.5 + 1.0 * np.log(n), None, 1.0, 1),
+    ("H5", {"alpha": 0.5, "theta2": 0.75, "theta1": 0.0},
+     lambda n: 0.5 * n ** 0.75 + 0.0 * np.log(n), None, 1.0, 1),
+    ("H5", {"alpha": 1.5, "theta2": 0.3, "theta1": -1.0, "betas": [0.0, 2.0, 1.0]},
+     lambda n: 1.5 * n ** 0.3 + -1.0 * np.log(n) + _ref_log_sum(n, [0.0, 2.0, 1.0]), None, 1.0, 1),
+    ("H6", {}, lambda n: -n * math.log(0.5) + math.log(1.0), lambda n: 1.0 * (1.0 / 0.5) ** n,
+     0.5, 0),
+    ("H6", {"lam": 0.9, "scale": 5.0}, lambda n: -n * math.log(0.9) + math.log(5.0),
+     lambda n: 5.0 * (1.0 / 0.9) ** n, 0.9, 0),
+    # the exact form overflows from n = 155, where exp(log) stands in
+    ("H6", {"lam": 0.01, "scale": 1e-200}, lambda n: -n * math.log(0.01) + math.log(1e-200),
+     lambda n: 1e-200 * (1.0 / 0.01) ** n, 0.01, 0),
+    ("H7", {}, lambda n: -n * math.log(0.5) + 1.0 * n ** 0.5 + 1.0 * np.log(n), None, 0.5, 1),
+    ("H7", {"lam": 0.3, "alpha": 2.0, "theta2": 0.6, "theta1": 0.0},
+     lambda n: -n * math.log(0.3) + 2.0 * n ** 0.6 + 0.0 * np.log(n), None, 0.3, 1),
+    ("H8", {}, lambda n: 1.0 * n ** 2.0, None, 0.0, 0),
+    ("H8", {"alpha": 0.5, "theta": 1.5}, lambda n: 0.5 * n ** 1.5, None, 0.0, 0),
+]
+
+_NONZERO = "log_power_product needs a nonzero exponent list"
+_AT_MOST = "log_power_product takes at most 3 exponents, one per iterated-log depth, got 4"
+_LEADING = "leading nonzero exponent must be positive for growth"
+_SCALE = "scale must be positive and finite"
+_THETA = "power exponent theta must be positive"
+_ALPHA = "alpha must be positive"
+_THETA2 = "stretched exponent theta2 must lie in (0, 1)"
+_LAM = "geometric ratio lam must lie in (0, 1)"
+
+_PRODUCT_ERRORS = [
+    ("H1", {"betas": []}, _NONZERO),
+    ("H1", {"betas": [0.0, 0.0]}, _NONZERO),
+    ("H1", {"betas": [1, 0, 0, 1]}, _AT_MOST),
+    ("H1", {"betas": [-1.0, 2.0]}, _LEADING),
+    ("H1", {"betas": [0.0, -1.0]}, _LEADING),
+    ("H1", {"scale": 0.0}, _SCALE),
+    ("H1", {"scale": math.inf}, _SCALE),
+    ("H1", {"scale": math.nan}, _SCALE),
+    ("H2", {"theta": 0.0}, _THETA),
+    ("H2", {"scale": -1.0}, _SCALE),
+    ("H2", {"betas": [0.0, 0.0, 0.0]}, _NONZERO),
+    ("H2", {"betas": [1, 1, 1, 1]}, _AT_MOST),
+    ("H2", {"betas": [-1.0]}, _LEADING),
+    ("H3", {"theta": -1.0}, _THETA),
+    ("H3", {"scale": math.inf}, _SCALE),
+    ("H4", {"alpha": 0.0}, _ALPHA),
+    ("H4", {"theta": 1.0}, "stretched exponent theta must lie in (0, 1)"),
+    ("H5", {"alpha": -1.0}, _ALPHA),
+    ("H5", {"theta2": 0.0}, _THETA2),
+    ("H5", {"betas": [0.0]}, _NONZERO),
+    ("H5", {"betas": [-1.0, 1.0]}, _LEADING),
+    ("H5", {"betas": [1, 1, 1, 1]}, _AT_MOST),
+    ("H6", {"lam": 1.0}, _LAM),
+    ("H6", {"lam": 0.0}, _LAM),
+    ("H6", {"scale": -2.0}, _SCALE),
+    ("H7", {"lam": 1.5}, _LAM),
+    ("H7", {"alpha": 0.0}, _ALPHA),
+    ("H7", {"theta2": 1.0}, _THETA2),
+    ("H8", {"alpha": 0.0}, _ALPHA),
+    ("H8", {"theta": 1.0}, "super-exponential exponent theta must exceed 1"),
+    # two wrong parameters: the first one checked is named
+    ("H2", {"theta": 0.0, "scale": 0.0}, _THETA),
+    ("H4", {"alpha": -1.0, "theta": 2.0}, _ALPHA),
+    ("H5", {"alpha": 0.0, "theta2": 2.0, "betas": [0.0]}, _ALPHA),
+    ("H6", {"lam": 2.0, "scale": -2.0}, _LAM),
+    ("H7", {"lam": 0.0, "alpha": 0.0}, _LAM),
+    ("H7", {"alpha": -1.0, "theta2": 5.0}, _ALPHA),
+]
+
+
+def _case_id(name, params):
+    return name + "".join(f"-{k}={v}" for k, v in params.items())
+
+
+class TestProductReference:
+    """H1-H8 are bitwise the closed forms they were first written as."""
+
+    @pytest.mark.parametrize("name, params, log_a, plain_a, ratio, first", _PRODUCT_REFERENCE,
+                             ids=[_case_id(*row[:2]) for row in _PRODUCT_REFERENCE])
+    def test_bitwise_the_closed_form(self, name, params, log_a, plain_a, ratio, first):
+        entry = catalogue_entry(name, **params)
+        assert (entry.ratio_limit, entry.min_index) == (ratio, first)
+        # log 0 = -inf makes -inf or NaN at n = 0; those bits are compared too
+        n = np.arange(0.0, 50_001.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert entry.log_fn(n).tobytes() == log_a(n).tobytes()
+        # a 0-d index is one value of the same form
+        assert entry.log_fn(np.array(5.0)).tobytes() == log_a(np.array([5.0])).tobytes()
+        n = np.arange(float(first), 5001.0)
+        seq = entry.sequence(first, 5000, log_domain=True)
+        assert seq.start == first and np.all(seq.sign == 1.0)
+        assert seq.log_abs.tobytes() == log_a(n).tobytes()
+        # the plain form up to index 250 or the first log past double range
+        n = np.arange(float(first), 251.0)
+        n = n[: np.argmax(np.append(log_a(n) > 709.0, True))]
+        want = np.exp(log_a(n))
+        if plain_a is not None:
+            with np.errstate(over="ignore"):
+                exact = plain_a(n)
+            want = np.where(np.isfinite(exact), exact, want)
+        seq = entry.sequence(first, int(n[-1]), log_domain=False)
+        assert seq.start == first and seq.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name, params, message", _PRODUCT_ERRORS,
+                             ids=[_case_id(*row[:2]) for row in _PRODUCT_ERRORS])
+    def test_error_message(self, name, params, message):
+        with pytest.raises(ParameterError) as info:
+            catalogue_entry(name, **params)
+        assert str(info.value) == message
+
+
 class TestScalingModel:
     def test_positivity_enforced(self):
         with pytest.raises(ParameterError):

@@ -164,6 +164,14 @@ _MALFORMED = [
     pytest.param(("mode", "horizon", "scaling", "expected_period"),
                  ("verify-periodic", 100, {"name": "geometric", "params": {"lam": 0.5}}, 13),
                  "config.expected_period", id="period-13-at-horizon-100"),
+    # a required field left out is named by its own path
+    ("kernel", {"name": "geometric", "ratio": 0.5, "size": 4}, "config.kernel.c"),
+    ("forcing", {"tail": {"family": "normal", "sigma": 1.0}}, "config.forcing.kind"),
+    ("forcing.tail", {"sigma": 1.0}, "config.forcing.tail.family"),
+    ("statistic", {"name": "phi_average"}, "config.statistic.band"),
+    ("scaling", {"params": {}}, "config.scaling.name"),
+    pytest.param(("mode", "k_grid"), ("envelope", []), "config.k_grid", id="k_grid-empty"),
+    ("statistic.series", "bogus", "config.statistic"),
 ]
 
 

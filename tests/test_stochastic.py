@@ -675,7 +675,7 @@ def whole_array_envelope_sums(tail, a, k_grid):
     k_grid = np.asarray(sorted(float(k) for k in k_grid))
     sums = np.empty((k_grid.size, len(a)))
     verdicts, slopes = [], []
-    reg_mask = idx >= max(a.start, a.end // 10)
+    reg_mask = idx >= max(a.start, 1, a.end // 10)
     for i, k in enumerate(k_grid):
         summand = np.asarray(tail.tail_probability(k * a.values), dtype=np.float64)
         sums[i] = np.cumsum(summand)
@@ -754,6 +754,30 @@ class TestEnvelopeSums:
         tail = make_tail_model("normal", sigma=1.0)
         with pytest.raises(InputError):
             envelope_sums(tail, Trajectory([2.0, 1.0], start=1), [1.0])
+
+    @pytest.mark.parametrize("horizon", range(1, 10))
+    def test_window_leaves_out_index_zero(self, horizon):
+        # below horizon 10 the last decade of a scale from index 0 would
+        # start at 0: log 0 made a NaN slope, read as "divergent", and a
+        # bracket; under Tier-1 numpy's warning is an error
+        a = ScalingModel.from_entry(catalogue_entry("geometric", lam=0.5), horizon).a
+        rep = envelope_sums(make_tail_model("normal", sigma=1.0), a, [0.01, 100.0])
+        for verdict, slope in zip(rep.verdicts, rep.slopes):
+            assert math.isnan(slope) == (verdict == "undecided")
+        assert rep.bracket is None
+
+    def test_zero_summands_are_left_out_of_the_fit(self):
+        # P[|X| > K n] = 1 - K n on [-1, 1] is 0 from n = 1 / K: at K = 0.02
+        # the fit takes n = 10..49 of the window 10..100, and at K = 0.09
+        # only n = 10, 11 are positive, too few for a slope
+        a = Trajectory(np.arange(1, 101, dtype=float), start=1)
+        rep = envelope_sums(make_tail_model("uniform"), a, [0.02, 0.09])
+        n = np.arange(10, 50, dtype=float)
+        want = np.polyfit(np.log(n), np.log(1.0 - 0.02 * n), 1)[0]
+        assert rep.verdicts == ("convergent", "undecided")
+        assert rep.slopes[0] == pytest.approx(-1.6156, abs=1e-4)
+        assert abs(rep.slopes[0] - want) <= 1e-12 * abs(want)
+        assert math.isnan(rep.slopes[1])
 
     @pytest.mark.parametrize("case", sorted(_ENVELOPE_CASES))
     def test_chunked_is_bitwise_whole_array(self, case):
