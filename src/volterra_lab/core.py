@@ -14,12 +14,11 @@ Two evaluation domains are supported.  The default is plain doubles with a
 hard failure on the first non-finite value.  When the forcing is a
 ``LogTrajectory`` the solution is carried as (sign, log|x|) pairs so that
 genuinely growing solutions (for example geometric or factorial forcing)
-can be followed far past double-precision overflow.  Signed log-space
-sums suffer catastrophic cancellation when terms of opposite sign nearly
-cancel, so the log domain is intended for the sign-coherent growth
-regimes it exists for; the per-step log recursion logs one warning per
-solve, with the index and the digits lost, where sum|terms| / |sum| first
-exceeds 1e8.
+can be followed far past double-precision overflow.  Signed sums suffer
+catastrophic cancellation when terms of opposite sign nearly cancel, so
+the log domain is intended for the sign-coherent growth regimes it exists
+for; its per-term blocks log one warning per solve, with the index and
+the digits lost, where sum|terms| / |sum| first exceeds 1e8.
 
 Which engine runs where (B = 256 for a kernel of any length M):
 
@@ -36,31 +35,37 @@ Which engine runs where (B = 256 for a kernel of any length M):
   values in all (paths times indices), runs the per-term recursion on
   each row.  A row whose block turns non-finite runs the per-term
   recursion on that block alone, from the engine's history (see below),
-  as the log engine does with a block it cannot scale.
+  as the log engine does with a block the Toeplitz step does not take.
 * ``stochastic.ensemble_verify`` runs the same engine on many plain-domain
   paths at once: their forcings are the rows of one (P, N) array, solved
   in place, so each block step is one pair of products for all P rows.
 * ``solve_linear`` in the log domain runs the block-scaled engine: every
-  block [t, t+L) from t = 1 on is the same Toeplitz step on plain doubles
-  times exp(ref), ref the largest log|.| among its forcing and the M
-  values before it.  L <= B is chosen from the forcing's log-range so that
-  nothing overflows or underflows: up to room ~ 600 below the largest
-  value, and up to about 700 more above 1, used by lowering ref by the
-  part of the range beyond room, so that scaled |x| stays below exp(700).
-  That is about 130 steps for factorial forcing near n = 2e4, and all of
-  B for geometric, whose blocks fit room and keep their ref.  A block runs
-  the per-step log recursion when its nonzero forcing and history signs
-  differ, when L would be 1, or when a scaled |x| falls below a floor
-  where underflowed inputs could show; a kernel with a negative
-  coefficient, an r[:B] that overflows, or a solve of at most B values
-  runs per step throughout.  Only same-signed sums are ever scaled, so no
-  cancellation is hidden and the plain engine's sum |k| <= 1 is not
-  needed: a nonnegative kernel with sum k > 1 runs blocks too.  The
+  block [t, t+L) from t = 1 on is solved on plain doubles times exp(ref),
+  ref the largest log|.| among its forcing and the M values before it.
+  One sizing loop serves every kernel and horizon: L <= B is chosen from
+  the forcing's log-range so that nothing overflows or underflows, up to
+  room ~ 600 below the largest value and up to about 700 more above 1,
+  used by lowering ref by the part of the range beyond room, so that
+  scaled |x| stays below exp(700).  That is about 130 steps for factorial
+  forcing near n = 2e4, and all of B for geometric, whose blocks fit room
+  and keep their ref.  A block of more than one step with a nonnegative
+  kernel, a finite r[:B] and forcing and history of one sign is the same
+  Toeplitz step as in plain doubles, unless a scaled |x| falls below a
+  floor where underflowed inputs could show.  Every other block is a
+  per-term block: the plain per-term loop on the block's scaled forcing
+  and history, with the same ref.  A per-term block whose scaled output
+  overflows, falls below the floor, or is zero where an input underflowed
+  splits in half, down to one step, which is kept as it comes out.  So a
+  signed kernel and mixed signs run per-term blocks, and an r[:B] that
+  overflows, whose sum and maximum count as inf, runs one-step blocks.
+  Only same-signed sums are ever solved by Toeplitz, so no cancellation
+  is hidden there and the plain engine's sum |k| <= 1 is not needed: a
+  nonnegative kernel with sum k > 1 runs Toeplitz blocks too.  The
   block's forcing maximum comes from the running maximum that sized it,
   and its sign test is the largest and smallest sign of its forcing and
-  history, so a block costs a handful of array calls; the output is
-  bitwise that of taking both from the block's values directly, which the
-  tests keep as the reference.
+  history, so a Toeplitz block costs a handful of array calls; the output
+  is bitwise that of taking both from the block's values directly, which
+  the tests keep as the reference.
 * ``resolvent``, ``solve_by_representation`` and ``solve_nonlinear`` run
   the per-term reference recursion, O(horizon * min(horizon, M)); the
   nonlinear solve convolves over f(x) in place of x, and
@@ -99,30 +104,35 @@ may round a row differently at another position in the batch or under
 another BLAS thread count.  The same rows in the same order under the
 same BLAS give the same bits.
 
-Accuracy contract of the log engine: bitwise equal to the per-step log
-recursion on every block that runs per step (so on all of a solve with a
-signed kernel, an overflowing r[:B] or sign-incoherent forcing).  On
-scaled blocks, the first included, the signs equal the per-step
-recursion's, and log|x| is within 1e-12 + 1e-15 |log|x|| of the exact
-value, the second term being the rounding of log|x| itself as one
-double.  The same bound holds against the per-step recursion on the
-growth catalogue and the growth, ergodic and random-walk configurations
-tested; with decaying forcing the per-step recursion itself drifts
-further from the exact value than that, and the scaled blocks stay the
-closer of the two.  A block whose forcing fits room keeps ref, so a solve
-whose blocks all fit it (geometric forcing, for one) is bitwise that of
-sizing blocks by room alone, which the tests keep as a reference.
-Repeated calls of either engine are bitwise identical.
+Accuracy contract of the log engine: on Toeplitz blocks, the first
+included, the signs equal the exact solution's, and log|x| is within
+1e-12 + 1e-15 |log|x|| of the exact value, the second term being the
+rounding of log|x| itself as one double; the tests hold that against
+extended precision on the growth catalogue and on growth, ergodic and
+random-walk configurations.  A per-term block carries doubles from step
+to step, so within it the error is the plain recursion's from its
+history, and each block edge reads the history back from log|x|, which
+adds up to 2^-53 |log|x|| of relative error.  A step that cancels,
+sum|terms| / |x| = c, can multiply the errors before it by up to c; the
+engine logs the first c beyond 1e8.  On mixed-sign forcing with random
+signs (log|H(n)| = 0.05 n + N(0, 1), N = 4000) the tests bound the error
+by 1e-11 on [0.5, 0.3] and 5e-11 on [1.9, -0.95] against 40-digit
+arithmetic, with every sign right, and a chain of one-step blocks by
+twice the Toeplitz bound.  A block whose forcing fits room keeps ref, so
+a solve whose blocks all fit it (geometric forcing, for one) is bitwise
+that of sizing blocks by room alone, which the tests keep as a
+reference.  Repeated calls of either engine are bitwise identical.
 
-Every per-term loop (the plain recursion, with or without f, and the log
-recursion) runs on Python floats, reading its inputs with ``tolist`` and
-writing its results back into the numpy arrays one chunk of ``_CHUNK``
-steps at a time.  Python floats perform the same IEEE-754 double
-operations as numpy float64 scalars, and the loops keep their order, so
-the outputs are bitwise those of the numpy-scalar loops; the tests keep
-the latter as the reference.  The block resolvent prefix r[:B] and the
-block matrices R and Hk are computed once per ``Kernel``, on the first
-blocked solve that needs them, and shared by every later solve with that
+Every per-term loop (the plain recursion, with or without f, which the
+log engine's per-term blocks run too) runs on Python floats, reading its
+inputs with ``tolist`` and writing its results back into the numpy arrays
+one chunk of ``_CHUNK`` steps at a time.  Python floats perform the same
+IEEE-754 double operations as numpy float64 scalars, and the loops keep
+their order, so the outputs are bitwise those of the numpy-scalar loops;
+the tests keep the latter as the reference.  The block resolvent prefix
+r[:B] and the block matrices R and Hk are computed once per ``Kernel``,
+on the first blocked solve that needs them (every log-domain solve reads
+r[:B] to size its blocks), and shared by every later solve with that
 kernel; R and Hk take 8 (B^2 + min(B, M) M) bytes, 0.5 MB for M = 40 and
 4.6 MB for M = 2000.
 
@@ -380,70 +390,6 @@ def _linear_recursion(k, h, xi, out, f=None, lo=1, hi=None):
     return -1
 
 
-# sum|terms| / |sum| of one log-domain step beyond which digits are reported lost
-_CANCELLATION = 1e8
-
-
-def _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
-    """Fill indices [lo, hi) of (out_l, out_s); returns (overflow index, lossy).
-
-    The overflow index is the first non-finite log|x|, or -1.  ``lossy`` is
-    (index, sum|terms| / |sum|) at the first index where that cancellation
-    ratio exceeds ``_CANCELLATION``, or None.  A sum that cancels to exactly
-    zero is stored as an exact zero and not counted: its ratio is undefined.
-    """
-    m = len(lk)
-    lk, sk = lk.tolist(), sk.tolist()
-    lossy = None
-    # sign 0 exactly where log|.| = -inf, in the weights, the forcing and the
-    # history alike, so the loops below need no zero guards: a zero never
-    # raises the peak, and its term exp(-inf) = 0 adds a signed zero, which
-    # leaves the bits of an accumulator started at +0.0 as they are
-    for start, stop, base in _chunks(lo, len(out_l) if hi is None else hi, m):
-        xl = out_l[base:start].tolist()
-        xs = out_s[base:start].tolist()
-        hl = lh[start:stop].tolist()
-        hs = sh[start:stop].tolist()
-        for n in range(start - 1, stop - 1):
-            w = n + 1 if n + 1 < m else m
-            i = n - base
-            j = n + 1 - start
-            peak = hl[j]
-            for l in range(w):
-                t = lk[l] + xl[i - l]
-                if t > peak:
-                    peak = t
-            if peak == -math.inf:
-                xl.append(-math.inf)
-                xs.append(0.0)
-                continue
-            acc = 0.0
-            mag = 0.0
-            for l in range(w):
-                t = sk[l] * xs[i - l] * math.exp(lk[l] + xl[i - l] - peak)
-                acc += t
-                mag += abs(t)
-            if hs[j] != 0.0:
-                t = hs[j] * math.exp(hl[j] - peak)
-                acc += t
-                mag += abs(t)
-            if acc == 0.0:
-                xl.append(-math.inf)
-                xs.append(0.0)
-            else:
-                xl.append(peak + math.log(abs(acc)))
-                xs.append(1.0 if acc > 0.0 else -1.0)
-                if lossy is None and mag > _CANCELLATION * abs(acc):
-                    lossy = (n + 1, mag / abs(acc))
-            if not math.isfinite(xl[-1]) and xs[-1] != 0.0:
-                out_l[start : n + 2] = xl[start - base :]
-                out_s[start : n + 2] = xs[start - base :]
-                return n + 1, lossy
-        out_l[start:stop] = xl[start - base :]
-        out_s[start:stop] = xs[start - base :]
-    return -1, lossy
-
-
 # --------------------------------------------------------------------------
 # plain-domain engine, and the Toeplitz block step both domains share
 # --------------------------------------------------------------------------
@@ -546,65 +492,53 @@ _SPAN = 600.0
 # largest log of a scaled |x| that a lowered ref may allow: exp(700) ~ 1e304
 # stays a factor e^9.7 below overflow
 _CEILING = 700.0
-# smallest |x| / exp(ref) a scaled block may return, per unit of
-# max|r[:B]| * (1 + sum|k|): inputs that underflow move x by less than 1e-25 of it
+# smallest |x| / exp(ref) a block may hold, per unit of max|r[:B]| * (1 + sum|k|):
+# inputs that underflow move x by less than 1e-25 of it
 _FLOOR = 1e-280
+# sum|terms| / |sum| of one log-domain step beyond which digits are reported lost
+_CANCELLATION = 1e8
 
 
 def _blocked_log_linear(kernel, lh, sh, xi):
     """(log|x|, sign x) on 0..len(lh)-1 as blocks of plain doubles times exp(ref).
 
-    A solve of at most B indices, a signed kernel, an r[:B] that overflows
-    and every block that cannot be scaled (see the module docstring) run
-    the per-step recursion, which logs its first cancellation beyond
-    ``_CANCELLATION`` once per solve.  Every other block [t, t+L), from
-    t = 1 and the history x(0) = xi on, runs the plain Toeplitz step on its
-    inputs times exp(-ref); L <= B keeps the forcing's log-range within
-    room + up, room = ``_SPAN`` - log sum r[:B] below 1 and
-    up = ``_CEILING`` - log(sum r[:B] (1 + sum k)) above it.  A block whose
-    spread s exceeds room lowers its ref by s - room <= up, so its scaled
-    |x| stays at most exp(``_CEILING``); every other block keeps ref, the
-    largest log|.| among its forcing and history.  The running maximum of
-    log|H| that sizes a block also gives its forcing maximum, and the block
-    is sign coherent unless its forcing and history hold both a +1 and a
-    -1; the output is bitwise that of reading both off the block's own
-    values.
+    Every block [t, t+L), from t = 1 and the history x(0) = xi on, keeps
+    the forcing's log-range within room + up: room = ``_SPAN`` -
+    log sum|r[:B]| below 1 and up = ``_CEILING`` - log(sum|r[:B]| (1 +
+    sum|k|)) above it, so an r[:B] that overflows gives one-step blocks.
+    A block of more than one step with a nonnegative kernel, a finite
+    r[:B] and sign-coherent inputs runs the plain Toeplitz step on its
+    inputs times exp(-ref); a block whose spread s exceeds room lowers its
+    ref by s - room <= up, so its scaled |x| stays at most
+    exp(``_CEILING``), and every other block keeps ref, the largest
+    log|.| among its forcing and history.  The running maximum of log|H|
+    that sizes a block also gives its forcing maximum, and the block is
+    sign coherent unless its forcing and history hold both a +1 and a -1;
+    the output is bitwise that of reading both off the block's own values.
+    A block the Toeplitz step does not take runs ``_per_term_block`` with
+    the same ref, and the first cancellation beyond ``_CANCELLATION`` in
+    those blocks is logged once per solve.
     """
     k = kernel.coefficients
     n = len(lh)
-    lk, sk = _kernel_log(k)
     out_l = np.full(n, -np.inf)
     out_s = np.zeros(n)
     if xi != 0.0:
         out_l[0] = math.log(abs(xi))
         out_s[0] = math.copysign(1.0, xi)
-    warned = False
-
-    def per_step(lo, hi):
-        nonlocal warned
-        bad, lossy = _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo, hi)
-        if lossy is not None and not warned:
-            warned = True
-            logger.warning(
-                "log-domain cancellation at index %d: sum|terms|/|sum| = %.3g, "
-                "about %.1f digits lost", lossy[0], lossy[1], math.log10(lossy[1])
-            )
-        if bad >= 0:
-            raise TrajectoryOverflowError(bad)
-
-    state = kernel._block_state if n > _BLOCK and np.all(k >= 0.0) else None
-    if state is None:
-        per_step(1, n)
-        return out_l, out_s
-    r = state[0]
+    state = kernel._block_state
+    # an r[:B] that overflows leaves no state, and its sum and maximum are inf
+    r = np.abs(state[0]) if state is not None else np.array([np.inf])
+    toeplitz = state if np.all(k >= 0.0) else None
     room = _SPAN - math.log(np.sum(r))
-    up = max(0.0, _CEILING - math.log(np.sum(r) * (1.0 + np.sum(k))))
-    floor = _FLOOR * np.max(r) * (1.0 + np.sum(k))
+    up = max(0.0, _CEILING - math.log(np.sum(r) * (1.0 + np.sum(np.abs(k)))))
+    floor = _FLOOR * np.max(r) * (1.0 + np.sum(np.abs(k)))
     # sign 0 exactly where log|H| = -inf, so lh is its own maximum over the
     # nonzero forcing, and ``low`` its minimum
     low = np.where(sh != 0.0, lh, np.inf)
+    lossy = None
     t = 1
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(under="ignore", over="ignore", invalid="ignore", divide="ignore"):
         while t < n:
             # longest run [t, t+L) whose nonzero forcing stays within room + up in log|H|
             top = np.maximum.accumulate(lh[t : t + _BLOCK])
@@ -612,15 +546,67 @@ def _blocked_log_linear(kernel, lh, sh, xi):
             size = (max(1, int(np.argmax(spread > room + up)))
                     if spread[-1] > room + up else len(spread))
             shift = max(0.0, spread[size - 1] - room)
-            if size == 1 or not _scaled_block(k, state, lh, sh, out_l, out_s, t, t + size,
-                                              floor, top[size - 1], shift):
-                per_step(t, t + size)
+            if size == 1 or toeplitz is None or not _scaled_block(
+                    k, toeplitz, lh, sh, out_l, out_s, t, t + size, floor, top[size - 1], shift):
+                # capped at up: an r[:B] that overflows makes room -inf and shift inf
+                found = _per_term_block(k, lh, sh, out_l, out_s, t, t + size, floor,
+                                        min(shift, up))
+                if found and not lossy:
+                    lossy = found
+                    logger.warning(
+                        "log-domain cancellation at index %d: sum|terms|/|sum| = %.3g, "
+                        "about %.1f digits lost", lossy[0], lossy[1], math.log10(lossy[1])
+                    )
             t += size
     return out_l, out_s
 
 
+def _per_term_block(k, lh, sh, out_l, out_s, lo, hi, floor, shift):
+    """Solve [lo, hi) by the per-term loop on plain doubles times exp(ref).
+
+    ref is the largest log|.| among the block's forcing and its M history
+    values, less ``shift`` >= 0, as for a Toeplitz block.  A block of more
+    than one step solves its two halves in turn instead, with the same
+    shift, when a scaled output is non-finite, nonzero below ``floor``, or
+    zero while a nonzero input fell below the floor: an output at or above
+    it moves by less than 1e-25 of itself with the inputs that underflow,
+    and a zero output is exact.  A one-step block is kept as it comes out,
+    and raises on a non-finite value.  Returns (index, sum|terms| / |sum|)
+    at the block's first step whose ratio exceeds ``_CANCELLATION``, or
+    None; a sum that cancels to exactly zero is not counted.  The caller
+    silences numpy's floating-point warnings.
+    """
+    past = max(0, lo - len(k))
+    logs = np.concatenate((out_l[past:lo], lh[lo:hi]))
+    signs = np.concatenate((out_s[past:lo], sh[lo:hi]))
+    ref = logs.max() - shift
+    if ref == -np.inf:
+        return None  # zero history and forcing: the block stays zero
+    # h holds the scaled history, then the forcing; the loop overwrites x from lo - past on
+    h = signs * np.exp(logs - ref)
+    x = h.copy()
+    bad = _linear_recursion(k, h, x[0], x, lo=lo - past)
+    y = x[lo - past :]
+    mag = np.abs(y)
+    if hi - lo > 1 and (bad >= 0 or np.any((mag < floor) & (y != 0.0)) or (
+            not mag.all() and np.any((np.abs(h) < floor) & (signs != 0.0)))):
+        mid = (lo + hi) // 2
+        first = _per_term_block(k, lh, sh, out_l, out_s, lo, mid, floor, shift)
+        second = _per_term_block(k, lh, sh, out_l, out_s, mid, hi, floor, shift)
+        return first or second
+    if bad >= 0:
+        raise TrajectoryOverflowError(past + bad)
+    out_l[lo:hi] = np.log(mag) + ref
+    out_s[lo:hi] = np.sign(y)
+    terms = np.abs(h[lo - past :])
+    if len(k):
+        terms += np.convolve(np.abs(k), np.abs(x))[lo - past - 1 : hi - past - 1]
+    lossy = np.flatnonzero((terms > _CANCELLATION * mag) & (mag > 0.0))
+    return (lo + int(lossy[0]), terms[lossy[0]] / mag[lossy[0]]) if lossy.size else None
+
+
 def _scaled_block(k, state, lh, sh, out_l, out_s, lo, hi, floor, top, shift):
-    """Solve [lo, hi) as plain doubles times exp(ref); False if it must run per step.
+    """Solve [lo, hi) as plain doubles times exp(ref); False if it must run per term.
 
     ``top`` is max log|H| over [lo, hi), from the pass that sized the block:
     sign 0 exactly where log|H| = -inf, so the zeros it skips change nothing.
@@ -634,7 +620,7 @@ def _scaled_block(k, state, lh, sh, out_l, out_s, lo, hi, floor, top, shift):
     # signs are -1, 0 or +1: a nonzero forcing or history value of each sign
     if s_max > 0.0 and s_min < 0.0:
         return False
-    # an all-zero block gives ref = -inf and NaN below, so it runs per step
+    # an all-zero block gives ref = -inf and NaN below, so it runs per term
     f = hs * np.exp(lh[lo:hi] - ref)
     prev = ps * np.exp(pl - ref)
     x = _toeplitz_block(state, f, prev)
@@ -713,12 +699,6 @@ def solve_linear(kernel: Kernel, forcing, xi: float, horizon: int):
     if bad[0] >= 0:
         raise TrajectoryOverflowError(int(bad[0]))
     return Trajectory(x, start=0)
-
-
-def _kernel_log(k):
-    with np.errstate(divide="ignore"):
-        lk = np.log(np.abs(k))
-    return lk, np.sign(k)
 
 
 def resolvent(kernel: Kernel, horizon: int) -> Trajectory:

@@ -15,9 +15,7 @@ from volterra_lab.core import (
     _FLOOR,
     _SPAN,
     Kernel,
-    _kernel_log,
     _linear_recursion,
-    _log_linear_recursion,
     _toeplitz_block,
     make_nonlinearity,
     recover_forcing,
@@ -953,7 +951,7 @@ class TestBatchedEnsemble:
 
 
 # --------------------------------------------------------------------------
-# block-scaled log-domain engine against the per-step log recursion
+# block-scaled log-domain engine against extended precision
 # --------------------------------------------------------------------------
 
 GROWTH_KERNEL = Kernel.geometric(0.3, 0.5, 40)
@@ -964,107 +962,173 @@ def log_forcing(name, horizon, **params):
     return generate(gen, horizon, log_domain=True)
 
 
-def per_step_log_solve(kernel, forcing, xi, horizon):
-    """(log|x|, sign x, first overflow index or -1) from the per-step loop."""
-    _, (lh, sh) = core._aligned_forcing(forcing, horizon, xi, log_domain=True)
-    out_l = np.full(horizon + 1, -np.inf)
-    out_s = np.zeros(horizon + 1)
+def aligned_log(forcing, horizon):
+    """(log|H|, sign H) on 0..horizon, as the log engine reads them."""
+    _, (lh, sh) = core._aligned_forcing(forcing, horizon, log_domain=True)
+    return lh, sh
+
+
+def extended_log_solve(k, lh, xi, sh=None):
+    """(log|x|, sign x) by the per-step signed log-sum-exp in np.longdouble;
+    a forcing without ``sh`` is positive where log|H| > -inf."""
+    k = np.asarray(k, dtype=float)
+    sh = np.where(lh == -np.inf, 0.0, 1.0) if sh is None else sh
+    lags = np.flatnonzero(k != 0.0)
+    lk, sk = np.log(np.abs(k[lags]).astype(np.longdouble)), np.sign(k[lags])
+    out = np.full(len(lh), -np.inf, dtype=np.longdouble)
+    sign = np.zeros(len(lh))
     if xi != 0.0:
-        out_l[0], out_s[0] = math.log(abs(xi)), math.copysign(1.0, xi)
-    lk, sk = _kernel_log(kernel.coefficients)
-    bad, _ = _log_linear_recursion(lk, sk, lh, sh, out_l, out_s)
-    return out_l, out_s, bad
+        out[0], sign[0] = np.log(np.longdouble(abs(xi))), math.copysign(1.0, xi)
+    for n in range(len(lh) - 1):
+        back = n - lags[lags <= n]
+        signs = np.append(sk[: len(back)] * sign[back], sh[n + 1])
+        live = signs != 0.0
+        if live.any():
+            terms = np.append(lk[: len(back)] + out[back], np.longdouble(lh[n + 1]))[live]
+            peak = terms.max()
+            acc = np.sum(signs[live] * np.exp(terms - peak))
+            if acc != 0.0:
+                out[n + 1], sign[n + 1] = peak + np.log(abs(acc)), np.sign(acc)
+    return out.astype(float), sign
 
 
-def extended_log_solve(k, log_h, xi):
-    """log x for a nonnegative kernel, positive forcing and xi > 0, in np.longdouble."""
-    lk = [(l, np.log(np.longdouble(c))) for l, c in enumerate(k) if c > 0.0]
-    out = np.empty(len(log_h), dtype=np.longdouble)
-    out[0] = np.log(np.longdouble(xi))
-    for n in range(len(log_h) - 1):
-        terms = np.array([c + out[n - l] for l, c in lk if l <= n] + [log_h[n + 1]],
-                         dtype=np.longdouble)
-        peak = terms.max()
-        out[n + 1] = peak + np.log(np.sum(np.exp(terms - peak)))
-    return out
+def exact_log_solve(kernel, forcing, xi, horizon):
+    """:func:`extended_log_solve` of a log-domain solve's inputs."""
+    lh, sh = aligned_log(forcing, horizon)
+    return extended_log_solve(kernel.coefficients, lh, xi, sh)
 
 
-def record_per_step(monkeypatch):
-    """The (lo, hi) of every run of the per-step log recursion, in order."""
-    steps = []
+def mpmath_log_solve(k, lh, xi, sh=None):
+    """(log|x|, sign x) in 40-digit arithmetic; a forcing without ``sh`` is
+    positive where log|H| > -inf."""
+    mpmath = pytest.importorskip("mpmath")
+    sh = np.where(lh == -np.inf, 0.0, 1.0) if sh is None else sh
+    with mpmath.workdps(40):
+        weights = [mpmath.mpf(c) for c in k]
+        x = [mpmath.mpf(xi)]
+        for n in range(len(lh) - 1):
+            acc = float(sh[n + 1]) * mpmath.exp(mpmath.mpf(lh[n + 1]))
+            for l in range(min(n + 1, len(weights))):
+                acc += weights[l] * x[n - l]
+            x.append(acc)
+        return (np.array([float(mpmath.log(abs(v))) for v in x]),
+                np.array([float(mpmath.sign(v)) for v in x]))
 
-    def recorded(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
-        steps.append((lo, len(out_l) if hi is None else hi))
-        return per_step(lk, sk, lh, sh, out_l, out_s, lo, hi)
 
-    per_step = core._log_linear_recursion
-    monkeypatch.setattr(core, "_log_linear_recursion", recorded)
-    return steps
+def record_per_term(monkeypatch):
+    """Every [lo, hi) the log engine runs ``_per_term_block`` on, in order: a
+    block that splits is followed by its halves, the left one first."""
+    windows = []
+    per_term = core._per_term_block
+
+    def recorded(k, lh, sh, out_l, out_s, lo, hi, floor, shift):
+        windows.append((lo, hi))
+        return per_term(k, lh, sh, out_l, out_s, lo, hi, floor, shift)
+
+    monkeypatch.setattr(core, "_per_term_block", recorded)
+    return windows
 
 
-def assert_log_contract(x, ref_l, ref_s, exact_l=None):
+def kept(windows):
+    """The windows of :func:`record_per_term` that did not split."""
+    return [w for w, after in zip(windows, windows[1:] + [None])
+            if after != (w[0], (w[0] + w[1]) // 2)]
+
+
+def assert_log_contract(x, ref_l, ref_s):
     # equal signs throughout, the first block included; log|x| within the
-    # tolerance of the exact value, or of the per-step recursion without one
+    # tolerance of the exact value
     assert np.array_equal(x.sign, ref_s)
     live = ref_s != 0.0
-    target = ref_l if exact_l is None else exact_l
-    gap = np.abs(x.log_abs[live] - target[live])
+    gap = np.abs(x.log_abs[live] - ref_l[live])
     assert np.all(gap <= 1e-12 + 1e-15 * np.abs(ref_l[live]))
 
 
 class TestBlockedLogEngine:
     @pytest.mark.parametrize("name", [f"H{i}" for i in range(1, 10)])
-    def test_growth_catalogue_matches_per_step(self, name):
+    def test_growth_catalogue_keeps_the_contract(self, name):
         horizon = 6 * _BLOCK + 5
         H = log_forcing(name, horizon)
         x = solve_linear(GROWTH_KERNEL, H.to_log(), 1.1, horizon)
-        ref_l, ref_s, bad = per_step_log_solve(GROWTH_KERNEL, H, 1.1, horizon)
-        assert bad == -1
-        assert_log_contract(x, ref_l, ref_s)
+        assert_log_contract(x, *exact_log_solve(GROWTH_KERNEL, H, 1.1, horizon))
 
-    def test_iterated_exponential_runs_per_step_past_its_first_block(self, monkeypatch):
+    def test_iterated_exponential_runs_one_step_blocks_past_its_first_block(self, monkeypatch):
         # log H(n) = e^n leaves double range after n = 709: generation refuses
         # it.  Up to there, from n = 8 on, each step spans more than one block
-        # may, so all but the scaled block [1, 8) is the per-step recursion,
-        # bitwise, and nothing overflows
+        # may, so all but the scaled block [1, 8) is a one-step per-term
+        # block, and nothing overflows
         with pytest.raises(InputError, match="overflowed in log space"):
             log_forcing("H10", 710)
         H = log_forcing("H10", 709)
-        steps = record_per_step(monkeypatch)
+        windows = record_per_term(monkeypatch)
         x = solve_linear(GROWTH_KERNEL, H.to_log(), 1.0, 709)
-        assert steps == [(n, n + 1) for n in range(8, 710)]
-        ref_l, ref_s, bad = per_step_log_solve(GROWTH_KERNEL, H, 1.0, 709)
-        assert bad == -1
-        assert_log_contract(x, ref_l, ref_s)
-        assert np.array_equal(x.log_abs[8:], ref_l[8:])
+        assert windows == [(n, n + 1) for n in range(8, 710)]
+        assert_log_contract(x, *exact_log_solve(GROWTH_KERNEL, H, 1.0, 709))
 
     @pytest.mark.parametrize("kernel, signs", [
         (Kernel([0.5, -0.2, 0.1]), "positive"),
         (GROWTH_KERNEL, "random"),
     ], ids=["signed-kernel", "mixed-sign-forcing"])
-    def test_sign_incoherent_inputs_are_bitwise_per_step(self, kernel, signs):
+    def test_sign_incoherent_inputs_run_per_term_blocks(self, monkeypatch, kernel, signs):
         horizon = 4 * _BLOCK
         rng = np.random.Generator(np.random.Philox(12))
         la = np.concatenate(([-np.inf], 0.7 * np.arange(1, horizon + 1)))
         sg = np.ones(horizon + 1) if signs == "positive" else rng.choice([-1.0, 1.0], horizon + 1)
         sg[0] = 0.0
         H = LogTrajectory(la, sg)
+        windows = record_per_term(monkeypatch)
         x = solve_linear(kernel, H.to_log(), 0.8, horizon)
-        ref_l, ref_s, _ = per_step_log_solve(kernel, H, 0.8, horizon)
-        assert np.array_equal(x.log_abs, ref_l)
-        assert np.array_equal(x.sign, ref_s)
+        assert windows == [(t, t + _BLOCK) for t in range(1, horizon + 1, _BLOCK)]
+        assert_log_contract(x, *exact_log_solve(kernel, H, 0.8, horizon))
 
-    def test_underflow_guard_falls_back_to_per_step(self):
-        # one spike after the first block; log|x| then falls by log(1e3) a step
-        horizon = 3 * _BLOCK
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_sign_forcing_against_mpmath(self, seed):
+        # log|H(n)| = 0.05 n + N(0, 1) with random signs: every block runs
+        # per term.  A step can cancel: on seed 0, sum|terms| / |x| reaches
+        # 3.4e4, and the plain double recursion alone is 4e-12 off there on
+        # [0.5, 0.3], so the bound is wider than the Toeplitz contract
+        horizon = 4000
+        rng = np.random.Generator(np.random.Philox(seed))
+        la = 0.05 * np.arange(horizon + 1) + rng.normal(size=horizon + 1)
+        sg = rng.choice([-1.0, 1.0], horizon + 1)
+        la[0], sg[0] = -np.inf, 0.0
+        for k, tol in (([0.5, 0.3], 1e-11), ([1.9, -0.95], 5e-11)):
+            x = solve_linear(Kernel(k), LogTrajectory(la, sg), 0.8, horizon)
+            ref_l, ref_s = mpmath_log_solve(k, la, 0.8, sg)
+            assert np.array_equal(x.sign, ref_s)
+            assert np.max(np.abs(x.log_abs - ref_l)) <= tol
+
+    def test_underflow_spike_splits_per_term_blocks(self, monkeypatch):
+        # x(n) = 1e-3^(n - s) from one unit of forcing at s = B + 40.  The
+        # per-term floor is 1e-280 max|r[:B]| (1 + sum|k|) = 1.001e-280 in
+        # units of exp(ref), so a block holds at most 93 steps of the decay
+        # from its first value: [B + 1, 2B + 1) and every block after it
+        # splits in half until its values stay above the floor
+        horizon, s = 3 * _BLOCK, _BLOCK + 40
         la = np.full(horizon + 1, -np.inf)
-        la[_BLOCK + 40] = 0.0
-        H = LogTrajectory.from_log(la)
-        x = solve_linear(Kernel([1e-3]), H.to_log(), 0.0, horizon)
-        ref_l, ref_s, _ = per_step_log_solve(Kernel([1e-3]), H, 0.0, horizon)
-        assert x.log_abs[-1] < -1000.0
-        assert np.array_equal(x.log_abs, ref_l)
-        assert np.array_equal(x.sign, ref_s)
+        la[s] = 0.0
+        windows = record_per_term(monkeypatch)
+        x = solve_linear(Kernel([1e-3]), LogTrajectory.from_log(la), 0.0, horizon)
+        assert kept(windows) == [(1, 257), (257, 385), (385, 449), (449, 513),
+                                 (513, 577), (577, 641), (641, 705), (705, 769)]
+        n = np.arange(horizon + 1)
+        assert x.log_abs[-1] < -3000.0
+        assert_log_contract(x, np.where(n >= s, (n - s) * math.log(1e-3), -np.inf),
+                            np.where(n >= s, 1.0, 0.0))
+
+    def test_an_underflowing_input_splits_the_block(self, monkeypatch):
+        # x(0) = 1 and forcing e^1000 from index 101: the forcing has no
+        # spread, so ref = 1000 and the start underflows to zero once scaled.
+        # Kept whole, the block would read exact zeros on 1..100
+        horizon = _BLOCK
+        H = LogTrajectory.from_log(np.concatenate(([-np.inf], np.full(100, -np.inf),
+                                                   np.full(horizon - 100, 1000.0))))
+        kernel = Kernel([0.5, -0.2])
+        windows = record_per_term(monkeypatch)
+        x = solve_linear(kernel, H, 1.0, horizon)
+        assert windows[0] == (1, horizon + 1) and kept(windows)[0] == (1, 65)
+        assert np.all(x.sign != 0.0)
+        assert_log_contract(x, *exact_log_solve(kernel, H, 1.0, horizon))
 
     def test_zero_forcing_and_start_give_zeros(self):
         horizon = 3 * _BLOCK
@@ -1084,19 +1148,17 @@ class TestBlockedLogEngine:
         ("factorial", 20_000, {}),
         ("geometric", 10_000, {"lam": 0.5}),
     ])
-    def test_no_block_runs_per_step(self, monkeypatch, caplog, name, horizon, params):
+    def test_no_block_runs_per_term(self, monkeypatch, caplog, name, horizon, params):
         # the log_growth benchmark configs: every block is scaled, the first
-        # included, and within the contract of the per-step recursion
+        # included, and within the contract
         H = log_forcing(name, horizon, **params)
-        steps = record_per_step(monkeypatch)
+        windows = record_per_term(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="volterra_lab.core"):
             x = solve_linear(GROWTH_KERNEL, H.to_log(), 1.25, horizon)
-        assert steps == []
+        assert windows == []
         assert np.all(x.sign == 1.0)
         assert not caplog.records
-        ref_l, ref_s, bad = per_step_log_solve(GROWTH_KERNEL, H, 1.25, horizon)
-        assert bad == -1
-        assert_log_contract(x, ref_l, ref_s)
+        assert_log_contract(x, *exact_log_solve(GROWTH_KERNEL, H, 1.25, horizon))
 
     def test_cancellation_is_reported(self, caplog):
         # exact x(3) = (1e300 + 1) - 1e300 + 1 = 2; the log domain gets 1
@@ -1116,6 +1178,7 @@ class TestBlockedLogEngine:
         assert not caplog.records
 
 
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
@@ -1128,17 +1191,14 @@ class TestBlockedLogEngine:
 def test_blocked_log_engine_on_sign_coherent_inputs(weights, mass, drift, horizon, seed, xi):
     # nonnegative kernel of total mass 0..1.5, positive forcing whose log
     # moves by ``drift`` a step plus noise: every block is sign coherent.
-    # The tolerance is held against extended precision: with decaying forcing
-    # the per-step recursion itself drifts from it by more (2.7e-12 at log|x| = -508)
+    # The tolerance is held against extended precision
     w = np.array(weights)
     k = Kernel(w / np.sum(w) * mass if np.sum(w) > 0 else w)
     rng = np.random.Generator(np.random.Philox(seed))
     la = drift * np.arange(horizon + 1) + rng.normal(scale=2.0, size=horizon + 1)
     la[0] = -np.inf
-    H = LogTrajectory.from_log(la)
-    x = solve_linear(k, H.to_log(), xi, horizon)
-    ref_l, ref_s, _ = per_step_log_solve(k, H, xi, horizon)
-    assert_log_contract(x, ref_l, ref_s, extended_log_solve(k.coefficients, la, xi))
+    x = solve_linear(k, LogTrajectory.from_log(la), xi, horizon)
+    assert_log_contract(x, *extended_log_solve(k.coefficients, la, xi))
 
 
 # --------------------------------------------------------------------------
@@ -1158,47 +1218,6 @@ def numpy_linear_recursion(k, h, xi, out):
         if not math.isfinite(val):
             return n + 1
     return -1
-
-
-def numpy_log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo=1, hi=None):
-    m = len(lk)
-    lossy = None
-    for n in range(lo - 1, len(out_l) - 1 if hi is None else hi - 1):
-        w = n + 1 if n + 1 < m else m
-        peak = -math.inf
-        if sh[n + 1] != 0.0 and lh[n + 1] > peak:
-            peak = lh[n + 1]
-        for l in range(w):
-            if sk[l] != 0.0 and out_s[n - l] != 0.0:
-                t = lk[l] + out_l[n - l]
-                if t > peak:
-                    peak = t
-        if peak == -math.inf:
-            out_l[n + 1] = -math.inf
-            out_s[n + 1] = 0.0
-            continue
-        acc = 0.0
-        mag = 0.0
-        for l in range(w):
-            if sk[l] != 0.0 and out_s[n - l] != 0.0:
-                t = sk[l] * out_s[n - l] * math.exp(lk[l] + out_l[n - l] - peak)
-                acc += t
-                mag += abs(t)
-        if sh[n + 1] != 0.0:
-            t = sh[n + 1] * math.exp(lh[n + 1] - peak)
-            acc += t
-            mag += abs(t)
-        if acc == 0.0:
-            out_l[n + 1] = -math.inf
-            out_s[n + 1] = 0.0
-        else:
-            out_l[n + 1] = peak + math.log(abs(acc))
-            out_s[n + 1] = 1.0 if acc > 0.0 else -1.0
-            if lossy is None and mag > core._CANCELLATION * abs(acc):
-                lossy = (n + 1, mag / abs(acc))
-        if not math.isfinite(out_l[n + 1]) and out_s[n + 1] != 0.0:
-            return n + 1, lossy
-    return -1, lossy
 
 
 def numpy_nonlinear_loop(k, f, h, xi, horizon):
@@ -1265,27 +1284,6 @@ def both_linear(k, h, xi, windows=((1, None),)):
     return bad
 
 
-def both_log(k, h, xi, windows=((1, None),)):
-    lk, sk = _kernel_log(np.asarray(k, dtype=float))
-    lh, sh = _kernel_log(h)
-    results = []
-    for recursion in (numpy_log_linear_recursion, _log_linear_recursion):
-        out_l = np.full(len(h), -np.inf)
-        out_s = np.zeros(len(h))
-        if xi != 0.0:
-            out_l[0], out_s[0] = math.log(abs(xi)), math.copysign(1.0, xi)
-        with np.errstate(all="ignore"):
-            returned = [recursion(lk, sk, lh, sh, out_l, out_s, lo, hi) for lo, hi in windows]
-        results.append((out_l, out_s, returned))
-    (ref_l, ref_s, ref_ret), (out_l, out_s, ret) = results
-    assert ret == ref_ret
-    bad = next((b for b, _ in ret if b >= 0), -1)
-    stop = len(h) if bad < 0 else bad + 1
-    assert_same_bits(out_l[:stop], ref_l[:stop])
-    assert_same_bits(out_s[:stop], ref_s[:stop])
-    return ret
-
-
 # indices that split [1, N) into consecutive windows [lo, hi)
 WINDOW_CUTS = [(1, 2, 3), (100, CHUNK + 50), (CHUNK - 1, CHUNK + 1), (7, 2 * CHUNK, 2 * CHUNK + 1)]
 
@@ -1321,37 +1319,43 @@ class TestPythonFloatLoops:
         assert both_linear(loop_kernel(40, 8), loop_forcing(3 * CHUNK + 7, 9), -0.4,
                            split_at(cuts)) == -1
 
+    # the log domain runs the same loop on scaled doubles in per-term blocks
+
     @pytest.mark.parametrize("m", [0, 1, 40])
     @pytest.mark.parametrize("horizon", LOOP_HORIZONS)
-    def test_log_is_bitwise_numpy(self, m, horizon):
-        [(bad, _)] = both_log(loop_kernel(m, m + 1), loop_forcing(horizon, horizon + 1), 0.7)
-        assert bad == -1
+    def test_log_matches_the_plain_domain(self, m, horizon):
+        # mixed signs and exact zeros: every log block runs per term
+        k = Kernel(loop_kernel(m, m + 1))
+        H = traj(loop_forcing(horizon, horizon + 1))
+        x = solve_linear(k, H.to_log(), 0.7, horizon).to_plain().values
+        assert scaled_gap(x, solve_linear(k, H, 0.7, horizon).values) <= 1e-12
 
     def test_log_kernel_longer_than_horizon(self):
-        both_log(loop_kernel(40, 6), loop_forcing(10, 7), 1.1)
+        k = Kernel(loop_kernel(40, 6))
+        H = traj(loop_forcing(10, 7))
+        x = solve_linear(k, H.to_log(), 1.1, 10)
+        assert_log_contract(x, *exact_log_solve(k, H, 1.1, 10))
 
-    @pytest.mark.parametrize("cuts", WINDOW_CUTS)
-    def test_log_windows(self, cuts):
-        both_log(loop_kernel(40, 8), loop_forcing(3 * CHUNK + 7, 9), -0.4, split_at(cuts))
-
-    def test_log_overflow_in_second_chunk(self):
-        h = loop_forcing(3 * CHUNK, 10)
-        h[CHUNK + 100] = np.inf
-        [(bad, _)] = both_log(loop_kernel(40, 11), h, 0.7)
-        assert bad == CHUNK + 100
-
-    def test_log_lossy_in_second_chunk(self):
+    def test_log_lossy_in_second_chunk(self, caplog):
         # x(n+1) = x(n) - x(n-1) + 1: a spike of 1e300 cancels two steps later
         h = np.ones(2 * CHUNK)
         h[0] = 0.0
         h[CHUNK + 10] = 1e300
-        [(bad, lossy)] = both_log([1.0, -1.0], h, 1.0)
-        assert bad == -1
-        assert lossy[0] == CHUNK + 12
+        with caplog.at_level(logging.WARNING, logger="volterra_lab.core"):
+            solve_linear(Kernel([1.0, -1.0]), traj(h).to_log(), 1.0, 2 * CHUNK - 1)
+        [record] = caplog.records
+        assert f"cancellation at index {CHUNK + 12}:" in record.message
 
     def test_log_negative_zero_start_and_zero_forcing(self):
-        both_log(loop_kernel(40, 12), np.zeros(CHUNK + 3), -0.0)
-        both_log(loop_kernel(40, 12), loop_forcing(CHUNK + 3, 13), -0.0)
+        # -0.0 is a zero start: zero forcing gives zeros, and any forcing the
+        # solve from +0.0
+        k = Kernel(loop_kernel(40, 12))
+        x = solve_linear(k, traj(np.zeros(CHUNK + 3)).to_log(), -0.0, CHUNK + 2)
+        assert np.all(x.sign == 0.0) and np.all(x.log_abs == -np.inf)
+        H = traj(loop_forcing(CHUNK + 3, 13)).to_log()
+        x, y = (solve_linear(k, H, xi, CHUNK + 3) for xi in (-0.0, 0.0))
+        assert_same_bits(x.log_abs, y.log_abs)
+        assert_same_bits(x.sign, y.sign)
 
     @pytest.mark.parametrize("m", [0, 1, 40])
     @pytest.mark.parametrize("horizon", LOOP_HORIZONS)
@@ -1499,31 +1503,41 @@ class TestResolventPrefix:
         assert k._block_state is None
 
     @pytest.mark.parametrize("kernel, blocks", [
-        # a negative coefficient: every index runs the per-step recursion
-        (Kernel([0.5, -0.2, 0.1]), False),
-        # sum k = 100 > 1 and r(n) = 100^n overflows in r[:B]: no block state
-        (Kernel([100.0]), False),
+        # a negative coefficient: every index runs in a per-term block
+        (Kernel([0.5, -0.2, 0.1]), "per-term"),
+        # sum k = 100 > 1 and r(n) = 100^n overflows in r[:B]: no block state,
+        # so max|r[:B]| = inf, and every block is one step, per term
+        (Kernel([100.0]), "one-step"),
         # sum k = 1.1 > 1 with a finite r[:B]: only same-signed sums are
         # scaled, so the log engine needs no sum |k| <= 1 and runs blocks
-        (Kernel([0.6, 0.5]), True),
+        (Kernel([0.6, 0.5]), "scaled"),
     ], ids=["signed", "overflowing-prefix", "growing"])
     def test_log_domain_dispatch_rule(self, monkeypatch, kernel, blocks):
         calls = self.count_prefixes(monkeypatch)
-        steps = record_per_step(monkeypatch)
+        windows = record_per_term(monkeypatch)
         horizon = 4 * _BLOCK
         H = log_forcing("factorial", horizon)
         x = solve_linear(kernel, H, 1.0, horizon)
         assert np.all(x.sign == 1.0)
-        ref_l, ref_s, bad = per_step_log_solve(kernel, H, 1.0, horizon)
-        assert bad == -1
-        if blocks:
-            assert calls == [_BLOCK] and (1, horizon + 1) not in steps
-            assert_log_contract(x, ref_l, ref_s)
+        ref_l, ref_s = exact_log_solve(kernel, H, 1.0, horizon)
+        if blocks == "one-step":
+            # each step reads its history back from log|x|, and so the
+            # roundings of log|x| add up over the steps that still weigh:
+            # 1.6 times the contract here, and 1.7 times for the per-step
+            # log recursion this replaced
+            gap = np.abs(x.log_abs - ref_l)
+            assert np.all(gap <= 2 * (1e-12 + 1e-15 * np.abs(ref_l)))
         else:
-            assert steps == [(1, horizon + 1)]
-            assert calls == []
-            assert np.array_equal(x.log_abs, ref_l)
-            assert np.array_equal(x.sign, ref_s)
+            assert_log_contract(x, ref_l, ref_s)
+        assert calls == ([] if blocks == "one-step" else [_BLOCK])
+        if blocks == "scaled":
+            assert windows == []
+        elif blocks == "one-step":
+            assert windows == [(n, n + 1) for n in range(1, horizon + 1)]
+        else:
+            edges = [edge for window in kept(windows) for edge in window]
+            assert edges[0] == 1 and edges[-1] == horizon + 1
+            assert edges[1:-1:2] == edges[2:-1:2]
 
 
 # --------------------------------------------------------------------------
@@ -1537,80 +1551,73 @@ logger = logging.getLogger("volterra_lab.core")
 def reference_blocked_log_linear(kernel, lh, sh, xi, headroom=True):
     """(log|x|, sign x) on 0..len(lh)-1 as blocks of plain doubles times exp(ref).
 
-    A solve of at most B indices, a signed kernel, an r[:B] that overflows
-    and every block that cannot be scaled (see the module docstring) run
-    the per-step recursion, which logs its first cancellation beyond
-    ``_CANCELLATION`` once per solve.  Every other block [t, t+L), from
-    t = 1 on, runs the plain Toeplitz step on its inputs times exp(-ref),
-    the first one from the history x(0) = xi; L <= B keeps the forcing's
-    log-range within room + up, and a block whose range exceeds room lowers its ref by the excess.
+    Every block [t, t+L), from t = 1 on, keeps the forcing's log-range
+    within room + up.  A block of more than one step with a nonnegative
+    kernel, a finite r[:B] and inputs of one sign runs the plain Toeplitz
+    step on its inputs times exp(-ref), the first one from the history
+    x(0) = xi, and a block whose range exceeds room lowers its ref by the
+    excess.  Every other block runs the engine's ``_per_term_block``, whose
+    first cancellation beyond ``_CANCELLATION`` is logged once per solve.
     ``headroom=False`` sets up = 0: L <= B keeps the forcing's log-range
     plus log sum r[:B] within ``_SPAN``, and no block lowers its ref.
     """
     k = kernel.coefficients
     n = len(lh)
-    lk, sk = _kernel_log(k)
     out_l = np.full(n, -np.inf)
     out_s = np.zeros(n)
     if xi != 0.0:
         out_l[0] = math.log(abs(xi))
         out_s[0] = math.copysign(1.0, xi)
-    warned = False
-
-    def per_step(lo, hi):
-        nonlocal warned
-        bad, lossy = _log_linear_recursion(lk, sk, lh, sh, out_l, out_s, lo, hi)
-        if lossy is not None and not warned:
-            warned = True
-            logger.warning(
-                "log-domain cancellation at index %d: sum|terms|/|sum| = %.3g, "
-                "about %.1f digits lost", lossy[0], lossy[1], math.log10(lossy[1])
-            )
-        if bad >= 0:
-            raise TrajectoryOverflowError(bad)
-
-    b = _BLOCK
-    state = kernel._block_state if n > b and np.all(k >= 0.0) else None
-    if state is None:
-        per_step(1, n)
-        return out_l, out_s
-    r = state[0]
+    state = kernel._block_state
+    r = np.abs(state[0]) if state is not None else np.array([np.inf])
+    scaled = state is not None and np.all(k >= 0.0)
     room = _SPAN - math.log(np.sum(r))
-    up = max(0.0, _CEILING - math.log(np.sum(r) * (1.0 + np.sum(k)))) if headroom else 0.0
-    floor = _FLOOR * np.max(r) * (1.0 + np.sum(k))
+    up = (max(0.0, _CEILING - math.log(np.sum(r) * (1.0 + np.sum(np.abs(k)))))
+          if headroom else 0.0)
+    floor = _FLOOR * np.max(r) * (1.0 + np.sum(np.abs(k)))
+    warned = False
+    b = _BLOCK
     t = 1
-    while t < n:
-        # longest run [t, t+L) whose nonzero forcing stays within room + up in log|H|
-        live = sh[t : t + b] != 0.0
-        seg = lh[t : t + b]
-        spread = (np.maximum.accumulate(np.where(live, seg, -np.inf))
-                  - np.minimum.accumulate(np.where(live, seg, np.inf)))
-        size = max(1, int(np.argmax(spread > room + up)) if spread[-1] > room + up else len(seg))
-        shift = max(0.0, spread[size - 1] - room)
-        if size == 1 or not reference_scaled_block(k, r, lh, sh, out_l, out_s, t, t + size,
-                                                   floor, shift):
-            per_step(t, t + size)
-        t += size
+    with np.errstate(all="ignore"):
+        while t < n:
+            # longest run [t, t+L) whose nonzero forcing stays within room + up in log|H|
+            live = sh[t : t + b] != 0.0
+            seg = lh[t : t + b]
+            spread = (np.maximum.accumulate(np.where(live, seg, -np.inf))
+                      - np.minimum.accumulate(np.where(live, seg, np.inf)))
+            size = max(1, int(np.argmax(spread > room + up))
+                       if spread[-1] > room + up else len(seg))
+            shift = max(0.0, spread[size - 1] - room)
+            if size == 1 or not scaled or not reference_scaled_block(
+                    k, state[0], lh, sh, out_l, out_s, t, t + size, floor, shift):
+                lossy = core._per_term_block(k, lh, sh, out_l, out_s, t, t + size, floor,
+                                             min(shift, up))
+                if lossy and not warned:
+                    warned = True
+                    logger.warning(
+                        "log-domain cancellation at index %d: sum|terms|/|sum| = %.3g, "
+                        "about %.1f digits lost", lossy[0], lossy[1], math.log10(lossy[1])
+                    )
+            t += size
     return out_l, out_s
 
 
 def reference_scaled_block(k, r, lh, sh, out_l, out_s, lo, hi, floor, shift):
-    """Solve [lo, hi) as plain doubles times exp(ref); False if it must run per step."""
+    """Solve [lo, hi) as plain doubles times exp(ref); False if it must run per term."""
     m = len(k)
     signs = np.concatenate((sh[lo:hi], out_s[max(0, lo - m) : lo]))
     signs = signs[signs != 0.0]
     if signs.size and np.any(signs != signs[0]):
         return False
-    # an all-zero block gives ref = -inf and NaN below, so it runs per step
+    # an all-zero block gives ref = -inf and NaN below, so it runs per term
     ref = max(np.max(lh[lo:hi]), np.max(out_l[max(0, lo - m) : lo], initial=-np.inf)) - shift
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        f = sh[lo:hi] * np.exp(lh[lo:hi] - ref)
-        prev = out_s[max(0, lo - m) : lo] * np.exp(out_l[max(0, lo - m) : lo] - ref)
-        x = _toeplitz_block((r, *core._toeplitz_matrices(k, r)), f, prev)
-        mag = np.abs(x)
-        if not (np.min(mag) >= floor and np.max(mag) < np.inf):
-            return False
-        out_l[lo:hi] = np.log(mag) + ref
+    f = sh[lo:hi] * np.exp(lh[lo:hi] - ref)
+    prev = out_s[max(0, lo - m) : lo] * np.exp(out_l[max(0, lo - m) : lo] - ref)
+    x = _toeplitz_block((r, *core._toeplitz_matrices(k, r)), f, prev)
+    mag = np.abs(x)
+    if not (np.min(mag) >= floor and np.max(mag) < np.inf):
+        return False
+    out_l[lo:hi] = np.log(mag) + ref
     out_s[lo:hi] = np.sign(x)
     return True
 
@@ -1642,6 +1649,10 @@ def assert_blocked_log_is_reference(kernel, forcing, xi, horizon):
         assert_same_bits(got[0], expected[0])
         assert_same_bits(got[1], expected[1])
     return got
+
+
+def assert_exact(kernel, forcing, xi, horizon, out_l, out_s):
+    assert_log_contract(LogTrajectory(out_l, out_s), *exact_log_solve(kernel, forcing, xi, horizon))
 
 
 def log_traj(la, sg=None):
@@ -1685,6 +1696,7 @@ class TestBlockedLogOracle:
             GROWTH_KERNEL, log_traj(la), 0.0, horizon)
         assert np.all(out_s[: 2 * _BLOCK + 17] == 0.0)
         assert np.all(out_s[2 * _BLOCK + 17 :] == 1.0)
+        assert_exact(GROWTH_KERNEL, log_traj(la), 0.0, horizon, out_l, out_s)
 
     def test_mixed_sign_forcing(self):
         horizon = 4 * _BLOCK
@@ -1693,40 +1705,50 @@ class TestBlockedLogOracle:
         la[0] = -np.inf
         sg = np.ones(horizon + 1)
         sg[rng.random(horizon + 1) < 0.01] = -1.0
-        assert_blocked_log_is_reference(GROWTH_KERNEL, log_traj(la, sg), 0.8, horizon)
+        out_l, out_s, _, _ = assert_blocked_log_is_reference(
+            GROWTH_KERNEL, log_traj(la, sg), 0.8, horizon)
+        assert_exact(GROWTH_KERNEL, log_traj(la, sg), 0.8, horizon, out_l, out_s)
 
     def test_mixed_sign_history(self):
         # alternating signs through the first block, positive forcing after:
-        # the first block runs per step on its mixed forcing, and the history
-        # of the block after it carries both signs
+        # the first block runs per term on its mixed forcing, and the history
+        # of the block after it carries both signs.  On [0, 0.5], x(B + 1)
+        # cancels to e^-87 from terms of e^2, which no double sum resolves
         horizon = 4 * _BLOCK
         la = np.concatenate(([-np.inf], np.full(horizon, 2.0)))
         sg = np.ones(horizon + 1)
         sg[1:_BLOCK:2] = -1.0
-        for kernel in (GROWTH_KERNEL, Kernel([0.0, 0.5])):
-            assert_blocked_log_is_reference(kernel, log_traj(la, sg), -1.0, horizon)
+        out_l, out_s, _, _ = assert_blocked_log_is_reference(
+            GROWTH_KERNEL, log_traj(la, sg), -1.0, horizon)
+        assert_exact(GROWTH_KERNEL, log_traj(la, sg), -1.0, horizon, out_l, out_s)
+        _, _, _, records = assert_blocked_log_is_reference(
+            Kernel([0.0, 0.5]), log_traj(la, sg), -1.0, horizon)
+        [(_, _, message)] = records
+        assert f"cancellation at index {_BLOCK + 1}:" in message
 
     def test_underflow_floor(self):
         horizon = 3 * _BLOCK
         la = np.full(horizon + 1, -np.inf)
         la[_BLOCK + 40] = 0.0
-        out_l, _, _, _ = assert_blocked_log_is_reference(Kernel([1e-3]), log_traj(la), 0.0, horizon)
+        out_l, out_s, _, _ = assert_blocked_log_is_reference(
+            Kernel([1e-3]), log_traj(la), 0.0, horizon)
         assert out_l[-1] < -1000.0
+        assert_exact(Kernel([1e-3]), log_traj(la), 0.0, horizon, out_l, out_s)
 
     def test_zero_kernel(self):
-        # no history: blocks scale without zeros, and run per step with
-        # zeros (x = 0 is below the floor), mixed signs or nothing at all
+        # no history, so x = H: blocks scale without zeros, and run per term
+        # with zeros (x = 0 is below the floor), mixed signs or nothing at all
         horizon = 4 * _BLOCK
         rng = np.random.Generator(np.random.Philox(43))
         la = rng.normal(scale=50.0, size=horizon + 1)
         la[0] = -np.inf
-        assert_blocked_log_is_reference(Kernel.zero(), log_traj(la), 2.0, horizon)
+        forcings = [log_traj(la.copy())]
         la[rng.random(horizon + 1) < 0.2] = -np.inf
-        assert_blocked_log_is_reference(Kernel.zero(), log_traj(la), 2.0, horizon)
-        sg = rng.choice([-1.0, 1.0], horizon + 1)
-        assert_blocked_log_is_reference(Kernel.zero(), log_traj(la, sg), 2.0, horizon)
-        assert_blocked_log_is_reference(Kernel.zero(), log_traj(np.full(horizon + 1, -np.inf)),
-                                        0.0, horizon)
+        forcings += [log_traj(la), log_traj(la, rng.choice([-1.0, 1.0], horizon + 1)),
+                     log_traj(np.full(horizon + 1, -np.inf))]
+        for H, xi in zip(forcings, (2.0, 2.0, 2.0, 0.0)):
+            out_l, out_s, _, _ = assert_blocked_log_is_reference(Kernel.zero(), H, xi, horizon)
+            assert_log_contract(LogTrajectory(out_l[1:], out_s[1:]), H.log_abs[1:], H.sign[1:])
 
     def test_cancellation_warning_is_the_same(self):
         # a signed kernel warns in its first block; with k = [1], a block of
@@ -1782,20 +1804,6 @@ def record_shifts(monkeypatch):
     return shifts
 
 
-def mpmath_log_solve(k, lh, xi):
-    """log x in 40-digit arithmetic for a nonnegative kernel, positive forcing and xi > 0."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        weights = [mpmath.mpf(c) for c in k]
-        x = [mpmath.mpf(xi)]
-        for n in range(len(lh) - 1):
-            acc = mpmath.exp(mpmath.mpf(lh[n + 1]))
-            for l in range(min(n + 1, len(weights))):
-                acc += weights[l] * x[n - l]
-            x.append(acc)
-        return np.array([float(mpmath.log(v)) for v in x])
-
-
 class TestLogHeadroom:
     def test_factorial_benchmark_config_runs_half_the_blocks(self, monkeypatch):
         # log_growth's factorial config: 294 scaled blocks under room alone
@@ -1810,10 +1818,8 @@ class TestLogHeadroom:
         H = log_forcing("factorial", horizon)
         x = solve_linear(GROWTH_KERNEL, H, 1.25, horizon)
         assert len(shifts) == 8 and sum(s > 0.0 for s in shifts) == 7
-        ref_l, ref_s, bad = per_step_log_solve(GROWTH_KERNEL, H, 1.25, horizon)
-        assert bad == -1
-        _, (lh, _) = core._aligned_forcing(H, horizon, 1.25, log_domain=True)
-        assert_log_contract(x, ref_l, ref_s, mpmath_log_solve(GROWTH_KERNEL.coefficients, lh, 1.25))
+        lh, _ = aligned_log(H, horizon)
+        assert_log_contract(x, *mpmath_log_solve(GROWTH_KERNEL.coefficients, lh, 1.25))
 
     def test_geometric_forcing_is_bitwise_the_unshifted_rule(self, monkeypatch):
         shifts = record_shifts(monkeypatch)
@@ -1856,12 +1862,10 @@ class TestLongKernels:
         # if t < M, the first one from x(0) alone
         k = long_kernel(m)
         H = log_forcing("factorial", horizon)
-        steps = record_per_step(monkeypatch)
+        windows = record_per_term(monkeypatch)
         x = solve_linear(k, H.to_log(), 1.25, horizon)
-        assert steps == []
-        ref_l, ref_s, bad = per_step_log_solve(k, H, 1.25, horizon)
-        assert bad == -1
-        assert_log_contract(x, ref_l, ref_s)
+        assert windows == []
+        assert_log_contract(x, *exact_log_solve(k, H, 1.25, horizon))
         assert_blocked_log_is_reference(k, H, 1.25, horizon)
 
     @pytest.mark.parametrize("m", [0, 40, 256, 2000])
