@@ -1330,6 +1330,22 @@ class TestPythonFloatLoops:
         x = solve_linear(k, H.to_log(), 0.7, horizon).to_plain().values
         assert scaled_gap(x, solve_linear(k, H, 0.7, horizon).values) <= 1e-12
 
+    @pytest.mark.parametrize("cuts", WINDOW_CUTS)
+    def test_log_windows(self, cuts):
+        # per-term blocks window by window, each across chunk edges, read the
+        # history that the blocks before them left in (log|x|, sign x)
+        k = loop_kernel(40, 8)
+        H = traj(loop_forcing(3 * CHUNK + 7, 9))
+        lh, sh = aligned_log(H.to_log(), 3 * CHUNK + 7)
+        out_l = np.full(len(lh), -np.inf)
+        out_s = np.zeros(len(lh))
+        out_l[0], out_s[0] = math.log(0.4), -1.0
+        with np.errstate(all="ignore"):
+            for lo, hi in split_at(cuts):
+                core._per_term_block(k, lh, sh, out_l, out_s, lo, hi or len(lh), _FLOOR, 0.0)
+        ref = solve_linear(Kernel(k), H, -0.4, 3 * CHUNK + 7).values
+        assert scaled_gap(out_s * np.exp(out_l), ref) <= 1e-12
+
     def test_log_kernel_longer_than_horizon(self):
         k = Kernel(loop_kernel(40, 6))
         H = traj(loop_forcing(10, 7))
