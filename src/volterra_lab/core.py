@@ -36,9 +36,27 @@ Which engine runs where (B = 256 for a kernel of any length M):
   each row.  A row whose block turns non-finite runs the per-term
   recursion on that block alone, from the engine's history (see below),
   as the log engine does with a block the Toeplitz step does not take.
+* A lone row (one path: every plain ``solve_linear``,
+  ``Kernel.resolvent_l1``, ``predict_x_over_a``, and an ensemble group of
+  one path) with 1 <= M <= B and at least ``_GROUP_MIN`` = 48 whole
+  blocks after its first solves those blocks in groups of at most
+  ``_GROUP`` = 512, in place, with matrix-vector products and vector
+  steps only.  Only the last M values of a block reach the next: one
+  product per carried value gives the part c_i = (R f_i)[-M:] that each
+  block's forcing makes of them, and a loop carries e_(i+1) = c_i +
+  W[-M:] e_i, W = R[:, :M] Hk, which for M = 1 is one multiply-add per
+  block.  With every block's last M values in place, one pass of B - M
+  steps runs the per-term recursion in all blocks of the group at once.
+  So a block costs O(B M) in place of the B^2 of its product with R.  A
+  group that could come near overflow, or holds a non-finite forcing,
+  runs the block step instead.  The first block, whose history is x(0)
+  alone, the last, partial one, and the blocks of shorter rows run the
+  block step.
 * ``stochastic.ensemble_verify`` runs the same engine on many plain-domain
   paths at once: their forcings are the rows of one (P, N) array, solved
   in place, so each block step is one pair of products for all P rows.
+  A batch of P > 1 rows runs no groups, since its rows already fill the
+  products.
 * ``solve_linear`` in the log domain runs the block-scaled engine: every
   block [t, t+L) from t = 1 on is solved on plain doubles times exp(ref),
   ref the largest log|.| among its forcing and the M values before it.
@@ -61,11 +79,10 @@ Which engine runs where (B = 256 for a kernel of any length M):
   Only same-signed sums are ever solved by Toeplitz, so no cancellation
   is hidden there and the plain engine's sum |k| <= 1 is not needed: a
   nonnegative kernel with sum k > 1 runs Toeplitz blocks too.  The
-  block's forcing maximum comes from the running maximum that sized it,
-  and its sign test is the largest and smallest sign of its forcing and
-  history, so a Toeplitz block costs a handful of array calls; the output
-  is bitwise that of taking both from the block's values directly, which
-  the tests keep as the reference.
+  outputs start as copies of the forcing, so a block's history and its
+  forcing are one slice of them, and a Toeplitz block costs a handful of
+  array calls on it; the output is bitwise that of the reference the
+  tests keep, which reads the two apart.
 * ``resolvent``, ``solve_by_representation`` and ``solve_nonlinear`` run
   the per-term reference recursion, O(horizon * min(horizon, M)); the
   nonlinear solve convolves over f(x) in place of x, and
@@ -94,13 +111,18 @@ same first non-finite index: a row can only fail in a block whose
 product turns non-finite, and there its values are bitwise the per-term
 recursion from the engine's history before the block, which names the
 index, so no partial sum that BLAS overflows, nor an infinite forcing
-plus history times a zero of R, decides it.
+plus history times a zero of R, decides it.  A lone-row group cannot
+fail: it runs only when (values in the group + M) times its largest
+input, forcing or history, in magnitude stays below 2^1000, which bounds
+every value and partial sum in it since |r| <= 1.  A lone row's values
+differ from the block step's by rounding alone, and keep the gap.
 
 Batch contract: every row of a P-row solve keeps that contract, and is
-within the gap of the same path solved alone.  A row that overflows fails
-alone.  Bit for bit, a row that runs blocks depends on the shape of its
-batch: BLAS rounds a P-row product differently from a one-row one, and
-may round a row differently at another position in the batch or under
+within the gap of the same path solved alone, not bitwise: a lone row
+runs groups that a batch does not.  A row that overflows fails alone.
+Bit for bit, a row that runs blocks depends on the shape of its batch:
+BLAS rounds a P-row product differently from a one-row one, and may
+round a row differently at another position in the batch or under
 another BLAS thread count.  The same rows in the same order under the
 same BLAS give the same bits.
 
@@ -130,11 +152,14 @@ one chunk of ``_CHUNK`` steps at a time.  Python floats perform the same
 IEEE-754 double operations as numpy float64 scalars, and the loops keep
 their order, so the outputs are bitwise those of the numpy-scalar loops;
 the tests keep the latter as the reference.  The block resolvent prefix
-r[:B] and the block matrices R and Hk are computed once per ``Kernel``,
-on the first blocked solve that needs them (every log-domain solve reads
-r[:B] to size its blocks), and shared by every later solve with that
-kernel; R and Hk take 8 (B^2 + min(B, M) M) bytes, 0.5 MB for M = 40 and
-4.6 MB for M = 2000.
+r[:B], the block matrices R and Hk, and the lone-row map W[-M:] are each
+computed once per ``Kernel``, on the first solve that needs them, and
+shared by every later solve with that kernel.  Every log-domain solve
+reads r[:B] to size its blocks, but only a nonnegative kernel, whose
+blocks the Toeplitz step may take, builds R and Hk there.  R and Hk take
+8 (B^2 + min(B, M) M) bytes, 0.5 MB for M = 40 and 4.6 MB for M = 2000,
+and W[-M:] 8 M^2 bytes, built for lone-row groups alone.  A group works
+in the row itself: beyond the row it holds M values per block.
 
 The forward recursion and the resolvent representation stay
 algorithmically independent on purpose; their agreement is a mandatory
@@ -237,15 +262,33 @@ class Kernel:
         return float(np.sum(np.abs(r[0])))
 
     @cached_property
-    def _block_state(self):
-        """(r[:B], R, Hk) of the blocked engines, shared by every blocked
-        solve with this kernel; None if r[:B] overflows, which needs
-        sum k > 1.  R and Hk take 8 (B^2 + min(B, M) M) bytes."""
+    def _prefix(self):
+        """The resolvent prefix r[:B] that sizes log-domain blocks; None if
+        it overflows, which needs sum k > 1."""
         r = np.zeros(_BLOCK)
         if _linear_recursion(self.coefficients, r, 1.0, r) >= 0:
             return None
         r.flags.writeable = False
-        return (r, *_toeplitz_matrices(self.coefficients, r))
+        return r
+
+    @cached_property
+    def _block_state(self):
+        """(r[:B], R, Hk) of the Toeplitz block step, shared by every solve
+        with this kernel that runs it; None if r[:B] overflows.  R and Hk
+        take 8 (B^2 + min(B, M) M) bytes."""
+        r = self._prefix
+        return None if r is None else (r, *_toeplitz_matrices(self.coefficients, r))
+
+    @cached_property
+    def _edge_map(self):
+        """W[-M:] for M <= B, with W = R[:, :M] Hk: a block's last M values
+        from the M before it, for the lone-row step; 8 M^2 bytes."""
+        _, r, hk = self._block_state
+        m = len(hk)
+        # column by column: see the note on matrix-vector products at _GROUP
+        edge = np.stack([r[_BLOCK - m :, :m] @ column for column in hk.T], axis=1)
+        edge.flags.writeable = False
+        return edge
 
     def at_scale(self, lam: float) -> "Kernel":
         """k(l) lam^(l+1) for lam in [0, 1]: its resolvent is r(j) lam^j, and
@@ -396,6 +439,17 @@ def _linear_recursion(k, h, xi, out, f=None, lo=1, hi=None):
 
 # block length of both blocked engines, for a kernel of any length
 _BLOCK = 256
+# most and fewest whole blocks a lone plain row solves as one group.  A group
+# costs one pass of B - M vector steps, about 0.5 ms, and each block in it a
+# few scalar steps in place of a B x B matrix-vector product of about 18 us,
+# so fewer blocks than about 32 (M = 1) to 55 (M = 40) run slower as a group.
+# A vector step reads one value per block at a stride of B doubles, which a
+# group of more than about 1000 blocks no longer keeps in cache.  Lone rows
+# use matrix-vector products only: a process's first matrix-matrix product
+# maps about 0.25 MB of OpenBLAS code, and one of more than 4 rows a 0.4 MB
+# packing buffer, which peak RSS then carries for the rest of the run
+_GROUP = 512
+_GROUP_MIN = 48
 
 
 def _reference_linear(k, h, xi, f=None):
@@ -418,11 +472,13 @@ def _blocked_linear(kernel, x, xi):
     |r(n)| <= 1 (r(n+1) = sum k(l) r(n-l) from r(0) = 1), runs blocks once
     P N > B: from x(0) = xi, every block [t, t+L), t = 1, 1 + B, ...,
     solves all rows at once with ``_toeplitz_block``, from the history
-    x[max(0, t - M):t].  A row not yet failed whose block holds a
-    non-finite value runs the per-term loop on that block instead, in
-    place, from its forcing and the history: the loop's values are the
-    row's block, and its return value the row's failure index.  Otherwise
-    each row runs the per-term loop throughout.
+    x[max(0, t - M):t], except the groups of whole blocks a lone row runs
+    with ``_lone_row_blocks`` (see ``_lone_row_groups``); a group that
+    could overflow runs the block step instead.  A row not yet failed
+    whose block holds a non-finite value runs the per-term loop on that
+    block instead, in place, from its forcing and the history: the loop's
+    values are the row's block, and its return value the row's failure
+    index.  Otherwise each row runs the per-term loop throughout.
     """
     k = kernel.coefficients
     state = kernel._block_state if x.size > _BLOCK and kernel.l1_norm <= 1.0 else None
@@ -431,8 +487,13 @@ def _blocked_linear(kernel, x, xi):
     if state is None:
         bad[:] = [_linear_recursion(k, row, xi, row) for row in x]
         return bad
+    groups = _lone_row_groups(len(x), len(k), x.shape[1])
+    t = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, x.shape[1], _BLOCK):
+        while t < x.shape[1]:
+            if t in groups and _lone_row_blocks(kernel, x[0], t, groups[t]):
+                t = groups[t]
+                continue
             h, prev = x[:, t : t + _BLOCK], x[:, max(0, t - len(k)) : t]
             block = _toeplitz_block(state, h.copy(), prev)
             if not np.isfinite(block).all():
@@ -442,7 +503,73 @@ def _blocked_linear(kernel, x, xi):
                 if bad.min() >= 0:
                     break
             h[:] = block
+            t += _BLOCK
     return bad
+
+
+def _lone_row_groups(paths, m, n):
+    """{lo: hi} for the groups [lo, hi) of whole blocks that a lone row of
+    n values solves with ``_lone_row_blocks``: every whole block after the
+    first, in groups of at most ``_GROUP`` blocks and of near-equal size,
+    once a kernel of 1 <= M <= B has at least ``_GROUP_MIN`` such blocks.
+    The first block, whose history is x(0) alone, and the last, partial
+    one run the block step."""
+    whole = (n - 1) // _BLOCK - 1 if paths == 1 and 0 < m <= _BLOCK else 0
+    if whole < _GROUP_MIN:
+        return {}
+    count = -(-whole // _GROUP)
+    cuts = [1 + _BLOCK * (1 + whole * i // count) for i in range(count + 1)]
+    return dict(zip(cuts, cuts[1:]))
+
+
+def _lone_row_blocks(kernel, row, lo, hi):
+    """Solve the whole blocks [lo, hi) of one row in place from the M
+    values before lo; False, with the row unchanged, if a value could
+    come near overflow.
+
+    Only the last M values of each block reach the next.  With c_i =
+    (R f_i)[-M:], the part of block i's last M values that its forcing f_i
+    makes, one product per carried value gives c_i for every block, and a
+    loop carries e_(i+1) = c_i + W[-M:] e_i from the M values e_0 before
+    lo, W = R[:, :M] Hk being a block's solution from its history.  With
+    every block's last M values in place, one pass over the other indices
+    of a block runs the per-term recursion in all blocks at once.  Since
+    |r| <= 1 and sum |k| <= 1, no value, sum or product in the group
+    exceeds (hi - lo + M) times its largest input, forcing or history, in
+    magnitude, so a group that keeps that below 2^1000 cannot overflow;
+    that also refuses non-finite inputs.
+    """
+    k = kernel.coefficients
+    m = len(k)
+    f = row[lo:hi].reshape(-1, _BLOCK)
+    past = row[lo - m : lo]
+    if not max(f.max(), -f.min(), past.max(), -past.min()) * (hi - lo + m) < 2.0**1000:
+        return False
+    _, r, _ = kernel._block_state
+    # one matrix-vector product per carried value (see the note at _GROUP)
+    c = np.empty((len(f), m))
+    for l in range(m):
+        np.matmul(f, r[_BLOCK - m + l], out=c[:, l])
+    tail = kernel._edge_map
+    if m == 1:
+        # one carried value: the loop runs on Python floats
+        a, e = float(tail[0, 0]), float(past[0])
+        carried = []
+        for part in c[:, 0].tolist():
+            e = part + a * e
+            carried.append(e)
+        c[:, 0] = carried
+    else:
+        e = past
+        for i in range(len(c)):
+            e = c[i] = c[i] + tail @ e
+    f[:, _BLOCK - m :] = c
+    # block i with its history: row[lo - M + i B : lo + (i + 1) B]
+    blocks = sliding_window_view(row[lo - m : hi], m + _BLOCK, writeable=True)[::_BLOCK]
+    kr = k[::-1]
+    for j in range(m, _BLOCK):
+        blocks[:, j] += blocks[:, j - m : j] @ kr
+    return True
 
 
 def _toeplitz(z, rows, n):
@@ -511,25 +638,22 @@ def _blocked_log_linear(kernel, lh, sh, xi):
     inputs times exp(-ref); a block whose spread s exceeds room lowers its
     ref by s - room <= up, so its scaled |x| stays at most
     exp(``_CEILING``), and every other block keeps ref, the largest
-    log|.| among its forcing and history.  The running maximum of log|H|
-    that sizes a block also gives its forcing maximum, and the block is
-    sign coherent unless its forcing and history hold both a +1 and a -1;
-    the output is bitwise that of reading both off the block's own values.
-    A block the Toeplitz step does not take runs ``_per_term_block`` with
+    log|.| among its forcing and history.  The outputs start as the
+    forcing, so a block's M history values and its forcing are one slice,
+    which each block overwrites with its solution from index t on.  A
+    block the Toeplitz step does not take runs ``_per_term_block`` with
     the same ref, and the first cancellation beyond ``_CANCELLATION`` in
     those blocks is logged once per solve.
     """
     k = kernel.coefficients
     n = len(lh)
-    out_l = np.full(n, -np.inf)
-    out_s = np.zeros(n)
-    if xi != 0.0:
-        out_l[0] = math.log(abs(xi))
-        out_s[0] = math.copysign(1.0, xi)
-    state = kernel._block_state
-    # an r[:B] that overflows leaves no state, and its sum and maximum are inf
-    r = np.abs(state[0]) if state is not None else np.array([np.inf])
-    toeplitz = state if np.all(k >= 0.0) else None
+    out_l, out_s = lh.copy(), sh.copy()
+    out_l[0], out_s[0] = ((math.log(abs(xi)), math.copysign(1.0, xi)) if xi != 0.0
+                          else (-np.inf, 0.0))
+    prefix = kernel._prefix
+    # an r[:B] that overflows leaves no prefix, and its sum and maximum are inf
+    r = np.abs(prefix) if prefix is not None else np.array([np.inf])
+    toeplitz = kernel._block_state if np.all(k >= 0.0) else None
     room = _SPAN - math.log(np.sum(r))
     up = max(0.0, _CEILING - math.log(np.sum(r) * (1.0 + np.sum(np.abs(k)))))
     floor = _FLOOR * np.max(r) * (1.0 + np.sum(np.abs(k)))
@@ -540,17 +664,16 @@ def _blocked_log_linear(kernel, lh, sh, xi):
     t = 1
     with np.errstate(under="ignore", over="ignore", invalid="ignore", divide="ignore"):
         while t < n:
-            # longest run [t, t+L) whose nonzero forcing stays within room + up in log|H|
-            top = np.maximum.accumulate(lh[t : t + _BLOCK])
-            spread = top - np.minimum.accumulate(low[t : t + _BLOCK])
-            size = (max(1, int(np.argmax(spread > room + up)))
-                    if spread[-1] > room + up else len(spread))
+            # longest run [t, t+L) whose nonzero forcing stays within room + up
+            # in log|H|; the spread never decreases along the run
+            spread = (np.maximum.accumulate(lh[t : t + _BLOCK])
+                      - np.minimum.accumulate(low[t : t + _BLOCK]))
+            size = max(1, int(spread.searchsorted(room + up, "right")))
             shift = max(0.0, spread[size - 1] - room)
             if size == 1 or toeplitz is None or not _scaled_block(
-                    k, toeplitz, lh, sh, out_l, out_s, t, t + size, floor, top[size - 1], shift):
+                    toeplitz, out_l, out_s, t, t + size, max(0, t - len(k)), floor, shift):
                 # capped at up: an r[:B] that overflows makes room -inf and shift inf
-                found = _per_term_block(k, lh, sh, out_l, out_s, t, t + size, floor,
-                                        min(shift, up))
+                found = _per_term_block(k, out_l, out_s, t, t + size, floor, min(shift, up))
                 if found and not lossy:
                     lossy = found
                     logger.warning(
@@ -561,24 +684,24 @@ def _blocked_log_linear(kernel, lh, sh, xi):
     return out_l, out_s
 
 
-def _per_term_block(k, lh, sh, out_l, out_s, lo, hi, floor, shift):
+def _per_term_block(k, out_l, out_s, lo, hi, floor, shift):
     """Solve [lo, hi) by the per-term loop on plain doubles times exp(ref).
 
-    ref is the largest log|.| among the block's forcing and its M history
-    values, less ``shift`` >= 0, as for a Toeplitz block.  A block of more
-    than one step solves its two halves in turn instead, with the same
-    shift, when a scaled output is non-finite, nonzero below ``floor``, or
-    zero while a nonzero input fell below the floor: an output at or above
-    it moves by less than 1e-25 of itself with the inputs that underflow,
-    and a zero output is exact.  A one-step block is kept as it comes out,
-    and raises on a non-finite value.  Returns (index, sum|terms| / |sum|)
-    at the block's first step whose ratio exceeds ``_CANCELLATION``, or
-    None; a sum that cancels to exactly zero is not counted.  The caller
-    silences numpy's floating-point warnings.
+    On entry [lo, hi) of ``out_l`` and ``out_s`` holds the forcing, and the
+    M values before lo the solution.  ref is the largest log|.| among them,
+    less ``shift`` >= 0, as for a Toeplitz block.  A block of more than one
+    step solves its two halves in turn instead, with the same shift, when a
+    scaled output is non-finite, nonzero below ``floor``, or zero while a
+    nonzero input fell below the floor: an output at or above it moves by
+    less than 1e-25 of itself with the inputs that underflow, and a zero
+    output is exact.  A one-step block is kept as it comes out, and raises
+    on a non-finite value.  Returns (index, sum|terms| / |sum|) at the
+    block's first step whose ratio exceeds ``_CANCELLATION``, or None; a
+    sum that cancels to exactly zero is not counted.  The caller silences
+    numpy's floating-point warnings.
     """
     past = max(0, lo - len(k))
-    logs = np.concatenate((out_l[past:lo], lh[lo:hi]))
-    signs = np.concatenate((out_s[past:lo], sh[lo:hi]))
+    logs, signs = out_l[past:hi], out_s[past:hi]
     ref = logs.max() - shift
     if ref == -np.inf:
         return None  # zero history and forcing: the block stays zero
@@ -591,8 +714,8 @@ def _per_term_block(k, lh, sh, out_l, out_s, lo, hi, floor, shift):
     if hi - lo > 1 and (bad >= 0 or np.any((mag < floor) & (y != 0.0)) or (
             not mag.all() and np.any((np.abs(h) < floor) & (signs != 0.0)))):
         mid = (lo + hi) // 2
-        first = _per_term_block(k, lh, sh, out_l, out_s, lo, mid, floor, shift)
-        second = _per_term_block(k, lh, sh, out_l, out_s, mid, hi, floor, shift)
+        first = _per_term_block(k, out_l, out_s, lo, mid, floor, shift)
+        second = _per_term_block(k, out_l, out_s, mid, hi, floor, shift)
         return first or second
     if bad >= 0:
         raise TrajectoryOverflowError(past + bad)
@@ -605,30 +728,29 @@ def _per_term_block(k, lh, sh, out_l, out_s, lo, hi, floor, shift):
     return (lo + int(lossy[0]), terms[lossy[0]] / mag[lossy[0]]) if lossy.size else None
 
 
-def _scaled_block(k, state, lh, sh, out_l, out_s, lo, hi, floor, top, shift):
+def _scaled_block(state, out_l, out_s, lo, hi, past, floor, shift):
     """Solve [lo, hi) as plain doubles times exp(ref); False if it must run per term.
 
-    ``top`` is max log|H| over [lo, hi), from the pass that sized the block:
-    sign 0 exactly where log|H| = -inf, so the zeros it skips change nothing.
-    ref is the largest log|.| among the block's forcing and history, less
-    ``shift`` >= 0.  The caller silences numpy's floating-point warnings.
+    ``out_l[past:hi]`` and ``out_s[past:hi]`` hold the block's history, the
+    solution on [past, lo), then its forcing; a solved block overwrites
+    the forcing.  ref is the largest log|.| among them, less ``shift`` >= 0.
+    The caller silences numpy's floating-point warnings.
     """
-    past = max(0, lo - len(k))
-    hs, ps, pl = sh[lo:hi], out_s[past:lo], out_l[past:lo]
-    s_max, s_min = max(hs.max(), ps.max(initial=0.0)), min(hs.min(), ps.min(initial=0.0))
-    ref = max(top, pl.max(initial=-np.inf)) - shift
+    l, s = out_l[past:hi], out_s[past:hi]
     # signs are -1, 0 or +1: a nonzero forcing or history value of each sign
-    if s_max > 0.0 and s_min < 0.0:
+    if s.max() - s.min() == 2.0:
         return False
     # an all-zero block gives ref = -inf and NaN below, so it runs per term
-    f = hs * np.exp(lh[lo:hi] - ref)
-    prev = ps * np.exp(pl - ref)
-    x = _toeplitz_block(state, f, prev)
+    ref = l.max() - shift
+    v = np.exp(l - ref)
+    v *= s
+    x = _toeplitz_block(state, v[lo - past :], v[: lo - past])
     mag = np.abs(x)
     if not (mag.min() >= floor and mag.max() < np.inf):
         return False
-    out_l[lo:hi] = np.log(mag) + ref
-    out_s[lo:hi] = np.sign(x)
+    np.log(mag, out=l[lo - past :])
+    l[lo - past :] += ref
+    np.sign(x, out=s[lo - past :])
     return True
 
 

@@ -843,6 +843,145 @@ def test_rows_fail_where_the_per_term_loop_does(m, paths, n, seed, xi):
         assert scaled_gap(row[:end] / s, ref[:end] / s) <= 1e-12
 
 
+# --------------------------------------------------------------------------
+# a lone plain row: groups of whole blocks, with only M values between blocks
+# --------------------------------------------------------------------------
+
+def extended_solve(k, h, xi):
+    """x(0..len(h)-1) by the per-term recursion in np.longdouble, rounded to doubles."""
+    k = np.asarray(k, dtype=np.longdouble)
+    out = np.empty(len(h), dtype=np.longdouble)
+    out[0] = xi
+    for n in range(len(h) - 1):
+        w = min(n + 1, len(k))
+        out[n + 1] = np.dot(k[:w], out[n - w + 1 : n + 1][::-1]) + np.longdouble(h[n + 1])
+    return out.astype(float)
+
+
+def record_groups(monkeypatch):
+    """Every (lo, hi, solved) of ``_lone_row_blocks``, in order."""
+    groups = []
+    lone_row_blocks = core._lone_row_blocks
+
+    def recorded(kernel, row, lo, hi):
+        solved = lone_row_blocks(kernel, row, lo, hi)
+        groups.append((lo, hi, solved))
+        return solved
+
+    monkeypatch.setattr(core, "_lone_row_blocks", recorded)
+    return groups
+
+
+# the last one carries one value, which keeps 0.999^256 = 0.77 of itself per block
+LONE_KERNELS = [Kernel.geometric(0.3, 0.5, 5), Kernel([0.5, 0.5]), Kernel([0.4, -0.3, 0.2]),
+                Kernel([-0.999])]
+LONE_IDS = ["summable", "marginal", "signed", "signed-M1"]
+
+
+class TestLoneRow:
+    @pytest.mark.parametrize("kernel", LONE_KERNELS, ids=LONE_IDS)
+    @pytest.mark.parametrize("horizon", [core._GROUP * _BLOCK - 1, core._GROUP * _BLOCK + 1,
+                                         2 * core._GROUP * _BLOCK + 7])
+    def test_within_the_gap_across_group_edges(self, monkeypatch, kernel, horizon):
+        groups = record_groups(monkeypatch)
+        h = random_forcing(80, horizon)
+        x = solve_linear(kernel, traj(h), -0.6, horizon).values
+        ref = reference_solve(kernel.coefficients, h, -0.6)[0]
+        if np.sum(kernel.coefficients) == 1.0:
+            # on a marginal kernel the per-term loop drifts by 1.8e-12 from
+            # exact arithmetic over these horizons: the row must be no farther
+            exact = extended_solve(kernel.coefficients, h, -0.6)
+            assert scaled_gap(x, exact) <= scaled_gap(ref, exact)
+        else:
+            assert scaled_gap(x, ref) <= 1e-12
+        # every whole block after the first, in adjoining groups of near-equal size
+        whole = horizon // _BLOCK - 1
+        assert [solved for _, _, solved in groups] == [True] * -(-whole // core._GROUP)
+        cuts = [lo for lo, _, _ in groups] + [groups[-1][1]]
+        assert cuts[0] == 1 + _BLOCK and cuts[-1] == 1 + _BLOCK * (1 + whole)
+        assert [hi for _, hi, _ in groups] == cuts[1:]
+        sizes = np.diff(cuts) // _BLOCK
+        assert sizes.max() <= core._GROUP and sizes.max() - sizes.min() <= 1
+
+    @pytest.mark.parametrize("kernel, paths, whole, grouped", [
+        (Kernel([0.5]), 1, core._GROUP_MIN - 1, False),
+        (Kernel([0.5]), 1, core._GROUP_MIN, True),
+        (Kernel.geometric(0.3, 0.5, _BLOCK), 1, core._GROUP_MIN, True),
+        # M > B, M = 0, a batch, and sum|k| > 1 run no group
+        (Kernel.geometric(0.3, 0.5, _BLOCK + 1), 1, core._GROUP_MIN, False),
+        (Kernel.zero(), 1, core._GROUP_MIN, False),
+        (Kernel([0.5]), 2, core._GROUP_MIN, False),
+        (Kernel([0.6, 0.41]), 1, core._GROUP_MIN, False),
+    ], ids=["too-few-blocks", "fewest-blocks", "M=B", "M>B", "zero", "batch", "growing"])
+    def test_dispatch_rule(self, monkeypatch, kernel, paths, whole, grouped):
+        groups = record_groups(monkeypatch)
+        # the first block, ``whole`` blocks after it, and a partial one
+        horizon = _BLOCK * (1 + whole) + 17
+        h = batch_forcing(83, paths, horizon)
+        x, bad = batch_solve(kernel, h, 0.7)
+        assert np.all(bad == -1)
+        expected = [(1 + _BLOCK, 1 + _BLOCK * (1 + whole), True)] if grouped else []
+        assert groups == expected
+        for row, hp in zip(x, h):
+            assert scaled_gap(row, reference_solve(kernel.coefficients, hp, 0.7)[0]) <= 1e-12
+        # W[-M:] is built for a group alone
+        assert ("_edge_map" in vars(kernel)) == grouped
+
+    def test_a_long_row_runs_one_group_between_two_block_steps(self, monkeypatch):
+        # the shape of criterion 11's paths, at 50001 steps: M = 1 and 195
+        # whole blocks and a partial one.  The first block and the partial
+        # one run the block step, the 194 whole blocks between them one group
+        shapes = []
+        toeplitz_block = core._toeplitz_block
+        monkeypatch.setattr(core, "_toeplitz_block",
+                            lambda state, f, prev: shapes.append(f.shape)
+                            or toeplitz_block(state, f, prev))
+        groups = record_groups(monkeypatch)
+        h = random_forcing(82, 50001)
+        x = solve_linear(Kernel([0.5]), traj(h), 0.7, 50001).values
+        assert shapes == [(1, _BLOCK), (1, 50001 - 195 * _BLOCK)]
+        assert groups == [(1 + _BLOCK, 1 + 195 * _BLOCK, True)]
+        assert scaled_gap(x, reference_solve([0.5], h, 0.7)[0]) <= 1e-12
+
+    @pytest.mark.parametrize("kernel", LONE_KERNELS, ids=LONE_IDS)
+    def test_a_lone_row_is_within_the_gap_of_the_row_in_a_batch(self, kernel):
+        horizon = _BLOCK * (core._GROUP_MIN + 9) + 100
+        h = batch_forcing(81, 3, horizon)
+        x, bad = batch_solve(kernel, h, 0.3)
+        alone, alone_bad = batch_solve(kernel, h[1:2], 0.3)
+        assert bad.tolist() == [-1, -1, -1] and alone_bad.tolist() == [-1]
+        assert scaled_gap(alone[0], x[1]) <= 1e-12
+        assert np.array_equal(bits(batch_solve(kernel, h[1:2], 0.3)[0]), bits(alone))
+
+    def test_a_row_that_overflows_in_a_later_group_fails_where_the_loop_does(self, monkeypatch):
+        # x(n+1) = 0.999 x(n) + H(n+1) with steps of 1e307 from three blocks
+        # into the second group: that group could overflow, so its blocks run
+        # the block step, and the block that does runs the per-term loop
+        kernel = Kernel([0.999])
+        horizon = 2 * core._GROUP * _BLOCK + 7
+        start = (core._GROUP + 4) * _BLOCK
+        h = np.zeros((1, horizon + 1))
+        h[0, start:] = np.random.Generator(np.random.Philox(72)).normal(
+            size=horizon + 1 - start) * 1e307
+        groups = record_groups(monkeypatch)
+        x, bad = batch_solve(kernel, h, 0.0)
+        ref, ref_bad = reference_solve(kernel.coefficients, h[0], 0.0)
+        assert bad[0] == ref_bad > start
+        assert [solved for _, _, solved in groups] == [True, False]
+        assert groups[1][0] < start < ref_bad < groups[1][1]
+        assert np.all(x[0, :start] == 0.0)
+        assert redone_blocks_are_the_loop(kernel, h, 0.0, x, bad) >= 1
+        with pytest.raises(TrajectoryOverflowError) as err:
+            solve_linear(kernel, traj(h[0]), 0.0, horizon)
+        assert err.value.index == ref_bad
+
+    def test_repeated_calls_are_bitwise_identical(self):
+        h = random_forcing(84, 100 * _BLOCK)
+        first = solve_linear(Kernel([0.4, -0.3, 0.2]), traj(h), 0.3, 100 * _BLOCK).values
+        again = solve_linear(Kernel([0.4, -0.3, 0.2]), traj(h), 0.3, 100 * _BLOCK).values
+        assert np.array_equal(bits(first), bits(again))
+
+
 def per_path_ensemble(system, paths, statistic):
     """(failures, pass fraction, median, per_path) as ensemble_verify computed
     them before it batched paths: each path generated, solved and scored alone."""
@@ -1021,9 +1160,9 @@ def record_per_term(monkeypatch):
     windows = []
     per_term = core._per_term_block
 
-    def recorded(k, lh, sh, out_l, out_s, lo, hi, floor, shift):
+    def recorded(k, out_l, out_s, lo, hi, floor, shift):
         windows.append((lo, hi))
-        return per_term(k, lh, sh, out_l, out_s, lo, hi, floor, shift)
+        return per_term(k, out_l, out_s, lo, hi, floor, shift)
 
     monkeypatch.setattr(core, "_per_term_block", recorded)
     return windows
@@ -1336,13 +1475,12 @@ class TestPythonFloatLoops:
         # history that the blocks before them left in (log|x|, sign x)
         k = loop_kernel(40, 8)
         H = traj(loop_forcing(3 * CHUNK + 7, 9))
-        lh, sh = aligned_log(H.to_log(), 3 * CHUNK + 7)
-        out_l = np.full(len(lh), -np.inf)
-        out_s = np.zeros(len(lh))
+        # the outputs start as the forcing, which each window overwrites
+        out_l, out_s = aligned_log(H.to_log(), 3 * CHUNK + 7)
         out_l[0], out_s[0] = math.log(0.4), -1.0
         with np.errstate(all="ignore"):
             for lo, hi in split_at(cuts):
-                core._per_term_block(k, lh, sh, out_l, out_s, lo, hi or len(lh), _FLOOR, 0.0)
+                core._per_term_block(k, out_l, out_s, lo, hi or len(out_l), _FLOOR, 0.0)
         ref = solve_linear(Kernel(k), H, -0.4, 3 * CHUNK + 7).values
         assert scaled_gap(out_s * np.exp(out_l), ref) <= 1e-12
 
@@ -1545,7 +1683,9 @@ class TestResolventPrefix:
             assert np.all(gap <= 2 * (1e-12 + 1e-15 * np.abs(ref_l)))
         else:
             assert_log_contract(x, ref_l, ref_s)
-        assert calls == ([] if blocks == "one-step" else [_BLOCK])
+        # R and Hk are built only for a nonnegative kernel with a finite
+        # r[:B], whose blocks the Toeplitz step may take
+        assert calls == ([_BLOCK] if blocks == "scaled" else [])
         if blocks == "scaled":
             assert windows == []
         elif blocks == "one-step":
@@ -1579,14 +1719,15 @@ def reference_blocked_log_linear(kernel, lh, sh, xi, headroom=True):
     """
     k = kernel.coefficients
     n = len(lh)
-    out_l = np.full(n, -np.inf)
-    out_s = np.zeros(n)
+    # the outputs start as the forcing, which each block overwrites
+    out_l, out_s = lh.copy(), sh.copy()
+    out_l[0], out_s[0] = -np.inf, 0.0
     if xi != 0.0:
         out_l[0] = math.log(abs(xi))
         out_s[0] = math.copysign(1.0, xi)
-    state = kernel._block_state
-    r = np.abs(state[0]) if state is not None else np.array([np.inf])
-    scaled = state is not None and np.all(k >= 0.0)
+    r = kernel._prefix
+    r = np.abs(r) if r is not None else np.array([np.inf])
+    scaled = kernel._prefix is not None and np.all(k >= 0.0)
     room = _SPAN - math.log(np.sum(r))
     up = (max(0.0, _CEILING - math.log(np.sum(r) * (1.0 + np.sum(np.abs(k)))))
           if headroom else 0.0)
@@ -1605,8 +1746,8 @@ def reference_blocked_log_linear(kernel, lh, sh, xi, headroom=True):
                        if spread[-1] > room + up else len(seg))
             shift = max(0.0, spread[size - 1] - room)
             if size == 1 or not scaled or not reference_scaled_block(
-                    k, state[0], lh, sh, out_l, out_s, t, t + size, floor, shift):
-                lossy = core._per_term_block(k, lh, sh, out_l, out_s, t, t + size, floor,
+                    k, kernel._prefix, lh, sh, out_l, out_s, t, t + size, floor, shift):
+                lossy = core._per_term_block(k, out_l, out_s, t, t + size, floor,
                                              min(shift, up))
                 if lossy and not warned:
                     warned = True
