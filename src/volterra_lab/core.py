@@ -38,20 +38,20 @@ Which engine runs where (B = 256 for a kernel of any length M):
   as the log engine does with a block the Toeplitz step does not take.
 * A lone row (one path: every plain ``solve_linear``,
   ``Kernel.resolvent_l1``, ``predict_x_over_a``, and an ensemble group of
-  one path) with 1 <= M <= B and at least ``_GROUP_MIN`` = 48 whole
-  blocks after its first solves those blocks in groups of at most
-  ``_GROUP`` = 512, in place, with matrix-vector products and vector
-  steps only.  Only the last M values of a block reach the next: one
-  product per carried value gives the part c_i = (R f_i)[-M:] that each
-  block's forcing makes of them, and a loop carries e_(i+1) = c_i +
-  W[-M:] e_i, W = R[:, :M] Hk, which for M = 1 is one multiply-add per
-  block.  With every block's last M values in place, one pass of B - M
-  steps runs the per-term recursion in all blocks of the group at once.
-  So a block costs O(B M) in place of the B^2 of its product with R.  A
-  group that could come near overflow, or holds a non-finite forcing,
-  runs the block step instead.  The first block, whose history is x(0)
-  alone, the last, partial one, and the blocks of shorter rows run the
-  block step.
+  one path) of a kernel of one term, M = 1, with at least ``_GROUP_MIN``
+  = 48 whole blocks after its first, solves those blocks in groups of at
+  most ``_GROUP`` = 512, in place, with one matrix-vector product and
+  vector steps.  Only a block's last value reaches the next: one product
+  gives the part c_i = (R f_i)[-1] that each block's forcing makes of it,
+  and a loop carries e_(i+1) = c_i + r(B - 1) k0 e_i, one multiply-add
+  per block.  With every block's last value in place, one pass of B - 1
+  steps runs the recursion in all blocks of the group at once, so a block
+  costs O(B) in place of the B^2 of its product with R.  For M > 1 the
+  same scheme carries M values and was slower than the block step at 48
+  blocks once M >= 10, so longer kernels run the block step.  A group
+  that could come near overflow, or holds a non-finite forcing, runs the
+  block step instead.  The first block, whose history is x(0) alone, the
+  last, partial one, and the blocks of shorter rows run the block step.
 * ``stochastic.ensemble_verify`` runs the same engine on many plain-domain
   paths at once: their forcings are the rows of one (P, N) array, solved
   in place, so each block step is one pair of products for all P rows.
@@ -112,7 +112,7 @@ product turns non-finite, and there its values are bitwise the per-term
 recursion from the engine's history before the block, which names the
 index, so no partial sum that BLAS overflows, nor an infinite forcing
 plus history times a zero of R, decides it.  A lone-row group cannot
-fail: it runs only when (values in the group + M) times its largest
+fail: it runs only when (values in the group + 1) times its largest
 input, forcing or history, in magnitude stays below 2^1000, which bounds
 every value and partial sum in it since |r| <= 1.  A lone row's values
 differ from the block step's by rounding alone, and keep the gap.
@@ -152,14 +152,14 @@ one chunk of ``_CHUNK`` steps at a time.  Python floats perform the same
 IEEE-754 double operations as numpy float64 scalars, and the loops keep
 their order, so the outputs are bitwise those of the numpy-scalar loops;
 the tests keep the latter as the reference.  The block resolvent prefix
-r[:B], the block matrices R and Hk, and the lone-row map W[-M:] are each
-computed once per ``Kernel``, on the first solve that needs them, and
+r[:B] and the block matrices R and Hk are each computed once per
+``Kernel``, on the first solve that needs them, and
 shared by every later solve with that kernel.  Every log-domain solve
 reads r[:B] to size its blocks, but only a nonnegative kernel, whose
 blocks the Toeplitz step may take, builds R and Hk there.  R and Hk take
-8 (B^2 + min(B, M) M) bytes, 0.5 MB for M = 40 and 4.6 MB for M = 2000,
-and W[-M:] 8 M^2 bytes, built for lone-row groups alone.  A group works
-in the row itself: beyond the row it holds M values per block.
+8 (B^2 + min(B, M) M) bytes, 0.5 MB for M = 40 and 4.6 MB for M = 2000.
+A lone-row group works in the row itself: beyond the row it holds one
+value per block.
 
 The forward recursion and the resolvent representation stay
 algorithmically independent on purpose; their agreement is a mandatory
@@ -278,17 +278,6 @@ class Kernel:
         take 8 (B^2 + min(B, M) M) bytes."""
         r = self._prefix
         return None if r is None else (r, *_toeplitz_matrices(self.coefficients, r))
-
-    @cached_property
-    def _edge_map(self):
-        """W[-M:] for M <= B, with W = R[:, :M] Hk: a block's last M values
-        from the M before it, for the lone-row step; 8 M^2 bytes."""
-        _, r, hk = self._block_state
-        m = len(hk)
-        # column by column: see the note on matrix-vector products at _GROUP
-        edge = np.stack([r[_BLOCK - m :, :m] @ column for column in hk.T], axis=1)
-        edge.flags.writeable = False
-        return edge
 
     def at_scale(self, lam: float) -> "Kernel":
         """k(l) lam^(l+1) for lam in [0, 1]: its resolvent is r(j) lam^j, and
@@ -439,12 +428,15 @@ def _linear_recursion(k, h, xi, out, f=None, lo=1, hi=None):
 
 # block length of both blocked engines, for a kernel of any length
 _BLOCK = 256
-# most and fewest whole blocks a lone plain row solves as one group.  A group
-# costs one pass of B - M vector steps, about 0.5 ms, and each block in it a
-# few scalar steps in place of a B x B matrix-vector product of about 18 us,
-# so fewer blocks than about 32 (M = 1) to 55 (M = 40) run slower as a group.
-# A vector step reads one value per block at a stride of B doubles, which a
-# group of more than about 1000 blocks no longer keeps in cache.  Lone rows
+# most and fewest whole blocks a lone plain row of a kernel of one term
+# solves as one group.  A group costs one pass of B - 1 vector steps, 0.5 to
+# 0.9 ms, and each block in it a few scalar steps in place of a B x B
+# matrix-vector product of about 26 us, so fewer blocks than 24 to 32 run
+# slower as a group; 48 runs 1.4x faster (BENCH_lone_rows.json).  A vector
+# step reads one value per block at a stride of B doubles, which a group of
+# more than about 1000 blocks no longer keeps in cache.  Carrying M > 1
+# values the same way measured slower than the block step at 48 whole
+# blocks from M = 10 on, and at every count tried for M = 100.  Lone rows
 # use matrix-vector products only: a process's first matrix-matrix product
 # maps about 0.25 MB of OpenBLAS code, and one of more than 4 rows a 0.4 MB
 # packing buffer, which peak RSS then carries for the rest of the run
@@ -511,10 +503,10 @@ def _lone_row_groups(paths, m, n):
     """{lo: hi} for the groups [lo, hi) of whole blocks that a lone row of
     n values solves with ``_lone_row_blocks``: every whole block after the
     first, in groups of at most ``_GROUP`` blocks and of near-equal size,
-    once a kernel of 1 <= M <= B has at least ``_GROUP_MIN`` such blocks.
+    once a kernel of one term has at least ``_GROUP_MIN`` such blocks.
     The first block, whose history is x(0) alone, and the last, partial
     one run the block step."""
-    whole = (n - 1) // _BLOCK - 1 if paths == 1 and 0 < m <= _BLOCK else 0
+    whole = (n - 1) // _BLOCK - 1 if paths == 1 and m == 1 else 0
     if whole < _GROUP_MIN:
         return {}
     count = -(-whole // _GROUP)
@@ -523,52 +515,36 @@ def _lone_row_groups(paths, m, n):
 
 
 def _lone_row_blocks(kernel, row, lo, hi):
-    """Solve the whole blocks [lo, hi) of one row in place from the M
-    values before lo; False, with the row unchanged, if a value could
-    come near overflow.
+    """Solve the whole blocks [lo, hi) of one row of the kernel [k0] in
+    place from the value before lo; False, with the row unchanged, if a
+    value could come near overflow.
 
-    Only the last M values of each block reach the next.  With c_i =
-    (R f_i)[-M:], the part of block i's last M values that its forcing f_i
-    makes, one product per carried value gives c_i for every block, and a
-    loop carries e_(i+1) = c_i + W[-M:] e_i from the M values e_0 before
-    lo, W = R[:, :M] Hk being a block's solution from its history.  With
-    every block's last M values in place, one pass over the other indices
-    of a block runs the per-term recursion in all blocks at once.  Since
-    |r| <= 1 and sum |k| <= 1, no value, sum or product in the group
-    exceeds (hi - lo + M) times its largest input, forcing or history, in
+    Only the last value of each block reaches the next.  Block i's last
+    value is c_i + a e_i, with c_i = (R f_i)[-1] the part its forcing f_i
+    makes, e_i the value before the block, and a = r(B - 1) k0.  One
+    matrix-vector product gives c_i for every block and a loop carries
+    them; then one pass over the other indices of a block runs the
+    recursion x(n+1) = k0 x(n) + f(n+1) in all blocks at once.  Since
+    |r| <= 1 and |k0| <= 1, no value, sum or product in the group exceeds
+    (hi - lo + 1) times its largest input, forcing or history, in
     magnitude, so a group that keeps that below 2^1000 cannot overflow;
     that also refuses non-finite inputs.
     """
-    k = kernel.coefficients
-    m = len(k)
     f = row[lo:hi].reshape(-1, _BLOCK)
-    past = row[lo - m : lo]
-    if not max(f.max(), -f.min(), past.max(), -past.min()) * (hi - lo + m) < 2.0**1000:
+    if not max(f.max(), -f.min(), abs(row[lo - 1])) * (hi - lo + 1) < 2.0**1000:
         return False
-    _, r, _ = kernel._block_state
-    # one matrix-vector product per carried value (see the note at _GROUP)
-    c = np.empty((len(f), m))
-    for l in range(m):
-        np.matmul(f, r[_BLOCK - m + l], out=c[:, l])
-    tail = kernel._edge_map
-    if m == 1:
-        # one carried value: the loop runs on Python floats
-        a, e = float(tail[0, 0]), float(past[0])
-        carried = []
-        for part in c[:, 0].tolist():
-            e = part + a * e
-            carried.append(e)
-        c[:, 0] = carried
-    else:
-        e = past
-        for i in range(len(c)):
-            e = c[i] = c[i] + tail @ e
-    f[:, _BLOCK - m :] = c
-    # block i with its history: row[lo - M + i B : lo + (i + 1) B]
-    blocks = sliding_window_view(row[lo - m : hi], m + _BLOCK, writeable=True)[::_BLOCK]
-    kr = k[::-1]
-    for j in range(m, _BLOCK):
-        blocks[:, j] += blocks[:, j - m : j] @ kr
+    k0 = kernel.coefficients[0]
+    prefix, r, _ = kernel._block_state
+    a, e = prefix[-1] * k0, row[lo - 1]
+    last = f @ r[-1]
+    for i in range(len(last)):
+        e = last[i] = last[i] + a * e
+    f[:, -1] = last
+    # column j of block i is x(lo - 1 + i B + j): the value before the
+    # block, then its first B - 1 values
+    blocks = row[lo - 1 : hi - 1].reshape(-1, _BLOCK)
+    for j in range(1, _BLOCK):
+        blocks[:, j] += k0 * blocks[:, j - 1]
     return True
 
 
