@@ -30,12 +30,15 @@ Which engine runs where (B = 256 for a kernel of any length M):
   O(horizon * (B + M)) in all.  R is the lower-triangular Toeplitz matrix
   of r[:B] and the min(B, M) x M matrix Hk maps the history to its part of
   the block's first min(B, M) forcings; the first block's history is
-  x(0) alone.  Blocks run for a kernel with sum |k| <= 1, signed or not,
-  which keeps |r(n)| <= 1; any other kernel, and a solve of at most B
-  values in all (paths times indices), runs the per-term recursion on
-  each row.  A row whose block turns non-finite runs the per-term
-  recursion on that block alone, from the engine's history (see below),
-  as the log engine does with a block the Toeplitz step does not take.
+  x(0) alone.  One decision per row, made before any block runs, picks
+  its engine: a row either provably cannot overflow and runs blocks, or
+  runs the per-term recursion throughout.  It runs blocks when the
+  kernel has sum |k| <= 1, signed or not, which keeps |r(n)| <= 1, the
+  solve has more than B values in all (paths times indices), and
+  B (N + 2) max(|xi|, max |H|) < 2^1000 for a row of N values.  Since
+  x = r xi + r * H, that bounds every value, product and partial sum of
+  its blocks.  Every other row, one holding a NaN or inf forcing
+  included, runs the per-term recursion.
 * A lone row (one path: every plain ``solve_linear``,
   ``Kernel.resolvent_l1``, ``predict_x_over_a``, and an ensemble group of
   one path) of a kernel of one term, M = 1, with at least ``_GROUP_MIN``
@@ -48,15 +51,16 @@ Which engine runs where (B = 256 for a kernel of any length M):
   steps runs the recursion in all blocks of the group at once, so a block
   costs O(B) in place of the B^2 of its product with R.  For M > 1 the
   same scheme carries M values and was slower than the block step at 48
-  blocks once M >= 10, so longer kernels run the block step.  A group
-  that could come near overflow, or holds a non-finite forcing, runs the
-  block step instead.  The first block, whose history is x(0) alone, the
-  last, partial one, and the blocks of shorter rows run the block step.
+  blocks once M >= 10, so longer kernels run the block step.  The first
+  block, whose history is x(0) alone, the last, partial one, and the
+  blocks of shorter rows run the block step.
 * ``stochastic.ensemble_verify`` runs the same engine on many plain-domain
   paths at once: their forcings are the rows of one (P, N) array, solved
   in place, so each block step is one pair of products for all P rows.
-  A batch of P > 1 rows runs no groups, since its rows already fill the
-  products.
+  The rows that run blocks are solved as a batch of their own, and
+  groups follow from their number: two or more such rows run no groups,
+  since they already fill the products, and a lone one runs its groups
+  as a lone row does.
 * ``solve_linear`` in the log domain runs the block-scaled engine: every
   block [t, t+L) from t = 1 on is solved on plain doubles times exp(ref),
   ref the largest log|.| among its forcing and the M values before it.
@@ -96,35 +100,30 @@ Which engine runs where (B = 256 for a kernel of any length M):
   sum carries that engine's accuracy contract below; ``resolvent`` stays
   the per-term oracle the representation is built on.
 
-Accuracy contract of the plain blocked engine: for a kernel with
-sum |k| > 1, or a solve of at most B values in all, it is bitwise the
-reference, its first non-finite index included.  For any other kernel,
-signed or not, its scaled gap to the reference, max |x - x_ref| /
-max(|x_ref|, 1) for a forcing of order one (the floor is the forcing's
-scale), is at most 1e-12 from index 0 at horizons up to a few thousand,
-and about 1e-15 on summable kernels at any horizon: with |r| <= 1 no
-product r(i - j) f(j) exceeds its input, so a block's sum cannot cancel
-far below its terms.  On marginal kernels (sum k = 1) both engines drift
-from exact arithmetic by rounding that grows with the horizon, by about
-1e-12 at 2e5 steps each against extended precision.  Both raise on the
-same first non-finite index: a row can only fail in a block whose
-product turns non-finite, and there its values are bitwise the per-term
-recursion from the engine's history before the block, which names the
-index, so no partial sum that BLAS overflows, nor an infinite forcing
-plus history times a zero of R, decides it.  A lone-row group cannot
-fail: it runs only when (values in the group + 1) times its largest
-input, forcing or history, in magnitude stays below 2^1000, which bounds
-every value and partial sum in it since |r| <= 1.  A lone row's values
-differ from the block step's by rounding alone, and keep the gap.
+Accuracy contract of the plain blocked engine: a row that runs the
+per-term recursion (sum |k| > 1, a solve of at most B values in all, or
+a row at or above the bound) is bitwise the reference, its first
+non-finite index included, and only such a row can fail.  A row that
+runs blocks, for a kernel signed or not, has a scaled gap to the
+reference, max |x - x_ref| / max(|x_ref|, 1) for a forcing of order one
+(the floor is the forcing's scale), of at most 1e-12 from index 0 at
+horizons up to a few thousand, and about 1e-15 on summable kernels at
+any horizon: with |r| <= 1 no product r(i - j) f(j) exceeds its input,
+so a block's sum cannot cancel far below its terms.  On marginal
+kernels (sum k = 1) both engines drift from exact arithmetic by rounding
+that grows with the horizon, by about 1e-12 at 2e5 steps each against
+extended precision.  A lone row's values differ from the block step's
+by rounding alone, and keep the gap.
 
 Batch contract: every row of a P-row solve keeps that contract, and is
-within the gap of the same path solved alone, not bitwise: a lone row
-runs groups that a batch does not.  A row that overflows fails alone.
-Bit for bit, a row that runs blocks depends on the shape of its batch:
-BLAS rounds a P-row product differently from a one-row one, and may
-round a row differently at another position in the batch or under
-another BLAS thread count.  The same rows in the same order under the
-same BLAS give the same bits.
+within the gap of the same path solved alone, not bitwise: groups run
+only where one row runs blocks.  A row that overflows fails alone,
+and a row that runs the per-term recursion is bitwise the reference in
+any batch.  Bit for bit, a row that runs blocks depends on the shape of
+the batch of rows that run blocks with it: BLAS rounds a P-row product
+differently from a one-row one, and may round a row differently at
+another position in the batch or under another BLAS thread count.  The
+same rows in the same order under the same BLAS give the same bits.
 
 Accuracy contract of the log engine: on Toeplitz blocks, the first
 included, the signs equal the exact solution's, and log|x| is within
@@ -159,7 +158,8 @@ reads r[:B] to size its blocks, but only a nonnegative kernel, whose
 blocks the Toeplitz step may take, builds R and Hk there.  R and Hk take
 8 (B^2 + min(B, M) M) bytes, 0.5 MB for M = 40 and 4.6 MB for M = 2000.
 A lone-row group works in the row itself: beyond the row it holds one
-value per block.
+value per block.  A batch whose rows do not all run blocks copies those
+that do into one array, solves it and writes it back.
 
 The forward recursion and the resolvent representation stay
 algorithmically independent on purpose; their agreement is a mandatory
@@ -442,6 +442,10 @@ _BLOCK = 256
 # packing buffer, which peak RSS then carries for the rest of the run
 _GROUP = 512
 _GROUP_MIN = 48
+# a plain row of N values runs blocks only if B (N + 2) times its largest
+# |input| is below this, which then bounds every value, product and partial
+# sum of its solve, with a factor 2^24 to spare for rounding
+_PLAIN_ROOM = 2.0**1000
 
 
 def _reference_linear(k, h, xi, f=None):
@@ -460,42 +464,41 @@ def _blocked_linear(kernel, x, xi):
     On entry row p of x holds a forcing on 0..N-1 (index 0 is not read), on
     return its solution x(0..N-1) from the start ``xi``.  The returned
     bad[p] is -1, or the first non-finite index of row p; past it the row
-    holds no meaningful values.  A kernel with sum |k| <= 1, which keeps
-    |r(n)| <= 1 (r(n+1) = sum k(l) r(n-l) from r(0) = 1), runs blocks once
-    P N > B: from x(0) = xi, every block [t, t+L), t = 1, 1 + B, ...,
-    solves all rows at once with ``_toeplitz_block``, from the history
-    x[max(0, t - M):t], except the groups of whole blocks a lone row runs
-    with ``_lone_row_blocks`` (see ``_lone_row_groups``); a group that
-    could overflow runs the block step instead.  A row not yet failed
-    whose block holds a non-finite value runs the per-term loop on that
-    block instead, in place, from its forcing and the history: the loop's
-    values are the row's block, and its return value the row's failure
-    index.  Otherwise each row runs the per-term loop throughout.
+    holds no meaningful values.  A row either provably cannot overflow and
+    runs blocks, or runs the per-term loop throughout.  It runs blocks when
+    sum |k| <= 1, which keeps |r(n)| <= 1 (r(n+1) = sum k(l) r(n-l) from
+    r(0) = 1), P N > B, and B (N + 2) max(|xi|, max |H|) < ``_PLAIN_ROOM``:
+    no value, product or partial sum of the solve exceeds that, since
+    x = r xi + r * H.  The rows that run blocks solve every block
+    [t, t+L), t = 1, 1 + B, ..., at once with ``_toeplitz_block``, from the
+    history x[max(0, t - M):t], except the groups of whole blocks that a
+    lone such row runs with ``_lone_row_blocks`` (see ``_lone_row_groups``).
+    They are solved as a batch of their own, a copy if some rows do not
+    run blocks, so the groups follow from their number, not from P.
     """
     k = kernel.coefficients
-    state = kernel._block_state if x.size > _BLOCK and kernel.l1_norm <= 1.0 else None
-    bad = np.full(len(x), -1)
     x[:, 0] = xi
-    if state is None:
-        bad[:] = [_linear_recursion(k, row, xi, row) for row in x]
+    fit = np.zeros(len(x), dtype=bool)
+    if x.size > _BLOCK and kernel.l1_norm <= 1.0:
+        # two reductions, and no full-size abs; a NaN or inf fails the test
+        top = np.maximum(x.max(axis=1), -x.min(axis=1))
+        fit = top < _PLAIN_ROOM / (_BLOCK * (x.shape[1] + 2))
+    bad = np.array([-1 if ok else _linear_recursion(k, row, xi, row) for row, ok in zip(x, fit)])
+    if not fit.any():
         return bad
-    groups = _lone_row_groups(len(x), len(k), x.shape[1])
+    rows = x if fit.all() else x[fit]
+    groups = _lone_row_groups(len(rows), len(k), rows.shape[1])
     t = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while t < x.shape[1]:
-            if t in groups and _lone_row_blocks(kernel, x[0], t, groups[t]):
-                t = groups[t]
-                continue
-            h, prev = x[:, t : t + _BLOCK], x[:, max(0, t - len(k)) : t]
-            block = _toeplitz_block(state, h.copy(), prev)
-            if not np.isfinite(block).all():
-                for p in np.flatnonzero((bad < 0) & ~np.isfinite(block).all(axis=1)):
-                    bad[p] = _linear_recursion(k, x[p], xi, x[p], lo=t, hi=t + h.shape[1])
-                    block[p] = h[p]
-                if bad.min() >= 0:
-                    break
-            h[:] = block
-            t += _BLOCK
+    while t < rows.shape[1]:
+        if t in groups:
+            _lone_row_blocks(kernel, rows[0], t, groups[t])
+            t = groups[t]
+            continue
+        h = rows[:, t : t + _BLOCK]
+        h[:] = _toeplitz_block(kernel._block_state, h, rows[:, max(0, t - len(k)) : t])
+        t += _BLOCK
+    if rows is not x:
+        x[fit] = rows
     return bad
 
 
@@ -516,23 +519,17 @@ def _lone_row_groups(paths, m, n):
 
 def _lone_row_blocks(kernel, row, lo, hi):
     """Solve the whole blocks [lo, hi) of one row of the kernel [k0] in
-    place from the value before lo; False, with the row unchanged, if a
-    value could come near overflow.
+    place from the value before lo.
 
     Only the last value of each block reaches the next.  Block i's last
     value is c_i + a e_i, with c_i = (R f_i)[-1] the part its forcing f_i
     makes, e_i the value before the block, and a = r(B - 1) k0.  One
     matrix-vector product gives c_i for every block and a loop carries
     them; then one pass over the other indices of a block runs the
-    recursion x(n+1) = k0 x(n) + f(n+1) in all blocks at once.  Since
-    |r| <= 1 and |k0| <= 1, no value, sum or product in the group exceeds
-    (hi - lo + 1) times its largest input, forcing or history, in
-    magnitude, so a group that keeps that below 2^1000 cannot overflow;
-    that also refuses non-finite inputs.
+    recursion x(n+1) = k0 x(n) + f(n+1) in all blocks at once.  The row
+    runs blocks only once ``_blocked_linear`` has shown it cannot overflow.
     """
     f = row[lo:hi].reshape(-1, _BLOCK)
-    if not max(f.max(), -f.min(), abs(row[lo - 1])) * (hi - lo + 1) < 2.0**1000:
-        return False
     k0 = kernel.coefficients[0]
     prefix, r, _ = kernel._block_state
     a, e = prefix[-1] * k0, row[lo - 1]
@@ -545,7 +542,6 @@ def _lone_row_blocks(kernel, row, lo, hi):
     blocks = row[lo - 1 : hi - 1].reshape(-1, _BLOCK)
     for j in range(1, _BLOCK):
         blocks[:, j] += k0 * blocks[:, j - 1]
-    return True
 
 
 def _toeplitz(z, rows, n):

@@ -1071,6 +1071,14 @@ class TestCommandLine:
         }, 0, {"ratio_limit": 0.9,
                "verdicts": {"classification_agreement": True, "difference_decay": True,
                             "final_block_bound": True, "representation_residual": True}}),
+        # steps of scale 1e298 are above the plain engine's bound for blocks,
+        # 256 (N + 2) max|H| < 2^1000, and |x| stays below 5e298: the row
+        # runs the per-term loop and never overflows
+        "solve_above_bound": ("solve", {
+            "horizon": 2000, "seed": 5,
+            "kernel": {"coefficients": [0.5]},
+            "forcing": {"kind": "iid", "tail": {"family": "normal", "sigma": 1e298}},
+        }, 0, {"horizon": 2000}),
     }
 
     @pytest.mark.parametrize("name", list(_RUNS))
@@ -1087,9 +1095,9 @@ class TestCommandLine:
         found = {**report, **report["statistics"]}
         assert {key: found[key] for key in statistics} == statistics
 
-    # steps of scale 1e307 leave double range at index 582, where the per-term
-    # loop run from x(0) does; the first block's product turns non-finite long
-    # before (at 137 on one BLAS), so that block runs the per-term loop
+    # steps of scale 1e307 leave double range at index 582.  They are far
+    # above the plain engine's bound for blocks, so the row runs the per-term
+    # loop from x(0), which fails there
     _HUGE_STEPS = {"horizon": 2000, "seed": 5, "xi": 0.0, "kernel": {"coefficients": [0.999]},
                    "forcing": {"kind": "iid", "tail": {"family": "normal", "sigma": 1e307}}}
 
@@ -1097,6 +1105,17 @@ class TestCommandLine:
         config = cfg(mode="solve", **self._HUGE_STEPS)
         x = stochastic.generate(config.forcing, config["horizon"]).values.copy()
         assert core._linear_recursion(config.kernel.coefficients, x, config["xi"], x) == 582
+
+    def test_a_solve_above_the_bound_is_the_per_term_loop(self, tmp_path):
+        mode, data, code, _ = self._RUNS["solve_above_bound"]
+        out = tmp_path / "out"
+        assert main([mode, "--config", str(self._write_config(tmp_path, data)),
+                     "--out", str(out)]) == code
+        forcing, x = (np.load(out / f"{name}.npy")["value"] for name in ("forcing", "x"))
+        assert np.max(np.abs(forcing)) * 256 * (len(x) + 2) >= 2.0**1000
+        ref = np.empty_like(x)
+        assert core._linear_recursion(np.array([0.5]), forcing, 1.0, ref) == -1
+        assert np.array_equal(x.view(np.int64), ref.view(np.int64))
 
     _OVERFLOWS = [
         # H10 = exp(exp(n)) leaves double range even in log form past n = 709

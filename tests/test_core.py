@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -588,32 +589,6 @@ def rows_match_reference(kernel, h, xi, x, bad):
         assert np.array_equal(bits(row[:end]), bits(ref[:end]))
 
 
-def redone_blocks_are_the_loop(kernel, h, xi, x, bad):
-    """Check each block whose product on the engine's own history x holds a
-    non-finite value: there each row not failed before it is bitwise the
-    per-term loop on that block from that history, through its failure
-    index, which bad must name.  Returns the number of rows so checked."""
-    k = kernel.coefficients
-    checked = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, x.shape[1], _BLOCK):
-            if np.all((bad >= 0) & (bad < t)):
-                break
-            stop = min(t + _BLOCK, x.shape[1])
-            block = _toeplitz_block(kernel._block_state, h[:, t:stop].copy(),
-                                    x[:, max(0, t - len(k)) : t])
-            for p in np.flatnonzero(~np.isfinite(block).all(axis=1)):
-                if 0 <= bad[p] < t:
-                    continue
-                out = x[p].copy()
-                loop_bad = _linear_recursion(k, h[p], xi, out, lo=t, hi=stop)
-                assert loop_bad == (bad[p] if bad[p] < stop else -1)
-                end = stop if loop_bad < 0 else loop_bad + 1
-                assert np.array_equal(bits(x[p, t:end]), bits(out[t:end]))
-                checked += 1
-    return checked
-
-
 class TestBatchedEngine:
     KERNEL = Kernel.geometric(0.3, 0.5, 40)
     LONG = Kernel(np.random.Generator(np.random.Philox(3)).dirichlet(np.ones(300)) * 0.9)
@@ -714,22 +689,20 @@ class TestBatchedEngine:
         assert bad[2] == 701 and 100 < bad[4] < _BLOCK
 
     @pytest.mark.parametrize("delay", [0, _BLOCK + 40], ids=["first-block", "later-block"])
-    def test_rows_whose_block_sums_overflow_are_solved_again(self, delay):
+    def test_rows_of_steps_near_overflow_are_the_per_term_loop(self, delay):
         # x(n+1) = 0.999 x(n) + H(n+1), a random walk of steps 1e307 that
         # reaches DBL_MAX.  With |r| <= 1 no product overflows, but a block's
-        # sums, in the order BLAS adds them, can (on one BLAS, rows 0 and 1
+        # sums, in the order BLAS adds them, could (on one BLAS, rows 0 and 1
         # at 205 and 218 in the first block, and row 2 at 747 in a later one,
-        # against 289, 384 and 819); such a block runs the per-term loop from
-        # the engine's history, so each row fails where the per-term loop does
+        # against 289, 384 and 819).  Steps of 1e307 are far above the bound
+        # B (N + 2) max|H| < 2^1000, so every row runs the per-term loop
+        # throughout and fails where it does, bit for bit
         kernel = Kernel([0.999])
         h = np.random.Generator(np.random.Philox(71)).normal(size=(3, 4 * _BLOCK)) * 1e307
         h[:, :delay] = 0.0
         x, bad = batch_solve(kernel, h, 0.0)
-        for row, hp, b in zip(x, h, bad):
-            ref, ref_bad = reference_solve(kernel.coefficients, hp, 0.0)
-            assert b == ref_bad > delay
-            assert scaled_gap(row[:b] / 1e307, ref[:b] / 1e307) <= 1e-12
-        assert redone_blocks_are_the_loop(kernel, h, 0.0, x, bad) >= len(h)
+        assert np.all(bad > delay)
+        rows_match_reference(kernel, h, 0.0, x, bad)
 
     @pytest.mark.parametrize("kernel, spikes", [
         # x(B + 2) = 0.999 x(B) + 1e308 overflows, x(B + 1) = 0 does not
@@ -737,21 +710,17 @@ class TestBatchedEngine:
         # x(B..B+2) = 1.7e308, 0.85e308, 1.425e308, and then it decays
         (Kernel([-0.5, 0.5]), [1.7e308, 1.7e308, 1e308]),
     ], ids=["fails-at-B+2", "never-fails"])
-    def test_block_whose_forcing_plus_history_overflows_is_solved_again(self, kernel, spikes):
-        # spikes at B, B + 1 and B + 2: the block from B + 1 adds the history
-        # k(1) x(B) to H(B + 2) = 1e308, which overflows, and inf times the
-        # zero R[0, 1] makes x(B + 1) NaN.  That block runs the per-term loop
-        # from the engine's history, so each row fails where the per-term
-        # loop does
+    def test_a_row_of_spikes_near_overflow_is_the_per_term_loop(self, kernel, spikes):
+        # spikes at B, B + 1 and B + 2: a block from B + 1 would add the
+        # history k(1) x(B) to H(B + 2) = 1e308, which overflows, and inf
+        # times the zero R[0, 1] would make x(B + 1) NaN.  The spiked row is
+        # above the bound, so it runs the per-term loop throughout, bit for
+        # bit; the zero row beside it runs blocks
         h = np.zeros((2, 3 * _BLOCK))
         h[0, _BLOCK : _BLOCK + 3] = spikes
         x, bad = batch_solve(kernel, h, 0.0)
-        for row, hp, b in zip(x, h, bad):
-            ref, ref_bad = reference_solve(kernel.coefficients, hp, 0.0)
-            assert b == ref_bad
-            end = ref_bad if ref_bad >= 0 else len(hp)
-            assert scaled_gap(row[:end] / 1e308, ref[:end] / 1e308) <= 1e-12
-        assert redone_blocks_are_the_loop(kernel, h, 0.0, x, bad) >= 1
+        rows_match_reference(kernel, h[:1], 0.0, x[:1], bad[:1])
+        assert bad[1] == -1 and np.all(x[1] == 0.0)
 
     def test_growing_kernel_runs_every_row_on_the_reference(self):
         # sum|k| > 1: every row runs the per-term loop, one or several
@@ -820,10 +789,10 @@ def test_batched_rows_match_paths_solved_alone(kind, weights, level, paths, hori
 def test_rows_fail_where_the_per_term_loop_does(m, paths, n, seed, xi):
     # signed kernels and forcings with signed zeros; a 1e300 scale makes rows
     # overflow.  A kernel with sum|k| > 1 runs the per-term loop on every
-    # row, so each row is bitwise that loop's through its first non-finite
-    # index.  Any other kernel, signed or not, runs blocks from index 1: each
-    # row fails at the loop's first non-finite index and keeps the scaled gap
-    # from index 0, its floor of 1 being the scale of the row's forcing
+    # row, and so does a row above the bound, so each such row is bitwise
+    # that loop's through its first non-finite index.  The other rows of a
+    # kernel with sum|k| <= 1, signed or not, run blocks from index 1 and
+    # keep the scaled gap from index 0
     rng = np.random.Generator(np.random.Philox(seed))
     k = rng.normal(size=m) * rng.choice([0.3, 1.0, 3.0])
     k[rng.random(m) < 0.2] = -0.0
@@ -833,14 +802,15 @@ def test_rows_fail_where_the_per_term_loop_does(m, paths, n, seed, xi):
     h *= scale
     h[rng.random(h.shape) < 0.2] = -0.0
     x, bad = batch_solve(kernel, h, xi)
-    if kernel.l1_norm > 1.0:
-        rows_match_reference(kernel, h, xi, x, bad)
-        return
-    for row, hp, b, s in zip(x, h, bad, scale[:, 0]):
+    # 1e300-scale rows are far above the bound B (N + 2) max|H| < 2^1000 at
+    # every n >= 2, so they run the per-term loop throughout
+    per_term = (scale[:, 0] > 1.0) | (kernel.l1_norm > 1.0)
+    rows_match_reference(kernel, h[per_term], xi, x[per_term], bad[per_term])
+    for row, hp, b in zip(x[~per_term], h[~per_term], bad[~per_term]):
         ref, ref_bad = reference_solve(k, hp, xi)
         assert b == ref_bad
         end = ref_bad if ref_bad >= 0 else n
-        assert scaled_gap(row[:end] / s, ref[:end] / s) <= 1e-12
+        assert scaled_gap(row[:end], ref[:end]) <= 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -859,14 +829,13 @@ def extended_solve(k, h, xi):
 
 
 def record_groups(monkeypatch):
-    """Every (lo, hi, solved) of ``_lone_row_blocks``, in order."""
+    """Every (lo, hi) of ``_lone_row_blocks``, in order."""
     groups = []
     lone_row_blocks = core._lone_row_blocks
 
     def recorded(kernel, row, lo, hi):
-        solved = lone_row_blocks(kernel, row, lo, hi)
-        groups.append((lo, hi, solved))
-        return solved
+        groups.append((lo, hi))
+        return lone_row_blocks(kernel, row, lo, hi)
 
     monkeypatch.setattr(core, "_lone_row_blocks", recorded)
     return groups
@@ -896,10 +865,10 @@ class TestLoneRow:
             assert scaled_gap(x, ref) <= 1e-12
         # every whole block after the first, in adjoining groups of near-equal size
         whole = horizon // _BLOCK - 1
-        assert [solved for _, _, solved in groups] == [True] * -(-whole // core._GROUP)
-        cuts = [lo for lo, _, _ in groups] + [groups[-1][1]]
+        assert len(groups) == -(-whole // core._GROUP)
+        cuts = [lo for lo, _ in groups] + [groups[-1][1]]
         assert cuts[0] == 1 + _BLOCK and cuts[-1] == 1 + _BLOCK * (1 + whole)
-        assert [hi for _, hi, _ in groups] == cuts[1:]
+        assert [hi for _, hi in groups] == cuts[1:]
         sizes = np.diff(cuts) // _BLOCK
         assert sizes.max() <= core._GROUP and sizes.max() - sizes.min() <= 1
 
@@ -923,7 +892,6 @@ class TestLoneRow:
         x, bad = batch_solve(kernel, h, 0.7)
         assert np.all(bad == -1)
         assert bool(groups) == grouped
-        assert all(solved for _, _, solved in groups)
         if grouped:
             assert groups[0][0] == 1 + _BLOCK and groups[-1][1] == 1 + _BLOCK * (1 + whole)
         for row, hp in zip(x, h):
@@ -942,7 +910,7 @@ class TestLoneRow:
         h = random_forcing(82, 50001)
         x = solve_linear(Kernel([0.5]), traj(h), 0.7, 50001).values
         assert shapes == [(1, _BLOCK), (1, 50001 - 195 * _BLOCK)]
-        assert groups == [(1 + _BLOCK, 1 + 195 * _BLOCK, True)]
+        assert groups == [(1 + _BLOCK, 1 + 195 * _BLOCK)]
         assert scaled_gap(x, reference_solve([0.5], h, 0.7)[0]) <= 1e-12
 
     @pytest.mark.parametrize("kernel", LONE_KERNELS, ids=LONE_IDS)
@@ -955,10 +923,10 @@ class TestLoneRow:
         assert scaled_gap(alone[0], x[1]) <= 1e-12
         assert np.array_equal(bits(batch_solve(kernel, h[1:2], 0.3)[0]), bits(alone))
 
-    def test_a_row_that_overflows_in_a_later_group_fails_where_the_loop_does(self, monkeypatch):
+    def test_a_row_that_overflows_in_a_later_group_is_the_per_term_loop(self, monkeypatch):
         # x(n+1) = 0.999 x(n) + H(n+1) with steps of 1e307 from three blocks
-        # into the second group: that group could overflow, so its blocks run
-        # the block step, and the block that does runs the per-term loop
+        # into what would be the second group: the row is above the bound, so
+        # it runs no group and no block, and is the per-term loop bit for bit
         kernel = Kernel([0.999])
         horizon = 2 * core._GROUP * _BLOCK + 7
         start = (core._GROUP + 4) * _BLOCK
@@ -967,21 +935,90 @@ class TestLoneRow:
             size=horizon + 1 - start) * 1e307
         groups = record_groups(monkeypatch)
         x, bad = batch_solve(kernel, h, 0.0)
-        ref, ref_bad = reference_solve(kernel.coefficients, h[0], 0.0)
-        assert bad[0] == ref_bad > start
-        assert [solved for _, _, solved in groups] == [True, False]
-        assert groups[1][0] < start < ref_bad < groups[1][1]
-        assert np.all(x[0, :start] == 0.0)
-        assert redone_blocks_are_the_loop(kernel, h, 0.0, x, bad) >= 1
+        assert groups == [] and bad[0] > start
+        rows_match_reference(kernel, h, 0.0, x, bad)
         with pytest.raises(TrajectoryOverflowError) as err:
             solve_linear(kernel, traj(h[0]), 0.0, horizon)
-        assert err.value.index == ref_bad
+        assert err.value.index == bad[0]
 
     def test_repeated_calls_are_bitwise_identical(self):
         h = random_forcing(84, 100 * _BLOCK)
         first = solve_linear(Kernel([-0.7]), traj(h), 0.3, 100 * _BLOCK).values
         again = solve_linear(Kernel([-0.7]), traj(h), 0.3, 100 * _BLOCK).values
         assert np.array_equal(bits(first), bits(again))
+
+
+# --------------------------------------------------------------------------
+# one overflow decision per row: blocks below the bound, the per-term loop above
+# --------------------------------------------------------------------------
+
+def overflow_bound(n):
+    """The |input| below which a row of n values of a kernel with sum|k| <= 1
+    runs blocks: B (n + 2) times it stays below 2^1000."""
+    return 2.0**1000 / (_BLOCK * (n + 2))
+
+
+class TestOverflowBound:
+    # the first block, 48 whole blocks after it and a partial one: a lone
+    # row of a kernel of one term runs them as one group
+    N = 1 + _BLOCK * (1 + core._GROUP_MIN) + 17
+
+    def test_a_row_just_below_runs_blocks_and_one_just_above_is_the_loop(self, monkeypatch):
+        # on [1.0] with x(0) = H = c, x(n) = (n + 1) c: the largest a kernel
+        # with sum|k| <= 1 makes of inputs no larger than c
+        kernel = Kernel([1.0])
+        top = overflow_bound(self.N)
+        below = np.nextafter(top, 0.0)
+        h = np.array([np.full(self.N, below), np.full(self.N, top)])
+        groups = record_groups(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x, bad = batch_solve(kernel, h, below)
+        assert bad.tolist() == [-1, -1]
+        assert scaled_gap(x[0], reference_solve([1.0], h[0], below)[0]) <= 1e-12
+        rows_match_reference(kernel, h[1:], below, x[1:], bad[1:])
+        # the row below runs as a lone row, its groups included, bit for bit
+        alone, alone_bad = batch_solve(kernel, h[:1], below)
+        assert alone_bad.tolist() == [-1]
+        assert np.array_equal(bits(alone[0]), bits(x[0]))
+        assert groups == [(1 + _BLOCK, 1 + _BLOCK * (1 + core._GROUP_MIN))] * 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_forcing_fails_at_the_loops_index(self, monkeypatch, value):
+        # the row holding it runs the per-term loop; the other two keep
+        # their blocks, as a batch of the two
+        kernel = Kernel.geometric(0.3, 0.5, 40)
+        h = batch_forcing(90, 3, 4 * _BLOCK - 1)
+        h[1, 300] = value
+        rows_per_block = []
+        toeplitz_block = core._toeplitz_block
+        monkeypatch.setattr(core, "_toeplitz_block",
+                            lambda state, f, prev: rows_per_block.append(len(f))
+                            or toeplitz_block(state, f, prev))
+        x, bad = batch_solve(kernel, h, 0.7)
+        assert bad.tolist() == [-1, 300, -1]
+        rows_match_reference(kernel, h[1:2], 0.7, x[1:2], bad[1:2])
+        assert rows_per_block == [2] * 4
+        assert np.array_equal(bits(x[[0, 2]]), bits(batch_solve(kernel, h[[0, 2]], 0.7)[0]))
+
+    @pytest.mark.parametrize("above, grouped", [
+        ([False, True], True), ([True, False, True], True), ([False, True, False], False),
+    ], ids=["one-of-two-fits", "one-of-three-fits", "two-of-three-fit"])
+    def test_groups_come_from_the_rows_that_fit(self, monkeypatch, above, grouped):
+        # the rows that fit are solved as a batch of their own: one such row
+        # runs groups, as a lone row does, and is bitwise that row solved alone
+        kernel = Kernel([0.5])
+        above = np.array(above)
+        h = batch_forcing(91, len(above), self.N - 1)
+        h[above] *= 1e300
+        groups = record_groups(monkeypatch)
+        x, bad = batch_solve(kernel, h, 0.3)
+        assert np.all(bad == -1)
+        assert bool(groups) == grouped
+        rows_match_reference(kernel, h[above], 0.3, x[above], bad[above])
+        assert np.array_equal(bits(x[~above]), bits(batch_solve(kernel, h[~above], 0.3)[0]))
+        for row, hp in zip(x[~above], h[~above]):
+            assert scaled_gap(row, reference_solve([0.5], hp, 0.3)[0]) <= 1e-12
 
 
 def per_path_ensemble(system, paths, statistic):
