@@ -36,6 +36,16 @@ _LOG_DOUBLE_MAX = 709.0  # largest log|value| of a plain double: e^709 < DBL_MAX
 class _Indexed:
     """The index range start..end of len(self) values that both forms store."""
 
+    @classmethod
+    def _from_valid(cls, *parts, start=0):
+        """The form of ``parts`` and ``start`` with no check: for parts already
+        known to be valid, as the result of an operation on a checked form is
+        (float64 arrays of one dimension, an integer start >= 0)."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, (*parts, start)):
+            object.__setattr__(self, name, value)
+        return self
+
     def _check_start(self):
         if self.start < 0 or int(self.start) != self.start:
             raise InputError(f"start index must be a nonnegative integer, got {self.start}")
@@ -60,7 +70,10 @@ class Trajectory(_Indexed):
     """A finite real sequence value(n) for ``start <= n <= start + len - 1``.
 
     All stored values must be finite; a NaN or infinity is an error state
-    and is rejected at construction, naming the offending index.
+    and is rejected at construction, naming the offending index.  The check
+    runs where values enter: the constructor and ``dataclasses.replace``.  A
+    window, ``LogTrajectory.to_plain`` and the package's own results built
+    from checked values are not checked again.
     """
 
     values: np.ndarray
@@ -72,11 +85,9 @@ class Trajectory(_Indexed):
         if vals.ndim != 1:
             raise InputError("trajectory values must be one-dimensional")
         self._check_start()
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            raise InputError(
-                f"non-finite value at index {self.start + int(bad[0])}"
-            )
+        if not np.isfinite(vals).all():
+            bad = np.flatnonzero(~np.isfinite(vals))
+            raise InputError(f"non-finite value at index {self.start + int(bad[0])}")
 
     def __len__(self):
         return len(self.values)
@@ -88,7 +99,7 @@ class Trajectory(_Indexed):
 
     def window(self, lo: int, hi: int) -> "Trajectory":
         """Values on [lo, hi] inclusive; bounds must lie in the stored range."""
-        return Trajectory(self.values[self._window_slice(lo, hi)], start=lo)
+        return Trajectory._from_valid(self.values[self._window_slice(lo, hi)], start=int(lo))
 
     def to_plain(self) -> "Trajectory":
         return self
@@ -96,7 +107,7 @@ class Trajectory(_Indexed):
     def to_log(self) -> "LogTrajectory":
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(self.values))
-        return LogTrajectory(log_abs=log_abs, sign=np.sign(self.values), start=self.start)
+        return LogTrajectory._from_valid(log_abs, np.sign(self.values), start=self.start)
 
 
 @dataclass(frozen=True)
@@ -104,7 +115,9 @@ class LogTrajectory(_Indexed):
     """Signed log-magnitude form: value(n) = sign(n) * exp(log_abs(n)).
 
     ``log_abs`` entries may be finite or -inf (exact zero, sign 0); +inf and
-    NaN are rejected.  Signs are stored as floats in {-1.0, 0.0, +1.0}.
+    NaN are rejected.  Signs are stored as floats in {-1.0, 0.0, +1.0}.  As
+    for :class:`Trajectory`, the constructor and ``dataclasses.replace``
+    check; a window and ``Trajectory.to_log`` of checked values do not.
     """
 
     log_abs: np.ndarray
@@ -140,7 +153,7 @@ class LogTrajectory(_Indexed):
 
     def window(self, lo: int, hi: int) -> "LogTrajectory":
         sl = self._window_slice(lo, hi)
-        return LogTrajectory(self.log_abs[sl], self.sign[sl], start=lo)
+        return LogTrajectory._from_valid(self.log_abs[sl], self.sign[sl], start=int(lo))
 
     def to_log(self) -> "LogTrajectory":
         return self
@@ -157,7 +170,7 @@ class LogTrajectory(_Indexed):
                 f"log magnitude at index {idx} too large for plain representation; "
                 "run with log_domain=True"
             )
-        return Trajectory(self.sign * np.exp(self.log_abs), start=self.start)
+        return Trajectory._from_valid(self.sign * np.exp(self.log_abs), start=self.start)
 
 
 def tail(g, least: int = 1):
@@ -269,7 +282,7 @@ def abs_log_series(series) -> Trajectory:
     result stays a finite-valued trajectory.
     """
     la = series.to_log().log_abs
-    return Trajectory(np.where(la == -np.inf, -745.0, la), start=series.start)
+    return Trajectory._from_valid(np.where(la == -np.inf, -745.0, la), start=series.start)
 
 
 def dyadic_blocks(start: int, end: int) -> list:

@@ -108,14 +108,17 @@ class TailModel:
     def sample(self, rng, size):
         """Inverse-transform draws; one uniform consumed per sample.
 
-        Uniforms are drawn and mapped through the quantile ``_CHUNK`` at a
-        time into one output array.  The generator's stream runs on across
+        The output array is filled ``_CHUNK`` values at a time: each piece's
+        uniforms are drawn straight into it, floored at 1e-300 in place, and
+        mapped through the quantile.  The generator's stream runs on across
         pieces, so the draws are bitwise those of one whole-array pass.
         """
         out = np.empty(size)
         for lo in range(0, size, _CHUNK):
             piece = out[lo : lo + _CHUNK]
-            piece[:] = self.quantile(np.maximum(rng.random(piece.size), 1e-300))
+            rng.random(out=piece)
+            np.maximum(piece, 1e-300, out=piece)
+            piece[:] = self.quantile(piece)
         return out
 
 
@@ -278,17 +281,26 @@ def _as241_tail(p):
 def _ndtri(p):
     """Phi^{-1}(p) by AS241: -inf at p = 0, inf at p = 1, NaN outside [0, 1].
 
-    Any shape; a 0-d input gives a scalar, as from a ufunc.
+    The central branch runs on every p, with no gather; the tail draws
+    (|p - 1/2| > 0.425) and the ones outside (0, 1) are then scattered over
+    it.  Any shape; a 0-d input gives a scalar, as from a ufunc.
     """
     p = np.asarray(p, dtype=np.float64)
     flat = p.ravel()
-    centre = np.abs(flat - 0.5) <= 0.425
-    tail = ~centre & (flat > 0.0) & (flat < 1.0)
-    return _piecewise(flat, (
-        (centre, lambda v: _as241_centre(v - 0.5)),
-        (tail, _as241_tail),
-        (~(centre | tail), lambda v: np.select([v == 0.0, v == 1.0], [-np.inf, np.inf], np.nan)),
-    )).reshape(p.shape)[()]
+    q = flat - 0.5
+    # far outside [0, 1], q * q overflows; those entries are overwritten below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _as241_centre(q)
+    off = ~(np.abs(q) <= 0.425)
+    if off.any():
+        tail = off & (flat > 0.0) & (flat < 1.0)
+        rest = off & ~tail
+        if tail.any():
+            out[tail] = _as241_tail(flat[tail])
+        if rest.any():
+            v = flat[rest]
+            out[rest] = np.select([v == 0.0, v == 1.0], [-np.inf, np.inf], np.nan)
+    return out.reshape(p.shape)[()]
 
 
 def _normal_model(sigma=1.0):
@@ -321,17 +333,21 @@ def _power_side(alpha, c_lo, c_hi, mid):
         )
 
     def quantile(u):
-        # one power per draw: -(c_lo / u)^(1/alpha) in the lower tail,
-        # (c_hi / (1 - u))^(1/alpha) in the upper one
+        # one power per draw, in place: -(c_lo / u)^(1/alpha) in the lower
+        # tail, (c_hi / (1 - u))^(1/alpha) in the upper one
         u = np.asarray(u, dtype=np.float64)
         lo = u <= c_lo
-        tail = (np.where(lo, c_lo, c_hi) / np.maximum(np.where(lo, u, 1.0 - u), 1e-300)) ** (1.0 / alpha)
+        tail = np.where(lo, u, 1.0 - u)
+        np.maximum(tail, 1e-300, out=tail)
+        np.divide(c_lo if c_lo == c_hi else np.where(lo, c_lo, c_hi), tail, out=tail)
+        tail **= 1.0 / alpha
         tail = np.where(lo, -tail, tail)
-        if mid > 0:
-            middle = -1.0 + 2.0 * (u - c_lo) / mid
-        else:
-            middle = np.ones_like(u)
-        return np.where(lo | (u >= 1.0 - c_hi), tail, middle)
+        # the middle branch, NaN draws included, only where some draw takes it
+        inside = ~(lo | (u >= 1.0 - c_hi))
+        if inside.any():
+            middle = -1.0 + 2.0 * (u - c_lo) / mid if mid > 0 else 1.0
+            tail = np.where(inside, middle, tail)
+        return tail
 
     return cdf, quantile
 
@@ -368,11 +384,17 @@ def _weibull_symmetric_model(scale=1.0, shape=1.0):
         return np.where(x < 0, 0.5 * _one_sided_sf(-x), 1.0 - 0.5 * _one_sided_sf(x))
 
     def quantile(u):
+        # one log and one power per draw, in place: lam (-log 2(1 - u))^(1/k)
+        # from u = 1/2 up, -lam (-log 2u)^(1/k) below; min(u, 1 - u) is the
+        # side's 1 - u or u (an array for 0-d u too), NaN included
         u = np.asarray(u, dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = lam * (-np.log(np.maximum(2.0 * (1.0 - u), 1e-300))) ** (1.0 / k)
-            down = -lam * (-np.log(np.maximum(2.0 * u, 1e-300))) ** (1.0 / k)
-        return np.where(u >= 0.5, np.maximum(up, 0.0), np.minimum(down, 0.0))
+        t = np.asarray(np.minimum(u, 1.0 - u))
+        t *= 2.0
+        np.maximum(t, 1e-300, out=t)
+        np.log(t, out=t)
+        np.negative(t, out=t)
+        t **= 1.0 / k
+        return np.where(u >= 0.5, np.maximum(t * lam, 0.0), np.minimum(t * -lam, 0.0))
 
     return TailModel(family="weibull_symmetric", cdf=cdf, quantile=quantile)
 
@@ -578,8 +600,9 @@ def generate(gen: ForcingGenerator, horizon: int, log_domain: bool = False, rng=
     else:
         raise ParameterError(f"unknown forcing kind {gen.kind!r}")
 
+    # h is checked where it was built; the placeholder keeps it valid
     h = _placeholder_forcing(h, log_domain)
-    return LogTrajectory(*h) if log_domain else Trajectory(h)
+    return LogTrajectory._from_valid(*h) if log_domain else Trajectory._from_valid(h)
 
 
 # --------------------------------------------------------------------------
@@ -839,18 +862,47 @@ class EnsembleResult:
     median: float
 
 
+def _log_log_exponent(series) -> float:
+    """max log|x(n)| / log n over n from max(2, burn-in start), log 0 read
+    as -745 as in :func:`abs_log_series`; a log path is compared in log|x|.
+
+    Where the window's max |x| exceeds 1 the maximum is positive, and only
+    a record index can hold it: the window's first index, or one whose |x|
+    exceeds every earlier one.  A later 1 < |x(n)| <= |x(m)| has log|x(n)|
+    / log n <= log|x(m)| / log m, rounded too, so the records give the
+    whole pass's value bitwise.  Other windows run the whole pass.
+    """
+    win = series.window(max(2, burn_in_start(series.start, series.end)), series.end)
+    plain = isinstance(win, Trajectory)
+    mag = np.abs(win.values) if plain else win.log_abs
+    top = np.maximum.accumulate(mag)
+    if top[-1] > (1.0 if plain else 0.0):
+        at = np.flatnonzero(mag[1:] > top[:-1])
+        at += 1
+        at = np.concatenate(([0], at))
+        mag = mag[at]
+    else:
+        at = np.arange(mag.size)
+    if plain:
+        with np.errstate(divide="ignore"):
+            mag = np.log(mag)
+    return float(np.max(np.where(mag == -np.inf, -745.0, mag) / np.log(at + win.start)))
+
+
 def _path_statistic(spec: StatisticSpec, series, system: EnsembleSpec) -> float:
-    """The statistic of one path's solution or forcing, as ``spec.series`` names."""
+    """The statistic of one path's solution or forcing, as ``spec.series`` names.
+
+    Each reads only what it needs: ``log_growth_rate`` the last value,
+    ``log_log_exponent`` the record indices of its window where they decide
+    it (:func:`_log_log_exponent`).
+    """
     if spec.name == "limsup_ratio":
         return estimate_limsup(series, system.scaling).value
     if spec.name == "log_growth_rate":
-        la = abs_log_series(series)
-        return float(la.values[-1]) / la.end
+        last = abs_log_series(series.window(series.end, series.end))
+        return float(last.values[0]) / series.end
     if spec.name == "log_log_exponent":
-        la = abs_log_series(series)
-        lo = max(2, burn_in_start(la.start, la.end))
-        win = la.window(lo, la.end)
-        return float(np.max(win.values / np.log(win.indices())))
+        return _log_log_exponent(series)
     if spec.name == "cesaro_limit":
         ratio = ratio_series(series, system.scaling.a)
         return float(time_average(ratio).values[-1])
@@ -896,7 +948,9 @@ def _path_group(system: EnsembleSpec, statistic: StatisticSpec, horizon: int, rn
                 series[p] = solve_linear(system.kernel, forcing, system.xi, horizon)
             else:
                 rows[p] = forcing.values
-                series[p] = Trajectory(rows[p])  # a view: the solve below fills it in
+                # a view the solve below fills in; a row it leaves non-finite
+                # is dropped there, so the others need no second check
+                series[p] = Trajectory._from_valid(rows[p])
         except _PATH_ERRORS:
             pass
         forcing = None  # a forcing the statistic does not read goes before the next draw

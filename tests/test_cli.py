@@ -1003,6 +1003,22 @@ class TestCommandLine:
                         "noise": {"family": "normal", "sigma": 1.0}},
             "statistic": {"name": "phi_average", "band": [0.0, 1.0]},
         }, 2, {"failures": 2, "pass_fraction": 0.0}),
+        # log_log_exponent reads record indices only where a window's max |x|
+        # exceeds 1.  Here |x| <= 0.4 past the burn-in on every plain path,
+        # so each window runs the whole pass; the log-domain paths of a
+        # power tail all take the records.  The medians are the whole pass's
+        "ens_lle_small": ("ensemble", {
+            "horizon": 3000, "paths": 6, "seed": 11,
+            "kernel": {"coefficients": [0.5]},
+            "forcing": {"kind": "iid", "tail": {"family": "uniform", "low": -0.2, "high": 0.2}},
+            "statistic": {"name": "log_log_exponent", "band": [-1.0, 0.0]},
+        }, 0, {"failures": 0, "pass_fraction": 1.0, "median": -0.13850214509147873}),
+        "ens_lle_log": ("ensemble", {
+            "horizon": 2000, "paths": 6, "seed": 5, "log_domain": True,
+            "kernel": {"name": "geometric", "c": 0.3, "ratio": 0.5, "size": 40},
+            "forcing": {"kind": "iid", "tail": {"family": "symmetric_power", "alpha": 2.0}},
+            "statistic": {"name": "log_log_exponent", "band": [0.4, 0.6]},
+        }, 0, {"failures": 0, "pass_fraction": 1.0, "median": 0.5209782259608484}),
         # an ensemble limsup_ratio on the forcing against sqrt(2 log n)
         "limsup": ("ensemble", {
             "horizon": 2000, "paths": 8, "seed": 7,

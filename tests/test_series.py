@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from volterra_lab.exceptions import InputError, UndefinedRatioError
 from volterra_lab.series import (
     LogTrajectory,
     Trajectory,
+    abs_log_series,
     burn_in_start,
     consecutive_ratios,
     dyadic_blocks,
@@ -167,3 +170,36 @@ def test_percentile_is_bitwise_np_percentile(values, q):
     a = np.array(values)
     with np.errstate(invalid="ignore", over="ignore"):
         assert _bitwise(percentile(a, q), np.percentile(a, q))
+
+
+def test_a_checked_form_is_not_checked_again(checks):
+    plain = Trajectory([-2.0, 0.0, 3.0, 0.5], start=1)
+    log = LogTrajectory([0.5, -np.inf, 700.0], [1.0, 0.0, -1.0], start=2)
+    assert checks == [Trajectory, LogTrajectory]
+    checks.clear()
+    derived = [plain.window(2, 3), log.window(3, 4), plain.to_log(), log.window(2, 2).to_plain(),
+               plain.to_log().window(1, 2).to_plain(), abs_log_series(plain), abs_log_series(log)]
+    assert checks == []
+    assert [type(d) for d in derived] == [Trajectory, LogTrajectory, LogTrajectory, Trajectory,
+                                          Trajectory, Trajectory, Trajectory]
+    assert derived[0].start == 2 and type(derived[0].start) is int
+    assert list(derived[4].values) == [-2.0, 0.0]
+    # the public constructors and dataclasses.replace still check
+    Trajectory([1.0])
+    replace(plain, start=3)
+    LogTrajectory([0.0], [1.0])
+    replace(log, start=0)
+    assert checks == [Trajectory, Trajectory, LogTrajectory, LogTrajectory]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LogTrajectory([0.0, np.inf], [1.0, 1.0], start=3), "invalid log magnitude at index 4"),
+    (lambda: LogTrajectory([0.0, 1.0], [1.0, 0.5]), "signs must be -1, 0, or +1"),
+    (lambda: LogTrajectory([0.0, 1.0, -np.inf], [1.0, 0.0, 0.0], start=2),
+     "sign/zero mismatch at index 3"),
+    (lambda: Trajectory([1.0, np.nan], start=4), "non-finite value at index 5"),
+    (lambda: Trajectory([1.0, 2.0, -np.inf]), "non-finite value at index 2"),
+])
+def test_outside_input_is_refused_where_it_enters(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
 from volterra_lab import cli, stochastic
@@ -13,7 +15,7 @@ from volterra_lab.config import ExperimentConfig
 from volterra_lab.core import _CHUNK, Kernel
 from volterra_lab.exceptions import InputError, ParameterError
 from volterra_lab.growth_catalogue import catalogue_entry
-from volterra_lab.series import LogTrajectory, Trajectory, abs_log_series
+from volterra_lab.series import LogTrajectory, Trajectory, abs_log_series, burn_in_start
 from volterra_lab.stochastic import (
     EnsembleSpec,
     ForcingGenerator,
@@ -918,6 +920,70 @@ def test_log_log_exponent_burn_in_keeps_its_values(seed, monkeypatch):
     assert len(pairs) == 16
     for value, reference in pairs:
         assert value == reference
+
+
+def _whole_pass_log_log_exponent(series):
+    """log_log_exponent as one pass over its whole window: the reference of
+    the records rule."""
+    la = abs_log_series(series)
+    lo = max(2, burn_in_start(la.start, la.end))
+    win = la.window(lo, la.end)
+    return float(np.max(win.values / np.log(win.indices())))
+
+
+# few distinct magnitudes make ties, exact zeros and constant stretches on
+# both sides of 1; the others reach far past it and far below it
+_PATH_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0]),
+                         st.floats(-1e300, 1e300, allow_nan=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_PATH_VALUES, min_size=1, max_size=40), st.integers(0, 3))
+# the window's first index holds the maximum, with a later record and without one
+@example([0.0, 0.0, 50.0, 2.0, 3.0, 60.0], 0)
+@example([0.0, 0.0, 50.0, 2.0, 3.0, 4.0], 0)
+@example([0.0, 0.0, 0.0, 0.5, 1.0, 0.25, 0.0], 0)  # max |x| <= 1, with exact zeros
+@example([5.0] * 6, 0)  # a constant path, its window from index 2
+@example([0.7] * 12, 3)  # a constant path at most 1, from index 3
+def test_log_log_exponent_reads_records_bitwise(values, start):
+    """The records rule gives the whole pass's value bitwise on plain and log
+    paths, past double range too; a window too short to exist raises in both."""
+    plain = Trajectory(values, start=start)
+    log = plain.to_log()
+    for series in (plain, log, LogTrajectory(log.log_abs * 1e3, log.sign, start=start)):
+        try:
+            want = _whole_pass_log_log_exponent(series)
+        except InputError:
+            with pytest.raises(InputError):
+                stochastic._log_log_exponent(series)
+            continue
+        got = stochastic._log_log_exponent(series)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("name", ["log_log_exponent", "log_growth_rate"])
+def test_an_ensemble_path_is_checked_where_it_is_drawn(name, checks):
+    """A plain i.i.d. path runs one check, on its draws: the forcing on
+    0..N, the row the solve fills in and the statistic run none."""
+    system = EnsembleSpec(
+        kernel=Kernel(np.array([0.3, 0.2])),
+        forcing=ForcingGenerator(kind="iid", seed=4, tail=make_tail_model("symmetric_power")),
+        horizon=600,
+    )
+    result = ensemble_verify(system, 5, StatisticSpec(name, (-10.0, 10.0)))
+    assert result.failures == 0
+    assert checks == [Trajectory] * 5
+
+
+@pytest.mark.parametrize("log_domain, message", [
+    (False, "non-finite value at index 3"),
+    (True, "invalid log magnitude at index 3"),
+])
+def test_a_nan_factor_is_refused_where_it_enters(log_domain, message):
+    gen = ForcingGenerator(kind="modulated", entry=forcing_entry("geometric", lam=0.5),
+                           factor=lambda n, rng: np.where(n == 3, np.nan, 1.0))
+    with pytest.raises(InputError, match=f"^{message}$"):
+        generate(gen, 10, log_domain)
 
 
 class TestEnsembles:
